@@ -21,8 +21,8 @@ copy (forked children inherit the parent's warm cache on platforms whose
 start method is ``fork``).
 
 This module lives in :mod:`repro.arch` because the cached artefacts depend
-only on the architecture layer; :mod:`repro.pipeline.cache` re-exports it as
-the service-facing entry point.
+only on the architecture layer; :mod:`repro.pipeline` re-exports its public
+functions (``from repro.pipeline import cache_stats``).
 """
 
 from __future__ import annotations

@@ -188,7 +188,7 @@ class CouplingMap:
         The human-readable :attr:`name` is deliberately excluded so that two
         structurally identical maps (for example the same subset of the same
         device extracted twice) share one key.  Used by
-        :mod:`repro.pipeline.cache` to memoise per-architecture artefacts.
+        :mod:`repro.arch.cache` to memoise per-architecture artefacts.
         """
         return (self.num_qubits, tuple(sorted(self._edges)))
 

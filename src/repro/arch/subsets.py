@@ -43,7 +43,7 @@ def connected_subsets(coupling: CouplingMap, size: int) -> List[Tuple[int, ...]]
     Connectivity is checked with a plain set-based traversal instead of
     building a networkx subgraph per combination; repeated enumerations for
     the same architecture are additionally memoised by
-    :func:`repro.pipeline.cache.shared_connected_subsets`.
+    :func:`repro.arch.cache.shared_connected_subsets`.
 
     Args:
         coupling: The device coupling map.

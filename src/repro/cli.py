@@ -19,7 +19,7 @@ Examples::
 
     repro-map circuit.qasm --arch qx4 --engine dp
     repro-map circuit.qasm --arch qx4 --engine sat --strategy odd --subsets
-    repro-map circuit.qasm --engine sat --subsets --workers 4 --cache-dir ~/.repro
+    repro-map circuit.qasm --engine sat --subsets --cache-dir ~/.repro
     repro-map serve a.qasm b.qasm --arch qx4 --arch qx5 --engine dp --workers 4
     repro-map listen --port 8137 --workers 4 --arch qx4 --arch qx5
     repro-map cache stats --cache-dir ~/.repro
@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.arch import get_architecture
 from repro.circuit import parse_qasm_file
 from repro.circuit.qasm import write_qasm_file
-from repro.pipeline.cache import cache_stats, clear_caches, get_cache_dir, set_cache_dir
+from repro.arch.cache import cache_stats, clear_caches, get_cache_dir, set_cache_dir
 from repro.pipeline.pipeline import MappingPipeline
 from repro.pipeline.registry import available_mappers, resolve_mapper_name
 from repro.sim.equivalence import result_is_equivalent
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--optimizer", default=None,
         help="objective-search strategy of the SAT stage (linear, binary, "
-        "core, or 'race' for the portfolio engine; default: linear). "
+        "core; default: linear). "
         "'core' uses MaxSAT-style UNSAT-core-guided descent",
     )
     parser.add_argument(
@@ -125,16 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trials", type=int, default=5,
         help="number of trials for the stochastic heuristic (default 5)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker count for the parallel subset fan-out of the SAT engine "
-        "(default 1: sequential; combine with --executor process for real "
-        "speed-ups, the pure-Python solver holds the GIL)",
-    )
-    parser.add_argument(
-        "--executor", default="thread", choices=["thread", "process"],
-        help="worker pool type used with --workers > 1 (default: thread)",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -220,26 +210,15 @@ def _validate_optimizer(parser: argparse.ArgumentParser, args: argparse.Namespac
     optimizer = getattr(args, "optimizer", None)
     if optimizer is None:
         return
-    from repro.sat.optimize import available_optimizers
+    from repro.sat.optimize import available_optimizers, resolve_optimizer_name
 
-    valid = list(available_optimizers())
-    if engine == "portfolio":
-        valid.append("race")
-    if optimizer == "race" and engine != "portfolio":
+    try:
+        resolve_optimizer_name(optimizer)
+    except ValueError:
         parser.error(
-            "--optimizer race is only supported by the portfolio engine "
-            f"(got engine {engine!r})"
+            f"unknown --optimizer {optimizer!r}; choose one of "
+            f"{', '.join(available_optimizers())} (see --list-optimizers)"
         )
-    from repro.sat.optimize import resolve_optimizer_name
-
-    if optimizer != "race":
-        try:
-            resolve_optimizer_name(optimizer)
-        except ValueError:
-            parser.error(
-                f"unknown --optimizer {optimizer!r}; choose one of "
-                f"{', '.join(valid)} (see --list-optimizers)"
-            )
     if engine not in ("sat", "portfolio", "sat_split"):
         parser.error(
             f"--optimizer only applies to the sat, sat_split and portfolio "
@@ -254,8 +233,6 @@ def _print_optimizers() -> None:
     width = max(len(name) for name in descriptions)
     for name, description in descriptions.items():
         print(f"{name:{width}s}  {description}")
-    print(f"{'race':{width}s}  portfolio engine only: race linear vs. "
-          "core-guided descent, first proven result wins")
 
 
 def _print_explanation(result) -> None:
@@ -396,8 +373,6 @@ def _run_map(argv: Sequence[str]) -> int:
             coupling,
             engine=engine,
             engine_options=options,
-            workers=args.workers,
-            executor=args.executor,
             bound_providers=providers or None,
         )
         from repro.exact.sat_mapper import SATMapperError
@@ -674,7 +649,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--optimizer", default=None,
         help="objective-search strategy of the SAT stage "
-        "(linear, binary, core; 'race' with --engine portfolio)",
+        "(linear, binary, core)",
     )
     parser.add_argument("--subsets", action="store_true",
                         help="restrict the SAT engine to connected subsets")

@@ -25,11 +25,11 @@ The subset sweep is organised around four reuse layers:
   of a provable structural lower bound
   (:func:`~repro.exact.sweep.structural_lower_bound`, densest sub-couplings
   first), with ties keeping the canonical keys' first-appearance order, so
-  sequential and parallel sweeps walk the same order.  Once an incumbent
-  exists, a family whose proven lower bound — structural, or transferred
-  from an already-decided family it embeds into (fewer edges can never map
-  more cheaply) — meets the incumbent is *pruned without a single solver
-  call*, and the skip is mirrored to all its members.
+  every run walks the same order.  Once an incumbent exists, a family whose
+  proven lower bound — structural, or transferred from an already-decided
+  family it embeds into (fewer edges can never map more cheaply) — meets
+  the incumbent is *pruned without a single solver call*, and the skip is
+  mirrored to all its members.
 * **Cross-family clause sharing** — clauses learned by one family's solver
   before any committed bound are consequences of that family's formula
   alone; restricted to the shared encoding layers and translated through
@@ -39,12 +39,12 @@ The subset sweep is organised around four reuse layers:
   environment variable ``REPRO_CHECK_IMPORTS`` to verify every imported
   clause by refutation (slow; used by the property tests).
 
-The subset loop is factored into :meth:`SATMapper.solve_subset` so that the
-batch pipeline (:mod:`repro.pipeline.pipeline`) can fan the independent
-family representatives out over a worker pool; both the sequential loop here
-and the parallel one share :meth:`SATMapper.subset_family_groups`,
-:meth:`SATMapper.mirror_outcome`, :meth:`SATMapper.select_best_outcome` and
-:meth:`SATMapper.build_mapping_result`.  Per-architecture artefacts
+The sweep is sequential by design: pruning, clause sharing and model
+transfer all draw on the families solved before, so a family solved without
+that prefix pays the full cost of an unbounded search.  Parallelism belongs
+one level up: across circuits
+(:meth:`repro.pipeline.pipeline.MappingPipeline.map_many`) and across the
+worker processes of the serving fleet.  Per-architecture artefacts
 (permutation tables, connected subsets) come from the process-wide caches in
 :mod:`repro.arch.cache`.
 """
@@ -98,11 +98,7 @@ class SATMapperError(RuntimeError):
 
     @classmethod
     def no_solution(cls, budget_exhausted: bool) -> "SATMapperError":
-        """The error for a search that ended without any solution.
-
-        Shared by the sequential subset loop and the parallel fan-out in
-        :mod:`repro.pipeline.pipeline` so the two paths cannot drift apart.
-        """
+        """The error for a search that ended without any solution."""
         if budget_exhausted:
             return cls("time budget exhausted before a first solution was found")
         return cls(
@@ -260,20 +256,14 @@ class _FamilyRecord:
     exported: List[Tuple[int, ...]]
     schedule: Optional[List[Tuple[int, ...]]] = None
     schedule_objective: Optional[int] = None
-    #: Sweep-plan position, set by the parallel fan-out so that pruning
-    #: decisions can be restricted to plan-order-prefix information (the
-    #: sequential loop's records are prefix-ordered by construction).
-    position: Optional[int] = None
 
 
 class SweepContext:
     """Cross-family bookkeeping of one sweep: proven bounds and clause pool.
 
-    Both the sequential loop (:meth:`SATMapper.map`) and the parallel
-    fan-out (:mod:`repro.pipeline.pipeline`) feed processed families in via
-    :meth:`note_family` and query :meth:`lower_bound_for` before touching
-    the next one; the sequential loop additionally pulls translated learned
-    clauses via :meth:`import_into`.
+    The sweep (:meth:`SATMapper.map`) feeds processed families in via
+    :meth:`note_family`, queries :meth:`lower_bound_for` before touching the
+    next one, and pulls translated learned clauses via :meth:`import_into`.
 
     With an *artifacts* cache (see
     :class:`repro.service.store.ArtifactCache` — duck-typed here as
@@ -514,7 +504,6 @@ class SweepContext:
         exported: Optional[List[Tuple[int, ...]]] = None,
         schedule: Optional[List[Tuple[int, ...]]] = None,
         schedule_objective: Optional[int] = None,
-        position: Optional[int] = None,
     ) -> None:
         """Record a processed (solved or pruned) family.
 
@@ -551,7 +540,6 @@ class SweepContext:
                 plan=plan, shared_vars=shared_vars,
                 lower_bound=lower_bound, exported=exported,
                 schedule=schedule, schedule_objective=schedule_objective,
-                position=position,
             )
         )
 
@@ -566,9 +554,7 @@ class SweepContext:
         return self._embeddings[cache_key]
 
     # ------------------------------------------------------------------
-    def lower_bound_for(
-        self, plan: FamilyPlan, before: Optional[int] = None
-    ) -> float:
+    def lower_bound_for(self, plan: FamilyPlan) -> float:
         """The tightest proven lower bound available for *plan*'s family.
 
         Combines the family's own structural bound with bounds transferred
@@ -576,24 +562,10 @@ class SweepContext:
         family maps into family *B* under some vertex relabelling, every
         schedule here is also valid on *B* at no higher cost, so this
         family's optimum is at least *B*'s proven bound.
-
-        Args:
-            before: When given, only records stamped with a plan position
-                strictly below this take part — the parallel fan-out prunes
-                a family from exactly the information the sequential sweep
-                would have at that point, never from a later-ordered family
-                that happened to finish early (which could change which
-                subset wins a tie).
         """
         bound: float = plan.heuristic_lower_bound
         for record in self.records:
             if record.lower_bound is None or record.lower_bound <= bound:
-                continue
-            if (
-                before is not None
-                and record.position is not None
-                and record.position >= before
-            ):
                 continue
             # Bound transfer needs the cost-preserving (directed) relation.
             if self._embedding(plan, record.plan, directed=True) is not None:
@@ -759,10 +731,10 @@ class SATMapper:
     def bind_control(self, control) -> None:
         """Attach a :class:`~repro.sat.control.SolveControl` token.
 
-        Every CDCL solver created by later :meth:`map`/:meth:`solve_subset`
-        calls registers on *control*; ``control.cancel()`` then interrupts
-        all of them at their next conflict boundary, and the sweep loop
-        stops launching further family solves.  Cancellation behaves like
+        Every CDCL solver created by later :meth:`map` calls registers on
+        *control*; ``control.cancel()`` then interrupts all of them at their
+        next conflict boundary, and the sweep loop stops launching further
+        family solves.  Cancellation behaves like
         an exhausted time budget: the best solution found so far (if any)
         is returned as non-optimal, otherwise :class:`SATMapperError` is
         raised.
@@ -773,7 +745,7 @@ class SATMapper:
         return self.control is not None and self.control.cancelled
 
     # ------------------------------------------------------------------
-    # Instance preparation (shared with the batch pipeline)
+    # Instance preparation
     # ------------------------------------------------------------------
     @property
     def accepts_external_bound(self) -> bool:
@@ -865,9 +837,8 @@ class SATMapper:
         architecture and the circuit.  Densest sub-couplings (lowest
         structural bound) come first: they tend to hold the cheapest
         mappings, which establishes a tight incumbent early and lets the
-        sparse tail be pruned without solving.  Sequential and parallel
-        sweeps both follow this order, so they prune identically and
-        benchmark numbers are reproducible.
+        sparse tail be pruned without solving.  A fixed order makes the
+        pruning, and therefore every benchmark counter, reproducible.
         """
         plans: List[FamilyPlan] = []
         for group in self.subset_family_groups(subsets):
@@ -888,7 +859,7 @@ class SATMapper:
         # Stable sort: ties keep the canonical keys' first-appearance order
         # over the (sorted) subset enumeration, which is itself a pure
         # function of the architecture — the overall order is reproducible
-        # across runs, processes and the parallel fan-out.
+        # across runs and processes.
         plans.sort(key=lambda plan: plan.heuristic_lower_bound)
         return plans
 
@@ -1105,135 +1076,9 @@ class SATMapper:
             return SubsetOutcome(subset=tuple(subset), status="unsat", reused=True)
         return None
 
-    @staticmethod
-    def mirror_outcome(
-        outcome: SubsetOutcome, member: Sequence[int]
-    ) -> SubsetOutcome:
-        """Re-express a solved outcome for another subset of the same family.
-
-        The two encodings are identical, so the status and objective carry
-        over as-is; only the translation back to device indices differs.
-        """
-        mappings = None
-        if outcome.mappings is not None:
-            position = {qubit: i for i, qubit in enumerate(outcome.subset)}
-            member = tuple(member)
-            mappings = [
-                tuple(member[position[physical]] for physical in mapping)
-                for mapping in outcome.mappings
-            ]
-        return SubsetOutcome(
-            subset=tuple(member),
-            status=outcome.status,
-            objective=outcome.objective,
-            mappings=mappings,
-            reused=True,
-        )
-
     # ------------------------------------------------------------------
-    # Per-subset solving (shared with the batch pipeline)
+    # Result assembly
     # ------------------------------------------------------------------
-    def solve_subset(
-        self,
-        gates: Sequence[Tuple[int, int]],
-        num_logical: int,
-        spots: Sequence[int],
-        subset: Tuple[int, ...],
-        time_limit: Optional[float] = None,
-        upper_bound: Optional[int] = None,
-        incumbent: Optional[Tuple[List[Tuple[int, ...]], int]] = None,
-        artifacts=None,
-    ) -> SubsetOutcome:
-        """Solve the mapping instance restricted to one physical-qubit subset.
-
-        Args:
-            gates: CNOT sequence as ``(control, target)`` logical pairs.
-            num_logical: Number of logical qubits of the circuit.
-            spots: Permutation spots (from :meth:`cnot_instance`).
-            subset: Device indices of the physical qubits to map onto.
-            time_limit: Wall-clock budget for this instance.
-            upper_bound: Inclusive objective bound *assumed* on the session
-                before the first solve (heuristic seeding / incumbent
-                tightening); a ``"unsat"`` outcome then only means "nothing
-                at most this cheap in this subset".
-            incumbent: Optional ``(subset-local mappings, objective)`` warm
-                start — the parallel fan-out's cross-family model transfer,
-                resolved by the parent from already-finished families.
-            artifacts: Optional picklable artifact-cache handle (see
-                :class:`repro.service.store.ArtifactCache`): the family's
-                persisted clauses seed the fresh session, its persisted
-                schedule competes with *incumbent*, and this solve's harvest
-                is merged back after the run.  Hit-rate counters land in the
-                outcome's ``statistics``.
-
-        Returns:
-            The :class:`SubsetOutcome` with mappings translated back to
-            device indices.
-        """
-        sub_coupling = self.coupling.subgraph(subset)
-        if not sub_coupling.is_connected():
-            return SubsetOutcome(subset=tuple(subset), status="unsat")
-        state = self._family_state(sub_coupling, gates, num_logical, spots)
-        context: Optional[SweepContext] = None
-        if artifacts is not None:
-            context = SweepContext(
-                gates=gates, num_logical=num_logical, spots=spots,
-                artifacts=artifacts,
-            )
-            assert state.encoding is not None
-            context.artifact_import_into(sub_coupling, state)
-            transfer = context.artifact_incumbent(
-                sub_coupling, state.encoding.permutation_table, bound=upper_bound
-            )
-            if transfer is not None and (
-                incumbent is None or transfer[1] < incumbent[1]
-            ):
-                incumbent = transfer
-                context.artifact_models_used += 1
-        outcome = self._solve_family(
-            state, tuple(subset), time_limit, upper_bound, incumbent=incumbent
-        )
-        if context is not None:
-            # Harvest this family's clauses/bound/schedule into the shared
-            # store — the cross-process counterpart of the sequential
-            # sweep's end-of-run save (each worker writes its own family).
-            plan = FamilyPlan(
-                indices=[0],
-                key=sub_coupling.canonical_key(),
-                sub_coupling=sub_coupling,
-                heuristic_lower_bound=0,
-                connected=True,
-            )
-            self._finish_family(context, plan, state, outcome)
-            context.save_artifacts()
-            outcome.statistics.update(context.artifact_statistics())
-            if context.artifact_notes:
-                outcome.statistics["artifact_notes"] = list(
-                    context.artifact_notes
-                )
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Result assembly (shared with the batch pipeline)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def select_best_outcome(
-        outcomes: Sequence[SubsetOutcome],
-    ) -> Optional[SubsetOutcome]:
-        """The first outcome (in the given order) with the lowest objective.
-
-        Keeping the *first* of equally cheap outcomes makes the parallel
-        subset fan-out deterministic and identical to the sequential loop,
-        which only replaces the incumbent on a strict improvement.
-        """
-        best: Optional[SubsetOutcome] = None
-        for outcome in outcomes:
-            if not outcome.is_satisfiable:
-                continue
-            if best is None or outcome.objective < best.objective:
-                best = outcome
-        return best
-
     def build_mapping_result(
         self,
         circuit: QuantumCircuit,

@@ -7,15 +7,15 @@ and :mod:`repro.heuristic` into one service-shaped entry point:
   registry (``get_mapper("sat", coupling, ...)``) so callers no longer
   hard-code engine classes,
 * :mod:`repro.pipeline.pipeline` — :class:`MappingPipeline` with a batch API
-  (``map_many``) that fans independent circuits and SAT subset instances out
-  over a thread or process pool and returns structured per-item results,
+  (``map_many``) that fans independent circuits out over a thread or process
+  pool and returns structured per-item results,
 * :mod:`repro.pipeline.portfolio` — :class:`PortfolioMapper`, which runs a
   cheap heuristic first and seeds the SAT optimiser with its cost as an
   initial upper bound,
-* :mod:`repro.pipeline.cache` — process-wide memoisation of
+* the process-wide caches of :mod:`repro.arch.cache` (memoised
   :class:`~repro.arch.permutations.PermutationTable` and
   :func:`~repro.arch.subsets.connected_subsets` keyed by the canonical
-  coupling-map key.
+  coupling-map key) are re-exported here.
 
 The submodules are imported lazily (PEP 562): :mod:`repro.pipeline.registry`
 builds engines from :mod:`repro.exact` and :mod:`repro.heuristic`, and
@@ -44,17 +44,25 @@ _EXPORTS = {
     "SeedResolution": "repro.pipeline.bounds",
     "StaticBoundProvider": "repro.pipeline.bounds",
     "StoreBoundProvider": "repro.pipeline.bounds",
-    "shared_permutation_table": "repro.pipeline.cache",
-    "shared_connected_subsets": "repro.pipeline.cache",
-    "cache_stats": "repro.pipeline.cache",
-    "clear_caches": "repro.pipeline.cache",
-    "set_cache_dir": "repro.pipeline.cache",
-    "get_cache_dir": "repro.pipeline.cache",
+    "shared_permutation_table": "repro.arch.cache",
+    "shared_connected_subsets": "repro.arch.cache",
+    "cache_stats": "repro.arch.cache",
+    "clear_caches": "repro.arch.cache",
+    "set_cache_dir": "repro.arch.cache",
+    "get_cache_dir": "repro.arch.cache",
 }
 
 __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from repro.arch.cache import (
+        cache_stats,
+        clear_caches,
+        get_cache_dir,
+        set_cache_dir,
+        shared_connected_subsets,
+        shared_permutation_table,
+    )
     from repro.pipeline.bounds import (
         BoundProvider,
         BoundProviderChain,
@@ -64,14 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         SeedResolution,
         StaticBoundProvider,
         StoreBoundProvider,
-    )
-    from repro.pipeline.cache import (
-        cache_stats,
-        clear_caches,
-        get_cache_dir,
-        set_cache_dir,
-        shared_connected_subsets,
-        shared_permutation_table,
     )
     from repro.pipeline.pipeline import BatchItem, MappingPipeline
     from repro.pipeline.portfolio import PortfolioMapper

@@ -2,23 +2,15 @@
 
 :class:`MappingPipeline` is the service-shaped front end of the package: it
 resolves its engine through the :mod:`repro.pipeline.registry`, maps single
-circuits or whole batches, and exploits two levels of parallelism:
-
-* **circuit level** — :meth:`MappingPipeline.map_many` fans independent
-  circuits out over a :mod:`concurrent.futures` thread or process pool and
-  returns one :class:`BatchItem` per input (result *or* structured failure —
-  one bad circuit never poisons the batch),
-* **subset level** — for the SAT engine with ``use_subsets=True``,
-  :meth:`MappingPipeline.map` solves one representative per *subset family*
-  (structurally identical induced sub-couplings share one encoding, see
-  :meth:`~repro.exact.sat_mapper.SATMapper.subset_family_groups`)
-  concurrently, mirrors each family outcome onto its other members for
-  free, drops outstanding instances as soon as a zero-added-cost mapping is
-  found, and picks the winner in deterministic subset order: the same
-  subset wins with the same added cost as the sequential loop in
-  :meth:`repro.exact.sat_mapper.SATMapper.map` (the concrete qubit
-  assignment within the winning subset may differ, as the sequential loop
-  solves later subsets under a tightened incumbent bound).
+circuits or whole batches, and parallelises at the **circuit level**:
+:meth:`MappingPipeline.map_many` fans independent circuits out over a
+:mod:`concurrent.futures` thread or process pool and returns one
+:class:`BatchItem` per input (result *or* structured failure — one bad
+circuit never poisons the batch).  A single circuit is always mapped by the
+engine's own ``map``; for the SAT subset sweep that is the sequential
+:meth:`repro.exact.sat_mapper.SATMapper.map`, whose incumbent-driven family
+pruning, clause sharing and model transfer all depend on solving families
+in plan order.
 
 Mapping engines that can exploit an externally known objective bound
 (``mapper.accepts_external_bound``) are seeded through an optional
@@ -28,10 +20,7 @@ solver starts.  Engines that consume **solve artifacts**
 (``mapper.accepts_artifacts``) additionally receive a picklable
 skeleton-keyed cache handle resolved from the chain's
 :class:`~repro.pipeline.bounds.ClauseProvider`, so sweeps warm-start from
-structurally identical past jobs; the subset fan-out dispatches families
-*rolling* (slots refill in plan order) so each family also gets the
-cheapest already-found schedule replayed as its first incumbent — the
-parallel counterpart of the sequential sweep's cross-family model transfer.
+structurally identical past jobs.
 
 The pure-Python SAT solver holds the GIL, so ``executor="process"`` is the
 choice for real speed-ups; ``executor="thread"`` (the default) still
@@ -41,26 +30,13 @@ overlaps I/O and keeps the API identical without any pickling requirements.
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.arch.cache import shared_permutation_table
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.result import MappingResult
-from repro.exact.sat_mapper import (
-    SATMapper,
-    SATMapperError,
-    SubsetOutcome,
-    SweepContext,
-)
 from repro.pipeline.bounds import BoundProvider, BoundProviderChain, SeedResolution
 from repro.pipeline.registry import get_mapper, resolve_mapper_name
 
@@ -169,44 +145,8 @@ def _map_circuit_task(
         return ("error", str(error), type(error).__name__, time.monotonic() - start)
 
 
-def _solve_subset_task(
-    mapper: SATMapper,
-    gates: Sequence[Tuple[int, int]],
-    num_logical: int,
-    spots: Sequence[int],
-    subset: Tuple[int, ...],
-    deadline: Optional[float],
-    upper_bound: Optional[int],
-    incumbent: Optional[Tuple[List[Tuple[int, ...]], int]] = None,
-    artifacts=None,
-) -> SubsetOutcome:
-    """Worker task: solve one SAT subset instance.
-
-    *deadline* is an absolute ``time.monotonic()`` timestamp so that a task
-    dequeued late in a crowded pool gets only the time that is actually left
-    of the overall budget, not the full budget again.  (``CLOCK_MONOTONIC``
-    is system-wide, so the comparison also holds in process-pool workers.)
-
-    *incumbent* is the parent-resolved cross-family model transfer
-    (subset-local mappings plus objective) and *artifacts* the picklable
-    solve-artifact cache handle — both pure warm starts that never change
-    the outcome, only how fast it is reached.
-    """
-    if deadline is not None:
-        time_limit = deadline - time.monotonic()
-        if time_limit <= 0:
-            return SubsetOutcome(subset=tuple(subset), status="unknown")
-    else:
-        time_limit = None
-    return mapper.solve_subset(
-        gates, num_logical, spots, subset,
-        time_limit=time_limit, upper_bound=upper_bound,
-        incumbent=incumbent, artifacts=artifacts,
-    )
-
-
 class MappingPipeline:
-    """Registry-backed mapping front end with batch and subset parallelism.
+    """Registry-backed mapping front end with batch parallelism.
 
     Args:
         coupling: Target architecture shared by all mapped circuits.
@@ -214,8 +154,8 @@ class MappingPipeline:
             ``"stochastic"``, ``"sabre"``, ``"portfolio"``, or any name added
             via :func:`repro.pipeline.registry.register_mapper`).
         engine_options: Keyword options forwarded to the engine factory.
-        workers: Default worker count for :meth:`map_many` and for the SAT
-            subset fan-out of :meth:`map`; ``1`` means fully sequential.
+        workers: Default worker count for :meth:`map_many`; ``1`` means
+            fully sequential.
         executor: ``"thread"`` (default) or ``"process"``.  With
             ``"process"``, worker processes re-resolve the engine from their
             own copy of the registry: custom engines added at runtime via
@@ -323,339 +263,28 @@ class MappingPipeline:
     def map(
         self, circuit: QuantumCircuit, control: Optional[Any] = None
     ) -> MappingResult:
-        """Map one circuit, fanning SAT subset instances out when possible.
+        """Map one circuit with the engine's own ``map``.
 
-        The parallel subset path is taken for the SAT engine with
-        ``use_subsets=True`` and more than one worker; every other
-        configuration simply delegates to the engine's own ``map`` (seeded
-        with a provider-resolved upper bound where the engine allows it).
-        *control* is an optional cooperative-cancellation token (see
-        :meth:`map_many`; thread executor only).
+        The engine is seeded with whatever the bound providers resolve and
+        it allows (see :func:`_map_with_bound`).  *control* is an optional
+        cooperative-cancellation token for engines with ``bind_control``;
+        the circuit is mapped in the calling thread, so the token is
+        honoured under either executor.
         """
         mapper = self.create_mapper()
-        if (
-            control is not None
-            and self.executor == "thread"
-            and hasattr(mapper, "bind_control")
-        ):
+        if control is not None and hasattr(mapper, "bind_control"):
             mapper.bind_control(control)
         seed = self._resolve_seed(mapper, circuit)
-        if (
-            self.workers > 1
-            and isinstance(mapper, SATMapper)
-            and mapper.use_subsets
-        ):
-            result = self._map_subsets_parallel(
-                mapper, circuit, artifacts=seed.artifacts
-            )
-        else:
-            result = _map_with_bound(
-                mapper,
-                circuit,
-                seed.bound,
-                seed.model.mappings if seed.model is not None else None,
-                seed.model.objective if seed.model is not None else None,
-                artifacts=seed.artifacts,
-            )
+        result = _map_with_bound(
+            mapper,
+            circuit,
+            seed.bound,
+            seed.model.mappings if seed.model is not None else None,
+            seed.model.objective if seed.model is not None else None,
+            artifacts=seed.artifacts,
+        )
         self._annotate_seed(result, seed)
         return result
-
-    def _map_subsets_parallel(
-        self,
-        mapper: SATMapper,
-        circuit: QuantumCircuit,
-        artifacts=None,
-    ) -> MappingResult:
-        start = time.monotonic()
-        gates, spots = mapper.cnot_instance(circuit)
-        if not gates:
-            return mapper.map(circuit)
-        subsets = mapper.candidate_subsets(circuit.num_qubits)
-        if len(subsets) <= 1:
-            return _map_with_bound(mapper, circuit, None, artifacts=artifacts)
-
-        budget = mapper.time_limit
-        deadline = None if budget is None else start + budget
-        budget_exhausted = False
-        # One task per subset *family*: structurally identical sub-couplings
-        # share an encoding, so solving the first member covers them all.
-        # Families are submitted in the sweep plan's order (heuristic lower
-        # bound, then first appearance) — the same order the sequential loop
-        # walks, so pruning decisions transfer between the two paths.
-        plans = mapper.plan_families(subsets, gates)
-        context = SweepContext(
-            gates=gates,
-            num_logical=circuit.num_qubits,
-            spots=spots,
-            artifacts=(
-                artifacts
-                if getattr(mapper, "accepts_artifacts", False) else None
-            ),
-        )
-        outcomes_by_plan: Dict[int, SubsetOutcome] = {}
-        pruned_plans: Dict[int, float] = {}
-        connected = [
-            (position, plan)
-            for position, plan in enumerate(plans)
-            if plan.connected
-        ]
-        workers = min(self.workers, max(1, len(connected)))
-        futures: Dict[Any, int] = {}
-        with self._make_executor(workers) as pool:
-            pending: set = set()
-            queue_index = 0
-            zero_position: Optional[int] = None
-            best_objective: Optional[int] = None
-
-            def prefix_state(position: int) -> Tuple[bool, Optional[int]]:
-                """Whether every earlier-ordered family is decided, and the
-                cheapest objective among the decided prefix."""
-                resolved = all(
-                    earlier in outcomes_by_plan
-                    or earlier in pruned_plans
-                    or not plans[earlier].connected
-                    for earlier in range(position)
-                )
-                best = min(
-                    (
-                        outcomes_by_plan[earlier].objective
-                        for earlier in range(position)
-                        if earlier in outcomes_by_plan
-                        and outcomes_by_plan[earlier].is_satisfiable
-                    ),
-                    default=None,
-                )
-                return resolved, best
-
-            def submit_ready() -> None:
-                """Fill free worker slots with families, in plan order.
-
-                Submission is rolling rather than upfront so that each
-                family is dispatched with the best warm start known *now*:
-                a cross-family model transfer from already-finished
-                families (the sequential sweep's incumbent replay, closed
-                here for the fan-out) and the solve-artifact cache handle.
-                Pruning happens at submit time, and only when the decision
-                is reproducible from plan-order-prefix information — every
-                earlier-ordered family already decided, the incumbent and
-                the transferred bounds drawn from those alone.  That is
-                exactly the information the sequential sweep has at the
-                same point, so the two paths prune the same families
-                (a family dispatched before its prefix resolved simply
-                solves — parallel may prune fewer, never different ones).
-                """
-                nonlocal queue_index
-                while queue_index < len(connected) and len(pending) < workers:
-                    position, plan = connected[queue_index]
-                    if zero_position is not None and position > zero_position:
-                        # A zero-cost mapping is globally minimal; families
-                        # ordered after the earliest zero can never win.
-                        queue_index += 1
-                        continue
-                    prefix_resolved, prefix_best = prefix_state(position)
-                    if (
-                        mapper.prune_families
-                        and prefix_resolved
-                        and prefix_best is not None
-                    ):
-                        bound = prefix_best - 1
-                        in_sweep = context.lower_bound_for(
-                            plan, before=position
-                        )
-                        proven = in_sweep
-                        persisted = context.artifact_lower_bound(
-                            plan.sub_coupling
-                        )
-                        if persisted is not None and persisted > proven:
-                            proven = persisted
-                        if proven > bound:
-                            if in_sweep <= bound:
-                                context.artifact_bounds_used += 1
-                            pruned_plans[position] = proven
-                            context.note_family(
-                                plan, lower_bound=proven, position=position
-                            )
-                            context.families_pruned += 1
-                            queue_index += 1
-                            continue
-                    incumbent = None
-                    if mapper.share_clauses:
-                        incumbent = context.incumbent_for(
-                            plan, gates,
-                            shared_permutation_table(plan.sub_coupling),
-                            bound=None,
-                        )
-                    future = pool.submit(
-                        _solve_subset_task,
-                        mapper, gates, circuit.num_qubits, spots,
-                        subsets[plan.indices[0]], deadline, None,
-                        incumbent, context.artifacts,
-                    )
-                    futures[future] = position
-                    pending.add(future)
-                    queue_index += 1
-
-            submit_ready()
-            while pending:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        budget_exhausted = True
-                        break
-                done, pending = wait(
-                    pending, timeout=remaining, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    position = futures[future]
-                    outcome = future.result()
-                    outcomes_by_plan[position] = outcome
-                    plan = plans[position]
-                    schedule = None
-                    if outcome.mappings is not None:
-                        # The worker reports device-indexed mappings; the
-                        # context records subset-local schedules (the form
-                        # transfers translate), so convert back through the
-                        # representative subset's qubit order.
-                        to_local = {
-                            qubit: index
-                            for index, qubit in enumerate(outcome.subset)
-                        }
-                        schedule = [
-                            tuple(to_local[qubit] for qubit in mapping)
-                            for mapping in outcome.mappings
-                        ]
-                    context.note_family(
-                        plan,
-                        lower_bound=(
-                            outcome.objective
-                            if outcome.status == "optimal"
-                            else float("inf") if outcome.status == "unsat"
-                            else None
-                        ),
-                        schedule=schedule,
-                        schedule_objective=(
-                            outcome.objective
-                            if outcome.is_satisfiable else None
-                        ),
-                        position=position,
-                    )
-                    if outcome.is_satisfiable and (
-                        best_objective is None
-                        or outcome.objective < best_objective
-                    ):
-                        best_objective = outcome.objective
-                    if outcome.is_satisfiable and outcome.objective == 0:
-                        if zero_position is None or position < zero_position:
-                            zero_position = position
-                if zero_position is not None:
-                    # Zero added cost is globally minimal, so nothing can beat
-                    # it — but the sequential loop would have stopped at the
-                    # *first* family reaching zero, so keep waiting for the
-                    # earlier-ordered instances (one of them may also reach
-                    # zero) and cancel the rest.  This keeps the winner
-                    # deterministic regardless of completion order.
-                    keep = set()
-                    for future in pending:
-                        if futures[future] < zero_position:
-                            keep.add(future)
-                        else:
-                            future.cancel()
-                    pending = keep
-                submit_ready()
-            for future in pending:
-                future.cancel()
-        # The executor shutdown above waited for in-flight tasks, so harvest
-        # outcomes that completed after a deadline break — a budget-limited
-        # run must still return the best solution found, like the sequential
-        # loop does.
-        for future, position in futures.items():
-            if (
-                position in outcomes_by_plan
-                or position in pruned_plans
-                or not future.done()
-                or future.cancelled()
-            ):
-                continue
-            outcomes_by_plan[position] = future.result()
-        if (
-            deadline is not None
-            and not budget_exhausted
-            and time.monotonic() >= deadline
-        ):
-            # Tasks that self-expired at the deadline drain in one wait()
-            # round without the outer loop re-checking the clock; the run is
-            # still budget-limited and must be reported as such.
-            budget_exhausted = True
-
-        # Assemble outcomes in the sweep plan's order, mirroring each solved
-        # family representative onto the family's other members — identical
-        # encodings, so only the device-index translation differs and no
-        # solver runs.  The reduction then picks the same winner as the
-        # sequential sweep.
-        ordered: List[SubsetOutcome] = []
-        for position, plan in enumerate(plans):
-            if not plan.connected:
-                ordered.extend(
-                    SubsetOutcome(subset=tuple(subsets[index]), status="unsat")
-                    for index in plan.indices
-                )
-                continue
-            if position in pruned_plans:
-                proven = pruned_plans[position]
-                ordered.extend(
-                    SubsetOutcome(
-                        subset=tuple(subsets[index]),
-                        status="pruned",
-                        pruned=True,
-                        proven_lower_bound=proven,
-                    )
-                    for index in plan.indices
-                )
-                continue
-            solved = outcomes_by_plan.get(position)
-            if solved is None:
-                continue
-            ordered.append(solved)
-            ordered.extend(
-                SATMapper.mirror_outcome(solved, subsets[member])
-                for member in plan.indices[1:]
-            )
-        best = SATMapper.select_best_outcome(ordered)
-        if best is None:
-            raise SATMapperError.no_solution(budget_exhausted)
-        # Artifact hit rates: each worker counted its own family's loads and
-        # imports (reported through the outcome statistics); the parent
-        # context counted the bound lookups of its submit-time prune checks.
-        # Both are real cache traffic, so the job-level counters are the sum.
-        artifact_stats = context.artifact_statistics()
-        artifact_notes = list(context.artifact_notes)
-        for outcome in outcomes_by_plan.values():
-            for key in artifact_stats:
-                artifact_stats[key] += outcome.statistics.get(key, 0)
-            artifact_notes.extend(outcome.statistics.get("artifact_notes", ()))
-        if artifact_notes:
-            artifact_stats["artifact_notes"] = artifact_notes
-        return mapper.build_mapping_result(
-            circuit,
-            best,
-            ordered,
-            spots,
-            subsets_total=len(subsets),
-            runtime_seconds=time.monotonic() - start,
-            budget_exhausted=budget_exhausted,
-            extra_statistics={
-                "families_total": len(plans),
-                "families_pruned": context.families_pruned,
-                "clauses_exported": 0,
-                "clauses_imported": 0,
-                "models_transferred": context.models_transferred,
-                "clause_sharing": 0,
-                "family_pruning": int(mapper.prune_families),
-                "artifact_seeding": int(context.artifacts is not None),
-                **artifact_stats,
-            },
-        )
 
     # ------------------------------------------------------------------
     # Batches

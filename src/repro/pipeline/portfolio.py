@@ -8,13 +8,7 @@ the objective descent starts at the heuristic incumbent instead of an
 arbitrary first model — fewer solver iterations, same proven minimum.
 
 The exact stage's objective-search strategy is selectable
-(``optimizer="linear" | "binary" | "core"``), and the special value
-``optimizer="race"`` races two independently seeded SAT stages — linear
-descent against core-guided descent — and keeps whichever finishes first
-(they prove the same minimum, so first-done wins safely).  Note that the
-pure-Python solver holds the GIL, so the race buys wall-clock only when the
-strategies' runtimes differ a lot on the instance; its real value is that
-neither strategy's pathological case can dominate.
+(``optimizer="linear" | "binary" | "core"``).
 
 When the bounded SAT search fails (the heuristic solution may not be
 expressible under a restricted permutation strategy, or the budget runs
@@ -24,10 +18,8 @@ always yields a valid mapping that is at least as cheap as the heuristic's.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
@@ -35,10 +27,6 @@ from repro.exact.result import MappingResult
 from repro.exact.sat_mapper import SATMapper, SATMapperError
 from repro.exact.strategies import PermutationStrategy
 from repro.pipeline.registry import get_mapper, resolve_mapper_name
-from repro.sat.optimize import resolve_optimizer_name
-
-#: Strategies raced by ``optimizer="race"`` (first proven result wins).
-RACE_OPTIMIZERS: Tuple[str, str] = ("linear", "core")
 
 
 class PortfolioMapper:
@@ -50,9 +38,7 @@ class PortfolioMapper:
         use_subsets: Restrict the SAT stage to connected physical-qubit
             subsets (Section 4.1).
         optimizer: Objective search of the SAT stage — any registered
-            optimizer strategy (``"linear"``, ``"binary"``, ``"core"``) or
-            ``"race"`` to run linear and core-guided descent concurrently
-            and keep the first finisher.
+            optimizer strategy (``"linear"``, ``"binary"``, ``"core"``).
         optimizer_strategy: Backwards-compatible alias for *optimizer*
             (ignored when *optimizer* is given).
         time_limit: Wall-clock budget of the SAT stage in seconds.
@@ -101,77 +87,21 @@ class PortfolioMapper:
         options = dict(heuristic_options or {})
         options.setdefault("decompose_swaps", decompose_swaps)
         self._heuristic = get_mapper(self.heuristic_name, coupling, **options)
-        requested = optimizer if optimizer is not None else optimizer_strategy
-        # Validate up front ("race" is portfolio-specific, everything else
-        # must be a registered strategy).
-        self.optimizer = (
-            "race" if requested == "race" else resolve_optimizer_name(requested)
+        self._sat = SATMapper(
+            coupling,
+            strategy=strategy,
+            use_subsets=use_subsets,
+            optimizer=optimizer,
+            optimizer_strategy=optimizer_strategy,
+            time_limit=time_limit,
+            conflict_limit=conflict_limit,
+            decompose_swaps=decompose_swaps,
+            share_clauses=share_clauses,
+            prune_families=prune_families,
         )
-
-        def build_sat(optimizer_name: str) -> SATMapper:
-            return SATMapper(
-                coupling,
-                strategy=strategy,
-                use_subsets=use_subsets,
-                optimizer=optimizer_name,
-                time_limit=time_limit,
-                conflict_limit=conflict_limit,
-                decompose_swaps=decompose_swaps,
-                share_clauses=share_clauses,
-                prune_families=prune_families,
-            )
-
-        if self.optimizer == "race":
-            self._racers = [(name, build_sat(name)) for name in RACE_OPTIMIZERS]
-            self._sat = self._racers[0][1]
-        else:
-            self._racers = []
-            self._sat = build_sat(self.optimizer)
+        self.optimizer = self._sat.optimizer_strategy
 
     # ------------------------------------------------------------------
-    def _map_sat(
-        self, circuit: QuantumCircuit, bound: int
-    ) -> Tuple[MappingResult, Optional[str]]:
-        """Run the exact stage; returns the result and the winning racer.
-
-        For a single strategy this is one bounded SAT solve.  For
-        ``optimizer="race"`` both strategies solve independent copies of
-        the instance in **daemon threads**; the first to *finish
-        successfully* wins and its name is reported.  Losing runs are not
-        interrupted mid-solve (the solver offers no safe cancellation) but
-        being daemonic they never delay process exit either — a
-        ``ThreadPoolExecutor`` would join its non-daemon workers at
-        interpreter shutdown and turn the race's effective wall-clock into
-        max(linear, core).  The race trades CPU for robustness against one
-        strategy's bad case.
-        """
-        if not self._racers:
-            return self._sat.map(circuit, upper_bound=bound), None
-        outcomes: "queue.Queue[Tuple[str, Optional[MappingResult], Optional[BaseException]]]" = (
-            queue.Queue()
-        )
-
-        def run(name: str, mapper: SATMapper) -> None:
-            try:
-                outcomes.put((name, mapper.map(circuit, upper_bound=bound), None))
-            except BaseException as error:  # noqa: BLE001 - re-raised by the racer
-                outcomes.put((name, None, error))
-
-        for name, mapper in self._racers:
-            threading.Thread(
-                target=run, args=(name, mapper),
-                name=f"portfolio-race-{name}", daemon=True,
-            ).start()
-        last_error: Optional[BaseException] = None
-        for _ in self._racers:
-            name, result, error = outcomes.get()
-            if error is None:
-                assert result is not None
-                return result, name
-            last_error = error
-        assert last_error is not None
-        raise last_error
-
     def map(
         self, circuit: QuantumCircuit, upper_bound: Optional[int] = None
     ) -> MappingResult:
@@ -189,9 +119,8 @@ class PortfolioMapper:
         ``portfolio_heuristic`` (its engine name), ``portfolio_source``
         (``"sat"`` when the exact stage produced the result, ``"heuristic"``
         when the heuristic was already provably minimal or the exact stage
-        found nothing within the bound), ``portfolio_external_bound`` when a
-        caller-supplied bound tightened the seed, and — in race mode —
-        ``portfolio_race_winner`` (the strategy that finished first).
+        found nothing within the bound) and ``portfolio_external_bound`` when
+        a caller-supplied bound tightened the seed.
         """
         start = time.monotonic()
         heuristic_result = self._heuristic.map(circuit)
@@ -216,7 +145,7 @@ class PortfolioMapper:
             return heuristic_result
 
         try:
-            sat_result, winner = self._map_sat(circuit, bound)
+            sat_result = self._sat.map(circuit, upper_bound=bound)
         except SATMapperError as error:
             # Nothing at or below the bound was found within the SAT stage's
             # strategy/subset restriction or budget — the heuristic solution
@@ -231,11 +160,9 @@ class PortfolioMapper:
             return heuristic_result
 
         sat_result.statistics.update(bookkeeping, portfolio_source="sat")
-        if winner is not None:
-            sat_result.statistics["portfolio_race_winner"] = winner
         sat_result.engine = self.name
         sat_result.runtime_seconds = time.monotonic() - start
         return sat_result
 
 
-__all__ = ["PortfolioMapper", "RACE_OPTIMIZERS"]
+__all__ = ["PortfolioMapper"]

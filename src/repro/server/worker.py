@@ -86,7 +86,7 @@ def build_server(
     Shared between the subprocess entry point below and the in-process
     single-worker mode of ``repro-map listen --workers 0``.
     """
-    from repro.pipeline.cache import get_cache_dir, set_cache_dir
+    from repro.arch.cache import get_cache_dir, set_cache_dir
 
     if cache_dir is not None:
         set_cache_dir(cache_dir)

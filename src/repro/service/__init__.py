@@ -18,7 +18,7 @@ deployable service that never solves the same instance twice:
 
 The on-disk warm-start layer for permutation tables lives with the other
 architecture caches (:mod:`repro.arch.cache`, ``set_cache_dir`` /
-``REPRO_CACHE_DIR``) and is re-exported by :mod:`repro.pipeline.cache`.
+``REPRO_CACHE_DIR``) and is re-exported by :mod:`repro.pipeline`.
 
 The submodules are imported lazily (PEP 562) to keep ``import repro`` cheap.
 """

@@ -1104,10 +1104,10 @@ def _merge_artifacts(
 class ArtifactCache:
     """Picklable handle to a store's solve-artifact tier.
 
-    The solving layers (:class:`repro.exact.sat_mapper.SweepContext`, the
-    parallel subset fan-out) carry this object instead of the full
-    :class:`ResultStore`: it exposes exactly the two artifact operations,
-    and it survives crossing into process-pool workers — pickling drops the
+    The solving layer (:class:`repro.exact.sat_mapper.SweepContext`)
+    carries this object instead of the full :class:`ResultStore`: it
+    exposes exactly the two artifact operations, and it survives crossing
+    into the process-pool workers of ``map_many`` — pickling drops the
     live store and keeps the database path, and the far side lazily
     re-opens its own connection-per-operation store.  A memory-only store
     has no path to re-open, so on the far side every lookup misses and

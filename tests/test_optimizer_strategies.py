@@ -276,13 +276,6 @@ class TestPortfolioOptimizers:
         assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
         assert result.statistics["portfolio_optimizer"] == "core"
 
-    def test_portfolio_race_wins_with_either_strategy(self):
-        circuit = paper_example_cnot_skeleton()
-        result = PortfolioMapper(ibm_qx4(), optimizer="race").map(circuit)
-        assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
-        assert result.optimal
-        assert result.statistics["portfolio_race_winner"] in ("linear", "core")
-
     def test_portfolio_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError):
             PortfolioMapper(ibm_qx4(), optimizer="warp")

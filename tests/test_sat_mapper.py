@@ -139,45 +139,16 @@ class TestSubsetFamilies:
         assert stats["families_pruned"] == 1
 
     def test_family_reuse_matches_unshared_objective(self):
-        # Cross-check: each subset solved independently (no family sharing)
-        # must agree with the swept result on the minimum objective.
+        # Cross-check: each subset mapped on its own (no family sharing,
+        # no pruning) must agree with the swept result on the minimum.
         circuit = paper_example_cnot_skeleton()
-        mapper = SATMapper(ibm_qx4(), use_subsets=True)
-        gates, spots = mapper.cnot_instance(circuit)
-        independent = [
-            mapper.solve_subset(gates, circuit.num_qubits, spots, subset)
+        coupling = ibm_qx4()
+        mapper = SATMapper(coupling, use_subsets=True)
+        best = min(
+            SATMapper(coupling.subgraph(subset)).map(circuit).objective
             for subset in mapper.candidate_subsets(circuit.num_qubits)
-        ]
-        best = SATMapper.select_best_outcome(independent)
-        swept = mapper.map(circuit)
-        assert best is not None
-        assert swept.objective == best.objective
-
-    def test_mirror_outcome_translates_device_indices(self):
-        circuit = paper_example_cnot_skeleton()
-        mapper = SATMapper(ibm_qx4(), use_subsets=True)
-        gates, spots = mapper.cnot_instance(circuit)
-        subsets = mapper.candidate_subsets(circuit.num_qubits)
-        groups = mapper.subset_family_groups(subsets)
-        group = next(g for g in groups if len(g) > 1)
-        solved = mapper.solve_subset(
-            gates, circuit.num_qubits, spots, subsets[group[0]]
         )
-        assert solved.is_satisfiable
-        mirrored = SATMapper.mirror_outcome(solved, subsets[group[1]])
-        assert mirrored.reused
-        assert mirrored.status == solved.status
-        assert mirrored.objective == solved.objective
-        member = set(subsets[group[1]])
-        for mapping in mirrored.mappings:
-            assert set(mapping) <= member
-        # Mirrored mappings preserve the *relative* placement.
-        rep_positions = {q: i for i, q in enumerate(subsets[group[0]])}
-        mem_positions = {q: i for i, q in enumerate(subsets[group[1]])}
-        for original, translated in zip(solved.mappings, mirrored.mappings):
-            assert [rep_positions[q] for q in original] == [
-                mem_positions[q] for q in translated
-            ]
+        assert mapper.map(circuit).objective == best
 
     def test_accepts_external_bound_flags(self):
         from repro.exact.strategies import get_strategy

@@ -11,12 +11,10 @@ integration into :class:`repro.exact.sat_mapper.SATMapper`:
 * the provable structural lower bound and the directed/undirected edge
   embeddings,
 * lower-bound family pruning (skips without solving, identical minima),
-* sweep determinism and sequential/parallel agreement,
+* sweep determinism,
 * the encoding skeleton cache (identical formulas with and without reuse),
 * the ``propagations`` counter surfacing.
 """
-
-import os
 
 import pytest
 
@@ -24,11 +22,7 @@ from repro.arch.devices import ibm_qx4, sweep_grid8
 from repro.benchlib.generators import benchmark_circuit
 from repro.benchlib.paper_example import paper_example_cnot_skeleton
 from repro.exact.encoding import build_encoding, clear_skeleton_cache
-from repro.exact.sat_mapper import (
-    SATMapper,
-    SHARE_MAX_CLAUSE_SIZE,
-    SweepContext,
-)
+from repro.exact.sat_mapper import SATMapper, SHARE_MAX_CLAUSE_SIZE
 from repro.exact.sweep import (
     clause_is_implied,
     encoding_variable_remap,
@@ -37,7 +31,6 @@ from repro.exact.sweep import (
     structural_lower_bound,
     translate_schedule,
 )
-from repro.pipeline.pipeline import MappingPipeline
 from repro.sat.cnf import CNF
 from repro.sat.solver import CDCLSolver, SolverResult
 
@@ -338,18 +331,6 @@ class TestSweepBehaviour:
             index for plan in plans for index in plan.indices
         )
         assert covered == list(range(len(subsets)))
-
-    def test_parallel_sweep_agrees_with_sequential(self):
-        circuit = benchmark_circuit("ham3_102")
-        options = {"use_subsets": True}
-        sequential = MappingPipeline(
-            sweep_grid8(), engine="sat", engine_options=options, workers=1
-        ).map(circuit)
-        parallel = MappingPipeline(
-            sweep_grid8(), engine="sat", engine_options=options, workers=4
-        ).map(circuit)
-        assert sequential.added_cost == parallel.added_cost
-        assert sequential.optimal == parallel.optimal
 
     def test_grid_sweep_shares_and_prunes(self):
         circuit = benchmark_circuit("ham3_102")

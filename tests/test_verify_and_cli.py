@@ -187,28 +187,6 @@ class TestCLI:
         path = self._write_qasm(tmp_path, circuit)
         assert main([path, "--engine", "test_cli_engine"]) == 0
 
-    def test_sat_engine_parallel_workers(self, tmp_path, capsys):
-        circuit = QuantumCircuit(3)
-        circuit.cx(0, 1)
-        circuit.cx(1, 2)
-        circuit.cx(0, 2)
-        path = self._write_qasm(tmp_path, circuit)
-        exit_code = main(
-            [path, "--engine", "sat", "--subsets", "--workers", "2"]
-        )
-        assert exit_code == 0
-
-    def test_sat_engine_process_executor(self, tmp_path, capsys):
-        circuit = QuantumCircuit(3)
-        circuit.cx(0, 1)
-        circuit.cx(1, 2)
-        path = self._write_qasm(tmp_path, circuit)
-        exit_code = main(
-            [path, "--engine", "sat", "--subsets",
-             "--workers", "2", "--executor", "process"]
-        )
-        assert exit_code == 0
-
     def test_unknown_engine_errors(self, tmp_path):
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
@@ -461,8 +439,9 @@ class TestCLIOptimizerFlags:
     def test_list_optimizers(self, capsys):
         assert main(["--list-optimizers"]) == 0
         out = capsys.readouterr().out
-        for name in ("linear", "binary", "core", "race"):
+        for name in ("linear", "binary", "core"):
             assert name in out
+        assert not any(line.startswith("race") for line in out.splitlines())
         # Descriptions ride along.
         assert "core-guided" in out
 
@@ -473,12 +452,14 @@ class TestCLIOptimizerFlags:
         with pytest.raises(SystemExit):
             main([path, "--engine", "sat", "--optimizer", "made_up"])
 
-    def test_race_requires_portfolio_engine(self, tmp_path):
+    def test_race_is_an_unknown_optimizer(self, tmp_path, capsys):
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
         path = self._write_qasm(tmp_path, circuit)
-        with pytest.raises(SystemExit):
-            main([path, "--engine", "sat", "--optimizer", "race"])
+        for engine in ("sat", "portfolio"):
+            with pytest.raises(SystemExit):
+                main([path, "--engine", engine, "--optimizer", "race"])
+            assert "unknown --optimizer 'race'" in capsys.readouterr().err
 
     def test_optimizer_rejected_for_non_sat_engines(self, tmp_path):
         circuit = QuantumCircuit(2)
@@ -509,11 +490,3 @@ class TestCLIOptimizerFlags:
         assert main([path, "--engine", "sat", "--explain"]) == 0
         out = capsys.readouterr().out
         assert "no UNSAT core recorded" in out
-
-    def test_portfolio_race_end_to_end(self, tmp_path, capsys):
-        path = self._write_qasm(tmp_path, self._paper_circuit())
-        assert main(
-            [path, "--engine", "portfolio", "--optimizer", "race"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "added operations  : 4" in out
