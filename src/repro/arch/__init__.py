@@ -14,6 +14,7 @@ from repro.arch.devices import (
     available_architectures,
 )
 from repro.arch.permutations import (
+    MappingTransitionTable,
     PermutationTable,
     all_permutations,
     apply_permutation,
@@ -36,6 +37,7 @@ __all__ = [
     "fully_connected_architecture",
     "get_architecture",
     "available_architectures",
+    "MappingTransitionTable",
     "PermutationTable",
     "all_permutations",
     "apply_permutation",

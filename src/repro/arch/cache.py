@@ -1,10 +1,13 @@
 """Process-wide caches for per-architecture artefacts.
 
-The exact engines repeatedly rebuild two expensive, read-only artefacts:
+The exact engines repeatedly rebuild expensive, read-only artefacts:
 
 * the :class:`~repro.arch.permutations.PermutationTable` of a coupling map
   (exhaustive BFS over the permutation group — ``SATMapper`` used to rebuild
   it for *every* subset instance of every ``map`` call),
+* the :class:`~repro.arch.permutations.MappingTransitionTable` of a coupling
+  map and logical-qubit count (all-pairs SWAP distances between mappings,
+  which every ``DPMapper.map`` call reads),
 * the list of connected physical-qubit subsets of a given size
   (:func:`~repro.arch.subsets.connected_subsets`).
 
@@ -34,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.arch.coupling import CouplingMap
 from repro.arch.diskcache import DistanceDiskStore, PermutationDiskStore
-from repro.arch.permutations import PermutationTable
+from repro.arch.permutations import MappingTransitionTable, PermutationTable
 from repro.arch.subsets import connected_subsets
 
 _CacheKey = Tuple[int, Tuple[Tuple[int, int], ...]]
@@ -47,6 +50,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 _LOCK = threading.Lock()
 _TABLES: "OrderedDict[_CacheKey, PermutationTable]" = OrderedDict()
+_TRANSITIONS: "OrderedDict[Tuple[_CacheKey, int], MappingTransitionTable]" = OrderedDict()
 _SUBSETS: "OrderedDict[Tuple[_CacheKey, int], Tuple[Tuple[int, ...], ...]]" = OrderedDict()
 _DISTANCES: "OrderedDict[_CacheKey, Dict[int, Dict[int, int]]]" = OrderedDict()
 _SYNTHESIZERS: "OrderedDict[Tuple[_CacheKey, int], object]" = OrderedDict()
@@ -55,6 +59,8 @@ _STATS = {
     "permutation_table_misses": 0,
     "permutation_table_disk_hits": 0,
     "permutation_table_disk_writes": 0,
+    "transition_table_hits": 0,
+    "transition_table_misses": 0,
     "connected_subsets_hits": 0,
     "connected_subsets_misses": 0,
     "distance_matrix_hits": 0,
@@ -165,6 +171,34 @@ def shared_permutation_table(
         else:
             with _LOCK:
                 _STATS["permutation_table_disk_writes"] += 1
+    return winner
+
+
+def shared_transition_table(
+    coupling: CouplingMap, num_logical: int
+) -> MappingTransitionTable:
+    """The (cached) :class:`MappingTransitionTable` of *coupling* for
+    *num_logical* logical qubits.
+
+    Built on the first request, so only processes that run the DP engine
+    pay for it; callers must treat the returned table as read-only.
+    """
+    key = (coupling.canonical_key(), num_logical)
+    with _LOCK:
+        cached = _TRANSITIONS.get(key)
+        if cached is not None:
+            _STATS["transition_table_hits"] += 1
+            _TRANSITIONS.move_to_end(key)
+            return cached
+    # Built outside the lock, like the permutation table: ``setdefault``
+    # keeps exactly one winner of a racing build.
+    table = MappingTransitionTable(coupling, num_logical)
+    with _LOCK:
+        _STATS["transition_table_misses"] += 1
+        winner = _TRANSITIONS.setdefault(key, table)
+        _TRANSITIONS.move_to_end(key)
+        while len(_TRANSITIONS) > MAX_ENTRIES:
+            _TRANSITIONS.popitem(last=False)
     return winner
 
 
@@ -285,6 +319,7 @@ def cache_stats() -> Dict[str, int]:
     with _LOCK:
         stats = dict(_STATS)
         stats["permutation_tables_cached"] = len(_TABLES)
+        stats["transition_tables_cached"] = len(_TRANSITIONS)
         stats["connected_subset_lists_cached"] = len(_SUBSETS)
         stats["distance_matrices_cached"] = len(_DISTANCES)
         stats["synthesizers_cached"] = len(_SYNTHESIZERS)
@@ -303,6 +338,7 @@ def clear_caches() -> None:
     """Drop all cached artefacts and reset the counters (mainly for tests)."""
     with _LOCK:
         _TABLES.clear()
+        _TRANSITIONS.clear()
         _SUBSETS.clear()
         _DISTANCES.clear()
         _SYNTHESIZERS.clear()
@@ -317,6 +353,7 @@ __all__ = [
     "reset_cache_dir",
     "get_cache_dir",
     "shared_permutation_table",
+    "shared_transition_table",
     "shared_distance_matrix",
     "shared_synthesizer",
     "shared_connected_subsets",

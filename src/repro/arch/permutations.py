@@ -20,6 +20,7 @@ A mapping of ``n`` logical qubits is a tuple ``mapping`` of length ``n`` with
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch.coupling import CouplingMap
@@ -374,6 +375,84 @@ class PermutationTable:
         return list(self._sequences[best_perm])
 
 
+#: Entry of :attr:`MappingTransitionTable.rows` for a pair of mappings that no
+#: SWAP sequence connects (different components of a disconnected device).
+UNREACHABLE = 0xFF
+
+#: Largest number of mapping states a :class:`MappingTransitionTable` covers:
+#: five logical qubits on an 8-qubit device, a 45 MB table.
+MAX_MAPPING_STATES = 8 * 7 * 6 * 5 * 4
+
+
+class MappingTransitionTable:
+    """Minimal SWAP counts between every pair of complete mappings.
+
+    The states are the mappings of *num_logical* logical qubits onto the
+    physical qubits of *coupling*, in ``itertools.permutations(range(m), n)``
+    order.  One SWAP on an undirected coupling edge exchanges whatever sits on
+    its two endpoints, so it links two states; a breadth-first search from
+    every state over these links gives the SWAP distance of every pair.  A
+    path of ``k`` SWAPs from ``old`` to ``new`` is a ``k``-SWAP permutation
+    consistent with both, so each distance equals
+    :meth:`PermutationTable.transition_cost` of the pair.  SWAPs are
+    involutions, so the distances are symmetric.
+
+    Args:
+        coupling: The architecture.
+        num_logical: Logical qubits per mapping.
+
+    Raises:
+        ValueError: If there are more than :data:`MAX_MAPPING_STATES` states.
+    """
+
+    def __init__(self, coupling: CouplingMap, num_logical: int):
+        size = coupling.num_qubits
+        count = math.perm(size, num_logical) if num_logical <= size else 0
+        if count > MAX_MAPPING_STATES:
+            raise ValueError(
+                f"refusing to tabulate {count} mappings of {num_logical} logical "
+                f"qubits on {size} physical qubits (limit {MAX_MAPPING_STATES})"
+            )
+        #: The mapping states, in ``itertools.permutations`` order.
+        self.states: List[Mapping] = list(
+            itertools.permutations(range(size), num_logical)
+        )
+        #: ``rows[i][j]``: SWAPs between states ``i`` and ``j``, or
+        #: :data:`UNREACHABLE`.
+        self.rows: List[bytes] = self._distances(sorted(coupling.undirected_edges))
+
+    def _distances(self, edges: List[SwapEdge]) -> List[bytes]:
+        index = {state: position for position, state in enumerate(self.states)}
+        neighbours = [
+            [
+                index[tuple(b if p == a else a if p == b else p for p in state)]
+                for a, b in edges
+                if a in state or b in state
+            ]
+            for state in self.states
+        ]
+        unvisited = bytes([UNREACHABLE]) * len(self.states)
+        rows = []
+        for source in range(len(self.states)):
+            distance = bytearray(unvisited)
+            distance[source] = 0
+            frontier = [source]
+            depth = 0
+            while frontier:
+                depth += 1
+                if depth == UNREACHABLE:
+                    raise ValueError("SWAP distances do not fit the table's bytes")
+                reached = []
+                for state in frontier:
+                    for neighbour in neighbours[state]:
+                        if distance[neighbour] == UNREACHABLE:
+                            distance[neighbour] = depth
+                            reached.append(neighbour)
+                frontier = reached
+            rows.append(bytes(distance))
+        return rows
+
+
 __all__ = [
     "Permutation",
     "Mapping",
@@ -388,4 +467,7 @@ __all__ = [
     "nearest_free_completion",
     "minimal_swap_sequences",
     "PermutationTable",
+    "UNREACHABLE",
+    "MAX_MAPPING_STATES",
+    "MappingTransitionTable",
 ]

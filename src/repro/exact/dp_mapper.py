@@ -21,21 +21,38 @@ purposes in this reproduction:
 The permutation-restriction strategies of Section 4.2 are supported in the
 same way as in the SAT engine: between gates that are not permutation spots
 the mapping must stay unchanged.
+
+What is precomputed, and where: the SWAP distance between every pair of
+mappings is read from one :class:`~repro.arch.permutations.MappingTransitionTable`
+per ``(coupling, number of logical qubits)``, built by all-pairs BFS in
+:mod:`repro.arch.permutations` and shared process-wide through
+:func:`repro.arch.cache.shared_transition_table`.  A fresh ``DPMapper`` (the
+pipeline builds one per job) therefore starts warm after the first job on a
+device.  The DP itself runs on state indices; ``7 * swaps`` is applied here.
+The device's :class:`~repro.arch.permutations.PermutationTable` is used only
+to reconstruct the SWAP sequences of the result.
+
+Output contract: states are visited in ``itertools.permutations(range(m), n)``
+order, previous states in ascending index, and a state keeps the *first*
+strictly cheaper predecessor; the final state is the first of minimal cost.
+Keeping this order and tie-break keeps schedules, mapped circuits and the
+``transitions_evaluated`` statistic (every pair scored at a permutation spot,
+reachable or not) unchanged across changes to how distances are computed.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.arch.cache import shared_permutation_table, shared_transition_table
 from repro.arch.coupling import CouplingMap
+from repro.arch.permutations import UNREACHABLE
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.cost import REVERSAL_COST, SWAP_COST
 from repro.exact.reconstruction import build_result, default_schedule
 from repro.exact.result import MappingResult, MappingSchedule
 from repro.exact.strategies import AllGatesStrategy, PermutationStrategy
-from repro.arch.cache import shared_permutation_table
 
 State = Tuple[int, ...]
 
@@ -43,9 +60,18 @@ State = Tuple[int, ...]
 class DPMapper:
     """Exact mapper based on dynamic programming over complete mappings.
 
+    Each ``map`` call reads the process-wide transition table of its device
+    and logical-qubit count (built by the first call that needs it) and keeps
+    the module's order-and-tie-break contract, so its output does not depend
+    on whether the table was cold or warm.
+
     Args:
-        coupling: Target architecture (at most 8 physical qubits, since the
-            full permutation table of the device is enumerated).
+        coupling: Target architecture.  The DP's size limit is its state count
+            ``m! / (m - n)!`` (at most
+            :data:`~repro.arch.permutations.MAX_MAPPING_STATES`, since the
+            transition table holds every pair of states); reconstructing the
+            SWAP sequences from the device's permutation table further limits
+            the device to 8 physical qubits.
         strategy: Permutation-restriction strategy (defaults to permutations
             before every gate, i.e. the minimal formulation).
         decompose_swaps: Emit SWAPs in the reconstructed circuit as their
@@ -71,7 +97,6 @@ class DPMapper:
         self.strategy = strategy if strategy is not None else AllGatesStrategy()
         self.decompose_swaps = decompose_swaps
         self._table = shared_permutation_table(coupling)
-        self._transition_cache: Dict[Tuple[State, State], Optional[int]] = {}
 
     # ------------------------------------------------------------------
     # Cost helpers
@@ -85,21 +110,6 @@ class DPMapper:
         if self.coupling.allows_cnot(physical_target, physical_control):
             return REVERSAL_COST
         return None
-
-    def _transition_cost(self, old: State, new: State) -> Optional[int]:
-        """SWAP cost (in elementary operations) of changing *old* into *new*."""
-        if old == new:
-            return 0
-        key = (old, new)
-        if key in self._transition_cache:
-            return self._transition_cache[key]
-        try:
-            swaps = self._table.transition_cost(old, new)
-            cost: Optional[int] = SWAP_COST * swaps
-        except ValueError:
-            cost = None
-        self._transition_cache[key] = cost
-        return cost
 
     # ------------------------------------------------------------------
     def map(self, circuit: QuantumCircuit) -> MappingResult:
@@ -135,57 +145,56 @@ class DPMapper:
         spots = set(self.strategy.spots(cnot_gates, self.coupling))
         spots.add(0)
 
-        all_states: List[State] = list(
-            itertools.permutations(range(num_physical), num_logical)
-        )
+        transitions = shared_transition_table(self.coupling, num_logical)
+        all_states = transitions.states
+        rows = transitions.rows
 
-        # Valid states per gate: the gate's qubits must sit on a coupled pair.
-        valid_states: List[List[Tuple[State, int]]] = []
+        # Valid states per gate, as (state index, placement cost): the gate's
+        # qubits must sit on a coupled pair.
+        valid_states: List[List[Tuple[int, int]]] = []
         for control, target in gates:
-            options: List[Tuple[State, int]] = []
-            for state in all_states:
+            options: List[Tuple[int, int]] = []
+            for index, state in enumerate(all_states):
                 cost = self._gate_cost(state, control, target)
                 if cost is not None:
-                    options.append((state, cost))
+                    options.append((index, cost))
             if not options:
                 raise ValueError(
                     f"CNOT({control}, {target}) cannot be placed on any coupled pair"
                 )
             valid_states.append(options)
 
-        # Dynamic programming over (gate, state).
-        best: Dict[State, int] = {}
-        parents: List[Dict[State, State]] = []
-        for state, gate_cost in valid_states[0]:
-            best[state] = gate_cost
-        parents.append({})
+        # Dynamic programming over (gate, state index); ``best`` is filled in
+        # ascending index order, which the tie-break below relies on.
+        best: Dict[int, int] = dict(valid_states[0])
+        parents: List[Dict[int, int]] = [{}]
 
         transitions_evaluated = 0
         for k in range(1, len(gates)):
-            new_best: Dict[State, int] = {}
-            parent: Dict[State, State] = {}
-            permutation_allowed = k in spots
-            for state, gate_cost in valid_states[k]:
-                best_cost: Optional[int] = None
-                best_parent: Optional[State] = None
-                if not permutation_allowed:
-                    previous_cost = best.get(state)
-                    if previous_cost is not None:
-                        best_cost = previous_cost + gate_cost
-                        best_parent = state
-                else:
-                    for old_state, old_cost in best.items():
-                        transition = self._transition_cost(old_state, state)
-                        transitions_evaluated += 1
-                        if transition is None:
+            new_best: Dict[int, int] = {}
+            parent: Dict[int, int] = {}
+            if k in spots:
+                previous = list(best.items())
+                transitions_evaluated += len(previous) * len(valid_states[k])
+                for index, gate_cost in valid_states[k]:
+                    row = rows[index]
+                    best_cost: Optional[int] = None
+                    for old_index, old_cost in previous:
+                        swaps = row[old_index]
+                        if swaps == UNREACHABLE:
                             continue
-                        candidate = old_cost + transition + gate_cost
+                        candidate = old_cost + SWAP_COST * swaps
                         if best_cost is None or candidate < best_cost:
                             best_cost = candidate
-                            best_parent = old_state
-                if best_cost is not None:
-                    new_best[state] = best_cost
-                    parent[state] = best_parent  # type: ignore[assignment]
+                            parent[index] = old_index
+                    if best_cost is not None:
+                        new_best[index] = best_cost + gate_cost
+            else:
+                for index, gate_cost in valid_states[k]:
+                    previous_cost = best.get(index)
+                    if previous_cost is not None:
+                        new_best[index] = previous_cost + gate_cost
+                        parent[index] = index
             if not new_best:
                 raise ValueError(
                     f"no valid mapping exists before gate {k} under strategy "
@@ -195,10 +204,10 @@ class DPMapper:
             parents.append(parent)
 
         # Recover the optimal mapping sequence.
-        final_state = min(best, key=best.get)  # type: ignore[arg-type]
-        objective = best[final_state]
-        sequence: List[State] = [final_state]
-        current = final_state
+        final_index = min(best, key=best.get)  # type: ignore[arg-type]
+        objective = best[final_index]
+        sequence: List[int] = [final_index]
+        current = final_index
         for k in range(len(gates) - 1, 0, -1):
             current = parents[k][current]
             sequence.append(current)
@@ -207,8 +216,8 @@ class DPMapper:
         schedule = MappingSchedule(
             num_logical=num_logical,
             num_physical=num_physical,
-            mappings=[tuple(state) for state in sequence],
-            initial_mapping=tuple(sequence[0]),
+            mappings=[all_states[index] for index in sequence],
+            initial_mapping=all_states[sequence[0]],
         )
         runtime = time.monotonic() - start
         return build_result(
@@ -218,7 +227,7 @@ class DPMapper:
             engine="dp",
             strategy=self.strategy.name,
             objective=objective,
-            optimal=isinstance(self.strategy, AllGatesStrategy),
+            optimal=self.strategy.guarantees_minimality,
             runtime_seconds=runtime,
             num_permutation_spots=len(spots),
             statistics={

@@ -2,12 +2,18 @@
 
 import pytest
 
-from repro.arch.devices import ibm_qx2, ibm_qx4, linear_architecture
-from repro.benchlib.generators import random_clifford_t_circuit
+from repro.arch.coupling import CouplingMap
+from repro.arch.devices import ibm_qx2, ibm_qx4, linear_architecture, sweep_grid8
+from repro.benchlib.generators import (
+    benchmark_circuit,
+    random_clifford_t_circuit,
+    random_cnot_circuit,
+)
 from repro.benchlib.paper_example import paper_example_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.dp_mapper import DPMapper
 from repro.exact.strategies import (
+    AllGatesStrategy,
     DisjointQubitsStrategy,
     OddGatesStrategy,
     QubitTriangleStrategy,
@@ -71,6 +77,16 @@ class TestDPMapperBasics:
         with pytest.raises(ValueError):
             DPMapper(ibm_qx4()).map(circuit)
 
+    def test_cross_component_move_has_no_valid_mapping(self):
+        # CNOT(0, 1) puts logical 0 and 1 on one component and logical 2 on
+        # the other; CNOT(1, 2) then needs logical 1 to change component.
+        device = CouplingMap(4, [(0, 1), (2, 3)], name="two-components")
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1)
+        circuit.cx(1, 2)
+        with pytest.raises(ValueError, match="no valid mapping exists before gate 1"):
+            DPMapper(device).map(circuit)
+
     def test_triangle_circuit_on_qx4_costs_only_reversals(self):
         # Three mutually interacting qubits fit on a triangle of QX4, so no
         # SWAP is ever needed; only direction fixes may be required.
@@ -106,7 +122,52 @@ class TestDPMapperEndToEnd:
             assert result_is_equivalent(result)
 
 
+class TestDPMapperPins:
+    """The objective and ``transitions_evaluated`` the benchmark compares."""
+
+    @pytest.mark.parametrize(
+        "name, objective, transitions",
+        [("ex-1_166", 8, 10368), ("ham3_102", 16, 12960), ("4gt11_84", 11, 41472)],
+    )
+    def test_table1_stand_ins_on_qx4(self, name, objective, transitions):
+        result = DPMapper(ibm_qx4()).map(benchmark_circuit(name))
+        assert result.objective == objective
+        assert result.statistics["transitions_evaluated"] == transitions
+
+    def test_3_17_13_on_grid8(self):
+        result = DPMapper(sweep_grid8()).map(benchmark_circuit("3_17_13"))
+        assert result.objective == 37
+        assert result.statistics["transitions_evaluated"] == 230400
+        assert result.objective == result.added_cost
+
+    def test_first_strict_minimum_breaks_ties(self):
+        # Moving back to (0, 2, 1, 3) before gate 13 or before gate 14 costs
+        # the same.  The first strictly cheaper predecessor in state order
+        # is (0, 2, 1, 3) itself, so the move comes before gate 13.
+        result = DPMapper(ibm_qx4()).map(random_cnot_circuit(4, 16, seed=4000))
+        assert result.objective == 26
+        assert result.schedule.mappings == (
+            [(0, 2, 1, 3)] * 7 + [(0, 3, 1, 2)] * 6 + [(0, 2, 1, 3)] * 3
+        )
+
+
+class _EvenGatesOnly(AllGatesStrategy):
+    """An ``AllGatesStrategy`` subclass that drops the odd permutation spots."""
+
+    name = "even-only"
+    guarantees_minimality = False
+
+    def spots(self, gates, coupling):
+        return [k for k in super().spots(gates, coupling) if k % 2 == 0]
+
+
 class TestDPMapperStrategies:
+    def test_restricting_subclass_of_all_gates_is_not_optimal(self):
+        circuit = random_clifford_t_circuit(4, 3, 10, seed=13)
+        result = DPMapper(ibm_qx4(), strategy=_EvenGatesOnly()).map(circuit)
+        assert result.num_permutation_spots == 5
+        assert not result.optimal
+
     @pytest.mark.parametrize(
         "strategy_cls", [DisjointQubitsStrategy, OddGatesStrategy, QubitTriangleStrategy]
     )

@@ -1,11 +1,15 @@
 """Unit tests for permutation utilities and the swaps(pi) table."""
 
 import itertools
+import random
 
 import pytest
 
-from repro.arch.devices import ibm_qx4, linear_architecture
+from repro.arch.coupling import CouplingMap
+from repro.arch.devices import ibm_qx2, ibm_qx4, linear_architecture, sweep_grid8
 from repro.arch.permutations import (
+    UNREACHABLE,
+    MappingTransitionTable,
     PermutationTable,
     apply_permutation,
     compose_permutations,
@@ -190,3 +194,54 @@ class TestTransitionEarlyExit:
             assert table.transition_cost(old, new) == brute
             sequence = table.transition_sequence(old, new)
             assert len(sequence) == brute
+
+
+def _reference_swaps(table, old, new):
+    """``transition_cost`` with unreachable pairs as ``UNREACHABLE``."""
+    try:
+        return table.transition_cost(old, new)
+    except ValueError:
+        return UNREACHABLE
+
+
+class TestMappingTransitionTable:
+    """The state-graph BFS against the full-permutation table of the paper."""
+
+    @pytest.mark.parametrize("factory", [ibm_qx2, ibm_qx4])
+    @pytest.mark.parametrize("num_logical", [2, 3, 4, 5])
+    def test_every_pair_matches_permutation_table(self, factory, num_logical):
+        coupling = factory()
+        reference = PermutationTable(coupling)
+        table = MappingTransitionTable(coupling, num_logical)
+        assert table.states == list(itertools.permutations(range(5), num_logical))
+        for i, old in enumerate(table.states):
+            for j, new in enumerate(table.states):
+                assert table.rows[j][i] == reference.transition_cost(old, new)
+
+    @pytest.mark.parametrize("num_logical", [1, 2, 3])
+    def test_disconnected_device_marks_cross_component_pairs(self, num_logical):
+        coupling = CouplingMap(5, [(0, 1), (1, 2), (3, 4)], name="two-components")
+        reference = PermutationTable(coupling)
+        table = MappingTransitionTable(coupling, num_logical)
+        unreachable = 0
+        for i, old in enumerate(table.states):
+            for j, new in enumerate(table.states):
+                expected = _reference_swaps(reference, old, new)
+                assert table.rows[j][i] == expected
+                unreachable += expected == UNREACHABLE
+        assert unreachable > 0
+
+    def test_sampled_grid8_pairs_match_permutation_table(self):
+        coupling = sweep_grid8()
+        reference = PermutationTable(coupling)
+        table = MappingTransitionTable(coupling, 3)
+        assert len(table.states) == 8 * 7 * 6
+        rng = random.Random(2019)
+        for _ in range(1000):
+            i, j = rng.randrange(len(table.states)), rng.randrange(len(table.states))
+            swaps = reference.transition_cost(table.states[i], table.states[j])
+            assert table.rows[j][i] == table.rows[i][j] == swaps
+
+    def test_state_count_is_bounded(self):
+        with pytest.raises(ValueError, match="refusing to tabulate"):
+            MappingTransitionTable(sweep_grid8(), 6)
