@@ -288,7 +288,8 @@ def _minimize_with(solver_class, circuit_name: str, device_name: str):
         optimizer = OptimizingSolver(encoding.cnf, encoding.objective)
         session = optimizer.make_session()
         start = time.perf_counter()
-        result = optimizer.minimize(session=session)
+        # Linear descent: the workload the recorded churn figures describe.
+        result = optimizer.minimize(strategy="linear", session=session)
         wall = time.perf_counter() - start
     finally:
         session_module.CDCLSolver = original
@@ -439,7 +440,7 @@ def run_artifacts(args) -> int:
     # One real solve accumulates the learned clauses the export draws from.
     optimizer = OptimizingSolver(encoding.cnf, encoding.objective)
     session = optimizer.make_session()
-    result = optimizer.minimize(session=session)
+    result = optimizer.minimize(strategy="linear", session=session)
     print(
         f"instance: {args.circuit} on {args.device} "
         f"({encoding.cnf.num_vars} vars, {len(encoding.cnf.clauses)} clauses, "

@@ -9,6 +9,9 @@ no timing calibration needed):
 on IBM QX4) through the SAT and portfolio engines, including the full
 optimizer strategy matrix (linear / binary / core-guided, seeded and
 unseeded, plus a model warm start replaying a previously solved schedule).
+Every pinned row names its descent explicitly (``linear`` where the row
+predates the core-guided default), so a change of library default cannot
+move its pin; the ``sat_default`` row measures the library default itself.
 Per-config ``solver_iterations`` are compared against the committed baseline
 (``benchmarks/perf_smoke_baseline.json``): the proven minimum must match
 exactly, the count must not exceed the ceiling, and the configs listed under
@@ -18,8 +21,10 @@ strictly below their reference counts.
 **Sweep configs** — subset sweeps (paper example + Table-1 3-qubit circuits
 on QX4 and on the 8-qubit ``sweep_grid8`` benchmark device) exercising the
 sweep-scale machinery: family ordering, lower-bound family pruning and
-cross-family clause sharing.  Sweep-level *conflict totals* are pinned
-against the baseline, the QX4 sweeps must additionally stay strictly below
+cross-family clause sharing.  These rows run ``linear`` descent, so they
+guard sharing and pruning alone; the ``*_qx4_default`` rows repeat the QX4
+sweeps under the library-default descent.  Sweep-level *conflict totals*
+are pinned against the baseline, the QX4 sweeps must additionally stay strictly below
 the pre-sweep-sharing (PR 4) conflict counts recorded in
 ``pr4_reference_conflicts``, and the Table-1 QX4 sweeps must prune at least
 one family without solving it.
@@ -82,6 +87,7 @@ from repro.exact.encoding import clear_skeleton_cache
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.splitting import SplitSATMapper
 from repro.pipeline.portfolio import PortfolioMapper
+from repro.sat.optimize import DEFAULT_OPTIMIZER
 from repro.sat.solver import solver_backend_provenance
 
 
@@ -108,27 +114,38 @@ def _configs():
     (the store-backed warm-start path, without needing a store here).
     """
     return {
-        "sat": (lambda: SATMapper(ibm_qx4()), {}),
+        "sat": (lambda: SATMapper(ibm_qx4(), optimizer="linear"), {}),
         "sat_binary": (lambda: SATMapper(ibm_qx4(), optimizer="binary"), {}),
         "sat_core": (lambda: SATMapper(ibm_qx4(), optimizer="core"), {}),
         "sat_linear_seeded": (
-            lambda: SATMapper(ibm_qx4()), {"upper_bound": SEED_BOUND}
+            lambda: SATMapper(ibm_qx4(), optimizer="linear"),
+            {"upper_bound": SEED_BOUND},
         ),
         "sat_core_seeded": (
             lambda: SATMapper(ibm_qx4(), optimizer="core"),
             {"upper_bound": SEED_BOUND},
         ),
-        "sat_model_seeded": (lambda: SATMapper(ibm_qx4()), "MODEL_SEED"),
-        "portfolio": (lambda: PortfolioMapper(ibm_qx4()), {}),
-        "portfolio_subsets": (
-            lambda: PortfolioMapper(ibm_qx4(), use_subsets=True), {}
+        "sat_model_seeded": (
+            lambda: SATMapper(ibm_qx4(), optimizer="linear"), "MODEL_SEED"
         ),
-        "sat_subsets": (lambda: SATMapper(ibm_qx4(), use_subsets=True), {}),
+        "portfolio": (lambda: PortfolioMapper(ibm_qx4(), optimizer="linear"), {}),
+        "portfolio_subsets": (
+            lambda: PortfolioMapper(
+                ibm_qx4(), use_subsets=True, optimizer="linear"
+            ),
+            {},
+        ),
+        "sat_subsets": (
+            lambda: SATMapper(ibm_qx4(), use_subsets=True, optimizer="linear"),
+            {},
+        ),
+        "sat_default": (lambda: SATMapper(ibm_qx4()), {}),
     }
 
 
 def _sweep_configs():
-    """The subset-sweep benchmark: (architecture factory, circuit factory).
+    """The subset-sweep benchmark: (architecture factory, circuit factory,
+    descent).
 
     QX4 carries the paper-parity criteria (identical proven minima, strictly
     fewer conflicts than PR 4, at least one family pruned); the 8-qubit
@@ -136,10 +153,13 @@ def _sweep_configs():
     families, 18 four-qubit families) so pruning and sharing dominate the
     end-to-end wall clock.
     """
-    return {
+    qx4 = {
         "paper_qx4": (ibm_qx4, paper_example_cnot_skeleton),
         "ex-1_166_qx4": (ibm_qx4, lambda: benchmark_circuit("ex-1_166")),
         "ham3_102_qx4": (ibm_qx4, lambda: benchmark_circuit("ham3_102")),
+    }
+    rows = {
+        **qx4,
         "paper_grid8": (sweep_grid8, paper_example_cnot_skeleton),
         "ex-1_166_grid8": (sweep_grid8, lambda: benchmark_circuit("ex-1_166")),
         "ham3_102_grid8": (sweep_grid8, lambda: benchmark_circuit("ham3_102")),
@@ -152,6 +172,11 @@ def _sweep_configs():
             sweep_grid8, lambda: random_cnot_circuit(3, 10, seed=7)
         ),
     }
+    configs = {name: (*row, "linear") for name, row in rows.items()}
+    configs.update(
+        (f"{name}_default", (*row, DEFAULT_OPTIMIZER)) for name, row in qx4.items()
+    )
+    return configs
 
 
 def _split_circuit(num_qubits: int, num_cnots: int, seed: int, name: str):
@@ -273,14 +298,15 @@ def measure_sweeps(share: bool = True, prune: bool = True):
     encoding-skeleton cache is cleared per config so every sweep pays its
     own construction (and the ablation's from-scratch builds are comparable).
     """
-    for arch_factory in {f for f, _ in _sweep_configs().values()}:
+    for arch_factory in {row[0] for row in _sweep_configs().values()}:
         shared_permutation_table(arch_factory())
     measurements = {}
-    for name, (arch_factory, circuit_factory) in _sweep_configs().items():
+    for name, (arch_factory, circuit_factory, optimizer) in _sweep_configs().items():
         clear_skeleton_cache()
         mapper = SATMapper(
             arch_factory(),
             use_subsets=True,
+            optimizer=optimizer,
             share_clauses=share,
             prune_families=prune,
         )
@@ -323,7 +349,7 @@ def measure_artifacts(circuit_name: str = "3_17_13"):
         cache = ArtifactCache(ResultStore.at(tmp))
         for phase in ("cold", "warm"):
             clear_skeleton_cache()
-            mapper = SATMapper(sweep_grid8(), use_subsets=True)
+            mapper = SATMapper(sweep_grid8(), use_subsets=True, optimizer="linear")
             gc.collect()
             start = time.monotonic()
             result = mapper.map(benchmark_circuit(circuit_name), artifacts=cache)

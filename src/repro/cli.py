@@ -94,16 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--optimizer", default=None,
-        help="objective-search strategy of the SAT stage (linear, binary, "
-        "core; default: linear). "
-        "'core' uses MaxSAT-style UNSAT-core-guided descent",
+        help="objective-search strategy of the SAT stage (core, linear, "
+        "binary; default: core). "
+        "'core' uses MaxSAT-style UNSAT-core-guided descent; 'linear' is "
+        "the paper's descent",
     )
     parser.add_argument(
         "--explain", action="store_true",
         help="on a proven-optimal SAT result, print the final UNSAT core "
         "mapped to human-readable constraint labels (which objective "
-        "selectors / bound-ladder nodes bind); most informative with "
-        "--optimizer core or binary",
+        "selectors / bound-ladder nodes bind); core and binary record "
+        "one, linear does not",
     )
     parser.add_argument(
         "--subsets", action="store_true",
@@ -243,9 +244,9 @@ def _print_explanation(result) -> None:
         return
     labels = result.statistics.get("final_core")
     if not labels:
-        print("explain            : no UNSAT core recorded (the linear "
-              "strategy proves optimality via committed bounds; re-run with "
-              "--optimizer core or binary for a core)")
+        print("explain            : no UNSAT core recorded (a zero-cost "
+              "optimum needs no refutation, and the linear strategy proves "
+              "optimality via committed bounds)")
         return
     print(f"final UNSAT core   : {len(labels)} binding constraint(s) at the "
           "optimum — no cheaper schedule can satisfy all of:")
@@ -649,7 +650,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--optimizer", default=None,
         help="objective-search strategy of the SAT stage "
-        "(linear, binary, core)",
+        "(core, linear, binary; default: core)",
     )
     parser.add_argument("--subsets", action="store_true",
                         help="restrict the SAT engine to connected subsets")

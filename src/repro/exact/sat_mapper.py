@@ -81,6 +81,7 @@ from repro.arch.cache import (
 )
 from repro.arch.permutations import invert_permutation
 from repro.sat.optimize import (
+    DEFAULT_OPTIMIZER,
     OptimizationResult,
     OptimizingSolver,
     resolve_optimizer_name,
@@ -666,11 +667,10 @@ class SATMapper:
         use_subsets: Solve one instance per connected subset of ``n`` physical
             qubits instead of one instance over all ``m`` (Section 4.1).
         optimizer: Objective-search strategy from the optimizer registry
-            (``"linear"``, ``"binary"``, ``"core"`` or any name registered
-            via :func:`repro.sat.optimize.register_optimizer`); validated at
+            (``"core"``, the default, ``"linear"``, ``"binary"`` or any
+            name registered via
+            :func:`repro.sat.optimize.register_optimizer`); validated at
             construction time.
-        optimizer_strategy: Backwards-compatible alias for *optimizer*
-            (ignored when *optimizer* is given).
         time_limit: Optional wall-clock budget in seconds for the whole
             mapping call; when exhausted the best solution found so far is
             returned (not necessarily minimal) and the remaining subset
@@ -702,8 +702,7 @@ class SATMapper:
         coupling: CouplingMap,
         strategy: Optional[PermutationStrategy] = None,
         use_subsets: bool = False,
-        optimizer: Optional[str] = None,
-        optimizer_strategy: str = "linear",
+        optimizer: str = DEFAULT_OPTIMIZER,
         time_limit: Optional[float] = None,
         conflict_limit: Optional[int] = None,
         decompose_swaps: bool = True,
@@ -715,9 +714,7 @@ class SATMapper:
         self.use_subsets = use_subsets
         # Resolve (and thereby validate) the strategy name up front: a typo
         # should fail at construction, not after minutes of encoding work.
-        self.optimizer_strategy = resolve_optimizer_name(
-            optimizer if optimizer is not None else optimizer_strategy
-        )
+        self.optimizer = resolve_optimizer_name(optimizer)
         self.time_limit = time_limit
         self.conflict_limit = conflict_limit
         self.decompose_swaps = decompose_swaps
@@ -946,7 +943,7 @@ class SATMapper:
                 initial_model = None
                 initial_objective = None
         outcome: OptimizationResult = state.optimizer.minimize(
-            strategy=self.optimizer_strategy,
+            strategy=self.optimizer,
             time_limit=time_limit,
             conflict_limit=self.conflict_limit,
             upper_bound=upper_bound,
@@ -1158,7 +1155,7 @@ class SATMapper:
         core_lower_bound = best.statistics.get("core_lower_bound", 0)
         if core_lower_bound:
             statistics["core_lower_bound"] = core_lower_bound
-        statistics["optimizer"] = self.optimizer_strategy
+        statistics["optimizer"] = self.optimizer
         # Backend provenance: which CDCL implementation (pure / compiled)
         # produced these counters.  Counters are bit-identical across
         # backends; wall-clock numbers are not, so perf records need this.

@@ -35,6 +35,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.exact.reconstruction import build_result, default_schedule
 from repro.exact.result import MappingResult, MappingSchedule
 from repro.exact.sat_mapper import SATMapper, SATMapperError
+from repro.sat.optimize import DEFAULT_OPTIMIZER
 
 #: Default number of CNOT gates per window.
 DEFAULT_WINDOW_SIZE = 8
@@ -101,8 +102,7 @@ class SplitSATMapper:
             solved on the permutation table of its sub-coupling).
         strategy: Permutation-restriction strategy forwarded to each
             window's :class:`SATMapper`.
-        optimizer: Low-level optimiser name forwarded to window solves.
-        optimizer_strategy: Descent strategy forwarded to window solves.
+        optimizer: Descent strategy forwarded to window solves.
         time_limit: Overall wall-clock budget in seconds, shared across
             windows (each window sees the remaining budget).
         decompose_swaps: Emit SWAPs as the 7-gate decomposition (default).
@@ -118,8 +118,7 @@ class SplitSATMapper:
         window_size: int = DEFAULT_WINDOW_SIZE,
         qubit_cap: int = DEFAULT_QUBIT_CAP,
         strategy: Any = None,
-        optimizer: Optional[str] = None,
-        optimizer_strategy: str = "linear",
+        optimizer: str = DEFAULT_OPTIMIZER,
         time_limit: Optional[float] = None,
         decompose_swaps: bool = True,
     ):
@@ -135,7 +134,6 @@ class SplitSATMapper:
         self.qubit_cap = qubit_cap
         self.strategy = strategy
         self.optimizer = optimizer
-        self.optimizer_strategy = optimizer_strategy
         self.time_limit = time_limit
         self.decompose_swaps = decompose_swaps
 
@@ -146,7 +144,6 @@ class SplitSATMapper:
             strategy=self.strategy,
             use_subsets=True,
             optimizer=self.optimizer,
-            optimizer_strategy=self.optimizer_strategy,
             time_limit=remaining,
             decompose_swaps=self.decompose_swaps,
         )

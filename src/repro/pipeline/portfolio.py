@@ -8,7 +8,7 @@ the objective descent starts at the heuristic incumbent instead of an
 arbitrary first model — fewer solver iterations, same proven minimum.
 
 The exact stage's objective-search strategy is selectable
-(``optimizer="linear" | "binary" | "core"``).
+(``optimizer="core" | "linear" | "binary"``, default ``"core"``).
 
 When the bounded SAT search fails (the heuristic solution may not be
 expressible under a restricted permutation strategy, or the budget runs
@@ -27,6 +27,7 @@ from repro.exact.result import MappingResult
 from repro.exact.sat_mapper import SATMapper, SATMapperError
 from repro.exact.strategies import PermutationStrategy
 from repro.pipeline.registry import get_mapper, resolve_mapper_name
+from repro.sat.optimize import DEFAULT_OPTIMIZER
 
 
 class PortfolioMapper:
@@ -38,9 +39,8 @@ class PortfolioMapper:
         use_subsets: Restrict the SAT stage to connected physical-qubit
             subsets (Section 4.1).
         optimizer: Objective search of the SAT stage — any registered
-            optimizer strategy (``"linear"``, ``"binary"``, ``"core"``).
-        optimizer_strategy: Backwards-compatible alias for *optimizer*
-            (ignored when *optimizer* is given).
+            optimizer strategy (``"core"``, the default, ``"linear"``,
+            ``"binary"``).
         time_limit: Wall-clock budget of the SAT stage in seconds.
         conflict_limit: Per-solver-call conflict budget of the SAT stage.
         decompose_swaps: Emit SWAPs as their 7-gate decomposition (default).
@@ -72,8 +72,7 @@ class PortfolioMapper:
         coupling: CouplingMap,
         strategy: Optional[PermutationStrategy] = None,
         use_subsets: bool = False,
-        optimizer: Optional[str] = None,
-        optimizer_strategy: str = "linear",
+        optimizer: str = DEFAULT_OPTIMIZER,
         time_limit: Optional[float] = None,
         conflict_limit: Optional[int] = None,
         decompose_swaps: bool = True,
@@ -92,14 +91,13 @@ class PortfolioMapper:
             strategy=strategy,
             use_subsets=use_subsets,
             optimizer=optimizer,
-            optimizer_strategy=optimizer_strategy,
             time_limit=time_limit,
             conflict_limit=conflict_limit,
             decompose_swaps=decompose_swaps,
             share_clauses=share_clauses,
             prune_families=prune_families,
         )
-        self.optimizer = self._sat.optimizer_strategy
+        self.optimizer = self._sat.optimizer
 
     # ------------------------------------------------------------------
     def map(

@@ -11,17 +11,22 @@ and all run on one persistent :class:`~repro.sat.session.SolveSession`, so
 learned clauses, variable activities and saved phases carry over from probe
 to probe:
 
-* ``"linear"`` (default) — solve once, read off the objective value of the
-  model, then repeatedly commit ``F <= best - 1`` until the instance becomes
-  unsatisfiable.  The last model found is optimal.
+* ``"core"`` (default, :data:`DEFAULT_OPTIMIZER`) — MaxSAT-style
+  core-guided descent: assume every objective term off, extract an UNSAT
+  core over those selectors from each failure, relax exactly the literals
+  in the core, and raise the *proven lower bound* by the core's cheapest
+  weight.  Disjoint cores often close most of the objective gap in a
+  handful of oracle calls; the remaining interval is finished by bisection
+  over the shared bound ladder.  A solve that starts from a known bound or
+  incumbent *refutes first*: it fetches a model within the bound (when no
+  incumbent is known) and probes ``F <= best - 1`` once on an assumed
+  bound, so a seed at the optimum is proven in at most two solver calls;
+  only when that probe finds a cheaper model do the cores run.
+* ``"linear"`` — the paper's descent: solve once, read off the objective
+  value of the model, then repeatedly commit ``F <= best - 1`` until the
+  instance becomes unsatisfiable.  The last model found is optimal.
 * ``"binary"`` — bisect the objective range; every probe is an assumption
   on the same solver (an UNSAT probe does not poison later, looser probes).
-* ``"core"`` — MaxSAT-style core-guided descent: assume every objective
-  term off, extract an UNSAT core over those selectors from each failure,
-  relax exactly the literals in the core, and raise the *proven lower
-  bound* by the core's cheapest weight.  Disjoint cores often close most of
-  the objective gap in a handful of oracle calls; the remaining interval is
-  finished by bisection over the shared bound ladder.
 
 Third-party strategies can join at runtime::
 
@@ -55,6 +60,11 @@ from repro.sat.cores import core_from_session
 from repro.sat.pb import evaluate_pb
 from repro.sat.session import SolveSession
 from repro.sat.solver import SolverResult
+
+#: Registry name of the descent every SAT entry point uses unless told
+#: otherwise (``SATMapper``, ``PortfolioMapper``, ``SplitSATMapper``,
+#: :meth:`OptimizingSolver.minimize`).
+DEFAULT_OPTIMIZER = "core"
 
 
 @dataclass(frozen=True)
@@ -481,9 +491,10 @@ class CoreGuidedDescent(OptimizerStrategy):
 
     name = "core"
     description = (
-        "core-guided: assume all objective terms off, relax exactly the "
-        "literals of each UNSAT core (lower bound rises by whole cores), "
-        "then bisect the remaining [lower, incumbent] gap"
+        "core-guided (default): refute a known bound or incumbent first, "
+        "else assume all objective terms off, relax exactly the literals of "
+        "each UNSAT core (lower bound rises by whole cores), then bisect "
+        "the remaining [lower, incumbent] gap"
     )
 
     def minimize(self, task: DescentTask) -> OptimizationResult:
@@ -510,6 +521,51 @@ class CoreGuidedDescent(OptimizerStrategy):
             task.counters["core_lower_bound"] = lower
 
         # ------------------------------------------------------------------
+        # Refute first.  A bounded or seeded solve usually starts at (or
+        # next to) the optimum, where one UNSAT probe below the incumbent
+        # finishes the proof, while the cores of phase 1 would rebuild the
+        # lower bound from zero.  The probe is an *assumed* bound, so every
+        # core bound below stays a consequence of the formula.
+        # ------------------------------------------------------------------
+        if task.upper_bound is not None or best_value is not None:
+            if best_value is None:
+                iterations += 1
+                outcome = session.solve_with_bound(
+                    task.upper_bound,
+                    conflict_limit=task.conflict_limit,
+                    time_limit=task.remaining(),
+                )
+                if outcome is SolverResult.UNKNOWN:
+                    stamp_counters()
+                    return task.result("unknown", iterations=iterations)
+                if outcome is SolverResult.UNSAT:
+                    task.record_core()
+                    stamp_counters()
+                    return task.result("unsat", iterations=iterations)
+                best_model = session.model()
+                best_value = task.objective_value(best_model)
+                task.counters["descent_iterations"] += 1
+            if best_value == 0:
+                stamp_counters()
+                return task.result("optimal", best_model, 0, iterations)
+            iterations += 1
+            outcome = session.solve_with_bound(
+                best_value - 1,
+                conflict_limit=task.conflict_limit,
+                time_limit=task.remaining(),
+            )
+            if outcome is SolverResult.UNKNOWN:
+                stamp_counters()
+                return task.result("satisfiable", best_model, best_value, iterations)
+            if outcome is SolverResult.UNSAT:
+                task.record_core()
+                stamp_counters()
+                return task.result("optimal", best_model, best_value, iterations)
+            best_model = session.model()
+            best_value = task.objective_value(best_model)
+            task.counters["descent_iterations"] += 1
+
+        # ------------------------------------------------------------------
         # Phase 1: disjoint-core lower bounding.  Assume every remaining
         # term off; every UNSAT answer yields a core over those selectors,
         # the core's literals are relaxed (removed from the assumption set)
@@ -521,13 +577,10 @@ class CoreGuidedDescent(OptimizerStrategy):
                 # without ever probing the bound ladder.
                 stamp_counters()
                 return task.result("optimal", best_model, best_value, iterations)
-            if task.upper_bound is not None and lower > task.upper_bound:
-                # The cores prove every model costs more than the seeded
-                # bound: unsatisfiable-within-bound, no descent needed.
-                stamp_counters()
-                return task.result("unsat", iterations=iterations)
-            if not selectors:
+            if not selectors and best_value is not None:
                 break
+            # With every selector relaxed (an empty objective, or merged
+            # duplicate selectors) this is a plain solve for a first model.
             iterations += 1
             outcome = session.solve_with_assumptions(
                 list(selectors),
@@ -561,47 +614,6 @@ class CoreGuidedDescent(OptimizerStrategy):
         # Phase 2: close the [lower, incumbent] gap by bisection on the
         # shared bound ladder (assumed selectors, same live session).
         # ------------------------------------------------------------------
-        if best_value is None:
-            # Every selector was relaxed without ever reaching SAT (only
-            # possible with merged duplicate selectors); fall back to one
-            # plain bounded solve for the first model.
-            iterations += 1
-            outcome = session.solve_with_bound(
-                task.upper_bound,
-                conflict_limit=task.conflict_limit,
-                time_limit=task.remaining(),
-            )
-            if outcome is SolverResult.UNKNOWN:
-                stamp_counters()
-                return task.result("unknown", iterations=iterations)
-            if outcome is SolverResult.UNSAT:
-                task.record_core()
-                stamp_counters()
-                return task.result("unsat", iterations=iterations)
-            best_model = session.model()
-            best_value = task.objective_value(best_model)
-            task.counters["descent_iterations"] += 1
-
-        if task.upper_bound is not None and best_value > task.upper_bound:
-            # The phase-1 model overshot the seeded bound; fetch one at or
-            # below it (or prove there is none within the bound).
-            iterations += 1
-            outcome = session.solve_with_bound(
-                task.upper_bound,
-                conflict_limit=task.conflict_limit,
-                time_limit=task.remaining(),
-            )
-            if outcome is SolverResult.UNKNOWN:
-                stamp_counters()
-                return task.result("satisfiable", best_model, best_value, iterations)
-            if outcome is SolverResult.UNSAT:
-                task.record_core()
-                stamp_counters()
-                return task.result("unsat", iterations=iterations)
-            best_model = session.model()
-            best_value = task.objective_value(best_model)
-            task.counters["descent_iterations"] += 1
-
         low, high = lower, best_value
         proven_optimal = True
         while low < high:
@@ -671,7 +683,7 @@ class OptimizingSolver:
     # ------------------------------------------------------------------
     def minimize(
         self,
-        strategy: str = "linear",
+        strategy: str = DEFAULT_OPTIMIZER,
         time_limit: Optional[float] = None,
         conflict_limit: Optional[int] = None,
         upper_bound: Optional[int] = None,
@@ -682,10 +694,10 @@ class OptimizingSolver:
         """Find a model of minimal objective value.
 
         Args:
-            strategy: Registry name of the descent strategy (``"linear"``,
-                ``"binary"``, ``"core"`` or anything registered via
-                :func:`register_optimizer`); all run on one incremental
-                session.
+            strategy: Registry name of the descent strategy (``"core"``,
+                the default, ``"linear"``, ``"binary"`` or anything
+                registered via :func:`register_optimizer`); all run on one
+                incremental session.
             time_limit: Overall wall-clock budget in seconds.
             conflict_limit: Per-solver-call conflict budget.
             upper_bound: Known inclusive bound on the objective (for example
@@ -758,6 +770,7 @@ class OptimizingSolver:
 
 
 __all__ = [
+    "DEFAULT_OPTIMIZER",
     "ObjectiveTerm",
     "OptimizationResult",
     "OptimizingSolver",

@@ -31,7 +31,7 @@ def plain_paper_result():
     (the optimiser descends from an arbitrary first model), so it is shared
     by every test that compares against it.
     """
-    return SATMapper(ibm_qx4()).map(paper_example_cnot_skeleton())
+    return SATMapper(ibm_qx4(), optimizer="linear").map(paper_example_cnot_skeleton())
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,9 @@ class TestSATMapperUpperBound:
         self, plain_paper_result, paper_heuristic_bound
     ):
         circuit = paper_example_cnot_skeleton()
-        seeded = SATMapper(ibm_qx4()).map(circuit, upper_bound=paper_heuristic_bound)
+        seeded = SATMapper(ibm_qx4(), optimizer="linear").map(
+            circuit, upper_bound=paper_heuristic_bound
+        )
         assert (
             seeded.statistics["solver_iterations"]
             < plain_paper_result.statistics["solver_iterations"]

@@ -14,6 +14,7 @@ from repro.exact.sat_mapper import SATMapper
 from repro.pipeline.portfolio import PortfolioMapper
 from repro.sat.cnf import CNF
 from repro.sat.optimize import (
+    DEFAULT_OPTIMIZER,
     ObjectiveTerm,
     OptimizerRegistry,
     OptimizerStrategy,
@@ -130,6 +131,47 @@ class TestCoreGuidedDescent:
         assert result.objective == 0
 
 
+class TestCoreRefutesFirst:
+    def test_core_is_the_default(self):
+        assert DEFAULT_OPTIMIZER == "core"
+        cnf, objective = _toy_instance()
+        result = OptimizingSolver(cnf, objective).minimize()
+        assert "cores_found" in result.statistics
+
+    def test_bound_at_optimum_proven_in_two_calls(self):
+        cnf, objective = _toy_instance()
+        result = OptimizingSolver(cnf, objective).minimize(
+            strategy="core", upper_bound=3
+        )
+        # One model within the bound, one UNSAT probe below it; no cores.
+        assert result.is_optimal
+        assert result.objective == 3
+        assert result.iterations == 2
+        assert result.statistics["cores_found"] == 0
+
+    def test_cheaper_probe_model_goes_on_to_the_cores(self):
+        cnf, objective = _toy_instance()
+        result = OptimizingSolver(cnf, objective).minimize(
+            strategy="core",
+            initial_model={1: True, 2: True, 3: True},
+            initial_objective=9,
+        )
+        assert result.is_optimal
+        assert result.objective == 3
+        assert result.statistics["descent_iterations"] >= 1
+        assert result.statistics["cores_found"] >= 1
+
+    def test_refutation_probe_is_never_committed(self):
+        cnf, objective = _toy_instance()
+        solver = OptimizingSolver(cnf, objective)
+        session = solver.make_session()
+        bounded = solver.minimize(strategy="core", upper_bound=4, session=session)
+        assert bounded.objective == 3
+        assert session.committed_bound is None
+        # The session still answers an unbounded solve after the probe.
+        assert solver.minimize(strategy="core", session=session).objective == 3
+
+
 class TestInitialModelWarmStart:
     def test_requires_objective_with_model(self):
         cnf, objective = _toy_instance()
@@ -192,11 +234,7 @@ class TestSATMapperStrategies:
 
     def test_optimizer_alias_resolves(self):
         mapper = SATMapper(ibm_qx4(), optimizer="core-guided")
-        assert mapper.optimizer_strategy == "core"
-
-    def test_legacy_optimizer_strategy_kwarg_still_works(self):
-        mapper = SATMapper(ibm_qx4(), optimizer_strategy="binary")
-        assert mapper.optimizer_strategy == "binary"
+        assert mapper.optimizer == "core"
 
     @pytest.mark.parametrize("optimizer", ["binary", "core"])
     def test_paper_example_same_minimum(self, optimizer):
@@ -208,7 +246,7 @@ class TestSATMapperStrategies:
 
     def test_core_uses_fewer_iterations_than_linear_on_paper_example(self):
         circuit = paper_example_cnot_skeleton()
-        linear = SATMapper(ibm_qx4()).map(circuit)
+        linear = SATMapper(ibm_qx4(), optimizer="linear").map(circuit)
         core = SATMapper(ibm_qx4(), optimizer="core").map(circuit)
         assert core.added_cost == linear.added_cost
         assert (
@@ -226,6 +264,31 @@ class TestSATMapperStrategies:
             ibm_qx4(), use_subsets=True, optimizer=optimizer
         ).map(circuit)
         assert result.added_cost == reference.added_cost
+
+    def test_default_optimizer_reported(self):
+        result = SATMapper(ibm_qx4()).map(paper_example_cnot_skeleton())
+        assert result.statistics["optimizer"] == "core"
+
+    def test_core_proves_seeded_bound_in_two_calls(self):
+        result = SATMapper(ibm_qx4(), optimizer="core").map(
+            paper_example_cnot_skeleton(), upper_bound=PAPER_EXAMPLE_MINIMAL_COST
+        )
+        assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
+        assert result.optimal
+        assert result.statistics["solver_iterations"] == 2
+
+    def test_core_refutes_dp_incumbent_in_one_call(self):
+        circuit = benchmark_circuit("ex-1_166")
+        reference = DPMapper(ibm_qx4()).map(circuit)
+        result = SATMapper(ibm_qx4(), optimizer="core").map(
+            circuit,
+            initial_model=reference.schedule.mappings,
+            initial_objective=reference.added_cost,
+        )
+        assert result.added_cost == reference.added_cost == 8
+        assert result.optimal
+        assert result.statistics["solver_iterations"] == 1
+        assert result.statistics.get("descent_iterations", 0) == 0
 
     def test_model_seeded_map_skips_the_descent(self):
         circuit = paper_example_cnot_skeleton()

@@ -73,7 +73,7 @@ class TestSATMapper:
         circuit.cx(0, 1)
         circuit.cx(1, 2)
         result = SATMapper(
-            ibm_qx4(), use_subsets=True, optimizer_strategy="binary"
+            ibm_qx4(), use_subsets=True, optimizer="binary"
         ).map(circuit)
         assert result.added_cost == DPMapper(ibm_qx4()).map(circuit).added_cost
 

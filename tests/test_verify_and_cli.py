@@ -487,6 +487,8 @@ class TestCLIOptimizerFlags:
     def test_explain_without_core_reports_gracefully(self, tmp_path, capsys):
         # Linear descent proves optimality via committed bounds: no core.
         path = self._write_qasm(tmp_path, self._paper_circuit())
-        assert main([path, "--engine", "sat", "--explain"]) == 0
+        assert main(
+            [path, "--engine", "sat", "--optimizer", "linear", "--explain"]
+        ) == 0
         out = capsys.readouterr().out
         assert "no UNSAT core recorded" in out
