@@ -336,8 +336,18 @@ def _run_map(argv: Sequence[str]) -> int:
         coupling = get_architecture(args.arch)
     except KeyError as error:
         parser.error(str(error))
-    circuit = parse_qasm_file(args.qasm)
+    try:
+        circuit = parse_qasm_file(args.qasm)
+    except OSError as error:
+        parser.error(f"cannot read {args.qasm}: {error.strerror}")
     options = _engine_options(engine, args)
+    if "strategy" in options:
+        from repro.exact.strategies import get_strategy
+
+        try:
+            get_strategy(options["strategy"])
+        except KeyError as error:
+            parser.error(error.args[0])
     cache_dir = _activate_cache_dir(args.cache_dir)
     if args.result_ttl is not None and cache_dir is None:
         parser.error("--result-ttl requires --cache-dir (or REPRO_CACHE_DIR)")
@@ -354,27 +364,18 @@ def _run_map(argv: Sequence[str]) -> int:
         result = store.get(fingerprint)
         cache_hit = result is not None
     if not cache_hit:
-        providers = []
-        if store is not None and not args.no_bound_seeding:
-            from repro.pipeline.bounds import ModelProvider, StoreBoundProvider
+        from repro.pipeline.bounds import BoundProviderChain
 
-            provider_cls = (
-                StoreBoundProvider if args.no_model_seeding else ModelProvider
-            )
-            providers.append(provider_cls(store, couplings=[coupling]))
-        if store is not None and not args.no_artifact_seeding:
-            from repro.pipeline.bounds import ClauseProvider
-
-            providers.append(ClauseProvider(store, couplings=[coupling]))
-        if args.upper_bound is not None:
-            from repro.pipeline.bounds import StaticBoundProvider
-
-            providers.append(StaticBoundProvider(args.upper_bound))
+        seeds = BoundProviderChain(
+            store,
+            couplings=[coupling],
+            upper_bound=args.upper_bound,
+            seed_bounds=not args.no_bound_seeding,
+            seed_models=not args.no_model_seeding,
+            seed_artifacts=not args.no_artifact_seeding,
+        )
         pipeline = MappingPipeline(
-            coupling,
-            engine=engine,
-            engine_options=options,
-            bound_providers=providers or None,
+            coupling, engine=engine, engine_options=options, seeds=seeds,
         )
         from repro.exact.sat_mapper import SATMapperError
 

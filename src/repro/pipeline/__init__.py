@@ -36,14 +36,9 @@ _EXPORTS = {
     "MappingPipeline": "repro.pipeline.pipeline",
     "BatchItem": "repro.pipeline.pipeline",
     "PortfolioMapper": "repro.pipeline.portfolio",
-    "BoundProvider": "repro.pipeline.bounds",
     "BoundProviderChain": "repro.pipeline.bounds",
-    "HeuristicBoundProvider": "repro.pipeline.bounds",
-    "ModelProvider": "repro.pipeline.bounds",
     "ModelSeed": "repro.pipeline.bounds",
     "SeedResolution": "repro.pipeline.bounds",
-    "StaticBoundProvider": "repro.pipeline.bounds",
-    "StoreBoundProvider": "repro.pipeline.bounds",
     "shared_permutation_table": "repro.arch.cache",
     "shared_connected_subsets": "repro.arch.cache",
     "cache_stats": "repro.arch.cache",
@@ -64,14 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         shared_permutation_table,
     )
     from repro.pipeline.bounds import (
-        BoundProvider,
         BoundProviderChain,
-        HeuristicBoundProvider,
-        ModelProvider,
         ModelSeed,
         SeedResolution,
-        StaticBoundProvider,
-        StoreBoundProvider,
     )
     from repro.pipeline.pipeline import BatchItem, MappingPipeline
     from repro.pipeline.portfolio import PortfolioMapper

@@ -1,101 +1,38 @@
-"""Upper-bound providers for seeding exact searches.
+"""Seed resolution for exact searches.
 
-The SAT optimiser descends much faster when it starts from a known valid
-objective bound (see ``OptimizingSolver.minimize(upper_bound=...)``).  A
-:class:`BoundProvider` is any source of such a bound:
+The SAT optimiser descends much faster from a known valid objective bound
+(see ``OptimizingSolver.minimize(upper_bound=...)``), and faster still from
+a known incumbent schedule.  One resolver, :class:`BoundProviderChain`,
+gathers everything a job can be warm-started from:
 
-* :class:`HeuristicBoundProvider` — run a cheap heuristic engine and use its
-  added cost (the classic portfolio seed),
-* :class:`StoreBoundProvider` — look up previously solved results for the
-  same circuit in a :class:`~repro.service.store.ResultStore`, on the same
-  architecture **or on a known sub-architecture**: a mapping that complies
-  with a subset of the device's edges also complies with the device, so its
-  cost is a valid upper bound,
-* :class:`StaticBoundProvider` — a caller-supplied bound (CLI flag, API),
-* :class:`ModelProvider` — the *schedule* of the cheapest stored result,
-  replayed as an initial incumbent model: the exact solver then starts with
-  a feasible solution in hand and only has to prove (or beat) it, instead
-  of rediscovering it probe by probe,
-* :class:`ClauseProvider` — a handle into the store's **solve-artifact
-  table** (learned clauses, proven family lower bounds, best schedules,
-  keyed by encoding skeleton rather than circuit fingerprint), so even a
-  never-seen circuit warm-starts from structurally identical past jobs.
+* **store bounds** — the cheapest stored result for the same circuit,
+  solved by any engine, on the target architecture **or on a registered
+  sub-architecture** (a mapping that complies with a subset of the device's
+  edges also complies with the device, so its cost is a valid bound);
+* **model replay** — that result's *schedule*, replayed as the solver's
+  initial incumbent, so the solver only has to prove (or beat) it;
+* **a caller bound** (CLI flag, API);
+* **solve artifacts** — a handle to the store's artifact table (learned
+  clauses, proven family bounds, best schedules, keyed by encoding skeleton
+  rather than circuit fingerprint), so even a never-seen circuit
+  warm-starts from structurally identical past jobs.
 
-A :class:`BoundProviderChain` queries every provider and keeps the tightest
-bound (:meth:`~BoundProviderChain.resolve`); the richer
-:meth:`~BoundProviderChain.resolve_seed` additionally collects a model seed
-from providers that offer one.  Every bound produced here is the cost of
-some *valid mapping on the full device*, so it is an upper bound on the
-true minimum — safe to assert exactly where
+Every bound here is the cost of some *valid mapping on the full device*,
+hence an upper bound on the true minimum — safe to assert exactly where
 ``mapper.accepts_external_bound`` is true (see
-:meth:`repro.exact.sat_mapper.SATMapper.accepts_external_bound` for why
-restricted search spaces opt out).  Model seeds are stricter still: a
-cached schedule is only replayed after re-validation against the *current*
-coupling map — a sub-architecture hit whose schedule does not transfer
-degrades to bound-only seeding with a provenance note instead of failing.
+:meth:`repro.exact.sat_mapper.SATMapper.accepts_external_bound`).  A cached
+schedule is only replayed after re-validation against the *current*
+coupling map; one that does not transfer (a sub-architecture hit, a
+corrupted row) degrades to bound-only seeding with a provenance note.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
-
-
-class BoundProvider(Protocol):
-    """Structural interface of one upper-bound source."""
-
-    name: str
-
-    def upper_bound(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Optional[int]:
-        """A valid inclusive objective bound, or ``None`` when unknown."""
-        ...
-
-
-class StaticBoundProvider:
-    """A fixed caller-supplied bound (e.g. from a ``--upper-bound`` flag)."""
-
-    name = "static"
-
-    def __init__(self, bound: int):
-        if bound < 0:
-            raise ValueError("upper bound must be non-negative")
-        self.bound = int(bound)
-
-    def upper_bound(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Optional[int]:
-        return self.bound
-
-
-class HeuristicBoundProvider:
-    """Bound from a cheap heuristic engine's added cost.
-
-    Args:
-        engine: Registry name of the heuristic engine (default ``"sabre"``).
-        options: Extra constructor options for the heuristic.
-    """
-
-    name = "heuristic"
-
-    def __init__(self, engine: str = "sabre", options: Optional[Dict[str, Any]] = None):
-        self.engine = engine
-        self.options = dict(options or {})
-
-    def upper_bound(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Optional[int]:
-        from repro.pipeline.registry import get_mapper
-
-        try:
-            result = get_mapper(self.engine, coupling, **self.options).map(circuit)
-        except Exception:  # noqa: BLE001 - a failing heuristic just yields no bound
-            return None
-        return result.added_cost
 
 
 def is_sub_architecture(candidate: CouplingMap, device: CouplingMap) -> bool:
@@ -112,56 +49,6 @@ def is_sub_architecture(candidate: CouplingMap, device: CouplingMap) -> bool:
     )
 
 
-class StoreBoundProvider:
-    """Bound from previously solved results in a fingerprint-keyed store.
-
-    The store is queried by ``(circuit fingerprint, architecture
-    fingerprint)`` — engine and options deliberately excluded, so a result
-    solved by *any* engine (heuristic, DP, an earlier SAT run) warm-starts
-    the next exact solve of the same circuit.  Besides the target
-    architecture itself, every registered coupling map that is a
-    sub-architecture of the target is consulted.
-
-    Args:
-        store: A :class:`~repro.service.store.ResultStore` (anything with a
-            ``best_added_cost(circuit_fp, arch_fp)`` method works).
-        couplings: Known coupling maps to consider for sub-architecture
-            lookups (e.g. every device a service fronts).
-    """
-
-    name = "store"
-
-    def __init__(
-        self,
-        store,
-        couplings: Optional[Iterable[CouplingMap]] = None,
-    ):
-        self.store = store
-        self.couplings: List[CouplingMap] = list(couplings or [])
-
-    def upper_bound(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Optional[int]:
-        from repro.service.fingerprint import coupling_fingerprint
-
-        circuit_fp = circuit.fingerprint()
-        arch_fps = [coupling_fingerprint(coupling)]
-        seen = set(arch_fps)
-        for candidate in self.couplings:
-            if not is_sub_architecture(candidate, coupling):
-                continue
-            fingerprint = coupling_fingerprint(candidate)
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                arch_fps.append(fingerprint)
-        best: Optional[int] = None
-        for arch_fp in arch_fps:
-            bound = self.store.best_added_cost(circuit_fp, arch_fp)
-            if bound is not None and (best is None or bound < best):
-                best = bound
-        return best
-
-
 @dataclass(frozen=True)
 class ModelSeed:
     """A cached schedule replayable as an initial incumbent model.
@@ -170,259 +57,166 @@ class ModelSeed:
         mappings: One device-indexed logical-to-physical mapping per CNOT.
         objective: The schedule's added cost on the device it was validated
             against (a valid upper bound for the current solve).
-        provider: Name of the provider that produced the seed.
         source_arch: ``"same"`` when the schedule was solved on the target
             architecture itself, ``"sub-architecture"`` otherwise.
     """
 
     mappings: Tuple[Tuple[int, ...], ...]
     objective: int
-    provider: str = "model"
     source_arch: str = "same"
-
-
-class ModelProvider(StoreBoundProvider):
-    """Bound *and* schedule seeding from the result store.
-
-    Extends :class:`StoreBoundProvider` (costs transfer exactly as there)
-    with :meth:`model_seed`: the cheapest stored result whose schedule
-    survives validation against the current coupling map is handed back as
-    a replayable incumbent.  Validation matters because sub-architecture
-    hits may not transfer as models even though their costs transfer as
-    bounds (and a corrupted store row must never poison a solve): any
-    schedule that fails the check degrades to bound-only seeding, with a
-    note explaining why.
-    """
-
-    name = "model"
-
-    def model_seed(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Tuple[Optional[ModelSeed], List[str]]:
-        """The cheapest replayable stored schedule, plus provenance notes.
-
-        Every consulted architecture — the target itself plus the
-        registered sub-architectures (whose schedules run unchanged on the
-        device under identity labelling *when* they validate) — contributes
-        its cheapest stored schedule, and the cheapest validating one
-        overall wins (ties broken towards the target architecture).  Every
-        candidate whose schedule fails validation against the current
-        coupling map contributes a note instead of a seed.
-
-        Returns:
-            ``(seed, notes)`` — *seed* is ``None`` when no stored schedule
-            transfers; *notes* records each rejected candidate.
-        """
-        from repro.exact.result import schedule_is_valid
-        from repro.service.fingerprint import coupling_fingerprint
-
-        circuit_fp = circuit.fingerprint()
-        target_fp = coupling_fingerprint(coupling)
-        candidates: List[Tuple[str, str]] = [(target_fp, "same")]
-        seen = {target_fp}
-        for candidate in self.couplings:
-            if not is_sub_architecture(candidate, coupling):
-                continue
-            fingerprint = coupling_fingerprint(candidate)
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                candidates.append((fingerprint, "sub-architecture"))
-        notes: List[str] = []
-        best: Optional[ModelSeed] = None
-        for arch_fp, kind in candidates:
-            result = self.store.best_result(circuit_fp, arch_fp)
-            if result is None:
-                continue
-            if best is not None and best.objective <= result.added_cost:
-                continue
-            mappings = tuple(tuple(m) for m in result.schedule.mappings)
-            if not mappings:
-                continue
-            if schedule_is_valid(circuit, mappings, coupling):
-                best = ModelSeed(
-                    mappings=mappings,
-                    objective=result.added_cost,
-                    provider=self.name,
-                    source_arch=kind,
-                )
-                continue
-            notes.append(
-                f"cached schedule ({kind} hit, engine {result.engine}, cost "
-                f"{result.added_cost}) does not comply with the current "
-                f"coupling map; falling back to bound-only seeding"
-            )
-        return best, notes
-
-
-class ClauseProvider(StoreBoundProvider):
-    """Solve-artifact seeding from the store's artifact table.
-
-    Shares the store/couplings plumbing of :class:`StoreBoundProvider` but
-    contributes **no result-table bound of its own** (a
-    :class:`ModelProvider`/:class:`StoreBoundProvider` in the same chain
-    covers that) — so bound seeding and artifact seeding stay independently
-    switchable.  Its contribution is :meth:`artifact_cache`: a picklable
-    :class:`~repro.service.store.ArtifactCache` handle to the store's
-    solve-artifact tier.  Unlike the result-table providers, which key on
-    the *circuit fingerprint* (the identical circuit must have been seen
-    before), artifact rows key on the **encoding skeleton** (gate sequence
-    × qubit counts × permutation spots × undirected edge set) — so a fresh
-    worker on a never-seen circuit still warm-starts whenever *any* past
-    job anywhere in the fleet solved a structurally identical instance.
-    The cache itself cannot tell whether a row exists for this circuit
-    (keys are computed per subset family inside the sweep), so the handle
-    is always offered; hit/miss counting happens at the consumer.
-    """
-
-    name = "artifact"
-
-    def upper_bound(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Optional[int]:
-        return None
-
-    def artifact_cache(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Tuple[Optional[Any], List[str]]:
-        """A seeding handle into the store's artifact tier, plus notes.
-
-        Returns:
-            ``(cache, notes)`` — *cache* is ``None`` when the store exposes
-            no artifact tier (e.g. a bare ``best_added_cost`` stub).
-        """
-        from repro.service.store import ArtifactCache
-
-        if not hasattr(self.store, "get_artifact"):
-            return None, [
-                "artifact provider: store exposes no artifact tier; "
-                "skipping artifact seeding"
-            ]
-        return ArtifactCache(self.store), []
 
 
 @dataclass
 class SeedResolution:
-    """Everything the chain knows about warm-starting one solve.
+    """Everything the resolver knows about warm-starting one solve.
+
+    Picklable, so it travels into process workers.
 
     Attributes:
         bound: The tightest valid upper bound (``None`` when unknown).
-        provider: Name of the provider that supplied :attr:`bound`.
-        model: A replayable incumbent schedule, when some provider offered
-            one that is at least as cheap as no bound at all (a model seed
-            worse than the resolved bound is dropped — the bound alone is
-            stronger).
-        artifacts: A solve-artifact cache handle
-            (:class:`~repro.service.store.ArtifactCache`-shaped) for
-            skeleton-keyed clause/bound/model seeding inside the sweep, or
-            ``None`` when no provider offers one.
-        artifact_provider: Name of the provider that supplied
-            :attr:`artifacts`.
+        provider: Where :attr:`bound` came from: ``"model"`` or
+            ``"store"`` (a stored result, with model replay on or off) or
+            ``"static"`` (the caller bound).
+        model: A replayable incumbent schedule no worse than :attr:`bound`
+            (a model seed worse than the bound is dropped — the bound alone
+            is stronger).
+        artifacts: A :class:`~repro.service.store.ArtifactCache` handle for
+            skeleton-keyed clause/bound/model seeding inside the sweep.
         notes: Provenance notes, e.g. why a cached schedule was rejected.
     """
 
     bound: Optional[int] = None
     provider: Optional[str] = None
     model: Optional[ModelSeed] = None
-    artifacts: Optional[Any] = None
-    artifact_provider: Optional[str] = None
+    artifacts: Optional[object] = None
     notes: List[str] = field(default_factory=list)
 
 
 class BoundProviderChain:
-    """Query several providers and keep the tightest valid bound.
+    """The one seed resolver: store bounds, model replay, caller bound, artifacts.
+
+    Args:
+        store: The :class:`~repro.service.store.ResultStore` to read;
+            ``None`` seeds from *upper_bound* alone.
+        couplings: Registered coupling maps (e.g. every device a service
+            fronts); those that are sub-architectures of a job's target are
+            consulted besides the target itself.
+        upper_bound: Optional caller-supplied bound (non-negative).
+        seed_bounds: Whether stored results seed the bound (and the model).
+        seed_models: Whether the cheapest stored schedule may be replayed
+            as the solver's initial incumbent.
+        seed_artifacts: Whether sweeps get a handle to the artifact table.
 
     Example:
-        >>> chain = BoundProviderChain([
-        ...     ModelProvider(store, couplings=devices),
-        ...     HeuristicBoundProvider(),
-        ... ])
-        >>> bound, provider = chain.resolve(circuit, coupling)
-        >>> seed = chain.resolve_seed(circuit, coupling)
+        >>> seeds = BoundProviderChain(store, couplings=devices)
+        >>> resolution = seeds.resolve_seed(circuit, coupling)
     """
 
-    def __init__(self, providers: Sequence[BoundProvider]):
-        self.providers: List[BoundProvider] = list(providers)
+    def __init__(
+        self,
+        store=None,
+        couplings: Iterable[CouplingMap] = (),
+        upper_bound: Optional[int] = None,
+        seed_bounds: bool = True,
+        seed_models: bool = True,
+        seed_artifacts: bool = True,
+    ):
+        if upper_bound is not None and upper_bound < 0:
+            raise ValueError("upper bound must be non-negative")
+        self.store = store
+        self.couplings: List[CouplingMap] = list(couplings)
+        self.upper_bound = None if upper_bound is None else int(upper_bound)
+        self.seed_bounds = seed_bounds
+        self.seed_models = seed_models
+        self.seed_artifacts = seed_artifacts
 
-    def resolve(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """The minimum over all providers and the winning provider's name."""
-        best: Optional[int] = None
-        source: Optional[str] = None
-        for provider in self.providers:
-            bound = provider.upper_bound(circuit, coupling)
-            if bound is None:
-                continue
-            if best is None or bound < best:
-                best = bound
-                source = getattr(provider, "name", type(provider).__name__)
-        return best, source
+    def _consulted(self, coupling: CouplingMap) -> List[Tuple[str, str]]:
+        """``(arch fingerprint, kind)`` of the target and its sub-architectures."""
+        from repro.service.fingerprint import coupling_fingerprint
+
+        consulted = {coupling_fingerprint(coupling): "same"}
+        for candidate in self.couplings:
+            if is_sub_architecture(candidate, coupling):
+                consulted.setdefault(
+                    coupling_fingerprint(candidate), "sub-architecture"
+                )
+        return list(consulted.items())
 
     def resolve_seed(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
+        self, circuit: QuantumCircuit, coupling: CouplingMap, replay_model: bool = True
     ) -> SeedResolution:
-        """Tightest bound plus (when available) a replayable model seed.
+        """The tightest bound plus, when *replay_model*, a model seed.
 
-        Providers exposing a ``model_seed`` method (duck-typed — see
-        :class:`ModelProvider`) are asked for a schedule; the cheapest valid
-        one wins.  A model whose objective exceeds the resolved bound is
-        dropped: the tighter bound subsumes it (seeding a provably
-        non-optimal incumbent would only slow the descent down).
+        Makes one store read per consulted architecture: ``best_result``
+        when a model may be replayed (its cost is the bound and its schedule
+        the candidate model), ``best_added_cost`` otherwise.  The cheapest
+        schedule that validates against *coupling* wins (ties go to the
+        target architecture); each one that does not leaves a note.  The
+        caller bound replaces the store bound only when strictly tighter.
         """
-        bound, provider = self.resolve(circuit, coupling)
-        resolution = SeedResolution(bound=bound, provider=provider)
-        best_seed: Optional[ModelSeed] = None
-        for candidate in self.providers:
-            seeder = getattr(candidate, "model_seed", None)
-            if seeder is None:
-                continue
-            seed, notes = seeder(circuit, coupling)
-            resolution.notes.extend(notes)
-            if seed is None:
-                continue
-            if bound is not None and seed.objective > bound:
+        from repro.exact.result import schedule_is_valid
+
+        resolution = SeedResolution()
+        model: Optional[ModelSeed] = None
+        if self.store is not None and self.seed_bounds:
+            replay = replay_model and self.seed_models
+            circuit_fp = circuit.fingerprint()
+            for arch_fp, kind in self._consulted(coupling):
+                if not replay:
+                    cost = self.store.best_added_cost(circuit_fp, arch_fp)
+                else:
+                    result = self.store.best_result(circuit_fp, arch_fp)
+                    cost = None if result is None else result.added_cost
+                if cost is None:
+                    continue
+                if resolution.bound is None or cost < resolution.bound:
+                    resolution.bound = cost
+                if not replay or (model is not None and model.objective <= cost):
+                    continue
+                mappings = tuple(tuple(m) for m in result.schedule.mappings)
+                if not mappings:
+                    continue
+                if schedule_is_valid(circuit, mappings, coupling):
+                    model = ModelSeed(mappings, cost, source_arch=kind)
+                    continue
                 resolution.notes.append(
-                    f"model seed (cost {seed.objective}) is worse than the "
-                    f"resolved bound {bound} from {provider}; using the "
-                    f"bound alone"
+                    f"cached schedule ({kind} hit, engine {result.engine}, cost "
+                    f"{cost}) does not comply with the current coupling map; "
+                    f"falling back to bound-only seeding"
                 )
-                continue
-            if best_seed is None or seed.objective < best_seed.objective:
-                best_seed = seed
-        resolution.model = best_seed
+            if resolution.bound is not None:
+                resolution.provider = "model" if self.seed_models else "store"
+        if self.upper_bound is not None and (
+            resolution.bound is None or self.upper_bound < resolution.bound
+        ):
+            resolution.bound, resolution.provider = self.upper_bound, "static"
+        if model is not None and model.objective > resolution.bound:
+            resolution.notes.append(
+                f"model seed (cost {model.objective}) is worse than the "
+                f"resolved bound {resolution.bound} from "
+                f"{resolution.provider}; using the bound alone"
+            )
+        else:
+            resolution.model = model
         return resolution
 
-    def resolve_artifacts(
-        self, circuit: QuantumCircuit, coupling: CouplingMap
-    ) -> Tuple[Optional[Any], Optional[str], List[str]]:
-        """A solve-artifact cache handle from the first provider offering one.
+    def resolve_artifacts(self):
+        """A picklable handle to the store's artifact table, or ``None``.
 
-        Providers exposing an ``artifact_cache`` method (duck-typed — see
-        :class:`ClauseProvider`) are asked in order; the first non-``None``
-        handle wins.  Returns ``(cache, provider_name, notes)``.
+        Artifact rows key on the encoding skeleton of each subset family,
+        computed inside the sweep, so the handle is offered without a
+        lookup; hits and misses are counted by the consumer.
         """
-        notes: List[str] = []
-        for candidate in self.providers:
-            source = getattr(candidate, "artifact_cache", None)
-            if source is None:
-                continue
-            cache, cache_notes = source(circuit, coupling)
-            notes.extend(cache_notes)
-            if cache is not None:
-                name = getattr(candidate, "name", type(candidate).__name__)
-                return cache, name, notes
-        return None, None, notes
+        from repro.service.store import ArtifactCache
+
+        if self.store is None or not self.seed_artifacts:
+            return None
+        return ArtifactCache(self.store)
 
 
 __all__ = [
-    "BoundProvider",
     "BoundProviderChain",
-    "ClauseProvider",
-    "HeuristicBoundProvider",
-    "ModelProvider",
     "ModelSeed",
     "SeedResolution",
-    "StaticBoundProvider",
-    "StoreBoundProvider",
     "is_sub_architecture",
 ]

@@ -14,12 +14,11 @@ in plan order.
 
 Mapping engines that can exploit an externally known objective bound
 (``mapper.accepts_external_bound``) are seeded through an optional
-:class:`~repro.pipeline.bounds.BoundProviderChain` — cached incumbents from
-a result store, a caller-supplied bound, or a heuristic run — before any
-solver starts.  Engines that consume **solve artifacts**
-(``mapper.accepts_artifacts``) additionally receive a picklable
-skeleton-keyed cache handle resolved from the chain's
-:class:`~repro.pipeline.bounds.ClauseProvider`, so sweeps warm-start from
+:class:`~repro.pipeline.bounds.BoundProviderChain` — the seed resolver:
+cached incumbents and schedules from a result store, or a caller-supplied
+bound — before any solver starts.  Engines that consume **solve
+artifacts** (``mapper.accepts_artifacts``) additionally receive the
+resolver's picklable skeleton-keyed cache handle, so sweeps warm-start from
 structurally identical past jobs.
 
 The pure-Python SAT solver holds the GIL, so ``executor="process"`` is the
@@ -37,18 +36,11 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.result import MappingResult
-from repro.pipeline.bounds import BoundProvider, BoundProviderChain, SeedResolution
+from repro.pipeline.bounds import BoundProviderChain, SeedResolution
 from repro.pipeline.registry import get_mapper, resolve_mapper_name
 
 
-def _map_with_bound(
-    mapper,
-    circuit: QuantumCircuit,
-    upper_bound: Optional[int],
-    model_mappings: Optional[Sequence[Tuple[int, ...]]] = None,
-    model_objective: Optional[int] = None,
-    artifacts=None,
-):
+def _map_with_bound(mapper, circuit: QuantumCircuit, seed: SeedResolution):
     """Map through *mapper*, seeding bound, model and artifacts only where safe.
 
     Engines opt in via ``accepts_external_bound`` (objective bound),
@@ -57,17 +49,13 @@ def _map_with_bound(
     unseeded, so heuristics and restricted exact searches are unaffected.
     """
     kwargs = {}
-    if upper_bound is not None and getattr(mapper, "accepts_external_bound", False):
-        kwargs["upper_bound"] = upper_bound
-    if (
-        model_mappings is not None
-        and model_objective is not None
-        and getattr(mapper, "accepts_initial_model", False)
-    ):
-        kwargs["initial_model"] = model_mappings
-        kwargs["initial_objective"] = model_objective
-    if artifacts is not None and getattr(mapper, "accepts_artifacts", False):
-        kwargs["artifacts"] = artifacts
+    if seed.bound is not None and getattr(mapper, "accepts_external_bound", False):
+        kwargs["upper_bound"] = seed.bound
+    if seed.model is not None and getattr(mapper, "accepts_initial_model", False):
+        kwargs["initial_model"] = seed.model.mappings
+        kwargs["initial_objective"] = seed.model.objective
+    if seed.artifacts is not None and getattr(mapper, "accepts_artifacts", False):
+        kwargs["artifacts"] = seed.artifacts
     return mapper.map(circuit, **kwargs)
 
 
@@ -104,20 +92,16 @@ def _map_circuit_task(
     coupling: CouplingMap,
     options: Dict[str, Any],
     circuit: QuantumCircuit,
-    upper_bound: Optional[int] = None,
-    model_mappings: Optional[Tuple[Tuple[int, ...], ...]] = None,
-    model_objective: Optional[int] = None,
-    artifacts=None,
+    seed: SeedResolution,
     control=None,
 ) -> Tuple[str, Any, Optional[str], float]:
     """Worker task: map one circuit with a freshly built engine.
 
-    *upper_bound* and the model seed are plain integers/tuples resolved by
-    the parent (bound providers hold locks and store handles, so they never
-    cross into workers); they are only asserted on engines that declare
-    ``accepts_external_bound`` / ``accepts_initial_model``.  *artifacts* is
-    a picklable :class:`~repro.service.store.ArtifactCache` handle (it
-    carries only the database path and reopens lazily on the far side).
+    *seed* is resolved by the parent (the resolver holds the store, with
+    its locks, so it never crosses into workers) and holds only plain
+    values plus a picklable :class:`~repro.service.store.ArtifactCache`
+    handle, which carries only the database path and reopens lazily on
+    the far side.  See :func:`_map_with_bound` for what an engine accepts.
 
     Returns a plain tuple ``(status, payload, error_type, elapsed)`` instead
     of raising, so process workers never have to pickle tracebacks.
@@ -136,10 +120,7 @@ def _map_circuit_task(
             # bind_control run to completion; their caller enforces the
             # deadline by abandoning the result.
             mapper.bind_control(control)
-        result = _map_with_bound(
-            mapper, circuit, upper_bound, model_mappings, model_objective,
-            artifacts=artifacts,
-        )
+        result = _map_with_bound(mapper, circuit, seed)
         return ("ok", result, None, time.monotonic() - start)
     except Exception as error:  # noqa: BLE001 - converted to a structured failure
         return ("error", str(error), type(error).__name__, time.monotonic() - start)
@@ -164,6 +145,9 @@ class MappingPipeline:
             when the registration runs at import time of a module the workers
             also import; on spawn-start platforms (Windows, macOS default) a
             runtime-registered name fails in the workers with ``KeyError``.
+        seeds: Optional seed resolver
+            (:class:`~repro.pipeline.bounds.BoundProviderChain`) that
+            warm-starts every mapped circuit.
 
     Example:
         >>> from repro.arch import ibm_qx4
@@ -180,7 +164,7 @@ class MappingPipeline:
         engine_options: Optional[Dict[str, Any]] = None,
         workers: int = 1,
         executor: str = "thread",
-        bound_providers: Optional[Sequence[BoundProvider]] = None,
+        seeds: Optional[BoundProviderChain] = None,
     ):
         if executor not in ("thread", "process"):
             raise ValueError(
@@ -191,40 +175,33 @@ class MappingPipeline:
         self.engine_options = dict(engine_options or {})
         self.workers = max(1, int(workers))
         self.executor = executor
-        self.bounds = (
-            BoundProviderChain(bound_providers) if bound_providers else None
-        )
+        self.seeds = seeds
 
     # ------------------------------------------------------------------
     def _resolve_seed(
         self, mapper, circuit: QuantumCircuit
     ) -> SeedResolution:
-        """Resolve the provider bound and model seed for *circuit*.
+        """Resolve what *mapper* can be warm-started with for *circuit*.
 
-        Providers run in the calling thread (they may touch a result store);
-        the resolved plain values are what travel into worker tasks.  The
-        model seed is only resolved for mappers that can replay it, and the
-        solve-artifact cache handle only for mappers that consume one —
-        notably the subset sweep, which rejects global bounds
-        (``accepts_external_bound`` is false there) but still accepts
-        artifacts, because artifact material is applied per family key.
+        The resolver runs in the calling thread (it reads the result
+        store); the resolved plain values are what travel into worker
+        tasks.  The bound and model seed are only resolved for mappers that
+        accept them, and the solve-artifact cache handle only for mappers
+        that consume one — notably the subset sweep, which rejects global
+        bounds (``accepts_external_bound`` is false there) but still
+        accepts artifacts, because artifact material is applied per family
+        key.
         """
-        if self.bounds is None:
-            return SeedResolution()
         resolution = SeedResolution()
+        if self.seeds is None:
+            return resolution
         if getattr(mapper, "accepts_external_bound", False):
-            if getattr(mapper, "accepts_initial_model", False):
-                resolution = self.bounds.resolve_seed(circuit, self.coupling)
-            else:
-                bound, provider = self.bounds.resolve(circuit, self.coupling)
-                resolution = SeedResolution(bound=bound, provider=provider)
-        if getattr(mapper, "accepts_artifacts", False):
-            cache, provider, notes = self.bounds.resolve_artifacts(
-                circuit, self.coupling
+            resolution = self.seeds.resolve_seed(
+                circuit, self.coupling,
+                getattr(mapper, "accepts_initial_model", False),
             )
-            resolution.artifacts = cache
-            resolution.artifact_provider = provider
-            resolution.notes.extend(notes)
+        if getattr(mapper, "accepts_artifacts", False):
+            resolution.artifacts = self.seeds.resolve_artifacts()
         return resolution
 
     @staticmethod
@@ -232,12 +209,10 @@ class MappingPipeline:
         if seed.bound is not None and seed.provider is not None:
             result.statistics.setdefault("bound_provider", seed.provider)
             result.statistics.setdefault("external_bound", seed.bound)
-        if seed.artifacts is not None and seed.artifact_provider is not None:
-            result.statistics.setdefault(
-                "artifact_provider", seed.artifact_provider
-            )
+        if seed.artifacts is not None:
+            result.statistics.setdefault("artifact_provider", "artifact")
         if seed.model is not None:
-            result.statistics.setdefault("model_provider", seed.model.provider)
+            result.statistics.setdefault("model_provider", "model")
             result.statistics.setdefault(
                 "seeded_model_objective", seed.model.objective
             )
@@ -265,8 +240,8 @@ class MappingPipeline:
     ) -> MappingResult:
         """Map one circuit with the engine's own ``map``.
 
-        The engine is seeded with whatever the bound providers resolve and
-        it allows (see :func:`_map_with_bound`).  *control* is an optional
+        The engine is seeded with whatever the seed resolver finds and it
+        allows (see :func:`_map_with_bound`).  *control* is an optional
         cooperative-cancellation token for engines with ``bind_control``;
         the circuit is mapped in the calling thread, so the token is
         honoured under either executor.
@@ -275,14 +250,7 @@ class MappingPipeline:
         if control is not None and hasattr(mapper, "bind_control"):
             mapper.bind_control(control)
         seed = self._resolve_seed(mapper, circuit)
-        result = _map_with_bound(
-            mapper,
-            circuit,
-            seed.bound,
-            seed.model.mappings if seed.model is not None else None,
-            seed.model.objective if seed.model is not None else None,
-            artifacts=seed.artifacts,
-        )
+        result = _map_with_bound(mapper, circuit, seed)
         self._annotate_seed(result, seed)
         return result
 
@@ -322,29 +290,23 @@ class MappingPipeline:
         pool_size = self.workers if workers is None else max(1, int(workers))
         pool_size = min(pool_size, max(1, len(batch)))
 
-        # Resolve provider bounds and model seeds in the calling thread:
-        # providers may hold store handles and locks that must not cross
-        # into process workers.  Only plain tuples/ints travel.
-        seeds: List[SeedResolution] = [SeedResolution() for _ in batch]
-        if self.bounds is not None and batch:
+        # Resolve seeds in the calling thread: the resolver holds the store
+        # and its locks, which must not cross into process workers.  Only
+        # the picklable resolutions travel.
+        resolutions = [SeedResolution() for _ in batch]
+        if self.seeds is not None and batch:
             probe = self.create_mapper()
             if getattr(probe, "accepts_external_bound", False) or getattr(
                 probe, "accepts_artifacts", False
             ):
-                seeds = [
+                resolutions = [
                     self._resolve_seed(probe, circuit) for circuit in batch
                 ]
 
         def task_args(index: int, circuit: QuantumCircuit):
-            seed = seeds[index]
-            model = seed.model
             return (
                 self.engine, self.coupling, self.engine_options, circuit,
-                seed.bound,
-                model.mappings if model is not None else None,
-                model.objective if model is not None else None,
-                seed.artifacts,
-                batch_controls[index],
+                resolutions[index], batch_controls[index],
             )
 
         if pool_size <= 1 or len(batch) <= 1:
@@ -371,7 +333,7 @@ class MappingPipeline:
             items = [item for item in slots if item is not None]
         for item in items:
             if item.ok:
-                self._annotate_seed(item.result, seeds[item.index])
+                self._annotate_seed(item.result, resolutions[item.index])
         return items
 
     @staticmethod

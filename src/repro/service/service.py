@@ -20,20 +20,21 @@ Four layers keep repeated work off the solvers:
    ``map_many`` batch, so per-architecture artefacts are built once per
    group rather than once per job.
 4. **Bound and model seeding** — jobs that do have to solve are warm-started
-   through a :class:`~repro.pipeline.bounds.BoundProviderChain`: the
-   cheapest stored result for the same circuit on the same (or a registered
+   through the seed resolver
+   (:class:`~repro.pipeline.bounds.BoundProviderChain`): the cheapest
+   stored result for the same circuit on the same (or a registered
    sub-) architecture — solved by *any* engine — is asserted as the exact
    engine's initial upper bound, and (when its schedule validates against
    the target coupling map) replayed as the solver's initial incumbent
    *model*, so a resubmitted circuit needs only the final optimality probe
    instead of a full descent.  Schedules that do not transfer degrade to
    bound-only seeding with a provenance note.  Exact subset sweeps are
-   additionally handed a **solve-artifact cache** handle (a
-   :class:`~repro.pipeline.bounds.ClauseProvider` over the store's
-   skeleton-keyed artifact table), so even a circuit the fleet has never
-   seen warm-starts from the learned clauses, proven family bounds and
-   best schedules of structurally identical past jobs; per-job hit rates
-   land in provenance and aggregate in :meth:`MappingService.stats`.
+   additionally handed the resolver's **solve-artifact cache** handle
+   (over the store's skeleton-keyed artifact table), so even a circuit the
+   fleet has never seen warm-starts from the learned clauses, proven family
+   bounds and best schedules of structurally identical past jobs; per-job
+   hit rates land in provenance and aggregate in
+   :meth:`MappingService.stats`.
 
 The service can front **multiple coupling maps** (the first step toward
 device sharding): register several devices and each submission is routed to
@@ -54,12 +55,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.result import MappingResult
-from repro.pipeline.bounds import (
-    BoundProvider,
-    ClauseProvider,
-    ModelProvider,
-    StoreBoundProvider,
-)
+from repro.pipeline.bounds import BoundProviderChain
 from repro.pipeline.pipeline import MappingPipeline
 from repro.pipeline.registry import resolve_mapper_name
 from repro.sat.control import SolveControl
@@ -167,22 +163,18 @@ class MappingService:
         store: Result store; a memory-only :class:`ResultStore` when omitted.
         workers: Worker count handed to ``map_many`` for each drained batch.
         executor: ``"thread"`` or ``"process"`` (see :class:`MappingPipeline`).
-        bound_providers: Upper-bound sources used to warm-start exact solves
-            (see :mod:`repro.pipeline.bounds`).  Defaults to a store lookup
-            over the registered devices (``seed_bounds=False`` disables it).
-        seed_bounds: Whether to seed exact solves at all.
-        seed_models: Whether the default store lookup may also replay a
-            cached *schedule* as the solver's initial incumbent model
-            (validated against the target coupling map first; sub-
-            architecture hits that do not transfer degrade to bound-only
-            seeding).  Ignored when explicit *bound_providers* are given.
+        seed_bounds: Whether exact solves are seeded with the cheapest
+            stored result of the same circuit on the target or a registered
+            sub-architecture (see :mod:`repro.pipeline.bounds`).
+        seed_models: Whether that stored result may also replay its
+            *schedule* as the solver's initial incumbent model (validated
+            against the target coupling map first; sub-architecture hits
+            that do not transfer degrade to bound-only seeding).
         seed_artifacts: Whether exact sweeps warm-start from the store's
             **solve-artifact table** (learned clauses, proven family lower
             bounds and best schedules, keyed by encoding skeleton — so even
             never-seen circuits benefit from structurally identical past
-            jobs) via a default :class:`~repro.pipeline.bounds.ClauseProvider`.
-            Independent of *seed_bounds*; ignored when explicit
-            *bound_providers* are given.
+            jobs).  Independent of *seed_bounds*.
 
     Example:
         >>> async with MappingService(ibm_qx4(), engine="dp") as service:
@@ -198,7 +190,6 @@ class MappingService:
         store: Optional[ResultStore] = None,
         workers: int = 2,
         executor: str = "thread",
-        bound_providers: Optional[Sequence[BoundProvider]] = None,
         seed_bounds: bool = True,
         seed_models: bool = True,
         seed_artifacts: bool = True,
@@ -211,26 +202,16 @@ class MappingService:
         if executor not in ("thread", "process"):
             raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
         self.executor = executor
-        if bound_providers is not None:
-            self.bound_providers: List[BoundProvider] = list(bound_providers)
-        else:
-            self.bound_providers = []
-            devices = list(self.couplings.values())
-            if seed_bounds:
-                # ModelProvider extends the plain store lookup with schedule
-                # replay, so one provider covers both seeding layers.
-                provider_cls = (
-                    ModelProvider if seed_models else StoreBoundProvider
-                )
-                self.bound_providers.append(
-                    provider_cls(self.store, couplings=devices)
-                )
-            if seed_artifacts:
-                # ClauseProvider contributes no bound of its own, so
-                # artifact seeding switches independently of bound seeding.
-                self.bound_providers.append(
-                    ClauseProvider(self.store, couplings=devices)
-                )
+        self.seeds = (
+            BoundProviderChain(
+                self.store,
+                couplings=self.couplings.values(),
+                seed_bounds=seed_bounds,
+                seed_models=seed_models,
+                seed_artifacts=seed_artifacts,
+            )
+            if seed_bounds or seed_artifacts else None
+        )
         self._jobs: Dict[str, Job] = {}
         self._primary_by_fp: Dict[str, Job] = {}
         self._queue: Optional["asyncio.Queue[Job]"] = None
@@ -754,7 +735,7 @@ class MappingService:
             engine_options=jobs[0].options,
             workers=self.workers,
             executor=self.executor,
-            bound_providers=self.bound_providers or None,
+            seeds=self.seeds,
         )
         loop = asyncio.get_running_loop()
         start = time.monotonic()

@@ -10,7 +10,7 @@ Rows additionally carry the *circuit* and *architecture* fingerprints of
 their job, which makes the store queryable as a bound oracle: the cheapest
 known result for a circuit on an architecture — solved by any engine with
 any options — is a valid upper bound for a new exact solve of the same
-circuit (see :class:`repro.pipeline.bounds.StoreBoundProvider`).
+circuit (see :class:`repro.pipeline.bounds.BoundProviderChain`).
 
 Expiry
 ------
@@ -584,8 +584,8 @@ class ResultStore:
 
         The full-payload companion of :meth:`best_added_cost`: besides its
         cost, the returned result carries the mapping *schedule*, which the
-        :class:`~repro.pipeline.bounds.ModelProvider` replays as an initial
-        incumbent model (not just as a bound).  Ties are broken towards the
+        seed resolver (:class:`~repro.pipeline.bounds.BoundProviderChain`)
+        replays as an initial incumbent model (not just as a bound).  Ties are broken towards the
         memory tier (no deserialisation); corrupt disk rows are dropped and
         skipped like in :meth:`get`.  Returns ``None`` when nothing
         (non-expired) matches.

@@ -14,7 +14,7 @@ and its consumers:
 * degradation — empty store, corrupt rows, shape-mismatched rows and
   wrong skeleton keys all fall back to the cold behaviour (same proven
   minima) with truthful provenance notes,
-* the :class:`ClauseProvider` / :meth:`BoundProviderChain.resolve_artifacts`
+* the seed resolver's :meth:`BoundProviderChain.resolve_artifacts`
   plumbing, pipeline warm starts, and the service-level hit
   counters stamped into job provenance and ``MappingService.stats()``.
 """
@@ -31,7 +31,7 @@ from repro.benchlib.paper_example import paper_example_cnot_skeleton
 from repro.exact.encoding import build_encoding, clear_skeleton_cache
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.sweep import clause_is_implied, template_clause_remap
-from repro.pipeline.bounds import BoundProviderChain, ClauseProvider
+from repro.pipeline.bounds import BoundProviderChain
 from repro.pipeline.pipeline import MappingPipeline
 from repro.service.service import MappingService
 from repro.service.store import (
@@ -387,45 +387,15 @@ class TestDegradation:
 # ----------------------------------------------------------------------
 # Providers, pipeline and service plumbing
 # ----------------------------------------------------------------------
-class _BoundOnlyStore:
-    """A store stub without an artifact tier (pre-PR-9 shape)."""
-
-    def best_added_cost(self, *args, **kwargs):
-        return None
-
-
 class TestProvidersAndService:
     def test_clause_provider_offers_picklable_cache(self, tmp_path):
         store = ResultStore(tmp_path / "a.sqlite")
-        provider = ClauseProvider(store)
-        cache, notes = provider.artifact_cache(
-            paper_example_cnot_skeleton(), ibm_qx4()
-        )
+        cache = BoundProviderChain(store).resolve_artifacts()
         assert isinstance(cache, ArtifactCache)
-        assert notes == []
-        assert provider.upper_bound(
-            paper_example_cnot_skeleton(), ibm_qx4()
-        ) is None
-
-    def test_clause_provider_degrades_without_artifact_tier(self):
-        provider = ClauseProvider(_BoundOnlyStore())
-        cache, notes = provider.artifact_cache(
-            paper_example_cnot_skeleton(), ibm_qx4()
-        )
-        assert cache is None
-        assert any("no artifact tier" in note for note in notes)
-
-    def test_chain_resolves_first_artifact_cache(self, tmp_path):
-        store = ResultStore(tmp_path / "a.sqlite")
-        chain = BoundProviderChain(
-            [ClauseProvider(_BoundOnlyStore()), ClauseProvider(store)]
-        )
-        cache, provider_name, notes = chain.resolve_artifacts(
-            paper_example_cnot_skeleton(), ibm_qx4()
-        )
-        assert isinstance(cache, ArtifactCache)
-        assert provider_name == "artifact"
-        assert any("no artifact tier" in note for note in notes)
+        assert pickle.loads(pickle.dumps(cache)).path == cache.path
+        assert BoundProviderChain(
+            store, seed_artifacts=False
+        ).resolve_artifacts() is None
 
     def test_pipeline_second_run_is_warm(self, tmp_path):
         circuit = paper_example_cnot_skeleton()
@@ -436,7 +406,7 @@ class TestProvidersAndService:
             clear_skeleton_cache()
             runs.append(MappingPipeline(
                 ibm_qx4(), engine="sat", engine_options=options, workers=4,
-                bound_providers=[ClauseProvider(store)],
+                seeds=BoundProviderChain(store, seed_bounds=False),
             ).map(circuit))
         cold, warm = runs
         assert cold.added_cost == warm.added_cost

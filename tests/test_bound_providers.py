@@ -1,4 +1,4 @@
-"""Tests for the BoundProvider chain and its pipeline/service wiring."""
+"""Tests for the seed resolver and its pipeline/service wiring."""
 
 import asyncio
 
@@ -12,13 +12,7 @@ from repro.benchlib.paper_example import (
 )
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.dp_mapper import DPMapper
-from repro.pipeline.bounds import (
-    BoundProviderChain,
-    HeuristicBoundProvider,
-    StaticBoundProvider,
-    StoreBoundProvider,
-    is_sub_architecture,
-)
+from repro.pipeline.bounds import BoundProviderChain, is_sub_architecture
 from repro.pipeline.pipeline import MappingPipeline
 from repro.service.fingerprint import coupling_fingerprint, job_fingerprint
 from repro.service.service import MappingService
@@ -43,51 +37,45 @@ def _stored_dp_result(store, circuit, coupling, engine="dp"):
 
 class TestProviders:
     def test_static_provider(self):
-        provider = StaticBoundProvider(7)
-        assert provider.upper_bound(_paper_circuit(), ibm_qx4()) == 7
+        resolution = BoundProviderChain(upper_bound=7).resolve_seed(
+            _paper_circuit(), ibm_qx4()
+        )
+        assert resolution.bound == 7
+        assert resolution.provider == "static"
 
     def test_static_provider_rejects_negative(self):
         with pytest.raises(ValueError):
-            StaticBoundProvider(-1)
-
-    def test_heuristic_provider_returns_valid_bound(self):
-        circuit = _paper_circuit()
-        bound = HeuristicBoundProvider().upper_bound(circuit, ibm_qx4())
-        assert bound is not None
-        assert bound >= PAPER_EXAMPLE_MINIMAL_COST
-
-    def test_heuristic_provider_swallows_failures(self):
-        # A circuit too large for the device must yield "no bound", not raise.
-        big = QuantumCircuit(9)
-        big.cx(0, 8)
-        assert HeuristicBoundProvider().upper_bound(big, ibm_qx4()) is None
+            BoundProviderChain(upper_bound=-1)
 
     def test_store_provider_same_architecture(self):
         store = ResultStore()
         circuit = _paper_circuit()
         result, _ = _stored_dp_result(store, circuit, ibm_qx4())
-        provider = StoreBoundProvider(store)
-        assert provider.upper_bound(circuit, ibm_qx4()) == result.added_cost
+        seeds = BoundProviderChain(store, seed_models=False)
+        resolution = seeds.resolve_seed(circuit, ibm_qx4())
+        assert resolution.bound == result.added_cost
+        assert resolution.provider == "store"
         other = QuantumCircuit(2)
         other.cx(0, 1)
-        assert provider.upper_bound(other, ibm_qx4()) is None
+        assert seeds.resolve_seed(other, ibm_qx4()).bound is None
 
     def test_chain_keeps_tightest_bound(self):
         store = ResultStore()
         circuit = _paper_circuit()
         result, _ = _stored_dp_result(store, circuit, ibm_qx4())
-        chain = BoundProviderChain([
-            StaticBoundProvider(result.added_cost + 10),
-            StoreBoundProvider(store),
-        ])
-        bound, provider = chain.resolve(circuit, ibm_qx4())
-        assert bound == result.added_cost
-        assert provider == "store"
+        seeds = BoundProviderChain(
+            store, upper_bound=result.added_cost + 10, seed_models=False
+        )
+        resolution = seeds.resolve_seed(circuit, ibm_qx4())
+        assert resolution.bound == result.added_cost
+        assert resolution.provider == "store"
 
     def test_chain_with_no_information(self):
-        chain = BoundProviderChain([StoreBoundProvider(ResultStore())])
-        bound, provider = chain.resolve(_paper_circuit(), ibm_qx4())
-        assert bound is None and provider is None
+        resolution = BoundProviderChain(ResultStore()).resolve_seed(
+            _paper_circuit(), ibm_qx4()
+        )
+        assert resolution.bound is None and resolution.provider is None
+        assert resolution.model is None and resolution.notes == []
 
 
 class TestSubArchitectures:
@@ -115,12 +103,14 @@ class TestSubArchitectures:
         result, _ = _stored_dp_result(store, circuit, line)
         # Nothing stored for the big device itself, but the line result is a
         # valid mapping on the super-graph, so its cost seeds the bound.
-        provider = StoreBoundProvider(store, couplings=[line])
-        assert provider.upper_bound(circuit, self._extended()) == result.added_cost
-        # Without the sub-architecture hint the store has nothing to offer.
-        assert StoreBoundProvider(store).upper_bound(
+        seeds = BoundProviderChain(store, couplings=[line], seed_models=False)
+        assert seeds.resolve_seed(
             circuit, self._extended()
-        ) is None
+        ).bound == result.added_cost
+        # Without the sub-architecture hint the store has nothing to offer.
+        assert BoundProviderChain(store).resolve_seed(
+            circuit, self._extended()
+        ).bound is None
 
 
 class TestPipelineSeeding:
@@ -130,7 +120,7 @@ class TestPipelineSeeding:
         dp_result, _ = _stored_dp_result(store, circuit, ibm_qx4())
         pipeline = MappingPipeline(
             ibm_qx4(), engine="sat",
-            bound_providers=[StoreBoundProvider(store)],
+            seeds=BoundProviderChain(store, seed_models=False),
         )
         result = pipeline.map(circuit)
         assert result.added_cost == dp_result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
@@ -146,7 +136,7 @@ class TestPipelineSeeding:
         unseeded = MappingPipeline(ibm_qx4(), engine="sat").map(circuit)
         seeded = MappingPipeline(
             ibm_qx4(), engine="sat",
-            bound_providers=[StoreBoundProvider(store)],
+            seeds=BoundProviderChain(store, seed_models=False),
         ).map(circuit)
         assert seeded.added_cost == unseeded.added_cost
         assert (
@@ -163,7 +153,7 @@ class TestPipelineSeeding:
         pipeline = MappingPipeline(
             ibm_qx4(), engine="sat",
             engine_options={"strategy": "odd"},
-            bound_providers=[StoreBoundProvider(store)],
+            seeds=BoundProviderChain(store, seed_models=False),
         )
         result = pipeline.map(circuit)
         assert "seeded_upper_bound" not in result.statistics
@@ -176,7 +166,7 @@ class TestPipelineSeeding:
         pipeline = MappingPipeline(
             ibm_qx4(), engine="sat",
             engine_options={"use_subsets": True},
-            bound_providers=[StoreBoundProvider(store)],
+            seeds=BoundProviderChain(store, seed_models=False),
         )
         result = pipeline.map(circuit)
         assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
@@ -188,7 +178,7 @@ class TestPipelineSeeding:
         dp_result, _ = _stored_dp_result(store, circuit, ibm_qx4())
         pipeline = MappingPipeline(
             ibm_qx4(), engine="portfolio",
-            bound_providers=[StoreBoundProvider(store)],
+            seeds=BoundProviderChain(store, seed_models=False),
         )
         result = pipeline.map(circuit)
         assert result.added_cost == dp_result.added_cost
@@ -202,7 +192,7 @@ class TestPipelineSeeding:
         dp_result, _ = _stored_dp_result(store, circuits[0], ibm_qx4())
         pipeline = MappingPipeline(
             ibm_qx4(), engine="sat",
-            bound_providers=[StoreBoundProvider(store)],
+            seeds=BoundProviderChain(store, seed_models=False),
         )
         items = pipeline.map_many(circuits, workers=2)
         assert all(item.ok for item in items)
@@ -228,7 +218,7 @@ class TestServiceBoundSeeding:
                 sat_fp = service.status(sat_job)["fingerprint"]
 
                 # Clear the solved SAT entry, resubmit: the job must solve
-                # again (no cache hit) but the BoundProvider chain still
+                # again (no cache hit) but the seed resolver still
                 # seeds its bound from the DP row of the same circuit.
                 assert store.delete(sat_fp)
                 resubmit = await service.submit(circuit, engine="sat")
@@ -236,8 +226,8 @@ class TestServiceBoundSeeding:
                 provenance = service.status(resubmit)["provenance"]
                 assert provenance["cache_hit"] is False
                 assert provenance["seeded_bound"] == dp_result.added_cost
-                # The service's default provider is the ModelProvider, which
-                # extends the plain store lookup with schedule replay.
+                # The service replays stored schedules by default, which
+                # names the bound's provider "model".
                 assert provenance["bound_provider"] == "model"
                 assert result.added_cost == dp_result.added_cost
                 assert result.statistics["seeded_upper_bound"] == dp_result.added_cost
@@ -307,21 +297,20 @@ class TestModelProvider:
         assert ResultStore().best_result("nope", "nothere") is None
 
     def test_model_seed_from_same_architecture(self):
-        from repro.pipeline.bounds import ModelProvider
-
         store = ResultStore()
         circuit = _paper_circuit()
         result, _ = _stored_dp_result(store, circuit, ibm_qx4())
-        seed, notes = ModelProvider(store).model_seed(circuit, ibm_qx4())
-        assert notes == []
+        resolution = BoundProviderChain(store).resolve_seed(circuit, ibm_qx4())
+        seed = resolution.model
+        assert resolution.notes == []
+        assert resolution.bound == result.added_cost
+        assert resolution.provider == "model"
         assert seed is not None
         assert seed.objective == result.added_cost
         assert seed.source_arch == "same"
         assert list(seed.mappings) == [tuple(m) for m in result.schedule.mappings]
 
     def test_model_seed_from_sub_architecture_when_schedule_transfers(self):
-        from repro.pipeline.bounds import ModelProvider
-
         # The induced triangle {0,1,2} of QX4 is a sub-architecture under
         # identity labelling, so its schedules run unchanged on the device.
         store = ResultStore()
@@ -332,17 +321,17 @@ class TestModelProvider:
         circuit.cx(1, 2)
         circuit.cx(0, 2)
         result, _ = _stored_dp_result(store, circuit, triangle)
-        seed, notes = ModelProvider(store, couplings=[triangle]).model_seed(
-            circuit, qx4
-        )
+        resolution = BoundProviderChain(
+            store, couplings=[triangle]
+        ).resolve_seed(circuit, qx4)
+        seed = resolution.model
         assert seed is not None
         assert seed.source_arch == "sub-architecture"
         assert seed.objective == result.added_cost
-        assert notes == []
+        assert resolution.bound == result.added_cost
+        assert resolution.notes == []
 
     def test_model_seed_prefers_cheapest_validating_schedule(self):
-        from repro.pipeline.bounds import ModelProvider
-
         # A same-arch row AND a cheaper sub-arch row whose schedule
         # transfers: the cheaper one must win, not the first-preference one.
         store = ResultStore()
@@ -368,17 +357,16 @@ class TestModelProvider:
             )
         # Merge the two stores' rows into one provider view.
         _stored_dp_result(lenient, circuit, triangle)
-        seed, notes = ModelProvider(
+        resolution = BoundProviderChain(
             lenient, couplings=[triangle]
-        ).model_seed(circuit, qx4)
+        ).resolve_seed(circuit, qx4)
+        seed = resolution.model
         assert seed is not None
         assert seed.objective == sub_result.added_cost
         assert seed.source_arch == "sub-architecture"
-        assert notes == []
+        assert resolution.notes == []
 
     def test_invalid_cached_schedule_falls_back_to_bound_with_note(self):
-        from repro.pipeline.bounds import ModelProvider, BoundProviderChain
-
         store = ResultStore(validate=False)  # allow the corrupt row in
         circuit = _paper_circuit()
         result, fingerprint = _stored_dp_result(store, circuit, ibm_qx4())
@@ -394,42 +382,32 @@ class TestModelProvider:
             circuit_fp=circuit.fingerprint(),
             arch_fp=coupling_fingerprint(ibm_qx4()),
         )
-        provider = ModelProvider(store)
-        seed, notes = provider.model_seed(circuit, ibm_qx4())
-        assert seed is None
-        assert notes and "does not comply" in notes[0]
-        # The chain degrades to bound-only seeding and keeps the notes.
-        resolution = BoundProviderChain([provider]).resolve_seed(
-            circuit, ibm_qx4()
-        )
+        # The resolver degrades to bound-only seeding and says why.
+        resolution = BoundProviderChain(store).resolve_seed(circuit, ibm_qx4())
         assert resolution.bound == result.added_cost
+        assert resolution.provider == "model"
         assert resolution.model is None
-        assert resolution.notes
+        assert len(resolution.notes) == 1
+        assert "does not comply" in resolution.notes[0]
 
     def test_chain_drops_model_worse_than_bound(self):
-        from repro.pipeline.bounds import ModelProvider, BoundProviderChain
-
         store = ResultStore()
         circuit = _paper_circuit()
         result, _ = _stored_dp_result(store, circuit, ibm_qx4())
-        chain = BoundProviderChain([
-            ModelProvider(store),
-            StaticBoundProvider(result.added_cost - 1),
-        ])
-        resolution = chain.resolve_seed(circuit, ibm_qx4())
+        seeds = BoundProviderChain(store, upper_bound=result.added_cost - 1)
+        resolution = seeds.resolve_seed(circuit, ibm_qx4())
         assert resolution.bound == result.added_cost - 1
+        assert resolution.provider == "static"
         assert resolution.model is None
         assert any("worse than the resolved bound" in n for n in resolution.notes)
 
     def test_pipeline_model_seeding_end_to_end(self):
-        from repro.pipeline.bounds import ModelProvider
-
         store = ResultStore()
         circuit = _paper_circuit()
         dp_result, _ = _stored_dp_result(store, circuit, ibm_qx4())
         pipeline = MappingPipeline(
             ibm_qx4(), engine="sat",
-            bound_providers=[ModelProvider(store)],
+            seeds=BoundProviderChain(store),
         )
         result = pipeline.map(circuit)
         assert result.added_cost == dp_result.added_cost
@@ -440,6 +418,85 @@ class TestModelProvider:
         # feasible solution; only the optimality probe ran.
         assert result.statistics.get("descent_iterations", 0) == 0
         assert result.statistics["solver_iterations"] == 1
+
+
+class _CountingStore(ResultStore):
+    """A result store that counts its bound-oracle reads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = {"best_added_cost": 0, "best_result": 0}
+
+    def best_added_cost(self, circuit_fp, arch_fp):
+        self.reads["best_added_cost"] += 1
+        return super().best_added_cost(circuit_fp, arch_fp)
+
+    def best_result(self, circuit_fp, arch_fp):
+        self.reads["best_result"] += 1
+        return super().best_result(circuit_fp, arch_fp)
+
+
+class TestOneStoreReadPerArchitecture:
+    """A job reads each consulted architecture's rows exactly once."""
+
+    def _circuit(self):
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1)
+        circuit.cx(1, 2)
+        circuit.cx(0, 2)
+        return circuit
+
+    def test_model_seeded_target_only(self):
+        store = _CountingStore()
+        circuit = self._circuit()
+        result, _ = _stored_dp_result(store, circuit, ibm_qx4())
+        resolution = BoundProviderChain(store).resolve_seed(circuit, ibm_qx4())
+        assert resolution.model is not None
+        assert resolution.bound == result.added_cost
+        assert store.reads == {"best_added_cost": 0, "best_result": 1}
+
+    def test_model_seeded_with_sub_architecture(self):
+        store = _CountingStore()
+        qx4 = ibm_qx4()
+        triangle = qx4.subgraph((0, 1, 2))
+        circuit = self._circuit()
+        result, _ = _stored_dp_result(store, circuit, triangle)
+        seeds = BoundProviderChain(store, couplings=[qx4, triangle])
+        resolution = seeds.resolve_seed(circuit, qx4)
+        assert resolution.model is not None
+        assert resolution.model.source_arch == "sub-architecture"
+        assert resolution.bound == result.added_cost
+        # The target and the triangle; qx4 itself is registered too but
+        # is the target, so it is read once.
+        assert store.reads == {"best_added_cost": 0, "best_result": 2}
+
+    def test_bound_only_reads_costs(self):
+        store = _CountingStore()
+        qx4 = ibm_qx4()
+        triangle = qx4.subgraph((0, 1, 2))
+        circuit = self._circuit()
+        _stored_dp_result(store, circuit, triangle)
+        for seeds, replay_model in (
+            (BoundProviderChain(store, couplings=[triangle]), False),
+            (BoundProviderChain(
+                store, couplings=[triangle], seed_models=False
+            ), True),
+        ):
+            store.reads.update(best_added_cost=0, best_result=0)
+            resolution = seeds.resolve_seed(circuit, qx4, replay_model)
+            assert resolution.model is None
+            assert resolution.bound is not None
+            assert store.reads == {"best_added_cost": 2, "best_result": 0}
+
+    def test_disabled_store_bounds_read_nothing(self):
+        store = _CountingStore()
+        circuit = self._circuit()
+        _stored_dp_result(store, circuit, ibm_qx4())
+        resolution = BoundProviderChain(store, seed_bounds=False).resolve_seed(
+            circuit, ibm_qx4()
+        )
+        assert resolution.bound is None
+        assert store.reads == {"best_added_cost": 0, "best_result": 0}
 
 
 class TestServiceModelSeeding:

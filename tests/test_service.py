@@ -12,6 +12,7 @@ import pytest
 
 from repro.arch.devices import ibm_qx2, ibm_qx4, ibm_qx5
 from repro.benchlib.generators import random_clifford_t_circuit
+from repro.benchlib.paper_example import paper_example_cnot_skeleton
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.dp_mapper import DPMapper
 from repro.pipeline.registry import DEFAULT_REGISTRY
@@ -276,3 +277,72 @@ class TestBatchAndRouting:
         assert stats["submitted"] == 2
         assert stats["devices"] == ["ibm_qx4"]
         assert stats["store"]["puts"] >= 1
+
+
+class TestSeedingAcrossExecutors:
+    def test_sat_resubmission_is_model_seeded(self):
+        """A stored DP result seeds the SAT job under either executor.
+
+        The two SAT jobs are submitted together so they usually drain as
+        one batch, which the process executor maps in its worker pool: the
+        seed resolution (bound, schedule, artifact handle) is pickled into
+        the workers.
+        """
+
+        async def scenario():
+            circuits = [paper_example_cnot_skeleton(), _circuit()]
+            async with _service() as service:
+                dp_jobs = await service.submit_many(circuits)
+                dp_results = [
+                    await service.result(job_id, timeout=120) for job_id in dp_jobs
+                ]
+                sat_jobs = await asyncio.gather(
+                    *(service.submit(c, engine="sat") for c in circuits)
+                )
+                sat_results = [
+                    await service.result(job_id, timeout=120)
+                    for job_id in sat_jobs
+                ]
+                provenances = [
+                    service.status(job_id)["provenance"] for job_id in sat_jobs
+                ]
+                return dp_results, sat_results, provenances
+
+        dp_results, sat_results, provenances = run(scenario())
+        for dp, sat, provenance in zip(dp_results, sat_results, provenances):
+            assert provenance["cache_hit"] is False
+            assert provenance["executor"] == EXECUTOR
+            assert provenance["seeded_model"] == dp.added_cost
+            assert provenance["model_provider"] == "model"
+            assert provenance["artifact_provider"] == "artifact"
+            assert sat.added_cost == dp.added_cost
+            assert sat.optimal
+            assert sat.statistics["solver_iterations"] == 1
+
+    def test_pipeline_batch_carries_seeds_into_workers(self):
+        """A two-circuit batch always goes through the worker pool."""
+        from repro.pipeline.bounds import BoundProviderChain
+        from repro.pipeline.pipeline import MappingPipeline
+        from repro.service.fingerprint import coupling_fingerprint
+
+        qx4 = ibm_qx4()
+        store = ResultStore()
+        circuits = [paper_example_cnot_skeleton(), _circuit()]
+        dp_results = []
+        for circuit in circuits:
+            dp_results.append(DPMapper(qx4).map(circuit))
+            store.put(
+                job_fingerprint(circuit, qx4, "dp", {}), dp_results[-1],
+                circuit_fp=circuit.fingerprint(),
+                arch_fp=coupling_fingerprint(qx4),
+            )
+        items = MappingPipeline(
+            qx4, engine="sat", workers=2, executor=EXECUTOR,
+            seeds=BoundProviderChain(store, couplings=[qx4]),
+        ).map_many(circuits)
+        for dp, item in zip(dp_results, items):
+            assert item.ok, item.error
+            assert item.result.added_cost == dp.added_cost
+            assert item.result.statistics["model_seeded"] == 1
+            assert item.result.statistics["solver_iterations"] == 1
+            assert item.result.statistics["artifact_provider"] == "artifact"

@@ -204,6 +204,25 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_nonexistent_qasm_file_errors_cleanly(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.qasm")
+        with pytest.raises(SystemExit) as exit_info:
+            main([missing])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro-map: error: cannot read {missing}" in err
+        assert "Traceback" not in err
+
+    def test_unknown_strategy_errors_cleanly(self, tmp_path, capsys):
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1)
+        path = self._write_qasm(tmp_path, circuit)
+        with pytest.raises(SystemExit) as exit_info:
+            main([path, "--strategy", "bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-map: error: unknown strategy 'bogus'" in err
+
 
 class TestCLIServiceSubcommands:
     """The cache admin and async serve front ends of the CLI."""
@@ -347,8 +366,8 @@ class TestCLIBoundsAndPrune:
         assert main([path, "--engine", "sat", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "bound seeded" in out
-        # The default cached-path provider is now the ModelProvider (a
-        # StoreBoundProvider that additionally replays cached schedules).
+        # The cached path replays stored schedules by default, which names
+        # the bound's provider "model".
         assert "provider: model" in out
         assert "model seeded" in out
 
