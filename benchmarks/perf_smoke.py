@@ -41,8 +41,11 @@ store: the ``3_17_13`` sweep on ``sweep_grid8`` runs twice against one
 shared (temporary) :class:`~repro.service.store.ResultStore`.  The cold run
 populates the artifact table (learned clauses, per-family lower bounds,
 best schedules keyed by encoding skeleton); the warm run must hit at least
-one artifact row and finish with *strictly fewer* sweep conflicts than the
+one artifact row, close at least one family whose stored bound meets its
+stored schedule, and finish with *strictly fewer* sweep conflicts than the
 cold run — the guard that keeps the service's learning loop bought.
+Without ``REPRO_CHECK_IMPORTS`` (which re-proves every closure with a
+solver probe) the warm run must spend no solver conflicts at all.
 ``--warm-start-only`` runs just this section (the CI ``warm-start`` job).
 
 **Exact-table pin** — after clearing the process caches, small-device flows
@@ -70,6 +73,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import platform
 import random
 import subprocess
@@ -360,6 +364,7 @@ def measure_artifacts(circuit_name: str = "3_17_13"):
                 "solver_conflicts": stats["solver_conflicts"],
                 "solver_iterations": stats["solver_iterations"],
                 "families_pruned": stats.get("families_pruned", 0),
+                "families_closed": stats.get("families_closed", 0),
                 "artifact_hits": stats.get("artifact_hits", 0),
                 "artifact_misses": stats.get("artifact_misses", 0),
                 "artifact_clauses_imported": stats.get(
@@ -373,7 +378,11 @@ def measure_artifacts(circuit_name: str = "3_17_13"):
 
 
 def check_artifacts(measurements):
-    """The warm run must hit the store and strictly beat the cold run."""
+    """The warm run must hit the store, close a family and beat the cold run.
+
+    Unless ``REPRO_CHECK_IMPORTS`` is set (which re-proves every closure
+    with a solver probe), the warm run must spend no solver conflicts.
+    """
     failures = []
     cold, warm = measurements["cold"], measurements["warm"]
     if warm["added_cost"] != cold["added_cost"]:
@@ -385,6 +394,17 @@ def check_artifacts(measurements):
         failures.append(
             "artifacts: warm-start conflicts not strictly below the cold "
             f"run ({warm['solver_conflicts']} >= {cold['solver_conflicts']})"
+        )
+    if warm["families_closed"] < 1:
+        failures.append(
+            "artifacts: warm run closed no family on a stored bound "
+            f"(closed={warm['families_closed']})"
+        )
+    if not os.environ.get("REPRO_CHECK_IMPORTS") and warm["solver_conflicts"]:
+        failures.append(
+            "artifacts: warm run spent solver conflicts although its "
+            f"stored bounds meet its stored schedules "
+            f"({warm['solver_conflicts']} > 0)"
         )
     if warm["artifact_hits"] < 1:
         failures.append(
@@ -577,8 +597,8 @@ def main(argv=None) -> int:
         "--warm-start-only", action="store_true",
         help="run only the artifact cold/warm section (the CI warm-start "
         "job): grid8 sweep twice against one shared solve-artifact store; "
-        "fails unless the warm run hits the store and finishes with "
-        "strictly fewer conflicts",
+        "fails unless the warm run hits the store, closes a family and "
+        "finishes with strictly fewer conflicts",
     )
     args = parser.parse_args(argv)
 
@@ -593,6 +613,7 @@ def main(argv=None) -> int:
                 f"clauses={metrics['artifact_clauses_imported']:3d} "
                 f"bounds={metrics['artifact_bounds_used']} "
                 f"models={metrics['artifact_models_used']} "
+                f"closed={metrics['families_closed']} "
                 f"wall={metrics['wall_seconds']:.3f}s"
             )
         failures = check_artifacts(artifacts)
@@ -669,6 +690,7 @@ def main(argv=None) -> int:
             f"clauses={metrics['artifact_clauses_imported']:3d} "
             f"bounds={metrics['artifact_bounds_used']} "
             f"models={metrics['artifact_models_used']} "
+            f"closed={metrics['families_closed']} "
             f"wall={metrics['wall_seconds']:.3f}s"
         )
 

@@ -330,7 +330,7 @@ class PermutationTable:
                 perm[source] = destination
             yield tuple(perm)
 
-    def _best_transition(
+    def best_transition(
         self, old: Mapping, new: Mapping
     ) -> Tuple[Permutation, int]:
         """The cheapest consistent completion and its SWAP count.
@@ -367,11 +367,11 @@ class PermutationTable:
 
     def transition_cost(self, old: Mapping, new: Mapping) -> int:
         """Minimal number of SWAPs turning mapping *old* into mapping *new*."""
-        return self._best_transition(old, new)[1]
+        return self.best_transition(old, new)[1]
 
     def transition_sequence(self, old: Mapping, new: Mapping) -> List[SwapEdge]:
         """A minimal SWAP-edge sequence turning mapping *old* into mapping *new*."""
-        best_perm, _ = self._best_transition(old, new)
+        best_perm, _ = self.best_transition(old, new)
         return list(self._sequences[best_perm])
 
 

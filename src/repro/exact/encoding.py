@@ -217,6 +217,45 @@ class MappingEncoding:
             previous = mapping
         return assignment
 
+    def schedule_objective(self, mappings: Sequence[Tuple[int, ...]]) -> int:
+        """The cost function ``F`` of the model realising *mappings*.
+
+        Completes :meth:`assignment_from_schedule` with the objective layer
+        the hard constraints force: ``z^k`` per constraint (4) from this
+        encoding's directed edges, and at every permutation spot the
+        cheapest ``y^k_pi`` consistent with the two mappings (the unique one
+        when ``n == m``).  The encoding's own objective terms are then
+        evaluated under that model, so the value is what the solver would
+        report for the schedule — an independent check of a re-costed
+        warm-start schedule.
+
+        Raises:
+            EncodingError: When the schedule does not fit this encoding (see
+                :meth:`assignment_from_schedule`), a CNOT does not sit on a
+                coupled pair, or a spot's transition has no permutation
+                variable.
+        """
+        model = self.assignment_from_schedule(mappings)
+        mappings = [tuple(mapping) for mapping in mappings]
+        table = self.permutation_table
+        edges = table.coupling.edges
+        for k, (control, target) in enumerate(self.gates):
+            pair = (mappings[k][control], mappings[k][target])
+            if pair not in edges and pair[::-1] not in edges:
+                raise EncodingError(
+                    f"gate {k} is not placed on a coupled pair ({pair})"
+                )
+            model[self.z_vars[k]] = pair not in edges
+        for k, spot_vars in self.y_vars.items():
+            try:
+                perm, _ = table.best_transition(mappings[k - 1], mappings[k])
+            except ValueError as error:
+                raise EncodingError(f"spot {k}: {error}") from None
+            if perm not in spot_vars:
+                raise EncodingError(f"spot {k} has no variable for {perm}")
+            model[spot_vars[perm]] = True
+        return self.objective_value(model)
+
     def objective_value(self, model: Dict[int, bool]) -> int:
         """Evaluate the cost function ``F`` under a SAT model."""
         total = 0

@@ -263,8 +263,8 @@ class SweepContext:
     """Cross-family bookkeeping of one sweep: proven bounds and clause pool.
 
     The sweep (:meth:`SATMapper.map`) feeds processed families in via
-    :meth:`note_family`, queries :meth:`lower_bound_for` before touching the
-    next one, and pulls translated learned clauses via :meth:`import_into`.
+    :meth:`note_family`, queries :meth:`family_lower_bound` before touching
+    the next one, and pulls translated learned clauses via :meth:`import_into`.
 
     With an *artifacts* cache (see
     :class:`repro.service.store.ArtifactCache` — duck-typed here as
@@ -292,6 +292,7 @@ class SweepContext:
         self.clauses_exported = 0
         self.clauses_imported = 0
         self.families_pruned = 0
+        self.families_closed = 0
         self.models_transferred = 0
         self.gates = [tuple(gate) for gate in gates] if gates else None
         self.num_logical = num_logical
@@ -572,6 +573,21 @@ class SweepContext:
             if self._embedding(plan, record.plan, directed=True) is not None:
                 bound = record.lower_bound
         return bound
+
+    def family_lower_bound(self, plan: FamilyPlan) -> Tuple[float, float]:
+        """The family's proven lower bound, and the in-sweep part of it.
+
+        Returns ``(proven, in_sweep)``: *in_sweep* is
+        :meth:`lower_bound_for` (structural or transferred by embedding),
+        *proven* the maximum of it and the stored bound for this exact edge
+        orientation (:meth:`artifact_lower_bound`).  A decision that holds
+        for *proven* but not for *in_sweep* is credited to the store.
+        """
+        in_sweep = self.lower_bound_for(plan)
+        persisted = self.artifact_lower_bound(plan.sub_coupling)
+        if persisted is not None and persisted > in_sweep:
+            return persisted, in_sweep
+        return in_sweep, in_sweep
 
     # ------------------------------------------------------------------
     def incumbent_for(
@@ -974,6 +990,129 @@ class SATMapper:
             core_labels=outcome.core_labels,
         )
 
+    def _family_seed(
+        self,
+        context: SweepContext,
+        plan: FamilyPlan,
+        state: _FamilyState,
+        gates: Sequence[Tuple[int, int]],
+        bound: Optional[int],
+        incumbent: Optional[Tuple[List[Tuple[int, ...]], int]],
+    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
+        """The family's first incumbent ``(local mappings, objective)``, if any.
+
+        In order of preference: the caller's model (*incumbent*), else a
+        cross-family transfer; a stored schedule from a structurally
+        identical past job replaces either when it is cheaper.  A candidate
+        above the sweep *bound* cannot serve as an incumbent, but it is
+        still a valid model of the hard constraints — its x-assignment
+        seeds the solver's phases (a pure search hint), steering the
+        bounded search into known-feasible territory instead of a cold
+        start.
+        """
+        assert state.encoding is not None and state.session is not None
+        table = state.encoding.permutation_table
+
+        def seed_phases(schedule: List[Tuple[int, ...]]) -> bool:
+            try:
+                state.session.seed_phases(
+                    state.encoding.assignment_from_schedule(schedule)
+                )
+            except EncodingError:
+                return False
+            return True
+
+        seed = incumbent
+        if seed is None and self.share_clauses:
+            # Cross-family model transfer: the cheapest schedule already
+            # found on an embeddable family, re-costed against these edge
+            # directions.
+            transfer = context.incumbent_for(plan, gates, table, bound=None)
+            if transfer is not None:
+                if bound is not None and transfer[1] > bound:
+                    seed_phases(transfer[0])
+                else:
+                    seed = transfer
+        persisted = context.artifact_incumbent(
+            plan.sub_coupling, table, bound=None
+        )
+        if persisted is not None and (seed is None or persisted[1] < seed[1]):
+            if bound is not None and persisted[1] > bound:
+                if seed_phases(persisted[0]):
+                    context.artifact_models_used += 1
+            else:
+                seed = persisted
+                context.artifact_models_used += 1
+        return seed
+
+    def _close_family(
+        self,
+        context: SweepContext,
+        plan: FamilyPlan,
+        state: _FamilyState,
+        subset: Tuple[int, ...],
+        seed: Tuple[List[Tuple[int, ...]], int],
+        time_limit: Optional[float],
+        bound: Optional[int],
+    ) -> Optional[SubsetOutcome]:
+        """Record *seed* as the family's optimum without a solver call.
+
+        Applies when the family's proven lower bound is at least the
+        seed's cost and the seed is a real model at that cost — the
+        encoding accepts the schedule and its own objective evaluates to
+        the re-costed value (:meth:`MappingEncoding.schedule_objective`).
+        Returns ``None`` otherwise; the caller then solves as usual.
+
+        With ``REPRO_CHECK_IMPORTS`` set, a closure is still checked: the
+        refute-first probe runs with the seed as incumbent, and a model
+        cheaper than the seed (a stored bound that was not a proof) raises
+        :class:`AssertionError`.  The probe's work is reported in the
+        outcome's counters.
+        """
+        assert state.encoding is not None
+        local_mappings, objective = seed
+        if bound is not None and objective > bound:
+            return None
+        proven, in_sweep = context.family_lower_bound(plan)
+        if proven < objective:
+            return None
+        try:
+            if state.encoding.schedule_objective(local_mappings) != objective:
+                return None
+        except EncodingError:
+            return None
+        if in_sweep < objective:
+            # Only the persisted bound closes this family.
+            context.artifact_bounds_used += 1
+        context.families_closed += 1
+        outcome = SubsetOutcome(
+            subset=tuple(subset),
+            status="optimal",
+            objective=objective,
+            mappings=self._translate(local_mappings, subset),
+            variables=state.encoding.num_variables,
+            clauses=state.encoding.num_clauses,
+            statistics={"model_seeded": 1},
+        )
+        if os.environ.get("REPRO_CHECK_IMPORTS"):
+            probe = self._solve_family(
+                state, subset, time_limit, bound, incumbent=seed
+            )
+            if probe.is_satisfiable and probe.objective < objective:
+                raise AssertionError(
+                    f"family closed at cost {objective} on a proven lower "
+                    f"bound of {proven}, but the solver found cost "
+                    f"{probe.objective}"
+                )
+            outcome.iterations = probe.iterations
+            outcome.conflicts = probe.conflicts
+            outcome.statistics = dict(probe.statistics)
+        state.status = "optimal"
+        state.objective = objective
+        state.local_mappings = list(local_mappings)
+        state.bound_used = bound
+        return outcome
+
     @staticmethod
     def proven_family_lower_bound(
         state: _FamilyState, outcome: SubsetOutcome
@@ -1301,11 +1440,7 @@ class SATMapper:
                 budget_exhausted = True
                 break
             if self.prune_families and bound is not None:
-                in_sweep = context.lower_bound_for(plan)
-                proven = in_sweep
-                persisted = context.artifact_lower_bound(plan.sub_coupling)
-                if persisted is not None and persisted > proven:
-                    proven = persisted
+                proven, in_sweep = context.family_lower_bound(plan)
                 if proven > bound:
                     if in_sweep <= bound:
                         # Only the persisted bound prunes this family — the
@@ -1335,64 +1470,22 @@ class SATMapper:
             # The incumbent schedule is device-indexed, so it only seeds
             # the full-device instance (the only one that exists when
             # model seeding is allowed — see accepts_initial_model).
-            seed = (
+            seed = self._family_seed(
+                context, plan, state, gates, bound,
                 incumbent
-                if incumbent is not None
-                and representative == tuple(range(num_physical))
-                else None
+                if representative == tuple(range(num_physical)) else None,
             )
-            if seed is None and self.share_clauses and state.encoding is not None:
-                # Cross-family model transfer: replay the cheapest schedule
-                # already found on an embeddable family as this family's
-                # first incumbent (re-costed against these edge directions).
-                # A transfer that lands above the sweep bound cannot serve
-                # as an incumbent, but it is still a valid model of the hard
-                # constraints — its x-assignment seeds the solver's phases
-                # (a pure search hint), steering the bounded search into
-                # known-feasible territory instead of a cold start.
-                transfer = context.incumbent_for(
-                    plan, gates, state.encoding.permutation_table, bound=None
+            outcome = (
+                self._close_family(
+                    context, plan, state, representative, seed, remaining,
+                    bound,
                 )
-                if transfer is not None:
-                    if bound is not None and transfer[1] > bound:
-                        try:
-                            state.session.seed_phases(
-                                state.encoding.assignment_from_schedule(
-                                    transfer[0]
-                                )
-                            )
-                        except EncodingError:
-                            pass
-                    else:
-                        seed = transfer
-            if state.encoding is not None:
-                # A persisted schedule from a structurally identical past job
-                # competes with the in-sweep transfer: the cheaper one seeds.
-                # Like the transfer, a persisted model above the sweep bound
-                # still seeds the solver's phases (pure search hint).
-                persisted_model = context.artifact_incumbent(
-                    plan.sub_coupling, state.encoding.permutation_table,
-                    bound=None,
-                )
-                if persisted_model is not None and (
-                    seed is None or persisted_model[1] < seed[1]
-                ):
-                    if bound is not None and persisted_model[1] > bound:
-                        try:
-                            state.session.seed_phases(
-                                state.encoding.assignment_from_schedule(
-                                    persisted_model[0]
-                                )
-                            )
-                            context.artifact_models_used += 1
-                        except EncodingError:
-                            pass
-                    else:
-                        seed = persisted_model
-                        context.artifact_models_used += 1
-            outcome = self._solve_family(
-                state, representative, remaining, bound, incumbent=seed
+                if seed is not None else None
             )
+            if outcome is None:
+                outcome = self._solve_family(
+                    state, representative, remaining, bound, incumbent=seed
+                )
             self._finish_family(context, plan, state, outcome)
             outcomes.append(outcome)
             if outcome.is_satisfiable:
@@ -1459,6 +1552,7 @@ class SATMapper:
             extra_statistics={
                 "families_total": len(plans),
                 "families_pruned": context.families_pruned,
+                "families_closed": context.families_closed,
                 "clauses_exported": context.clauses_exported,
                 "clauses_imported": context.clauses_imported,
                 "models_transferred": context.models_transferred,

@@ -58,7 +58,12 @@ from repro.server.protocol import (
     StatsReport,
     from_wire,
 )
-from repro.service.errors import ServiceError, ServiceUnavailable, StoreError
+from repro.service.errors import (
+    JobNotFoundError,
+    ServiceError,
+    ServiceUnavailable,
+    StoreError,
+)
 from repro.service.store import JobJournal, JOURNAL_TERMINAL
 
 #: Seconds between heartbeat polls of each worker.
@@ -92,6 +97,14 @@ def _upstream_error(worker_id: str, error: Exception) -> ServiceError:
     )
     failed.code = "upstream-failed"
     return failed
+
+
+def _redelivery_pending(job_id: str) -> JobNotFoundError:
+    """The retryable not-found answer for a slot taken over by redelivery."""
+    return JobNotFoundError(
+        f"job id {job_id!r} is being redelivered after a worker restart; "
+        "retry shortly"
+    )
 
 
 @dataclass
@@ -642,8 +655,6 @@ class Supervisor:
                 if handle.worker_id == alias_worker:
                     return handle, alias_local
         worker_id, _, local_id = job_id.partition("-")
-        from repro.service.errors import JobNotFoundError
-
         # A restarted worker reuses its worker id and restarts its local
         # job counter, so a redelivered job may occupy this worker-local
         # slot under a *different* public id.  Routing the request through
@@ -653,10 +664,7 @@ class Supervisor:
         # transient 404 window after a crash.
         occupant = self._redelivered_public.get((worker_id, local_id))
         if occupant is not None and occupant != job_id:
-            raise JobNotFoundError(
-                f"job id {job_id!r} is being redelivered after a worker "
-                "restart; retry shortly"
-            )
+            raise _redelivery_pending(job_id)
         for handle in self.workers:
             if handle.worker_id == worker_id and local_id:
                 return handle, local_id
@@ -814,8 +822,6 @@ class Supervisor:
                     http_status=503,
                 )
                 return 503, envelope.to_wire()
-            from repro.service.errors import JobNotFoundError
-
             try:
                 handle, local_id = self._worker_for_job(tail)
             except JobNotFoundError:
@@ -850,7 +856,21 @@ class Supervisor:
                     status, envelope = await self._proxy(
                         handle, "GET", _target(local_id), None
                     )
-            return status, self._prefix_job_ids(envelope, handle.worker_id)
+            envelope = self._prefix_job_ids(envelope, handle.worker_id)
+            payload = envelope.get("payload")
+            if (
+                method == "GET"
+                and isinstance(payload, dict)
+                and isinstance(payload.get("job_id"), str)
+                and payload["job_id"] != tail
+            ):
+                # Redelivery moved another public id into this worker-local
+                # slot while the poll was in flight: the answer belongs to
+                # that job, not to the one asked about.  (A DELETE that hit
+                # the occupant has already cancelled it; a retryable 404
+                # would hide that, so its answer passes through.)
+                raise _redelivery_pending(tail)
+            return status, envelope
         if path == "/v1/stats" and method == "GET":
             return await self._stats()
         if path == "/v1/healthz" and method == "GET":

@@ -11,6 +11,10 @@ and its consumers:
   key is implied by a fresh same-key target instance (refutation via
   :func:`repro.exact.sweep.clause_is_implied`), and a warm sweep under
   ``REPRO_CHECK_IMPORTS=1`` runs clean,
+* family closure — a warm variant whose stored bound meets its stored
+  schedule closes without a solver call; a bound below the schedule or a
+  schedule the encoding rejects does not close, and under
+  ``REPRO_CHECK_IMPORTS=1`` an overstated bound is caught,
 * degradation — empty store, corrupt rows, shape-mismatched rows and
   wrong skeleton keys all fall back to the cold behaviour (same proven
   minima) with truthful provenance notes,
@@ -25,9 +29,13 @@ import pickle
 import sqlite3
 import time
 
+import pytest
+
 from repro.arch.coupling import CouplingMap
-from repro.arch.devices import ibm_qx4
+from repro.arch.devices import ibm_qx4, sweep_grid8
+from repro.benchlib.generators import random_cnot_circuit
 from repro.benchlib.paper_example import paper_example_cnot_skeleton
+from repro.circuit.circuit import QuantumCircuit
 from repro.exact.encoding import build_encoding, clear_skeleton_cache
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.sweep import clause_is_implied, template_clause_remap
@@ -40,6 +48,8 @@ from repro.service.store import (
     MAX_ARTIFACT_CLAUSES,
     ResultStore,
 )
+from repro.sim.equivalence import mapped_circuit_equivalent
+from repro.verify import verify_result
 
 PAPER_MINIMAL_COST = 4
 
@@ -317,6 +327,149 @@ class TestImplicationProperty:
             warm.statistics["solver_conflicts"]
             < cold.statistics["solver_conflicts"]
         )
+
+
+# ----------------------------------------------------------------------
+# Closure: a stored bound that meets the seeded schedule ends the family
+# ----------------------------------------------------------------------
+def _grid8_skeleton():
+    return random_cnot_circuit(3, 8, seed=8000)
+
+
+def _with_singles(skeleton):
+    """*skeleton*'s CNOTs in order, with single-qubit gates drawn around
+    them — the same encoding skeleton, a different circuit."""
+    circuit = QuantumCircuit(skeleton.num_qubits)
+    for index, gate in enumerate(skeleton.cnot_gates()):
+        if index % 3 == 0:
+            circuit.h(gate.control)
+        circuit.cx(gate.control, gate.target)
+        if index % 4 == 1:
+            circuit.t(gate.target)
+    return circuit
+
+
+def _grid8_job(store_path, circuit):
+    """Map *circuit* through a grid8 SAT-sweep service over *store_path*."""
+
+    async def scenario():
+        async with MappingService(
+            sweep_grid8(), engine="sat",
+            engine_options={"use_subsets": True},
+            store=ResultStore(store_path, max_memory_entries=0),
+        ) as service:
+            job = await service.submit(circuit)
+            return await service.result(job, timeout=120)
+
+    return asyncio.run(scenario())
+
+
+def _rewrite_artifacts(store_path, rewrite):
+    """Apply *rewrite(payload)* to every stored row that holds a schedule."""
+    with sqlite3.connect(store_path) as conn:
+        rows = conn.execute(
+            "SELECT skeleton_key, payload FROM artifacts"
+        ).fetchall()
+        rewritten = 0
+        for key, payload in rows:
+            data = json.loads(payload)
+            if data["schedule"] is None:
+                continue
+            rewrite(data)
+            conn.execute(
+                "UPDATE artifacts SET payload = ? WHERE skeleton_key = ?",
+                (json.dumps(data), key),
+            )
+            rewritten += 1
+    assert rewritten >= 1
+
+
+class TestFamilyClosure:
+    def _cold_then_warm(self, tmp_path, tamper=None):
+        skeleton = _grid8_skeleton()
+        path = tmp_path / "results.sqlite"
+        cold = _grid8_job(path, skeleton)
+        if tamper is not None:
+            _rewrite_artifacts(path, tamper)
+        variant = _with_singles(skeleton)
+        warm = _grid8_job(path, variant)
+        assert warm.added_cost == cold.added_cost
+        assert verify_result(warm, sweep_grid8()).compliant
+        assert mapped_circuit_equivalent(
+            variant, warm.mapped_circuit,
+            warm.initial_mapping, warm.final_mapping,
+        )
+        return cold, warm
+
+    def test_warm_variant_closes_without_a_solver_call(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CHECK_IMPORTS", raising=False)
+        cold, warm = self._cold_then_warm(tmp_path)
+        assert cold.statistics["solver_conflicts"] > 0
+        assert cold.statistics["families_closed"] == 0
+        assert warm.statistics["solver_conflicts"] == 0
+        assert warm.statistics["solver_iterations"] == 0
+        assert warm.statistics["families_closed"] >= 1
+
+    def test_bound_below_the_schedule_cost_does_not_close(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CHECK_IMPORTS", raising=False)
+
+        def lower_bounds(data):
+            for edges in data["bounds"]:
+                data["bounds"][edges] = data["objective"] - 1
+
+        _, warm = self._cold_then_warm(tmp_path, tamper=lower_bounds)
+        assert warm.statistics["families_closed"] == 0
+        assert warm.statistics["solver_iterations"] >= 1
+        assert warm.statistics["solver_conflicts"] > 0
+
+    def test_schedule_the_encoding_rejects_does_not_close(
+        self, tmp_path, monkeypatch
+    ):
+        """A schedule one gate short re-costs below the stored bound (the
+        missing gate costs nothing) but cannot be a model of the encoding."""
+        monkeypatch.delenv("REPRO_CHECK_IMPORTS", raising=False)
+
+        def truncate_schedules(data):
+            data["schedule"] = data["schedule"][:-1]
+
+        _, warm = self._cold_then_warm(tmp_path, tamper=truncate_schedules)
+        assert warm.statistics["families_closed"] == 0
+        assert warm.statistics["solver_conflicts"] > 0
+
+    def test_import_checking_refutes_an_overstated_bound(
+        self, tmp_path, monkeypatch
+    ):
+        """A costlier schedule beside a bound raised to its cost would close
+        a family above its true minimum; the checking probe must catch it."""
+        skeleton = _grid8_skeleton()
+        store = ResultStore(tmp_path / "a.sqlite", max_memory_entries=0)
+        clear_skeleton_cache()
+        exact = SATMapper(sweep_grid8(), use_subsets=True).map(skeleton)
+        # A conflict-limited sweep stops on models above the minimum.
+        clear_skeleton_cache()
+        stopped = SATMapper(
+            sweep_grid8(), use_subsets=True, conflict_limit=5
+        ).map(skeleton, artifacts=ArtifactCache(store))
+        assert stopped.added_cost > exact.added_cost
+
+        def overstate_bounds(data):
+            for edges in data["bounds"]:
+                data["bounds"][edges] = data["objective"]
+
+        _rewrite_artifacts(store.path, overstate_bounds)
+        monkeypatch.setenv("REPRO_CHECK_IMPORTS", "1")
+        clear_skeleton_cache()
+        with pytest.raises(AssertionError, match="family closed at cost"):
+            SATMapper(sweep_grid8(), use_subsets=True).map(
+                _with_singles(skeleton),
+                artifacts=ArtifactCache(
+                    ResultStore(store.path, max_memory_entries=0)
+                ),
+            )
 
 
 # ----------------------------------------------------------------------

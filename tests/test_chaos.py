@@ -30,7 +30,7 @@ from repro.benchlib.generators import (
 from repro.circuit.qasm.writer import to_qasm
 from repro.exact.dp_mapper import DPMapper
 from repro.server import wire
-from repro.server.supervisor import Supervisor
+from repro.server.supervisor import Supervisor, WorkerHandle
 from repro.service.errors import (
     DeadlineExceededError,
     JobCancelledError,
@@ -598,6 +598,78 @@ class TestChaosEndToEnd:
         assert journal.unfinished() == []
         codes = set(_journal_error_codes(tmp_path))
         assert codes <= {None, "service-unavailable"}
+
+    @staticmethod
+    def _redelivering_supervisor(tmp_path):
+        """A supervisor whose proxied request races a redelivery.
+
+        While the request is in flight, the restarted ``w0`` takes in a
+        redelivered job (public id ``w0-job-000002``) under the reused
+        local id ``job-000001`` and answers for *it*.
+        """
+        supervisor = Supervisor(workers=1, cache_dir=str(tmp_path))
+        supervisor.workers = [WorkerHandle(worker_id="w0", port=1)]
+
+        async def redelivering_proxy(handle, method, target, body=None):
+            supervisor._aliases["w0-job-000002"] = ("w0", "job-000001")
+            supervisor._redelivered_public[("w0", "job-000001")] = (
+                "w0-job-000002"
+            )
+            return 200, {
+                "type": "result-response",
+                "version": 1,
+                "payload": {"job_id": "job-000001", "result": {}},
+            }
+
+        supervisor._proxy = redelivering_proxy
+        return supervisor
+
+    @staticmethod
+    def _request(supervisor, method, job_id, suffix=""):
+        path = f"/v1/jobs/{job_id}{suffix}"
+        query = {"wait": "15"} if method == "GET" else {}
+        target = f"{path}?wait=15" if query else path
+        return run(supervisor._dispatch(wire.HTTPRequest(
+            method=method, target=target, path=path, query=query,
+            headers={},
+        )))
+
+    def test_poll_answered_by_a_redelivered_occupant_is_a_retryable_404(
+        self, tmp_path
+    ):
+        """A redelivery landing mid-poll never hands over another job's result.
+
+        The poll for ``w0-job-000001`` passes the slot-occupant check, then
+        the answer comes from the redelivered occupant.  The supervisor
+        must map the answer back to its public id and, seeing a different
+        job, reply with the same retryable 404 the occupant check gives.
+        """
+        supervisor = self._redelivering_supervisor(tmp_path)
+        status, envelope = self._request(
+            supervisor, "GET", "w0-job-000001", "/result"
+        )
+        assert status == 404
+        assert envelope["payload"]["error_code"] == "job-not-found"
+        assert "redelivered" in envelope["payload"]["message"]
+        # The occupant itself reads its own result through its alias.
+        status, envelope = self._request(
+            supervisor, "GET", "w0-job-000002", "/result"
+        )
+        assert status == 200
+        assert envelope["payload"]["job_id"] == "w0-job-000002"
+
+    def test_cancel_answered_by_a_redelivered_occupant_names_it(
+        self, tmp_path
+    ):
+        """A DELETE that reached the occupant reports it, not a retry.
+
+        The worker has already cancelled the occupant by the time it
+        answers, so a retryable 404 would hide that cancellation.
+        """
+        supervisor = self._redelivering_supervisor(tmp_path)
+        status, envelope = self._request(supervisor, "DELETE", "w0-job-000001")
+        assert status == 200
+        assert envelope["payload"]["job_id"] == "w0-job-000002"
 
 
 def _journal_error_codes(tmp_path):

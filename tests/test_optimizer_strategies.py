@@ -300,7 +300,45 @@ class TestSATMapperStrategies:
         )
         assert seeded.added_cost == first.added_cost
         assert seeded.optimal
+        # The seed meets the structural lower bound (4): closed unsolved.
+        assert seeded.statistics["solver_iterations"] == 0
+        assert seeded.statistics["families_closed"] == 1
+        assert seeded.statistics.get("descent_iterations", 0) == 0
+        assert seeded.statistics["model_seeded"] == 1
+
+    def test_understated_seed_objective_does_not_close(self):
+        """A caller's objective below its schedule's cost is not trusted.
+
+        Claimed 3 against the structural bound 4 would close the family at
+        a false optimum; the encoding evaluates the schedule at 4, so the
+        family is solved and reports the true minimum.
+        """
+        circuit = paper_example_cnot_skeleton()
+        first = DPMapper(ibm_qx4()).map(circuit)
+        seeded = SATMapper(ibm_qx4()).map(
+            circuit,
+            initial_model=first.schedule.mappings,
+            initial_objective=first.added_cost - 1,
+        )
+        assert first.added_cost == PAPER_EXAMPLE_MINIMAL_COST
+        assert seeded.added_cost == PAPER_EXAMPLE_MINIMAL_COST
+        assert seeded.optimal
+        assert seeded.statistics["families_closed"] == 0
         assert seeded.statistics["solver_iterations"] == 1
+
+    def test_model_seed_above_the_structural_bound_runs_one_probe(self):
+        """ex-1_166 on qx4: structural bound 4, minimum 8 — no closure."""
+        circuit = benchmark_circuit("ex-1_166")
+        first = DPMapper(ibm_qx4()).map(circuit)
+        seeded = SATMapper(ibm_qx4()).map(
+            circuit,
+            initial_model=first.schedule.mappings,
+            initial_objective=first.added_cost,
+        )
+        assert seeded.added_cost == first.added_cost == 8
+        assert seeded.optimal
+        assert seeded.statistics["solver_iterations"] == 1
+        assert seeded.statistics["families_closed"] == 0
         assert seeded.statistics.get("descent_iterations", 0) == 0
         assert seeded.statistics["model_seeded"] == 1
 
