@@ -780,9 +780,10 @@ def _build_listen_parser() -> argparse.ArgumentParser:
         prog="repro-map listen",
         description="Run the network serving layer: an HTTP/WebSocket "
         "front end over the mapping service.  --workers N spawns N worker "
-        "processes behind a supervising reverse proxy (load-aware routing, "
-        "heartbeat restarts, cache invalidation broadcast); --workers 0 "
-        "serves from a single in-process worker.",
+        "processes that a supervisor drives over their stdio pipes "
+        "(load-aware routing, heartbeat restarts, redelivery, cache "
+        "invalidation broadcast); --workers 0 serves from a single "
+        "in-process worker.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
@@ -837,68 +838,25 @@ def _run_listen(argv: Sequence[str]) -> int:
     options = _engine_options(engine, args)
     arch = args.arch or ["ibm_qx4"]
 
-    if args.workers == 0:
-        import json as _json
-        import os
-        import signal
+    from repro.server.app import JobServer, ServiceBackend
+    from repro.server.supervisor import Supervisor
 
-        from repro.server.worker import build_server
-
-        async def single_worker() -> int:
-            server = build_server(
-                host=args.host,
-                port=args.port,
-                worker_id="w0",
-                arch=arch,
-                engine=engine,
-                engine_options=options,
-                service_workers=args.service_workers,
-                executor=args.executor,
-                cache_dir=args.cache_dir,
-                result_ttl=args.result_ttl,
-            )
-            await server.start()
-            print(
-                _json.dumps(
-                    {
-                        "event": "listening",
-                        "role": "worker",
-                        "host": args.host,
-                        "port": server.port,
-                        "pid": os.getpid(),
-                    }
-                ),
-                flush=True,
-            )
-            stop_requested = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, stop_requested.set)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    signal.signal(signum, lambda *_: stop_requested.set())
-            await stop_requested.wait()
-            await server.stop(drain=True)
-            return 0
-
-        return asyncio.run(single_worker())
-
-    from repro.server.supervisor import run_supervisor
-
-    return asyncio.run(
-        run_supervisor(
-            workers=args.workers,
-            host=args.host,
-            port=args.port,
-            arch=arch,
-            engine=engine,
-            engine_options=options,
-            service_workers=args.service_workers,
-            executor=args.executor,
-            cache_dir=args.cache_dir,
-            result_ttl=args.result_ttl,
-        )
+    config = dict(
+        arch=arch,
+        engine=engine,
+        engine_options=options,
+        service_workers=args.service_workers,
+        executor=args.executor,
+        cache_dir=args.cache_dir,
+        result_ttl=args.result_ttl,
     )
+    address = dict(host=args.host, port=args.port)
+    server = (
+        JobServer(backend=ServiceBackend.build(**config), **address)
+        if args.workers == 0
+        else Supervisor(workers=args.workers, **address, **config).server
+    )
+    return asyncio.run(server.serve_until_signalled())
 
 
 # ----------------------------------------------------------------------

@@ -1064,6 +1064,7 @@ class SATMapper:
         Returns ``None`` otherwise; the caller then solves as usual.
 
         With ``REPRO_CHECK_IMPORTS`` set, a closure is still checked: the
+        family imports its learned clauses (so they are checked too), the
         refute-first probe runs with the seed as incumbent, and a model
         cheaper than the seed (a stored bound that was not a proof) raises
         :class:`AssertionError`.  The probe's work is reported in the
@@ -1095,6 +1096,7 @@ class SATMapper:
             statistics={"model_seeded": 1},
         )
         if os.environ.get("REPRO_CHECK_IMPORTS"):
+            self._import_clauses(context, plan, state)
             probe = self._solve_family(
                 state, subset, time_limit, bound, incumbent=seed
             )
@@ -1112,6 +1114,15 @@ class SATMapper:
         state.local_mappings = list(local_mappings)
         state.bound_used = bound
         return outcome
+
+    def _import_clauses(
+        self, context: SweepContext, plan: FamilyPlan, state: _FamilyState
+    ) -> None:
+        """Learned clauses for a family about to be solved: transferred
+        from the sweep's earlier families, and persisted from past jobs."""
+        if self.share_clauses:
+            context.import_into(plan, state)
+        context.artifact_import_into(plan.sub_coupling, state)
 
     @staticmethod
     def proven_family_lower_bound(
@@ -1463,9 +1474,6 @@ class SATMapper:
                         )
                     continue
             state = self._family_state(plan.sub_coupling, gates, num_logical, spots)
-            if self.share_clauses:
-                context.import_into(plan, state)
-            context.artifact_import_into(plan.sub_coupling, state)
             representative = tuple(subsets[plan.indices[0]])
             # The incumbent schedule is device-indexed, so it only seeds
             # the full-device instance (the only one that exists when
@@ -1483,6 +1491,7 @@ class SATMapper:
                 if seed is not None else None
             )
             if outcome is None:
+                self._import_clauses(context, plan, state)
                 outcome = self._solve_family(
                     state, representative, remaining, bound, incumbent=seed
                 )

@@ -68,7 +68,7 @@ FAULT_POINTS = (
     "wire.read",        # receiving an HTTP response / WebSocket frame
     "wire.write",       # sending an HTTP request / WebSocket frame
     "worker.spawn",     # launching a worker subprocess
-    "worker.dispatch",  # supervisor proxying a request to a worker
+    "worker.dispatch",  # supervisor sending a request to a worker
     "solver.step",      # a CDCL conflict boundary
 )
 

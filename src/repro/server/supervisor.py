@@ -1,110 +1,70 @@
-"""Multi-process supervisor: N worker processes behind one public port.
+"""Multi-process supervisor: N worker processes behind one :class:`JobServer`.
 
-The :class:`Supervisor` is a protocol-aware reverse proxy plus process
-manager.  It spawns ``python -m repro.server.worker`` subprocesses (one
-:class:`~repro.server.app.JobServer` each, all over the same on-disk SQLite
-result store), binds the public port itself, and:
+The :class:`Supervisor` is a process manager plus the job backend of the
+one HTTP router, :class:`~repro.server.app.JobServer` (which it owns).  Its
+workers are ``python -m repro.server.worker`` subprocesses, each a
+:class:`~repro.service.service.MappingService` over the shared on-disk
+SQLite store, driven over its stdio pipes (see :mod:`repro.server.worker`).
 
-* **routes** new submissions to the least-loaded worker (smallest
-  ``queue_depth + in_flight`` from the latest heartbeat, least-recently
-  assigned wins ties) and namespaces job ids as ``w0-job-000001`` so every
-  later ``GET`` finds its way back to the owning worker;
-* **monitors** workers with a heartbeat poll of ``GET /v1/healthz`` and
-  restarts any worker whose process died or that missed
-  :data:`HEARTBEAT_MISS_LIMIT` consecutive heartbeats (kill -9 included —
-  jobs that lived only in that worker's memory are reported as upstream
-  failures and can simply be resubmitted; completed work survives in the
-  shared store);
-* **broadcasts** cache invalidations: ``POST /v1/cache/prune`` prunes the
-  shared SQLite rows through one worker, then tells every worker to drop
-  its in-memory LRU so no stale fingerprint is served from memory;
-* **fans in** the workers' ``/v1/stream`` WebSockets into a single public
-  ``/v1/stream`` (job ids rewritten to their namespaced form), reconnecting
-  whenever a worker restarts; every public envelope carries a monotonically
-  increasing ``seq`` and the last :data:`STREAM_REPLAY_SIZE` envelopes are
-  retained, so a subscriber that reconnects with ``?since=<seq>`` replays
-  the transitions it missed before resuming live delivery;
-* **drains** on SIGTERM: the public socket closes first, then every worker
-  gets SIGTERM and finishes in-flight jobs before the supervisor exits.
-
-Everything speaks :mod:`repro.server.protocol` envelopes; worker
-connection failures surface as ``upstream-failed`` (HTTP 502) error
-envelopes rather than hung sockets.
+* Every public job id is minted once, from one fleet-wide counter, as
+  ``<worker>-job-<n>``; the worker runs the job under that id, so an id is
+  never reused.  A submit is journalled (one commit, its worker set), then
+  sent to the least-loaded healthy worker, and retried on another when
+  that worker does not take it.
+* The supervisor keeps each job's latest snapshot and, once finished, its
+  result: reads never touch a worker, and a finished job survives its
+  worker's death without being re-run.
+* A worker is lost at stdout EOF, or when :data:`HEARTBEAT_MISS_LIMIT`
+  heartbeats in a row go missing (hung, or dead while a child process
+  holds its pipe).  It is killed and replaced, and its unfinished jobs are
+  redelivered under their ids.
+* A prune runs the shared-store TTL sweep on one worker and flushes every
+  worker's LRU.  Stopping closes each worker's stdin and reads until its
+  stdout closes; jobs of a worker that dies meanwhile settle as
+  ``service-unavailable``.  Workers exit when their stdin closes, so they
+  never outlive a killed supervisor.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import os
-import signal
-import socket
 import sys
 import tempfile
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import faults
-from repro.server import wire
-from repro.server.protocol import (
-    ErrorEnvelope,
-    HealthReport,
-    ProtocolError,
-    PruneReport,
-    PruneRequest,
-    StatsReport,
-    from_wire,
-)
+from repro.server.app import PRUNE_COUNTERS, JobServer, as_service_error
+from repro.server.protocol import PruneRequest, SubmitRequest
 from repro.service.errors import (
+    JobCancelledError,
     JobNotFoundError,
     ServiceError,
     ServiceUnavailable,
     StoreError,
 )
-from repro.service.store import JobJournal, JOURNAL_TERMINAL
+from repro.service.service import DONE, FAILED
+from repro.service.store import JobJournal
 
-#: Seconds between heartbeat polls of each worker.
+#: Seconds between load heartbeats of each worker.
 HEARTBEAT_INTERVAL = 0.5
-#: Consecutive failed heartbeats after which a worker is declared dead.
+#: Consecutive missed heartbeats after which a worker counts as lost.
 HEARTBEAT_MISS_LIMIT = 3
 #: Seconds a freshly spawned worker gets to print its readiness line.
 STARTUP_TIMEOUT = 60.0
-#: Seconds a SIGTERM'd worker gets to drain before SIGKILL.
+#: Seconds draining workers get to close their stdout before SIGKILL.
 DRAIN_TIMEOUT = 60.0
-#: Per-request timeout of supervisor → worker proxy calls.
+#: Seconds a worker gets to answer one request on its channel.
 UPSTREAM_TIMEOUT = 300.0
-#: Capacity of each public stream subscriber queue (drop-oldest beyond it).
-SUBSCRIBER_QUEUE_SIZE = 1024
-#: Recent stream envelopes retained for ``?since=<seq>`` catch-up replay.
-STREAM_REPLAY_SIZE = 4096
+#: Longest JSON line either side of a worker channel accepts (bytes).
+CHANNEL_LINE_LIMIT = 1 << 26
 
-
-def _free_port(host: str = "127.0.0.1") -> int:
-    """Ask the kernel for a currently free TCP port."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        probe.bind((host, 0))
-        return probe.getsockname()[1]
-
-
-def _upstream_error(worker_id: str, error: Exception) -> ServiceError:
-    failed = ServiceError(
-        f"worker {worker_id} did not answer: {error}",
-        details={"worker": worker_id, "error_type": type(error).__name__},
-    )
-    failed.code = "upstream-failed"
-    return failed
-
-
-def _redelivery_pending(job_id: str) -> JobNotFoundError:
-    """The retryable not-found answer for a slot taken over by redelivery."""
-    return JobNotFoundError(
-        f"job id {job_id!r} is being redelivered after a worker restart; "
-        "retry shortly"
-    )
+_REQUEST_IDS = itertools.count(1)
 
 
 @dataclass
@@ -112,15 +72,14 @@ class WorkerHandle:
     """Everything the supervisor tracks about one worker process."""
 
     worker_id: str
-    port: int = 0
     process: Optional[asyncio.subprocess.Process] = None
     restarts: int = 0
     healthy: bool = False
-    missed_heartbeats: int = 0
     queue_depth: int = 0
     in_flight: int = 0
     last_assigned: float = 0.0
-    stream_task: Optional[asyncio.Task] = field(default=None, repr=False)
+    reader: Optional[asyncio.Task] = field(default=None, repr=False)
+    replies: Dict[int, asyncio.Future] = field(default_factory=dict, repr=False)
 
     @property
     def load(self) -> int:
@@ -133,7 +92,6 @@ class WorkerHandle:
     def describe(self) -> Dict[str, Any]:
         return {
             "worker_id": self.worker_id,
-            "port": self.port,
             "pid": self.pid,
             "healthy": self.healthy,
             "restarts": self.restarts,
@@ -141,49 +99,70 @@ class WorkerHandle:
             "in_flight": self.in_flight,
         }
 
+    async def call(self, op: str, **fields: Any) -> Dict[str, Any]:
+        """Send one request down the worker's stdin and await its reply."""
+        try:
+            if faults.ARMED and faults.fire("worker.dispatch") == "drop":
+                raise ConnectionResetError("injected dispatch drop")
+            if self.process is None or not self.healthy:
+                raise ConnectionResetError("worker is not running")
+            request_id = next(_REQUEST_IDS)
+            reply = self.replies[request_id] = (
+                asyncio.get_running_loop().create_future()
+            )
+            try:
+                line = json.dumps({"id": request_id, "op": op, **fields})
+                self.process.stdin.write(line.encode() + b"\n")
+                await self.process.stdin.drain()
+                answer = await asyncio.wait_for(reply, UPSTREAM_TIMEOUT)
+            finally:
+                self.replies.pop(request_id, None)
+        except (ConnectionError, OSError, asyncio.TimeoutError) as error:
+            failed = ServiceError(
+                f"worker {self.worker_id} did not answer: {error}",
+                details={"worker": self.worker_id,
+                         "error_type": type(error).__name__},
+            )
+            failed.code = "upstream-failed"
+            raise failed from error
+        if not answer["ok"]:
+            raise as_service_error(answer["error"])
+        return answer
+
+
+@dataclass
+class FleetJob:
+    """What the supervisor knows of one job, whichever worker runs it."""
+
+    request: Dict[str, Any]  # the submit envelope, replayed on redelivery
+    worker_id: Optional[str] = None  # None while awaiting redelivery
+    dispatching: bool = False
+    snapshot: Optional[Dict[str, Any]] = None
+    result: Optional[Dict[str, Any]] = None
+    done: asyncio.Event = field(default_factory=asyncio.Event)
+
 
 class Supervisor:
-    """Spawn, monitor and proxy a fleet of mapping-service workers.
+    """Spawn and supervise mapping-service workers behind one public port.
 
     Args:
         workers: Number of worker processes.
         host/port: Public bind address (port ``0`` picks a free port).
-        arch: Architecture names every worker registers.
-        engine: Default mapping engine of every worker.
-        engine_options: Engine constructor options forwarded verbatim.
-        service_workers: Solver pool size inside each worker.
-        executor: ``thread`` or ``process`` solver pool per worker.
         cache_dir: Shared persistent cache directory.  ``None`` creates a
             private temporary directory so the workers still share one
-            SQLite store (cross-worker cache hits are the point of the
-            supervisor).
-        result_ttl: Result-store TTL forwarded to every worker.
+            SQLite store (cross-worker cache hits are the point).
+        **config: The workers' service options (``arch``, ``engine``,
+            ``engine_options``, ``service_workers``, ``executor``,
+            ``result_ttl``; see :meth:`ServiceBackend.build`).
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int = 2,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        arch: Sequence[str] = ("ibm_qx4",),
-        engine: str = "dp",
-        engine_options: Optional[Dict[str, Any]] = None,
-        service_workers: int = 2,
-        executor: str = "thread",
-        cache_dir: Optional[str] = None,
-        result_ttl: Optional[float] = None,
-    ):
+    role = "supervisor"
+
+    def __init__(self, *, workers: int = 2, host: str = "127.0.0.1",
+                 port: int = 0, cache_dir: Optional[str] = None,
+                 **config: Any):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        self.host = host
-        self.port = port
-        self.num_workers = workers
-        self.arch = list(arch)
-        self.engine = engine
-        self.engine_options = dict(engine_options or {})
-        self.service_workers = service_workers
-        self.executor = executor
         self._temp_cache: Optional[tempfile.TemporaryDirectory] = None
         if cache_dir is None:
             self._temp_cache = tempfile.TemporaryDirectory(
@@ -191,105 +170,32 @@ class Supervisor:
             )
             cache_dir = self._temp_cache.name
         self.cache_dir = cache_dir
-        self.result_ttl = result_ttl
-        self.workers: List[WorkerHandle] = []
+        self.config = dict(config, cache_dir=cache_dir)
+        self.server = JobServer(backend=self, host=host, port=port)
+        self.workers = [WorkerHandle(f"w{index}") for index in range(workers)]
         self.draining = False
-        self.started_at: Optional[float] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._heartbeat_task: Optional[asyncio.Task] = None
-        self._subscribers: set = set()
-        self._stream_seq = 0
-        self._stream_replay: Deque[Dict[str, Any]] = deque(
-            maxlen=STREAM_REPLAY_SIZE
-        )
-        self._requests_served = 0
-        #: Durable submit journal (shares the workers' results.sqlite).
-        #: ``None`` when opening it failed — serving continues, durability
-        #: degrades, and stats report the condition truthfully.
+        #: Job transitions of every worker, relayed by the server's stream.
+        self.events: asyncio.Queue = asyncio.Queue()
+        #: ``None`` when the journal could not be opened (stats say so).
         self.journal: Optional[JobJournal] = None
         self._journal_errors = 0
-        self._submit_seq = 0
-        #: Redelivered jobs keep their original public id:
-        #: public id -> (current worker id, current worker-local id) ...
-        self._aliases: Dict[str, Tuple[str, str]] = {}
-        #: ... and the reverse, for rewriting worker payloads on the way out.
-        self._redelivered_public: Dict[Tuple[str, str], str] = {}
-        #: Jobs that died with their worker when no redelivery target was
-        #: available (drain race): public id -> structured error dict.
-        self._lost: Dict[str, Dict[str, Any]] = {}
-        #: Public ids with a lazy result recovery in flight, so concurrent
-        #: polls don't double-dispatch the same replay.
-        self._recovering: Set[str] = set()
+        self._jobs: Dict[str, FleetJob] = {}
+        self._job_numbers = itertools.count(1)
         self._redeliveries = 0
+        self._lost = 0
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
+    @property
+    def port(self) -> int:
+        return self.server.port
+
     async def start(self) -> "Supervisor":
         """Spawn all workers, wait for readiness, bind the public port."""
-        try:
-            self.journal = JobJournal.at(self.cache_dir)
-        except (StoreError, OSError):
-            self.journal = None  # durability degraded, serving continues
-        self.workers = [
-            WorkerHandle(worker_id=f"w{index}")
-            for index in range(self.num_workers)
-        ]
-        await asyncio.gather(
-            *(self._spawn(handle) for handle in self.workers)
-        )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=wire.MAX_HEADER_BYTES,
-            reuse_address=True,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.started_at = time.monotonic()
-        self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
+        await self.server.start()
         return self
 
     async def stop(self) -> None:
-        """Graceful drain: close the public port, SIGTERM every worker.
-
-        A worker that crashed while the drain was already underway gets no
-        replacement and no redelivery (the fleet is going away) — its
-        unfinished journal entries are settled as ``service-unavailable``
-        instead, so no accepted job is left in a non-terminal state.
-        """
-        self.draining = True
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._heartbeat_task
-            self._heartbeat_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for handle in self.workers:
-            if handle.stream_task is not None:
-                handle.stream_task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await handle.stream_task
-                handle.stream_task = None
-        # Workers that died during the drain race: their in-memory jobs are
-        # unrecoverable now, so settle them before terminating the rest.
-        for handle in self.workers:
-            process = handle.process
-            if process is not None and process.returncode is not None:
-                await self._fail_lost(handle)
-        await asyncio.gather(
-            *(self._terminate(handle) for handle in self.workers)
-        )
-        # Whatever is still journalled as unfinished (jobs the live workers
-        # failed during their own drain, whose terminal events we no longer
-        # observed) is equally dead with the fleet — settle it truthfully.
-        await self._settle_remaining_journal()
-        if self._temp_cache is not None:
-            self._temp_cache.cleanup()
-            self._temp_cache = None
+        """Graceful drain: close the public port, then drain every worker."""
+        await self.server.stop()
 
     async def __aenter__(self) -> "Supervisor":
         return await self.start()
@@ -297,959 +203,405 @@ class Supervisor:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.stop()
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() the supervisor first"
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover
-            pass
+    # ------------------------------------------------------------------
+    # Backend lifecycle (driven by the server)
+    # ------------------------------------------------------------------
+    async def open(self) -> None:
+        with contextlib.suppress(StoreError, OSError):
+            self.journal = JobJournal.at(self.cache_dir)
+        await asyncio.gather(*(self._spawn(handle) for handle in self.workers))
+
+    async def close(self, drain: bool = True) -> None:
+        """Drain every worker; then settle whatever no worker settled."""
+        self.draining = True
+        for handle in self.workers:
+            self._drain(handle)
+        # A restart under way when the drain began adds one more reader.
+        while readers := [h.reader for h in self.workers
+                          if h.reader is not None and not h.reader.done()]:
+            _, late = await asyncio.wait(readers, timeout=DRAIN_TIMEOUT)
+            for handle in self.workers:
+                if late and handle.process is not None:
+                    with contextlib.suppress(ProcessLookupError):
+                        handle.process.kill()
+        for job_id, job in list(self._jobs.items()):
+            if not job.done.is_set() and job.snapshot is not None:
+                await self._settle_lost(
+                    job_id, job,
+                    "supervisor drained before the job reached a terminal state",
+                )
+        if self._temp_cache is not None:
+            self._temp_cache.cleanup()
+            self._temp_cache = None
+
+    def describe(self) -> Dict[str, Any]:
+        return {"workers": [handle.describe() for handle in self.workers]}
 
     # ------------------------------------------------------------------
-    # Worker process management
+    # Worker processes
     # ------------------------------------------------------------------
-    def _worker_command(self, handle: WorkerHandle) -> List[str]:
-        command = [
-            sys.executable, "-m", "repro.server.worker",
-            "--host", "127.0.0.1",
-            "--port", str(handle.port),
-            "--worker-id", handle.worker_id,
-            "--engine", self.engine,
-            "--service-workers", str(self.service_workers),
-            "--executor", self.executor,
-            "--cache-dir", self.cache_dir,
-        ]
-        for name in self.arch:
-            command += ["--arch", name]
-        if self.engine_options:
-            command += ["--engine-options", json.dumps(self.engine_options)]
-        if self.result_ttl is not None:
-            command += ["--result-ttl", str(self.result_ttl)]
-        return command
-
     async def _spawn(self, handle: WorkerHandle) -> None:
-        """Start (or restart) the process behind *handle* and await readiness."""
+        """Start the process behind *handle* and await its readiness line."""
         if faults.ARMED:
-            try:
-                faults.fire("worker.spawn")
-            except faults.FaultInjectedError as error:
-                # Surface as the same ServiceError a real spawn failure
-                # produces so _restart's retry path handles both alike.
-                raise ServiceError(
-                    f"worker {handle.worker_id} spawn failed: {error}"
-                ) from error
-        handle.port = _free_port()
-        handle.healthy = False
-        handle.missed_heartbeats = 0
-        environment = dict(os.environ)
+            faults.fire("worker.spawn")  # raises like a failed exec would
         import repro
 
-        src_dir = str(__import__("pathlib").Path(repro.__file__).parent.parent)
-        existing = environment.get("PYTHONPATH")
-        environment["PYTHONPATH"] = (
-            src_dir if not existing else src_dir + os.pathsep + existing
-        )
-        handle.process = await asyncio.create_subprocess_exec(
-            *self._worker_command(handle),
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.DEVNULL,
-            env=environment,
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(filter(None, (
+            str(Path(repro.__file__).parent.parent),
+            environment.get("PYTHONPATH"),
+        )))
+        config = dict(self.config, worker_id=handle.worker_id)
+        process = await asyncio.create_subprocess_exec(
+            sys.executable, "-m", "repro.server.worker", json.dumps(config),
+            stdin=asyncio.subprocess.PIPE, stdout=asyncio.subprocess.PIPE,
+            stderr=asyncio.subprocess.DEVNULL, env=environment,
+            limit=CHANNEL_LINE_LIMIT,
         )
         try:
-            line = await asyncio.wait_for(
-                handle.process.stdout.readline(), STARTUP_TIMEOUT
+            ready = await asyncio.wait_for(
+                process.stdout.readline(), STARTUP_TIMEOUT
             )
         except asyncio.TimeoutError:
-            handle.process.kill()
-            raise ServiceError(
-                f"worker {handle.worker_id} failed to become ready within "
-                f"{STARTUP_TIMEOUT:.0f}s"
-            ) from None
-        if not line:
-            raise ServiceError(
-                f"worker {handle.worker_id} exited before becoming ready "
-                f"(code {handle.process.returncode})"
-            )
-        ready = json.loads(line)
-        handle.port = ready["port"]
-        handle.healthy = True
-        if handle.stream_task is None:
-            handle.stream_task = asyncio.ensure_future(
-                self._stream_pump(handle)
-            )
-
-    async def _terminate(self, handle: WorkerHandle) -> None:
-        process = handle.process
-        if process is None or process.returncode is not None:
-            return
-        process.terminate()
-        try:
-            await asyncio.wait_for(process.wait(), DRAIN_TIMEOUT)
-        except asyncio.TimeoutError:  # pragma: no cover - unresponsive worker
-            process.kill()
+            ready = b""
+        if not ready:
+            with contextlib.suppress(ProcessLookupError):
+                process.kill()
             await process.wait()
-
-    async def _heartbeat_loop(self) -> None:
-        while True:
-            await asyncio.sleep(HEARTBEAT_INTERVAL)
-            for handle in self.workers:
-                await self._heartbeat(handle)
-
-    async def _heartbeat(self, handle: WorkerHandle) -> None:
-        process = handle.process
-        if process is not None and process.returncode is not None:
-            await self._restart(handle, reason="process exited")
-            return
-        try:
-            status, _headers, body = await wire.http_request(
-                "127.0.0.1", handle.port, "GET", "/v1/healthz",
-                timeout=HEARTBEAT_INTERVAL * 4,
+            raise ServiceError(
+                f"worker {handle.worker_id} did not become ready "
+                f"(exit code {process.returncode})"
             )
-            payload = json.loads(body)["payload"]
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                ValueError, KeyError):
-            handle.missed_heartbeats += 1
-            if handle.missed_heartbeats >= HEARTBEAT_MISS_LIMIT:
-                await self._restart(handle, reason="heartbeats missed")
-            return
-        handle.missed_heartbeats = 0
-        handle.healthy = status == 200 and payload.get("ok", False)
-        handle.queue_depth = int(payload.get("queue_depth", 0))
-        handle.in_flight = int(payload.get("in_flight", 0))
-
-    async def _restart(self, handle: WorkerHandle, *, reason: str) -> None:
-        handle.healthy = False
-        handle.restarts += 1
-        process = handle.process
-        if process is not None and process.returncode is None:
-            process.kill()
-            await process.wait()
-        if handle.stream_task is not None:
-            handle.stream_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await handle.stream_task
-            handle.stream_task = None
+        handle.process, handle.healthy = process, True
+        handle.reader = asyncio.ensure_future(self._read(handle, process))
         if self.draining:
-            # The fleet is going away; don't replace the worker, settle
-            # its unfinished jobs instead (see stop()).
-            await self._fail_lost(handle)
-            return
+            self._drain(handle)  # respawned just as the fleet began to drain
+
+    @staticmethod
+    def _drain(handle: WorkerHandle) -> None:
+        """Close the worker's stdin: it finishes its jobs, then exits."""
+        handle.healthy = False
+        if handle.process is not None:
+            handle.process.stdin.close()
+
+    async def _read(self, handle: WorkerHandle, process) -> None:
+        """Apply one worker incarnation's stdout lines until it is lost."""
+        # HEARTBEAT_MISS_LIMIT heartbeats in a row, each allowed four
+        # intervals to arrive, is the silence that marks a worker lost.
+        silence = HEARTBEAT_INTERVAL * 4 * HEARTBEAT_MISS_LIMIT
         try:
-            await self._spawn(handle)
-        except ServiceError:  # respawn failure (or injected spawn fault)
-            handle.healthy = False
-            return
-        # The dead process took its in-memory jobs with it; every journal
-        # entry it owned that never reached a terminal state is replayed
-        # onto a live worker under the original public id.
-        await self._redeliver(handle.worker_id)
+            while line := await asyncio.wait_for(
+                process.stdout.readline(), silence
+            ):
+                await self._receive(handle, json.loads(line))
+        except (asyncio.TimeoutError, ValueError, KeyError, OSError):
+            pass  # silence, or a line outside the protocol: the worker is lost
+        await self._lose(handle, process)
 
-    # ------------------------------------------------------------------
-    # Durable journal + redelivery
-    # ------------------------------------------------------------------
-    async def _journal_call(self, fn, *args) -> bool:
-        """Run one journal operation off-loop; False when it failed.
+    async def _receive(self, handle: WorkerHandle,
+                       message: Dict[str, Any]) -> None:
+        """Apply one line of a worker's stdout.
 
-        Journal failures degrade durability, never availability — the
-        submit/stream paths carry on and the error count is reported in
-        stats.
+        Lines arrive in the order the worker wrote them and each carries
+        the job's snapshot as of that write, so the latest line wins.  A
+        line about a job this worker no longer owns is ignored.
         """
-        if self.journal is None:
-            return False
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(None, fn, *args)
-            return True
-        except StoreError:
-            self._journal_errors += 1
-            return False
+        snapshot = message.get("snapshot")
+        job = self._jobs.get(snapshot["job_id"]) if snapshot else None
+        if job is not None and job.worker_id == handle.worker_id:
+            if "event" in message:
+                self.events.put_nowait(
+                    dict(message["event"], worker=handle.worker_id)
+                )
+            if not job.done.is_set():
+                job.snapshot = snapshot
+                if snapshot["status"] in (DONE, FAILED):
+                    await self._finish(snapshot["job_id"], job,
+                                       message["result"])
+        if "id" in message:
+            reply = handle.replies.get(message["id"])
+            if reply is not None and not reply.done():
+                reply.set_result(message)
+        elif message.get("op") == "load":
+            handle.queue_depth = message["queue_depth"]
+            handle.in_flight = message["in_flight"]
 
-    def _public_id(self, worker_id: str, local_id: str) -> str:
-        """The public id for a worker-local job id (alias-aware)."""
-        return self._redelivered_public.get(
-            (worker_id, local_id), f"{worker_id}-{local_id}"
+    async def _finish(self, job_id: str, job: FleetJob,
+                      result: Optional[Dict[str, Any]] = None) -> None:
+        job.result = result
+        job.done.set()
+        error = job.snapshot.get("error")
+        await self._journal(
+            "mark_terminal", job_id, error["code"] if error else None
         )
 
-    async def _redeliver(self, worker_id: str) -> None:
-        """Replay a dead worker's unfinished journal entries.
+    async def _settle_lost(self, job_id: str, job: FleetJob,
+                           reason: str) -> None:
+        self._lost += 1
+        error = ServiceUnavailable(reason, details={"job_id": job_id})
+        await self._settle_failed(job_id, job, error)
 
-        Each entry's original submit body is re-POSTed to a live worker
-        (possibly the restarted one) and the original public id is aliased
-        to the new worker-local id, so clients polling it never notice the
-        move beyond the job restarting.  At-least-once: a job whose
-        completion event was lost with the worker re-runs — the
-        fingerprint cache makes the repeat cheap.
-        """
-        if self.journal is None or self.draining:
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            entries = await loop.run_in_executor(
-                None, self.journal.unfinished, worker_id
+    async def _settle_failed(self, job_id: str, job: FleetJob,
+                             error: ServiceError, **provenance: Any) -> None:
+        """Fail a job no worker will report on, the way a worker would."""
+        snapshot = dict(job.snapshot, status=FAILED, error=error.to_dict())
+        snapshot["provenance"] = dict(snapshot["provenance"], **provenance)
+        job.snapshot = snapshot
+        self.events.put_nowait({
+            key: snapshot[key] for key in (
+                "job_id", "status", "fingerprint", "circuit_name", "arch",
+                "engine",
             )
-        except StoreError:
-            self._journal_errors += 1
-            return
-        for entry in entries:
-            public_id = entry["public_id"]
-            if public_id in self._lost:
-                continue
+        } | {"error_code": error.code, "worker": None})
+        await self._finish(job_id, job)
+
+    async def _lose(self, handle: WorkerHandle, process) -> None:
+        """One worker incarnation is gone: replace it, redeliver its jobs."""
+        handle.healthy = False
+        handle.process = None
+        if process.returncode is None and not self.draining:
+            process.kill()
+        try:
+            await asyncio.wait_for(process.wait(), DRAIN_TIMEOUT)
+        except asyncio.TimeoutError:
+            process.kill()
+            await process.wait()
+        for reply in handle.replies.values():
+            if not reply.done():
+                reply.set_exception(ConnectionResetError("worker exited"))
+        for job_id, job in list(self._jobs.items()):
+            if job.worker_id == handle.worker_id and not job.done.is_set():
+                job.worker_id = None
+                if self.draining and not job.dispatching:
+                    await self._settle_lost(
+                        job_id, job,
+                        f"worker {handle.worker_id} died during drain; "
+                        "job was not redelivered",
+                    )
+        while not self.draining:
+            handle.restarts += 1
             try:
-                handle, status, envelope = await self._dispatch_submit(
-                    entry["body"]
-                )
-            except ServiceError as error:
-                # No live target right now; the entry stays unfinished and
-                # the next restart cycle tries again.
-                if isinstance(error, ServiceUnavailable):
-                    return
+                await self._spawn(handle)
+            except (ServiceError, OSError):  # OSError: a failed exec
+                await asyncio.sleep(HEARTBEAT_INTERVAL)
                 continue
-            payload = envelope.get("payload", {})
-            new_local = payload.get("job_id")
-            if status != 202 or not isinstance(new_local, str):
-                continue
-            self._aliases[public_id] = (handle.worker_id, new_local)
-            self._redelivered_public[(handle.worker_id, new_local)] = public_id
-            self._redeliveries += 1
-            await self._journal_call(
-                self.journal.redelivered, public_id, handle.worker_id,
-                new_local,
-            )
-
-    async def _recover_lost_result(
-        self, public_id: str
-    ) -> Optional[Tuple[WorkerHandle, str]]:
-        """Lazily replay a *finished* job whose outcome died with its worker.
-
-        Redelivery only covers non-terminal journal entries; a job that
-        reached DONE just before its worker was killed is terminal in the
-        journal but unknown to the restarted process, so polls for its id
-        would 404 forever.  When a poll hits that hole, re-dispatch the
-        original submit body (the fingerprint cache makes the repeat cheap)
-        and alias the public id to the new run.  Terminal *failures* are
-        replayed from the journal directly as their structured error.
-
-        Returns the new ``(handle, local_id)`` home, or ``None`` when the
-        caller should let the original not-found answer stand.
-        """
-        if self.journal is None or self.draining:
-            return None
-        if public_id in self._recovering:
-            return None
-        loop = asyncio.get_running_loop()
-        try:
-            entry = await loop.run_in_executor(
-                None, self.journal.get, public_id
-            )
-        except StoreError:
-            self._journal_errors += 1
-            return None
-        if entry is None or entry["state"] != JOURNAL_TERMINAL:
-            # Unknown id, or a non-terminal entry the redelivery sweep
-            # already owns — don't race it with a second dispatch.
-            return None
-        if entry["error_code"] is not None:
-            error = ServiceError(
-                f"job {public_id!r} failed before its worker died; "
-                "replaying its terminal error from the durable journal"
-            )
-            error.code = entry["error_code"]
-            raise error
-        self._recovering.add(public_id)
-        try:
-            try:
-                handle, status, envelope = await self._dispatch_submit(
-                    entry["body"]
-                )
-            except ServiceError:
-                return None
-            payload = envelope.get("payload", {})
-            new_local = payload.get("job_id")
-            if status != 202 or not isinstance(new_local, str):
-                return None
-            self._aliases[public_id] = (handle.worker_id, new_local)
-            self._redelivered_public[(handle.worker_id, new_local)] = public_id
-            self._redeliveries += 1
-            await self._journal_call(
-                self.journal.redelivered, public_id, handle.worker_id,
-                new_local,
-            )
-            return handle, new_local
-        finally:
-            self._recovering.discard(public_id)
-
-    async def _fail_lost(self, handle: WorkerHandle) -> None:
-        """Settle a dead worker's unfinished jobs when nothing can run them."""
-        if self.journal is None:
+            await self._redeliver()
             return
-        loop = asyncio.get_running_loop()
-        try:
-            entries = await loop.run_in_executor(
-                None, self.journal.unfinished, handle.worker_id
-            )
-        except StoreError:
-            self._journal_errors += 1
-            return
-        for entry in entries:
-            public_id = entry["public_id"]
-            error = ServiceUnavailable(
-                f"worker {handle.worker_id} died during drain; "
-                "job was not redelivered",
-                details={"job_id": public_id, "worker": handle.worker_id},
-            )
-            self._lost[public_id] = error.to_dict()
-            await self._journal_call(
-                self.journal.mark_terminal, public_id, error.code
-            )
-
-    async def _settle_remaining_journal(self) -> None:
-        """Mark every still-unfinished entry terminal at the end of a drain."""
-        if self.journal is None:
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            entries = await loop.run_in_executor(None, self.journal.unfinished)
-        except StoreError:
-            self._journal_errors += 1
-            return
-        for entry in entries:
-            public_id = entry["public_id"]
-            error = ServiceUnavailable(
-                "supervisor drained before the job reached a terminal state",
-                details={"job_id": public_id},
-            )
-            self._lost.setdefault(public_id, error.to_dict())
-            await self._journal_call(
-                self.journal.mark_terminal, public_id, error.code
-            )
 
     # ------------------------------------------------------------------
-    # Routing
+    # Journal, routing and redelivery
     # ------------------------------------------------------------------
-    def _pick_worker(
-        self, exclude: Optional[set] = None
-    ) -> WorkerHandle:
+    async def _journal(self, operation: str, *args: Any) -> None:
+        """One journal write off-loop; a failure degrades durability only."""
+        if self.journal is None:
+            return
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                None, getattr(self.journal, operation), *args
+            )
+        except StoreError:
+            self._journal_errors += 1
+
+    def _pick_worker(self, exclude: Sequence[str] = ()) -> WorkerHandle:
         candidates = [
             handle for handle in self.workers
-            if handle.healthy
-            and (exclude is None or handle.worker_id not in exclude)
+            if handle.healthy and handle.worker_id not in exclude
         ]
         if not candidates:
             raise ServiceUnavailable(
                 "no healthy worker available; retry shortly",
                 details={"workers": len(self.workers)},
             )
-        chosen = min(
-            candidates, key=lambda handle: (handle.load, handle.last_assigned)
-        )
-        chosen.last_assigned = time.monotonic()
-        # Optimistic load bump so a burst of submissions between two
-        # heartbeats spreads instead of piling onto one worker.
-        chosen.queue_depth += 1
+        chosen = min(candidates, key=lambda h: (h.load, h.last_assigned))
+        chosen.last_assigned = asyncio.get_running_loop().time()
+        chosen.queue_depth += 1  # spread a burst between two heartbeats
         return chosen
 
-    def _worker_for_job(self, job_id: str) -> Tuple[WorkerHandle, str]:
-        alias = self._aliases.get(job_id)
-        if alias is not None:
-            alias_worker, alias_local = alias
-            for handle in self.workers:
-                if handle.worker_id == alias_worker:
-                    return handle, alias_local
-        worker_id, _, local_id = job_id.partition("-")
-        # A restarted worker reuses its worker id and restarts its local
-        # job counter, so a redelivered job may occupy this worker-local
-        # slot under a *different* public id.  Routing the request through
-        # would hand the caller someone else's job; report not-found
-        # instead — the caller's own alias appears once redelivery
-        # reaches its journal entry, and clients already ride out the
-        # transient 404 window after a crash.
-        occupant = self._redelivered_public.get((worker_id, local_id))
-        if occupant is not None and occupant != job_id:
-            raise _redelivery_pending(job_id)
-        for handle in self.workers:
-            if handle.worker_id == worker_id and local_id:
-                return handle, local_id
-        raise JobNotFoundError(
-            f"unknown job id {job_id!r} (expected '<worker>-job-<n>')"
-        )
+    async def _dispatch(self, job_id: str, job: FleetJob,
+                        body: Optional[bytes] = None,
+                        handle: Optional[WorkerHandle] = None) -> Dict[str, Any]:
+        """Hand *job* to a worker, trying the others when one does not answer.
 
-    def _prefix_job_ids(self, envelope: Dict[str, Any],
-                        worker_id: str) -> Dict[str, Any]:
-        payload = envelope.get("payload")
-        if isinstance(payload, dict) and isinstance(
-            payload.get("job_id"), str
-        ):
-            # Redelivered jobs keep the public id they were first accepted
-            # under, wherever they run now.
-            payload["job_id"] = self._public_id(worker_id, payload["job_id"])
-        return envelope
-
-    async def _proxy(
-        self,
-        handle: WorkerHandle,
-        method: str,
-        target: str,
-        body: Optional[bytes] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        try:
-            if faults.ARMED:
-                mode = faults.fire("worker.dispatch")
-                if mode == "drop":
-                    raise ConnectionResetError("injected dispatch drop")
-            status, _headers, raw = await wire.http_request(
-                "127.0.0.1", handle.port, method, target,
-                body=body, timeout=UPSTREAM_TIMEOUT,
-            )
-            return status, json.loads(raw)
-        except (wire.RetryableWireError, ConnectionError, OSError,
-                asyncio.TimeoutError, ValueError) as error:
-            raise _upstream_error(handle.worker_id, error) from error
-
-    async def _dispatch_submit(
-        self, body: bytes
-    ) -> Tuple[WorkerHandle, int, Dict[str, Any]]:
-        """POST one submit body to a worker, trying alternates on failure.
-
-        A worker that refuses or drops the connection (it may be mid-crash
-        between two heartbeats) is skipped and the submit retried on the
-        next least-loaded healthy worker, so one dying process does not
-        surface as a client-visible 502 when siblings could take the job.
+        A fresh submit (*body* given) is journalled before its worker sees
+        it; a redelivery bumps the journal's redelivery count instead.
+        Returns the accepting worker's snapshot.
         """
-        tried: set = set()
+        tried: List[str] = []
         last_error: Optional[ServiceError] = None
-        for _ in range(len(self.workers)):
-            try:
-                handle = self._pick_worker(exclude=tried)
-            except ServiceUnavailable as error:
-                if last_error is not None:
-                    raise last_error
-                raise error
-            try:
-                status, envelope = await self._proxy(
-                    handle, "POST", "/v1/jobs", body
-                )
-                return handle, status, envelope
-            except ServiceError as error:
-                if error.code != "upstream-failed":
-                    raise
-                tried.add(handle.worker_id)
-                last_error = error
-        raise last_error or ServiceUnavailable(
-            "no worker accepted the submission"
-        )
-
-    # ------------------------------------------------------------------
-    # Public HTTP surface
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+        job.dispatching = True
         try:
             while True:
+                if handle is None:
+                    try:
+                        handle = self._pick_worker(exclude=tried)
+                    except ServiceUnavailable as error:
+                        raise last_error or error from None
+                job.worker_id = handle.worker_id
+                if body is not None:
+                    await self._journal("record", job_id, body, handle.worker_id)
+                else:
+                    await self._journal("redelivered", job_id, handle.worker_id)
                 try:
-                    request = await wire.read_request(reader)
-                except wire.WireError as error:
-                    envelope = ErrorEnvelope(
-                        error_code="protocol-error",
-                        message=str(error),
-                        http_status=error.status,
+                    reply = await handle.call(
+                        "submit", job_id=job_id, submit=job.request
                     )
-                    writer.write(
-                        wire.json_response(
-                            error.status, envelope.to_wire(), keep_alive=False
-                        )
-                    )
-                    await writer.drain()
-                    return
-                if request is None:
-                    return
-                self._requests_served += 1
-                if request.path == "/v1/stream" and request.is_websocket_upgrade:
-                    await self._handle_stream(request, reader, writer)
-                    return
-                status, envelope = await self._dispatch(request)
-                keep_alive = request.keep_alive and not self.draining
-                writer.write(
-                    wire.json_response(status, envelope, keep_alive=keep_alive)
-                )
-                await writer.drain()
-                if not keep_alive:
-                    return
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(
-        self, request: wire.HTTPRequest
-    ) -> Tuple[int, Dict[str, Any]]:
-        try:
-            return await self._route(request)
-        except ServiceError as error:
-            envelope = ErrorEnvelope.from_error(error)
-            return envelope.http_status, envelope.to_wire()
-        except Exception as error:  # noqa: BLE001 - last-resort server error
-            envelope = ErrorEnvelope(
-                error_code="service-error",
-                message=f"internal supervisor error: {error}",
-                details={"error_type": type(error).__name__},
-            )
-            return envelope.http_status, envelope.to_wire()
-
-    async def _route(
-        self, request: wire.HTTPRequest
-    ) -> Tuple[int, Dict[str, Any]]:
-        path, method = request.path, request.method
-        if path == "/v1/jobs" and method == "POST":
-            return await self._submit(request)
-        if path.startswith("/v1/jobs/") and method in ("GET", "DELETE"):
-            tail = path[len("/v1/jobs/"):]
-            suffix = ""
-            if method == "GET" and tail.endswith("/result"):
-                tail, suffix = tail[: -len("/result")], "/result"
-            lost = self._lost.get(tail)
-            if lost is not None:
-                # The job died with its worker and nothing could take it
-                # over; answer with its structured terminal error instead
-                # of a misleading 404/502.
-                envelope = ErrorEnvelope(
-                    error_code=lost.get("code", "service-unavailable"),
-                    message=lost.get("message", "job lost with its worker"),
-                    details=dict(lost.get("details", {})),
-                    http_status=503,
-                )
-                return 503, envelope.to_wire()
-            try:
-                handle, local_id = self._worker_for_job(tail)
-            except JobNotFoundError:
-                if method != "GET":
-                    raise
-                recovered = await self._recover_lost_result(tail)
-                if recovered is None:
-                    raise
-                handle, local_id = recovered
-
-            def _target(local: str) -> str:
-                target = f"/v1/jobs/{local}{suffix}"
-                if request.query:
-                    pairs = "&".join(
-                        f"{key}={value}"
-                        for key, value in request.query.items()
-                    )
-                    target = f"{target}?{pairs}"
-                return target
-
-            status, envelope = await self._proxy(
-                handle, method, _target(local_id),
-                request.body if method == "DELETE" else None,
-            )
-            if status == 404 and method == "GET":
-                # The worker doesn't know the job — usually a restarted
-                # process asked about a job that finished on its previous
-                # incarnation.  Replay from the journal and re-ask once.
-                recovered = await self._recover_lost_result(tail)
-                if recovered is not None:
-                    handle, local_id = recovered
-                    status, envelope = await self._proxy(
-                        handle, "GET", _target(local_id), None
-                    )
-            envelope = self._prefix_job_ids(envelope, handle.worker_id)
-            payload = envelope.get("payload")
-            if (
-                method == "GET"
-                and isinstance(payload, dict)
-                and isinstance(payload.get("job_id"), str)
-                and payload["job_id"] != tail
-            ):
-                # Redelivery moved another public id into this worker-local
-                # slot while the poll was in flight: the answer belongs to
-                # that job, not to the one asked about.  (A DELETE that hit
-                # the occupant has already cancelled it; a retryable 404
-                # would hide that, so its answer passes through.)
-                raise _redelivery_pending(tail)
-            return status, envelope
-        if path == "/v1/stats" and method == "GET":
-            return await self._stats()
-        if path == "/v1/healthz" and method == "GET":
-            return self._healthz()
-        if path == "/v1/cache/prune" and method == "POST":
-            return await self._prune(request)
-        if path == "/v1/stream":
-            raise ProtocolError(
-                "/v1/stream requires a WebSocket upgrade "
-                "(Connection: Upgrade, Upgrade: websocket)"
-            )
-        known = ("/v1/jobs", "/v1/stats", "/v1/healthz", "/v1/cache/prune")
-        if path in known or path.startswith("/v1/jobs/"):
-            error = ServiceError(f"method {method} not allowed on {path}")
-            error.code = "method-not-allowed"
-            raise error
-        not_found = ServiceError(f"no such endpoint: {method} {path}")
-        not_found.code = "not-found"
-        raise not_found
-
-    async def _submit(
-        self, request: wire.HTTPRequest
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Accept one submission: journal first, then dispatch.
-
-        The body is journalled under a provisional id *before* any worker
-        sees it, then re-keyed to the public id the dispatch produced —
-        so from the moment a client could ever learn a job id, the submit
-        is durable and redeliverable.
-        """
-        provisional: Optional[str] = None
-        if self.journal is not None:
-            self._submit_seq += 1
-            provisional = f"pending-{os.getpid()}-{self._submit_seq:06d}"
-            await self._journal_call(
-                self.journal.record, provisional, request.body
-            )
-        try:
-            handle, status, envelope = await self._dispatch_submit(
-                request.body
-            )
-        except ServiceError as error:
-            if provisional is not None:
-                await self._journal_call(
-                    self.journal.mark_terminal, provisional, error.code
-                )
+                    return reply["snapshot"]
+                except ServiceError as error:
+                    if error.code != "upstream-failed":
+                        raise
+                    tried.append(handle.worker_id)
+                    last_error, handle = error, None
+        except ServiceError:
+            job.worker_id = None
             raise
-        payload = envelope.get("payload", {})
-        local_id = payload.get("job_id")
-        if status == 202 and isinstance(local_id, str) and self.journal is not None:
-            public_id = f"{handle.worker_id}-{local_id}"
-            await self._journal_call(
-                self.journal.record, public_id, request.body
-            )
-            await self._journal_call(
-                self.journal.assign, public_id, handle.worker_id, local_id
-            )
-        if provisional is not None:
-            await self._journal_call(self.journal.discard, provisional)
-        return status, self._prefix_job_ids(envelope, handle.worker_id)
+        finally:
+            job.dispatching = False
 
-    async def _stats(self) -> Tuple[int, Dict[str, Any]]:
-        per_worker: Dict[str, Any] = {}
+    async def _redeliver(self) -> None:
+        """Hand every orphaned job to a live worker under its original id.
 
-        async def fetch(handle: WorkerHandle) -> None:
+        At-least-once: a job whose completion died with its worker re-runs
+        (the fingerprint cache makes the repeat cheap).  Jobs that find no
+        live worker wait for the next successful spawn.
+        """
+        for job_id, job in list(self._jobs.items()):
+            if job.worker_id or job.dispatching or job.done.is_set():
+                continue
             try:
-                _status, envelope = await self._proxy(
-                    handle, "GET", "/v1/stats"
-                )
-                per_worker[handle.worker_id] = envelope.get(
-                    "payload", {}
-                ).get("stats", {})
+                await self._dispatch(job_id, job)
             except ServiceError as error:
-                per_worker[handle.worker_id] = {"error": error.to_dict()}
+                if error.code in ("upstream-failed", "service-unavailable"):
+                    return
+                await self._settle_failed(job_id, job, error)
+                continue
+            self._redeliveries += 1
 
-        await asyncio.gather(*(fetch(handle) for handle in self.workers))
+    # ------------------------------------------------------------------
+    # Job backend (called by the server)
+    # ------------------------------------------------------------------
+    def _job(self, job_id: str) -> FleetJob:
+        job = self._jobs.get(job_id)
+        if job is None or job.snapshot is None:
+            raise JobNotFoundError(
+                f"unknown job {job_id!r}", details={"job_id": job_id}
+            )
+        return job
+
+    async def submit(self, message: SubmitRequest,
+                     body: bytes = b"") -> Dict[str, Any]:
+        handle = self._pick_worker()
+        job_id = f"{handle.worker_id}-job-{next(self._job_numbers):06d}"
+        job = self._jobs[job_id] = FleetJob(request=message.to_wire())
+        try:
+            return await self._dispatch(job_id, job, body, handle)
+        except ServiceError as error:
+            del self._jobs[job_id]
+            await self._journal("mark_terminal", job_id, error.code)
+            raise
+
+    def status(self, job_id: str) -> Dict[str, Any]:
+        return self._job(job_id).snapshot
+
+    async def cancel(self, job_id: str,
+                     reason: Optional[str] = None) -> Dict[str, Any]:
+        """Cancel on the owning worker.  A job awaiting redelivery, or whose
+        worker cannot be reached, is cancelled here and never runs again."""
+        job = self._job(job_id)
+        owner = next(
+            (h for h in self.workers if h.worker_id == job.worker_id), None
+        )
+        if owner is not None and not job.done.is_set():
+            try:
+                await owner.call("cancel", job_id=job_id, reason=reason)
+            except ServiceError as error:
+                if error.code not in ("upstream-failed", "job-not-found"):
+                    raise
+        if not job.done.is_set():
+            job.worker_id = None
+            await self._settle_failed(
+                job_id, job,
+                JobCancelledError(
+                    reason or "job cancelled by client request",
+                    details={"job_id": job_id},
+                ),
+                cancelled=True,
+            )
+        return job.snapshot
+
+    async def result(self, job_id: str, wait: Optional[float] = None):
+        job = self._job(job_id)
+        if wait is not None:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(job.done.wait(), wait)
+        return job.snapshot, job.result
+
+    async def _ask(self, handle: WorkerHandle, op: str, key: str,
+                   **fields: Any) -> Dict[str, Any]:
+        """One worker's *key* answer to *op*, or its error as a dict."""
+        try:
+            return (await handle.call(op, **fields))[key]
+        except ServiceError as error:
+            return {"error": error.to_dict()}
+
+    async def stats(self, server: Dict[str, Any]):
+        """The fleet aggregate, and every worker's own stats as of now."""
+        reports = await asyncio.gather(
+            *(self._ask(handle, "stats", "stats") for handle in self.workers)
+        )
+        processes = {h.worker_id: h.describe() for h in self.workers}
         aggregate = {
             "workers": len(self.workers),
-            "healthy_workers": sum(
-                1 for handle in self.workers if handle.healthy
-            ),
-            "restarts": sum(handle.restarts for handle in self.workers),
-            "queue_depth": sum(handle.queue_depth for handle in self.workers),
-            "in_flight": sum(handle.in_flight for handle in self.workers),
-            "requests_served": self._requests_served,
+            "healthy_workers": sum(h.healthy for h in self.workers),
+            "restarts": sum(h.restarts for h in self.workers),
+            "queue_depth": sum(h.queue_depth for h in self.workers),
+            "in_flight": sum(h.in_flight for h in self.workers),
+            "requests_served": server["requests_served"],
             "redeliveries": self._redeliveries,
             "journal_enabled": self.journal is not None,
             "journal_errors": self._journal_errors,
-            "lost_jobs": len(self._lost),
-            "uptime_seconds": (
-                time.monotonic() - self.started_at
-                if self.started_at is not None
-                else 0.0
-            ),
+            "lost_jobs": self._lost,
+            "uptime_seconds": server["uptime_seconds"],
             "cache_dir": self.cache_dir,
-            "worker_processes": {
-                handle.worker_id: handle.describe()
-                for handle in self.workers
-            },
+            "worker_processes": processes,
         }
-        report = StatsReport(
-            role="supervisor", stats=aggregate, workers=per_worker
-        )
-        return 200, report.to_wire()
+        return aggregate, dict(zip(processes, reports))
 
-    def _healthz(self) -> Tuple[int, Dict[str, Any]]:
-        report = HealthReport(
-            ok=any(handle.healthy for handle in self.workers)
-            and not self.draining,
-            role="supervisor",
-            pid=os.getpid(),
-            queue_depth=sum(handle.queue_depth for handle in self.workers),
-            in_flight=sum(handle.in_flight for handle in self.workers),
-            draining=self.draining,
-            workers={
-                handle.worker_id: handle.describe()
-                for handle in self.workers
-            },
-        )
-        return 200, report.to_wire()
+    def health(self) -> Dict[str, Any]:
+        return {
+            "ok": any(h.healthy for h in self.workers),
+            "queue_depth": sum(h.queue_depth for h in self.workers),
+            "in_flight": sum(h.in_flight for h in self.workers),
+            "workers": {h.worker_id: h.describe() for h in self.workers},
+        }
 
-    async def _prune(
-        self, request: wire.HTTPRequest
-    ) -> Tuple[int, Dict[str, Any]]:
-        body = request.json()
-        if body:
-            message = from_wire(body)
-            if not isinstance(message, PruneRequest):
-                raise ProtocolError(
-                    "POST /v1/cache/prune expects a prune-request, got "
-                    f"{message.TYPE}"
-                )
-        else:
-            message = PruneRequest()
+    async def prune(self, message: PruneRequest) -> Dict[str, Any]:
+        """Prune the shared rows through one worker, flush every LRU."""
         healthy = [handle for handle in self.workers if handle.healthy]
         if not healthy:
             raise ServiceUnavailable("no healthy worker to prune through")
-        per_worker: Dict[str, Any] = {}
-        rows_pruned = bytes_reclaimed = memory_dropped = 0
-        artifact_rows_pruned = artifact_bytes_reclaimed = 0
-        # The first worker prunes the shared SQLite rows; every worker —
-        # including that one — then flushes its in-memory LRU so no stale
-        # fingerprint survives anywhere.  This is the cross-worker cache
-        # invalidation broadcast.
-        for index, handle in enumerate(healthy):
-            forward = PruneRequest(
-                ttl_seconds=message.ttl_seconds if index == 0 else None,
-                flush_memory=message.flush_memory,
+        per_worker = {
+            handle.worker_id: await self._ask(
+                handle, "flush", "report", prune=PruneRequest(
+                    ttl_seconds=message.ttl_seconds if index == 0 else None,
+                    flush_memory=message.flush_memory,
+                ).to_wire(),
             )
-            try:
-                _status, envelope = await self._proxy(
-                    handle, "POST", "/v1/cache/prune",
-                    json.dumps(forward.to_wire()).encode(),
-                )
-                payload = envelope.get("payload", {})
-            except ServiceError as error:
-                per_worker[handle.worker_id] = {"error": error.to_dict()}
-                continue
-            per_worker[handle.worker_id] = payload
-            rows_pruned += int(payload.get("rows_pruned", 0))
-            bytes_reclaimed += int(payload.get("bytes_reclaimed", 0))
-            memory_dropped += int(payload.get("memory_dropped", 0))
-            artifact_rows_pruned += int(
-                payload.get("artifact_rows_pruned", 0)
-            )
-            artifact_bytes_reclaimed += int(
-                payload.get("artifact_bytes_reclaimed", 0)
-            )
-        report = PruneReport(
-            rows_pruned=rows_pruned,
-            bytes_reclaimed=bytes_reclaimed,
-            memory_dropped=memory_dropped,
-            artifact_rows_pruned=artifact_rows_pruned,
-            artifact_bytes_reclaimed=artifact_bytes_reclaimed,
-            ttl_seconds=message.ttl_seconds,
-            cache_dir=self.cache_dir,
-            per_worker=per_worker,
-        )
-        return 200, report.to_wire()
-
-    # ------------------------------------------------------------------
-    # Stream fan-in
-    # ------------------------------------------------------------------
-    async def _stream_pump(self, handle: WorkerHandle) -> None:
-        """Mirror one worker's event stream into the public subscribers.
-
-        Reconnects with a short back-off whenever the worker connection
-        drops (e.g. across a restart); job ids are rewritten to their
-        namespaced ``<worker>-<id>`` form on the way through.
-        """
-        while True:
-            try:
-                ws = await wire.open_websocket(
-                    "127.0.0.1", handle.port, "/v1/stream"
-                )
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    wire.WireError):
-                await asyncio.sleep(HEARTBEAT_INTERVAL)
-                continue
-            try:
-                while True:
-                    message = await ws.receive()
-                    if message is None:
-                        break
-                    try:
-                        envelope = json.loads(message)
-                    except ValueError:
-                        continue
-                    envelope = self._prefix_job_ids(
-                        envelope, handle.worker_id
-                    )
-                    self._broadcast(envelope)
-                    await self._note_terminal(envelope)
-            finally:
-                await ws.close()
-            await asyncio.sleep(HEARTBEAT_INTERVAL)
-
-    async def _note_terminal(self, envelope: Dict[str, Any]) -> None:
-        """Settle the journal entry behind a done/failed stream event."""
-        payload = envelope.get("payload")
-        if not isinstance(payload, dict):
-            return
-        if payload.get("status") not in ("done", "failed"):
-            return
-        job_id = payload.get("job_id")
-        if not isinstance(job_id, str) or self.journal is None:
-            return
-        await self._journal_call(
-            self.journal.mark_terminal, job_id, payload.get("error_code")
-        )
-
-    def _broadcast(self, envelope: Dict[str, Any]) -> None:
-        self._stream_seq += 1
-        envelope = dict(envelope)
-        envelope["seq"] = self._stream_seq
-        self._stream_replay.append(envelope)
-        for queue in list(self._subscribers):
-            self._enqueue(queue, envelope)
-
-    @staticmethod
-    def _enqueue(queue: asyncio.Queue, envelope: Dict[str, Any]) -> None:
-        """Drop-oldest enqueue shared by live fan-out and replay."""
-        try:
-            queue.put_nowait(envelope)
-        except asyncio.QueueFull:
-            try:
-                queue.get_nowait()
-            except asyncio.QueueEmpty:  # pragma: no cover - race
-                pass
-            try:
-                queue.put_nowait(envelope)
-            except asyncio.QueueFull:  # pragma: no cover - race
-                pass
-
-    async def _handle_stream(
-        self,
-        request: wire.HTTPRequest,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        key = request.headers.get("sec-websocket-key")
-        if not key:
-            writer.write(
-                wire.json_response(
-                    400,
-                    ErrorEnvelope(
-                        error_code="protocol-error",
-                        message="missing Sec-WebSocket-Key",
-                        http_status=400,
-                    ).to_wire(),
-                    keep_alive=False,
-                )
-            )
-            await writer.drain()
-            return
-        cursor: Optional[int] = None
-        if "since" in request.query:
-            try:
-                cursor = int(request.query["since"])
-            except ValueError:
-                writer.write(
-                    wire.json_response(
-                        400,
-                        ErrorEnvelope(
-                            error_code="protocol-error",
-                            message="since must be an integer sequence number",
-                            http_status=400,
-                        ).to_wire(),
-                        keep_alive=False,
-                    )
-                )
-                await writer.drain()
-                return
-        writer.write(
-            wire.serialize_response(
-                101,
-                extra_headers={
-                    "Upgrade": "websocket",
-                    "Connection": "Upgrade",
-                    "Sec-WebSocket-Accept": wire.websocket_accept(key),
-                },
-            )
-        )
-        await writer.drain()
-        ws = wire.WebSocketConnection(reader, writer, client=False)
-        queue: asyncio.Queue = asyncio.Queue(maxsize=SUBSCRIBER_QUEUE_SIZE)
-        self._subscribers.add(queue)
-        if cursor is not None:
-            # Replay the retained tail before any live event: registration
-            # and replay happen without an await in between, so no broadcast
-            # can interleave and ordering by seq is preserved.
-            for envelope in list(self._stream_replay):
-                if envelope["seq"] > cursor:
-                    self._enqueue(queue, envelope)
-        receive_task = asyncio.ensure_future(ws.receive())
-        event_task = asyncio.ensure_future(queue.get())
-        try:
-            while True:
-                done, _ = await asyncio.wait(
-                    {receive_task, event_task},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if receive_task in done:
-                    if receive_task.result() is None:
-                        break
-                    receive_task = asyncio.ensure_future(ws.receive())
-                if event_task in done:
-                    await ws.send_text(json.dumps(event_task.result()))
-                    event_task = asyncio.ensure_future(queue.get())
-        except (wire.WireError, ConnectionError, OSError):
-            pass
-        finally:
-            self._subscribers.discard(queue)
-            for task in (receive_task, event_task):
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError, Exception):
-                    await task
-            await ws.close()
-
-
-async def run_supervisor(
-    *, install_signal_handlers: bool = True, **kwargs: Any
-) -> int:
-    """Run a supervisor until SIGTERM/SIGINT, then drain.  CLI helper."""
-    supervisor = Supervisor(**kwargs)
-    await supervisor.start()
-    print(
-        json.dumps(
-            {
-                "event": "listening",
-                "role": "supervisor",
-                "host": supervisor.host,
-                "port": supervisor.port,
-                "workers": [
-                    handle.describe() for handle in supervisor.workers
-                ],
-            }
-        ),
-        flush=True,
-    )
-    stop_requested = asyncio.Event()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                signal.signal(signum, lambda *_: stop_requested.set())
-    await stop_requested.wait()
-    await supervisor.stop()
-    return 0
+            for index, handle in enumerate(healthy)
+        }
+        totals = {
+            key: sum(report.get(key, 0) for report in per_worker.values())
+            for key in PRUNE_COUNTERS
+        }
+        return dict(totals, ttl_seconds=message.ttl_seconds,
+                    cache_dir=self.cache_dir, per_worker=per_worker)
 
 
 __all__ = [
+    "CHANNEL_LINE_LIMIT",
     "DRAIN_TIMEOUT",
     "HEARTBEAT_INTERVAL",
     "HEARTBEAT_MISS_LIMIT",
     "STARTUP_TIMEOUT",
     "Supervisor",
     "WorkerHandle",
-    "run_supervisor",
 ]

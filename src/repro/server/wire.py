@@ -11,9 +11,9 @@ the wire:
   protocol layer's payloads are small JSON documents, and a client sending
   chunked bodies gets a clean 411.
 * **Client side** — :func:`http_request` runs one request against a host
-  and returns status, headers and body.  The supervisor proxies worker
-  traffic through it; :func:`open_websocket` is the client half of the
-  stream fan-in.
+  and returns status, headers and body; :func:`open_websocket` opens a
+  stream subscription.  The CLI's ``--url`` commands, the benchmarks and
+  the tests talk to a server through them.
 * **WebSocket** — :func:`websocket_accept` computes the handshake key;
   :class:`WebSocketConnection` frames/deframes text messages, answers pings
   transparently, unmasks client frames (and masks its own when acting as a
@@ -310,8 +310,8 @@ async def http_request(
 ) -> Tuple[int, Dict[str, str], bytes]:
     """Run one HTTP/1.1 request; returns ``(status, headers, body)``.
 
-    One connection per request (``Connection: close``) — the proxy hop is
-    local, so connection reuse buys little and error handling stays simple.
+    One connection per request (``Connection: close``) — error handling
+    stays simple, and the callers are tools, not hot paths.
 
     Transport failures (refused/reset connections, truncated streams) are
     raised as :class:`RetryableWireError` so callers see a structured,

@@ -1,162 +1,160 @@
-"""Worker process entry point: one :class:`JobServer` per process.
+"""Worker process: one :class:`MappingService` driven over its stdio pipes.
 
-The supervisor spawns ``python -m repro.server.worker --port N ...`` once
-per worker.  Each worker owns a full :class:`MappingService` over its own
-connection to the shared SQLite result store, binds a private loopback
-port, and prints a single JSON readiness line on stdout once listening::
+The supervisor spawns ``python -m repro.server.worker CONFIG`` per worker;
+``CONFIG`` is a JSON object of :meth:`ServiceBackend.build` options.  A
+worker binds no socket.  Its stdin carries JSON-line requests, each with an
+``id`` (``submit`` under the public id the supervisor minted, ``cancel``,
+``stats``, ``flush``).  Its stdout carries the readiness line, one reply
+per request, every job transition with the job's snapshot (and result,
+once done), and a load heartbeat every
+:data:`~repro.server.supervisor.HEARTBEAT_INTERVAL` seconds.
 
-    {"event": "listening", "worker_id": "w0", "port": 41234, "pid": 12345}
-
-Shutdown is graceful: SIGTERM (or SIGINT) closes the listening socket,
-finishes in-flight jobs, fails still-queued jobs with a structured
-``service-unavailable`` error and exits 0.  The module is also usable
-stand-alone as a single-process server (that is exactly what
-``repro-map listen --workers 0`` runs in-process).
+The channel moves off fd 1 before the service starts and fd 1 then points
+at stderr, so a stray ``print`` here or in a ``--executor process`` child
+cannot corrupt it.  stdin EOF (the supervisor closed it, or died) or
+SIGTERM drains: in-flight jobs finish, queued ones fail with
+``service-unavailable``, those transitions are reported, and the process
+exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import json
 import os
-import signal
 import sys
-from typing import Any, Dict, Optional, Sequence
+import time
+from typing import Any, Dict, Optional, Sequence, Set
 
-from repro.arch import get_architecture
-from repro.server.app import JobServer
-from repro.service.service import MappingService
-from repro.service.store import ResultStore
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.server.worker",
-        description="Run one mapping-service worker: an HTTP/WebSocket "
-        "server over a MappingService (normally spawned by the supervisor).",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="port to bind (0 picks a free one; the readiness line on "
-        "stdout reports the resolved port)",
-    )
-    parser.add_argument("--worker-id", default="w0")
-    parser.add_argument(
-        "--arch", action="append", default=None,
-        help="architecture name; repeat to register several devices "
-        "(default: ibm_qx4)",
-    )
-    parser.add_argument("--engine", default="dp")
-    parser.add_argument(
-        "--engine-options", default=None, metavar="JSON",
-        help="engine constructor options as a JSON object",
-    )
-    parser.add_argument(
-        "--service-workers", type=int, default=2,
-        help="solver worker-pool size inside the mapping service",
-    )
-    parser.add_argument("--executor", default="thread",
-                        choices=["thread", "process"])
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="persistent cache directory holding the shared result store "
-        "(defaults to $REPRO_CACHE_DIR; omit both for an in-memory store)",
-    )
-    parser.add_argument("--result-ttl", type=float, default=None)
-    return parser
+from repro.server.app import ServiceBackend, on_signals
+from repro.server.protocol import ProtocolError, from_wire
+from repro.server.supervisor import CHANNEL_LINE_LIMIT, HEARTBEAT_INTERVAL
+from repro.service.errors import ServiceError
 
 
-def build_server(
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    worker_id: str = "w0",
-    arch: Optional[Sequence[str]] = None,
-    engine: str = "dp",
-    engine_options: Optional[Dict[str, Any]] = None,
-    service_workers: int = 2,
-    executor: str = "thread",
-    cache_dir: Optional[str] = None,
-    result_ttl: Optional[float] = None,
-) -> JobServer:
-    """Assemble (but do not start) a worker's :class:`JobServer`.
+class WorkerChannel:
+    """Serve one :class:`ServiceBackend` over stdin/stdout JSON lines."""
 
-    Shared between the subprocess entry point below and the in-process
-    single-worker mode of ``repro-map listen --workers 0``.
-    """
-    from repro.arch.cache import get_cache_dir, set_cache_dir
+    def __init__(self, backend: ServiceBackend, channel):
+        self.backend = backend
+        self.channel = channel
+        self.started_at = time.monotonic()
+        self.requests_served = 0
+        self.draining = False
+        self._handlers: Set[asyncio.Task] = set()
 
-    if cache_dir is not None:
-        set_cache_dir(cache_dir)
-    cache_dir = get_cache_dir()
-    couplings = {}
-    for name in arch or ["ibm_qx4"]:
-        coupling = get_architecture(name)
-        couplings[coupling.name] = coupling
-    store = (
-        ResultStore.at(cache_dir, ttl_seconds=result_ttl)
-        if cache_dir is not None
-        else ResultStore(ttl_seconds=result_ttl)
-    )
-    service = MappingService(
-        couplings,
-        engine=engine,
-        engine_options=engine_options,
-        store=store,
-        workers=service_workers,
-        executor=executor,
-    )
-    return JobServer(
-        service, host=host, port=port, worker_id=worker_id, cache_dir=cache_dir
-    )
-
-
-async def _amain(args: argparse.Namespace) -> int:
-    engine_options = (
-        json.loads(args.engine_options) if args.engine_options else None
-    )
-    server = build_server(
-        host=args.host,
-        port=args.port,
-        worker_id=args.worker_id,
-        arch=args.arch,
-        engine=args.engine,
-        engine_options=engine_options,
-        service_workers=args.service_workers,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-        result_ttl=args.result_ttl,
-    )
-    await server.start()
-    print(
-        json.dumps(
-            {
-                "event": "listening",
-                "worker_id": server.worker_id,
-                "port": server.port,
-                "pid": os.getpid(),
-            }
-        ),
-        flush=True,
-    )
-
-    stop_requested = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    def send(self, message: Dict[str, Any]) -> None:
+        if self.channel is None:
+            return
         try:
-            loop.add_signal_handler(signum, stop_requested.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            signal.signal(signum, lambda *_: stop_requested.set())
-    await stop_requested.wait()
-    await server.stop(drain=True)
+            self.channel.write(json.dumps(message) + "\n")
+            self.channel.flush()
+        except (OSError, ValueError):
+            self.channel = None  # the supervisor is gone; drain regardless
+
+    async def run(self) -> None:
+        reader = asyncio.StreamReader(limit=CHANNEL_LINE_LIMIT)
+        await asyncio.get_running_loop().connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
+        )
+        stop = asyncio.Event()
+        on_signals(stop.set)
+        self.send({"op": "ready", "worker_id": self.backend.worker_id,
+                   "pid": os.getpid()})
+        reading = asyncio.ensure_future(self._read(reader, stop))
+        # Heartbeats continue through the drain: a long last job is busy,
+        # not hung.
+        background = [
+            asyncio.ensure_future(self._heartbeat()),
+            asyncio.ensure_future(self._relay_events()),
+        ]
+        await stop.wait()
+        self.draining = True
+        reading.cancel()
+        await asyncio.gather(reading, *self._handlers, return_exceptions=True)
+        await self.backend.close(drain=True)
+        for task in background:
+            task.cancel()
+        await asyncio.gather(*background, return_exceptions=True)
+        while not self.backend.events.empty():
+            await self._relay(self.backend.events.get_nowait())
+        if self.channel is not None:
+            self.channel.close()
+
+    async def _read(self, reader: asyncio.StreamReader,
+                    stop: asyncio.Event) -> None:
+        try:
+            while line := await reader.readline():
+                handler = asyncio.ensure_future(self._answer(json.loads(line)))
+                self._handlers.add(handler)
+                handler.add_done_callback(self._handlers.discard)
+        finally:
+            stop.set()
+
+    async def _answer(self, request: Dict[str, Any]) -> None:
+        self.requests_served += 1
+        try:
+            reply = {"ok": True, **await self._perform(request)}
+        except Exception as error:  # noqa: BLE001 - reported, not fatal
+            if not isinstance(error, ServiceError):
+                error = ServiceError(f"internal worker error: {error}",
+                                     {"error_type": type(error).__name__})
+            reply = {"ok": False, "error": error.to_dict()}
+        self.send({"id": request.get("id"), **reply})
+
+    async def _perform(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        op, backend = request.get("op"), self.backend
+        if op == "submit":
+            message = from_wire(request["submit"])
+            await backend.submit(message, job_id=request["job_id"])
+            return await self._report(request["job_id"])
+        if op == "cancel":
+            await backend.cancel(request["job_id"], request.get("reason"))
+            return await self._report(request["job_id"])
+        if op == "stats":
+            stats, _ = await backend.stats({
+                "port": None,
+                "requests_served": self.requests_served,
+                "uptime_seconds": time.monotonic() - self.started_at,
+                "draining": self.draining,
+            })
+            return {"stats": stats}
+        if op == "flush":
+            return {"report": await backend.prune(from_wire(request["prune"]))}
+        raise ProtocolError(f"unknown channel request {op!r}")
+
+    async def _heartbeat(self) -> None:
+        while True:
+            self.send({"op": "load", **self.backend.service.load()})
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
+
+    async def _relay_events(self) -> None:
+        while True:
+            await self._relay(await self.backend.events.get())
+
+    async def _relay(self, event: Dict[str, Any]) -> None:
+        self.send({"op": "job", "event": event,
+                   **await self._report(event["job_id"])})
+
+    async def _report(self, job_id: str) -> Dict[str, Any]:
+        """The job's snapshot as of this line, with its result once done
+        (so lines never show a job moving backwards)."""
+        snapshot, result = await self.backend.result(job_id)
+        return {"snapshot": snapshot, "result": result}
+
+
+async def _amain(config: Dict[str, Any]) -> int:
+    channel = os.fdopen(os.dup(1), "w", encoding="utf-8")
+    os.dup2(2, 1)  # stray prints now reach stderr, not the channel
+    backend = ServiceBackend.build(**config)
+    await backend.open()
+    await WorkerChannel(backend, channel).run()
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return asyncio.run(_amain(args))
+    arguments = sys.argv[1:] if argv is None else list(argv)
+    return asyncio.run(_amain(json.loads(arguments[0]) if arguments else {}))
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry point

@@ -86,10 +86,6 @@ FAILED = "failed"
 #: How many recent job completions the rolling latency window keeps.
 LATENCY_WINDOW = 512
 
-#: Per-subscriber event queue capacity; a stalled subscriber loses the
-#: *oldest* events rather than blocking the service.
-SUBSCRIBER_QUEUE_SIZE = 1024
-
 
 @dataclass
 class Job:
@@ -392,12 +388,15 @@ class MappingService:
         arch: Optional[str] = None,
         engine: Optional[str] = None,
         options: Optional[Dict[str, Any]] = None,
+        job_id: Optional[str] = None,
     ) -> str:
         """Submit one circuit; returns its job id immediately.
 
         The job completes without any mapper running when the result store
         already holds its fingerprint, or when an identical job is already
-        in flight (the two complete together from one solve).
+        in flight (the two complete together from one solve).  *job_id*
+        names the job instead of the service's own counter (a fleet
+        supervisor passes the public id it minted).
         """
         if self._stopping:
             raise ServiceUnavailable(
@@ -423,7 +422,7 @@ class MappingService:
         arch_name, coupling = self.route(circuit, arch)
         fingerprint = job_fingerprint(circuit, coupling, job_engine, job_options)
         job = Job(
-            job_id=f"job-{next(self._ids):06d}",
+            job_id=job_id or f"job-{next(self._ids):06d}",
             fingerprint=fingerprint,
             circuit=circuit,
             arch_name=arch_name,
@@ -577,8 +576,7 @@ class MappingService:
         """
         stats: Dict[str, Any] = dict(self._counters)
         stats["jobs_tracked"] = len(self._jobs)
-        stats["queue_depth"] = self._queue.qsize() if self._queue is not None else 0
-        stats["in_flight"] = self._in_flight
+        stats.update(self.load())
         stats["stopping"] = self._stopping
         stats["per_engine"] = {
             engine: dict(counters)
@@ -589,6 +587,13 @@ class MappingService:
         stats["artifact_seeding"] = dict(self._artifact_totals)
         stats["store"] = self.store.stats()
         return stats
+
+    def load(self) -> Dict[str, int]:
+        """The two routing gauges alone (no store I/O, unlike :meth:`stats`)."""
+        return {
+            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+            "in_flight": self._in_flight,
+        }
 
     def _latency_summary(self) -> Dict[str, Any]:
         """Rolling quantiles over recent job completions (terminal states)."""
@@ -616,15 +621,16 @@ class MappingService:
     def subscribe(self) -> "asyncio.Queue":
         """Subscribe to job state transitions.
 
-        Returns an :class:`asyncio.Queue` that receives one JSON-ready dict
-        per transition (``queued`` → ``running`` → ``done``/``failed``,
-        including instant completions from cache hits and coalescing).  A
-        subscriber that stops consuming loses the *oldest* events once its
-        queue holds :data:`SUBSCRIBER_QUEUE_SIZE` of them; the service never
-        blocks on a slow listener.  Pass the queue to :meth:`unsubscribe`
-        when done.
+        Returns an unbounded :class:`asyncio.Queue` that receives one
+        JSON-ready dict per transition (``queued`` → ``running`` →
+        ``done``/``failed``, including instant completions from cache hits
+        and coalescing).  Nothing is dropped, so a relay sees every
+        terminal event; the service never blocks on a listener, so a
+        subscriber must keep consuming (the HTTP stream bounds each of its
+        own clients instead).  Pass the queue to :meth:`unsubscribe` when
+        done.
         """
-        queue: "asyncio.Queue" = asyncio.Queue(maxsize=SUBSCRIBER_QUEUE_SIZE)
+        queue: "asyncio.Queue" = asyncio.Queue()
         self._subscribers.add(queue)
         return queue
 
@@ -652,14 +658,7 @@ class MappingService:
         if job.error is not None:
             event["error_code"] = job.error.code
         for queue in list(self._subscribers):
-            try:
-                queue.put_nowait(event)
-            except asyncio.QueueFull:
-                try:
-                    queue.get_nowait()
-                except asyncio.QueueEmpty:  # pragma: no cover - racy corner
-                    pass
-                queue.put_nowait(event)
+            queue.put_nowait(event)
 
     def _engine_counter(self, engine: str, key: str) -> None:
         counters = self._per_engine.setdefault(
@@ -909,5 +908,4 @@ __all__ = [
     "DONE",
     "FAILED",
     "LATENCY_WINDOW",
-    "SUBSCRIBER_QUEUE_SIZE",
 ]

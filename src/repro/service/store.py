@@ -1170,23 +1170,24 @@ CREATE TABLE IF NOT EXISTS job_journal (
 """
 
 #: Journal entry lifecycle states.  ``accepted`` means the submit body is
-#: durable but no worker owns it yet; ``dispatched`` means a worker was
-#: assigned; ``terminal`` means the job reached DONE or FAILED and must
-#: never be redelivered.
+#: durable and a worker owns the job; ``terminal`` means the job reached
+#: DONE or FAILED and must never be redelivered.  (Files written by older
+#: versions may also hold ``dispatched`` rows; they read as unfinished.)
 JOURNAL_ACCEPTED = "accepted"
-JOURNAL_DISPATCHED = "dispatched"
 JOURNAL_TERMINAL = "terminal"
 
 
 class JobJournal:
     """Durable at-least-once journal of accepted submits.
 
-    The supervisor records every accepted submit here *before* dispatching
-    it to a worker, and marks the entry terminal when the job completes or
-    fails.  When a worker dies, its non-terminal entries are the exact
-    set of jobs that must be redelivered to a live worker — under the same
-    public job id, so clients polling ``GET /v1/jobs/{id}`` never see an
-    accepted job vanish.
+    The supervisor records every submit here, with the worker it is sent
+    to, *before* the worker sees it (one commit per job), and marks the
+    entry terminal when the job completes or fails.  When a worker dies,
+    its non-terminal entries are the exact set of jobs that must be
+    redelivered to a live worker — under the same public job id, so
+    clients polling ``GET /v1/jobs/{id}`` never see an accepted job vanish.
+    (The supervisor redelivers from its in-memory job table, which mirrors
+    these rows; the rows are what outlives the supervisor process.)
 
     The journal shares the supervisor's ``results.sqlite`` file (one
     durable surface per cache directory) but owns its own table and
@@ -1235,37 +1236,34 @@ class JobJournal:
                 ) from error
 
     # ------------------------------------------------------------------
-    def record(self, public_id: str, body: bytes) -> None:
-        """Persist an accepted submit *before* it is dispatched anywhere.
+    def record(
+        self, public_id: str, body: bytes, worker_id: Optional[str] = None
+    ) -> None:
+        """Persist an accepted submit and its owning worker in one commit.
 
         *body* is the raw submit envelope exactly as the client sent it —
         replaying it through a worker's submit path reproduces the job
         (same fingerprints, same options) without re-deriving anything.
+        Recording the same id again (a submit retried on another worker)
+        replaces the row.
         """
         now = time.time()
         self._execute(
             "INSERT OR REPLACE INTO job_journal "
             "(public_id, body, worker_id, local_id, state, error_code, "
             " redeliveries, created_at, updated_at) "
-            "VALUES (?, ?, NULL, NULL, ?, NULL, 0, ?, ?)",
-            (public_id, sqlite3.Binary(body), JOURNAL_ACCEPTED, now, now),
+            "VALUES (?, ?, ?, NULL, ?, NULL, 0, ?, ?)",
+            (public_id, sqlite3.Binary(body), worker_id, JOURNAL_ACCEPTED,
+             now, now),
         )
 
-    def assign(self, public_id: str, worker_id: str, local_id: str) -> None:
-        """Record which worker owns the job and its worker-local id."""
-        self._execute(
-            "UPDATE job_journal SET worker_id = ?, local_id = ?, state = ?, "
-            "updated_at = ? WHERE public_id = ?",
-            (worker_id, local_id, JOURNAL_DISPATCHED, time.time(), public_id),
-        )
-
-    def redelivered(self, public_id: str, worker_id: str, local_id: str) -> None:
+    def redelivered(self, public_id: str, worker_id: str) -> None:
         """Re-assign after a worker death (bumps the redelivery counter)."""
         self._execute(
-            "UPDATE job_journal SET worker_id = ?, local_id = ?, state = ?, "
+            "UPDATE job_journal SET worker_id = ?, "
             "redeliveries = redeliveries + 1, updated_at = ? "
             "WHERE public_id = ?",
-            (worker_id, local_id, JOURNAL_DISPATCHED, time.time(), public_id),
+            (worker_id, time.time(), public_id),
         )
 
     def mark_terminal(self, public_id: str, error_code: Optional[str] = None) -> None:
@@ -1276,16 +1274,10 @@ class JobJournal:
             (JOURNAL_TERMINAL, error_code, time.time(), public_id),
         )
 
-    def discard(self, public_id: str) -> None:
-        """Drop one entry outright (e.g. a provisional pre-dispatch row)."""
-        self._execute(
-            "DELETE FROM job_journal WHERE public_id = ?", (public_id,)
-        )
-
     def get(self, public_id: str) -> Optional[Dict[str, Any]]:
         """One journal entry as a dict, or ``None``."""
         rows = self._execute(
-            "SELECT public_id, body, worker_id, local_id, state, error_code, "
+            "SELECT public_id, body, worker_id, state, error_code, "
             "redeliveries FROM job_journal WHERE public_id = ?",
             (public_id,),
         )
@@ -1294,26 +1286,16 @@ class JobJournal:
         return self._row_to_entry(rows[0])
 
     def unfinished(self, worker_id: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Non-terminal entries, optionally only those owned by one worker.
-
-        With ``worker_id=None`` this also returns ``accepted`` entries that
-        were never dispatched (e.g. the supervisor died between record and
-        dispatch) — recovery must replay those too.
-        """
-        if worker_id is None:
-            rows = self._execute(
-                "SELECT public_id, body, worker_id, local_id, state, "
-                "error_code, redeliveries FROM job_journal WHERE state != ? "
-                "ORDER BY created_at",
-                (JOURNAL_TERMINAL,),
-            )
-        else:
-            rows = self._execute(
-                "SELECT public_id, body, worker_id, local_id, state, "
-                "error_code, redeliveries FROM job_journal "
-                "WHERE state != ? AND worker_id = ? ORDER BY created_at",
-                (JOURNAL_TERMINAL, worker_id),
-            )
+        """Non-terminal entries, optionally only those owned by one worker."""
+        sql = (
+            "SELECT public_id, body, worker_id, state, error_code, "
+            "redeliveries FROM job_journal WHERE state != ?"
+        )
+        params: Tuple = (JOURNAL_TERMINAL,)
+        if worker_id is not None:
+            sql += " AND worker_id = ?"
+            params += (worker_id,)
+        rows = self._execute(sql + " ORDER BY created_at", params)
         return [self._row_to_entry(row) for row in rows]
 
     @staticmethod
@@ -1322,10 +1304,9 @@ class JobJournal:
             "public_id": row[0],
             "body": bytes(row[1]),
             "worker_id": row[2],
-            "local_id": row[3],
-            "state": row[4],
-            "error_code": row[5],
-            "redeliveries": row[6],
+            "state": row[3],
+            "error_code": row[4],
+            "redeliveries": row[5],
         }
 
 
@@ -1339,7 +1320,6 @@ __all__ = [
     "BUSY_RETRY_LIMIT",
     "DEFAULT_MEMORY_ENTRIES",
     "JOURNAL_ACCEPTED",
-    "JOURNAL_DISPATCHED",
     "JOURNAL_TERMINAL",
     "MAX_ARTIFACT_BOUNDS",
     "MAX_ARTIFACT_CLAUSES",

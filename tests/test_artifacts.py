@@ -78,6 +78,25 @@ def _cold_run(store, circuit=None):
     )
 
 
+def _drop_schedules(store_path):
+    """Keep every stored row's clauses and bounds but forget its schedule.
+
+    A warm run over such a store has no stored model to close a family
+    on, so it solves, and imports the stored clauses into its sessions.
+    """
+    with sqlite3.connect(store_path) as conn:
+        rows = conn.execute(
+            "SELECT skeleton_key, payload FROM artifacts"
+        ).fetchall()
+        for key, payload in rows:
+            data = json.loads(payload)
+            data["schedule"] = data["objective"] = None
+            conn.execute(
+                "UPDATE artifacts SET payload = ? WHERE skeleton_key = ?",
+                (json.dumps(data), key),
+            )
+
+
 # ----------------------------------------------------------------------
 # Store tier
 # ----------------------------------------------------------------------
@@ -317,8 +336,10 @@ class TestImplicationProperty:
         self, tmp_path, monkeypatch
     ):
         store, cold = self._populated_store(tmp_path)
+        _drop_schedules(store.path)
         monkeypatch.setenv("REPRO_CHECK_IMPORTS", "1")
-        warm = _cold_run(store)  # second run over the same store is warm
+        # A second run over the same store is warm, and solves.
+        warm = _cold_run(ResultStore(store.path, max_memory_entries=0))
         assert warm.added_cost == cold.added_cost
         assert warm.statistics["artifact_hits"] >= 1
         assert warm.statistics["artifact_clauses_imported"] >= 1
@@ -511,13 +532,15 @@ class TestDegradation:
             ).fetchall()
             for key, payload in rows:
                 data = json.loads(payload)
+                # No stored model to close on: the warm run solves.
+                data["schedule"] = data["objective"] = None
                 if data["clauses"]:
                     data["x_var_limit"] += 1  # foreign block boundary
-                    conn.execute(
-                        "UPDATE artifacts SET payload = ? "
-                        "WHERE skeleton_key = ?",
-                        (json.dumps(data), key),
-                    )
+                conn.execute(
+                    "UPDATE artifacts SET payload = ? "
+                    "WHERE skeleton_key = ?",
+                    (json.dumps(data), key),
+                )
         warm = _cold_run(ResultStore(store.path, max_memory_entries=0))
         assert warm.added_cost == cold.added_cost
         assert warm.statistics["artifact_clauses_imported"] == 0
@@ -568,10 +591,12 @@ class TestProvidersAndService:
         # The second run is warm from the first run's harvest.
         assert warm.statistics["artifact_hits"] >= 1
 
-    def test_service_stamps_artifact_provenance_and_stats(self):
+    def test_service_stamps_artifact_provenance_and_stats(self, tmp_path):
         async def scenario():
             circuit = paper_example_cnot_skeleton()
-            store = ResultStore()
+            store = ResultStore(
+                tmp_path / "a.sqlite", max_memory_entries=0
+            )
             async with MappingService(
                 ibm_qx4(), engine="sat",
                 engine_options={"use_subsets": True}, store=store,
@@ -580,9 +605,11 @@ class TestProvidersAndService:
                 cold = await service.result(first, timeout=120)
                 cold_provenance = service.status(first)["provenance"]
                 fingerprint = service.status(first)["fingerprint"]
-                # Forget the *result* (artifact rows survive): the resubmit
-                # re-solves but warm-starts from the artifact tier.
+                # Forget the *result* and the stored schedules (clauses
+                # and bounds survive): the resubmit re-solves but
+                # warm-starts from the artifact tier.
                 assert store.delete(fingerprint)
+                _drop_schedules(store.path)
                 second = await service.submit(circuit)
                 warm = await service.result(second, timeout=120)
                 warm_provenance = service.status(second)["provenance"]

@@ -30,7 +30,7 @@ from repro.benchlib.generators import (
 from repro.circuit.qasm.writer import to_qasm
 from repro.exact.dp_mapper import DPMapper
 from repro.server import wire
-from repro.server.supervisor import Supervisor, WorkerHandle
+from repro.server.supervisor import Supervisor
 from repro.service.errors import (
     DeadlineExceededError,
     JobCancelledError,
@@ -218,11 +218,10 @@ class TestStoreBreaker:
 class TestJobJournal:
     def test_record_assign_terminal_lifecycle(self, tmp_path):
         journal = JobJournal.at(tmp_path)
-        journal.record("w0-job-000001", b'{"submit": 1}')
+        journal.record("w0-job-000001", b'{"submit": 1}', "w0")
         entry = journal.get("w0-job-000001")
         assert entry["state"] == "accepted"
         assert entry["body"] == b'{"submit": 1}'
-        journal.assign("w0-job-000001", "w0", "job-000001")
         assert [e["public_id"] for e in journal.unfinished()] == [
             "w0-job-000001"
         ]
@@ -234,12 +233,10 @@ class TestJobJournal:
 
     def test_redelivery_bumps_counter_and_reassigns(self, tmp_path):
         journal = JobJournal.at(tmp_path)
-        journal.record("w0-job-000002", b"{}")
-        journal.assign("w0-job-000002", "w0", "job-000002")
-        journal.redelivered("w0-job-000002", "w1", "job-000017")
+        journal.record("w0-job-000002", b"{}", "w0")
+        journal.redelivered("w0-job-000002", "w1")
         entry = journal.get("w0-job-000002")
         assert entry["worker_id"] == "w1"
-        assert entry["local_id"] == "job-000017"
         assert entry["redeliveries"] == 1
         # Still unfinished until the redelivered run completes.
         assert journal.unfinished("w1") != []
@@ -251,12 +248,6 @@ class TestJobJournal:
         assert journal.get("w0-job-000003")["error_code"] == (
             "service-unavailable"
         )
-
-    def test_discard_drops_provisional_rows(self, tmp_path):
-        journal = JobJournal.at(tmp_path)
-        journal.record("pending-1-000001", b"{}")
-        journal.discard("pending-1-000001")
-        assert journal.get("pending-1-000001") is None
 
     def test_survives_reopen(self, tmp_path):
         JobJournal.at(tmp_path).record("w0-job-000004", b'{"x": 1}')
@@ -495,11 +486,9 @@ class TestChaosEndToEnd:
     def test_finished_job_killed_worker_result_replays_lazily(self, tmp_path):
         """Poll a *finished* job after its worker is killed: still a 200.
 
-        The journal entry is terminal (success), so the redelivery sweep
-        skips it — the restarted worker would 404 the id forever.  The
-        proxy notices the hole on the next poll, replays the original
-        submit body (cheap: the fingerprint cache already holds the
-        result), and serves it under the original public id.
+        The supervisor keeps every finished job's result, so the answer
+        survives its worker's death under the original public id, and
+        nothing is re-run to produce it.
         """
 
         async def scenario():
@@ -535,8 +524,8 @@ class TestChaosEndToEnd:
                         break
                     await asyncio.sleep(0.25)
 
-                # The restarted worker never heard of the job; the proxy
-                # must replay it from the journal under the same id.
+                # The restarted worker never heard of the job; the
+                # supervisor still answers for it under the same id.
                 deadline = time.monotonic() + 60
                 while True:
                     assert time.monotonic() < deadline
@@ -556,7 +545,7 @@ class TestChaosEndToEnd:
                 assert payload["result"]["objective"] == first
 
                 _s, envelope = await _request(port, "GET", "/v1/stats")
-                assert envelope["payload"]["stats"]["redeliveries"] >= 1
+                assert envelope["payload"]["stats"]["redeliveries"] == 0
 
         run(scenario())
 
@@ -599,77 +588,141 @@ class TestChaosEndToEnd:
         codes = set(_journal_error_codes(tmp_path))
         assert codes <= {None, "service-unavailable"}
 
-    @staticmethod
-    def _redelivering_supervisor(tmp_path):
-        """A supervisor whose proxied request races a redelivery.
+    def test_submit_journals_one_row_before_the_202(self, tmp_path):
+        """One journal commit per accepted submit, its worker already set."""
 
-        While the request is in flight, the restarted ``w0`` takes in a
-        redelivered job (public id ``w0-job-000002``) under the reused
-        local id ``job-000001`` and answers for *it*.
-        """
-        supervisor = Supervisor(workers=1, cache_dir=str(tmp_path))
-        supervisor.workers = [WorkerHandle(worker_id="w0", port=1)]
+        async def scenario():
+            async with Supervisor(
+                workers=1, engine="dp", cache_dir=str(tmp_path)
+            ) as supervisor:
+                qasm = to_qasm(random_cnot_circuit(3, 4, seed=901))
+                status, envelope = await _request(
+                    supervisor.port, "POST", "/v1/jobs",
+                    _submit_body(qasm, "journalled"),
+                )
+                assert status == 202
+                job_id = envelope["payload"]["job_id"]
+                rows = _journal_rows(tmp_path)
+                assert [row[0] for row in rows] == [job_id]
+                assert rows[0][1] == "w0"
+                await _request(
+                    supervisor.port, "GET", f"/v1/jobs/{job_id}/result?wait=30"
+                )
 
-        async def redelivering_proxy(handle, method, target, body=None):
-            supervisor._aliases["w0-job-000002"] = ("w0", "job-000001")
-            supervisor._redelivered_public[("w0", "job-000001")] = (
-                "w0-job-000002"
-            )
-            return 200, {
-                "type": "result-response",
-                "version": 1,
-                "payload": {"job_id": "job-000001", "result": {}},
-            }
+        run(scenario())
 
-        supervisor._proxy = redelivering_proxy
-        return supervisor
-
-    @staticmethod
-    def _request(supervisor, method, job_id, suffix=""):
-        path = f"/v1/jobs/{job_id}{suffix}"
-        query = {"wait": "15"} if method == "GET" else {}
-        target = f"{path}?wait=15" if query else path
-        return run(supervisor._dispatch(wire.HTTPRequest(
-            method=method, target=target, path=path, query=query,
-            headers={},
-        )))
-
-    def test_poll_answered_by_a_redelivered_occupant_is_a_retryable_404(
-        self, tmp_path
+    def test_delete_of_a_redelivered_job_cancels_only_that_job(
+        self, tmp_path, monkeypatch
     ):
-        """A redelivery landing mid-poll never hands over another job's result.
+        """kill -9 under a backlog, then DELETE one job that moved.
 
-        The poll for ``w0-job-000001`` passes the slot-occupant check, then
-        the answer comes from the redelivered occupant.  The supervisor
-        must map the answer back to its public id and, seeing a different
-        job, reply with the same retryable 404 the occupant check gives.
+        Every id names one job for its whole life, whichever worker runs
+        it: the cancelled job ends ``job-cancelled`` (499) and every other
+        job still answers with its own result.
         """
-        supervisor = self._redelivering_supervisor(tmp_path)
-        status, envelope = self._request(
-            supervisor, "GET", "w0-job-000001", "/result"
-        )
-        assert status == 404
-        assert envelope["payload"]["error_code"] == "job-not-found"
-        assert "redelivered" in envelope["payload"]["message"]
-        # The occupant itself reads its own result through its alias.
-        status, envelope = self._request(
-            supervisor, "GET", "w0-job-000002", "/result"
-        )
-        assert status == 200
-        assert envelope["payload"]["job_id"] == "w0-job-000002"
+        # Each solver conflict stalls, so these small SAT jobs are still
+        # running when their worker dies, and again after redelivery.
+        monkeypatch.setenv(faults.ENV_VAR, "solver.step:delay")
+        circuits = [
+            random_cnot_circuit(3, 4, seed=705),
+            random_cnot_circuit(4, 4, seed=705),
+            random_cnot_circuit(3, 4, seed=702),
+            random_cnot_circuit(3, 3, seed=705),
+            random_cnot_circuit(3, 4, seed=704),
+            random_cnot_circuit(3, 4, seed=701),
+        ]
 
-    def test_cancel_answered_by_a_redelivered_occupant_names_it(
-        self, tmp_path
-    ):
-        """A DELETE that reached the occupant reports it, not a retry.
+        async def scenario():
+            async with Supervisor(
+                workers=2, engine="sat", cache_dir=str(tmp_path)
+            ) as supervisor:
+                port = supervisor.port
+                job_ids = []
+                for index, circuit in enumerate(circuits):
+                    _status, envelope = await _request(
+                        port, "POST", "/v1/jobs",
+                        _submit_body(to_qasm(circuit), f"moved_{index}",
+                                     engine="sat"),
+                    )
+                    job_ids.append(envelope["payload"]["job_id"])
+                moved = [i for i in job_ids if i.startswith("w0-")]
+                victim = moved[0]  # the slowest circuit
+                os.kill(supervisor.workers[0].pid, signal.SIGKILL)
 
-        The worker has already cancelled the occupant by the time it
-        answers, so a retryable 404 would hide that cancellation.
+                # Wait until every job of the dead worker runs elsewhere.
+                deadline = time.monotonic() + 60
+                while True:
+                    assert time.monotonic() < deadline, "no redelivery"
+                    _s, envelope = await _request(port, "GET", "/v1/stats")
+                    if envelope["payload"]["stats"]["redeliveries"] >= len(
+                        moved
+                    ):
+                        break
+                    await asyncio.sleep(0.05)
+                status, envelope = await _request(
+                    port, "DELETE", f"/v1/jobs/{victim}"
+                )
+                assert status == 200
+                assert envelope["payload"]["job_id"] == victim
+
+                for job_id in job_ids:
+                    status, envelope = await _request(
+                        port, "GET", f"/v1/jobs/{job_id}/result?wait=120",
+                        timeout=150,
+                    )
+                    if job_id == victim:
+                        assert status == 499
+                        assert envelope["payload"]["error_code"] == (
+                            "job-cancelled"
+                        )
+                    else:
+                        assert status == 200, envelope
+                        assert envelope["payload"]["job_id"] == job_id
+
+        run(scenario())
+
+    def test_dispatch_drop_is_retried_on_the_other_worker(self, tmp_path):
+        """worker.dispatch faults: a dropped submit moves to the sibling.
+
+        Each submit either lands (202, then its result) or, when both
+        workers dropped it, answers the structured ``upstream-failed``.
         """
-        supervisor = self._redelivering_supervisor(tmp_path)
-        status, envelope = self._request(supervisor, "DELETE", "w0-job-000001")
-        assert status == 200
-        assert envelope["payload"]["job_id"] == "w0-job-000002"
+
+        async def scenario():
+            async with Supervisor(
+                workers=2, engine="dp", cache_dir=str(tmp_path)
+            ) as supervisor:
+                faults.arm("worker.dispatch:drop:0.5:3")
+                outcomes = []
+                for index in range(10):
+                    before = faults.fired_counts().get("worker.dispatch", 0)
+                    qasm = to_qasm(random_cnot_circuit(3, 4, seed=950 + index))
+                    status, envelope = await _request(
+                        supervisor.port, "POST", "/v1/jobs",
+                        _submit_body(qasm, f"dropped_{index}"),
+                    )
+                    drops = (
+                        faults.fired_counts().get("worker.dispatch", 0) - before
+                    )
+                    if status == 202:
+                        job_id = envelope["payload"]["job_id"]
+                        result_status, _ = await _request(
+                            supervisor.port, "GET",
+                            f"/v1/jobs/{job_id}/result?wait=30",
+                        )
+                        assert result_status == 200
+                    else:
+                        assert status == 502
+                        assert envelope["payload"]["error_code"] == (
+                            "upstream-failed"
+                        )
+                        assert drops == 2
+                    outcomes.append((status, drops))
+                return outcomes, faults.fired_counts()["worker.dispatch"]
+
+        outcomes, fired = run(scenario())
+        assert (202, 1) in outcomes  # landed on the sibling after a drop
+        assert fired >= 1
 
 
 def _journal_error_codes(tmp_path):
@@ -682,3 +735,12 @@ def _journal_error_codes(tmp_path):
                 "SELECT error_code FROM job_journal"
             ).fetchall()
         ]
+
+
+def _journal_rows(tmp_path):
+    import sqlite3
+
+    with sqlite3.connect(str(tmp_path / "results.sqlite")) as conn:
+        return conn.execute(
+            "SELECT public_id, worker_id FROM job_journal"
+        ).fetchall()

@@ -157,7 +157,7 @@ class TestSupervisorEndToEnd:
                 # Give the fan-in pump a moment to mirror the transitions
                 # into the replay ring.
                 deadline = time.monotonic() + 10
-                while supervisor._stream_seq == 0:
+                while supervisor.server._stream_seq == 0:
                     assert time.monotonic() < deadline
                     await asyncio.sleep(0.05)
 
@@ -316,3 +316,49 @@ class TestSupervisorEndToEnd:
                 assert workers["w0"]["restarts"] >= 1
 
         run(scenario())
+
+
+def _alive(pid):
+    """True while *pid* runs (a reaped or zombie process counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_exit_when_their_supervisor_is_killed(tmp_path):
+    """A worker's stdin closes with its supervisor, and then it exits."""
+    import select
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = str(Path(repro.__file__).parent.parent)
+    supervisor = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "listen", "--workers", "1",
+         "--port", "0", "--cache-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=environment,
+    )
+    worker_pid = None
+    try:
+        ready, _, _ = select.select([supervisor.stdout], [], [], 60)
+        assert ready, "no readiness line"
+        worker_pid = json.loads(supervisor.stdout.readline())["workers"][0]["pid"]
+        assert _alive(worker_pid)
+        supervisor.kill()
+        supervisor.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while _alive(worker_pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(worker_pid)
+    finally:
+        if supervisor.poll() is None:
+            supervisor.kill()
+            supervisor.wait()
+        supervisor.stdout.close()
+        if worker_pid is not None and _alive(worker_pid):
+            os.kill(worker_pid, signal.SIGKILL)
