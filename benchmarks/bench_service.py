@@ -27,7 +27,10 @@ Two modes:
 * **--chaos** — the same workload with a worker SIGKILLed mid-benchmark:
   every accepted job must still reach a terminal state (result or
   structured error) under its original id — zero lost jobs is the gate;
-  p50/p99 and the error rate are appended to ``BENCH_service.json``.
+  p50/p99 and the error rate are appended to ``BENCH_service.json``.  The
+  clients keep submitting past ``--requests`` (capped at 36) until the kill
+  has fired and the restarted worker is healthy, so the kill always lands
+  mid-workload.
 
 Usage::
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import itertools
 import json
 import os
 import platform
@@ -94,8 +98,8 @@ def _environment_stamp() -> dict:
     return stamp
 
 
-def _workload(requests: int, cached_fraction: float, seed_base: int):
-    """The request mix: submit bodies, cached ones repeating a hot circuit.
+def _request_stream(cached_fraction: float, seed_base: int):
+    """Endless request mix: submit bodies, cached ones repeating a hot circuit.
 
     ``seed_base`` keeps the uncached circuits of independent runs disjoint,
     so the 1-worker and 2-worker fleets both solve everything cold.
@@ -105,9 +109,8 @@ def _workload(requests: int, cached_fraction: float, seed_base: int):
             WORKLOAD_QUBITS, WORKLOAD_CNOTS, seed=seed_base, locality=0.7
         )
     )
-    bodies = []
     cached_every = max(2, round(1 / cached_fraction)) if cached_fraction else 0
-    for index in range(requests):
+    for index in itertools.count():
         if cached_every and index % cached_every == 0 and index > 0:
             qasm, kind = hot, "cached"
         else:
@@ -128,8 +131,14 @@ def _workload(requests: int, cached_fraction: float, seed_base: int):
                 "circuit_name": f"bench_{kind}_{index}",
             },
         }
-        bodies.append((json.dumps(envelope).encode(), kind))
-    return bodies
+        yield json.dumps(envelope).encode(), kind
+
+
+def _workload(requests: int, cached_fraction: float, seed_base: int):
+    """The first *requests* bodies of :func:`_request_stream`."""
+    return list(
+        itertools.islice(_request_stream(cached_fraction, seed_base), requests)
+    )
 
 
 def _quantile(values, q):
@@ -180,19 +189,17 @@ CHAOS_TERMINAL_ERROR_CODES = frozenset(
 )
 
 
-async def _chaos_client_loop(port, queue, ledger):
+async def _chaos_client_loop(port, next_request, ledger):
     """Like ``_client_loop`` but tracks every job to a terminal outcome.
 
-    A worker kill mid-benchmark opens a window where the public id 404s
-    (worker dead, redelivery pending) or the proxy answers 502 — both are
-    transient and re-polled; only a job that never reaches a terminal
-    state before the deadline counts as *lost*.
+    *next_request* returns the next ``(body, kind)`` or ``None`` when the
+    run is over.  A worker kill mid-benchmark opens a window where the
+    public id 404s (worker dead, redelivery pending) or the proxy answers
+    502 — both are transient and re-polled; only a job that never reaches a
+    terminal state before the deadline counts as *lost*.
     """
-    while True:
-        try:
-            body, kind = queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return
+    while (request := next_request()) is not None:
+        body, kind = request
         record = {"kind": kind, "outcome": None, "terminal": False}
         ledger.append(record)
         started = time.perf_counter()
@@ -250,31 +257,47 @@ async def run_chaos(
 ) -> dict:
     """Chaos run: 2-worker fleet, one worker SIGKILLed mid-benchmark.
 
-    The invariant under test is the ISSUE's: every accepted job reaches a
-    terminal state under its original public id, even though one worker
-    (and every job queued on it) dies without warning.
+    The invariant under test: every accepted job reaches a terminal state
+    under its original public id, even though one worker (and every job
+    queued on it) dies without warning.  The clients submit at least
+    *requests* jobs and keep submitting until the kill has fired and the
+    restarted worker is healthy again, so the kill lands mid-workload on
+    any host; then the in-flight jobs drain.  Submitting stops for good
+    :data:`CHAOS_JOB_DEADLINE_SECONDS` after the kill was due.
     """
-    queue: asyncio.Queue = asyncio.Queue()
-    for item in _workload(requests, cached_fraction, seed_base):
-        queue.put_nowait(item)
+    stream = _request_stream(cached_fraction, seed_base)
     ledger: list = []
     killed = {}
+    recovered = asyncio.Event()
     async with Supervisor(
         workers=2, engine="dp", service_workers=2
     ) as supervisor:
+        victim = supervisor.workers[0]
+
         async def _killer():
             await asyncio.sleep(kill_after)
-            victim = supervisor.workers[0]
             if victim.pid:
                 killed["worker_id"] = victim.worker_id
                 killed["pid"] = victim.pid
                 os.kill(victim.pid, signal.SIGKILL)
+                while not (victim.restarts and victim.healthy):
+                    await asyncio.sleep(0.05)
+            recovered.set()
 
         started = time.perf_counter()
+        stop_at = started + kill_after + CHAOS_JOB_DEADLINE_SECONDS
+
+        def _next_request():
+            if len(ledger) >= requests and recovered.is_set():
+                return None
+            if time.perf_counter() > stop_at:
+                return None
+            return next(stream)
+
         killer = asyncio.ensure_future(_killer())
         await asyncio.gather(
             *(
-                _chaos_client_loop(supervisor.port, queue, ledger)
+                _chaos_client_loop(supervisor.port, _next_request, ledger)
                 for _ in range(concurrency)
             )
         )
@@ -299,11 +322,11 @@ async def run_chaos(
     ]
     summary = {
         "workers": 2,
-        "requests": requests,
+        "requests": len(ledger),
         "concurrency": concurrency,
         "completed": len(latencies),
         "errors": len(errored),
-        "error_rate": len(errored) / requests if requests else 0.0,
+        "error_rate": len(errored) / len(ledger) if ledger else 0.0,
         "lost_jobs": len(lost),
         "worker_killed": killed.get("worker_id"),
         "worker_restarts": restarts,

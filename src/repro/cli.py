@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-optimizers", action="store_true",
-        help="list the registered optimizer strategies (with descriptions) "
+        help="list the optimizer strategies (with descriptions) "
         "and exit",
     )
     parser.add_argument(
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(defaults to $REPRO_CACHE_DIR when set; omit both for no persistence)",
     )
     parser.add_argument(
-        "--result-ttl", type=float, default=None,
+        "--result-ttl", type=_positive_seconds, default=None,
         help="treat cached results older than this many seconds as misses "
         "(requires --cache-dir; expired rows are purged lazily)",
     )
@@ -183,6 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type of ``--result-ttl``: a positive number of seconds."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return seconds
+
+
 def _engine_options(engine: str, args: argparse.Namespace) -> Dict[str, Any]:
     """Translate CLI flags into constructor options for *engine*.
 
@@ -211,14 +222,14 @@ def _validate_optimizer(parser: argparse.ArgumentParser, args: argparse.Namespac
     optimizer = getattr(args, "optimizer", None)
     if optimizer is None:
         return
-    from repro.sat.optimize import available_optimizers, resolve_optimizer_name
+    from repro.sat.optimize import OPTIMIZERS, resolve_optimizer_name
 
     try:
         resolve_optimizer_name(optimizer)
     except ValueError:
         parser.error(
             f"unknown --optimizer {optimizer!r}; choose one of "
-            f"{', '.join(available_optimizers())} (see --list-optimizers)"
+            f"{', '.join(OPTIMIZERS)} (see --list-optimizers)"
         )
     if engine not in ("sat", "portfolio", "sat_split"):
         parser.error(
@@ -228,11 +239,10 @@ def _validate_optimizer(parser: argparse.ArgumentParser, args: argparse.Namespac
 
 
 def _print_optimizers() -> None:
-    from repro.sat.optimize import optimizer_descriptions
+    from repro.sat.optimize import OPTIMIZERS
 
-    descriptions = optimizer_descriptions()
-    width = max(len(name) for name in descriptions)
-    for name, description in descriptions.items():
+    width = max(len(name) for name in OPTIMIZERS)
+    for name, description in OPTIMIZERS.items():
         print(f"{name:{width}s}  {description}")
 
 
@@ -314,8 +324,6 @@ def _run_map(argv: Sequence[str]) -> int:
         )
     if args.upper_bound is not None and args.upper_bound < 0:
         parser.error("--upper-bound must be non-negative")
-    if args.result_ttl is not None and args.result_ttl <= 0:
-        parser.error("--result-ttl must be positive")
 
     try:
         engine = resolve_mapper_name(args.engine)
@@ -670,7 +678,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "omit both for an in-memory result store)",
     )
     parser.add_argument(
-        "--result-ttl", type=float, default=None,
+        "--result-ttl", type=_positive_seconds, default=None,
         help="treat cached results older than this many seconds as misses "
         "(expired rows are purged lazily)",
     )
@@ -762,8 +770,6 @@ async def _serve_batch(args: argparse.Namespace) -> int:
 def _run_serve(argv: Sequence[str]) -> int:
     parser = _build_serve_parser()
     args = parser.parse_args(argv)
-    if args.result_ttl is not None and args.result_ttl <= 0:
-        parser.error("--result-ttl must be positive")
     try:
         engine = resolve_mapper_name(args.engine)
     except KeyError as error:
@@ -821,7 +827,7 @@ def _build_listen_parser() -> argparse.ArgumentParser:
         "$REPRO_CACHE_DIR; without one the supervisor creates a private "
         "temporary directory so its workers still share one result store)",
     )
-    parser.add_argument("--result-ttl", type=float, default=None)
+    parser.add_argument("--result-ttl", type=_positive_seconds, default=None)
     return parser
 
 

@@ -682,11 +682,9 @@ class SATMapper:
             permutations before every gate (the minimal formulation).
         use_subsets: Solve one instance per connected subset of ``n`` physical
             qubits instead of one instance over all ``m`` (Section 4.1).
-        optimizer: Objective-search strategy from the optimizer registry
-            (``"core"``, the default, ``"linear"``, ``"binary"`` or any
-            name registered via
-            :func:`repro.sat.optimize.register_optimizer`); validated at
-            construction time.
+        optimizer: Objective descent: ``"core"`` (the default),
+            ``"linear"`` or ``"binary"`` (see :mod:`repro.sat.optimize`);
+            validated at construction time.
         time_limit: Optional wall-clock budget in seconds for the whole
             mapping call; when exhausted the best solution found so far is
             returned (not necessarily minimal) and the remaining subset

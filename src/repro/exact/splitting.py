@@ -35,7 +35,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.exact.reconstruction import build_result, default_schedule
 from repro.exact.result import MappingResult, MappingSchedule
 from repro.exact.sat_mapper import SATMapper, SATMapperError
-from repro.sat.optimize import DEFAULT_OPTIMIZER
+from repro.sat.optimize import DEFAULT_OPTIMIZER, resolve_optimizer_name
 
 #: Default number of CNOT gates per window.
 DEFAULT_WINDOW_SIZE = 8
@@ -102,7 +102,9 @@ class SplitSATMapper:
             solved on the permutation table of its sub-coupling).
         strategy: Permutation-restriction strategy forwarded to each
             window's :class:`SATMapper`.
-        optimizer: Descent strategy forwarded to window solves.
+        optimizer: Descent forwarded to window solves (``"core"``, the
+            default, ``"linear"`` or ``"binary"``); validated at
+            construction time.
         time_limit: Overall wall-clock budget in seconds, shared across
             windows (each window sees the remaining budget).
         decompose_swaps: Emit SWAPs as the 7-gate decomposition (default).
@@ -133,7 +135,7 @@ class SplitSATMapper:
         self.window_size = window_size
         self.qubit_cap = qubit_cap
         self.strategy = strategy
-        self.optimizer = optimizer
+        self.optimizer = resolve_optimizer_name(optimizer)
         self.time_limit = time_limit
         self.decompose_swaps = decompose_swaps
 

@@ -38,9 +38,8 @@ class PortfolioMapper:
         strategy: Permutation-restriction strategy for the SAT stage.
         use_subsets: Restrict the SAT stage to connected physical-qubit
             subsets (Section 4.1).
-        optimizer: Objective search of the SAT stage — any registered
-            optimizer strategy (``"core"``, the default, ``"linear"``,
-            ``"binary"``).
+        optimizer: Objective descent of the SAT stage: ``"core"`` (the
+            default), ``"linear"`` or ``"binary"``.
         time_limit: Wall-clock budget of the SAT stage in seconds.
         conflict_limit: Per-solver-call conflict budget of the SAT stage.
         decompose_swaps: Emit SWAPs as their 7-gate decomposition (default).

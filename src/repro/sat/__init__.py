@@ -6,27 +6,21 @@ replacement with the pieces the mapping formulation needs:
 
 * :mod:`repro.sat.cnf` — variables, literals, clauses and CNF formulas,
 * :mod:`repro.sat.solver` — a CDCL SAT solver (two-watched literals, VSIDS
-  branching, first-UIP clause learning, restarts, phase saving),
+  branching, first-UIP clause learning, restarts, phase saving, UNSAT cores
+  over assumption literals),
 * :mod:`repro.sat.dpll` — a tiny reference DPLL solver used to cross-check
   the CDCL implementation in the test suite,
 * :mod:`repro.sat.tseitin` — Tseitin transformation of AND/OR/XOR/IFF
   expressions into CNF,
-* :mod:`repro.sat.cardinality` — at-most-one / exactly-one / at-most-k
-  cardinality encodings,
-* :mod:`repro.sat.pb` — pseudo-Boolean ("weighted sum of literals <= bound")
-  constraints,
+* :mod:`repro.sat.cardinality` — at-most-one / exactly-one encodings,
 * :mod:`repro.sat.session` — :class:`SolveSession`, a persistent incremental
-  solver on which objective bounds are *assumed* instead of re-encoded,
-* :mod:`repro.sat.cores` — UNSAT cores over assumption literals: the value
-  object, labelling and deletion-based trimming,
+  solver with the objective-bound ladder (``F <= b`` as an assumption),
 * :mod:`repro.sat.optimize` — minimisation of a weighted linear objective on
-  top of the SAT solver (the "extended interpretation" of Definition 3 in
-  the paper), with a pluggable strategy registry (linear / binary /
-  core-guided descent).
+  top of a session (the "extended interpretation" of Definition 3 in the
+  paper) by one of three descents: core-guided, linear or binary.
 """
 
 from repro.sat.cnf import CNF, Clause, Literal, VariablePool
-from repro.sat.cores import UnsatCore, core_from_session, trim_core
 from repro.sat.session import SolveSession
 from repro.sat.solver import CDCLSolver, SolverResult
 from repro.sat.dpll import DPLLSolver
@@ -35,18 +29,13 @@ from repro.sat.cardinality import (
     at_most_one_pairwise,
     at_most_one_sequential,
     exactly_one,
-    at_most_k_sequential,
 )
-from repro.sat.pb import encode_pb_leq
 from repro.sat.optimize import (
+    DEFAULT_OPTIMIZER,
+    OPTIMIZERS,
     ObjectiveTerm,
     OptimizationResult,
-    OptimizerRegistry,
-    OptimizerStrategy,
     OptimizingSolver,
-    available_optimizers,
-    optimizer_descriptions,
-    register_optimizer,
     resolve_optimizer_name,
 )
 
@@ -58,23 +47,15 @@ __all__ = [
     "CDCLSolver",
     "SolverResult",
     "SolveSession",
-    "UnsatCore",
-    "core_from_session",
-    "trim_core",
     "DPLLSolver",
     "TseitinEncoder",
     "at_most_one_pairwise",
     "at_most_one_sequential",
     "exactly_one",
-    "at_most_k_sequential",
-    "encode_pb_leq",
+    "DEFAULT_OPTIMIZER",
+    "OPTIMIZERS",
     "ObjectiveTerm",
     "OptimizingSolver",
     "OptimizationResult",
-    "OptimizerStrategy",
-    "OptimizerRegistry",
-    "register_optimizer",
-    "available_optimizers",
-    "optimizer_descriptions",
     "resolve_optimizer_name",
 ]

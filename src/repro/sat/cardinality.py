@@ -6,13 +6,12 @@ logical qubit.  These are "exactly one" / "at most one" constraints over the
 ``x`` variables; this module provides the standard encodings:
 
 * pairwise at-most-one (quadratic, no auxiliary variables),
-* sequential (ladder) at-most-one (linear, one auxiliary variable per literal),
-* sequential-counter at-most-k.
+* sequential (ladder) at-most-one (linear, one auxiliary variable per literal).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.sat.cnf import CNF, Literal
 
@@ -71,48 +70,8 @@ def exactly_one(cnf: CNF, literals: Sequence[Literal],
         raise ValueError(f"unknown at-most-one encoding {encoding!r}")
 
 
-def at_most_k_sequential(cnf: CNF, literals: Sequence[Literal], bound: int,
-                         prefix: str = "amk") -> None:
-    """Sequential-counter encoding of ``sum(literals) <= bound``.
-
-    Introduces a register of *bound* counter bits per position (Sinz 2005).
-
-    Args:
-        cnf: Formula to extend.
-        literals: Unit-weight terms of the sum.
-        bound: Upper bound ``k``; must be non-negative.
-        prefix: Name prefix for auxiliary variables.
-    """
-    literals = list(literals)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    if bound == 0:
-        for literal in literals:
-            cnf.add_clause([-literal])
-        return
-    count = len(literals)
-    if count <= bound:
-        return
-    # registers[i][j] is true when at least j+1 of the first i+1 literals are true.
-    registers: List[List[int]] = [
-        [cnf.new_var(f"{prefix}_r{i}_{j}") for j in range(bound)] for i in range(count)
-    ]
-    cnf.add_clause([-literals[0], registers[0][0]])
-    for j in range(1, bound):
-        cnf.add_clause([-registers[0][j]])
-    for i in range(1, count):
-        cnf.add_clause([-literals[i], registers[i][0]])
-        cnf.add_clause([-registers[i - 1][0], registers[i][0]])
-        for j in range(1, bound):
-            cnf.add_clause([-literals[i], -registers[i - 1][j - 1], registers[i][j]])
-            cnf.add_clause([-registers[i - 1][j], registers[i][j]])
-        cnf.add_clause([-literals[i], -registers[i - 1][bound - 1]])
-    return
-
-
 __all__ = [
     "at_most_one_pairwise",
     "at_most_one_sequential",
     "exactly_one",
-    "at_most_k_sequential",
 ]

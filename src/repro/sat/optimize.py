@@ -4,12 +4,9 @@ This implements the "extended interpretation" of the satisfiability problem
 from Definition 3 of the paper: besides a satisfying assignment of the hard
 constraints, an assignment minimising ``F = sum(w_i * literal_i)`` is sought.
 
-The *search strategy* — how objective bounds are probed — is pluggable.
-Strategies are registered by name in an :class:`OptimizerRegistry`
-(mirroring the mapper backend registry in :mod:`repro.pipeline.registry`)
-and all run on one persistent :class:`~repro.sat.session.SolveSession`, so
-learned clauses, variable activities and saved phases carry over from probe
-to probe:
+Three descents decide which objective bounds to probe, all on one
+persistent :class:`~repro.sat.session.SolveSession`, so learned clauses,
+variable activities and saved phases carry over from probe to probe:
 
 * ``"core"`` (default, :data:`DEFAULT_OPTIMIZER`) — MaxSAT-style
   core-guided descent: assume every objective term off, extract an UNSAT
@@ -25,22 +22,13 @@ to probe:
 * ``"linear"`` — the paper's descent: solve once, read off the objective
   value of the model, then repeatedly commit ``F <= best - 1`` until the
   instance becomes unsatisfiable.  The last model found is optimal.
-* ``"binary"`` — bisect the objective range; every probe is an assumption
-  on the same solver (an UNSAT probe does not poison later, looser probes).
+* ``"binary"`` — a first model within the bound (unless an incumbent is
+  known), then bisection of ``[0, best]``; every probe is an assumption on
+  the same solver (an UNSAT probe does not poison later, looser probes).
 
-Third-party strategies can join at runtime::
-
-    from repro.sat.optimize import OptimizerStrategy, register_optimizer
-
-    @register_optimizer("annealed", aliases=("sa",))
-    class AnnealedDescent(OptimizerStrategy):
-        name = "annealed"
-        description = "my custom descent"
-        def minimize(self, task):
-            ...
-
-All strategies return an :class:`OptimizationResult`; when a time or
-conflict budget is exhausted the best model found so far is returned with
+``binary`` and ``core`` share the first-model step and the bisection.  All
+descents return an :class:`OptimizationResult`; when a time or conflict
+budget is exhausted the best model found so far is returned with
 ``is_optimal=False`` (this mirrors the paper's "close-to-minimal"
 discussion).  A known feasible assignment can be handed in as an initial
 incumbent (``minimize(initial_model=..., initial_objective=...)``): it
@@ -51,20 +39,54 @@ proven-optimal re-solve needs only the final UNSAT probe.
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, Literal
-from repro.sat.cores import core_from_session
-from repro.sat.pb import evaluate_pb
 from repro.sat.session import SolveSession
 from repro.sat.solver import SolverResult
 
-#: Registry name of the descent every SAT entry point uses unless told
-#: otherwise (``SATMapper``, ``PortfolioMapper``, ``SplitSATMapper``,
+#: The descent every SAT entry point uses unless told otherwise
+#: (``SATMapper``, ``PortfolioMapper``, ``SplitSATMapper``,
 #: :meth:`OptimizingSolver.minimize`).
 DEFAULT_OPTIMIZER = "core"
+
+#: Descent name -> one-line description (printed by ``--list-optimizers``).
+OPTIMIZERS: Dict[str, str] = {
+    "binary": (
+        "bisection: halve the [0, incumbent] objective range with assumed "
+        "bound selectors (fewest probes when the first model is far off)"
+    ),
+    "core": (
+        "core-guided (default): refute a known bound or incumbent first, "
+        "else assume all objective terms off, relax exactly the literals of "
+        "each UNSAT core (lower bound rises by whole cores), then bisect "
+        "the remaining [lower, incumbent] gap"
+    ),
+    "linear": (
+        "monotone descent: find a model, commit F <= best-1, repeat until "
+        "UNSAT (bounds propagate at level 0; fastest per probe)"
+    ),
+}
+
+#: Label cap for recorded cores: a first core over every objective selector
+#: can hold hundreds of literals, and the labels travel inside persisted
+#: result statistics.  The literal tuple itself is always complete.
+MAX_CORE_LABELS = 12
+
+
+def resolve_optimizer_name(name: str) -> str:
+    """*name* itself when it names a descent (``core``, ``linear``, ``binary``).
+
+    Raises:
+        ValueError: When the name is unknown (with the available names in
+            the message, so CLI layers can surface it directly).
+    """
+    if name not in OPTIMIZERS:
+        raise ValueError(
+            f"unknown optimizer strategy {name!r}; available: {list(OPTIMIZERS)}"
+        )
+    return name
 
 
 @dataclass(frozen=True)
@@ -95,14 +117,14 @@ class OptimizationResult:
         elapsed_seconds: Wall-clock time spent.
         statistics: Incremental-session counters for this run (bound-ladder
             node reuse, assumption solves, learned-clause retention,
-            ``propagations``, ``fresh_solver``) plus strategy counters:
+            ``propagations``, ``fresh_solver``) plus descent counters:
             ``descent_iterations``
             (solver calls that produced a model), ``model_seeded`` (an
-            initial incumbent was used), and for the core-guided strategy
+            initial incumbent was used), and for the core-guided descent
             ``cores_found`` / ``core_literals_relaxed`` /
             ``core_lower_bound`` (the lower bound proven by cores alone).
         final_core: Assumption literals of the last UNSAT probe (empty when
-            the strategy never solved under assumptions, e.g. pure
+            the descent never solved under assumptions, e.g. pure
             committed-bound linear descent).
         core_labels: Human-readable labels for :attr:`final_core`.
     """
@@ -128,91 +150,111 @@ class OptimizationResult:
         return self.status in ("optimal", "satisfiable")
 
 
-class _SessionRun:
-    """Bookkeeping for one ``minimize`` call on a (possibly reused) session."""
+class _Run:
+    """One ``minimize`` call on a (possibly reused) session.
 
-    def __init__(self, session: SolveSession, fresh: bool):
+    Holds the budgets, the incumbent and the counters; every solver call of
+    a descent goes through :meth:`solve`, every model through
+    :meth:`take_model`, and every return through :meth:`finish`.
+    """
+
+    def __init__(
+        self,
+        session: SolveSession,
+        fresh: bool,
+        time_limit: Optional[float],
+        conflict_limit: Optional[int],
+    ):
         self.session = session
         self.fresh = fresh
+        self.time_limit = time_limit
+        self.conflict_limit = conflict_limit
+        self.start = time.monotonic()
         self._start_conflicts = session.conflicts
         self._start_propagations = session.propagations
         self._start_stats = dict(session.statistics)
+        self.iterations = 0
+        self.counters: Dict[str, int] = {}
+        self.best_model: Dict[int, bool] = {}
+        self.best_value: Optional[int] = None
+        self.final_core: Tuple[int, ...] = ()
+        self.core_labels: Tuple[str, ...] = ()
 
-    @property
-    def conflicts(self) -> int:
-        return self.session.conflicts - self._start_conflicts
+    def solve(
+        self,
+        bound: Optional[int] = None,
+        assumptions: Sequence[Literal] = (),
+        commit: bool = False,
+    ) -> SolverResult:
+        """One solver call under ``F <= bound`` (assumed unless *commit*)."""
+        self.iterations += 1
+        remaining = None
+        if self.time_limit is not None:
+            elapsed = time.monotonic() - self.start
+            remaining = max(0.001, self.time_limit - elapsed)
+        if commit:
+            outcome = self.session.solve_with_bound(
+                bound,
+                conflict_limit=self.conflict_limit,
+                time_limit=remaining,
+                commit=True,
+            )
+        else:
+            outcome = self.session.solve_with_assumptions(
+                assumptions,
+                bound=bound,
+                conflict_limit=self.conflict_limit,
+                time_limit=remaining,
+            )
+        if outcome is SolverResult.UNSAT:
+            self._record_core()
+        return outcome
 
-    @property
-    def propagations(self) -> int:
-        return self.session.propagations - self._start_propagations
+    def _record_core(self) -> None:
+        literals = self.session.last_core()
+        if not literals:
+            return
+        labels = [
+            self.session.describe_literal(literal)
+            for literal in literals[:MAX_CORE_LABELS]
+        ]
+        if len(literals) > MAX_CORE_LABELS:
+            labels.append(
+                f"... and {len(literals) - MAX_CORE_LABELS} more core literals"
+            )
+        self.final_core = tuple(literals)
+        self.core_labels = tuple(labels)
 
-    def statistics(self) -> Dict[str, int]:
-        stats = {
+    def take_model(self) -> None:
+        """Count the last solve's model and keep it when it beats the incumbent."""
+        model = self.session.model()
+        value = self.session.objective_value(model)
+        self.counters["descent_iterations"] += 1
+        if self.best_value is None or value < self.best_value:
+            self.best_model, self.best_value = model, value
+
+    def finish(self, proven: bool) -> OptimizationResult:
+        """The result: ``proven`` means the search space below is exhausted."""
+        if self.best_value is None:
+            status = "unsat" if proven else "unknown"
+        else:
+            status = "optimal" if proven else "satisfiable"
+        statistics = {
             key: self.session.statistics[key] - self._start_stats.get(key, 0)
             for key in self.session.statistics
         }
-        stats["propagations"] = self.propagations
-        stats["learned_clauses_retained"] = self.session.learned_clauses
-        stats["fresh_solver"] = int(self.fresh)
-        return stats
-
-
-@dataclass
-class DescentTask:
-    """Everything a strategy needs for one ``minimize`` call.
-
-    The task owns the per-run bookkeeping: strategies report through
-    :meth:`result` (which stamps conflicts, wall time and session counters)
-    and accumulate strategy-specific counters in :attr:`counters`.
-    """
-
-    run: _SessionRun
-    objective_value: Callable[[Dict[int, bool]], int]
-    time_limit: Optional[float] = None
-    conflict_limit: Optional[int] = None
-    upper_bound: Optional[int] = None
-    incumbent_model: Optional[Dict[int, bool]] = None
-    incumbent_objective: Optional[int] = None
-    start: float = field(default_factory=time.monotonic)
-    counters: Dict[str, int] = field(default_factory=dict)
-    final_core: Tuple[int, ...] = ()
-    core_labels: Tuple[str, ...] = ()
-
-    @property
-    def session(self) -> SolveSession:
-        return self.run.session
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left of the overall budget (clamped positive)."""
-        if self.time_limit is None:
-            return None
-        return max(0.001, self.time_limit - (time.monotonic() - self.start))
-
-    #: Label cap for recorded cores (see ``core_from_session(max_labels=)``).
-    MAX_CORE_LABELS = 12
-
-    def record_core(self) -> None:
-        """Capture the session's last UNSAT core (with labels) if any."""
-        core = core_from_session(self.session, max_labels=self.MAX_CORE_LABELS)
-        if not core.is_empty:
-            self.final_core = core.literals
-            self.core_labels = core.labels
-
-    def result(
-        self,
-        status: str,
-        model: Optional[Dict[int, bool]] = None,
-        objective: Optional[int] = None,
-        iterations: int = 0,
-    ) -> OptimizationResult:
-        statistics = self.run.statistics()
+        statistics["propagations"] = (
+            self.session.propagations - self._start_propagations
+        )
+        statistics["learned_clauses_retained"] = self.session.learned_clauses
+        statistics["fresh_solver"] = int(self.fresh)
         statistics.update(self.counters)
         return OptimizationResult(
             status=status,
-            model=model if model is not None else {},
-            objective=objective,
-            iterations=iterations,
-            conflicts=self.run.conflicts,
+            model=self.best_model,
+            objective=self.best_value,
+            iterations=self.iterations,
+            conflicts=self.session.conflicts - self._start_conflicts,
             elapsed_seconds=time.monotonic() - self.start,
             statistics=statistics,
             final_core=self.final_core,
@@ -220,425 +262,124 @@ class DescentTask:
         )
 
 
-class OptimizerStrategy(ABC):
-    """Base class of objective-descent strategies.
-
-    A strategy decides which bounds (or assumption sets) to probe in which
-    order; the shared :class:`~repro.sat.session.SolveSession` machinery —
-    the incremental solver and the BDD-style bound ladder — is common to
-    all of them.
-    """
-
-    #: Registry name (canonical, lower-case).
-    name: str = "base"
-
-    #: One-line human-readable description (shown by ``--list-optimizers``).
-    description: str = ""
-
-    @abstractmethod
-    def minimize(self, task: DescentTask) -> OptimizationResult:
-        """Run the descent described by *task* and return its result."""
-
-
-OptimizerFactory = Callable[[], OptimizerStrategy]
-
-
-class OptimizerRegistry:
-    """Name-indexed collection of optimizer-strategy factories.
-
-    Mirrors :class:`repro.pipeline.registry.MapperRegistry`: factories are
-    registered under a canonical name plus optional aliases, and a default
-    module-level instance backs the convenience functions.
-    """
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, OptimizerFactory] = {}
-        self._aliases: Dict[str, str] = {}
-
-    def register(
-        self,
-        name: str,
-        factory: Optional[OptimizerFactory] = None,
-        *,
-        aliases: Sequence[str] = (),
-        overwrite: bool = False,
-    ):
-        """Register *factory* under *name* (usable as a decorator).
-
-        Raises:
-            ValueError: When a name is already taken and *overwrite* is off.
-        """
-        if factory is None:
-            def decorator(func: OptimizerFactory) -> OptimizerFactory:
-                self.register(name, func, aliases=aliases, overwrite=overwrite)
-                return func
-            return decorator
-
-        key = name.lower()
-        taken = [
-            candidate
-            for candidate in (key, *[alias.lower() for alias in aliases])
-            if not overwrite and (candidate in self._factories or candidate in self._aliases)
-        ]
-        if taken:
-            raise ValueError(f"optimizer name(s) already registered: {taken}")
-        self._factories[key] = factory
-        self._aliases.pop(key, None)
-        for alias in aliases:
-            self._aliases[alias.lower()] = key
-        return factory
-
-    def resolve(self, name: str) -> str:
-        """Canonical name for *name* (which may be an alias).
-
-        Raises:
-            KeyError: When the name is unknown.
-        """
-        key = name.lower()
-        key = self._aliases.get(key, key)
-        if key not in self._factories:
-            raise KeyError(
-                f"unknown optimizer strategy {name!r}; available: {self.names()}"
-            )
-        return key
-
-    def create(self, name: str) -> OptimizerStrategy:
-        """Instantiate the strategy registered under *name*."""
-        return self._factories[self.resolve(name)]()
-
-    def names(self) -> List[str]:
-        """Sorted canonical strategy names (aliases excluded)."""
-        return sorted(self._factories)
-
-    def descriptions(self) -> Dict[str, str]:
-        """Canonical name -> one-line description, for listings."""
-        return {name: self._factories[name]().description for name in self.names()}
-
-    def __contains__(self, name: str) -> bool:
-        try:
-            self.resolve(name)
-        except KeyError:
-            return False
-        return True
-
-
-#: The default registry used by the module-level convenience functions.
-OPTIMIZERS = OptimizerRegistry()
-
-
-def register_optimizer(
-    name: str,
-    factory: Optional[OptimizerFactory] = None,
-    *,
-    aliases: Sequence[str] = (),
-    overwrite: bool = False,
-):
-    """Register a strategy in the default registry (see :meth:`OptimizerRegistry.register`)."""
-    return OPTIMIZERS.register(name, factory, aliases=aliases, overwrite=overwrite)
-
-
-def available_optimizers() -> List[str]:
-    """Canonical strategy names registered in the default registry."""
-    return OPTIMIZERS.names()
-
-
-def optimizer_descriptions() -> Dict[str, str]:
-    """Canonical strategy name -> one-line description."""
-    return OPTIMIZERS.descriptions()
-
-
-def resolve_optimizer_name(name: str) -> str:
-    """Canonical name for *name* in the default registry.
-
-    Raises:
-        ValueError: When the name is unknown (with the available names in
-            the message, so CLI layers can surface it directly).
-    """
-    try:
-        return OPTIMIZERS.resolve(name)
-    except KeyError as error:
-        raise ValueError(error.args[0]) from None
-
-
-# ----------------------------------------------------------------------
-# Built-in strategies
-# ----------------------------------------------------------------------
-@register_optimizer("linear", aliases=("descent",))
-class LinearDescent(OptimizerStrategy):
+def _linear(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
     """Monotone descent with permanently committed bounds."""
-
-    name = "linear"
-    description = (
-        "monotone descent: find a model, commit F <= best-1, repeat until "
-        "UNSAT (bounds propagate at level 0; fastest per probe)"
-    )
-
-    def minimize(self, task: DescentTask) -> OptimizationResult:
-        session = task.session
-        iterations = 0
-        best_model: Dict[int, bool] = {}
-        best_value: Optional[int] = None
-        bound = task.upper_bound
-        task.counters.setdefault("descent_iterations", 0)
-
-        if task.incumbent_objective is not None:
-            best_model = dict(task.incumbent_model or {})
-            best_value = task.incumbent_objective
-            if best_value == 0:
-                return task.result("optimal", best_model, 0, iterations)
-            bound = best_value - 1 if bound is None else min(bound, best_value - 1)
-
-        while True:
-            iterations += 1
-            # The descent only ever tightens, so bounds are committed as
-            # permanent unit clauses: they propagate at level 0 (as strongly
-            # as a re-encoded formula) while the ladder is still shared.
-            outcome = session.solve_with_bound(
-                bound,
-                conflict_limit=task.conflict_limit,
-                time_limit=task.remaining(),
-                commit=True,
-            )
-            if outcome is SolverResult.UNKNOWN:
-                status = "satisfiable" if best_value is not None else "unknown"
-                return task.result(status, best_model, best_value, iterations)
-            if outcome is SolverResult.UNSAT:
-                task.record_core()
-                if best_value is None:
-                    return task.result("unsat", iterations=iterations)
-                return task.result("optimal", best_model, best_value, iterations)
-            model = session.model()
-            value = task.objective_value(model)
-            task.counters["descent_iterations"] += 1
-            if best_value is None or value < best_value:
-                best_value = value
-                best_model = model
-            if best_value == 0:
-                return task.result("optimal", best_model, 0, iterations)
-            # Tighten: require an objective strictly below the incumbent.
-            bound = best_value - 1
+    bound = upper_bound
+    if run.best_value is not None:
+        if run.best_value == 0:
+            return run.finish(True)
+        bound = run.best_value - 1 if bound is None else min(bound, run.best_value - 1)
+    while True:
+        # The descent only ever tightens, so bounds are committed as
+        # permanent unit clauses: they propagate at level 0 (as strongly as
+        # a re-encoded formula) while the ladder is still shared.
+        outcome = run.solve(bound, commit=True)
+        if outcome is not SolverResult.SAT:
+            return run.finish(outcome is SolverResult.UNSAT)
+        run.take_model()
+        if run.best_value == 0:
+            return run.finish(True)
+        # Tighten: require an objective strictly below the incumbent.
+        bound = run.best_value - 1
 
 
-@register_optimizer("binary", aliases=("bisect", "bisection"))
-class BinaryDescent(OptimizerStrategy):
-    """Bisection of the objective range with assumed bounds."""
+def _first_model(
+    run: _Run, upper_bound: Optional[int]
+) -> Optional[OptimizationResult]:
+    """A model within *upper_bound*, unless an incumbent is already known.
 
-    name = "binary"
-    description = (
-        "bisection: halve the [0, incumbent] objective range with assumed "
-        "bound selectors (fewest probes when the first model is far off)"
-    )
+    Returns the run's result when it ends here (no model, budget spent, or
+    an incumbent of cost 0), else ``None`` with ``run.best_value`` set.
+    """
+    if run.best_value is None:
+        outcome = run.solve(upper_bound)
+        if outcome is not SolverResult.SAT:
+            return run.finish(outcome is SolverResult.UNSAT)
+        run.take_model()
+    if run.best_value == 0:
+        return run.finish(True)
+    return None
 
-    def minimize(self, task: DescentTask) -> OptimizationResult:
-        session = task.session
-        iterations = 0
-        task.counters.setdefault("descent_iterations", 0)
 
-        if task.incumbent_objective is not None:
-            best_model = dict(task.incumbent_model or {})
-            best_value = task.incumbent_objective
-            if best_value == 0:
-                return task.result("optimal", best_model, 0, iterations)
+def _bisect(run: _Run, low: int) -> OptimizationResult:
+    """Close the ``[low, best]`` gap by bisection on assumed bounds."""
+    high = run.best_value
+    while low < high:
+        middle = (low + high) // 2
+        outcome = run.solve(middle)
+        if outcome is SolverResult.UNKNOWN:
+            return run.finish(False)
+        if outcome is SolverResult.SAT:
+            run.take_model()
+            high = run.best_value
         else:
-            # Initial feasibility check, seeded with the upper bound when
-            # given (this also caps ``high`` of the bisection at the seed).
-            iterations = 1
-            outcome = session.solve_with_bound(
-                task.upper_bound,
-                conflict_limit=task.conflict_limit,
-                time_limit=task.remaining(),
-            )
-            if outcome is SolverResult.UNKNOWN:
-                return task.result("unknown", iterations=iterations)
-            if outcome is SolverResult.UNSAT:
-                task.record_core()
-                return task.result("unsat", iterations=iterations)
-            best_model = session.model()
-            best_value = task.objective_value(best_model)
-            task.counters["descent_iterations"] += 1
-
-        low = 0
-        high = best_value
-        proven_optimal = True
-        while low < high:
-            middle = (low + high) // 2
-            iterations += 1
-            outcome = session.solve_with_bound(
-                middle,
-                conflict_limit=task.conflict_limit,
-                time_limit=task.remaining(),
-            )
-            if outcome is SolverResult.UNKNOWN:
-                proven_optimal = False
-                break
-            if outcome is SolverResult.SAT:
-                model = session.model()
-                value = task.objective_value(model)
-                task.counters["descent_iterations"] += 1
-                best_model = model
-                best_value = value
-                high = value
-            else:
-                task.record_core()
-                low = middle + 1
-        status = "optimal" if proven_optimal else "satisfiable"
-        return task.result(status, best_model, best_value, iterations)
+            low = middle + 1
+    return run.finish(True)
 
 
-@register_optimizer("core", aliases=("core-guided", "core_guided", "maxsat"))
-class CoreGuidedDescent(OptimizerStrategy):
-    """MaxSAT-style descent driven by UNSAT cores over objective selectors."""
+def _binary(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
+    """A first model, then bisection of ``[0, best]``."""
+    return _first_model(run, upper_bound) or _bisect(run, 0)
 
-    name = "core"
-    description = (
-        "core-guided (default): refute a known bound or incumbent first, "
-        "else assume all objective terms off, relax exactly the literals of "
-        "each UNSAT core (lower bound rises by whole cores), then bisect "
-        "the remaining [lower, incumbent] gap"
-    )
 
-    def minimize(self, task: DescentTask) -> OptimizationResult:
-        session = task.session
-        iterations = 0
-        task.counters.setdefault("descent_iterations", 0)
-        best_model: Dict[int, bool] = dict(task.incumbent_model or {})
-        best_value = task.incumbent_objective
+def _core(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
+    """Refute first when bounded or seeded, then disjoint cores, then bisection."""
+    counters = run.counters
+    counters.update(cores_found=0, core_literals_relaxed=0, core_lower_bound=0)
+    # Refute first.  A bounded or seeded solve usually starts at (or next
+    # to) the optimum, where one UNSAT probe below the incumbent finishes
+    # the proof, while the cores below would rebuild the lower bound from
+    # zero.  The probe is an *assumed* bound, so every core bound stays a
+    # consequence of the formula.
+    if upper_bound is not None or run.best_value is not None:
+        done = _first_model(run, upper_bound)
+        if done is not None:
+            return done
+        outcome = run.solve(run.best_value - 1)
+        if outcome is not SolverResult.SAT:
+            return run.finish(outcome is SolverResult.UNSAT)
+        run.take_model()
 
-        # Merge duplicate selector literals (the same literal may appear in
-        # several terms): assuming it off suppresses their combined weight,
-        # so a core containing it is worth at least that combined minimum.
-        selectors: Dict[int, int] = {}
-        for weight, selector in session.term_selectors():
-            selectors[selector] = selectors.get(selector, 0) + weight
+    # Disjoint-core lower bounding.  Assume every remaining term off; every
+    # UNSAT answer yields a core over those selectors, the core's literals
+    # are relaxed (removed from the assumption set) and the proven lower
+    # bound rises by the core's cheapest weight.  A literal shared by
+    # several terms is one selector carrying their summed weight: assuming
+    # it off suppresses all of them at once.
+    selectors: Dict[int, int] = {}
+    for weight, selector in run.session.term_selectors():
+        selectors[selector] = selectors.get(selector, 0) + weight
+    while run.best_value is None or counters["core_lower_bound"] < run.best_value:
+        if not selectors and run.best_value is not None:
+            return _bisect(run, counters["core_lower_bound"])
+        # With every selector relaxed (an empty objective, or merged
+        # duplicate selectors) this is a plain solve for a first model.
+        outcome = run.solve(assumptions=list(selectors))
+        if outcome is SolverResult.UNKNOWN:
+            return run.finish(False)
+        if outcome is SolverResult.SAT:
+            run.take_model()
+            return _bisect(run, counters["core_lower_bound"])
+        core = run.session.last_core()
+        if not core:
+            # The hard constraints alone are inconsistent.
+            run.best_model, run.best_value = {}, None
+            return run.finish(True)
+        counters["core_lower_bound"] += min(selectors[literal] for literal in core)
+        counters["cores_found"] += 1
+        counters["core_literals_relaxed"] += len(core)
+        for literal in core:
+            selectors.pop(literal, None)
+    # The incumbent meets the proven lower bound: optimal without ever
+    # probing the bound ladder.
+    return run.finish(True)
 
-        lower = 0
-        cores_found = 0
-        literals_relaxed = 0
 
-        def stamp_counters() -> None:
-            task.counters["cores_found"] = cores_found
-            task.counters["core_literals_relaxed"] = literals_relaxed
-            task.counters["core_lower_bound"] = lower
-
-        # ------------------------------------------------------------------
-        # Refute first.  A bounded or seeded solve usually starts at (or
-        # next to) the optimum, where one UNSAT probe below the incumbent
-        # finishes the proof, while the cores of phase 1 would rebuild the
-        # lower bound from zero.  The probe is an *assumed* bound, so every
-        # core bound below stays a consequence of the formula.
-        # ------------------------------------------------------------------
-        if task.upper_bound is not None or best_value is not None:
-            if best_value is None:
-                iterations += 1
-                outcome = session.solve_with_bound(
-                    task.upper_bound,
-                    conflict_limit=task.conflict_limit,
-                    time_limit=task.remaining(),
-                )
-                if outcome is SolverResult.UNKNOWN:
-                    stamp_counters()
-                    return task.result("unknown", iterations=iterations)
-                if outcome is SolverResult.UNSAT:
-                    task.record_core()
-                    stamp_counters()
-                    return task.result("unsat", iterations=iterations)
-                best_model = session.model()
-                best_value = task.objective_value(best_model)
-                task.counters["descent_iterations"] += 1
-            if best_value == 0:
-                stamp_counters()
-                return task.result("optimal", best_model, 0, iterations)
-            iterations += 1
-            outcome = session.solve_with_bound(
-                best_value - 1,
-                conflict_limit=task.conflict_limit,
-                time_limit=task.remaining(),
-            )
-            if outcome is SolverResult.UNKNOWN:
-                stamp_counters()
-                return task.result("satisfiable", best_model, best_value, iterations)
-            if outcome is SolverResult.UNSAT:
-                task.record_core()
-                stamp_counters()
-                return task.result("optimal", best_model, best_value, iterations)
-            best_model = session.model()
-            best_value = task.objective_value(best_model)
-            task.counters["descent_iterations"] += 1
-
-        # ------------------------------------------------------------------
-        # Phase 1: disjoint-core lower bounding.  Assume every remaining
-        # term off; every UNSAT answer yields a core over those selectors,
-        # the core's literals are relaxed (removed from the assumption set)
-        # and the proven lower bound rises by the core's cheapest weight.
-        # ------------------------------------------------------------------
-        while True:
-            if best_value is not None and lower >= best_value:
-                # The incumbent meets the proven lower bound: optimal
-                # without ever probing the bound ladder.
-                stamp_counters()
-                return task.result("optimal", best_model, best_value, iterations)
-            if not selectors and best_value is not None:
-                break
-            # With every selector relaxed (an empty objective, or merged
-            # duplicate selectors) this is a plain solve for a first model.
-            iterations += 1
-            outcome = session.solve_with_assumptions(
-                list(selectors),
-                conflict_limit=task.conflict_limit,
-                time_limit=task.remaining(),
-            )
-            if outcome is SolverResult.UNKNOWN:
-                stamp_counters()
-                status = "satisfiable" if best_value is not None else "unknown"
-                return task.result(status, best_model, best_value, iterations)
-            if outcome is SolverResult.SAT:
-                model = session.model()
-                value = task.objective_value(model)
-                task.counters["descent_iterations"] += 1
-                if best_value is None or value < best_value:
-                    best_model, best_value = model, value
-                break
-            core = session.last_core()
-            task.record_core()
-            if not core:
-                # Hard constraints alone are inconsistent.
-                stamp_counters()
-                return task.result("unsat", iterations=iterations)
-            lower += min(selectors[literal] for literal in core)
-            cores_found += 1
-            literals_relaxed += len(core)
-            for literal in core:
-                selectors.pop(literal, None)
-
-        # ------------------------------------------------------------------
-        # Phase 2: close the [lower, incumbent] gap by bisection on the
-        # shared bound ladder (assumed selectors, same live session).
-        # ------------------------------------------------------------------
-        low, high = lower, best_value
-        proven_optimal = True
-        while low < high:
-            middle = (low + high) // 2
-            iterations += 1
-            outcome = session.solve_with_bound(
-                middle,
-                conflict_limit=task.conflict_limit,
-                time_limit=task.remaining(),
-            )
-            if outcome is SolverResult.UNKNOWN:
-                proven_optimal = False
-                break
-            if outcome is SolverResult.SAT:
-                model = session.model()
-                value = task.objective_value(model)
-                task.counters["descent_iterations"] += 1
-                best_model, best_value = model, value
-                high = value
-            else:
-                task.record_core()
-                low = middle + 1
-        stamp_counters()
-        status = "optimal" if proven_optimal else "satisfiable"
-        return task.result(status, best_model, best_value, iterations)
+_DESCENTS: Dict[str, Callable[[_Run, Optional[int]], OptimizationResult]] = {
+    "binary": _binary,
+    "core": _core,
+    "linear": _linear,
+}
 
 
 class OptimizingSolver:
@@ -663,13 +404,6 @@ class OptimizingSolver:
         self.cnf = cnf
         self.objective = list(objective)
 
-    # ------------------------------------------------------------------
-    def _objective_terms(self) -> List[Tuple[int, Literal]]:
-        return [(term.weight, term.literal) for term in self.objective]
-
-    def _objective_value(self, model: Dict[int, bool]) -> int:
-        return evaluate_pb(self._objective_terms(), model)
-
     def make_session(self) -> SolveSession:
         """A fresh persistent solving session for this instance.
 
@@ -678,9 +412,10 @@ class OptimizingSolver:
         example when the same instance is re-minimised under a tightened
         incumbent bound.
         """
-        return SolveSession(self.cnf, self._objective_terms())
+        return SolveSession(
+            self.cnf, [(term.weight, term.literal) for term in self.objective]
+        )
 
-    # ------------------------------------------------------------------
     def minimize(
         self,
         strategy: str = DEFAULT_OPTIMIZER,
@@ -694,10 +429,8 @@ class OptimizingSolver:
         """Find a model of minimal objective value.
 
         Args:
-            strategy: Registry name of the descent strategy (``"core"``,
-                the default, ``"linear"``, ``"binary"`` or anything
-                registered via :func:`register_optimizer`); all run on one
-                incremental session.
+            strategy: The descent: ``"core"`` (the default), ``"linear"``
+                or ``"binary"``; all run on one incremental session.
             time_limit: Overall wall-clock budget in seconds.
             conflict_limit: Per-solver-call conflict budget.
             upper_bound: Known inclusive bound on the objective (for example
@@ -737,49 +470,28 @@ class OptimizingSolver:
             )
         if initial_objective is not None and initial_objective < 0:
             raise ValueError("initial_objective must be non-negative")
-        try:
-            descent = OPTIMIZERS.create(strategy)
-        except KeyError:
-            raise ValueError(
-                f"unknown optimisation strategy {strategy!r}; "
-                f"available: {available_optimizers()}"
-            ) from None
-        run = _SessionRun(
+        descent = _DESCENTS[resolve_optimizer_name(strategy)]
+        run = _Run(
             session if session is not None else self.make_session(),
-            fresh=session is None,
+            session is None,
+            time_limit,
+            conflict_limit,
         )
-        incumbent_model: Optional[Dict[int, bool]] = None
-        incumbent_objective: Optional[int] = None
         if initial_model is not None:
             if upper_bound is None or initial_objective <= upper_bound:
-                incumbent_model = dict(initial_model)
-                incumbent_objective = initial_objective
+                run.best_model = dict(initial_model)
+                run.best_value = initial_objective
+                run.counters["model_seeded"] = 1
                 run.session.seed_phases(initial_model)
-        task = DescentTask(
-            run=run,
-            objective_value=self._objective_value,
-            time_limit=time_limit,
-            conflict_limit=conflict_limit,
-            upper_bound=upper_bound,
-            incumbent_model=incumbent_model,
-            incumbent_objective=incumbent_objective,
-        )
-        if incumbent_objective is not None:
-            task.counters["model_seeded"] = 1
-        return descent.minimize(task)
+        run.counters["descent_iterations"] = 0
+        return descent(run, upper_bound)
 
 
 __all__ = [
     "DEFAULT_OPTIMIZER",
+    "OPTIMIZERS",
     "ObjectiveTerm",
     "OptimizationResult",
     "OptimizingSolver",
-    "OptimizerStrategy",
-    "OptimizerRegistry",
-    "OPTIMIZERS",
-    "DescentTask",
-    "register_optimizer",
-    "available_optimizers",
-    "optimizer_descriptions",
     "resolve_optimizer_name",
 ]

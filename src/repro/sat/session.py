@@ -4,13 +4,16 @@ A :class:`SolveSession` owns one live :class:`~repro.sat.solver.CDCLSolver`
 loaded with a CNF formula and minimises a weighted objective over it by
 *assuming* objective bounds instead of cloning the formula:
 
-* The constraint ``F <= b`` is encoded once as a BDD-style ladder of
-  definitional implication clauses (the same shape as
-  :func:`repro.sat.pb.encode_pb_leq`), except that no unit clause asserts
-  the root.  The root literal is handed to the solver as an **assumption**,
-  so the bound holds for one ``solve`` call and evaporates afterwards —
-  bounds can tighten (objective descent) or move in both directions
-  (bisection) on the same solver.
+* The constraint ``F <= b`` is encoded as a BDD-style ladder of
+  definitional implication clauses: with the terms sorted heaviest first,
+  node ``(i, c)`` states "the weighted sum of terms ``i..`` is at most
+  ``c``" and implies the node for the rest of the terms under either value
+  of term ``i``.  The encoding is polynomial in ``len(terms) * b`` and
+  propagates well.  No unit clause asserts the root: the root literal is
+  handed to the solver as an **assumption**, so the bound holds for one
+  ``solve`` call and evaporates afterwards — bounds can tighten (objective
+  descent) or move in both directions (bisection) on the same solver.
+  This ladder is the package's only objective-bound encoding.
 * Ladder nodes are cached per session and shared between bounds: tightening
   from ``b`` to ``b - 1`` only adds the nodes that differ, everything
   reachable from both roots is reused.
@@ -22,11 +25,7 @@ loaded with a CNF formula and minimises a weighted objective over it by
   (:meth:`SolveSession.solve_with_assumptions`), and after an UNSAT answer
   the failing assumption subset is available as an **UNSAT core**
   (:meth:`SolveSession.last_core`) — this is what the core-guided
-  optimizer strategy and the ``--explain`` CLI flag are built on.
-
-This is the repository's replacement for the old ``_bounded_copy`` pattern
-in :mod:`repro.sat.optimize`, which re-encoded (and for the binary strategy
-re-solved from scratch) the whole instance for every bound probe.
+  descent and the ``--explain`` CLI flag are built on.
 """
 
 from __future__ import annotations
@@ -34,8 +33,19 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, Literal
-from repro.sat.pb import evaluate_pb
 from repro.sat.solver import CDCLSolver, SolverResult
+
+
+def evaluate_pb(terms: Sequence[Tuple[int, Literal]], model: Dict[int, bool]) -> int:
+    """Evaluate ``sum(weight_i * [literal_i is true])`` under *model*."""
+    total = 0
+    for weight, literal in terms:
+        value = model.get(abs(literal), False)
+        if literal < 0:
+            value = not value
+        if value:
+            total += weight
+    return total
 
 
 class SolveSession:
@@ -453,4 +463,4 @@ class SolveSession:
         return evaluate_pb(self._terms, model)
 
 
-__all__ = ["SolveSession", "SolverResult"]
+__all__ = ["SolveSession", "SolverResult", "evaluate_pb"]

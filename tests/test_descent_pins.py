@@ -1,0 +1,171 @@
+"""Exact solver-call pins for the three objective descents.
+
+Every descent (``linear``, ``binary``, ``core``) must make the same solver
+calls, in the same order, with the same bounds and assumptions, whatever the
+shape of the code around it.  These pins hold the resulting counters fixed:
+a refactor of :mod:`repro.sat.optimize` that moves any of them has changed
+the search, not just the code.
+
+The counters are deterministic (the CDCL solver has no randomness), so the
+figures are exact, not ceilings.
+"""
+
+import pytest
+
+from repro.arch.devices import ibm_qx4
+from repro.benchlib import benchmark_circuit
+from repro.benchlib.paper_example import paper_example_cnot_skeleton
+from repro.exact.dp_mapper import DPMapper
+from repro.exact.encoding import build_encoding
+from repro.exact.sat_mapper import SATMapper
+from repro.sat.optimize import OptimizingSolver
+
+#: (added_cost, solver_iterations, solver_conflicts, descent_iterations,
+#: cores_found, core_literals_relaxed, core_lower_bound); zero counters are
+#: absent from the mapper's statistics and read as 0 here.
+MAPPER_PINS = {
+    ("paper", "linear"): (4, 10, 1261, 9, 0, 0, 0),
+    ("paper", "binary"): (4, 5, 890, 3, 0, 0, 0),
+    ("paper", "core"): (4, 5, 65, 4, 1, 360, 4),
+    ("paper_bound6", "linear"): (4, 2, 27, 1, 0, 0, 0),
+    ("paper_bound6", "binary"): (4, 3, 33, 1, 0, 0, 0),
+    ("paper_bound6", "core"): (4, 2, 30, 1, 0, 0, 0),
+    ("ex-1_166_subsets", "linear"): (8, 11, 562, 10, 0, 0, 0),
+    ("ex-1_166_subsets", "binary"): (8, 7, 541, 4, 0, 0, 0),
+    ("ex-1_166_subsets", "core"): (8, 6, 288, 4, 2, 40, 8),
+}
+
+MAPPER_KEYS = (
+    "solver_iterations",
+    "solver_conflicts",
+    "descent_iterations",
+    "cores_found",
+    "core_literals_relaxed",
+    "core_lower_bound",
+)
+
+
+def _mapper_case(case, optimizer):
+    if case == "ex-1_166_subsets":
+        mapper = SATMapper(ibm_qx4(), use_subsets=True, optimizer=optimizer)
+        return mapper.map(benchmark_circuit("ex-1_166"))
+    mapper = SATMapper(ibm_qx4(), optimizer=optimizer)
+    upper_bound = 6 if case == "paper_bound6" else None
+    return mapper.map(paper_example_cnot_skeleton(), upper_bound=upper_bound)
+
+
+@pytest.mark.parametrize("case,optimizer", sorted(MAPPER_PINS))
+def test_mapper_descent_counters(case, optimizer):
+    result = _mapper_case(case, optimizer)
+    observed = (result.added_cost,) + tuple(
+        result.statistics.get(key, 0) for key in MAPPER_KEYS
+    )
+    assert observed == MAPPER_PINS[(case, optimizer)]
+    assert result.statistics["optimizer"] == optimizer
+
+
+def _session_counters(**extra):
+    counters = {
+        "solve_calls": 0,
+        "assumption_solves": 0,
+        "committed_bounds": 0,
+        "bound_nodes_created": 0,
+        "bound_nodes_reused": 0,
+        "bound_clauses_added": 0,
+        "phase_seeds": 1,
+        "clauses_exported": 0,
+        "clauses_imported": 0,
+        "import_clauses_dropped": 0,
+        "fresh_solver": 1,
+        "model_seeded": 1,
+    }
+    counters.update(extra)
+    return counters
+
+
+def _core_counters(found, relaxed, lower):
+    return {
+        "cores_found": found,
+        "core_literals_relaxed": relaxed,
+        "core_lower_bound": lower,
+    }
+
+
+#: (status, objective, iterations, conflicts, len(final_core),
+#: len(core_labels), statistics) of ``OptimizingSolver.minimize`` on the
+#: paper example's full-device encoding, seeded with an incumbent either at
+#: the optimum (DP's schedule, cost 4) or above it (the first model within
+#: ``F <= 20``, cost 18).
+SEEDED_PINS = {
+    ("optimum", "linear"): ("optimal", 4, 1, 11, 0, 0, _session_counters(
+        solve_calls=1, committed_bounds=1, bound_nodes_created=481,
+        bound_clauses_added=961, propagations=3337,
+        learned_clauses_retained=8, descent_iterations=0,
+    )),
+    ("optimum", "binary"): ("optimal", 4, 2, 22, 1, 1, _session_counters(
+        solve_calls=2, assumption_solves=2, bound_nodes_created=962,
+        bound_clauses_added=1922, propagations=4835,
+        learned_clauses_retained=12, descent_iterations=0,
+    )),
+    ("optimum", "core"): ("optimal", 4, 1, 17, 1, 1, _session_counters(
+        solve_calls=1, assumption_solves=1, bound_nodes_created=481,
+        bound_clauses_added=961, propagations=3433,
+        learned_clauses_retained=12, descent_iterations=0,
+        **_core_counters(0, 0, 0),
+    )),
+    ("above", "linear"): ("optimal", 4, 3, 73, 0, 0, _session_counters(
+        solve_calls=3, committed_bounds=3, bound_nodes_created=1447,
+        bound_nodes_reused=120, bound_clauses_added=2885, propagations=24925,
+        learned_clauses_retained=70, descent_iterations=2,
+    )),
+    ("above", "binary"): ("optimal", 4, 3, 26, 1, 1, _session_counters(
+        solve_calls=3, assumption_solves=3, bound_nodes_created=1447,
+        bound_nodes_reused=28, bound_clauses_added=2889, propagations=8676,
+        learned_clauses_retained=20, descent_iterations=1,
+    )),
+    ("above", "core"): ("optimal", 4, 4, 64, 121, 13, _session_counters(
+        solve_calls=4, assumption_solves=4, bound_nodes_created=1117,
+        bound_nodes_reused=144, bound_clauses_added=2223, propagations=25542,
+        learned_clauses_retained=64, descent_iterations=3,
+        **_core_counters(1, 121, 4),
+    )),
+}
+
+
+def _paper_encoding():
+    circuit = paper_example_cnot_skeleton()
+    gates, spots = SATMapper(ibm_qx4()).cnot_instance(circuit)
+    return build_encoding(
+        gates, circuit.num_qubits, ibm_qx4(), permutation_spots=spots
+    )
+
+
+@pytest.mark.parametrize("seed,strategy", sorted(SEEDED_PINS))
+def test_incumbent_seeded_minimize_counters(seed, strategy):
+    # A fresh encoding per case: sessions allocate their ladder variables
+    # in the formula's pool, so a shared encoding would make later cases
+    # load a larger formula and shift their propagation counts.
+    encoding = _paper_encoding()
+    solver = OptimizingSolver(encoding.cnf, encoding.objective)
+    if seed == "optimum":
+        schedule = DPMapper(ibm_qx4()).map(paper_example_cnot_skeleton()).schedule
+        model = encoding.assignment_from_schedule(schedule.mappings)
+        value = encoding.schedule_objective(schedule.mappings)
+    else:
+        probe = solver.make_session()
+        probe.solve_with_bound(20)
+        model = probe.model()
+        value = probe.objective_value(model)
+    result = solver.minimize(
+        strategy=strategy, initial_model=model, initial_objective=value
+    )
+    observed = (
+        result.status,
+        result.objective,
+        result.iterations,
+        result.conflicts,
+        len(result.final_core),
+        len(result.core_labels),
+        result.statistics,
+    )
+    assert observed == SEEDED_PINS[(seed, strategy)]

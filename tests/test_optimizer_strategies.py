@@ -1,5 +1,5 @@
-"""Tests for the optimizer-strategy registry, core-guided descent and model
-warm starts, across the optimize / SATMapper / portfolio layers."""
+"""Tests for the optimizer descents, core-guided descent and model warm
+starts, across the optimize / SATMapper / portfolio layers."""
 
 import pytest
 
@@ -11,17 +11,14 @@ from repro.benchlib.paper_example import (
 )
 from repro.exact.dp_mapper import DPMapper
 from repro.exact.sat_mapper import SATMapper
+from repro.exact.splitting import SplitSATMapper
 from repro.pipeline.portfolio import PortfolioMapper
 from repro.sat.cnf import CNF
 from repro.sat.optimize import (
     DEFAULT_OPTIMIZER,
+    OPTIMIZERS,
     ObjectiveTerm,
-    OptimizerRegistry,
-    OptimizerStrategy,
     OptimizingSolver,
-    available_optimizers,
-    optimizer_descriptions,
-    register_optimizer,
     resolve_optimizer_name,
 )
 
@@ -37,53 +34,29 @@ def _toy_instance():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = available_optimizers()
-        assert {"linear", "binary", "core"} <= set(names)
+        assert set(OPTIMIZERS) == {"linear", "binary", "core"}
+        assert DEFAULT_OPTIMIZER in OPTIMIZERS
 
-    def test_aliases_resolve(self):
-        assert resolve_optimizer_name("core-guided") == "core"
-        assert resolve_optimizer_name("bisect") == "binary"
-        assert resolve_optimizer_name("LINEAR") == "linear"
+    def test_three_names_resolve_to_themselves(self):
+        for name in ("linear", "binary", "core"):
+            assert resolve_optimizer_name(name) == name
+
+    @pytest.mark.parametrize(
+        "alias", ["core-guided", "maxsat", "bisect", "descent", "LINEAR"]
+    )
+    def test_other_spellings_are_rejected(self, alias):
+        # One spelling per descent, so one job has one cache key.
+        with pytest.raises(ValueError, match="'binary', 'core', 'linear'"):
+            resolve_optimizer_name(alias)
 
     def test_unknown_name_raises_value_error_with_choices(self):
         with pytest.raises(ValueError, match="core"):
             resolve_optimizer_name("simulated_annealing")
 
     def test_descriptions_are_one_liners(self):
-        descriptions = optimizer_descriptions()
         for name in ("linear", "binary", "core"):
-            assert descriptions[name]
-            assert "\n" not in descriptions[name]
-
-    def test_custom_registration_in_isolated_registry(self):
-        registry = OptimizerRegistry()
-
-        class Greedy(OptimizerStrategy):
-            name = "greedy"
-            description = "test strategy"
-
-            def minimize(self, task):
-                raise NotImplementedError
-
-        registry.register("greedy", Greedy, aliases=("gr",))
-        assert registry.resolve("gr") == "greedy"
-        assert isinstance(registry.create("greedy"), Greedy)
-        with pytest.raises(ValueError):
-            registry.register("greedy", Greedy)
-
-    def test_custom_strategy_usable_through_minimize(self):
-        class Constant(OptimizerStrategy):
-            name = "constant-test"
-            description = "returns unknown without solving"
-
-            def minimize(self, task):
-                return task.result("unknown")
-
-        register_optimizer("constant-test", Constant, overwrite=True)
-        cnf, objective = _toy_instance()
-        result = OptimizingSolver(cnf, objective).minimize(strategy="constant-test")
-        assert result.status == "unknown"
-        assert result.iterations == 0
+            assert OPTIMIZERS[name]
+            assert "\n" not in OPTIMIZERS[name]
 
     def test_minimize_rejects_unknown_strategy(self):
         cnf, objective = _toy_instance()
@@ -232,9 +205,10 @@ class TestSATMapperStrategies:
         with pytest.raises(ValueError, match="available"):
             SATMapper(ibm_qx4(), optimizer="annealing")
 
-    def test_optimizer_alias_resolves(self):
-        mapper = SATMapper(ibm_qx4(), optimizer="core-guided")
-        assert mapper.optimizer == "core"
+    def test_split_mapper_validates_optimizer_at_construction(self):
+        with pytest.raises(ValueError, match="available"):
+            SplitSATMapper(ibm_qx4(), optimizer="nope")
+        assert SplitSATMapper(ibm_qx4(), optimizer="binary").optimizer == "binary"
 
     @pytest.mark.parametrize("optimizer", ["binary", "core"])
     def test_paper_example_same_minimum(self, optimizer):

@@ -19,7 +19,7 @@ from repro.exact.dp_mapper import DPMapper
 from repro.heuristic.stochastic_swap import StochasticSwapMapper
 from repro.sat.cardinality import exactly_one
 from repro.sat.cnf import CNF
-from repro.sat.pb import encode_pb_leq
+from repro.sat.session import SolveSession
 from repro.sat.solver import CDCLSolver, SolverResult
 from repro.sim.equivalence import result_is_equivalent
 from repro.verify import verify_result
@@ -119,25 +119,25 @@ def test_cdcl_matches_brute_force(problem):
 
 
 @given(
-    st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=8), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
     st.integers(min_value=0, max_value=20),
 )
 @settings(max_examples=30, deadline=None)
-def test_pb_encoding_never_admits_overweight_models(weights, bound):
+def test_pb_encoding_never_admits_overweight_models(terms, bound):
+    # The session's bound ladder admits a fixed assignment of the term
+    # literals under ``F <= bound`` exactly when its weight is at most bound.
     cnf = CNF()
-    literals = [cnf.new_var() for _ in weights]
-    encode_pb_leq(cnf, list(zip(weights, literals)), bound)
-    solver = CDCLSolver()
-    solver.add_cnf(cnf)
-    # Try to push literals true greedily; whatever model comes out must obey the bound.
-    for literal in literals:
-        probe = CDCLSolver()
-        probe.add_cnf(cnf)
-        probe.add_clause([literal])
-        if probe.solve() is SolverResult.SAT:
-            model = probe.model()
-            total = sum(w for w, lit in zip(weights, literals) if model[lit])
-            assert total <= bound
+    literals = [cnf.new_var() for _ in terms]
+    weights = [weight for weight, _ in terms]
+    session = SolveSession(cnf, list(zip(weights, literals)))
+    fixed = [lit if on else -lit for lit, (_, on) in zip(literals, terms)]
+    total = sum(weight for weight, on in terms if on)
+    outcome = session.solve_with_assumptions(fixed, bound=bound)
+    assert (outcome is SolverResult.SAT) == (total <= bound)
 
 
 @given(st.integers(min_value=1, max_value=8))

@@ -1,18 +1,18 @@
-"""Unit and exhaustive tests for cardinality and pseudo-Boolean encodings."""
+"""Unit and exhaustive tests for the cardinality encodings and the
+objective-bound ladder of :class:`~repro.sat.session.SolveSession`."""
 
 import itertools
 
 import pytest
 
 from repro.sat.cardinality import (
-    at_most_k_sequential,
     at_most_one_pairwise,
     at_most_one_sequential,
     exactly_one,
 )
 from repro.sat.cnf import CNF
-from repro.sat.pb import PBError, encode_pb_leq, evaluate_pb
-from repro.sat.solver import CDCLSolver, SolverResult
+from repro.sat.session import SolveSession, evaluate_pb
+from repro.sat.solver import SolverResult
 
 
 def count_models_projected(cnf, projection_vars):
@@ -66,30 +66,11 @@ class TestAtMostOne:
             exactly_one(cnf, [cnf.new_var()], encoding="magic")
 
 
-class TestAtMostK:
-    @pytest.mark.parametrize("count,bound", [(4, 2), (5, 1), (5, 3), (3, 0)])
-    def test_projected_models_match_semantics(self, count, bound):
-        cnf = CNF()
-        literals = [cnf.new_var() for _ in range(count)]
-        at_most_k_sequential(cnf, literals, bound)
-        models = count_models_projected(cnf, literals)
-        expected = {
-            bits
-            for bits in itertools.product([False, True], repeat=count)
-            if sum(bits) <= bound
-        }
-        assert models == expected
-
-    def test_bound_larger_than_count_adds_nothing(self):
-        cnf = CNF()
-        literals = [cnf.new_var() for _ in range(3)]
-        at_most_k_sequential(cnf, literals, 5)
-        assert cnf.num_clauses == 0
-
-    def test_negative_bound_rejected(self):
-        cnf = CNF()
-        with pytest.raises(ValueError):
-            at_most_k_sequential(cnf, [cnf.new_var()], -1)
+def admits(session, literals, bits, bound):
+    """Whether the ladder admits the term assignment *bits* under ``F <= bound``."""
+    fixed = [literal if bit else -literal for literal, bit in zip(literals, bits)]
+    outcome = session.solve_with_assumptions(fixed, bound=bound)
+    return outcome is SolverResult.SAT
 
 
 class TestPseudoBoolean:
@@ -106,39 +87,34 @@ class TestPseudoBoolean:
     def test_projected_models_match_semantics(self, weights, bound):
         cnf = CNF()
         literals = [cnf.new_var() for _ in range(len(weights))]
-        encode_pb_leq(cnf, list(zip(weights, literals)), bound)
-        models = count_models_projected(cnf, literals)
-        expected = {
-            bits
-            for bits in itertools.product([False, True], repeat=len(weights))
-            if sum(w for w, b in zip(weights, bits) if b) <= bound
-        }
-        assert models == expected
+        session = SolveSession(cnf, list(zip(weights, literals)))
+        for bits in itertools.product([False, True], repeat=len(weights)):
+            weight = sum(w for w, b in zip(weights, bits) if b)
+            assert admits(session, literals, bits, bound) == (weight <= bound)
 
     def test_trivially_satisfied_bound_adds_nothing(self):
         cnf = CNF()
         literals = [cnf.new_var() for _ in range(3)]
-        encode_pb_leq(cnf, [(1, lit) for lit in literals], 10)
-        assert cnf.num_clauses == 0
+        session = SolveSession(cnf, [(1, lit) for lit in literals])
+        assert session.selector(10) is None
+        assert session.statistics["bound_clauses_added"] == 0
 
     def test_negative_weight_rejected(self):
         cnf = CNF()
-        with pytest.raises(PBError):
-            encode_pb_leq(cnf, [(-1, cnf.new_var())], 3)
+        with pytest.raises(ValueError):
+            SolveSession(cnf, [(-1, cnf.new_var())])
 
     def test_negative_bound_rejected(self):
         cnf = CNF()
-        with pytest.raises(PBError):
-            encode_pb_leq(cnf, [(1, cnf.new_var())], -1)
+        session = SolveSession(cnf, [(1, cnf.new_var())])
+        with pytest.raises(ValueError):
+            session.selector(-1)
 
     def test_zero_weight_terms_ignored(self):
         cnf = CNF()
         a, b = cnf.new_var(), cnf.new_var()
-        encode_pb_leq(cnf, [(0, a), (5, b)], 3)
-        solver = CDCLSolver()
-        solver.add_cnf(cnf)
-        solver.add_clause([a])
-        assert solver.solve() is SolverResult.SAT
+        session = SolveSession(cnf, [(0, a), (5, b)])
+        assert session.solve_with_assumptions([a], bound=3) is SolverResult.SAT
 
     def test_evaluate_pb_handles_negative_literals(self):
         assert evaluate_pb([(3, 1), (5, -2)], {1: True, 2: False}) == 8
@@ -149,12 +125,9 @@ class TestPseudoBoolean:
         literals = [cnf.new_var() for _ in range(4)]
         weights = [7, 7, 4, 4]
         # Force the two cheap literals true, then bound the sum below 11+7.
-        encode_pb_leq(cnf, list(zip(weights, literals)), 15)
-        solver = CDCLSolver()
-        solver.add_cnf(cnf)
-        solver.add_clause([literals[2]])
-        solver.add_clause([literals[3]])
-        assert solver.solve() is SolverResult.SAT
-        model = solver.model()
+        session = SolveSession(cnf, list(zip(weights, literals)))
+        outcome = session.solve_with_assumptions(literals[2:], bound=15)
+        assert outcome is SolverResult.SAT
+        model = session.model()
         total = sum(w for w, lit in zip(weights, literals) if model[lit])
         assert total <= 15

@@ -1,9 +1,8 @@
-"""Tests for UNSAT-core extraction: solver, session and cores helpers."""
+"""Tests for UNSAT-core extraction: solver, session and optimizer reporting."""
 
 import pytest
 
 from repro.sat.cnf import CNF
-from repro.sat.cores import UnsatCore, core_from_session, trim_core
 from repro.sat.optimize import ObjectiveTerm, OptimizingSolver
 from repro.sat.session import SolveSession
 from repro.sat.solver import CDCLSolver, SolverResult
@@ -140,43 +139,15 @@ class TestSessionCores:
     def test_core_from_session_labels(self):
         session, a, b = self._session()
         assert session.solve_with_assumptions([-a, -b]) is SolverResult.UNSAT
-        core = core_from_session(session)
-        assert isinstance(core, UnsatCore)
-        assert not core.is_empty
-        assert len(core.labels) == len(core.literals)
-        assert all("objective term" in label for label in core.labels)
+        core = session.last_core()
+        assert core
+        labels = [session.describe_literal(literal) for literal in core]
+        assert all("objective term" in label for label in labels)
 
     def test_core_from_session_empty_after_sat(self):
         session, a, b = self._session()
         assert session.solve_with_bound(None) is SolverResult.SAT
-        assert core_from_session(session).is_empty
-
-
-class TestTrimCore:
-    def test_trims_to_minimal_core(self):
-        solver = CDCLSolver()
-        solver.add_clause([-1, -2])
-
-        def is_unsat(assumptions):
-            return solver.solve(assumptions=list(assumptions)) is SolverResult.UNSAT
-
-        trimmed = trim_core(is_unsat, [5, 1, 6, 2, 7])
-        assert set(trimmed) == {1, 2}
-
-    def test_rejects_non_core(self):
-        solver = CDCLSolver()
-        solver.add_clause([1, 2])
-
-        def is_unsat(assumptions):
-            return solver.solve(assumptions=list(assumptions)) is SolverResult.UNSAT
-
-        with pytest.raises(ValueError):
-            trim_core(is_unsat, [1])
-
-    def test_unsat_core_describe_falls_back_to_literals(self):
-        core = UnsatCore(literals=(3, -4))
-        assert core.describe() == ["3", "-4"]
-        assert 3 in core and -4 in core and len(core) == 2
+        assert session.last_core() == ()
 
 
 class TestOptimizerCoreReporting:
@@ -205,3 +176,17 @@ class TestOptimizerCoreReporting:
         assert result.statistics["cores_found"] >= 1
         assert result.statistics["core_lower_bound"] >= 3
         assert result.final_core
+
+    def test_long_core_labels_are_capped(self):
+        cnf = CNF()
+        literals = [cnf.new_var(f"t{index}") for index in range(20)]
+        cnf.add_clause(literals)
+        result = OptimizingSolver(
+            cnf, [ObjectiveTerm(1, literal) for literal in literals]
+        ).minimize(strategy="core")
+        assert result.objective == 1
+        # The first core holds all 20 selectors; 12 are labelled, the
+        # tail is summarised, and the literal tuple stays complete.
+        assert len(result.final_core) == 20
+        assert len(result.core_labels) == 13
+        assert result.core_labels[-1] == "... and 8 more core literals"

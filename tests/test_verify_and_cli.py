@@ -423,6 +423,19 @@ class TestCLIBoundsAndPrune:
         with pytest.raises(SystemExit):
             main(["cache", "prune", "--ttl", "60"])
 
+    @pytest.mark.parametrize("subcommand", [
+        ["listen", "--port", "0", "--workers", "0"],
+        ["listen", "--port", "0", "--workers", "1"],
+        ["serve", "--engine", "dp"],
+    ])
+    @pytest.mark.parametrize("ttl", ["0", "-5", "soon"])
+    def test_bad_result_ttl_is_an_argparse_error(self, subcommand, ttl, capsys):
+        # Rejected while parsing: no store is opened, no worker started.
+        with pytest.raises(SystemExit) as excinfo:
+            main(subcommand + ["--result-ttl", ttl])
+        assert excinfo.value.code == 2
+        assert "--result-ttl" in capsys.readouterr().err
+
     def test_result_ttl_flag_expires_cache_hits(self, tmp_path, capsys):
         import sqlite3
         import time as _time
