@@ -1,0 +1,134 @@
+"""Exact counter pins for the subset sweep of :meth:`SATMapper.map`.
+
+The sweep's bookkeeping (family planning, pruning, closure, clause sharing,
+model transfer, the member re-solve and the stored-artifact tier) decides
+which solver calls run, with which bounds and which imported clauses.  These
+pins hold the resulting counters fixed: a change to that bookkeeping which
+moves any of them has changed the search, not just the code.
+
+The counters are deterministic (the CDCL solver has no randomness), so the
+figures are exact, not ceilings.  ``REPRO_CHECK_IMPORTS`` is removed for
+every test, because under it a family closure runs a solver probe.
+"""
+
+import pytest
+
+from repro.arch.devices import ibm_qx4, sweep_grid8
+from repro.benchlib.generators import benchmark_circuit
+from repro.benchlib.paper_example import paper_example_cnot_skeleton
+from repro.exact.encoding import clear_skeleton_cache
+from repro.exact.sat_mapper import SATMapper
+from repro.service.store import ArtifactCache, ResultStore
+
+#: Pinned statistics, in the order of each pin tuple after ``added_cost``.
+KEYS = (
+    "solver_conflicts",
+    "solver_iterations",
+    "families_total",
+    "families_pruned",
+    "families_closed",
+    "subsets_solved",
+    "family_reuses",
+    "clauses_exported",
+    "clauses_imported",
+    "models_transferred",
+    "artifact_hits",
+    "artifact_bounds_used",
+    "artifact_models_used",
+    "artifact_clauses_imported",
+)
+
+#: ex-1_166 on grid8, subset sweep, no store: the cold row of the warm tests.
+GRID8_COLD = (15, 2419, 15, 8, 5, 0, 3, 6, 215, 134, 2, 0, 0, 0, 0)
+
+
+@pytest.fixture(autouse=True)
+def _plain_sweep(monkeypatch):
+    monkeypatch.delenv("REPRO_CHECK_IMPORTS", raising=False)
+    clear_skeleton_cache()
+
+
+def _pins(result):
+    return (result.added_cost,) + tuple(result.statistics[key] for key in KEYS)
+
+
+def _ex_1_166():
+    return benchmark_circuit("ex-1_166")
+
+
+@pytest.mark.parametrize(
+    "options,expected",
+    [
+        ({}, (8, 288, 6, 3, 2, 0, 1, 0, 5, 0, 0, 0, 0, 0, 0)),
+        (
+            {"share_clauses": False, "prune_families": False},
+            (8, 413, 8, 3, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0),
+        ),
+        # A tiny conflict budget leaves families inconclusive, so later
+        # members re-solve on their family's live session.
+        ({"conflict_limit": 5}, (54, 42, 10, 3, 0, 0, 6, 0, 8, 1, 0, 0, 0, 0, 0)),
+    ],
+    ids=["default", "no-share-no-prune", "conflict-limit-5"],
+)
+def test_qx4_subset_sweep(options, expected):
+    result = SATMapper(ibm_qx4(), use_subsets=True, **options).map(_ex_1_166())
+    assert _pins(result) == expected
+
+
+def test_grid8_subset_sweep():
+    result = SATMapper(sweep_grid8(), use_subsets=True).map(_ex_1_166())
+    assert _pins(result) == GRID8_COLD
+
+
+def test_grid8_member_resolve():
+    result = SATMapper(sweep_grid8(), use_subsets=True, conflict_limit=5).map(
+        _ex_1_166()
+    )
+    assert _pins(result) == (54, 94, 21, 8, 0, 0, 16, 0, 55, 50, 7, 0, 0, 0, 0)
+
+
+class TestFullDevice:
+    def _map(self, **kwargs):
+        return SATMapper(ibm_qx4()).map(paper_example_cnot_skeleton(), **kwargs)
+
+    def test_cold(self):
+        assert _pins(self._map()) == (
+            4, 65, 5, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0
+        )
+
+    def test_own_schedule_closes_without_solving(self):
+        cold = self._map()
+        seeded = self._map(
+            initial_model=cold.schedule.mappings,
+            initial_objective=cold.added_cost,
+        )
+        assert _pins(seeded) == (4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+
+    def test_upper_bound(self):
+        assert _pins(self._map(upper_bound=6)) == (
+            4, 30, 2, 1, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0
+        )
+
+
+class TestStoredArtifacts:
+    def _map(self, store, **options):
+        mapper = SATMapper(sweep_grid8(), use_subsets=True, **options)
+        return mapper.map(_ex_1_166(), artifacts=ArtifactCache(store))
+
+    def test_cold_then_warm(self, tmp_path):
+        store = ResultStore(tmp_path / "artifacts.sqlite")
+        assert _pins(self._map(store)) == GRID8_COLD
+        assert store.artifact_rows() == (3, 6097)
+        assert _pins(self._map(store)) == (
+            15, 0, 0, 8, 6, 2, 2, 3, 0, 0, 1, 3, 3, 2, 0
+        )
+        assert store.artifact_rows() == (3, 6097)
+
+    def test_budgeted_cold_then_warm(self, tmp_path):
+        store = ResultStore(tmp_path / "artifacts.sqlite")
+        assert _pins(self._map(store, conflict_limit=20)) == (
+            60, 353, 25, 8, 0, 0, 16, 0, 136, 129, 7, 0, 0, 0, 0
+        )
+        assert _pins(self._map(store)) == (
+            15, 1877, 16, 8, 5, 0, 3, 6, 194, 122, 2, 3, 0, 2, 21
+        )
