@@ -36,7 +36,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.coupling import CouplingMap
-from repro.arch.diskcache import DistanceDiskStore, PermutationDiskStore
+from repro.arch.diskcache import PermutationDiskStore
 from repro.arch.permutations import MappingTransitionTable, PermutationTable
 from repro.arch.subsets import connected_subsets
 
@@ -65,8 +65,6 @@ _STATS = {
     "connected_subsets_misses": 0,
     "distance_matrix_hits": 0,
     "distance_matrix_misses": 0,
-    "distance_matrix_disk_hits": 0,
-    "distance_matrix_disk_writes": 0,
     "synthesizer_hits": 0,
     "synthesizer_misses": 0,
     # Backend selections: the perf gate pins that small devices never take
@@ -202,20 +200,13 @@ def shared_transition_table(
     return winner
 
 
-def _distance_disk_store() -> Optional[DistanceDiskStore]:
-    cache_dir = get_cache_dir()
-    if cache_dir is None:
-        return None
-    return DistanceDiskStore(cache_dir)
-
-
 def shared_distance_matrix(coupling: CouplingMap) -> Dict[int, Dict[int, int]]:
     """The (cached) all-pairs shortest-path distance matrix of *coupling*.
 
     Shared between the heuristics' lookahead and the routed SWAP synthesis
-    backend; callers must treat the returned dictionary as read-only.  A
-    configured cache directory persists the matrix next to the permutation
-    tables so restarted workers skip the all-pairs BFS.
+    backend; callers must treat the returned dictionary as read-only.  The
+    matrix is never persisted: recomputing it costs no more than reading it
+    back from disk.
     """
     key = coupling.canonical_key()
     with _LOCK:
@@ -224,27 +215,13 @@ def shared_distance_matrix(coupling: CouplingMap) -> Dict[int, Dict[int, int]]:
             _STATS["distance_matrix_hits"] += 1
             _DISTANCES.move_to_end(key)
             return cached
-    store = _distance_disk_store()
-    distances = store.load(coupling) if store is not None else None
-    disk_hit = distances is not None
-    if distances is None:
-        distances = coupling.distance_matrix()
+    distances = coupling.distance_matrix()
     with _LOCK:
         _STATS["distance_matrix_misses"] += 1
-        if disk_hit:
-            _STATS["distance_matrix_disk_hits"] += 1
         winner = _DISTANCES.setdefault(key, distances)
         _DISTANCES.move_to_end(key)
         while len(_DISTANCES) > MAX_ENTRIES:
             _DISTANCES.popitem(last=False)
-    if store is not None and not disk_hit and winner is distances:
-        try:
-            store.save(coupling, distances)
-        except OSError:
-            pass  # a read-only cache directory must not fail the mapping
-        else:
-            with _LOCK:
-                _STATS["distance_matrix_disk_writes"] += 1
     return winner
 
 
@@ -327,10 +304,6 @@ def cache_stats() -> Dict[str, int]:
     if store is not None:
         stats["permutation_tables_on_disk"] = len(store.entries())
         stats["disk_cache_bytes"] = store.size_bytes()
-    distance_store = _distance_disk_store()
-    if distance_store is not None:
-        stats["distance_matrices_on_disk"] = len(distance_store.entries())
-        stats["distance_cache_bytes"] = distance_store.size_bytes()
     return stats
 
 

@@ -145,106 +145,8 @@ class PermutationDiskStore:
         return removed
 
 
-class DistanceDiskStore:
-    """Durable all-pairs distance-table store under one cache directory.
-
-    The big-device synthesis path (:mod:`repro.arch.synthesis`) replaces the
-    permutation-group BFS with all-pairs shortest-path distances; this store
-    persists those tables in ``<cache_dir>/distances/<sha256-of-key>.json``
-    with the same atomic-replace discipline as :class:`PermutationDiskStore`.
-
-    Args:
-        cache_dir: Root cache directory; the store uses the ``distances/``
-            subdirectory and creates it on first write.
-    """
-
-    def __init__(self, cache_dir):
-        self.root = Path(cache_dir) / "distances"
-
-    def _path(self, key: _CanonicalKey) -> Path:
-        return self.root / f"{key_digest(key)}.json"
-
-    # ------------------------------------------------------------------
-    def load(self, coupling: CouplingMap) -> Optional[Dict[int, Dict[int, int]]]:
-        """Load the distance matrix for *coupling*; ``None`` on any miss."""
-        key = coupling.canonical_key()
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if payload.get("schema_version") != DISK_SCHEMA_VERSION:
-            return None
-        if payload.get("num_qubits") != key[0]:
-            return None
-        if [list(edge) for edge in key[1]] != payload.get("edges"):
-            return None
-        return {
-            int(source): {int(dest): int(hops) for dest, hops in row.items()}
-            for source, row in payload["distances"].items()
-        }
-
-    def save(self, coupling: CouplingMap, distances: Dict[int, Dict[int, int]]) -> Path:
-        """Persist *distances* atomically; returns the file path."""
-        key = coupling.canonical_key()
-        payload = {
-            "schema_version": DISK_SCHEMA_VERSION,
-            "num_qubits": key[0],
-            "edges": [list(edge) for edge in key[1]],
-            "distances": {
-                str(source): {str(dest): hops for dest, hops in row.items()}
-                for source, row in distances.items()
-            },
-        }
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        fd, temp_name = tempfile.mkstemp(
-            dir=str(self.root), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    # ------------------------------------------------------------------
-    def entries(self) -> List[Path]:
-        """All artefact files currently on disk (empty when absent)."""
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("*.json"))
-
-    def size_bytes(self) -> int:
-        """Total size of the stored artefacts in bytes."""
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def clear(self) -> int:
-        """Delete every stored artefact; returns the number removed."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
 __all__ = [
     "DISK_SCHEMA_VERSION",
     "PermutationDiskStore",
-    "DistanceDiskStore",
     "key_digest",
 ]

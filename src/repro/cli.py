@@ -207,8 +207,14 @@ def _engine_options(engine: str, args: argparse.Namespace) -> Dict[str, Any]:
         options["use_subsets"] = args.subsets
     if engine in ("sat", "portfolio", "sat_split"):
         options["time_limit"] = args.time_limit
-        if getattr(args, "optimizer", None) is not None:
-            options["optimizer"] = args.optimizer
+        # The default descent is left implicit, so an explicit
+        # ``--optimizer core`` shares its result-cache key with no flag.
+        optimizer = getattr(args, "optimizer", None)
+        if optimizer is not None:
+            from repro.sat.optimize import DEFAULT_OPTIMIZER, resolve_optimizer_name
+
+            if resolve_optimizer_name(optimizer) != DEFAULT_OPTIMIZER:
+                options["optimizer"] = optimizer
     if engine == "sat_split" and getattr(args, "split_window", None) is not None:
         options["window_size"] = args.split_window
     if engine == "stochastic":

@@ -16,6 +16,11 @@ The subset sweep is organised around four reuse layers:
   the same directed edge set produce *identical* encodings, so they form one
   family that is encoded and solved once; the other members mirror the
   outcome (translated to their own device indices) without any solver call.
+  A family is one object from planning to the end of the sweep: its plan,
+  its live solve, its latest decision and its harvest (proven bound,
+  shareable clauses, best schedule).  Every member, the representative
+  included, passes through one loop body with one budget check and one
+  incumbent update.
 * **Solve sessions** — each family keeps one persistent
   :class:`~repro.sat.session.SolveSession`; objective bounds (the heuristic
   seed and the cross-subset incumbent) are *assumed* on the live solver, so
@@ -35,9 +40,11 @@ The subset sweep is organised around four reuse layers:
   alone; restricted to the shared encoding layers and translated through
   :func:`~repro.exact.sweep.encoding_variable_remap` along an (undirected)
   edge embedding, they are implied by every sparser family's formula too,
-  and are injected into those sessions before their first solve.  Set the
+  and are injected into those sessions before their first solve, through
+  the same import routine as the clauses stored by past jobs.  Set the
   environment variable ``REPRO_CHECK_IMPORTS`` to verify every imported
-  clause by refutation (slow; used by the property tests).
+  clause by refutation (slow; used by the property tests); it is read once
+  per :meth:`SATMapper.map` call.
 
 The sweep is sequential by design: pruning, clause sharing and model
 transfer all draw on the families solved before, so a family solved without
@@ -163,65 +170,47 @@ class SubsetOutcome:
         return self.status == "optimal"
 
 
-@dataclass
-class _FamilyState:
-    """Live solving state of one subset family during a sweep.
+def _translate(
+    local_mappings: Sequence[Tuple[int, ...]], subset: Sequence[int]
+) -> List[Tuple[int, ...]]:
+    """Subset-relative physical indices back to device indices."""
+    return [
+        tuple(subset[physical] for physical in mapping)
+        for mapping in local_mappings
+    ]
 
-    The encoding (and therefore the session) belongs to the *family*, not to
-    a particular subset: outcomes carry subset-relative ("local") mappings
-    here and are translated per member.
+
+def _proven_lower_bound(
+    outcome: SubsetOutcome, bound_used: Optional[int]
+) -> Optional[float]:
+    """Lower bound on the family's true optimum proven by one decision.
+
+    * ``optimal`` — the optimum itself is known exactly.
+    * ``unsat`` under bound ``b`` — nothing costs at most ``b``, so the
+      optimum is at least ``b + 1`` (infinite when no bound was active:
+      the instance is unsatisfiable outright).
+    * core-guided runs additionally prove ``core_lower_bound`` from
+      disjoint UNSAT cores, valid even when the descent did not finish
+      (the core strategy never commits bounds, so its cores are
+      consequences of the formula alone).
     """
-
-    encoding: Optional[MappingEncoding]
-    optimizer: Optional[OptimizingSolver]
-    session: Optional[SolveSession]
-    status: Optional[str] = None
-    objective: Optional[int] = None
-    local_mappings: Optional[List[Tuple[int, ...]]] = None
-    bound_used: Optional[int] = None
-
-    def release_solver(self) -> None:
-        """Drop the live solver once the family is conclusively decided.
-
-        A sweep can cover many families; keeping every CDCL solver (watch
-        lists, learned clauses) alive until the end would grow memory with
-        the family count, while a conclusive (``optimal``/``unsat``) family
-        only ever serves mirrored outcomes from the recorded fields.
-        """
-        self.encoding = None
-        self.optimizer = None
-        self.session = None
-
-
-@dataclass
-class FamilyPlan:
-    """One subset family of a sweep, in solving order.
-
-    Attributes:
-        indices: Subset indices of the family's members, ascending (the
-            first is the representative that is actually solved).
-        key: Canonical coupling key of the induced sub-coupling.
-        sub_coupling: The representative's re-indexed sub-coupling.
-        heuristic_lower_bound: Provable structural lower bound on the
-            family's added cost (the primary ordering key, see
-            :func:`repro.exact.sweep.structural_lower_bound`).
-        connected: Whether the sub-coupling is connected (disconnected
-            families are recorded as unsatisfiable without solving).
-    """
-
-    indices: List[int]
-    key: Tuple
-    sub_coupling: CouplingMap
-    heuristic_lower_bound: int
-    connected: bool
+    bound: Optional[float] = None
+    if outcome.status == "optimal":
+        bound = outcome.objective
+    elif outcome.status == "unsat":
+        bound = float("inf") if bound_used is None else bound_used + 1
+    core_bound = outcome.statistics.get("core_lower_bound", 0)
+    if core_bound and (bound is None or core_bound > bound):
+        bound = core_bound
+    return bound
 
 
 @dataclass
 class _SharedVars:
     """Slim view of an encoding's shareable variable layers.
 
-    Retained in the sweep's family records after the heavyweight encoding
-    (its CNF clause list) has been released — everything
+    Kept by a family after its heavyweight encoding (the CNF clause list)
+    has been released — everything
     :func:`repro.exact.sweep.encoding_variable_remap` needs from a clause
     *source*.
     """
@@ -247,32 +236,109 @@ class _SharedVars:
         )
 
 
-@dataclass
-class _FamilyRecord:
-    """What a processed family leaves behind for the rest of the sweep."""
+@dataclass(eq=False)
+class _Family:
+    """One subset family of a sweep, from planning to the end of the sweep.
 
-    plan: FamilyPlan
-    shared_vars: Optional[_SharedVars]
-    lower_bound: Optional[float]
-    exported: List[Tuple[int, ...]]
+    Two subsets whose sub-couplings re-index to the same directed edge set
+    have identical encodings, so the family is encoded and solved once, on
+    subset-relative ("local") physical indices, and each member translates
+    the outcome to its own device indices.
+
+    Attributes:
+        indices: Subset indices of the family's members, ascending (the
+            first is the representative that is actually solved).
+        key: Canonical coupling key of the induced sub-coupling.
+        sub_coupling: The representative's re-indexed sub-coupling.
+        heuristic_lower_bound: Provable structural lower bound on the
+            family's added cost (the primary ordering key, see
+            :func:`repro.exact.sweep.structural_lower_bound`).
+        connected: Whether the sub-coupling is connected (disconnected
+            families are recorded as unsatisfiable without solving).
+        encoding, optimizer, session: The live solve; dropped once the
+            family is conclusively decided (see :meth:`release_solver`).
+        status: The latest decision: ``"pruned"``, or an optimiser status
+            (``None`` before the family is first visited).
+        bound_used: The sweep bound that decision was made under.
+        lower_bound: The tightest lower bound proven on the family's cost.
+        exported: Learned clauses shareable with sparser families.
+        shared_vars: The variable layers those clauses are written in.
+        schedule: The cheapest local schedule found, costing *objective*.
+    """
+
+    indices: List[int]
+    key: Tuple
+    sub_coupling: CouplingMap
+    heuristic_lower_bound: int
+    connected: bool
+    encoding: Optional[MappingEncoding] = None
+    optimizer: Optional[OptimizingSolver] = None
+    session: Optional[SolveSession] = None
+    status: Optional[str] = None
+    bound_used: Optional[int] = None
+    lower_bound: Optional[float] = None
+    exported: List[Tuple[int, ...]] = field(default_factory=list)
+    shared_vars: Optional[_SharedVars] = None
     schedule: Optional[List[Tuple[int, ...]]] = None
-    schedule_objective: Optional[int] = None
+    objective: Optional[int] = None
+
+    def mirrored(
+        self, subset: Tuple[int, ...], bound: Optional[int]
+    ) -> Optional[SubsetOutcome]:
+        """The outcome for *subset* when the family is already decided.
+
+        Returns ``None`` before the first visit and while the latest
+        outcome is inconclusive (``"satisfiable"``/``"unknown"`` from an
+        exhausted budget): the family must then be solved on its live
+        session.  Bounds only tighten over a sweep, so a decided outcome
+        stays valid: an optimum above the current bound (and any earlier
+        ``"unsat"``) reads as unsatisfiable-within-bound.
+        """
+        if self.status == "pruned":
+            return SubsetOutcome(
+                subset=subset,
+                status="pruned",
+                pruned=True,
+                proven_lower_bound=self.lower_bound,
+            )
+        if self.status == "optimal" and (bound is None or self.objective <= bound):
+            return SubsetOutcome(
+                subset=subset,
+                status="optimal",
+                objective=self.objective,
+                mappings=_translate(self.schedule, subset),
+                reused=True,
+            )
+        if self.status in ("optimal", "unsat"):
+            return SubsetOutcome(subset=subset, status="unsat", reused=True)
+        return None
+
+    def release_solver(self) -> None:
+        """Drop the live solver once the family is conclusively decided.
+
+        A sweep can cover many families; keeping every CDCL solver (watch
+        lists, learned clauses) alive until the end would grow memory with
+        the family count, while a conclusive (``optimal``/``unsat``) family
+        only ever serves mirrored outcomes from its harvest.
+        """
+        self.encoding = None
+        self.optimizer = None
+        self.session = None
 
 
-class SweepContext:
-    """Cross-family bookkeeping of one sweep: proven bounds and clause pool.
+class _Sweep:
+    """The cross-family state of one :meth:`SATMapper.map` call.
 
-    The sweep (:meth:`SATMapper.map`) feeds processed families in via
-    :meth:`note_family`, queries :meth:`family_lower_bound` before touching
-    the next one, and pulls translated learned clauses via :meth:`import_into`.
+    Holds the visited families in first-visited order (pruned ones
+    included), the embedding cache, the incumbent and the bound it implies,
+    the sweep counters and the stored-artifact rows.
 
     With an *artifacts* cache (see
     :class:`repro.service.store.ArtifactCache` — duck-typed here as
-    anything with ``load(key)``/``save(key, payload)``) and the instance
-    shape (*gates*, *num_logical*, *spots*), the context additionally
-    consults **persisted solve artifacts** from structurally identical past
-    jobs: learned clauses (:meth:`artifact_import_into`), proven lower
-    bounds (:meth:`artifact_lower_bound`, directed-orientation matched) and
+    anything with ``load(key)``/``save(key, payload)``), the sweep
+    additionally consults **persisted solve artifacts** from structurally
+    identical past jobs: learned clauses (:meth:`import_clauses`), proven
+    lower bounds (:meth:`lower_bounds`, directed-orientation matched) and
     incumbent schedules (:meth:`artifact_incumbent`, re-costed), and writes
     this sweep's harvest back via :meth:`save_artifacts`.  Every artifact
     consumption is shape-checked against the live encoding; a corrupt or
@@ -282,123 +348,178 @@ class SweepContext:
 
     def __init__(
         self,
-        gates: Optional[Sequence[Tuple[int, int]]] = None,
-        num_logical: Optional[int] = None,
-        spots: Optional[Sequence[int]] = None,
+        gates: Sequence[Tuple[int, int]],
+        num_logical: int,
+        spots: Sequence[int],
+        upper_bound: Optional[int],
         artifacts=None,
     ) -> None:
-        self.records: List[_FamilyRecord] = []
-        self._embeddings: Dict[Tuple, Optional[Tuple[int, ...]]] = {}
-        self.clauses_exported = 0
-        self.clauses_imported = 0
-        self.families_pruned = 0
-        self.families_closed = 0
-        self.models_transferred = 0
-        self.gates = [tuple(gate) for gate in gates] if gates else None
+        self.gates = [tuple(gate) for gate in gates]
         self.num_logical = num_logical
-        self.spots = list(spots) if spots is not None else None
+        self.spots = list(spots)
         self.artifacts = artifacts
-        self.artifact_clauses_imported = 0
-        self.artifact_bounds_used = 0
-        self.artifact_models_used = 0
-        self.artifact_hits = 0
-        self.artifact_misses = 0
-        self.artifact_notes: List[str] = []
+        # Read once: every clause import (and every closure) of this sweep
+        # is refutation-checked, or none is.
+        self.check_imports = bool(os.environ.get("REPRO_CHECK_IMPORTS"))
+        self.families: List[_Family] = []
+        self._embeddings: Dict[Tuple, Optional[Tuple[int, ...]]] = {}
         self._artifact_rows: Dict[str, Optional[Dict]] = {}
+        self.outcomes: List[SubsetOutcome] = []
+        self.best: Optional[SubsetOutcome] = None
+        self.bound = upper_bound
+        self.found_zero = False
+        self.budget_exhausted = False
+        self.counters = dict.fromkeys(
+            (
+                "families_pruned",
+                "families_closed",
+                "clauses_exported",
+                "clauses_imported",
+                "models_transferred",
+                "artifact_clauses_imported",
+                "artifact_bounds_used",
+                "artifact_models_used",
+                "artifact_hits",
+                "artifact_misses",
+            ),
+            0,
+        )
+        self.artifact_notes: List[str] = []
 
     # ------------------------------------------------------------------
-    # Persisted artifacts (cross-job warm starts)
-    # ------------------------------------------------------------------
-    def _artifact_for(
-        self, sub_coupling: CouplingMap
-    ) -> Tuple[Optional[str], Optional[Dict]]:
-        """The (cached) artifact row for one family, with hit/miss counting."""
-        if (
-            self.artifacts is None
-            or self.gates is None
-            or self.num_logical is None
-            or self.spots is None
-        ):
-            return None, None
-        key = artifact_key(self.gates, self.num_logical, sub_coupling, self.spots)
-        if key not in self._artifact_rows:
-            try:
-                payload = self.artifacts.load(key)
-            except Exception:  # noqa: BLE001 - seeding must never fail a solve
-                payload = None
-            self._artifact_rows[key] = payload
-            if payload is None:
-                self.artifact_misses += 1
-            else:
-                self.artifact_hits += 1
-        return key, self._artifact_rows[key]
+    def record(self, outcome: SubsetOutcome) -> None:
+        """Add one member's outcome and update the incumbent.
 
-    def artifact_lower_bound(self, sub_coupling: CouplingMap) -> Optional[float]:
-        """A persisted proven lower bound for this family, or ``None``.
-
-        Only bound entries proven under *exactly* this family's directed
-        edge set apply — same-key families with another CNOT orientation
-        pay different reversal costs, so their bounds do not transfer.
+        A zero-added-cost mapping cannot be beaten by any other subset, so
+        it ends the sweep; any other incumbent tightens the bound — later
+        instances only interest us when strictly cheaper (and never above a
+        seeded bound).
         """
-        _, payload = self._artifact_for(sub_coupling)
-        if payload is None:
-            return None
-        bound = payload["bounds"].get(directed_edges_key(sub_coupling))
-        if bound is None:
-            return None
-        return float(bound)
+        self.outcomes.append(outcome)
+        if not outcome.is_satisfiable:
+            return
+        if self.best is None or outcome.objective < self.best.objective:
+            self.best = outcome
+        if self.best.objective == 0:
+            self.found_zero = True
+            return
+        incumbent_bound = self.best.objective - 1
+        self.bound = (
+            incumbent_bound if self.bound is None
+            else min(self.bound, incumbent_bound)
+        )
 
-    def artifact_incumbent(
-        self,
-        sub_coupling: CouplingMap,
-        table,
-        bound: Optional[int],
-    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
-        """A persisted schedule for this family, re-costed, or ``None``.
-
-        Placement validity follows from skeleton-key equality (local
-        indices mean the same physical structure); the reversal cost does
-        not, so the schedule is re-costed against this family's directed
-        edges via :func:`repro.exact.sweep.schedule_cost` — a schedule that
-        fails the re-costing (corrupt row) is dropped with a note.
-        """
-        _, payload = self._artifact_for(sub_coupling)
-        if payload is None or payload.get("schedule") is None:
-            return None
-        if self.gates is None:
-            return None
-        mappings = [tuple(mapping) for mapping in payload["schedule"]]
-        cost = schedule_cost(sub_coupling, table, self.gates, mappings)
-        if cost is None:
-            self.artifact_notes.append(
-                "persisted schedule does not place this family's gates on "
-                "coupled pairs; model seeding skipped for this family"
+    def _embedding(
+        self, inner: _Family, outer: _Family, directed: bool
+    ) -> Optional[Tuple[int, ...]]:
+        cache_key = (inner.key, outer.key, directed)
+        if cache_key not in self._embeddings:
+            self._embeddings[cache_key] = find_edge_embedding(
+                inner.sub_coupling, outer.sub_coupling, directed=directed
             )
-            return None
-        if bound is not None and cost > bound:
-            return None
-        return mappings, cost
+        return self._embeddings[cache_key]
 
-    def artifact_import_into(
-        self, sub_coupling: CouplingMap, state: "_FamilyState"
-    ) -> int:
-        """Inject persisted learned clauses into *state*'s session.
+    # ------------------------------------------------------------------
+    def lower_bounds(self, family: _Family) -> Tuple[float, float]:
+        """The family's proven lower bound, and the in-sweep part of it.
 
-        The clauses arrive in template numbering; skeleton-key equality
-        makes the translation a constant shift
-        (:func:`repro.exact.sweep.template_clause_remap`).  A row whose
-        variable-block shape disagrees with the live encoding (a corrupt or
-        foreign row) contributes nothing — its bounds and schedule are
-        still semantically validated elsewhere, so seeding degrades to
-        bound-only with a note.  With ``REPRO_CHECK_IMPORTS`` set, every
-        clause is verified implied by the target formula via refutation.
+        Returns ``(proven, in_sweep)``.  *in_sweep* combines the family's
+        own structural bound with bounds transferred from visited families
+        it embeds into: when every edge of this family maps into family *B*
+        under some vertex relabelling, every schedule here is also valid on
+        *B* at no higher cost, so this family's optimum is at least *B*'s
+        proven bound.  *proven* is the maximum of it and the stored bound
+        for this exact edge orientation.  Only bound entries proven under
+        *exactly* this family's directed edge set apply — same-key families
+        with another CNOT orientation pay different reversal costs.  A
+        decision that holds for *proven* but not for *in_sweep* is credited
+        to the store.
         """
-        if state.encoding is None or state.session is None:
-            return 0
-        _, payload = self._artifact_for(sub_coupling)
+        in_sweep: float = family.heuristic_lower_bound
+        for source in self.families:
+            if source.lower_bound is None or source.lower_bound <= in_sweep:
+                continue
+            # Bound transfer needs the cost-preserving (directed) relation.
+            if self._embedding(family, source, directed=True) is not None:
+                in_sweep = source.lower_bound
+        _, payload = self._artifact_for(family)
+        stored = (
+            payload["bounds"].get(directed_edges_key(family.sub_coupling))
+            if payload is not None else None
+        )
+        if stored is not None and float(stored) > in_sweep:
+            return float(stored), in_sweep
+        return in_sweep, in_sweep
+
+    def incumbent_for(
+        self, family: _Family, table
+    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
+        """A warm-start schedule for *family*, transferred from a solved one.
+
+        A schedule found on family *B* relabelled through an undirected
+        embedding stays *placement-valid* on this family (constraint (2)
+        accepts a coupled pair in either orientation); only its reversal
+        cost changes, and :func:`repro.exact.sweep.schedule_cost` recomputes
+        the exact objective against this family's edge directions.  The
+        cheapest transferable schedule is returned as ``(local mappings,
+        objective)`` — a genuine feasible solution, so the descent starts
+        directly below it (phases seeded, first model free) instead of
+        descending from scratch.
+        """
+        best: Optional[Tuple[List[Tuple[int, ...]], int]] = None
+        for source in self.families:
+            if source.schedule is None:
+                continue
+            sigma = self._embedding(family, source, directed=False)
+            if sigma is None:
+                continue
+            translated = translate_schedule(
+                source.schedule, invert_permutation(sigma)
+            )
+            cost = schedule_cost(family.sub_coupling, table, self.gates, translated)
+            if cost is None:
+                continue
+            if best is None or cost < best[1]:
+                best = (translated, cost)
+        if best is not None:
+            self.counters["models_transferred"] += 1
+        return best
+
+    # ------------------------------------------------------------------
+    def import_clauses(self, family: _Family, share_clauses: bool) -> None:
+        """Inject learned clauses into a family about to be solved.
+
+        Two sources, in this order: with *share_clauses*, the clauses of
+        every visited edge-superset family (where they were learned),
+        remapped through the inverse of the embedding over the shared
+        variable roles; then the family's stored clauses from past jobs,
+        in template numbering, which skeleton-key equality turns into a
+        constant shift (:func:`repro.exact.sweep.template_clause_remap`).
+        A stored row whose variable-block shape disagrees with the live
+        encoding (a corrupt or foreign row) contributes nothing — its
+        bounds and schedule are still semantically validated elsewhere, so
+        seeding degrades to bound-only with a note.
+        """
+        encoding = family.encoding
+        assert encoding is not None and family.session is not None
+        if share_clauses:
+            for source in self.families:
+                if not source.exported or source.shared_vars is None:
+                    continue
+                # Clause transfer only needs hard-constraint satisfiability
+                # to carry over, so the looser undirected relation applies.
+                sigma = self._embedding(family, source, directed=False)
+                if sigma is None:
+                    continue
+                remap = encoding_variable_remap(
+                    source.shared_vars, encoding, invert_permutation(sigma)
+                )
+                self.counters["clauses_imported"] += self._import(
+                    family, source.exported, remap, "imported"
+                )
+        _, payload = self._artifact_for(family)
         if payload is None or not payload["clauses"]:
-            return 0
-        encoding = state.encoding
+            return
         spot_var_count = encoding.spot_var_end - encoding.spot_var_start
         if (
             payload["x_var_limit"] != encoding.x_var_limit
@@ -410,12 +531,26 @@ class SweepContext:
                 f"but the live encoding has ({encoding.x_var_limit}, "
                 f"{spot_var_count}); clauses dropped, bound-only seeding"
             )
-            return 0
+            return
         remap = template_clause_remap(
             payload["x_var_limit"], payload["spot_var_count"], encoding
         )
         clauses = [tuple(clause) for clause in payload["clauses"]]
-        if os.environ.get("REPRO_CHECK_IMPORTS"):
+        self.counters["artifact_clauses_imported"] += self._import(
+            family, clauses, remap, "artifact"
+        )
+
+    def _import(
+        self,
+        family: _Family,
+        clauses: Sequence[Tuple[int, ...]],
+        remap: Dict[int, int],
+        origin: str,
+    ) -> int:
+        """Import *clauses* through *remap*; under ``REPRO_CHECK_IMPORTS``
+        first verify, by refutation, that each fully mapped clause is
+        implied by the family's formula."""
+        if self.check_imports:
             for clause in clauses:
                 mapped = [
                     remap[abs(l)] if l > 0 else -remap[abs(l)]
@@ -424,17 +559,60 @@ class SweepContext:
                 ]
                 if len(mapped) != len(clause):
                     continue
-                if not clause_is_implied(encoding.cnf, mapped):
+                if not clause_is_implied(family.encoding.cnf, mapped):
                     raise AssertionError(
-                        f"artifact clause {clause} (mapped {mapped}) is not "
+                        f"{origin} clause {clause} (mapped {mapped}) is not "
                         f"implied by the target family's formula"
                     )
-        imported = state.session.import_clauses(clauses, remap=remap)
-        self.artifact_clauses_imported += imported
-        return imported
+        return family.session.import_clauses(clauses, remap=remap)
+
+    # ------------------------------------------------------------------
+    # Persisted artifacts (cross-job warm starts)
+    # ------------------------------------------------------------------
+    def _artifact_for(self, family: _Family) -> Tuple[Optional[str], Optional[Dict]]:
+        """The (cached) artifact row for one family, with hit/miss counting."""
+        if self.artifacts is None:
+            return None, None
+        key = artifact_key(
+            self.gates, self.num_logical, family.sub_coupling, self.spots
+        )
+        if key not in self._artifact_rows:
+            try:
+                payload = self.artifacts.load(key)
+            except Exception:  # noqa: BLE001 - seeding must never fail a solve
+                payload = None
+            self._artifact_rows[key] = payload
+            self.counters[
+                "artifact_misses" if payload is None else "artifact_hits"
+            ] += 1
+        return key, self._artifact_rows[key]
+
+    def artifact_incumbent(
+        self, family: _Family, table
+    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
+        """A persisted schedule for this family, re-costed, or ``None``.
+
+        Placement validity follows from skeleton-key equality (local
+        indices mean the same physical structure); the reversal cost does
+        not, so the schedule is re-costed against this family's directed
+        edges via :func:`repro.exact.sweep.schedule_cost` — a schedule that
+        fails the re-costing (corrupt row) is dropped with a note.
+        """
+        _, payload = self._artifact_for(family)
+        if payload is None or payload.get("schedule") is None:
+            return None
+        mappings = [tuple(mapping) for mapping in payload["schedule"]]
+        cost = schedule_cost(family.sub_coupling, table, self.gates, mappings)
+        if cost is None:
+            self.artifact_notes.append(
+                "persisted schedule does not place this family's gates on "
+                "coupled pairs; model seeding skipped for this family"
+            )
+            return None
+        return mappings, cost
 
     def save_artifacts(self) -> int:
-        """Persist every processed family's harvest; returns rows written.
+        """Persist every visited family's harvest; returns rows written.
 
         Per family: exported learned clauses re-based to template numbering,
         the proven lower bound keyed by the directed edge set it was proven
@@ -442,29 +620,28 @@ class SweepContext:
         (no clauses, no positive bound, no schedule) write nothing.  Write
         failures are swallowed — persisting artifacts is best-effort.
         """
-        if self.artifacts is None or self.gates is None:
-            return 0
         written = 0
-        for record in self.records:
-            key, _ = self._artifact_for(record.plan.sub_coupling)
+        for family in self.families:
+            key, _ = self._artifact_for(family)
             if key is None:
                 continue
             clauses: List[List[int]] = []
-            x_var_limit = len(self.gates) * self.num_logical * (
-                record.plan.sub_coupling.num_qubits
+            x_var_limit = (
+                len(self.gates) * self.num_logical
+                * family.sub_coupling.num_qubits
             )
             spot_var_count = 0
-            shared = record.shared_vars
-            if record.exported and shared is not None:
+            shared = family.shared_vars
+            if family.exported and shared is not None:
                 clauses = clauses_to_template(
-                    record.exported, shared.x_var_limit, shared.spot_var_start
+                    family.exported, shared.x_var_limit, shared.spot_var_start
                 )
                 x_var_limit = shared.x_var_limit
                 spot_var_count = shared.spot_var_end - shared.spot_var_start
             bounds: Dict[str, float] = {}
-            if record.lower_bound is not None and record.lower_bound > 0:
-                bounds[directed_edges_key(record.plan.sub_coupling)] = (
-                    record.lower_bound
+            if family.lower_bound is not None and family.lower_bound > 0:
+                bounds[directed_edges_key(family.sub_coupling)] = (
+                    family.lower_bound
                 )
             payload = {
                 "version": 1,
@@ -473,10 +650,10 @@ class SweepContext:
                 "clauses": clauses,
                 "bounds": bounds,
                 "schedule": (
-                    [list(mapping) for mapping in record.schedule]
-                    if record.schedule is not None else None
+                    [list(mapping) for mapping in family.schedule]
+                    if family.schedule is not None else None
                 ),
-                "objective": record.schedule_objective,
+                "objective": family.objective,
             }
             if not clauses and not bounds and payload["schedule"] is None:
                 continue
@@ -486,191 +663,6 @@ class SweepContext:
             except Exception:  # noqa: BLE001 - best-effort persistence
                 continue
         return written
-
-    def artifact_statistics(self) -> Dict[str, int]:
-        """The artifact hit-rate counters of this sweep (always complete)."""
-        return {
-            "artifact_clauses_imported": self.artifact_clauses_imported,
-            "artifact_bounds_used": self.artifact_bounds_used,
-            "artifact_models_used": self.artifact_models_used,
-            "artifact_hits": self.artifact_hits,
-            "artifact_misses": self.artifact_misses,
-        }
-
-    # ------------------------------------------------------------------
-    def note_family(
-        self,
-        plan: FamilyPlan,
-        lower_bound: Optional[float],
-        shared_vars: Optional[_SharedVars] = None,
-        exported: Optional[List[Tuple[int, ...]]] = None,
-        schedule: Optional[List[Tuple[int, ...]]] = None,
-        schedule_objective: Optional[int] = None,
-    ) -> None:
-        """Record a processed (solved or pruned) family.
-
-        A family that is solved again (an inconclusive representative
-        re-minimised for a later member) updates its record in place: the
-        export list is replaced (``export_learned`` is cumulative) and the
-        proven bound only ever rises.
-        """
-        exported = exported or []
-        for record in self.records:
-            if record.plan is plan:
-                if exported:
-                    self.clauses_exported += max(
-                        0, len(exported) - len(record.exported)
-                    )
-                    record.exported = exported
-                if lower_bound is not None and (
-                    record.lower_bound is None
-                    or lower_bound > record.lower_bound
-                ):
-                    record.lower_bound = lower_bound
-                if shared_vars is not None:
-                    record.shared_vars = shared_vars
-                if schedule is not None and (
-                    record.schedule_objective is None
-                    or schedule_objective < record.schedule_objective
-                ):
-                    record.schedule = schedule
-                    record.schedule_objective = schedule_objective
-                return
-        self.clauses_exported += len(exported)
-        self.records.append(
-            _FamilyRecord(
-                plan=plan, shared_vars=shared_vars,
-                lower_bound=lower_bound, exported=exported,
-                schedule=schedule, schedule_objective=schedule_objective,
-            )
-        )
-
-    def _embedding(
-        self, inner: FamilyPlan, outer: FamilyPlan, directed: bool
-    ) -> Optional[Tuple[int, ...]]:
-        cache_key = (inner.key, outer.key, directed)
-        if cache_key not in self._embeddings:
-            self._embeddings[cache_key] = find_edge_embedding(
-                inner.sub_coupling, outer.sub_coupling, directed=directed
-            )
-        return self._embeddings[cache_key]
-
-    # ------------------------------------------------------------------
-    def lower_bound_for(self, plan: FamilyPlan) -> float:
-        """The tightest proven lower bound available for *plan*'s family.
-
-        Combines the family's own structural bound with bounds transferred
-        from processed families it embeds into: when every edge of this
-        family maps into family *B* under some vertex relabelling, every
-        schedule here is also valid on *B* at no higher cost, so this
-        family's optimum is at least *B*'s proven bound.
-        """
-        bound: float = plan.heuristic_lower_bound
-        for record in self.records:
-            if record.lower_bound is None or record.lower_bound <= bound:
-                continue
-            # Bound transfer needs the cost-preserving (directed) relation.
-            if self._embedding(plan, record.plan, directed=True) is not None:
-                bound = record.lower_bound
-        return bound
-
-    def family_lower_bound(self, plan: FamilyPlan) -> Tuple[float, float]:
-        """The family's proven lower bound, and the in-sweep part of it.
-
-        Returns ``(proven, in_sweep)``: *in_sweep* is
-        :meth:`lower_bound_for` (structural or transferred by embedding),
-        *proven* the maximum of it and the stored bound for this exact edge
-        orientation (:meth:`artifact_lower_bound`).  A decision that holds
-        for *proven* but not for *in_sweep* is credited to the store.
-        """
-        in_sweep = self.lower_bound_for(plan)
-        persisted = self.artifact_lower_bound(plan.sub_coupling)
-        if persisted is not None and persisted > in_sweep:
-            return persisted, in_sweep
-        return in_sweep, in_sweep
-
-    # ------------------------------------------------------------------
-    def incumbent_for(
-        self,
-        plan: FamilyPlan,
-        gates: Sequence[Tuple[int, int]],
-        table,
-        bound: Optional[int],
-    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
-        """A warm-start schedule for *plan*, transferred from a solved family.
-
-        A schedule found on family *B* relabelled through an undirected
-        embedding stays *placement-valid* on this family (constraint (2)
-        accepts a coupled pair in either orientation); only its reversal
-        cost changes, and :func:`repro.exact.sweep.schedule_cost` recomputes
-        the exact objective against this family's edge directions.  The
-        cheapest transferable schedule at or below *bound* is returned as
-        ``(local mappings, objective)`` — a genuine feasible solution, so
-        the descent starts directly below it (phases seeded, first model
-        free) instead of descending from scratch.
-        """
-        best: Optional[Tuple[List[Tuple[int, ...]], int]] = None
-        for record in self.records:
-            if record.schedule is None:
-                continue
-            sigma = self._embedding(plan, record.plan, directed=False)
-            if sigma is None:
-                continue
-            translated = translate_schedule(
-                record.schedule, invert_permutation(sigma)
-            )
-            cost = schedule_cost(plan.sub_coupling, table, gates, translated)
-            if cost is None:
-                continue
-            if bound is not None and cost > bound:
-                continue
-            if best is None or cost < best[1]:
-                best = (translated, cost)
-        if best is not None:
-            self.models_transferred += 1
-        return best
-
-    # ------------------------------------------------------------------
-    def import_into(self, plan: FamilyPlan, state: "_FamilyState") -> int:
-        """Inject every transferable recorded clause into *state*'s session.
-
-        Clauses flow from an edge-superset family (where they were learned)
-        into this edge-subset family, remapped through the inverse of the
-        embedding over the shared variable roles.
-        """
-        assert state.encoding is not None and state.session is not None
-        check_imports = bool(os.environ.get("REPRO_CHECK_IMPORTS"))
-        imported = 0
-        for record in self.records:
-            if not record.exported or record.shared_vars is None:
-                continue
-            # Clause transfer only needs hard-constraint satisfiability to
-            # carry over, so the looser undirected relation applies.
-            sigma = self._embedding(plan, record.plan, directed=False)
-            if sigma is None:
-                continue
-            remap = encoding_variable_remap(
-                record.shared_vars, state.encoding, invert_permutation(sigma)
-            )
-            if check_imports:
-                for clause in record.exported:
-                    mapped = [
-                        remap[abs(l)] if l > 0 else -remap[abs(l)]
-                        for l in clause
-                        if abs(l) in remap
-                    ]
-                    if len(mapped) != len(clause):
-                        continue
-                    if not clause_is_implied(state.encoding.cnf, mapped):
-                        raise AssertionError(
-                            f"imported clause {clause} (mapped {mapped}) is "
-                            f"not implied by the target family's formula"
-                        )
-            imported += state.session.import_clauses(
-                record.exported, remap=remap
-            )
-        self.clauses_imported += imported
-        return imported
 
 
 class SATMapper:
@@ -815,33 +807,18 @@ class SATMapper:
             return [tuple(range(num_physical))]
         return shared_connected_subsets(self.coupling, num_logical)
 
-    def subset_family_groups(
-        self, subsets: Sequence[Tuple[int, ...]]
-    ) -> List[List[int]]:
-        """Group subset indices by induced-subgraph structure.
-
-        Two subsets fall into one family when their re-indexed sub-couplings
-        have the same canonical key — their encodings are then identical, so
-        one solve covers the whole family.  Groups are ordered by their first
-        member and each group is ascending, which keeps the representative
-        (the first member) aligned with the sequential sweep order.
-        """
-        groups: Dict[Tuple, List[int]] = {}
-        order: List[Tuple] = []
-        for index, subset in enumerate(subsets):
-            key = self.coupling.subgraph(subset).canonical_key()
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(index)
-        return [groups[key] for key in order]
-
     def plan_families(
         self,
         subsets: Sequence[Tuple[int, ...]],
         gates: Sequence[Tuple[int, int]],
-    ) -> List[FamilyPlan]:
+    ) -> List[_Family]:
         """Group subsets into families and fix the sweep's solving order.
+
+        Two subsets fall into one family when their re-indexed
+        sub-couplings have the same canonical key — their encodings are then
+        identical, so one solve covers the whole family.  Each family's
+        member indices are ascending, so its representative (the first
+        member) is the first of its subsets in the enumeration.
 
         Families are sorted by ``(heuristic lower bound, canonical coupling
         key)`` — a *stable* sort, so the order is fully determined by the
@@ -851,28 +828,32 @@ class SATMapper:
         sparse tail be pruned without solving.  A fixed order makes the
         pruning, and therefore every benchmark counter, reproducible.
         """
-        plans: List[FamilyPlan] = []
-        for group in self.subset_family_groups(subsets):
-            sub_coupling = self.coupling.subgraph(subsets[group[0]])
+        families: Dict[Tuple, _Family] = {}
+        for index, subset in enumerate(subsets):
+            sub_coupling = self.coupling.subgraph(subset)
+            key = sub_coupling.canonical_key()
+            family = families.get(key)
+            if family is not None:
+                family.indices.append(index)
+                continue
             connected = sub_coupling.is_connected()
-            plans.append(
-                FamilyPlan(
-                    indices=list(group),
-                    key=sub_coupling.canonical_key(),
-                    sub_coupling=sub_coupling,
-                    heuristic_lower_bound=(
-                        structural_lower_bound(sub_coupling, gates)
-                        if connected else 0
-                    ),
-                    connected=connected,
-                )
+            families[key] = _Family(
+                indices=[index],
+                key=key,
+                sub_coupling=sub_coupling,
+                heuristic_lower_bound=(
+                    structural_lower_bound(sub_coupling, gates)
+                    if connected else 0
+                ),
+                connected=connected,
             )
         # Stable sort: ties keep the canonical keys' first-appearance order
         # over the (sorted) subset enumeration, which is itself a pure
         # function of the architecture — the overall order is reproducible
         # across runs and processes.
-        plans.sort(key=lambda plan: plan.heuristic_lower_bound)
-        return plans
+        return sorted(
+            families.values(), key=lambda family: family.heuristic_lower_bound
+        )
 
     def cnot_instance(
         self, circuit: QuantumCircuit
@@ -892,44 +873,31 @@ class SATMapper:
     # ------------------------------------------------------------------
     # Per-family solving
     # ------------------------------------------------------------------
-    def _family_state(
+    def _open_family(
         self,
-        sub_coupling: CouplingMap,
+        family: _Family,
         gates: Sequence[Tuple[int, int]],
         num_logical: int,
         spots: Sequence[int],
-    ) -> _FamilyState:
+    ) -> None:
         """Encode one subset family and open its persistent session."""
-        table = shared_permutation_table(sub_coupling)
-        encoding = build_encoding(
-            list(gates), num_logical, sub_coupling,
+        table = shared_permutation_table(family.sub_coupling)
+        family.encoding = build_encoding(
+            list(gates), num_logical, family.sub_coupling,
             permutation_spots=list(spots),
             permutation_table=table,
             reuse_skeleton=self.share_clauses,
         )
-        optimizer = OptimizingSolver(encoding.cnf, encoding.objective)
-        session = optimizer.make_session()
-        if self.control is not None:
-            self.control.register(session.solver)
-        return _FamilyState(
-            encoding=encoding,
-            optimizer=optimizer,
-            session=session,
+        family.optimizer = OptimizingSolver(
+            family.encoding.cnf, family.encoding.objective
         )
-
-    @staticmethod
-    def _translate(
-        local_mappings: Sequence[Tuple[int, ...]], subset: Sequence[int]
-    ) -> List[Tuple[int, ...]]:
-        """Subset-relative physical indices back to device indices."""
-        return [
-            tuple(subset[physical] for physical in mapping)
-            for mapping in local_mappings
-        ]
+        family.session = family.optimizer.make_session()
+        if self.control is not None:
+            self.control.register(family.session.solver)
 
     def _solve_family(
         self,
-        state: _FamilyState,
+        family: _Family,
         subset: Tuple[int, ...],
         time_limit: Optional[float],
         upper_bound: Optional[int],
@@ -943,58 +911,56 @@ class SATMapper:
         solution.  A schedule the encoding rejects (wrong shape, off-spot
         mapping change) is silently dropped — seeding is an optimisation,
         never a correctness requirement.
+
+        A model found here is always the family's cheapest so far: a family
+        is solved again only after an inconclusive outcome, and by then the
+        sweep bound lies below every schedule the family has produced.
         """
-        assert state.optimizer is not None and state.encoding is not None
+        assert family.optimizer is not None and family.encoding is not None
         initial_model: Optional[Dict[int, bool]] = None
         initial_objective: Optional[int] = None
         if incumbent is not None:
             try:
-                initial_model = state.encoding.assignment_from_schedule(
+                initial_model = family.encoding.assignment_from_schedule(
                     incumbent[0]
                 )
                 initial_objective = incumbent[1]
             except EncodingError:
                 initial_model = None
                 initial_objective = None
-        outcome: OptimizationResult = state.optimizer.minimize(
+        outcome: OptimizationResult = family.optimizer.minimize(
             strategy=self.optimizer,
             time_limit=time_limit,
             conflict_limit=self.conflict_limit,
             upper_bound=upper_bound,
-            session=state.session,
+            session=family.session,
             initial_model=initial_model,
             initial_objective=initial_objective,
         )
-        state.status = outcome.status
-        state.bound_used = upper_bound
+        family.status = outcome.status
+        family.bound_used = upper_bound
+        mappings = None
         if outcome.is_satisfiable:
-            state.objective = outcome.objective
-            state.local_mappings = state.encoding.extract_schedule(outcome.model)
-            mappings = self._translate(state.local_mappings, subset)
-        else:
-            state.objective = None
-            state.local_mappings = None
-            mappings = None
+            family.schedule = family.encoding.extract_schedule(outcome.model)
+            family.objective = outcome.objective
+            mappings = _translate(family.schedule, subset)
         return SubsetOutcome(
-            subset=tuple(subset),
+            subset=subset,
             status=outcome.status,
             objective=outcome.objective if outcome.is_satisfiable else None,
             mappings=mappings,
             iterations=outcome.iterations,
             conflicts=outcome.conflicts,
-            variables=state.encoding.num_variables,
-            clauses=state.encoding.num_clauses,
+            variables=family.encoding.num_variables,
+            clauses=family.encoding.num_clauses,
             statistics=dict(outcome.statistics),
             core_labels=outcome.core_labels,
         )
 
     def _family_seed(
         self,
-        context: SweepContext,
-        plan: FamilyPlan,
-        state: _FamilyState,
-        gates: Sequence[Tuple[int, int]],
-        bound: Optional[int],
+        sweep: _Sweep,
+        family: _Family,
         incumbent: Optional[Tuple[List[Tuple[int, ...]], int]],
     ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
         """The family's first incumbent ``(local mappings, objective)``, if any.
@@ -1002,20 +968,19 @@ class SATMapper:
         In order of preference: the caller's model (*incumbent*), else a
         cross-family transfer; a stored schedule from a structurally
         identical past job replaces either when it is cheaper.  A candidate
-        above the sweep *bound* cannot serve as an incumbent, but it is
-        still a valid model of the hard constraints — its x-assignment
-        seeds the solver's phases (a pure search hint), steering the
-        bounded search into known-feasible territory instead of a cold
-        start.
+        above the sweep bound cannot serve as an incumbent, but it is still
+        a valid model of the hard constraints — its x-assignment seeds the
+        solver's phases (a pure search hint), steering the bounded search
+        into known-feasible territory instead of a cold start.
         """
-        assert state.encoding is not None and state.session is not None
-        table = state.encoding.permutation_table
+        encoding, session = family.encoding, family.session
+        assert encoding is not None and session is not None
+        table = encoding.permutation_table
+        bound = sweep.bound
 
         def seed_phases(schedule: List[Tuple[int, ...]]) -> bool:
             try:
-                state.session.seed_phases(
-                    state.encoding.assignment_from_schedule(schedule)
-                )
+                session.seed_phases(encoding.assignment_from_schedule(schedule))
             except EncodingError:
                 return False
             return True
@@ -1025,33 +990,29 @@ class SATMapper:
             # Cross-family model transfer: the cheapest schedule already
             # found on an embeddable family, re-costed against these edge
             # directions.
-            transfer = context.incumbent_for(plan, gates, table, bound=None)
+            transfer = sweep.incumbent_for(family, table)
             if transfer is not None:
                 if bound is not None and transfer[1] > bound:
                     seed_phases(transfer[0])
                 else:
                     seed = transfer
-        persisted = context.artifact_incumbent(
-            plan.sub_coupling, table, bound=None
-        )
+        persisted = sweep.artifact_incumbent(family, table)
         if persisted is not None and (seed is None or persisted[1] < seed[1]):
             if bound is not None and persisted[1] > bound:
                 if seed_phases(persisted[0]):
-                    context.artifact_models_used += 1
+                    sweep.counters["artifact_models_used"] += 1
             else:
                 seed = persisted
-                context.artifact_models_used += 1
+                sweep.counters["artifact_models_used"] += 1
         return seed
 
     def _close_family(
         self,
-        context: SweepContext,
-        plan: FamilyPlan,
-        state: _FamilyState,
+        sweep: _Sweep,
+        family: _Family,
         subset: Tuple[int, ...],
         seed: Tuple[List[Tuple[int, ...]], int],
         time_limit: Optional[float],
-        bound: Optional[int],
     ) -> Optional[SubsetOutcome]:
         """Record *seed* as the family's optimum without a solver call.
 
@@ -1068,35 +1029,36 @@ class SATMapper:
         :class:`AssertionError`.  The probe's work is reported in the
         outcome's counters.
         """
-        assert state.encoding is not None
+        assert family.encoding is not None
         local_mappings, objective = seed
+        bound = sweep.bound
         if bound is not None and objective > bound:
             return None
-        proven, in_sweep = context.family_lower_bound(plan)
+        proven, in_sweep = sweep.lower_bounds(family)
         if proven < objective:
             return None
         try:
-            if state.encoding.schedule_objective(local_mappings) != objective:
+            if family.encoding.schedule_objective(local_mappings) != objective:
                 return None
         except EncodingError:
             return None
         if in_sweep < objective:
             # Only the persisted bound closes this family.
-            context.artifact_bounds_used += 1
-        context.families_closed += 1
+            sweep.counters["artifact_bounds_used"] += 1
+        sweep.counters["families_closed"] += 1
         outcome = SubsetOutcome(
-            subset=tuple(subset),
+            subset=subset,
             status="optimal",
             objective=objective,
-            mappings=self._translate(local_mappings, subset),
-            variables=state.encoding.num_variables,
-            clauses=state.encoding.num_clauses,
+            mappings=_translate(local_mappings, subset),
+            variables=family.encoding.num_variables,
+            clauses=family.encoding.num_clauses,
             statistics={"model_seeded": 1},
         )
-        if os.environ.get("REPRO_CHECK_IMPORTS"):
-            self._import_clauses(context, plan, state)
+        if sweep.check_imports:
+            sweep.import_clauses(family, self.share_clauses)
             probe = self._solve_family(
-                state, subset, time_limit, bound, incumbent=seed
+                family, subset, time_limit, bound, incumbent=seed
             )
             if probe.is_satisfiable and probe.objective < objective:
                 raise AssertionError(
@@ -1107,119 +1069,85 @@ class SATMapper:
             outcome.iterations = probe.iterations
             outcome.conflicts = probe.conflicts
             outcome.statistics = dict(probe.statistics)
-        state.status = "optimal"
-        state.objective = objective
-        state.local_mappings = list(local_mappings)
-        state.bound_used = bound
+        family.status = "optimal"
+        family.bound_used = bound
+        family.schedule = list(local_mappings)
+        family.objective = objective
         return outcome
 
-    def _import_clauses(
-        self, context: SweepContext, plan: FamilyPlan, state: _FamilyState
-    ) -> None:
-        """Learned clauses for a family about to be solved: transferred
-        from the sweep's earlier families, and persisted from past jobs."""
-        if self.share_clauses:
-            context.import_into(plan, state)
-        context.artifact_import_into(plan.sub_coupling, state)
-
-    @staticmethod
-    def proven_family_lower_bound(
-        state: _FamilyState, outcome: SubsetOutcome
-    ) -> Optional[float]:
-        """Lower bound on the family's true optimum proven by this solve.
-
-        * ``optimal`` — the optimum itself is known exactly.
-        * ``unsat`` under bound ``b`` — nothing costs at most ``b``, so the
-          optimum is at least ``b + 1`` (infinite when no bound was active:
-          the instance is unsatisfiable outright).
-        * core-guided runs additionally prove ``core_lower_bound`` from
-          disjoint UNSAT cores, valid even when the descent did not finish
-          (the core strategy never commits bounds, so its cores are
-          consequences of the formula alone).
-        """
-        bound: Optional[float] = None
-        if outcome.status == "optimal":
-            bound = outcome.objective
-        elif outcome.status == "unsat":
-            bound = (
-                float("inf") if state.bound_used is None
-                else state.bound_used + 1
-            )
-        core_bound = outcome.statistics.get("core_lower_bound", 0)
-        if core_bound and (bound is None or core_bound > bound):
-            bound = core_bound
-        return bound
-
-    def _finish_family(
+    def _visit_family(
         self,
-        context: SweepContext,
-        plan: FamilyPlan,
-        state: _FamilyState,
-        outcome: SubsetOutcome,
-    ) -> None:
-        """Harvest shareable clauses and proven bounds, then free the solver.
-
-        Must run while the family's session is still alive; conclusive
-        (``optimal``/``unsat``) families drop their solver afterwards —
-        they only ever serve mirrored outcomes from the recorded fields.
-        """
-        exported: List[Tuple[int, ...]] = []
-        if (
-            self.share_clauses
-            and state.session is not None
-            and state.encoding is not None
-        ):
-            exported = state.session.export_learned(
-                max_size=SHARE_MAX_CLAUSE_SIZE,
-                var_ok=state.encoding.is_shared_variable,
-            )
-        context.note_family(
-            plan,
-            lower_bound=self.proven_family_lower_bound(state, outcome),
-            shared_vars=(
-                _SharedVars.of(state.encoding)
-                if state.encoding is not None else None
-            ),
-            exported=exported,
-            schedule=(
-                list(state.local_mappings)
-                if state.local_mappings is not None else None
-            ),
-            schedule_objective=state.objective,
-        )
-        if outcome.status in ("optimal", "unsat"):
-            # Conclusive families are never re-solved, only mirrored.
-            state.release_solver()
-
-    def _reuse_family_outcome(
-        self,
-        state: _FamilyState,
+        sweep: _Sweep,
+        family: _Family,
         subset: Tuple[int, ...],
-        bound: Optional[int],
-    ) -> Optional[SubsetOutcome]:
-        """A mirrored outcome for *subset* when the family is already decided.
+        time_limit: Optional[float],
+        incumbent: Optional[Tuple[List[Tuple[int, ...]], int]],
+    ) -> SubsetOutcome:
+        """Decide *family* for one member that cannot be mirrored.
 
-        Returns ``None`` when the family's last outcome was inconclusive
-        (``"satisfiable"``/``"unknown"`` from an exhausted budget) — the
-        caller then re-solves on the family's live session.  Bounds only
-        tighten over a sweep, so a conclusive earlier outcome stays valid:
-        an optimum above the current bound (and any earlier ``"unsat"``)
-        reads as unsatisfiable-within-bound.
+        On the first visit the family is pruned, closed on its seed, or has
+        clauses imported and is solved; on a later visit (an inconclusive
+        outcome, the bound tightened since) it is re-solved on its live
+        session.  A solved family's harvest follows: shareable learned
+        clauses and the proven lower bound are collected while the session
+        is alive, and a conclusive (``optimal``/``unsat``) family then drops
+        its solver.
         """
-        if state.status == "optimal":
-            assert state.objective is not None and state.local_mappings is not None
-            if bound is None or state.objective <= bound:
-                return SubsetOutcome(
-                    subset=tuple(subset),
-                    status="optimal",
-                    objective=state.objective,
-                    mappings=self._translate(state.local_mappings, subset),
-                    reused=True,
+        bound = sweep.bound
+        if family.status is not None:
+            outcome = self._solve_family(family, subset, time_limit, bound)
+        else:
+            # Registered before its decision: until the harvest below it
+            # holds no bound, schedule or clauses, so it lends nothing to
+            # its own solve.
+            sweep.families.append(family)
+            if self.prune_families and bound is not None:
+                proven, in_sweep = sweep.lower_bounds(family)
+                if proven > bound:
+                    if in_sweep <= bound:
+                        # Only the persisted bound prunes this family — the
+                        # in-sweep embedding bound alone would not have.
+                        sweep.counters["artifact_bounds_used"] += 1
+                    # The family provably holds nothing at most `bound`:
+                    # skip it — and all its members — without solving.  The
+                    # bound may serve as an embedding source for later
+                    # (sparser) families.
+                    sweep.counters["families_pruned"] += 1
+                    family.status = "pruned"
+                    family.lower_bound = proven
+                    return family.mirrored(subset, bound)
+            self._open_family(family, sweep.gates, sweep.num_logical, sweep.spots)
+            seed = self._family_seed(sweep, family, incumbent)
+            outcome = (
+                self._close_family(sweep, family, subset, seed, time_limit)
+                if seed is not None else None
+            )
+            if outcome is None:
+                sweep.import_clauses(family, self.share_clauses)
+                outcome = self._solve_family(
+                    family, subset, time_limit, bound, incumbent=seed
                 )
-            return SubsetOutcome(subset=tuple(subset), status="unsat", reused=True)
-        if state.status == "unsat":
-            return SubsetOutcome(subset=tuple(subset), status="unsat", reused=True)
-        return None
+        if self.share_clauses:
+            # export_learned is cumulative: the list replaces the earlier
+            # one, and only its growth counts as newly exported.
+            exported = family.session.export_learned(
+                max_size=SHARE_MAX_CLAUSE_SIZE,
+                var_ok=family.encoding.is_shared_variable,
+            )
+            if exported:
+                sweep.counters["clauses_exported"] += max(
+                    0, len(exported) - len(family.exported)
+                )
+                family.exported = exported
+        proven = _proven_lower_bound(outcome, family.bound_used)
+        if proven is not None and (
+            family.lower_bound is None or proven > family.lower_bound
+        ):
+            family.lower_bound = proven
+        family.shared_vars = _SharedVars.of(family.encoding)
+        if outcome.status in ("optimal", "unsat"):
+            family.release_solver()
+        return outcome
 
     # ------------------------------------------------------------------
     # Result assembly
@@ -1419,168 +1347,93 @@ class SATMapper:
             )
 
         subsets = self.candidate_subsets(num_logical)
-        plans = self.plan_families(subsets, gates)
-        context = SweepContext(
-            gates=gates,
-            num_logical=num_logical,
-            spots=spots,
+        families = self.plan_families(subsets, gates)
+        sweep = _Sweep(
+            gates, num_logical, spots, upper_bound,
             artifacts=artifacts if self.accepts_artifacts else None,
         )
-        outcomes: List[SubsetOutcome] = []
-        best: Optional[SubsetOutcome] = None
-        bound = upper_bound
-        budget_exhausted = False
-        found_zero = False
-
-        for plan in plans:
-            if found_zero or budget_exhausted:
+        full_device = tuple(range(num_physical))
+        for family in families:
+            if sweep.found_zero or sweep.budget_exhausted:
                 break
-            if not plan.connected:
-                for index in plan.indices:
-                    outcomes.append(
+            if not family.connected:
+                for index in family.indices:
+                    sweep.outcomes.append(
                         SubsetOutcome(subset=tuple(subsets[index]), status="unsat")
                     )
                 continue
-            remaining = self._remaining_time(start)
-            if (remaining is not None and remaining <= 0) or self._cancelled():
-                # Budget spent (or the job was cancelled): do not launch
-                # further solver calls.  The best solution found so far (if
-                # any) is returned as non-optimal.
-                budget_exhausted = True
-                break
-            if self.prune_families and bound is not None:
-                proven, in_sweep = context.family_lower_bound(plan)
-                if proven > bound:
-                    if in_sweep <= bound:
-                        # Only the persisted bound prunes this family — the
-                        # in-sweep embedding bound alone would not have.
-                        context.artifact_bounds_used += 1
-                    # The family provably holds nothing at most `bound`:
-                    # skip it — and all its members — without solving.  The
-                    # bound may serve as an embedding source for later
-                    # (sparser) families, so it is recorded.
-                    context.families_pruned += 1
-                    context.note_family(plan, lower_bound=proven)
-                    for index in plan.indices:
-                        outcomes.append(
-                            SubsetOutcome(
-                                subset=tuple(subsets[index]),
-                                status="pruned",
-                                pruned=True,
-                                proven_lower_bound=proven,
-                            )
-                        )
-                    continue
-            state = self._family_state(plan.sub_coupling, gates, num_logical, spots)
-            representative = tuple(subsets[plan.indices[0]])
-            # The incumbent schedule is device-indexed, so it only seeds
-            # the full-device instance (the only one that exists when
-            # model seeding is allowed — see accepts_initial_model).
-            seed = self._family_seed(
-                context, plan, state, gates, bound,
-                incumbent
-                if representative == tuple(range(num_physical)) else None,
-            )
-            outcome = (
-                self._close_family(
-                    context, plan, state, representative, seed, remaining,
-                    bound,
-                )
-                if seed is not None else None
-            )
-            if outcome is None:
-                self._import_clauses(context, plan, state)
-                outcome = self._solve_family(
-                    state, representative, remaining, bound, incumbent=seed
-                )
-            self._finish_family(context, plan, state, outcome)
-            outcomes.append(outcome)
-            if outcome.is_satisfiable:
-                if best is None or outcome.objective < best.objective:
-                    best = outcome
-                if best.objective == 0:
-                    # A zero-added-cost mapping cannot be beaten by any
-                    # other subset — stop the sweep early.
-                    found_zero = True
-                    continue
-                # Tighten: later instances only interest us when strictly
-                # cheaper than the incumbent (never above a seeded bound).
-                incumbent_bound = best.objective - 1
-                bound = (
-                    incumbent_bound if bound is None
-                    else min(bound, incumbent_bound)
-                )
-            # Mirror the outcome onto the family's other members (re-solving
-            # on the live session only when an earlier attempt was
-            # budget-limited and the bound has tightened since).
-            for index in plan.indices[1:]:
-                member = tuple(subsets[index])
-                mirrored = self._reuse_family_outcome(state, member, bound)
-                if mirrored is None:
+            for index in family.indices:
+                subset = tuple(subsets[index])
+                outcome = family.mirrored(subset, sweep.bound)
+                if outcome is None:
                     remaining = self._remaining_time(start)
-                    if (
-                        remaining is not None and remaining <= 0
-                    ) or self._cancelled():
-                        budget_exhausted = True
+                    if (remaining is not None and remaining <= 0) or self._cancelled():
+                        # Budget spent (or the job was cancelled): do not
+                        # launch further solver calls.  The best solution
+                        # found so far (if any) is returned as non-optimal.
+                        sweep.budget_exhausted = True
                         break
-                    mirrored = self._solve_family(state, member, remaining, bound)
-                    self._finish_family(context, plan, state, mirrored)
-                outcomes.append(mirrored)
-                if not mirrored.is_satisfiable:
-                    continue
-                if best is None or mirrored.objective < best.objective:
-                    best = mirrored
-                if best.objective == 0:
-                    found_zero = True
+                    # The incumbent schedule is device-indexed, so it only
+                    # seeds the full-device instance (the only one that
+                    # exists when model seeding is allowed — see
+                    # accepts_initial_model).
+                    outcome = self._visit_family(
+                        sweep, family, subset, remaining,
+                        incumbent if subset == full_device else None,
+                    )
+                sweep.record(outcome)
+                if sweep.found_zero:
                     break
-                incumbent_bound = best.objective - 1
-                bound = (
-                    incumbent_bound if bound is None
-                    else min(bound, incumbent_bound)
-                )
 
         # Persist this sweep's harvest before the no-solution check — proven
         # unsatisfiability (infinite bounds) is exactly what saves the next
         # structurally identical job the most work.
-        context.save_artifacts()
+        sweep.save_artifacts()
 
-        if best is None:
-            raise SATMapperError.no_solution(budget_exhausted)
+        if sweep.best is None:
+            raise SATMapperError.no_solution(sweep.budget_exhausted)
 
-        result = self.build_mapping_result(
+        counters = sweep.counters
+        return self.build_mapping_result(
             circuit,
-            best,
-            outcomes,
+            sweep.best,
+            sweep.outcomes,
             spots,
             subsets_total=len(subsets),
             runtime_seconds=time.monotonic() - start,
-            budget_exhausted=budget_exhausted,
+            budget_exhausted=sweep.budget_exhausted,
             upper_bound=upper_bound,
             extra_statistics={
-                "families_total": len(plans),
-                "families_pruned": context.families_pruned,
-                "families_closed": context.families_closed,
-                "clauses_exported": context.clauses_exported,
-                "clauses_imported": context.clauses_imported,
-                "models_transferred": context.models_transferred,
+                "families_total": len(families),
+                **{
+                    key: counters[key]
+                    for key in (
+                        "families_pruned",
+                        "families_closed",
+                        "clauses_exported",
+                        "clauses_imported",
+                        "models_transferred",
+                    )
+                },
                 "clause_sharing": int(self.share_clauses),
                 "family_pruning": int(self.prune_families),
-                "artifact_seeding": int(context.artifacts is not None),
-                **context.artifact_statistics(),
+                "artifact_seeding": int(sweep.artifacts is not None),
+                **{
+                    key: value
+                    for key, value in counters.items()
+                    if key.startswith("artifact_")
+                },
                 **(
-                    {"artifact_notes": list(context.artifact_notes)}
-                    if context.artifact_notes else {}
+                    {"artifact_notes": list(sweep.artifact_notes)}
+                    if sweep.artifact_notes else {}
                 ),
             },
         )
-        return result
 
 
 __all__ = [
     "SATMapper",
     "SATMapperError",
     "SubsetOutcome",
-    "FamilyPlan",
-    "SweepContext",
     "SHARE_MAX_CLAUSE_SIZE",
 ]

@@ -52,9 +52,10 @@ class SolveSession:
     """One incremental solver plus a reusable objective-bound ladder.
 
     Args:
-        cnf: Hard constraints; loaded into a fresh solver.  The formula's
-            variable pool is used for the ladder's auxiliary variables (the
-            formula object itself is never mutated).
+        cnf: Hard constraints; loaded into a fresh solver.  The ladder's
+            auxiliary variables are numbered above the formula's variables
+            by the session itself (the formula and its pool are never
+            mutated).
         objective: ``(weight, literal)`` terms of the objective ``F``.
 
     Example:
@@ -73,8 +74,11 @@ class SolveSession:
         self._pool = cnf.pool
         # Variables at or below this index belong to the formula itself;
         # everything above is session-local (bound-ladder nodes) and never
-        # crosses session boundaries via export_learned().
+        # crosses session boundaries via export_learned().  Ladder nodes are
+        # numbered here, not in the pool, so a second session over the same
+        # formula starts from the same variable count as the first.
         self._formula_var_limit = cnf.num_vars
+        self._next_var = cnf.num_vars + 1
         self.solver = CDCLSolver()
         self.solver.add_cnf(cnf)
         self._terms: List[Tuple[int, Literal]] = []
@@ -208,7 +212,8 @@ class SolveSession:
                 if (idx, bgt) in self._nodes:
                     self.statistics["bound_nodes_reused"] += 1
                     continue
-                node = self._pool.new_var(f"bound_n{idx}_{bgt}")
+                node = self._next_var
+                self._next_var += 1
                 self._nodes[(idx, bgt)] = node
                 self._node_info[node] = (idx, bgt)
                 self.statistics["bound_nodes_created"] += 1

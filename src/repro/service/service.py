@@ -224,7 +224,7 @@ class MappingService:
         self._stopping = False
         self._in_flight = 0
         # Fleet-learning visibility: lifetime sums of per-job artifact
-        # hit-rate counters (see SweepContext.artifact_statistics).
+        # hit-rate counters (the ``artifact_*`` keys of SATMapper.map).
         self._artifact_totals: Dict[str, int] = {
             "artifact_hits": 0,
             "artifact_misses": 0,

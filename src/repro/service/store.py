@@ -1104,7 +1104,7 @@ def _merge_artifacts(
 class ArtifactCache:
     """Picklable handle to a store's solve-artifact tier.
 
-    The solving layer (:class:`repro.exact.sat_mapper.SweepContext`)
+    The subset sweep (:meth:`repro.exact.sat_mapper.SATMapper.map`)
     carries this object instead of the full :class:`ResultStore`: it
     exposes exactly the two artifact operations, and it survives crossing
     into the process-pool workers of ``map_many`` — pickling drops the

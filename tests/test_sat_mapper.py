@@ -101,7 +101,10 @@ class TestSubsetFamilies:
     def test_qx4_four_qubit_subsets_form_two_families(self):
         mapper = SATMapper(ibm_qx4(), use_subsets=True)
         subsets = mapper.candidate_subsets(4)
-        groups = mapper.subset_family_groups(subsets)
+        gates, _ = mapper.cnot_instance(paper_example_cnot_skeleton())
+        groups = [
+            family.indices for family in mapper.plan_families(subsets, gates)
+        ]
         assert len(subsets) == 4
         assert len(groups) == 2
         assert sorted(index for group in groups for index in group) == [0, 1, 2, 3]

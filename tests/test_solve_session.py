@@ -5,6 +5,9 @@ import random
 
 import pytest
 
+from repro.arch.devices import ibm_qx4
+from repro.benchlib.paper_example import paper_example_cnot_skeleton
+from repro.exact.encoding import build_encoding
 from repro.sat.cnf import CNF
 from repro.sat.optimize import ObjectiveTerm, OptimizingSolver
 from repro.sat.session import SolveSession
@@ -182,6 +185,28 @@ class TestOptimizerOnSession:
         # The bound of the previous call must not constrain this one.
         assert optimizer.minimize(upper_bound=10).objective == 3
         assert optimizer.minimize().objective == 3
+
+    def test_repeated_calls_do_not_grow_the_formula(self):
+        # Each call opens a fresh session; its ladder nodes are numbered by
+        # the session, so the formula (and the next call's search) is the
+        # same every time.
+        gates = [
+            (gate.control, gate.target)
+            for gate in paper_example_cnot_skeleton().cnot_gates()
+        ]
+        encoding = build_encoding(gates, 4, ibm_qx4())
+        optimizer = OptimizingSolver(encoding.cnf, encoding.objective)
+        num_vars = encoding.cnf.num_vars
+        counters = []
+        for _ in range(3):
+            result = optimizer.minimize(strategy="linear", upper_bound=6)
+            counters.append((
+                result.objective, result.conflicts, result.iterations,
+                result.statistics["propagations"],
+            ))
+        assert counters[0][:3] == (4, 27, 2)
+        assert counters[1] == counters[0] and counters[2] == counters[0]
+        assert encoding.cnf.num_vars == num_vars
 
     def test_seeded_descent_skips_the_wandering_prefix(self):
         cnf, objective, num_vars = _random_instance(11)

@@ -43,6 +43,13 @@ def _subset_coupling(subset):
     return ibm_qx4().subgraph(subset)
 
 
+def _open_family(mapper, subset, gates, num_logical, spots):
+    """The one-member family of *subset*, encoded with its session open."""
+    (family,) = mapper.plan_families([subset], gates)
+    mapper._open_family(family, gates, num_logical, spots)
+    return family
+
+
 # ----------------------------------------------------------------------
 # Solver-level export / import
 # ----------------------------------------------------------------------
@@ -169,22 +176,20 @@ class TestImportCorrectness:
     def _family_pieces(self, subset, circuit):
         mapper = SATMapper(ibm_qx4(), use_subsets=True)
         gates, spots = mapper.cnot_instance(circuit)
-        state = mapper._family_state(
-            _subset_coupling(subset), gates, circuit.num_qubits, spots
-        )
-        return mapper, gates, spots, state
+        family = _open_family(mapper, subset, gates, circuit.num_qubits, spots)
+        return mapper, gates, spots, family
 
     def test_every_exported_clause_is_implied_at_home(self):
         circuit = benchmark_circuit("ex-1_166")
-        mapper, gates, spots, state = self._family_pieces(TRIANGLE, circuit)
-        mapper._solve_family(state, TRIANGLE, None, None)
-        exported = state.session.export_learned(
+        mapper, gates, spots, family = self._family_pieces(TRIANGLE, circuit)
+        mapper._solve_family(family, TRIANGLE, None, None)
+        exported = family.session.export_learned(
             max_size=SHARE_MAX_CLAUSE_SIZE,
-            var_ok=state.encoding.is_shared_variable,
+            var_ok=family.encoding.is_shared_variable,
         )
         assert exported, "the triangle solve should learn shareable clauses"
         for clause in exported:
-            assert clause_is_implied(state.encoding.cnf, clause)
+            assert clause_is_implied(family.encoding.cnf, clause)
 
     def test_every_imported_clause_is_implied_in_target(self):
         """Property: remapped clauses are consequences of the target CNF.
@@ -241,16 +246,16 @@ class TestModelTransfer:
         circuit = benchmark_circuit("ex-1_166")
         mapper = SATMapper(ibm_qx4(), use_subsets=True)
         gates, spots = mapper.cnot_instance(circuit)
-        state = mapper._family_state(
-            _subset_coupling(TRIANGLE), gates, circuit.num_qubits, spots
+        family = _open_family(
+            mapper, TRIANGLE, gates, circuit.num_qubits, spots
         )
-        outcome = mapper._solve_family(state, TRIANGLE, None, None)
+        outcome = mapper._solve_family(family, TRIANGLE, None, None)
         assert outcome.is_optimal
         cost = schedule_cost(
             _subset_coupling(TRIANGLE),
-            state.encoding.permutation_table,
+            family.encoding.permutation_table,
             gates,
-            state.local_mappings,
+            family.schedule,
         )
         assert cost == outcome.objective
 

@@ -507,6 +507,23 @@ class TestCLIOptimizerFlags:
         assert "added operations  : 4" in out
         assert "proven minimal    : True" in out
 
+    def test_default_optimizer_named_explicitly_hits_the_cache(
+        self, tmp_path, capsys
+    ):
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1).cx(1, 2)
+        path = self._write_qasm(tmp_path, circuit)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main([path, "--engine", "sat"] + cache) == 0
+        assert "result cache      : miss" in capsys.readouterr().out
+        assert main([path, "--engine", "sat", "--optimizer", "core"] + cache) == 0
+        assert "result cache      : hit" in capsys.readouterr().out
+        # Another descent is another job.
+        assert main(
+            [path, "--engine", "sat", "--optimizer", "linear"] + cache
+        ) == 0
+        assert "result cache      : miss" in capsys.readouterr().out
+
     def test_explain_prints_final_core(self, tmp_path, capsys):
         path = self._write_qasm(tmp_path, self._paper_circuit())
         assert main(
