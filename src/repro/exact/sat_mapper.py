@@ -262,7 +262,8 @@ class _Family:
         bound_used: The sweep bound that decision was made under.
         lower_bound: The tightest lower bound proven on the family's cost.
         exported: Learned clauses shareable with sparser families.
-        shared_vars: The variable layers those clauses are written in.
+        shared_vars: The variable layers those clauses are written in,
+            kept after the encoding is released.
         schedule: The cheapest local schedule found, costing *objective*.
     """
 
@@ -504,7 +505,7 @@ class _Sweep:
         assert encoding is not None and family.session is not None
         if share_clauses:
             for source in self.families:
-                if not source.exported or source.shared_vars is None:
+                if not source.exported:
                     continue
                 # Clause transfer only needs hard-constraint satisfiability
                 # to carry over, so the looser undirected relation applies.
@@ -632,7 +633,7 @@ class _Sweep:
             )
             spot_var_count = 0
             shared = family.shared_vars
-            if family.exported and shared is not None:
+            if family.exported:
                 clauses = clauses_to_template(
                     family.exported, shared.x_var_limit, shared.spot_var_start
                 )
@@ -888,6 +889,7 @@ class SATMapper:
             permutation_table=table,
             reuse_skeleton=self.share_clauses,
         )
+        family.shared_vars = _SharedVars.of(family.encoding)
         family.optimizer = OptimizingSolver(
             family.encoding.cnf, family.encoding.objective
         )
@@ -1144,7 +1146,6 @@ class SATMapper:
             family.lower_bound is None or proven > family.lower_bound
         ):
             family.lower_bound = proven
-        family.shared_vars = _SharedVars.of(family.encoding)
         if outcome.status in ("optimal", "unsat"):
             family.release_solver()
         return outcome
