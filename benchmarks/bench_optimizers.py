@@ -2,8 +2,9 @@
 """Descent strategies head to head: linear, binary and core on one budget.
 
 Every run is ``SATMapper(device, use_subsets=True, optimizer=name,
-time_limit=20).map(circuit)`` in this process, one after the other, over
-two sets:
+time_limit=20).map(circuit)`` in this process, one after the other, so
+every sweep family starts at DP's schedule and the descents differ in how
+they prove it (or find a family's bound unreachable).  Two sets:
 
 * ``qx4`` — the Table-1 stand-ins on IBM QX4 that finish within the budget
   (3_17_13, ex-1_166, ham3_102, miller_11, 4gt11_84), each also mapped by
@@ -109,9 +110,10 @@ def main(argv=None) -> int:
         rows.append(row)
 
     report = {
-        "benchmark": "SATMapper subset sweeps under each descent strategy: Table-1 "
-                     "stand-ins on ibm_qx4 (DP as reference) and cold random 3-qubit "
-                     "skeletons on sweep_grid8",
+        "benchmark": "SATMapper subset sweeps (every family seeded with DP's "
+                     "schedule) under each descent strategy: Table-1 stand-ins on "
+                     "ibm_qx4 (DP as reference) and random 3-qubit skeletons on "
+                     "sweep_grid8",
         "time_limit_s": args.time_limit,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "environment": {

@@ -207,14 +207,8 @@ def _engine_options(engine: str, args: argparse.Namespace) -> Dict[str, Any]:
         options["use_subsets"] = args.subsets
     if engine in ("sat", "portfolio", "sat_split"):
         options["time_limit"] = args.time_limit
-        # The default descent is left implicit, so an explicit
-        # ``--optimizer core`` shares its result-cache key with no flag.
-        optimizer = getattr(args, "optimizer", None)
-        if optimizer is not None:
-            from repro.sat.optimize import DEFAULT_OPTIMIZER, resolve_optimizer_name
-
-            if resolve_optimizer_name(optimizer) != DEFAULT_OPTIMIZER:
-                options["optimizer"] = optimizer
+        if getattr(args, "optimizer", None) is not None:
+            options["optimizer"] = args.optimizer
     if engine == "sat_split" and getattr(args, "split_window", None) is not None:
         options["window_size"] = args.split_window
     if engine == "stochastic":
@@ -252,17 +246,32 @@ def _print_optimizers() -> None:
         print(f"{name:{width}s}  {description}")
 
 
+#: Label of the bound-ladder literal that bounds the whole objective (see
+#: :meth:`repro.sat.session.SolveSession.describe_literal`).
+_OBJECTIVE_BOUND_LABEL = "bound ladder: objective terms[0:] "
+
+
 def _print_explanation(result) -> None:
-    """Print the final UNSAT core of a proven-optimal result, if recorded."""
+    """Print how a proven-optimal result was proven: its final UNSAT core,
+    one refutation of the bound below it, or a closure on a lower bound."""
     if not result.optimal:
         print("explain            : result is not proven optimal; no final "
               "UNSAT core to report")
         return
     labels = result.statistics.get("final_core")
     if not labels:
+        if result.statistics.get("families_closed"):
+            print("explain            : proven without a solver call (a "
+                  "proven lower bound meets the seeded schedule's cost)")
+            return
         print("explain            : no UNSAT core recorded (a zero-cost "
               "optimum needs no refutation, and the linear strategy proves "
               "optimality via committed bounds)")
+        return
+    if len(labels) == 1 and labels[0].startswith(_OBJECTIVE_BOUND_LABEL):
+        print("proof              : one refutation — a schedule of cost "
+              f"{result.objective} exists, and no schedule satisfies "
+              f"{labels[0]}")
         return
     print(f"final UNSAT core   : {len(labels)} binding constraint(s) at the "
           "optimum — no cheaper schedule can satisfy all of:")

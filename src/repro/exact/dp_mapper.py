@@ -42,8 +42,9 @@ reachable or not) unchanged across changes to how distances are computed.
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.cache import shared_permutation_table, shared_transition_table
 from repro.arch.coupling import CouplingMap
@@ -99,19 +100,6 @@ class DPMapper:
         self._table = shared_permutation_table(coupling)
 
     # ------------------------------------------------------------------
-    # Cost helpers
-    # ------------------------------------------------------------------
-    def _gate_cost(self, state: State, control: int, target: int) -> Optional[int]:
-        """Placement cost of a CNOT under *state*; None when not placeable."""
-        physical_control = state[control]
-        physical_target = state[target]
-        if self.coupling.allows_cnot(physical_control, physical_target):
-            return 0
-        if self.coupling.allows_cnot(physical_target, physical_control):
-            return REVERSAL_COST
-        return None
-
-    # ------------------------------------------------------------------
     def map(self, circuit: QuantumCircuit) -> MappingResult:
         """Map *circuit* and return the minimal-cost result.
 
@@ -144,80 +132,14 @@ class DPMapper:
 
         spots = set(self.strategy.spots(cnot_gates, self.coupling))
         spots.add(0)
-
-        transitions = shared_transition_table(self.coupling, num_logical)
-        all_states = transitions.states
-        rows = transitions.rows
-
-        # Valid states per gate, as (state index, placement cost): the gate's
-        # qubits must sit on a coupled pair.
-        valid_states: List[List[Tuple[int, int]]] = []
-        for control, target in gates:
-            options: List[Tuple[int, int]] = []
-            for index, state in enumerate(all_states):
-                cost = self._gate_cost(state, control, target)
-                if cost is not None:
-                    options.append((index, cost))
-            if not options:
-                raise ValueError(
-                    f"CNOT({control}, {target}) cannot be placed on any coupled pair"
-                )
-            valid_states.append(options)
-
-        # Dynamic programming over (gate, state index); ``best`` is filled in
-        # ascending index order, which the tie-break below relies on.
-        best: Dict[int, int] = dict(valid_states[0])
-        parents: List[Dict[int, int]] = [{}]
-
-        transitions_evaluated = 0
-        for k in range(1, len(gates)):
-            new_best: Dict[int, int] = {}
-            parent: Dict[int, int] = {}
-            if k in spots:
-                previous = list(best.items())
-                transitions_evaluated += len(previous) * len(valid_states[k])
-                for index, gate_cost in valid_states[k]:
-                    row = rows[index]
-                    best_cost: Optional[int] = None
-                    for old_index, old_cost in previous:
-                        swaps = row[old_index]
-                        if swaps == UNREACHABLE:
-                            continue
-                        candidate = old_cost + SWAP_COST * swaps
-                        if best_cost is None or candidate < best_cost:
-                            best_cost = candidate
-                            parent[index] = old_index
-                    if best_cost is not None:
-                        new_best[index] = best_cost + gate_cost
-            else:
-                for index, gate_cost in valid_states[k]:
-                    previous_cost = best.get(index)
-                    if previous_cost is not None:
-                        new_best[index] = previous_cost + gate_cost
-                        parent[index] = index
-            if not new_best:
-                raise ValueError(
-                    f"no valid mapping exists before gate {k} under strategy "
-                    f"{self.strategy.name!r}"
-                )
-            best = new_best
-            parents.append(parent)
-
-        # Recover the optimal mapping sequence.
-        final_index = min(best, key=best.get)  # type: ignore[arg-type]
-        objective = best[final_index]
-        sequence: List[int] = [final_index]
-        current = final_index
-        for k in range(len(gates) - 1, 0, -1):
-            current = parents[k][current]
-            sequence.append(current)
-        sequence.reverse()
-
+        mappings, objective, transitions_evaluated = dp_schedule(
+            self.coupling, num_logical, gates, spots
+        )
         schedule = MappingSchedule(
             num_logical=num_logical,
             num_physical=num_physical,
-            mappings=[all_states[index] for index in sequence],
-            initial_mapping=all_states[sequence[0]],
+            mappings=mappings,
+            initial_mapping=mappings[0],
         )
         runtime = time.monotonic() - start
         return build_result(
@@ -231,7 +153,7 @@ class DPMapper:
             runtime_seconds=runtime,
             num_permutation_spots=len(spots),
             statistics={
-                "states": len(all_states),
+                "states": math.perm(num_physical, num_logical),
                 "transitions_evaluated": transitions_evaluated,
             },
             decompose_swaps=self.decompose_swaps,
@@ -239,4 +161,107 @@ class DPMapper:
         )
 
 
-__all__ = ["DPMapper"]
+def dp_schedule(
+    coupling: CouplingMap,
+    num_logical: int,
+    gates: Sequence[Tuple[int, int]],
+    spots: Iterable[int],
+) -> Tuple[List[State], int, int]:
+    """The minimal-cost mapping sequence of a CNOT sequence, by DP.
+
+    Args:
+        coupling: The device (its state count ``m! / (m - n)!`` must fit
+            :data:`~repro.arch.permutations.MAX_MAPPING_STATES`).
+        num_logical: Logical qubits ``n`` of every mapping.
+        gates: The ``(control, target)`` pairs, at least one.
+        spots: Gate indices before which the mapping may change; between
+            other gates it stays fixed (the mapping before gate 0 is always
+            free).
+
+    Returns:
+        ``(mappings, objective, transitions_evaluated)``: one
+        logical-to-physical mapping per gate, the paper's added cost of that
+        sequence, and the number of state pairs scored at permutation spots
+        (reachable or not).  States, predecessors and ties follow the
+        module's output contract.
+
+    Raises:
+        ValueError: If the device has too many states, a CNOT cannot be
+            placed on any coupled pair, or no mapping sequence respects
+            *spots*.
+    """
+    transitions = shared_transition_table(coupling, num_logical)
+    all_states = transitions.states
+    rows = transitions.rows
+    spots = set(spots)
+
+    # Valid states per gate, as (state index, placement cost): the gate's
+    # qubits must sit on a coupled pair.
+    valid_states: List[List[Tuple[int, int]]] = []
+    for control, target in gates:
+        options: List[Tuple[int, int]] = []
+        for index, state in enumerate(all_states):
+            physical_control = state[control]
+            physical_target = state[target]
+            if coupling.allows_cnot(physical_control, physical_target):
+                options.append((index, 0))
+            elif coupling.allows_cnot(physical_target, physical_control):
+                options.append((index, REVERSAL_COST))
+        if not options:
+            raise ValueError(
+                f"CNOT({control}, {target}) cannot be placed on any coupled pair"
+            )
+        valid_states.append(options)
+
+    # Dynamic programming over (gate, state index); ``best`` is filled in
+    # ascending index order, which the tie-break below relies on.
+    best: Dict[int, int] = dict(valid_states[0])
+    parents: List[Dict[int, int]] = [{}]
+
+    transitions_evaluated = 0
+    for k in range(1, len(gates)):
+        new_best: Dict[int, int] = {}
+        parent: Dict[int, int] = {}
+        if k in spots:
+            previous = list(best.items())
+            transitions_evaluated += len(previous) * len(valid_states[k])
+            for index, gate_cost in valid_states[k]:
+                row = rows[index]
+                best_cost: Optional[int] = None
+                for old_index, old_cost in previous:
+                    swaps = row[old_index]
+                    if swaps == UNREACHABLE:
+                        continue
+                    candidate = old_cost + SWAP_COST * swaps
+                    if best_cost is None or candidate < best_cost:
+                        best_cost = candidate
+                        parent[index] = old_index
+                if best_cost is not None:
+                    new_best[index] = best_cost + gate_cost
+        else:
+            for index, gate_cost in valid_states[k]:
+                previous_cost = best.get(index)
+                if previous_cost is not None:
+                    new_best[index] = previous_cost + gate_cost
+                    parent[index] = index
+        if not new_best:
+            raise ValueError(
+                f"no valid mapping exists before gate {k} when the mapping "
+                f"may change only at the permutation spots"
+            )
+        best = new_best
+        parents.append(parent)
+
+    # Recover the optimal mapping sequence.
+    final_index = min(best, key=best.get)  # type: ignore[arg-type]
+    objective = best[final_index]
+    sequence: List[int] = [final_index]
+    current = final_index
+    for k in range(len(gates) - 1, 0, -1):
+        current = parents[k][current]
+        sequence.append(current)
+    sequence.reverse()
+    return [all_states[index] for index in sequence], objective, transitions_evaluated
+
+
+__all__ = ["DPMapper", "dp_schedule"]

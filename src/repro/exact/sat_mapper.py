@@ -10,7 +10,14 @@ circuit.  The performance improvements of Section 4 are available through
 * ``strategy=...`` — restrict the gates before which the mapping may change
   (Section 4.2).
 
-The subset sweep is organised around four reuse layers:
+The subset sweep is organised around five reuse layers:
+
+* **DP seeds** — every family whose mapping states fit the DP engine's limit
+  starts at DP's exact schedule on its sub-coupling
+  (:func:`repro.exact.dp_mapper.dp_schedule`, re-costed by the family's
+  encoding), so its solve is one refutation of the bound just below it.
+  DP supplies incumbents and phases only, never a bound: every decision
+  rests on the solver's own UNSAT answer or on a proven lower bound.
 
 * **Subset families** — two subsets whose induced sub-couplings re-index to
   the same directed edge set produce *identical* encodings, so they form one
@@ -58,6 +65,7 @@ worker processes of the serving fleet.  Per-architecture artefacts
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -65,6 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
+from repro.exact.dp_mapper import dp_schedule
 from repro.exact.encoding import EncodingError, MappingEncoding, build_encoding
 from repro.exact.reconstruction import build_result, default_schedule
 from repro.exact.result import MappingResult, MappingSchedule, schedule_is_valid
@@ -86,7 +95,7 @@ from repro.arch.cache import (
     shared_permutation_table,
     shared_synthesizer,
 )
-from repro.arch.permutations import invert_permutation
+from repro.arch.permutations import MAX_MAPPING_STATES, invert_permutation
 from repro.sat.optimize import (
     DEFAULT_OPTIMIZER,
     OptimizationResult,
@@ -374,6 +383,7 @@ class _Sweep:
             (
                 "families_pruned",
                 "families_closed",
+                "families_dp_seeded",
                 "clauses_exported",
                 "clauses_imported",
                 "models_transferred",
@@ -455,7 +465,8 @@ class _Sweep:
     def incumbent_for(
         self, family: _Family, table
     ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
-        """A warm-start schedule for *family*, transferred from a solved one.
+        """A warm-start schedule for *family*, transferred from a solved one
+        (used beyond DP's state limit, where no DP seed exists).
 
         A schedule found on family *B* relabelled through an undirected
         embedding stays *placement-valid* on this family (constraint (2)
@@ -753,7 +764,8 @@ class SATMapper:
     # ------------------------------------------------------------------
     @property
     def accepts_external_bound(self) -> bool:
-        """Whether an externally derived upper bound is safe to assert.
+        """Whether an externally derived upper bound is safe to assert for
+        every circuit.
 
         A bound taken from *any* valid mapping (a heuristic, a cached result
         on the same or a sub-architecture) is an upper bound on the **true**
@@ -761,13 +773,16 @@ class SATMapper:
         contains the true minimum — i.e. the unrestricted formulation over
         all physical qubits.  Restricted strategies and the subset sweep may
         have a higher restricted minimum, where an external bound could turn
-        a solvable instance unsatisfiable.
+        a solvable instance unsatisfiable.  A sweep still accepts the bound
+        for a circuit that uses every physical qubit; see
+        :meth:`accepts_seeds_for`.
         """
         return self.strategy.guarantees_minimality and not self.use_subsets
 
     @property
     def accepts_initial_model(self) -> bool:
-        """Whether a cached schedule may seed the search as an incumbent model.
+        """Whether a cached schedule may seed the search as an incumbent model
+        for every circuit.
 
         Same condition as :attr:`accepts_external_bound` — the schedule's
         cost is asserted as an upper bound alongside the model, so both
@@ -776,6 +791,21 @@ class SATMapper:
         (see :meth:`map`).
         """
         return self.accepts_external_bound
+
+    def accepts_seeds_for(self, num_logical: int) -> bool:
+        """Whether an external bound and an incumbent schedule are safe for a
+        circuit of *num_logical* qubits.
+
+        True when the search space is the unrestricted problem: the strategy
+        guarantees minimality and the sweep is a single family, the whole
+        device — without subsets, or with subsets when the circuit uses
+        every physical qubit (``n == m``).  The pipeline asks this per
+        circuit, after :attr:`accepts_external_bound` and
+        :attr:`accepts_initial_model`.
+        """
+        return self.strategy.guarantees_minimality and (
+            not self.use_subsets or num_logical >= self.coupling.num_qubits
+        )
 
     @property
     def accepts_artifacts(self) -> bool:
@@ -959,21 +989,54 @@ class SATMapper:
             core_labels=outcome.core_labels,
         )
 
+    def _dp_seed(
+        self, sweep: _Sweep, family: _Family
+    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
+        """DP's exact schedule for *family*, re-costed by its encoding.
+
+        Runs :func:`repro.exact.dp_mapper.dp_schedule` on the family's
+        sub-coupling with the sweep's gates and spots.  Returns ``None``
+        when DP finds no schedule, or when the encoding rejects the schedule
+        or evaluates it to another cost than DP's
+        (:meth:`MappingEncoding.schedule_objective`): only a real model at
+        its stated cost may serve as an incumbent.
+        """
+        assert family.encoding is not None
+        try:
+            mappings, objective, _ = dp_schedule(
+                family.sub_coupling, sweep.num_logical, sweep.gates, sweep.spots
+            )
+            if family.encoding.schedule_objective(mappings) != objective:
+                return None
+        except ValueError:  # EncodingError included
+            return None
+        return list(mappings), objective
+
     def _family_seed(
         self,
         sweep: _Sweep,
         family: _Family,
         incumbent: Optional[Tuple[List[Tuple[int, ...]], int]],
-    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
-        """The family's first incumbent ``(local mappings, objective)``, if any.
+    ) -> Tuple[Optional[Tuple[List[Tuple[int, ...]], int]], bool]:
+        """The family's first incumbent ``(local mappings, objective)``, if
+        any, and whether it is DP's schedule.
 
-        In order of preference: the caller's model (*incumbent*), else a
-        cross-family transfer; a stored schedule from a structurally
-        identical past job replaces either when it is cheaper.  A candidate
-        above the sweep bound cannot serve as an incumbent, but it is still
-        a valid model of the hard constraints — its x-assignment seeds the
-        solver's phases (a pure search hint), steering the bounded search
-        into known-feasible territory instead of a cold start.
+        Where the family's mapping states fit the DP engine's limit
+        (:data:`~repro.arch.permutations.MAX_MAPPING_STATES`), the
+        candidate is DP's exact schedule (:meth:`_dp_seed`); beyond it, a
+        cross-family transfer.  The caller's model (*incumbent*) and a
+        stored schedule from a structurally identical past job are taken
+        instead when they cost no more than DP's schedule, and a stored
+        schedule replaces the caller's or a transfer only when strictly
+        cheaper.  A candidate above the sweep bound cannot serve as an
+        incumbent, but it is still a valid model of the hard constraints —
+        its x-assignment seeds the solver's phases (a pure search hint),
+        steering the bounded search into known-feasible territory instead
+        of a cold start.
+
+        DP supplies this incumbent and these phases only, never a lower
+        bound: the family is still decided by the solver's own refutation
+        or by a proven lower bound.
         """
         encoding, session = family.encoding, family.session
         assert encoding is not None and session is not None
@@ -987,8 +1050,17 @@ class SATMapper:
                 return False
             return True
 
-        seed = incumbent
-        if seed is None and self.share_clauses:
+        seed, from_dp = incumbent, False
+        states = math.perm(family.sub_coupling.num_qubits, sweep.num_logical)
+        if states <= MAX_MAPPING_STATES:
+            exact = self._dp_seed(sweep, family)
+            if exact is not None and (seed is None or exact[1] < seed[1]):
+                if bound is not None and exact[1] > bound:
+                    seed_phases(exact[0])
+                    seed = None
+                else:
+                    seed, from_dp = exact, True
+        elif seed is None and self.share_clauses:
             # Cross-family model transfer: the cheapest schedule already
             # found on an embeddable family, re-costed against these edge
             # directions.
@@ -999,14 +1071,20 @@ class SATMapper:
                 else:
                     seed = transfer
         persisted = sweep.artifact_incumbent(family, table)
-        if persisted is not None and (seed is None or persisted[1] < seed[1]):
+        if persisted is not None and (
+            seed is None
+            or persisted[1] < seed[1]
+            or (from_dp and persisted[1] == seed[1])
+        ):
             if bound is not None and persisted[1] > bound:
                 if seed_phases(persisted[0]):
                     sweep.counters["artifact_models_used"] += 1
             else:
-                seed = persisted
+                seed, from_dp = persisted, False
                 sweep.counters["artifact_models_used"] += 1
-        return seed
+        if from_dp:
+            sweep.counters["families_dp_seeded"] += 1
+        return seed, from_dp
 
     def _close_family(
         self,
@@ -1119,7 +1197,7 @@ class SATMapper:
                     family.lower_bound = proven
                     return family.mirrored(subset, bound)
             self._open_family(family, sweep.gates, sweep.num_logical, sweep.spots)
-            seed = self._family_seed(sweep, family, incumbent)
+            seed, from_dp = self._family_seed(sweep, family, incumbent)
             outcome = (
                 self._close_family(sweep, family, subset, seed, time_limit)
                 if seed is not None else None
@@ -1129,6 +1207,10 @@ class SATMapper:
                 outcome = self._solve_family(
                     family, subset, time_limit, bound, incumbent=seed
                 )
+            if from_dp:
+                # Counted apart, as families_dp_seeded: model_seeded stays
+                # for caller, stored and transferred schedules.
+                outcome.statistics.pop("model_seeded", None)
         if self.share_clauses:
             # export_learned is cumulative: the list replaces the earlier
             # one, and only its growth counts as newly exported.
@@ -1174,14 +1256,13 @@ class SATMapper:
             initial_mapping=best.mappings[0],
         )
         # Minimality is only guaranteed for the unrestricted formulation over
-        # all physical qubits, with the optimiser having proven (bounded)
+        # all physical qubits (see accepts_seeds_for), with the optimiser having proven (bounded)
         # optimality and the whole budget having sufficed.  A seeded upper
         # bound does not void the claim: a solution at or below the seed was
         # found, so the bounded minimum equals the true minimum.
         proven_minimal = (
             best.is_optimal
-            and self.strategy.guarantees_minimality
-            and not self.use_subsets
+            and self.accepts_seeds_for(num_logical)
             and not budget_exhausted
         )
         session_keys = (
@@ -1292,8 +1373,8 @@ class SATMapper:
                 the final optimality probe.  The schedule is validated
                 against this mapper's coupling map and permutation spots
                 first and silently dropped when it does not transfer; it is
-                also ignored when :attr:`accepts_initial_model` is false
-                (restricted search spaces).
+                also ignored when :meth:`accepts_seeds_for` is false for the
+                circuit (restricted search spaces).
             initial_objective: Added cost of *initial_model* (required with
                 it).
             artifacts: Optional solve-artifact cache handle (see
@@ -1330,7 +1411,7 @@ class SATMapper:
         incumbent: Optional[Tuple[List[Tuple[int, ...]], int]] = None
         if (
             initial_model is not None
-            and self.accepts_initial_model
+            and self.accepts_seeds_for(num_logical)
             and self.validate_schedule(circuit, list(initial_model))
         ):
             incumbent = ([tuple(m) for m in initial_model], initial_objective)
@@ -1377,7 +1458,7 @@ class SATMapper:
                     # The incumbent schedule is device-indexed, so it only
                     # seeds the full-device instance (the only one that
                     # exists when model seeding is allowed — see
-                    # accepts_initial_model).
+                    # accepts_seeds_for).
                     outcome = self._visit_family(
                         sweep, family, subset, remaining,
                         incumbent if subset == full_device else None,
@@ -1411,6 +1492,7 @@ class SATMapper:
                     for key in (
                         "families_pruned",
                         "families_closed",
+                        "families_dp_seeded",
                         "clauses_exported",
                         "clauses_imported",
                         "models_transferred",

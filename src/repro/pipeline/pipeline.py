@@ -40,18 +40,33 @@ from repro.pipeline.bounds import BoundProviderChain, SeedResolution
 from repro.pipeline.registry import get_mapper, resolve_mapper_name
 
 
+def _accepts(mapper, flag: str, circuit: QuantumCircuit) -> bool:
+    """Whether *mapper* takes the seed that *flag* names for *circuit*.
+
+    The flag answers for every circuit.  A mapper whose answer also
+    depends on the circuit (the subset sweep, which is the unrestricted
+    problem when the circuit uses every physical qubit) adds
+    ``accepts_seeds_for(num_logical)``.
+    """
+    if getattr(mapper, flag, False):
+        return True
+    per_circuit = getattr(mapper, "accepts_seeds_for", None)
+    return per_circuit is not None and per_circuit(circuit.num_qubits)
+
+
 def _map_with_bound(mapper, circuit: QuantumCircuit, seed: SeedResolution):
     """Map through *mapper*, seeding bound, model and artifacts only where safe.
 
     Engines opt in via ``accepts_external_bound`` (objective bound),
-    ``accepts_initial_model`` (incumbent schedule) and ``accepts_artifacts``
-    (skeleton-keyed solve-artifact cache); everything else is mapped
-    unseeded, so heuristics and restricted exact searches are unaffected.
+    ``accepts_initial_model`` (incumbent schedule), both per circuit through
+    ``accepts_seeds_for``, and ``accepts_artifacts`` (skeleton-keyed
+    solve-artifact cache); everything else is mapped unseeded, so
+    heuristics and restricted exact searches are unaffected.
     """
     kwargs = {}
-    if seed.bound is not None and getattr(mapper, "accepts_external_bound", False):
+    if seed.bound is not None and _accepts(mapper, "accepts_external_bound", circuit):
         kwargs["upper_bound"] = seed.bound
-    if seed.model is not None and getattr(mapper, "accepts_initial_model", False):
+    if seed.model is not None and _accepts(mapper, "accepts_initial_model", circuit):
         kwargs["initial_model"] = seed.model.mappings
         kwargs["initial_objective"] = seed.model.objective
     if seed.artifacts is not None and getattr(mapper, "accepts_artifacts", False):
@@ -188,17 +203,17 @@ class MappingPipeline:
         tasks.  The bound and model seed are only resolved for mappers that
         accept them, and the solve-artifact cache handle only for mappers
         that consume one — notably the subset sweep, which rejects global
-        bounds (``accepts_external_bound`` is false there) but still
-        accepts artifacts, because artifact material is applied per family
-        key.
+        bounds unless the circuit uses every physical qubit
+        (``accepts_seeds_for``) but always accepts artifacts, because
+        artifact material is applied per family key.
         """
         resolution = SeedResolution()
         if self.seeds is None:
             return resolution
-        if getattr(mapper, "accepts_external_bound", False):
+        if _accepts(mapper, "accepts_external_bound", circuit):
             resolution = self.seeds.resolve_seed(
                 circuit, self.coupling,
-                getattr(mapper, "accepts_initial_model", False),
+                _accepts(mapper, "accepts_initial_model", circuit),
             )
         if getattr(mapper, "accepts_artifacts", False):
             resolution.artifacts = self.seeds.resolve_artifacts()

@@ -12,7 +12,8 @@ fingerprint` (canonical gate-stream hash, name excluded), the architecture
 through :meth:`~repro.arch.coupling.CouplingMap.canonical_key` (edge set,
 name excluded), the engine through its *resolved* registry name (aliases
 collapse onto one key) and the options through a canonical JSON rendering
-with sorted keys.
+with sorted keys, in which an option set to its default value is left out
+(``{"optimizer": "core"}`` and ``{}`` are one job).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import FINGERPRINT_VERSION, QuantumCircuit
+from repro.sat.optimize import DEFAULT_OPTIMIZER
 
 #: Version tag of the job-fingerprint scheme (includes the circuit scheme).
 JOB_FINGERPRINT_VERSION = f"jfp1-{FINGERPRINT_VERSION}"
@@ -48,10 +50,17 @@ def _canonical_option(value: Any) -> Any:
     return repr(value)
 
 
+#: Engine options whose default value adds nothing to a job's identity.
+_DEFAULT_OPTIONS: Dict[str, Any] = {"optimizer": DEFAULT_OPTIMIZER}
+
+
 def canonical_options(options: Optional[Mapping[str, Any]]) -> str:
-    """Canonical JSON rendering of engine options (sorted keys, stable values)."""
+    """Canonical JSON rendering of engine options (sorted keys, stable
+    values, options at their default value left out)."""
     reduced = {
-        str(key): _canonical_option(value) for key, value in (options or {}).items()
+        str(key): _canonical_option(value)
+        for key, value in (options or {}).items()
+        if key not in _DEFAULT_OPTIONS or _DEFAULT_OPTIONS[key] != value
     }
     return json.dumps(reduced, sort_keys=True, separators=(",", ":"))
 

@@ -33,10 +33,11 @@ import pytest
 
 from repro.arch.coupling import CouplingMap
 from repro.arch.devices import ibm_qx4, sweep_grid8
-from repro.benchlib.generators import random_cnot_circuit
+from repro.benchlib.generators import benchmark_circuit, random_cnot_circuit
 from repro.benchlib.paper_example import paper_example_cnot_skeleton
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.encoding import build_encoding, clear_skeleton_cache
+from repro.exact import sat_mapper
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.sweep import clause_is_implied, template_clause_remap
 from repro.pipeline.bounds import BoundProviderChain
@@ -51,7 +52,10 @@ from repro.service.store import (
 from repro.sim.equivalence import mapped_circuit_equivalent
 from repro.verify import verify_result
 
-PAPER_MINIMAL_COST = 4
+#: Minimal added cost of ex-1_166 in a subset sweep on qx4.  Its DP-seeded
+#: sweep still ends in a solver refutation, so it learns and persists
+#: clauses (the paper example's families all close or prune unsolved).
+EX_1_166_MINIMAL_COST = 8
 
 
 def _payload(**overrides):
@@ -70,19 +74,20 @@ def _payload(**overrides):
 
 
 def _cold_run(store, circuit=None):
-    """One subset sweep of the paper circuit on qx4, artifacts in *store*."""
+    """One subset sweep of ex-1_166 on qx4, artifacts in *store*."""
     clear_skeleton_cache()
     return SATMapper(ibm_qx4(), use_subsets=True).map(
-        circuit or paper_example_cnot_skeleton(),
+        circuit or benchmark_circuit("ex-1_166"),
         artifacts=ArtifactCache(store),
     )
 
 
-def _drop_schedules(store_path):
-    """Keep every stored row's clauses and bounds but forget its schedule.
+def _keep_only_clauses(store_path):
+    """Keep every stored row's clauses but forget its bounds and schedule.
 
-    A warm run over such a store has no stored model to close a family
-    on, so it solves, and imports the stored clauses into its sessions.
+    A warm run over such a store has no stored bound to close a family on
+    (DP's schedule still seeds it), so it solves, and imports the stored
+    clauses into its sessions.
     """
     with sqlite3.connect(store_path) as conn:
         rows = conn.execute(
@@ -91,6 +96,7 @@ def _drop_schedules(store_path):
         for key, payload in rows:
             data = json.loads(payload)
             data["schedule"] = data["objective"] = None
+            data["bounds"] = {}
             conn.execute(
                 "UPDATE artifacts SET payload = ? WHERE skeleton_key = ?",
                 (json.dumps(data), key),
@@ -277,7 +283,7 @@ class TestImplicationProperty:
     def _populated_store(self, tmp_path):
         store = ResultStore(tmp_path / "artifacts.sqlite")
         cold = _cold_run(store)
-        assert cold.added_cost == PAPER_MINIMAL_COST
+        assert cold.added_cost == EX_1_166_MINIMAL_COST
         return store, cold
 
     def test_every_persisted_clause_is_implied_in_same_key_target(
@@ -336,7 +342,7 @@ class TestImplicationProperty:
         self, tmp_path, monkeypatch
     ):
         store, cold = self._populated_store(tmp_path)
-        _drop_schedules(store.path)
+        _keep_only_clauses(store.path)
         monkeypatch.setenv("REPRO_CHECK_IMPORTS", "1")
         # A second run over the same store is warm, and solves.
         warm = _cold_run(ResultStore(store.path, max_memory_entries=0))
@@ -465,7 +471,13 @@ class TestFamilyClosure:
         self, tmp_path, monkeypatch
     ):
         """A costlier schedule beside a bound raised to its cost would close
-        a family above its true minimum; the checking probe must catch it."""
+        a family above its true minimum; the checking probe must catch it.
+
+        Within DP's state limit a family starts at DP's schedule, its exact
+        minimum, and a costlier stored schedule is never taken.  The
+        scenario is therefore run beyond that limit, where the sweep starts
+        cold and a stored schedule can be the family's first incumbent."""
+        monkeypatch.setattr(sat_mapper, "MAX_MAPPING_STATES", 0)
         skeleton = _grid8_skeleton()
         store = ResultStore(tmp_path / "a.sqlite", max_memory_entries=0)
         clear_skeleton_cache()
@@ -500,7 +512,7 @@ class TestDegradation:
     def test_empty_store_matches_cold_solving(self, tmp_path):
         clear_skeleton_cache()
         bare = SATMapper(ibm_qx4(), use_subsets=True).map(
-            paper_example_cnot_skeleton()
+            benchmark_circuit("ex-1_166")
         )
         seeded = _cold_run(ResultStore(tmp_path / "a.sqlite"))
         assert seeded.added_cost == bare.added_cost
@@ -532,8 +544,9 @@ class TestDegradation:
             ).fetchall()
             for key, payload in rows:
                 data = json.loads(payload)
-                # No stored model to close on: the warm run solves.
+                # No stored bound to close on: the warm run solves.
                 data["schedule"] = data["objective"] = None
+                data["bounds"] = {}
                 if data["clauses"]:
                     data["x_var_limit"] += 1  # foreign block boundary
                 conn.execute(
@@ -550,8 +563,8 @@ class TestDegradation:
     def test_wrong_skeleton_key_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "a.sqlite")
         _cold_run(store)
-        # A structurally different circuit shares no skeleton key with the
-        # paper circuit, so the populated store contributes nothing.
+        # A structurally different circuit shares no skeleton key with
+        # ex-1_166, so the populated store contributes nothing.
         different = paper_example_cnot_skeleton().copy()
         control, target = different.cnot_pairs()[0]
         different.cx(control, target)
@@ -593,7 +606,7 @@ class TestProvidersAndService:
 
     def test_service_stamps_artifact_provenance_and_stats(self, tmp_path):
         async def scenario():
-            circuit = paper_example_cnot_skeleton()
+            circuit = benchmark_circuit("ex-1_166")
             store = ResultStore(
                 tmp_path / "a.sqlite", max_memory_entries=0
             )
@@ -605,11 +618,11 @@ class TestProvidersAndService:
                 cold = await service.result(first, timeout=120)
                 cold_provenance = service.status(first)["provenance"]
                 fingerprint = service.status(first)["fingerprint"]
-                # Forget the *result* and the stored schedules (clauses
-                # and bounds survive): the resubmit re-solves but
+                # Forget the *result*, the stored schedules and bounds
+                # (clauses survive): the resubmit re-solves but
                 # warm-starts from the artifact tier.
                 assert store.delete(fingerprint)
-                _drop_schedules(store.path)
+                _keep_only_clauses(store.path)
                 second = await service.submit(circuit)
                 warm = await service.result(second, timeout=120)
                 warm_provenance = service.status(second)["provenance"]
@@ -618,7 +631,7 @@ class TestProvidersAndService:
                 )
 
         cold, cold_prov, warm, warm_prov, stats = asyncio.run(scenario())
-        assert cold.added_cost == warm.added_cost == PAPER_MINIMAL_COST
+        assert cold.added_cost == warm.added_cost == EX_1_166_MINIMAL_COST
         assert cold_prov["artifact_provider"] == "artifact"
         assert cold_prov["artifact_misses"] >= 1
         assert warm_prov["cache_hit"] is False

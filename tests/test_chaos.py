@@ -621,15 +621,17 @@ class TestChaosEndToEnd:
         job still answers with its own result.
         """
         # Each solver conflict stalls, so these small SAT jobs are still
-        # running when their worker dies, and again after redelivery.
+        # running when their worker dies, and again after redelivery.  Each
+        # still needs a refutation below DP's schedule (30 to 131
+        # conflicts; a job DP's schedule closes outright never stalls).
         monkeypatch.setenv(faults.ENV_VAR, "solver.step:delay")
         circuits = [
-            random_cnot_circuit(3, 4, seed=705),
-            random_cnot_circuit(4, 4, seed=705),
-            random_cnot_circuit(3, 4, seed=702),
-            random_cnot_circuit(3, 3, seed=705),
-            random_cnot_circuit(3, 4, seed=704),
-            random_cnot_circuit(3, 4, seed=701),
+            random_cnot_circuit(4, 5, seed=738),
+            random_cnot_circuit(3, 4, seed=708),
+            random_cnot_circuit(4, 4, seed=707),
+            random_cnot_circuit(3, 6, seed=712),
+            random_cnot_circuit(3, 4, seed=726),
+            random_cnot_circuit(4, 5, seed=721),
         ]
 
         async def scenario():

@@ -147,6 +147,33 @@ class TestResultCaching:
         assert stats["cache_hits"] == 1
         assert stats["solved"] == 1
 
+    def test_default_optimizer_named_explicitly_is_a_store_hit(self):
+        # {"optimizer": "core"} names the default descent, so it is the same
+        # job as {} and shares its result-cache key.
+        async def scenario():
+            async with _service(engine="sat", store=ResultStore()) as service:
+                first = await service.submit(
+                    _circuit(), options={"optimizer": "core"}
+                )
+                await service.result(first, timeout=60)
+                second = await service.submit(_circuit(), options={})
+                await service.result(second, timeout=60)
+                third = await service.submit(
+                    _circuit(), options={"optimizer": "linear"}
+                )
+                await service.result(third, timeout=60)
+                return [
+                    service.status(job) for job in (first, second, third)
+                ]
+
+        first, second, third = run(scenario())
+        assert first["fingerprint"] == second["fingerprint"]
+        assert first["provenance"]["cache_hit"] is False
+        assert second["provenance"]["cache_hit"] is True
+        # Another descent is another job.
+        assert third["fingerprint"] != first["fingerprint"]
+        assert third["provenance"]["cache_hit"] is False
+
     def test_persistent_store_shared_across_service_instances(self, tmp_path,
                                                               counting_engine):
         async def scenario():

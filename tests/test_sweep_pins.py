@@ -1,8 +1,9 @@
 """Exact counter pins for the subset sweep of :meth:`SATMapper.map`.
 
-The sweep's bookkeeping (family planning, pruning, closure, clause sharing,
-model transfer, the member re-solve and the stored-artifact tier) decides
-which solver calls run, with which bounds and which imported clauses.  These
+The sweep's bookkeeping (family planning, the DP seed, pruning, closure,
+clause sharing, model transfer beyond DP's state limit, the member re-solve
+and the stored-artifact tier) decides which solver calls run, with which
+bounds and which imported clauses.  These
 pins hold the resulting counters fixed: a change to that bookkeeping which
 moves any of them has changed the search, not just the code.
 
@@ -17,6 +18,7 @@ from repro.arch.devices import ibm_qx4, sweep_grid8
 from repro.benchlib.generators import benchmark_circuit
 from repro.benchlib.paper_example import paper_example_cnot_skeleton
 from repro.exact.encoding import clear_skeleton_cache
+from repro.exact import sat_mapper
 from repro.exact.sat_mapper import SATMapper
 from repro.service.store import ArtifactCache, ResultStore
 
@@ -36,10 +38,11 @@ KEYS = (
     "artifact_bounds_used",
     "artifact_models_used",
     "artifact_clauses_imported",
+    "families_dp_seeded",
 )
 
 #: ex-1_166 on grid8, subset sweep, no store: the cold row of the warm tests.
-GRID8_COLD = (15, 2419, 15, 8, 5, 0, 3, 6, 215, 134, 2, 0, 0, 0, 0)
+GRID8_COLD = (15, 1039, 3, 8, 5, 0, 3, 6, 202, 129, 0, 0, 0, 0, 0, 2)
 
 
 @pytest.fixture(autouse=True)
@@ -59,14 +62,14 @@ def _ex_1_166():
 @pytest.mark.parametrize(
     "options,expected",
     [
-        ({}, (8, 288, 6, 3, 2, 0, 1, 0, 5, 0, 0, 0, 0, 0, 0)),
+        ({}, (8, 134, 1, 3, 2, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 1)),
         (
             {"share_clauses": False, "prune_families": False},
-            (8, 413, 8, 3, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0),
+            (8, 310, 3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0, 1),
         ),
         # A tiny conflict budget leaves families inconclusive, so later
         # members re-solve on their family's live session.
-        ({"conflict_limit": 5}, (54, 42, 10, 3, 0, 0, 6, 0, 8, 1, 0, 0, 0, 0, 0)),
+        ({"conflict_limit": 5}, (8, 30, 6, 3, 0, 0, 6, 0, 2, 0, 0, 0, 0, 0, 0, 1)),
     ],
     ids=["default", "no-share-no-prune", "conflict-limit-5"],
 )
@@ -84,7 +87,17 @@ def test_grid8_member_resolve():
     result = SATMapper(sweep_grid8(), use_subsets=True, conflict_limit=5).map(
         _ex_1_166()
     )
-    assert _pins(result) == (54, 94, 21, 8, 0, 0, 16, 0, 55, 50, 7, 0, 0, 0, 0)
+    assert _pins(result) == (15, 80, 16, 8, 0, 0, 16, 0, 24, 24, 0, 0, 0, 0, 0, 2)
+
+
+def test_grid8_beyond_the_dp_limit(monkeypatch):
+    # With no family inside DP's state limit the sweep starts cold and
+    # seeds families by cross-family model transfer instead.
+    monkeypatch.setattr(sat_mapper, "MAX_MAPPING_STATES", 0)
+    result = SATMapper(sweep_grid8(), use_subsets=True).map(_ex_1_166())
+    assert _pins(result) == (
+        15, 2419, 15, 8, 5, 0, 3, 6, 215, 134, 2, 0, 0, 0, 0, 0
+    )
 
 
 class TestFullDevice:
@@ -92,8 +105,9 @@ class TestFullDevice:
         return SATMapper(ibm_qx4()).map(paper_example_cnot_skeleton(), **kwargs)
 
     def test_cold(self):
+        # DP's schedule meets the structural lower bound: closed unsolved.
         assert _pins(self._map()) == (
-            4, 65, 5, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0
+            4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1
         )
 
     def test_own_schedule_closes_without_solving(self):
@@ -102,11 +116,12 @@ class TestFullDevice:
             initial_model=cold.schedule.mappings,
             initial_objective=cold.added_cost,
         )
-        assert _pins(seeded) == (4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+        assert _pins(seeded) == (4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        assert seeded.statistics["model_seeded"] == 1
 
     def test_upper_bound(self):
         assert _pins(self._map(upper_bound=6)) == (
-            4, 30, 2, 1, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0
+            4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1
         )
 
 
@@ -118,17 +133,17 @@ class TestStoredArtifacts:
     def test_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path / "artifacts.sqlite")
         assert _pins(self._map(store)) == GRID8_COLD
-        assert store.artifact_rows() == (3, 6097)
+        assert store.artifact_rows() == (3, 5420)
         assert _pins(self._map(store)) == (
-            15, 0, 0, 8, 6, 2, 2, 3, 0, 0, 1, 3, 3, 2, 0
+            15, 0, 0, 8, 6, 2, 2, 3, 0, 0, 0, 3, 3, 2, 0, 0
         )
-        assert store.artifact_rows() == (3, 6097)
+        assert store.artifact_rows() == (3, 5420)
 
     def test_budgeted_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path / "artifacts.sqlite")
         assert _pins(self._map(store, conflict_limit=20)) == (
-            60, 353, 25, 8, 0, 0, 16, 0, 136, 129, 7, 0, 0, 0, 0
+            15, 320, 16, 8, 0, 0, 16, 0, 147, 134, 0, 0, 0, 0, 0, 2
         )
         assert _pins(self._map(store)) == (
-            15, 1877, 16, 8, 5, 0, 3, 6, 194, 122, 2, 3, 0, 2, 21
+            15, 944, 3, 8, 5, 0, 3, 6, 208, 125, 0, 3, 0, 3, 26, 0
         )

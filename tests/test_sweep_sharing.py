@@ -22,6 +22,7 @@ from repro.arch.devices import ibm_qx4, sweep_grid8
 from repro.benchlib.generators import benchmark_circuit
 from repro.benchlib.paper_example import paper_example_cnot_skeleton
 from repro.exact.encoding import build_encoding, clear_skeleton_cache
+from repro.exact import sat_mapper
 from repro.exact.sat_mapper import SATMapper, SHARE_MAX_CLAUSE_SIZE
 from repro.exact.sweep import (
     clause_is_implied,
@@ -337,13 +338,21 @@ class TestSweepBehaviour:
         )
         assert covered == list(range(len(subsets)))
 
-    def test_grid_sweep_shares_and_prunes(self):
+    def test_grid_sweep_shares_and_prunes(self, monkeypatch):
         circuit = benchmark_circuit("ham3_102")
         result = SATMapper(sweep_grid8(), use_subsets=True).map(circuit)
         stats = result.statistics
         assert stats["families_pruned"] >= 1
         assert stats["clauses_imported"] >= 1
-        assert stats["models_transferred"] >= 1
+        # DP seeds every family; model transfer is the fallback beyond
+        # DP's state limit.
+        assert stats["families_dp_seeded"] >= 1
+        assert stats["models_transferred"] == 0
+        monkeypatch.setattr(sat_mapper, "MAX_MAPPING_STATES", 0)
+        beyond = SATMapper(sweep_grid8(), use_subsets=True).map(circuit)
+        assert beyond.added_cost == result.added_cost
+        assert beyond.statistics["families_dp_seeded"] == 0
+        assert beyond.statistics["models_transferred"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +406,8 @@ class TestPropagationsCounter:
         assert result.statistics["propagations"] > 0
 
     def test_mapping_result_carries_solver_propagations(self):
-        circuit = paper_example_cnot_skeleton()
+        # ex-1_166's DP-seeded family still needs a refutation.
+        circuit = benchmark_circuit("ex-1_166")
         result = SATMapper(ibm_qx4(), use_subsets=True).map(circuit)
         assert result.statistics["solver_propagations"] > 0
 

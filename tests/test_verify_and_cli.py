@@ -3,10 +3,11 @@
 import pytest
 
 from repro.arch.devices import ibm_qx4
-from repro.benchlib.generators import random_clifford_t_circuit
+from repro.benchlib.generators import benchmark_circuit, random_clifford_t_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.qasm import to_qasm
 from repro.cli import build_parser, main
+from repro.exact import sat_mapper
 from repro.exact.dp_mapper import DPMapper
 from repro.verify import check_coupling_compliance, count_added_operations, verify_result
 
@@ -454,6 +455,20 @@ class TestCLIBoundsAndPrune:
 class TestCLIOptimizerFlags:
     """The optimizer-strategy layer's CLI surface."""
 
+    @pytest.fixture(autouse=True)
+    def _unconfigured_cache(self, monkeypatch):
+        # A --cache-dir stays active for the rest of the process; without
+        # this reset a later test would be answered from an earlier one's
+        # result store or warm-started from its artifacts.
+        from repro.arch.cache import clear_caches, reset_cache_dir
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        clear_caches()
+        reset_cache_dir()
+        yield
+        clear_caches()
+        reset_cache_dir()
+
     def _write_qasm(self, tmp_path, circuit):
         path = tmp_path / "circuit.qasm"
         path.write_text(to_qasm(circuit))
@@ -524,7 +539,11 @@ class TestCLIOptimizerFlags:
         ) == 0
         assert "result cache      : miss" in capsys.readouterr().out
 
-    def test_explain_prints_final_core(self, tmp_path, capsys):
+    def test_explain_prints_final_core(self, tmp_path, capsys, monkeypatch):
+        # Beyond DP's state limit the core descent starts cold and ends on
+        # a core of objective terms (within it, DP's schedule closes the
+        # paper example on its structural bound).
+        monkeypatch.setattr(sat_mapper, "MAX_MAPPING_STATES", 0)
         path = self._write_qasm(tmp_path, self._paper_circuit())
         assert main(
             [path, "--engine", "sat", "--optimizer", "core", "--explain"]
@@ -535,9 +554,27 @@ class TestCLIOptimizerFlags:
 
     def test_explain_without_core_reports_gracefully(self, tmp_path, capsys):
         # Linear descent proves optimality via committed bounds: no core.
-        path = self._write_qasm(tmp_path, self._paper_circuit())
+        path = self._write_qasm(tmp_path, benchmark_circuit("ex-1_166"))
         assert main(
             [path, "--engine", "sat", "--optimizer", "linear", "--explain"]
         ) == 0
         out = capsys.readouterr().out
         assert "no UNSAT core recorded" in out
+
+    def test_explain_reports_a_proof_by_one_refutation(self, tmp_path, capsys):
+        # DP's schedule (cost 8) is the incumbent; the core descent refutes
+        # F <= 7 once, on the objective bound alone.
+        path = self._write_qasm(tmp_path, benchmark_circuit("ex-1_166"))
+        assert main([path, "--engine", "sat", "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert "proof              : one refutation" in out
+        assert "a schedule of cost 8 exists" in out
+        assert "<= 7" in out
+        assert "final UNSAT core" not in out
+
+    def test_explain_reports_a_closure(self, tmp_path, capsys):
+        # DP's schedule costs 4, the structural lower bound: no solver call.
+        path = self._write_qasm(tmp_path, self._paper_circuit())
+        assert main([path, "--engine", "sat", "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert "proven without a solver call" in out
