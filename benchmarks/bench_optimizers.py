@@ -7,8 +7,9 @@ every sweep family starts at DP's schedule and the descents differ in how
 they prove it (or find a family's bound unreachable).  Two sets:
 
 * ``qx4`` — the Table-1 stand-ins on IBM QX4 that finish within the budget
-  (3_17_13, ex-1_166, ham3_102, miller_11, 4gt11_84), each also mapped by
-  the DP engine, whose minimum and wall time are the reference columns;
+  (3_17_13, ex-1_166, ham3_102, miller_11, 4gt11_84 and the five-qubit
+  4mod5-v0_20), each also mapped by the DP engine, whose minimum and wall
+  time are the reference columns;
 * ``grid8`` — cold 3-qubit skeletons ``random_cnot_circuit(3, 12,
   seed=8000..8007)`` on the 8-qubit ``sweep_grid8`` device.
 
@@ -42,7 +43,9 @@ from repro.exact.sat_mapper import SATMapper
 from repro.sat.solver import solver_backend_provenance
 
 OPTIMIZERS = ("linear", "binary", "core")
-QX4_CIRCUITS = ("3_17_13", "ex-1_166", "ham3_102", "miller_11", "4gt11_84")
+QX4_CIRCUITS = (
+    "3_17_13", "ex-1_166", "ham3_102", "miller_11", "4gt11_84", "4mod5-v0_20",
+)
 GRID8_SEEDS = range(8000, 8008)
 
 

@@ -16,9 +16,10 @@ the example's full-device encoding, where the descents still search.
 Every pinned row names its descent explicitly (``linear`` where the row
 predates the core-guided default), so a change of library default cannot
 move its pin; the ``sat_default`` row measures the library default itself.
-Per-config ``solver_iterations`` are compared against the committed baseline
-(``benchmarks/perf_smoke_baseline.json``): the proven minimum must match
-exactly, the count must not exceed the ceiling, and the configs listed under
+Per-config ``solver_iterations`` and ``solver_conflicts`` are compared
+against the committed baseline (``benchmarks/perf_smoke_baseline.json``):
+the proven minimum must match exactly, neither count may exceed its ceiling
+(``max_iterations``, ``max_conflicts``), and the configs listed under
 ``strict_improvement_vs_pr2`` / ``strict_improvement_vs_linear`` must stay
 strictly below their reference counts.
 
@@ -484,6 +485,12 @@ def check(measurements, baseline):
                 f"{name}: solver iterations regressed "
                 f"({iterations} > baseline {expected['max_iterations']})"
             )
+        conflicts = measured["solver_conflicts"]
+        if conflicts > expected["max_conflicts"]:
+            failures.append(
+                f"{name}: solver conflicts regressed "
+                f"({conflicts} > baseline {expected['max_conflicts']})"
+            )
         if name in strict and name in pr2 and iterations >= pr2[name]:
             failures.append(
                 f"{name}: iterations no longer strictly below the PR 2 "
@@ -693,6 +700,10 @@ def main(argv=None) -> int:
             name: config["max_iterations"]
             for name, config in baseline["configs"].items()
         },
+        "baseline_max_conflicts": {
+            name: config["max_conflicts"]
+            for name, config in baseline["configs"].items()
+        },
         "baseline_max_sweep_conflicts": {
             name: config["max_conflicts"]
             for name, config in baseline.get("sweep_configs", {}).items()
@@ -776,7 +787,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("perf smoke OK: no iteration or sweep-conflict regressions")
+    print("perf smoke OK: no iteration or conflict regressions")
     return 0
 
 

@@ -33,7 +33,8 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.coupling import CouplingMap
 from repro.arch.diskcache import PermutationDiskStore
@@ -96,6 +97,19 @@ def reset_cache_dir() -> None:
     global _CACHE_DIR
     with _LOCK:
         _CACHE_DIR = False
+
+
+@contextmanager
+def preserved_cache_dir() -> Iterator[None]:
+    """Restore the cache-dir setting found on entry when the block exits."""
+    global _CACHE_DIR
+    with _LOCK:
+        saved = _CACHE_DIR
+    try:
+        yield
+    finally:
+        with _LOCK:
+            _CACHE_DIR = saved
 
 
 def get_cache_dir() -> Optional[str]:
@@ -324,6 +338,7 @@ __all__ = [
     "CACHE_DIR_ENV",
     "set_cache_dir",
     "reset_cache_dir",
+    "preserved_cache_dir",
     "get_cache_dir",
     "shared_permutation_table",
     "shared_transition_table",

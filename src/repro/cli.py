@@ -48,7 +48,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.arch import get_architecture
 from repro.circuit import parse_qasm_file
 from repro.circuit.qasm import write_qasm_file
-from repro.arch.cache import cache_stats, clear_caches, get_cache_dir, set_cache_dir
+from repro.arch.cache import (
+    cache_stats, clear_caches, get_cache_dir, preserved_cache_dir, set_cache_dir,
+)
 from repro.pipeline.pipeline import MappingPipeline
 from repro.pipeline.registry import available_mappers, resolve_mapper_name
 from repro.sim.equivalence import result_is_equivalent
@@ -922,17 +924,18 @@ def _run_cancel(argv: Sequence[str]) -> int:
 
 # ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the ``repro-map`` command."""
+    """Entry point of the ``repro-map`` command; ``--cache-dir`` holds for one call."""
     arguments: List[str] = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] in _SUBCOMMANDS:
-        if arguments[0] == "cache":
-            return _run_cache(arguments[1:])
-        if arguments[0] == "listen":
-            return _run_listen(arguments[1:])
-        if arguments[0] == "cancel":
-            return _run_cancel(arguments[1:])
-        return _run_serve(arguments[1:])
-    return _run_map(arguments)
+    with preserved_cache_dir():
+        if arguments and arguments[0] in _SUBCOMMANDS:
+            if arguments[0] == "cache":
+                return _run_cache(arguments[1:])
+            if arguments[0] == "listen":
+                return _run_listen(arguments[1:])
+            if arguments[0] == "cancel":
+                return _run_cancel(arguments[1:])
+            return _run_serve(arguments[1:])
+        return _run_map(arguments)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,14 +22,15 @@ variable activities and saved phases carry over from probe to probe:
 * ``"linear"`` — the paper's descent: solve once, read off the objective
   value of the model, then repeatedly commit ``F <= best - 1`` until the
   instance becomes unsatisfiable.  The last model found is optimal.
-* ``"binary"`` — a first model within the bound (unless an incumbent is
-  known), then bisection of ``[0, best]``; every probe is an assumption on
-  the same solver (an UNSAT probe does not poison later, looser probes).
+* ``"binary"`` — a first model, then bisection of ``[0, best]``; every
+  probe is an assumption on the same solver (an UNSAT probe does not poison
+  later, looser probes).  A bounded or seeded solve refutes first, as
+  ``core`` does, and bisects only when that probe finds a cheaper model.
 
-``binary`` and ``core`` share the first-model step and the bisection.  All
-descents return an :class:`OptimizationResult`; when a time or conflict
-budget is exhausted the best model found so far is returned with
-``is_optimal=False`` (this mirrors the paper's "close-to-minimal"
+``binary`` and ``core`` share the refute-first step, the first-model step
+and the bisection.  All descents return an :class:`OptimizationResult`;
+when a time or conflict budget is exhausted the best model found so far is
+returned with ``is_optimal=False`` (this mirrors the paper's "close-to-minimal"
 discussion).  A known feasible assignment can be handed in as an initial
 incumbent (``minimize(initial_model=..., initial_objective=...)``): it
 seeds the solver's phases and counts as the first feasible solution, so a
@@ -54,8 +55,8 @@ DEFAULT_OPTIMIZER = "core"
 #: Descent name -> one-line description (printed by ``--list-optimizers``).
 OPTIMIZERS: Dict[str, str] = {
     "binary": (
-        "bisection: halve the [0, incumbent] objective range with assumed "
-        "bound selectors (fewest probes when the first model is far off)"
+        "bisection: refute a known bound or incumbent first, else halve the "
+        "[0, incumbent] objective range with assumed bound selectors"
     ),
     "core": (
         "core-guided (default): refute a known bound or incumbent first, "
@@ -317,28 +318,40 @@ def _bisect(run: _Run, low: int) -> OptimizationResult:
     return run.finish(True)
 
 
+def _refute_first(
+    run: _Run, upper_bound: Optional[int]
+) -> Optional[OptimizationResult]:
+    """Probe ``F <= best - 1`` once when the solve is bounded or seeded.
+
+    Such a solve usually starts at (or next to) the optimum, where this one
+    UNSAT probe is the proof.  The bound is assumed, never committed.
+    Returns the run's result when it ends here, else ``None``.
+    """
+    if upper_bound is None and run.best_value is None:
+        return None
+    done = _first_model(run, upper_bound)
+    if done is not None:
+        return done
+    outcome = run.solve(run.best_value - 1)
+    if outcome is not SolverResult.SAT:
+        return run.finish(outcome is SolverResult.UNSAT)
+    run.take_model()
+    return None
+
+
 def _binary(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
-    """A first model, then bisection of ``[0, best]``."""
-    return _first_model(run, upper_bound) or _bisect(run, 0)
+    """Refute first when bounded or seeded, else a first model; then bisection."""
+    done = _refute_first(run, upper_bound) or _first_model(run, upper_bound)
+    return done or _bisect(run, 0)
 
 
 def _core(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
     """Refute first when bounded or seeded, then disjoint cores, then bisection."""
     counters = run.counters
     counters.update(cores_found=0, core_literals_relaxed=0, core_lower_bound=0)
-    # Refute first.  A bounded or seeded solve usually starts at (or next
-    # to) the optimum, where one UNSAT probe below the incumbent finishes
-    # the proof, while the cores below would rebuild the lower bound from
-    # zero.  The probe is an *assumed* bound, so every core bound stays a
-    # consequence of the formula.
-    if upper_bound is not None or run.best_value is not None:
-        done = _first_model(run, upper_bound)
-        if done is not None:
-            return done
-        outcome = run.solve(run.best_value - 1)
-        if outcome is not SolverResult.SAT:
-            return run.finish(outcome is SolverResult.UNSAT)
-        run.take_model()
+    done = _refute_first(run, upper_bound)
+    if done is not None:
+        return done
 
     # Disjoint-core lower bounding.  Assume every remaining term off; every
     # UNSAT answer yields a core over those selectors, the core's literals

@@ -4,15 +4,21 @@ A :class:`SolveSession` owns one live :class:`~repro.sat.solver.CDCLSolver`
 loaded with a CNF formula and minimises a weighted objective over it by
 *assuming* objective bounds instead of cloning the formula:
 
-* The constraint ``F <= b`` is encoded as a BDD-style ladder of
-  definitional implication clauses: with the terms sorted heaviest first,
-  node ``(i, c)`` states "the weighted sum of terms ``i..`` is at most
-  ``c``" and implies the node for the rest of the terms under either value
-  of term ``i``.  The encoding is polynomial in ``len(terms) * b`` and
-  propagates well.  No unit clause asserts the root: the root literal is
-  handed to the solver as an **assumption**, so the bound holds for one
-  ``solve`` call and evaporates afterwards — bounds can tighten (objective
-  descent) or move in both directions (bisection) on the same solver.
+* The constraint ``F <= b`` is encoded as a BDD ladder: with the terms
+  sorted heaviest first, node ``(i, c)`` states "the weighted sum of terms
+  ``i..`` is at most ``c``".  Its low edge ``node -> (i+1, c)`` holds
+  whatever term ``i`` is (terms are non-negative) and its high edge
+  ``node & term_i -> (i+1, c - w_i)`` charges the term.  This two-clause
+  encoding is generalized arc consistent (Abío, Nieuwenhuis, Oliveras,
+  Rodríguez-Carbonell, Mayer-Eichberger, "A New Look at BDDs for
+  Pseudo-Boolean Constraints", JAIR 2012): once the root holds, unit
+  propagation falsifies every term heavier than the budget left.  It is
+  polynomial in ``len(terms) * b``, and every clause contains a negated
+  node, so it never constrains the formula's own variables.  No unit
+  clause asserts the root: the root literal is handed to the solver as an
+  **assumption**, so the bound holds for one ``solve`` call and evaporates
+  afterwards — bounds can tighten (objective descent) or move in both
+  directions (bisection) on the same solver.
   This ladder is the package's only objective-bound encoding.
 * Ladder nodes are cached per session and shared between bounds: tightening
   from ``b`` to ``b - 1`` only adds the nodes that differ, everything
@@ -185,6 +191,9 @@ class SolveSession:
 
         Returns ``None`` when the node is trivially true.  Nodes are cached
         for the session's lifetime, so overlapping bounds share clauses.
+        A node's clauses are ``[-node, low]`` and ``[-node, -term, high]``
+        (``[-node, -term]`` when the term alone exceeds the budget); a
+        trivially true child needs no clause.
 
         The construction walks an explicit stack instead of recursing: the
         natural recursion is one frame per objective term, which overflows
@@ -218,14 +227,14 @@ class SolveSession:
                 self._node_info[node] = (idx, bgt)
                 self.statistics["bound_nodes_created"] += 1
                 stack.append((idx, bgt, 1))
-                # Literal false: the budget is unchanged for the rest.
+                # Low child: the budget holds for the rest whatever the literal.
                 stack.append((idx + 1, bgt, 0))
             elif phase == 1:
                 node = self._nodes[(idx, bgt)]
                 weight, literal = self._ladder_terms[idx]
                 low = self._nodes.get((idx + 1, bgt))
                 if self._suffix_totals[idx + 1] > bgt and low is not None:
-                    self._add([-node, literal, low])
+                    self._add([-node, low])
                 # Literal true: the budget shrinks by the term's weight.
                 if weight > bgt:
                     self._add([-node, -literal])

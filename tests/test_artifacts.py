@@ -52,10 +52,11 @@ from repro.service.store import (
 from repro.sim.equivalence import mapped_circuit_equivalent
 from repro.verify import verify_result
 
-#: Minimal added cost of ex-1_166 in a subset sweep on qx4.  Its DP-seeded
-#: sweep still ends in a solver refutation, so it learns and persists
-#: clauses (the paper example's families all close or prune unsolved).
-EX_1_166_MINIMAL_COST = 8
+#: Minimal added cost of ham3_102 in a subset sweep on qx4.  Its DP-seeded
+#: sweep still ends in a solver refutation that learns shared-layer
+#: clauses, so it persists them (the paper example's families all close or
+#: prune unsolved, and ex-1_166's refutation exports none).
+HAM3_102_MINIMAL_COST = 16
 
 
 def _payload(**overrides):
@@ -74,10 +75,10 @@ def _payload(**overrides):
 
 
 def _cold_run(store, circuit=None):
-    """One subset sweep of ex-1_166 on qx4, artifacts in *store*."""
+    """One subset sweep of ham3_102 on qx4, artifacts in *store*."""
     clear_skeleton_cache()
     return SATMapper(ibm_qx4(), use_subsets=True).map(
-        circuit or benchmark_circuit("ex-1_166"),
+        circuit or benchmark_circuit("ham3_102"),
         artifacts=ArtifactCache(store),
     )
 
@@ -283,7 +284,7 @@ class TestImplicationProperty:
     def _populated_store(self, tmp_path):
         store = ResultStore(tmp_path / "artifacts.sqlite")
         cold = _cold_run(store)
-        assert cold.added_cost == EX_1_166_MINIMAL_COST
+        assert cold.added_cost == HAM3_102_MINIMAL_COST
         return store, cold
 
     def test_every_persisted_clause_is_implied_in_same_key_target(
@@ -482,10 +483,11 @@ class TestFamilyClosure:
         store = ResultStore(tmp_path / "a.sqlite", max_memory_entries=0)
         clear_skeleton_cache()
         exact = SATMapper(sweep_grid8(), use_subsets=True).map(skeleton)
-        # A conflict-limited sweep stops on models above the minimum.
+        # A conflict-limited sweep stops on models above the minimum; at
+        # this limit one family stores a schedule above its own minimum.
         clear_skeleton_cache()
         stopped = SATMapper(
-            sweep_grid8(), use_subsets=True, conflict_limit=5
+            sweep_grid8(), use_subsets=True, conflict_limit=8
         ).map(skeleton, artifacts=ArtifactCache(store))
         assert stopped.added_cost > exact.added_cost
 
@@ -512,7 +514,7 @@ class TestDegradation:
     def test_empty_store_matches_cold_solving(self, tmp_path):
         clear_skeleton_cache()
         bare = SATMapper(ibm_qx4(), use_subsets=True).map(
-            benchmark_circuit("ex-1_166")
+            benchmark_circuit("ham3_102")
         )
         seeded = _cold_run(ResultStore(tmp_path / "a.sqlite"))
         assert seeded.added_cost == bare.added_cost
@@ -564,7 +566,7 @@ class TestDegradation:
         store = ResultStore(tmp_path / "a.sqlite")
         _cold_run(store)
         # A structurally different circuit shares no skeleton key with
-        # ex-1_166, so the populated store contributes nothing.
+        # ham3_102, so the populated store contributes nothing.
         different = paper_example_cnot_skeleton().copy()
         control, target = different.cnot_pairs()[0]
         different.cx(control, target)
@@ -606,7 +608,7 @@ class TestProvidersAndService:
 
     def test_service_stamps_artifact_provenance_and_stats(self, tmp_path):
         async def scenario():
-            circuit = benchmark_circuit("ex-1_166")
+            circuit = benchmark_circuit("ham3_102")
             store = ResultStore(
                 tmp_path / "a.sqlite", max_memory_entries=0
             )
@@ -631,7 +633,7 @@ class TestProvidersAndService:
                 )
 
         cold, cold_prov, warm, warm_prov, stats = asyncio.run(scenario())
-        assert cold.added_cost == warm.added_cost == EX_1_166_MINIMAL_COST
+        assert cold.added_cost == warm.added_cost == HAM3_102_MINIMAL_COST
         assert cold_prov["artifact_provider"] == "artifact"
         assert cold_prov["artifact_misses"] >= 1
         assert warm_prov["cache_hit"] is False

@@ -30,15 +30,15 @@ from repro.sat.optimize import OptimizingSolver
 #: cores_found, core_literals_relaxed, core_lower_bound); zero counters are
 #: absent from the mapper's statistics and read as 0 here.
 MAPPER_PINS = {
-    ("paper", "linear"): (4, 10, 1261, 9, 0, 0, 0),
-    ("paper", "binary"): (4, 5, 890, 3, 0, 0, 0),
-    ("paper", "core"): (4, 5, 65, 4, 1, 360, 4),
+    ("paper", "linear"): (4, 12, 123, 11, 0, 0, 0),
+    ("paper", "binary"): (4, 5, 35, 3, 0, 0, 0),
+    ("paper", "core"): (4, 5, 39, 4, 1, 360, 4),
     ("paper_bound6", "linear"): (4, 2, 27, 1, 0, 0, 0),
-    ("paper_bound6", "binary"): (4, 3, 33, 1, 0, 0, 0),
-    ("paper_bound6", "core"): (4, 2, 30, 1, 0, 0, 0),
-    ("ex-1_166_subsets", "linear"): (8, 1, 129, 0, 0, 0, 0),
-    ("ex-1_166_subsets", "binary"): (8, 3, 128, 0, 0, 0, 0),
-    ("ex-1_166_subsets", "core"): (8, 1, 134, 0, 0, 0, 0),
+    ("paper_bound6", "binary"): (4, 2, 28, 1, 0, 0, 0),
+    ("paper_bound6", "core"): (4, 2, 28, 1, 0, 0, 0),
+    ("ex-1_166_subsets", "linear"): (8, 1, 29, 0, 0, 0, 0),
+    ("ex-1_166_subsets", "binary"): (8, 1, 29, 0, 0, 0, 0),
+    ("ex-1_166_subsets", "core"): (8, 1, 29, 0, 0, 0, 0),
 }
 
 MAPPER_KEYS = (
@@ -118,31 +118,31 @@ SEEDED_PINS = {
         bound_clauses_added=961, propagations=3337,
         learned_clauses_retained=8, descent_iterations=0,
     )),
-    ("optimum", "binary"): ("optimal", 4, 2, 22, 1, 1, _session_counters(
-        solve_calls=2, assumption_solves=2, bound_nodes_created=962,
-        bound_clauses_added=1922, propagations=4835,
+    ("optimum", "binary"): ("optimal", 4, 1, 13, 1, 1, _session_counters(
+        solve_calls=1, assumption_solves=1, bound_nodes_created=481,
+        bound_clauses_added=961, propagations=3417,
         learned_clauses_retained=12, descent_iterations=0,
     )),
-    ("optimum", "core"): ("optimal", 4, 1, 17, 1, 1, _session_counters(
+    ("optimum", "core"): ("optimal", 4, 1, 13, 1, 1, _session_counters(
         solve_calls=1, assumption_solves=1, bound_nodes_created=481,
-        bound_clauses_added=961, propagations=3433,
+        bound_clauses_added=961, propagations=3417,
         learned_clauses_retained=12, descent_iterations=0,
         **_core_counters(0, 0, 0),
     )),
-    ("above", "linear"): ("optimal", 4, 3, 73, 0, 0, _session_counters(
-        solve_calls=3, committed_bounds=3, bound_nodes_created=1447,
-        bound_nodes_reused=120, bound_clauses_added=2885, propagations=23713,
-        learned_clauses_retained=70, descent_iterations=2,
+    ("above", "linear"): ("optimal", 4, 5, 67, 0, 0, _session_counters(
+        solve_calls=5, committed_bounds=5, bound_nodes_created=2531,
+        bound_nodes_reused=244, bound_clauses_added=5047, propagations=29117,
+        learned_clauses_retained=65, descent_iterations=4,
     )),
-    ("above", "binary"): ("optimal", 4, 3, 26, 1, 1, _session_counters(
-        solve_calls=3, assumption_solves=3, bound_nodes_created=1447,
-        bound_nodes_reused=28, bound_clauses_added=2889, propagations=8163,
-        learned_clauses_retained=20, descent_iterations=1,
+    ("above", "binary"): ("optimal", 4, 4, 74, 1, 1, _session_counters(
+        solve_calls=4, assumption_solves=4, bound_nodes_created=2080,
+        bound_nodes_reused=151, bound_clauses_added=4147, propagations=25201,
+        learned_clauses_retained=73, descent_iterations=3,
     )),
-    ("above", "core"): ("optimal", 4, 4, 64, 121, 13, _session_counters(
-        solve_calls=4, assumption_solves=4, bound_nodes_created=1117,
-        bound_nodes_reused=144, bound_clauses_added=2223, propagations=23724,
-        learned_clauses_retained=64, descent_iterations=3,
+    ("above", "core"): ("optimal", 4, 3, 40, 121, 13, _session_counters(
+        solve_calls=3, assumption_solves=3, bound_nodes_created=612,
+        bound_nodes_reused=120, bound_clauses_added=1214, propagations=11119,
+        learned_clauses_retained=40, descent_iterations=2,
         **_core_counters(1, 121, 4),
     )),
 }

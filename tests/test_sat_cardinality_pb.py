@@ -2,6 +2,7 @@
 objective-bound ladder of :class:`~repro.sat.session.SolveSession`."""
 
 import itertools
+import random
 
 import pytest
 
@@ -131,3 +132,62 @@ class TestPseudoBoolean:
         model = session.model()
         total = sum(w for w, lit in zip(weights, literals) if model[lit])
         assert total <= 15
+
+
+class TestLadderPropagation:
+    """Assuming a bound refutes infeasible term sets by propagation alone.
+
+    The ladder's low edge is the binary ``node -> low``, so the two-clause
+    BDD encoding is generalized arc consistent for ``F <= bound`` (Abío et
+    al., "A New Look at BDDs for Pseudo-Boolean Constraints", JAIR 2012).
+    """
+
+    @staticmethod
+    def _search(session):
+        stats = session.solver.statistics
+        return stats["decisions"], stats["conflicts"]
+
+    def test_infeasible_term_sets_need_no_search(self):
+        rng = random.Random(2012)
+        refuted = 0
+        for _ in range(200):
+            cnf = CNF()
+            weights = [rng.randint(1, 9) for _ in range(rng.randint(3, 7))]
+            literals = [cnf.new_var() for _ in weights]
+            session = SolveSession(cnf, list(zip(weights, literals)))
+            bound = rng.randint(0, sum(weights) - 1)
+            chosen = [
+                index for index in range(len(weights)) if rng.random() < 0.6
+            ]
+            if sum(weights[index] for index in chosen) <= bound:
+                continue
+            rng.shuffle(chosen)
+            root = session.selector(bound)
+            before = self._search(session)
+            outcome = session.solve_with_assumptions(
+                [root] + [literals[index] for index in chosen]
+            )
+            assert outcome is SolverResult.UNSAT
+            assert self._search(session) == before, (weights, bound, chosen)
+            refuted += 1
+        assert refuted > 100
+
+    def test_root_falsifies_every_term_heavier_than_the_bound(self):
+        rng = random.Random(22)
+        for _ in range(50):
+            cnf = CNF()
+            weights = [rng.randint(1, 9) for _ in range(rng.randint(2, 7))]
+            literals = [cnf.new_var() for _ in weights]
+            session = SolveSession(cnf, list(zip(weights, literals)))
+            bound = rng.randint(0, max(weights) - 1)
+            root = session.selector(bound)
+            for weight, literal in zip(weights, literals):
+                if weight <= bound:
+                    continue
+                # The root alone propagates -literal, so the literal's own
+                # assumption fails before any search, blamed on the root.
+                before = self._search(session)
+                outcome = session.solve_with_assumptions([root, literal])
+                assert outcome is SolverResult.UNSAT
+                assert self._search(session) == before
+                assert set(session.last_core()) == {root, literal}

@@ -42,7 +42,7 @@ KEYS = (
 )
 
 #: ex-1_166 on grid8, subset sweep, no store: the cold row of the warm tests.
-GRID8_COLD = (15, 1039, 3, 8, 5, 0, 3, 6, 202, 129, 0, 0, 0, 0, 0, 2)
+GRID8_COLD = (15, 275, 3, 8, 5, 0, 3, 6, 55, 35, 0, 0, 0, 0, 0, 2)
 
 
 @pytest.fixture(autouse=True)
@@ -62,14 +62,14 @@ def _ex_1_166():
 @pytest.mark.parametrize(
     "options,expected",
     [
-        ({}, (8, 134, 1, 3, 2, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 1)),
+        ({}, (8, 29, 1, 3, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
         (
             {"share_clauses": False, "prune_families": False},
-            (8, 310, 3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0, 1),
+            (8, 76, 3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0, 1),
         ),
         # A tiny conflict budget leaves families inconclusive, so later
         # members re-solve on their family's live session.
-        ({"conflict_limit": 5}, (8, 30, 6, 3, 0, 0, 6, 0, 2, 0, 0, 0, 0, 0, 0, 1)),
+        ({"conflict_limit": 5}, (8, 25, 6, 3, 0, 0, 6, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
     ],
     ids=["default", "no-share-no-prune", "conflict-limit-5"],
 )
@@ -87,7 +87,7 @@ def test_grid8_member_resolve():
     result = SATMapper(sweep_grid8(), use_subsets=True, conflict_limit=5).map(
         _ex_1_166()
     )
-    assert _pins(result) == (15, 80, 16, 8, 0, 0, 16, 0, 24, 24, 0, 0, 0, 0, 0, 2)
+    assert _pins(result) == (15, 80, 16, 8, 0, 0, 16, 0, 38, 37, 0, 0, 0, 0, 0, 2)
 
 
 def test_grid8_beyond_the_dp_limit(monkeypatch):
@@ -96,7 +96,7 @@ def test_grid8_beyond_the_dp_limit(monkeypatch):
     monkeypatch.setattr(sat_mapper, "MAX_MAPPING_STATES", 0)
     result = SATMapper(sweep_grid8(), use_subsets=True).map(_ex_1_166())
     assert _pins(result) == (
-        15, 2419, 15, 8, 5, 0, 3, 6, 215, 134, 2, 0, 0, 0, 0, 0
+        15, 682, 15, 8, 5, 0, 3, 6, 95, 59, 2, 0, 0, 0, 0, 0
     )
 
 
@@ -133,17 +133,17 @@ class TestStoredArtifacts:
     def test_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path / "artifacts.sqlite")
         assert _pins(self._map(store)) == GRID8_COLD
-        assert store.artifact_rows() == (3, 5420)
+        assert store.artifact_rows() == (3, 2012)
         assert _pins(self._map(store)) == (
             15, 0, 0, 8, 6, 2, 2, 3, 0, 0, 0, 3, 3, 2, 0, 0
         )
-        assert store.artifact_rows() == (3, 5420)
+        assert store.artifact_rows() == (3, 2012)
 
     def test_budgeted_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path / "artifacts.sqlite")
         assert _pins(self._map(store, conflict_limit=20)) == (
-            15, 320, 16, 8, 0, 0, 16, 0, 147, 134, 0, 0, 0, 0, 0, 2
+            15, 176, 10, 8, 4, 0, 10, 1, 23, 18, 0, 0, 0, 0, 0, 2
         )
         assert _pins(self._map(store)) == (
-            15, 944, 3, 8, 5, 0, 3, 6, 208, 125, 0, 3, 0, 3, 26, 0
+            15, 232, 1, 8, 6, 1, 2, 3, 29, 0, 0, 3, 2, 2, 8, 0
         )

@@ -416,13 +416,28 @@ class TestCLIBoundsAndPrune:
         assert "result cache      : miss" in capsys.readouterr().out
 
     def test_cache_prune_requires_ttl_and_directory(self, tmp_path):
-        from repro.arch.cache import reset_cache_dir
-
         with pytest.raises(SystemExit):
             main(["cache", "prune", "--cache-dir", str(tmp_path / "cache")])
-        reset_cache_dir()  # the first call activated the directory globally
         with pytest.raises(SystemExit):
             main(["cache", "prune", "--ttl", "60"])
+
+    def test_cache_dir_applies_to_one_call(self, tmp_path, capsys):
+        from repro.arch.cache import get_cache_dir, set_cache_dir
+
+        path = self._write_qasm(tmp_path, self._nontrivial_circuit())
+        cache_dir = str(tmp_path / "cache")
+        assert get_cache_dir() is None
+        assert main([path, "--engine", "dp", "--cache-dir", cache_dir]) == 0
+        assert get_cache_dir() is None
+        # An explicit setting survives a call that names another directory.
+        set_cache_dir(str(tmp_path / "own"))
+        assert main([path, "--engine", "dp", "--cache-dir", cache_dir]) == 0
+        assert get_cache_dir() == str(tmp_path / "own")
+        # So the next call reads its own store, not the one that holds
+        # the result.
+        capsys.readouterr()
+        assert main([path, "--engine", "dp"]) == 0
+        assert "result cache      : miss" in capsys.readouterr().out
 
     @pytest.mark.parametrize("subcommand", [
         ["listen", "--port", "0", "--workers", "0"],
