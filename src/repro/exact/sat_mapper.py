@@ -345,7 +345,8 @@ class _Sweep:
 
     With an *artifacts* cache (see
     :class:`repro.service.store.ArtifactCache` — duck-typed here as
-    anything with ``load(key)``/``save(key, payload)``), the sweep
+    anything with ``load(key)``/``save(key, payload)`` that never raise:
+    a failing store is a miss or a dropped row), the sweep
     additionally consults **persisted solve artifacts** from structurally
     identical past jobs: learned clauses (:meth:`import_clauses`), proven
     lower bounds (:meth:`lower_bounds`, directed-orientation matched) and
@@ -589,10 +590,7 @@ class _Sweep:
             self.gates, self.num_logical, family.sub_coupling, self.spots
         )
         if key not in self._artifact_rows:
-            try:
-                payload = self.artifacts.load(key)
-            except Exception:  # noqa: BLE001 - seeding must never fail a solve
-                payload = None
+            payload = self.artifacts.load(key)
             self._artifact_rows[key] = payload
             self.counters[
                 "artifact_misses" if payload is None else "artifact_hits"
@@ -624,13 +622,13 @@ class _Sweep:
         return mappings, cost
 
     def save_artifacts(self) -> int:
-        """Persist every visited family's harvest; returns rows written.
+        """Persist every visited family's harvest; returns rows offered.
 
         Per family: exported learned clauses re-based to template numbering,
         the proven lower bound keyed by the directed edge set it was proven
         under, and the best local schedule.  Families with nothing useful
-        (no clauses, no positive bound, no schedule) write nothing.  Write
-        failures are swallowed — persisting artifacts is best-effort.
+        (no clauses, no positive bound, no schedule) write nothing.  The
+        cache drops a row it fails to write — persisting is best-effort.
         """
         written = 0
         for family in self.families:
@@ -669,11 +667,8 @@ class _Sweep:
             }
             if not clauses and not bounds and payload["schedule"] is None:
                 continue
-            try:
-                self.artifacts.save(key, payload)
-                written += 1
-            except Exception:  # noqa: BLE001 - best-effort persistence
-                continue
+            self.artifacts.save(key, payload)
+            written += 1
         return written
 
 

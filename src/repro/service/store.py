@@ -26,14 +26,27 @@ pointing at the same file coordinate through SQLite's file locking (writers
 retry for up to :data:`SQLITE_TIMEOUT_SECONDS` before giving up).  The
 in-memory LRU is guarded by a plain lock.
 
+Every disk access on a job's path — ``get``, ``put``, ``get_artifact``,
+``put_artifact``, ``best_added_cost`` and ``best_result`` — runs through
+one policy: it fires the ``store.get`` or ``store.put`` fault point, retries
+busy/locked contention, and counts toward one circuit breaker shared by
+both tables.  While the breaker is open (:attr:`ResultStore.degraded`) the
+disk is skipped and both tables serve and accept rows memory-only.  A
+failed read is a miss (a bound lookup answers from memory alone); a failed
+write keeps the row in memory and raises
+:class:`~repro.service.errors.StoreError`.
+
 Validation
 ----------
 ``put`` refuses to cache a result that fails
 :meth:`~repro.exact.result.MappingResult.validate` and raises the structured
 :class:`~repro.service.errors.InvalidResultError` — a corrupt result written
-once would otherwise be served forever.  Corrupt rows discovered on ``get``
-(schema drift, truncated payloads) are dropped and reported as misses, so a
-stale cache file degrades to extra solving work, never to an error.
+once would otherwise be served forever.  Rows of either table that fail to
+decode on read (schema drift, truncated payloads, a foreign artifact
+version) are dropped and reported as misses, so a stale cache file degrades
+to extra solving work, never to an error.  Purges are advisory and guarded
+on age: they only delete a row no newer than the one that was read, so a
+fresh row another process wrote meanwhile survives.
 
 Solve artifacts
 ---------------
@@ -46,13 +59,16 @@ re-based to start right after it — the numbering every same-key encoding
 shares up to a constant shift), proven lower bounds keyed by the *directed*
 edge set they were proven under (reversal costs differ between
 orientations, so bounds only transfer on an exact directed match), and the
-best known schedule in family-local indices.  :meth:`put_artifact` merges
-into an existing row (clause union, per-orientation bound maximum, cheapest
-schedule); :meth:`get_artifact` applies the TTL and drops corrupt rows as
-misses, exactly like results.  :class:`ArtifactCache` is the picklable
-handle the solving layers carry: it survives crossing into process-pool
-workers by re-opening the database from its path (a memory-only store
-degrades to no artifact seeding on the far side).
+best known schedule in family-local indices.  Results and artifacts share
+one two-tier row routine; each table supplies only its codec and its
+merge.  Results replace; :meth:`put_artifact` merges into an existing row
+(clause union, per-orientation bound maximum, cheapest schedule) inside
+one ``BEGIN IMMEDIATE`` transaction.  :class:`ArtifactCache` is the
+picklable, best-effort handle the solving layers carry: it survives
+crossing into process-pool workers by re-opening the database from its
+path (a memory-only store, or one that cannot be re-opened, degrades to no
+artifact seeding on the far side), and it turns a store failure into a
+miss or a dropped row.
 """
 
 from __future__ import annotations
@@ -63,8 +79,9 @@ import sqlite3
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro import faults
 from repro.exact.result import MappingResult
@@ -132,6 +149,16 @@ MAX_ARTIFACT_CLAUSES = 4096
 MAX_ARTIFACT_BOUNDS = 8
 
 
+#: The columns :meth:`ResultStore.entries` reports, in table order.
+_ENTRY_FIELDS = (
+    "fingerprint", "engine", "added_cost", "optimal", "created_at",
+    "circuit_fp", "arch_fp",
+)
+
+#: What a disk operation may raise: SQLite's errors and injected faults.
+_DISK_ERRORS = (sqlite3.Error, faults.FaultInjectedError)
+
+
 def _transient_disk_error(error: BaseException) -> bool:
     """Whether *error* is worth an in-process retry.
 
@@ -148,29 +175,80 @@ def _transient_disk_error(error: BaseException) -> bool:
     return "locked" in message or "busy" in message
 
 
-def _retry_pause(attempt: int) -> None:
-    """Sleep the jittered exponential backoff for retry number *attempt*."""
-    time.sleep(
-        BUSY_RETRY_BASE_SECONDS * (2 ** (attempt - 1)) * (0.5 + random.random() / 2.0)
-    )
+def _retrying(point: str, operation, on_retry: Optional[Callable[[], None]] = None):
+    """Fire fault *point*, run *operation*, and retry transient failures.
+
+    A transient error (see :func:`_transient_disk_error`) gets up to
+    :data:`BUSY_RETRY_LIMIT` retries after a jittered exponential backoff,
+    calling *on_retry* before each; the last error, or a hard one, is
+    re-raised.
+    """
+    attempt = 0
+    while True:
+        try:
+            if faults.ARMED:
+                faults.fire(point)
+            return operation()
+        except _DISK_ERRORS as error:
+            if not _transient_disk_error(error) or attempt >= BUSY_RETRY_LIMIT:
+                raise
+            attempt += 1
+            if on_retry is not None:
+                on_retry()
+            time.sleep(
+                BUSY_RETRY_BASE_SECONDS
+                * (2 ** (attempt - 1))
+                * (0.5 + random.random() / 2.0)
+            )
+
+
+@contextmanager
+def _transaction(path: Path) -> Iterator[sqlite3.Connection]:
+    """One short-lived connection: commits on success, rolls back on an
+    error, and is always closed."""
+    conn = sqlite3.connect(str(path), timeout=SQLITE_TIMEOUT_SECONDS)
+    try:
+        with conn:
+            yield conn
+    finally:
+        conn.close()
 
 
 class _MemoryEntry:
-    """One in-memory tier entry: the result plus its row metadata."""
+    """One in-memory tier entry: the decoded row plus its metadata."""
 
-    __slots__ = ("result", "created_at", "circuit_fp", "arch_fp")
+    __slots__ = ("value", "created_at", "circuit_fp", "arch_fp")
 
     def __init__(
         self,
-        result: MappingResult,
+        value: Any,
         created_at: float,
-        circuit_fp: Optional[str],
-        arch_fp: Optional[str],
+        circuit_fp: Optional[str] = None,
+        arch_fp: Optional[str] = None,
     ):
-        self.result = result
+        self.value = value
         self.created_at = created_at
         self.circuit_fp = circuit_fp
         self.arch_fp = arch_fp
+
+
+class _Table(NamedTuple):
+    """What one keyed table adds to the shared two-tier row routine."""
+
+    name: str
+    key: str
+    #: Prefix of the table's ``misses``, ``puts``, ``corrupt_dropped`` and
+    #: ``expired_dropped`` counters.
+    prefix: str
+    #: Counters of memory and of disk hits.
+    hits: Tuple[str, str]
+    encode: Callable[[Any], str]
+    #: Payload text to value, or ``None`` for a corrupt payload.
+    decode: Callable[[str], Any]
+    #: ``merge(existing, incoming)``; ``None`` means the incoming row replaces.
+    merge: Optional[Callable[[Any, Any], Any]] = None
+    #: Row columns the memory tier keeps beside the value.
+    meta: Tuple[str, ...] = ()
 
 
 class ResultStore:
@@ -180,12 +258,15 @@ class ResultStore:
         path: SQLite database file, or ``None`` for a memory-only store
             (useful in tests and for ephemeral workers).  Parent directories
             are created on demand.
-        max_memory_entries: Capacity of the in-memory tier; ``0`` disables
-            it (every hit deserialises from disk).
+        max_memory_entries: Capacity of the in-memory tier of each table;
+            ``0`` disables it (every hit deserialises from disk).
         validate: Validate results before caching (strongly recommended;
             exposed so benchmarks can measure the validation overhead).
         ttl_seconds: Results older than this read as misses and are purged
             lazily; ``None`` (default) disables expiry.
+
+    Raises:
+        StoreError: When the database cannot be opened or migrated.
 
     Example:
         >>> store = ResultStore(tmp_path / "results.sqlite")
@@ -209,12 +290,11 @@ class ResultStore:
             raise ValueError("ttl_seconds must be positive (or None to disable)")
         self.ttl_seconds = ttl_seconds
         self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, _MemoryEntry]" = OrderedDict()
-        #: Artifact memory tier: ``skeleton_key -> (payload, created_at)``.
-        #: Serves memory-only stores and caches hot rows in front of SQLite.
-        self._artifact_memory: "OrderedDict[str, Tuple[Dict[str, Any], float]]" = (
-            OrderedDict()
-        )
+        #: Memory tier of each table, by table name.
+        self._tiers: Dict[str, "OrderedDict[str, _MemoryEntry]"] = {
+            table.name: OrderedDict() for table in _TABLES
+        }
+        self._memory = self._tiers[_RESULTS.name]
         self._stats = {
             "memory_hits": 0,
             "disk_hits": 0,
@@ -238,27 +318,28 @@ class ResultStore:
         self._degraded_until = 0.0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self._connect() as conn:
-                conn.execute(_SCHEMA)
-                conn.execute(_ARTIFACT_SCHEMA)
-                existing = {
-                    row[1] for row in conn.execute("PRAGMA table_info(results)")
-                }
-                for column in _MIGRATED_COLUMNS:
-                    if column not in existing:
-                        conn.execute(
-                            f"ALTER TABLE results ADD COLUMN {column} TEXT"
-                        )
+            try:
+                with _transaction(self.path) as conn:
+                    conn.execute(_SCHEMA)
+                    conn.execute(_ARTIFACT_SCHEMA)
+                    existing = {
+                        row[1] for row in conn.execute("PRAGMA table_info(results)")
+                    }
+                    for column in _MIGRATED_COLUMNS:
+                        if column not in existing:
+                            conn.execute(
+                                f"ALTER TABLE results ADD COLUMN {column} TEXT"
+                            )
+            except sqlite3.Error as error:
+                raise StoreError(
+                    f"failed to open result store: {error}",
+                    details={"path": str(self.path)},
+                ) from error
 
     @classmethod
     def at(cls, cache_dir, **kwargs) -> "ResultStore":
         """The store for a cache *directory* (``<dir>/results.sqlite``)."""
         return cls(Path(cache_dir) / RESULTS_DB_NAME, **kwargs)
-
-    # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        assert self.path is not None
-        return sqlite3.connect(str(self.path), timeout=SQLITE_TIMEOUT_SECONDS)
 
     # ------------------------------------------------------------------
     # Disk-failure circuit breaker
@@ -277,19 +358,6 @@ class ResultStore:
         with self._lock:
             return time.time() < self._degraded_until
 
-    def _disk_ok(self) -> None:
-        with self._lock:
-            self._disk_failures = 0
-
-    def _disk_failed(self) -> None:
-        with self._lock:
-            self._disk_failures += 1
-            self._stats["disk_errors"] += 1
-            if self._disk_failures >= BREAKER_THRESHOLD:
-                self._degraded_until = time.time() + BREAKER_COOLDOWN_SECONDS
-                self._disk_failures = 0
-                self._stats["breaker_trips"] += 1
-
     def _run_disk(self, point: str, operation):
         """Run one disk operation under the retry/breaker policy.
 
@@ -298,23 +366,45 @@ class ResultStore:
         retries; exhaustion or a hard error feeds the breaker and
         re-raises for the caller to map into its own failure contract.
         """
-        attempt = 0
-        while True:
-            try:
-                if faults.ARMED:
-                    faults.fire(point)
-                result = operation()
-            except (sqlite3.Error, faults.FaultInjectedError) as error:
-                if _transient_disk_error(error) and attempt < BUSY_RETRY_LIMIT:
-                    attempt += 1
-                    with self._lock:
-                        self._stats["busy_retries"] += 1
-                    _retry_pause(attempt)
-                    continue
-                self._disk_failed()
-                raise
-            self._disk_ok()
-            return result
+        try:
+            result = _retrying(point, operation, lambda: self._count("busy_retries"))
+        except _DISK_ERRORS:
+            with self._lock:
+                self._disk_failures += 1
+                self._stats["disk_errors"] += 1
+                if self._disk_failures >= BREAKER_THRESHOLD:
+                    self._degraded_until = time.time() + BREAKER_COOLDOWN_SECONDS
+                    self._disk_failures = 0
+                    self._stats["breaker_trips"] += 1
+            raise
+        with self._lock:
+            self._disk_failures = 0
+        return result
+
+    def _disk_usable(self) -> bool:
+        return self.path is not None and not self.degraded
+
+    def _query(self, sql: str, params: Tuple = (), point: str = "store.get"):
+        """All rows of one statement under :meth:`_run_disk`.
+
+        ``None`` when the store has no usable disk tier or the statement
+        failed (the failure was counted toward the breaker).
+        """
+        if not self._disk_usable():
+            return None
+
+        def _run():
+            with _transaction(self.path) as conn:
+                return conn.execute(sql, params).fetchall()
+
+        try:
+            return self._run_disk(point, _run)
+        except _DISK_ERRORS:
+            return None
+
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            self._stats[counter] += 1
 
     def _expired(self, created_at: float, now: Optional[float] = None) -> bool:
         if self.ttl_seconds is None:
@@ -328,55 +418,148 @@ class ResultStore:
             return None
         return time.time() - ttl
 
-    def _memory_put(
-        self,
-        fingerprint: str,
-        result: MappingResult,
-        created_at: float,
-        circuit_fp: Optional[str],
-        arch_fp: Optional[str],
+    # ------------------------------------------------------------------
+    # The two-tier row routine shared by both tables
+    # ------------------------------------------------------------------
+    def _get_row(self, table: _Table, key: str) -> Any:
+        """Memory LRU, TTL check, disk read, decode, corrupt/expired purge.
+
+        Returns the decoded value, or ``None`` for a miss; a disk failure
+        reads as a miss.  The value may be shared with other callers.
+        """
+        memory = self._tiers[table.name]
+        with self._lock:
+            entry = memory.get(key)
+            if entry is not None:
+                if not self._expired(entry.created_at):
+                    memory.move_to_end(key)
+                    self._stats[table.hits[0]] += 1
+                    return entry.value
+                del memory[key]
+                self._stats[table.prefix + "expired_dropped"] += 1
+        if entry is not None:
+            # Purge the equally old disk row, then fall through to the disk
+            # read, which serves a row another writer refreshed meanwhile.
+            self._purge(table, key, self._cutoff())
+        rows = self._query(
+            f"SELECT {', '.join(('payload', 'created_at') + table.meta)} "
+            f"FROM {table.name} WHERE {table.key} = ?",
+            (key,),
+        )
+        if rows:
+            payload, created_at, *meta = rows[0]
+            expired = self._expired(created_at)
+            value = None if expired else table.decode(payload)
+            if value is not None:
+                self._remember(table, key, _MemoryEntry(value, created_at, *meta))
+                self._count(table.hits[1])
+                return value
+            self._purge(table, key, created_at)
+            self._count(
+                table.prefix + ("expired_dropped" if expired else "corrupt_dropped")
+            )
+        self._count(table.prefix + "misses")
+        return None
+
+    def _put_row(
+        self, table: _Table, key: str, value: Any, columns: Dict[str, Any]
     ) -> None:
+        """Encode and write (merging in one transaction), then remember.
+
+        The memory tier takes the row even when the disk write failed or
+        the breaker skipped the disk — that *is* the degraded mode the
+        breaker promises: same-process lookups keep hitting while the
+        database is sick.
+
+        Raises:
+            StoreError: When the disk write failed.
+        """
+        created_at = time.time()
+        stored = None
+        store_error: Optional[StoreError] = None
+        if self._disk_usable():
+            try:
+                stored = self._run_disk(
+                    "store.put",
+                    lambda: self._write(table, key, value, created_at, columns),
+                )
+            except _DISK_ERRORS as error:
+                store_error = StoreError(
+                    f"failed to persist {table.name} row: {error}",
+                    details={table.key: key, "path": str(self.path)},
+                )
+                store_error.__cause__ = error
+        if stored is None:
+            stored = value
+            if table.merge is not None:
+                with self._lock:
+                    entry = self._tiers[table.name].get(key)
+                if entry is not None and not self._expired(entry.created_at):
+                    stored = table.merge(entry.value, value)
+        self._remember(
+            table,
+            key,
+            _MemoryEntry(
+                stored, created_at, columns.get("circuit_fp"), columns.get("arch_fp")
+            ),
+        )
+        self._count(table.prefix + "puts")
+        if store_error is not None:
+            raise store_error
+
+    def _write(
+        self,
+        table: _Table,
+        key: str,
+        value: Any,
+        created_at: float,
+        columns: Dict[str, Any],
+    ) -> Any:
+        """One write transaction; returns the value as stored (merged)."""
+        with _transaction(self.path) as conn:
+            if table.merge is not None:
+                # Concurrent writers of one key fold their rows instead of
+                # overwriting each other.
+                conn.execute("BEGIN IMMEDIATE")
+                row = conn.execute(
+                    f"SELECT payload, created_at FROM {table.name} "
+                    f"WHERE {table.key} = ?",
+                    (key,),
+                ).fetchone()
+                if row is not None and not self._expired(row[1]):
+                    existing = table.decode(row[0])
+                    if existing is not None:
+                        value = table.merge(existing, value)
+            names = (table.key, "payload", "created_at") + tuple(columns)
+            conn.execute(
+                f"INSERT OR REPLACE INTO {table.name} ({', '.join(names)}) "
+                f"VALUES ({', '.join('?' * len(names))})",
+                (key, table.encode(value), created_at, *columns.values()),
+            )
+        return value
+
+    def _remember(self, table: _Table, key: str, entry: _MemoryEntry) -> None:
         if self.max_memory_entries == 0:
             return
+        memory = self._tiers[table.name]
         with self._lock:
-            self._memory[fingerprint] = _MemoryEntry(
-                result, created_at, circuit_fp, arch_fp
+            memory[key] = entry
+            memory.move_to_end(key)
+            while len(memory) > self.max_memory_entries:
+                memory.popitem(last=False)
+
+    def _purge(self, table: _Table, key: str, not_after: Optional[float]) -> None:
+        """Advisory delete of *key*'s row, only while it is no newer than
+        *not_after*: concurrent writers are supported, and a row another
+        process re-put meanwhile (fresh ``created_at``) must survive.  A
+        failed purge leaves the row for the next reader to drop."""
+        if not_after is not None:
+            self._query(
+                f"DELETE FROM {table.name} WHERE {table.key} = ? "
+                "AND created_at <= ?",
+                (key, not_after),
+                point="store.put",
             )
-            self._memory.move_to_end(fingerprint)
-            while len(self._memory) > self.max_memory_entries:
-                self._memory.popitem(last=False)
-
-    def _delete_row(self, fingerprint: str) -> None:
-        if self.path is not None:
-            try:
-                with self._connect() as conn:
-                    conn.execute(
-                        "DELETE FROM results WHERE fingerprint = ?", (fingerprint,)
-                    )
-            except sqlite3.Error:
-                # Purges are advisory — a failed one just leaves a row the
-                # next reader will re-attempt to drop.
-                pass
-
-    def _delete_expired_row(self, fingerprint: str) -> None:
-        """Purge a row only while it is actually expired.
-
-        Concurrent writers are supported, so the DELETE must re-check the
-        age: another process may have re-put the fingerprint with a fresh
-        ``created_at`` between our read and this purge, and that fresh row
-        must survive.
-        """
-        cutoff = self._cutoff()
-        if cutoff is None or self.path is None:
-            return
-        try:
-            with self._connect() as conn:
-                conn.execute(
-                    "DELETE FROM results WHERE fingerprint = ? AND created_at <= ?",
-                    (fingerprint, cutoff),
-                )
-        except sqlite3.Error:
-            pass  # advisory purge; see _delete_row
 
     # ------------------------------------------------------------------
     def put(
@@ -399,58 +582,30 @@ class ResultStore:
         Raises:
             InvalidResultError: When the result fails validation; nothing
                 is written in that case.
-            StoreError: When the database write fails.
+            StoreError: When the database write fails (the memory tier
+                still holds the result).
         """
         if self.validate:
             try:
                 result.validate()
             except ValueError as error:
-                with self._lock:
-                    self._stats["invalid_rejected"] += 1
+                self._count("invalid_rejected")
                 raise InvalidResultError(
                     f"refusing to cache invalid mapping result: {error}",
                     details={"fingerprint": fingerprint, "engine": result.engine},
                 ) from error
-        payload = json.dumps(result.to_dict())
-        created_at = time.time()
-        store_error: Optional[StoreError] = None
-        if self.path is not None and not self.degraded:
-
-            def _write() -> None:
-                with self._connect() as conn:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO results "
-                        "(fingerprint, payload, engine, added_cost, optimal, "
-                        " created_at, circuit_fp, arch_fp) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        (
-                            fingerprint,
-                            payload,
-                            result.engine,
-                            result.added_cost,
-                            int(result.optimal),
-                            created_at,
-                            circuit_fp,
-                            arch_fp,
-                        ),
-                    )
-
-            try:
-                self._run_disk("store.put", _write)
-            except (sqlite3.Error, faults.FaultInjectedError) as error:
-                store_error = StoreError(
-                    f"failed to persist result: {error}",
-                    details={"fingerprint": fingerprint, "path": str(self.path)},
-                )
-                store_error.__cause__ = error
-        # The memory tier is populated even when the disk write failed —
-        # that *is* the degraded mode the breaker promises: same-process
-        # lookups keep hitting while the database is sick.
-        self._memory_put(fingerprint, result, created_at, circuit_fp, arch_fp)
-        with self._lock:
-            self._stats["puts"] += 1
-        if store_error is not None:
-            raise store_error
+        self._put_row(
+            _RESULTS,
+            fingerprint,
+            result,
+            {
+                "engine": result.engine,
+                "added_cost": result.added_cost,
+                "optimal": int(result.optimal),
+                "circuit_fp": circuit_fp,
+                "arch_fp": arch_fp,
+            },
+        )
 
     def get(self, fingerprint: str) -> Optional[MappingResult]:
         """The cached result for *fingerprint*, or ``None``.
@@ -459,65 +614,7 @@ class ResultStore:
         side effect.  The returned object may be shared with other callers
         (memory tier); treat it as read-only.
         """
-        if self.max_memory_entries > 0:
-            expired_hit = False
-            with self._lock:
-                entry = self._memory.get(fingerprint)
-                if entry is not None:
-                    if self._expired(entry.created_at):
-                        del self._memory[fingerprint]
-                        self._stats["expired_dropped"] += 1
-                        expired_hit = True
-                    else:
-                        self._stats["memory_hits"] += 1
-                        self._memory.move_to_end(fingerprint)
-                        return entry.result
-            if expired_hit:
-                # Purge the equally old disk row — guarded, because a
-                # concurrent writer may have re-put a fresh one meanwhile.
-                # Then fall through to the disk read below, which serves
-                # exactly such a refreshed row instead of reporting a miss.
-                self._delete_expired_row(fingerprint)
-        if self.path is not None and not self.degraded:
-
-            def _read():
-                with self._connect() as conn:
-                    return conn.execute(
-                        "SELECT payload, created_at, circuit_fp, arch_fp "
-                        "FROM results WHERE fingerprint = ?",
-                        (fingerprint,),
-                    ).fetchone()
-
-            try:
-                row = self._run_disk("store.get", _read)
-            except (sqlite3.Error, faults.FaultInjectedError):
-                # A sick disk tier reads as a miss (the caller re-solves);
-                # the failure was counted toward the breaker above.
-                row = None
-            if row is not None:
-                if self._expired(row[1]):
-                    self._delete_expired_row(fingerprint)
-                    with self._lock:
-                        self._stats["expired_dropped"] += 1
-                        self._stats["misses"] += 1
-                    return None
-                try:
-                    result = MappingResult.from_dict(json.loads(row[0]))
-                except (ValueError, KeyError, TypeError):
-                    # Schema drift or a truncated payload: drop the row and
-                    # treat it as a miss — the caller re-solves and re-puts.
-                    self._delete_row(fingerprint)
-                    with self._lock:
-                        self._stats["corrupt_dropped"] += 1
-                        self._stats["misses"] += 1
-                    return None
-                self._memory_put(fingerprint, result, row[1], row[2], row[3])
-                with self._lock:
-                    self._stats["disk_hits"] += 1
-                return result
-        with self._lock:
-            self._stats["misses"] += 1
-        return None
+        return self._get_row(_RESULTS, fingerprint)
 
     def delete(self, fingerprint: str) -> bool:
         """Remove one entry from both tiers; True when anything was removed."""
@@ -526,7 +623,7 @@ class ResultStore:
             if self._memory.pop(fingerprint, None) is not None:
                 removed = True
         if self.path is not None:
-            with self._connect() as conn:
+            with _transaction(self.path) as conn:
                 cursor = conn.execute(
                     "DELETE FROM results WHERE fingerprint = ?", (fingerprint,)
                 )
@@ -536,6 +633,31 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Bound oracle
     # ------------------------------------------------------------------
+    def _cheapest(
+        self, circuit_fp: str, arch_fp: str, columns: str
+    ) -> Tuple[Optional[MappingResult], List[Tuple]]:
+        """The cheapest matching memory-tier result, and the matching
+        non-expired disk rows (*columns*) cheapest first — none on a
+        sick or degraded disk."""
+        best: Optional[MappingResult] = None
+        now = time.time()
+        with self._lock:
+            for entry in self._memory.values():
+                if (
+                    entry.circuit_fp == circuit_fp
+                    and entry.arch_fp == arch_fp
+                    and not self._expired(entry.created_at, now)
+                    and (best is None or entry.value.added_cost < best.added_cost)
+                ):
+                    best = entry.value
+        query = f"SELECT {columns} FROM results WHERE circuit_fp = ? AND arch_fp = ?"
+        params: Tuple[Any, ...] = (circuit_fp, arch_fp)
+        cutoff = self._cutoff()
+        if cutoff is not None:
+            query += " AND created_at > ?"
+            params += (cutoff,)
+        return best, self._query(query + " ORDER BY added_cost", params) or []
+
     def best_added_cost(
         self, circuit_fp: str, arch_fp: str
     ) -> Optional[int]:
@@ -545,37 +667,14 @@ class ResultStore:
         fingerprints match, regardless of engine and options — any such
         result is a valid mapping, so its cost is a valid upper bound for a
         new exact solve.  Returns ``None`` when nothing is known (including
-        legacy rows written before fingerprint columns existed).
+        legacy rows written before fingerprint columns existed).  On a sick
+        or degraded disk the answer comes from the memory tier alone.
         """
-        best: Optional[int] = None
-        now = time.time()
-        with self._lock:
-            for entry in self._memory.values():
-                if (
-                    entry.circuit_fp == circuit_fp
-                    and entry.arch_fp == arch_fp
-                    and not self._expired(entry.created_at, now)
-                ):
-                    cost = entry.result.added_cost
-                    if best is None or cost < best:
-                        best = cost
-        if self.path is not None:
-            query = (
-                "SELECT MIN(added_cost) FROM results "
-                "WHERE circuit_fp = ? AND arch_fp = ?"
-            )
-            params: Tuple[Any, ...] = (circuit_fp, arch_fp)
-            cutoff = self._cutoff()
-            if cutoff is not None:
-                query += " AND created_at > ?"
-                params += (cutoff,)
-            with self._connect() as conn:
-                row = conn.execute(query, params).fetchone()
-            if row is not None and row[0] is not None:
-                cost = int(row[0])
-                if best is None or cost < best:
-                    best = cost
-        return best
+        best, rows = self._cheapest(circuit_fp, arch_fp, "added_cost")
+        costs = [int(row[0]) for row in rows[:1]]
+        if best is not None:
+            costs.append(best.added_cost)
+        return min(costs, default=None)
 
     def best_result(
         self, circuit_fp: str, arch_fp: str
@@ -585,45 +684,22 @@ class ResultStore:
         The full-payload companion of :meth:`best_added_cost`: besides its
         cost, the returned result carries the mapping *schedule*, which the
         seed resolver (:class:`~repro.pipeline.bounds.BoundProviderChain`)
-        replays as an initial incumbent model (not just as a bound).  Ties are broken towards the
-        memory tier (no deserialisation); corrupt disk rows are dropped and
-        skipped like in :meth:`get`.  Returns ``None`` when nothing
-        (non-expired) matches.
+        replays as an initial incumbent model (not just as a bound).  Ties
+        are broken towards the memory tier (no deserialisation); corrupt
+        disk rows are dropped and skipped like in :meth:`get`.  Returns
+        ``None`` when nothing (non-expired) matches.
         """
-        best: Optional[MappingResult] = None
-        now = time.time()
-        with self._lock:
-            for entry in self._memory.values():
-                if (
-                    entry.circuit_fp == circuit_fp
-                    and entry.arch_fp == arch_fp
-                    and not self._expired(entry.created_at, now)
-                ):
-                    if best is None or entry.result.added_cost < best.added_cost:
-                        best = entry.result
-        if self.path is not None:
-            query = (
-                "SELECT fingerprint, payload, added_cost FROM results "
-                "WHERE circuit_fp = ? AND arch_fp = ?"
-            )
-            params: Tuple[Any, ...] = (circuit_fp, arch_fp)
-            cutoff = self._cutoff()
-            if cutoff is not None:
-                query += " AND created_at > ?"
-                params += (cutoff,)
-            query += " ORDER BY added_cost ASC"
-            with self._connect() as conn:
-                rows = conn.execute(query, params).fetchall()
-            for fingerprint, payload, added_cost in rows:
-                if best is not None and best.added_cost <= added_cost:
-                    break
-                try:
-                    best = MappingResult.from_dict(json.loads(payload))
-                    break
-                except (ValueError, KeyError, TypeError):
-                    self._delete_row(fingerprint)
-                    with self._lock:
-                        self._stats["corrupt_dropped"] += 1
+        best, rows = self._cheapest(
+            circuit_fp, arch_fp, "fingerprint, payload, added_cost, created_at"
+        )
+        for fingerprint, payload, added_cost, created_at in rows:
+            if best is not None and best.added_cost <= added_cost:
+                break
+            result = _RESULTS.decode(payload)
+            if result is not None:
+                return result
+            self._purge(_RESULTS, fingerprint, created_at)
+            self._count("corrupt_dropped")
         return best
 
     # ------------------------------------------------------------------
@@ -632,51 +708,11 @@ class ResultStore:
     def get_artifact(self, skeleton_key: str) -> Optional[Dict[str, Any]]:
         """The artifact payload for one encoding skeleton key, or ``None``.
 
-        Applies the TTL and drops corrupt or schema-mismatched rows exactly
-        like :meth:`get` does for results: a bad row reads as a miss (cold
-        solving) and is deleted, never served.
+        The same routine as :meth:`get`: a bad or expired row reads as a
+        miss (cold solving) and is deleted, never served, and a sick disk
+        reads as a miss.
         """
-        with self._lock:
-            entry = self._artifact_memory.get(skeleton_key)
-            if entry is not None:
-                if self._expired(entry[1]):
-                    del self._artifact_memory[skeleton_key]
-                    self._stats["artifact_expired_dropped"] += 1
-                else:
-                    self._artifact_memory.move_to_end(skeleton_key)
-                    self._stats["artifact_hits"] += 1
-                    return entry[0]
-        if self.path is not None:
-            with self._connect() as conn:
-                row = conn.execute(
-                    "SELECT payload, created_at FROM artifacts "
-                    "WHERE skeleton_key = ?",
-                    (skeleton_key,),
-                ).fetchone()
-            if row is not None:
-                if self._expired(row[1]):
-                    self._delete_artifact_row(skeleton_key)
-                    with self._lock:
-                        self._stats["artifact_expired_dropped"] += 1
-                        self._stats["artifact_misses"] += 1
-                    return None
-                try:
-                    payload = json.loads(row[0])
-                except ValueError:
-                    payload = None
-                if not _valid_artifact(payload):
-                    self._delete_artifact_row(skeleton_key)
-                    with self._lock:
-                        self._stats["artifact_corrupt_dropped"] += 1
-                        self._stats["artifact_misses"] += 1
-                    return None
-                self._artifact_memory_put(skeleton_key, payload, row[1])
-                with self._lock:
-                    self._stats["artifact_hits"] += 1
-                return payload
-        with self._lock:
-            self._stats["artifact_misses"] += 1
-        return None
+        return self._get_row(_ARTIFACTS, skeleton_key)
 
     def put_artifact(self, skeleton_key: str, payload: Dict[str, Any]) -> None:
         """Merge *payload* into the artifact row for *skeleton_key*.
@@ -685,100 +721,51 @@ class ResultStore:
         bound per directed orientation, cheapest schedule) happens inside
         one ``BEGIN IMMEDIATE`` transaction, so concurrent workers writing
         the same family fold their contributions instead of overwriting
-        each other.  A payload that fails the shape check is rejected
-        silently (counted under ``invalid_rejected``) — the artifact path
-        is an optimisation and must never fail a solve.
+        each other; without a usable disk it merges into the memory tier.
+        A payload that fails the shape check is rejected silently (counted
+        under ``invalid_rejected``).
+
+        Raises:
+            StoreError: When the database write fails (the memory tier
+                still holds the row); :class:`ArtifactCache` drops it.
         """
         payload = dict(payload)
         payload.setdefault("version", ARTIFACT_PAYLOAD_VERSION)
         if not _valid_artifact(payload):
-            with self._lock:
-                self._stats["invalid_rejected"] += 1
+            self._count("invalid_rejected")
             return
-        created_at = time.time()
-        merged = payload
-        if self.path is not None:
-            try:
-                conn = self._connect()
-                try:
-                    conn.execute("BEGIN IMMEDIATE")
-                    row = conn.execute(
-                        "SELECT payload, created_at FROM artifacts "
-                        "WHERE skeleton_key = ?",
-                        (skeleton_key,),
-                    ).fetchone()
-                    if row is not None and not self._expired(row[1]):
-                        try:
-                            existing = json.loads(row[0])
-                        except ValueError:
-                            existing = None
-                        if _valid_artifact(existing):
-                            merged = _merge_artifacts(existing, payload)
-                    conn.execute(
-                        "INSERT OR REPLACE INTO artifacts "
-                        "(skeleton_key, payload, created_at) VALUES (?, ?, ?)",
-                        (skeleton_key, json.dumps(merged), created_at),
-                    )
-                    conn.commit()
-                finally:
-                    conn.close()
-            except sqlite3.Error as error:
-                raise StoreError(
-                    f"failed to persist solve artifact: {error}",
-                    details={"skeleton_key": skeleton_key, "path": str(self.path)},
-                ) from error
-        else:
-            with self._lock:
-                entry = self._artifact_memory.get(skeleton_key)
-            if entry is not None and not self._expired(entry[1]):
-                merged = _merge_artifacts(entry[0], payload)
-        self._artifact_memory_put(skeleton_key, merged, created_at)
-        with self._lock:
-            self._stats["artifact_puts"] += 1
-
-    def _artifact_memory_put(
-        self, skeleton_key: str, payload: Dict[str, Any], created_at: float
-    ) -> None:
-        if self.max_memory_entries == 0 and self.path is not None:
-            return
-        with self._lock:
-            self._artifact_memory[skeleton_key] = (payload, created_at)
-            self._artifact_memory.move_to_end(skeleton_key)
-            limit = max(1, self.max_memory_entries)
-            while len(self._artifact_memory) > limit:
-                self._artifact_memory.popitem(last=False)
-
-    def _delete_artifact_row(self, skeleton_key: str) -> None:
-        if self.path is not None:
-            with self._connect() as conn:
-                conn.execute(
-                    "DELETE FROM artifacts WHERE skeleton_key = ?",
-                    (skeleton_key,),
-                )
+        self._put_row(_ARTIFACTS, skeleton_key, payload, {})
 
     def artifact_rows(self) -> Tuple[int, int]:
         """``(row count, payload bytes)`` of the non-expired artifact tier."""
-        cutoff = self._cutoff()
         if self.path is None:
-            with self._lock:
-                rows = [
-                    payload
-                    for payload, created_at in self._artifact_memory.values()
-                    if cutoff is None or created_at > cutoff
-                ]
-            return len(rows), sum(len(json.dumps(p)) for p in rows)
-        query = (
-            "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) FROM artifacts"
+            payloads = [entry.value for _, entry in self._live_memory(_ARTIFACTS)]
+            return len(payloads), sum(len(json.dumps(p)) for p in payloads)
+        ((count, size),) = self._live_disk(
+            _ARTIFACTS, "COUNT(*), COALESCE(SUM(LENGTH(payload)), 0)"
         )
-        params: Tuple[Any, ...] = ()
-        if cutoff is not None:
-            query += " WHERE created_at > ?"
-            params = (cutoff,)
-        with self._connect() as conn:
-            row = conn.execute(query, params).fetchone()
-        return int(row[0]), int(row[1])
+        return int(count), int(size)
 
     # ------------------------------------------------------------------
+    def _live_memory(self, table: _Table) -> List[Tuple[str, _MemoryEntry]]:
+        """``(key, entry)`` of *table*'s non-expired memory-tier rows."""
+        cutoff = self._cutoff()
+        with self._lock:
+            return [
+                (key, entry) for key, entry in self._tiers[table.name].items()
+                if cutoff is None or entry.created_at > cutoff
+            ]
+
+    def _live_disk(self, table: _Table, columns: str, order: str = "") -> List[Tuple]:
+        """*columns* of *table*'s non-expired disk rows (an administrative
+        read: it raises on a sick disk and bypasses the breaker)."""
+        query, params = f"SELECT {columns} FROM {table.name}", ()
+        cutoff = self._cutoff()
+        if cutoff is not None:
+            query, params = query + " WHERE created_at > ?", (cutoff,)
+        with _transaction(self.path) as conn:
+            return conn.execute(query + order, params).fetchall()
+
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
             entry = self._memory.get(fingerprint)
@@ -787,77 +774,38 @@ class ResultStore:
         if self.path is None:
             return False
         query = "SELECT created_at FROM results WHERE fingerprint = ?"
-        with self._connect() as conn:
+        with _transaction(self.path) as conn:
             row = conn.execute(query, (fingerprint,)).fetchone()
         return row is not None and not self._expired(row[0])
 
     def __len__(self) -> int:
         """Number of non-expired results (expired rows read as absent)."""
-        cutoff = self._cutoff()
         if self.path is None:
-            with self._lock:
-                if cutoff is None:
-                    return len(self._memory)
-                return sum(
-                    1 for entry in self._memory.values()
-                    if entry.created_at > cutoff
-                )
-        query = "SELECT COUNT(*) FROM results"
-        params: Tuple[Any, ...] = ()
-        if cutoff is not None:
-            query += " WHERE created_at > ?"
-            params = (cutoff,)
-        with self._connect() as conn:
-            return conn.execute(query, params).fetchone()[0]
+            return len(self._live_memory(_RESULTS))
+        return self._live_disk(_RESULTS, "COUNT(*)")[0][0]
 
     def fingerprints(self) -> Iterator[str]:
         """Iterate over non-expired fingerprints (memory-only when no path)."""
-        cutoff = self._cutoff()
         if self.path is None:
-            with self._lock:
-                keys = [
-                    key for key, entry in self._memory.items()
-                    if cutoff is None or entry.created_at > cutoff
-                ]
-            return iter(keys)
-        query = "SELECT fingerprint FROM results"
-        params: Tuple[Any, ...] = ()
-        if cutoff is not None:
-            query += " WHERE created_at > ?"
-            params = (cutoff,)
-        with self._connect() as conn:
-            rows = conn.execute(query + " ORDER BY created_at", params).fetchall()
-        return iter(row[0] for row in rows)
+            return iter([key for key, _ in self._live_memory(_RESULTS)])
+        rows = self._live_disk(_RESULTS, "fingerprint", " ORDER BY created_at")
+        return iter([row[0] for row in rows])
 
     def entries(self) -> List[Dict[str, Any]]:
         """Metadata rows of every non-expired result (no payload parsing)."""
-        cutoff = self._cutoff()
         if self.path is None:
-            with self._lock:
-                return [
-                    {"fingerprint": key, "engine": entry.result.engine,
-                     "added_cost": entry.result.added_cost,
-                     "optimal": entry.result.optimal,
-                     "created_at": entry.created_at,
-                     "circuit_fp": entry.circuit_fp, "arch_fp": entry.arch_fp}
-                    for key, entry in self._memory.items()
-                    if cutoff is None or entry.created_at > cutoff
-                ]
-        query = (
-            "SELECT fingerprint, engine, added_cost, optimal, created_at, "
-            "circuit_fp, arch_fp FROM results"
-        )
-        params: Tuple[Any, ...] = ()
-        if cutoff is not None:
-            query += " WHERE created_at > ?"
-            params = (cutoff,)
-        with self._connect() as conn:
-            rows = conn.execute(query + " ORDER BY created_at", params).fetchall()
+            rows = [
+                (key, entry.value.engine, entry.value.added_cost,
+                 entry.value.optimal, entry.created_at, entry.circuit_fp,
+                 entry.arch_fp)
+                for key, entry in self._live_memory(_RESULTS)
+            ]
+        else:
+            rows = self._live_disk(
+                _RESULTS, ", ".join(_ENTRY_FIELDS), " ORDER BY created_at"
+            )
         return [
-            {"fingerprint": row[0], "engine": row[1], "added_cost": row[2],
-             "optimal": bool(row[3]), "created_at": row[4],
-             "circuit_fp": row[5], "arch_fp": row[6]}
-            for row in rows
+            dict(zip(_ENTRY_FIELDS, row), optimal=bool(row[3])) for row in rows
         ]
 
     def prune(self, ttl_seconds: Optional[float] = None) -> int:
@@ -899,50 +847,34 @@ class ResultStore:
         }
         if cutoff is None:
             return report
-        stale_keys: List[str] = []
-        stale_artifacts: List[str] = []
+        stale: Dict[str, int] = {}
         with self._lock:
-            for key, entry in self._memory.items():
-                if entry.created_at <= cutoff:
-                    stale_keys.append(key)
-            for key in stale_keys:
-                del self._memory[key]
-            for key, (_, created_at) in self._artifact_memory.items():
-                if created_at <= cutoff:
-                    stale_artifacts.append(key)
-            for key in stale_artifacts:
-                del self._artifact_memory[key]
-        report["memory_dropped"] = len(stale_keys)
+            for name, memory in self._tiers.items():
+                keys = [k for k, e in memory.items() if e.created_at <= cutoff]
+                for key in keys:
+                    del memory[key]
+                stale[name] = len(keys)
+        report["memory_dropped"] = stale[_RESULTS.name]
         if self.path is not None:
-            with self._connect() as conn:
-                row = conn.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
-                    "FROM results WHERE created_at <= ?",
-                    (cutoff,),
-                ).fetchone()
-                conn.execute(
-                    "DELETE FROM results WHERE created_at <= ?", (cutoff,)
-                )
-                artifact_row = conn.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
-                    "FROM artifacts WHERE created_at <= ?",
-                    (cutoff,),
-                ).fetchone()
-                conn.execute(
-                    "DELETE FROM artifacts WHERE created_at <= ?", (cutoff,)
-                )
-            report["rows_pruned"] = int(row[0])
-            report["bytes_reclaimed"] = int(row[1])
-            report["artifact_rows_pruned"] = int(artifact_row[0])
-            report["artifact_bytes_reclaimed"] = int(artifact_row[1])
+            with _transaction(self.path) as conn:
+                for table in _TABLES:
+                    count, size = conn.execute(
+                        "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
+                        f"FROM {table.name} WHERE created_at <= ?",
+                        (cutoff,),
+                    ).fetchone()
+                    conn.execute(
+                        f"DELETE FROM {table.name} WHERE created_at <= ?", (cutoff,)
+                    )
+                    report[table.prefix + "rows_pruned"] = int(count)
+                    report[table.prefix + "bytes_reclaimed"] = int(size)
         else:
-            report["artifact_rows_pruned"] = len(stale_artifacts)
-        dropped = max(report["rows_pruned"], len(stale_keys))
+            report["artifact_rows_pruned"] = stale[_ARTIFACTS.name]
         with self._lock:
-            self._stats["expired_dropped"] += dropped
-            self._stats["artifact_expired_dropped"] += max(
-                report["artifact_rows_pruned"], len(stale_artifacts)
-            )
+            for table in _TABLES:
+                self._stats[table.prefix + "expired_dropped"] += max(
+                    report[table.prefix + "rows_pruned"], stale[table.name]
+                )
         return report
 
     def drop_memory(self) -> int:
@@ -961,7 +893,7 @@ class ResultStore:
                 # Artifact rows on disk survive (they re-read on the next
                 # lookup); a memory-only store has no disk tier to re-read
                 # from, so its artifacts are deliberately kept.
-                self._artifact_memory.clear()
+                self._tiers[_ARTIFACTS.name].clear()
         return dropped
 
     def clear(self) -> int:
@@ -972,14 +904,14 @@ class ResultStore:
         """
         removed = 0
         if self.path is not None:
-            with self._connect() as conn:
+            with _transaction(self.path) as conn:
                 removed = conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
                 conn.execute("DELETE FROM results")
                 conn.execute("DELETE FROM artifacts")
         with self._lock:
             removed = max(removed, len(self._memory))
-            self._memory.clear()
-            self._artifact_memory.clear()
+            for memory in self._tiers.values():
+                memory.clear()
         return removed
 
     def stats(self) -> Dict[str, int]:
@@ -990,12 +922,18 @@ class ResultStore:
         stats["persistent"] = self.path is not None
         stats["ttl_seconds"] = self.ttl_seconds
         stats["degraded"] = self.degraded
-        if self.path is not None:
-            stats["disk_entries"] = len(self)
-        rows, size = self.artifact_rows()
-        stats["artifact_rows"] = rows
-        stats["artifact_bytes"] = size
+        try:
+            if self.path is not None:
+                stats["disk_entries"] = len(self)
+            stats["artifact_rows"], stats["artifact_bytes"] = self.artifact_rows()
+        except sqlite3.Error:
+            # An unreadable database has no known sizes; ``disk_errors``
+            # and ``degraded`` report the sickness itself.
+            stats["disk_entries"] = stats["artifact_rows"] = None
+            stats["artifact_bytes"] = None
         return stats
+
+
 
 
 def _valid_artifact(payload) -> bool:
@@ -1101,6 +1039,44 @@ def _merge_artifacts(
     return merged
 
 
+def _decode_result(payload: str) -> Optional[MappingResult]:
+    try:
+        return MappingResult.from_dict(json.loads(payload))
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def _decode_artifact(payload: str) -> Optional[Dict[str, Any]]:
+    try:
+        artifact = json.loads(payload)
+    except ValueError:
+        return None
+    return artifact if _valid_artifact(artifact) else None
+
+
+_RESULTS = _Table(
+    name="results",
+    key="fingerprint",
+    prefix="",
+    hits=("memory_hits", "disk_hits"),
+    encode=lambda result: json.dumps(result.to_dict()),
+    decode=_decode_result,
+    meta=("circuit_fp", "arch_fp"),
+)
+
+_ARTIFACTS = _Table(
+    name="artifacts",
+    key="skeleton_key",
+    prefix="artifact_",
+    hits=("artifact_hits", "artifact_hits"),
+    encode=json.dumps,
+    decode=_decode_artifact,
+    merge=_merge_artifacts,
+)
+
+_TABLES = (_RESULTS, _ARTIFACTS)
+
+
 class ArtifactCache:
     """Picklable handle to a store's solve-artifact tier.
 
@@ -1110,9 +1086,10 @@ class ArtifactCache:
     into the process-pool workers of ``map_many`` — pickling drops the
     live store and keeps the database path, and the far side lazily
     re-opens its own connection-per-operation store.  A memory-only store
-    has no path to re-open, so on the far side every lookup misses and
-    every save is dropped: artifact seeding silently degrades to cold
-    solving, never to an error.
+    has no path to re-open (and a path may fail to re-open), so on the far
+    side every lookup misses and every save is dropped; a store failure
+    does the same to one lookup or save.  Artifact seeding silently
+    degrades to cold solving, never to an error.
     """
 
     def __init__(self, store: Optional[ResultStore]):
@@ -1133,26 +1110,33 @@ class ArtifactCache:
             # Re-opened lazily after crossing a process boundary; the
             # memory tier is disabled — worker processes are short-lived
             # and must see other workers' merges immediately.
-            self._store = ResultStore(
-                self.path,
-                max_memory_entries=0,
-                ttl_seconds=self.ttl_seconds,
-            )
+            try:
+                self._store = ResultStore(
+                    self.path,
+                    max_memory_entries=0,
+                    ttl_seconds=self.ttl_seconds,
+                )
+            except StoreError:
+                self.path = None  # cannot re-open here: no artifacts
         return self._store
 
     def load(self, skeleton_key: str) -> Optional[Dict[str, Any]]:
-        """The artifact payload for *skeleton_key*, or ``None``."""
+        """The artifact payload for *skeleton_key*, or ``None``.
+
+        A sick store reads as a miss (:meth:`ResultStore.get_artifact`).
+        """
         store = self._backing()
-        if store is None:
-            return None
-        return store.get_artifact(skeleton_key)
+        return None if store is None else store.get_artifact(skeleton_key)
 
     def save(self, skeleton_key: str, payload: Dict[str, Any]) -> None:
-        """Merge *payload* into the row for *skeleton_key* (best effort)."""
+        """Merge *payload* into the row for *skeleton_key* (best effort:
+        a row the store fails to write is dropped)."""
         store = self._backing()
-        if store is None:
-            return
-        store.put_artifact(skeleton_key, payload)
+        if store is not None:
+            try:
+                store.put_artifact(skeleton_key, payload)
+            except StoreError:
+                pass
 
 
 _JOURNAL_SCHEMA = """
@@ -1200,7 +1184,7 @@ class JobJournal:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with self._connect() as conn:
+            with _transaction(self.path) as conn:
                 conn.execute(_JOURNAL_SCHEMA)
         except sqlite3.Error as error:
             raise StoreError(
@@ -1213,27 +1197,20 @@ class JobJournal:
         """The journal for a cache *directory* (``<dir>/results.sqlite``)."""
         return cls(Path(cache_dir) / RESULTS_DB_NAME)
 
-    def _connect(self) -> sqlite3.Connection:
-        return sqlite3.connect(str(self.path), timeout=SQLITE_TIMEOUT_SECONDS)
-
     def _execute(self, sql: str, params: Tuple = ()) -> List[Tuple]:
         """Run one statement with busy retries and the journal fault point."""
-        attempt = 0
-        while True:
-            try:
-                if faults.ARMED:
-                    faults.fire("store.journal")
-                with self._connect() as conn:
-                    return conn.execute(sql, params).fetchall()
-            except (sqlite3.Error, faults.FaultInjectedError) as error:
-                if _transient_disk_error(error) and attempt < BUSY_RETRY_LIMIT:
-                    attempt += 1
-                    _retry_pause(attempt)
-                    continue
-                raise StoreError(
-                    f"journal operation failed: {error}",
-                    details={"path": str(self.path)},
-                ) from error
+
+        def _run() -> List[Tuple]:
+            with _transaction(self.path) as conn:
+                return conn.execute(sql, params).fetchall()
+
+        try:
+            return _retrying("store.journal", _run)
+        except _DISK_ERRORS as error:
+            raise StoreError(
+                f"journal operation failed: {error}",
+                details={"path": str(self.path)},
+            ) from error
 
     # ------------------------------------------------------------------
     def record(

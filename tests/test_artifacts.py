@@ -42,6 +42,7 @@ from repro.exact.sat_mapper import SATMapper
 from repro.exact.sweep import clause_is_implied, template_clause_remap
 from repro.pipeline.bounds import BoundProviderChain
 from repro.pipeline.pipeline import MappingPipeline
+from repro.service.errors import StoreError
 from repro.service.service import MappingService
 from repro.service.store import (
     ARTIFACT_PAYLOAD_VERSION,
@@ -275,6 +276,23 @@ class TestArtifactStore:
         # No path to re-open on the far side: seeding degrades to cold.
         assert cache.load("key") is None
         cache.save("key", _payload())  # silently dropped, never an error
+
+    def test_unopenable_store_raises_store_error(self, tmp_path):
+        with pytest.raises(StoreError) as info:
+            ResultStore(tmp_path)  # a directory, not a database file
+        assert info.value.code == "store-error"
+
+    def test_cache_whose_path_cannot_reopen_degrades(self, tmp_path):
+        path = tmp_path / "a.sqlite"
+        store = ResultStore(path)
+        store.put_artifact("key", _payload())
+        shipped = pickle.dumps(ArtifactCache(store))
+        path.unlink()
+        path.mkdir()  # the far side finds a directory where the file was
+        cache = pickle.loads(shipped)
+        assert cache.load("key") is None
+        cache.save("key", _payload())  # dropped, never an error
+        assert cache.load("key") is None
 
 
 # ----------------------------------------------------------------------

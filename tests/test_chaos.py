@@ -17,18 +17,22 @@ import asyncio
 import json
 import os
 import signal
+import sqlite3
 import time
 
 import pytest
 
 from repro import faults
-from repro.arch.devices import ibm_qx4
+from repro.arch.devices import ibm_qx4, sweep_grid8
 from repro.benchlib.generators import (
+    benchmark_circuit,
     random_clifford_t_circuit,
     random_cnot_circuit,
 )
+from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.qasm.writer import to_qasm
 from repro.exact.dp_mapper import DPMapper
+from repro.exact.encoding import clear_skeleton_cache
 from repro.server import wire
 from repro.server.supervisor import Supervisor
 from repro.service.errors import (
@@ -37,9 +41,11 @@ from repro.service.errors import (
     StoreError,
 )
 from repro.service.fingerprint import job_fingerprint
-from repro.service.service import FAILED, MappingService
+from repro.service.service import DONE, FAILED, MappingService
 from repro.service.store import (
+    ARTIFACT_PAYLOAD_VERSION,
     BREAKER_THRESHOLD,
+    BUSY_RETRY_LIMIT,
     JobJournal,
     ResultStore,
 )
@@ -213,6 +219,110 @@ class TestStoreBreaker:
         assert store.get(fingerprint) is None  # degraded, not broken
         faults.disarm()
         assert store.get(fingerprint) is not None
+
+
+def _sat_job(coupling, store, circuit, **options):
+    """One SAT job through a service over *store*: (result, job status)."""
+
+    async def scenario():
+        clear_skeleton_cache()
+        async with MappingService(
+            coupling, engine="sat", store=store, engine_options=options or None
+        ) as service:
+            job = await service.submit(circuit)
+            result = await service.result(job, timeout=120)
+            return result, service.status(job)
+
+    return run(scenario())
+
+
+def _with_singles(skeleton):
+    """*skeleton*'s CNOTs with single-qubit gates around them: the same
+    encoding skeleton (artifact rows hit), a different job (results miss)."""
+    circuit = QuantumCircuit(skeleton.num_qubits)
+    for index, gate in enumerate(skeleton.cnot_gates()):
+        if index % 3 == 0:
+            circuit.h(gate.control)
+        circuit.cx(gate.control, gate.target)
+    return circuit
+
+
+def _artifact_payload(bound):
+    return {
+        "version": ARTIFACT_PAYLOAD_VERSION,
+        "x_var_limit": 4,
+        "spot_var_count": 2,
+        "clauses": [[1, -2]],
+        "bounds": {"[[0,1]]": bound},
+        "schedule": None,
+        "objective": None,
+    }
+
+
+class TestSickStore:
+    """Every disk access on a job's path degrades through the breaker."""
+
+    def test_dropped_tables_do_not_fail_a_sat_job(self, tmp_path):
+        circuit = benchmark_circuit("ex-1_166")
+        healthy, _ = _sat_job(
+            ibm_qx4(), ResultStore(tmp_path / "healthy.sqlite"), circuit
+        )
+        path = tmp_path / "sick.sqlite"
+        store = ResultStore(path)
+        with sqlite3.connect(path) as conn:
+            conn.execute("DROP TABLE results")
+            conn.execute("DROP TABLE artifacts")
+        result, status = _sat_job(ibm_qx4(), store, circuit)
+        assert status["status"] == DONE
+        assert result.added_cost == healthy.added_cost
+        stats = store.stats()
+        # The job lookup, the seed's bound-oracle read and the artifact
+        # lookup each fail once; the third failure opens the breaker and
+        # the result and artifact writes stay in memory.
+        assert stats["disk_errors"] == BREAKER_THRESHOLD == 3
+        assert stats["breaker_trips"] == 1
+        assert stats["artifact_misses"] == 1
+        assert status["provenance"]["store_degraded"] is True
+        assert "store_error" not in status["provenance"]
+
+    def test_get_faults_during_warm_sweep_open_the_breaker(self, tmp_path):
+        skeleton = random_cnot_circuit(3, 8, seed=8000)
+        path = tmp_path / "results.sqlite"
+        cold, _ = _sat_job(
+            sweep_grid8(), ResultStore(path), skeleton, use_subsets=True
+        )
+        store = ResultStore(path)
+        faults.arm("store.get:fail")
+        warm, status = _sat_job(
+            sweep_grid8(), store, _with_singles(skeleton), use_subsets=True
+        )
+        # One attempt plus the retries for each of the job lookup, the
+        # bound-oracle read and the first artifact lookup; the breaker then
+        # opens and the other families' lookups skip the disk.
+        assert faults.fired_counts()["store.get"] == (
+            (BUSY_RETRY_LIMIT + 1) * BREAKER_THRESHOLD
+        )
+        assert store.degraded is True
+        assert warm.statistics["artifact_hits"] == 0
+        assert warm.statistics["artifact_misses"] >= 2
+        assert status["status"] == DONE
+        assert warm.added_cost == cold.added_cost
+
+    def test_put_artifact_with_open_breaker_stays_in_memory(self, tmp_path):
+        path = tmp_path / "a.sqlite"
+        store = ResultStore(path)
+        faults.arm("store.put:fail")
+        for index in range(BREAKER_THRESHOLD):
+            with pytest.raises(StoreError):
+                store.put_artifact(f"sick-{index}", _artifact_payload(1))
+        assert store.degraded is True
+        fired = faults.fired_counts()
+        store.put_artifact("key", _artifact_payload(2))
+        store.put_artifact("key", _artifact_payload(3))
+        assert faults.fired_counts() == fired  # the disk was not touched
+        assert store.get_artifact("key")["bounds"] == {"[[0,1]]": 3}
+        with sqlite3.connect(path) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM artifacts").fetchone() == (0,)
 
 
 class TestJobJournal:
