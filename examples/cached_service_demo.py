@@ -8,8 +8,7 @@ Demonstrates the ``repro.service`` subsystem on top of the batch pipeline:
   "run" of this script's workload is served entirely from SQLite,
 * the async :class:`~repro.service.service.MappingService` with
   submit/status/result job semantics, in-flight deduplication and routing
-  across two devices,
-* the disk-backed permutation-table warm start (``set_cache_dir``).
+  across two devices.
 
 Run with::
 
@@ -23,7 +22,7 @@ from pathlib import Path
 from repro import MappingService, ResultStore, ibm_qx4, ibm_qx5
 from repro.benchlib import benchmark_circuit, benchmark_names
 from repro.circuit import QuantumCircuit
-from repro.pipeline import cache_stats, set_cache_dir
+from repro.pipeline import cache_stats
 from repro.service import describe_job
 
 
@@ -81,9 +80,6 @@ async def run_workload(cache_dir: Path, label: str) -> None:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = Path(tmp) / "repro-cache"
-        # Persist permutation tables too: a restarted process warm-starts
-        # from disk instead of re-running the exhaustive BFS.
-        set_cache_dir(str(cache_dir))
 
         # One fingerprint identifies one mapping instance, names excluded.
         circuit = benchmark_circuit("3_17_13")

@@ -11,14 +11,17 @@ The exact engines repeatedly rebuild expensive, read-only artefacts:
 * the list of connected physical-qubit subsets of a given size
   (:func:`~repro.arch.subsets.connected_subsets`).
 
-Both depend only on the structure of the coupling map, so this module
-memoises them by :meth:`~repro.arch.coupling.CouplingMap.canonical_key`.
-Distinct subsets of a device that induce the same re-indexed edge set share
-one table, and every circuit of a batch reuses the artefacts of the first.
+All of them depend only on the structure of the coupling map, so this
+module memoises them by
+:meth:`~repro.arch.coupling.CouplingMap.canonical_key`.  Distinct subsets
+of a device that induce the same re-indexed edge set share one table, and
+every circuit of a batch reuses the artefacts of the first.
 
-The caches are process-wide, thread-safe and LRU-bounded (:data:`MAX_ENTRIES`
-per cache, far above what mapping a handful of devices needs), so a
-long-running service cannot grow them without limit.  Worker *processes* of a
+Every cache is one :class:`Memo`: process-wide, thread-safe and
+LRU-bounded (:data:`MAX_ENTRIES` per cache, far above what mapping a
+handful of devices needs), so a long-running service cannot grow them
+without limit.  Nothing is persisted: rebuilding a table costs no more
+than reading it back from disk.  Worker *processes* of a
 :class:`~repro.pipeline.pipeline.MappingPipeline` each populate their own
 copy (forked children inherit the parent's warm cache on platforms whose
 start method is ``fork``).
@@ -30,103 +33,90 @@ functions (``from repro.pipeline import cache_stats``).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Tuple, TypeVar
 
 from repro.arch.coupling import CouplingMap
-from repro.arch.diskcache import PermutationDiskStore
 from repro.arch.permutations import MappingTransitionTable, PermutationTable
 from repro.arch.subsets import connected_subsets
 
-_CacheKey = Tuple[int, Tuple[Tuple[int, int], ...]]
+_T = TypeVar("_T")
 
 #: Per-cache LRU capacity.
 MAX_ENTRIES = 128
 
-#: Environment variable naming the default on-disk cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-_LOCK = threading.Lock()
-_TABLES: "OrderedDict[_CacheKey, PermutationTable]" = OrderedDict()
-_TRANSITIONS: "OrderedDict[Tuple[_CacheKey, int], MappingTransitionTable]" = OrderedDict()
-_SUBSETS: "OrderedDict[Tuple[_CacheKey, int], Tuple[Tuple[int, ...], ...]]" = OrderedDict()
-_DISTANCES: "OrderedDict[_CacheKey, Dict[int, Dict[int, int]]]" = OrderedDict()
-_SYNTHESIZERS: "OrderedDict[Tuple[_CacheKey, int], object]" = OrderedDict()
-_STATS = {
-    "permutation_table_hits": 0,
-    "permutation_table_misses": 0,
-    "permutation_table_disk_hits": 0,
-    "permutation_table_disk_writes": 0,
-    "transition_table_hits": 0,
-    "transition_table_misses": 0,
-    "connected_subsets_hits": 0,
-    "connected_subsets_misses": 0,
-    "distance_matrix_hits": 0,
-    "distance_matrix_misses": 0,
-    "synthesizer_hits": 0,
-    "synthesizer_misses": 0,
-    # Backend selections: the perf gate pins that small devices never take
-    # the routed (upper-bound) path where the exact table is available.
-    "synthesizer_table_selected": 0,
-    "synthesizer_routed_selected": 0,
-}
+class Memo:
+    """A thread-safe LRU memo of read-only artefacts.
 
-# Explicitly configured cache directory; ``False`` means "not configured,
-# fall back to the environment variable" (``None`` disables the disk layer).
-_CACHE_DIR: object = False
-
-
-def set_cache_dir(path: Optional[str]) -> None:
-    """Configure the on-disk warm-start layer.
+    :meth:`get` looks a key up under the lock and builds a missing value
+    outside it, so misses for *different* keys do not serialise behind a
+    long build.  A racing build of the same key is harmless: the first
+    value stored wins and every caller gets that one object.
 
     Args:
-        path: Cache directory for persisted permutation tables, or ``None``
-            to disable the disk layer (the in-memory caches keep working).
-            Overrides the ``REPRO_CACHE_DIR`` environment variable.
+        capacity: Entries kept; the least recently used go first.
+        counters: Names of extra counters that builds bump with
+            :meth:`count`, reported beside ``hits`` and ``misses``.
     """
-    global _CACHE_DIR
-    with _LOCK:
-        _CACHE_DIR = None if path is None else str(path)
+
+    def __init__(self, capacity: int, counters: Tuple[str, ...] = ()):
+        self.capacity = capacity
+        self._names = ("hits", "misses") + counters
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(self._names, 0)
+
+    def get(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The value under *key*, built by ``build()`` on a miss."""
+        with self._lock:
+            if key in self._entries:
+                self._counts["hits"] += 1
+                self._entries.move_to_end(key)
+                return self._entries[key]  # type: ignore[return-value]
+        value = build()
+        with self._lock:
+            self._counts["misses"] += 1
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return value
+
+    def count(self, name: str) -> None:
+        """Add one to the extra counter *name* (reported by :meth:`stats`)."""
+        with self._lock:
+            self._counts[name] += 1
+
+    def stats(self) -> Dict[str, int]:
+        """``hits``, ``misses``, any extra counters and ``entries``."""
+        with self._lock:
+            return dict(self._counts, entries=len(self._entries))
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        with self._lock:
+            self._entries.clear()
+            self._counts = dict.fromkeys(self._names, 0)
 
 
-def reset_cache_dir() -> None:
-    """Forget any explicit setting; ``REPRO_CACHE_DIR`` applies again."""
-    global _CACHE_DIR
-    with _LOCK:
-        _CACHE_DIR = False
+_TABLES = Memo(MAX_ENTRIES)
+_TRANSITIONS = Memo(MAX_ENTRIES)
+_SUBSETS = Memo(MAX_ENTRIES)
+_DISTANCES = Memo(MAX_ENTRIES)
+# Backend selections: the perf gate pins that small devices never take the
+# routed (upper-bound) path where the exact table is available.
+_SYNTHESIZERS = Memo(MAX_ENTRIES, counters=("table_selected", "routed_selected"))
 
-
-@contextmanager
-def preserved_cache_dir() -> Iterator[None]:
-    """Restore the cache-dir setting found on entry when the block exits."""
-    global _CACHE_DIR
-    with _LOCK:
-        saved = _CACHE_DIR
-    try:
-        yield
-    finally:
-        with _LOCK:
-            _CACHE_DIR = saved
-
-
-def get_cache_dir() -> Optional[str]:
-    """The active cache directory (explicit setting, else ``REPRO_CACHE_DIR``)."""
-    with _LOCK:
-        configured = _CACHE_DIR
-    if configured is not False:
-        return configured  # type: ignore[return-value]
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return env or None
-
-
-def _disk_store() -> Optional[PermutationDiskStore]:
-    cache_dir = get_cache_dir()
-    if cache_dir is None:
-        return None
-    return PermutationDiskStore(cache_dir)
+#: ``cache_stats`` names: counter prefix and size key of each cache.
+_REPORTED: Tuple[Tuple[str, str, Memo], ...] = (
+    ("permutation_table", "permutation_tables_cached", _TABLES),
+    ("transition_table", "transition_tables_cached", _TRANSITIONS),
+    ("connected_subsets", "connected_subset_lists_cached", _SUBSETS),
+    ("distance_matrix", "distance_matrices_cached", _DISTANCES),
+    ("synthesizer", "synthesizers_cached", _SYNTHESIZERS),
+)
 
 
 def shared_permutation_table(
@@ -149,41 +139,12 @@ def shared_permutation_table(
             f"refusing to enumerate {coupling.num_qubits}! permutations; "
             "restrict the architecture to a subset of physical qubits first"
         )
-    key = coupling.canonical_key()
-    with _LOCK:
-        table = _TABLES.get(key)
-        if table is not None:
-            _STATS["permutation_table_hits"] += 1
-            _TABLES.move_to_end(key)
-            return table
-    # Build outside the lock: the BFS can take a while and concurrent misses
-    # for *different* architectures should not serialise.  A racing build of
-    # the same key is harmless; ``setdefault`` keeps exactly one winner.
-    # A configured disk layer is consulted first so that a restarted process
-    # warm-starts from the artefacts of its predecessors instead of
-    # re-running the BFS.
-    store = _disk_store()
-    table = store.load(coupling) if store is not None else None
-    disk_hit = table is not None
-    if table is None:
-        table = PermutationTable(coupling, max_qubits_exhaustive=max_qubits_exhaustive)
-    with _LOCK:
-        _STATS["permutation_table_misses"] += 1
-        if disk_hit:
-            _STATS["permutation_table_disk_hits"] += 1
-        winner = _TABLES.setdefault(key, table)
-        _TABLES.move_to_end(key)
-        while len(_TABLES) > MAX_ENTRIES:
-            _TABLES.popitem(last=False)
-    if store is not None and not disk_hit and winner is table:
-        try:
-            store.save(table)
-        except OSError:
-            pass  # a read-only cache directory must not fail the mapping
-        else:
-            with _LOCK:
-                _STATS["permutation_table_disk_writes"] += 1
-    return winner
+    return _TABLES.get(
+        coupling.canonical_key(),
+        lambda: PermutationTable(
+            coupling, max_qubits_exhaustive=max_qubits_exhaustive
+        ),
+    )
 
 
 def shared_transition_table(
@@ -195,48 +156,19 @@ def shared_transition_table(
     Built on the first request, so only processes that run the DP engine
     pay for it; callers must treat the returned table as read-only.
     """
-    key = (coupling.canonical_key(), num_logical)
-    with _LOCK:
-        cached = _TRANSITIONS.get(key)
-        if cached is not None:
-            _STATS["transition_table_hits"] += 1
-            _TRANSITIONS.move_to_end(key)
-            return cached
-    # Built outside the lock, like the permutation table: ``setdefault``
-    # keeps exactly one winner of a racing build.
-    table = MappingTransitionTable(coupling, num_logical)
-    with _LOCK:
-        _STATS["transition_table_misses"] += 1
-        winner = _TRANSITIONS.setdefault(key, table)
-        _TRANSITIONS.move_to_end(key)
-        while len(_TRANSITIONS) > MAX_ENTRIES:
-            _TRANSITIONS.popitem(last=False)
-    return winner
+    return _TRANSITIONS.get(
+        (coupling.canonical_key(), num_logical),
+        lambda: MappingTransitionTable(coupling, num_logical),
+    )
 
 
 def shared_distance_matrix(coupling: CouplingMap) -> Dict[int, Dict[int, int]]:
     """The (cached) all-pairs shortest-path distance matrix of *coupling*.
 
     Shared between the heuristics' lookahead and the routed SWAP synthesis
-    backend; callers must treat the returned dictionary as read-only.  The
-    matrix is never persisted: recomputing it costs no more than reading it
-    back from disk.
+    backend; callers must treat the returned dictionary as read-only.
     """
-    key = coupling.canonical_key()
-    with _LOCK:
-        cached = _DISTANCES.get(key)
-        if cached is not None:
-            _STATS["distance_matrix_hits"] += 1
-            _DISTANCES.move_to_end(key)
-            return cached
-    distances = coupling.distance_matrix()
-    with _LOCK:
-        _STATS["distance_matrix_misses"] += 1
-        winner = _DISTANCES.setdefault(key, distances)
-        _DISTANCES.move_to_end(key)
-        while len(_DISTANCES) > MAX_ENTRIES:
-            _DISTANCES.popitem(last=False)
-    return winner
+    return _DISTANCES.get(coupling.canonical_key(), coupling.distance_matrix)
 
 
 def shared_synthesizer(coupling: CouplingMap, max_qubits_exhaustive: int = 8):
@@ -252,34 +184,18 @@ def shared_synthesizer(coupling: CouplingMap, max_qubits_exhaustive: int = 8):
     """
     from repro.arch import synthesis  # local import: synthesis imports this module
 
-    key = (coupling.canonical_key(), max_qubits_exhaustive)
-    with _LOCK:
-        cached = _SYNTHESIZERS.get(key)
-        if cached is not None:
-            _STATS["synthesizer_hits"] += 1
-            _SYNTHESIZERS.move_to_end(key)
-            return cached
-    use_table = coupling.num_qubits <= max_qubits_exhaustive
-    if use_table:
-        table = shared_permutation_table(
-            coupling, max_qubits_exhaustive=max_qubits_exhaustive
-        )
-        built = synthesis.TableSynthesizer(coupling, table=table)
-    else:
-        built = synthesis.RoutedSynthesizer(
-            coupling, distances=shared_distance_matrix(coupling)
-        )
-    with _LOCK:
-        _STATS["synthesizer_misses"] += 1
-        if use_table:
-            _STATS["synthesizer_table_selected"] += 1
-        else:
-            _STATS["synthesizer_routed_selected"] += 1
-        winner = _SYNTHESIZERS.setdefault(key, built)
-        _SYNTHESIZERS.move_to_end(key)
-        while len(_SYNTHESIZERS) > MAX_ENTRIES:
-            _SYNTHESIZERS.popitem(last=False)
-    return winner
+    def build():
+        if coupling.num_qubits <= max_qubits_exhaustive:
+            table = shared_permutation_table(
+                coupling, max_qubits_exhaustive=max_qubits_exhaustive
+            )
+            _SYNTHESIZERS.count("table_selected")
+            return synthesis.TableSynthesizer(coupling, table=table)
+        distances = shared_distance_matrix(coupling)
+        _SYNTHESIZERS.count("routed_selected")
+        return synthesis.RoutedSynthesizer(coupling, distances=distances)
+
+    return _SYNTHESIZERS.get((coupling.canonical_key(), max_qubits_exhaustive), build)
 
 
 def shared_connected_subsets(coupling: CouplingMap, size: int) -> List[Tuple[int, ...]]:
@@ -288,58 +204,34 @@ def shared_connected_subsets(coupling: CouplingMap, size: int) -> List[Tuple[int
     Returns a fresh list on every call (the cached tuples themselves are
     immutable), so callers may sort or slice the result freely.
     """
-    key = (coupling.canonical_key(), size)
-    with _LOCK:
-        cached = _SUBSETS.get(key)
-        if cached is not None:
-            _STATS["connected_subsets_hits"] += 1
-            _SUBSETS.move_to_end(key)
-            return list(cached)
-    subsets = tuple(connected_subsets(coupling, size))
-    with _LOCK:
-        _STATS["connected_subsets_misses"] += 1
-        subsets = _SUBSETS.setdefault(key, subsets)
-        _SUBSETS.move_to_end(key)
-        while len(_SUBSETS) > MAX_ENTRIES:
-            _SUBSETS.popitem(last=False)
-        return list(subsets)
+    return list(_SUBSETS.get(
+        (coupling.canonical_key(), size),
+        lambda: tuple(connected_subsets(coupling, size)),
+    ))
 
 
 def cache_stats() -> Dict[str, int]:
     """Hit/miss counters plus current cache sizes (a snapshot copy)."""
-    with _LOCK:
-        stats = dict(_STATS)
-        stats["permutation_tables_cached"] = len(_TABLES)
-        stats["transition_tables_cached"] = len(_TRANSITIONS)
-        stats["connected_subset_lists_cached"] = len(_SUBSETS)
-        stats["distance_matrices_cached"] = len(_DISTANCES)
-        stats["synthesizers_cached"] = len(_SYNTHESIZERS)
-    store = _disk_store()
-    if store is not None:
-        stats["permutation_tables_on_disk"] = len(store.entries())
-        stats["disk_cache_bytes"] = store.size_bytes()
-    return stats
+    stats: Dict[str, int] = {}
+    sizes: Dict[str, int] = {}
+    for prefix, size_key, memo in _REPORTED:
+        counts = memo.stats()
+        sizes[size_key] = counts.pop("entries")
+        stats[f"{prefix}_hits"] = counts.pop("hits")
+        stats[f"{prefix}_misses"] = counts.pop("misses")
+        stats.update((f"{prefix}_{name}", value) for name, value in counts.items())
+    return dict(stats, **sizes)
 
 
 def clear_caches() -> None:
     """Drop all cached artefacts and reset the counters (mainly for tests)."""
-    with _LOCK:
-        _TABLES.clear()
-        _TRANSITIONS.clear()
-        _SUBSETS.clear()
-        _DISTANCES.clear()
-        _SYNTHESIZERS.clear()
-        for key in _STATS:
-            _STATS[key] = 0
+    for _, _, memo in _REPORTED:
+        memo.clear()
 
 
 __all__ = [
     "MAX_ENTRIES",
-    "CACHE_DIR_ENV",
-    "set_cache_dir",
-    "reset_cache_dir",
-    "preserved_cache_dir",
-    "get_cache_dir",
+    "Memo",
     "shared_permutation_table",
     "shared_transition_table",
     "shared_distance_matrix",

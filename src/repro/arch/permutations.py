@@ -205,32 +205,6 @@ class PermutationTable:
         self._sequences = minimal_swap_sequences(coupling)
         self._distance_matrix: Optional[Dict[int, Dict[int, int]]] = None
 
-    @classmethod
-    def from_sequences(
-        cls,
-        coupling: CouplingMap,
-        sequences: Dict[Permutation, List[SwapEdge]],
-    ) -> "PermutationTable":
-        """Rebuild a table from previously computed swap sequences.
-
-        Used by the persistent cache layer (:mod:`repro.arch.diskcache`) to
-        warm-start a table from disk without re-running the BFS.  The caller
-        is responsible for *sequences* actually belonging to *coupling*.
-        """
-        table = cls.__new__(cls)
-        table.coupling = coupling
-        table.size = coupling.num_qubits
-        table._sequences = {
-            tuple(perm): [tuple(edge) for edge in seq]
-            for perm, seq in sequences.items()
-        }
-        table._distance_matrix = None
-        return table
-
-    def sequences(self) -> Dict[Permutation, List[SwapEdge]]:
-        """A copy of the full permutation-to-swap-sequence table."""
-        return {perm: list(seq) for perm, seq in self._sequences.items()}
-
     # ------------------------------------------------------------------
     # Full permutations
     # ------------------------------------------------------------------

@@ -30,9 +30,9 @@ trades that guarantee for polynomial scaling.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
+from repro.arch.cache import Memo
 from repro.arch.coupling import CouplingMap
 from repro.arch.permutations import (
     Mapping,
@@ -163,7 +163,7 @@ class RoutedSynthesizer:
         self._neighbours = {
             qubit: coupling.neighbours(qubit) for qubit in range(coupling.num_qubits)
         }
-        self._cache: "OrderedDict[Permutation, Tuple[SwapEdge, ...]]" = OrderedDict()
+        self._cache = Memo(_SEQUENCE_CACHE_MAX)
 
     # ------------------------------------------------------------------
     # Routing primitives
@@ -248,18 +248,14 @@ class RoutedSynthesizer:
             raise SynthesisError(
                 f"not a permutation of {self.size} positions: {perm!r}"
             )
-        cached = self._cache.get(perm)
-        if cached is not None:
-            self._cache.move_to_end(perm)
-            return list(cached)
+        return list(self._cache.get(perm, lambda: self._route(perm)))
+
+    def _route(self, perm: Permutation) -> Tuple[SwapEdge, ...]:
         sequence: List[SwapEdge] = []
         for cycle in self._cycles(perm):
             for left, right in zip(cycle[-2::-1], cycle[:0:-1]):
                 self._route_transposition(left, right, sequence)
-        self._cache[perm] = tuple(sequence)
-        while len(self._cache) > _SEQUENCE_CACHE_MAX:
-            self._cache.popitem(last=False)
-        return sequence
+        return tuple(sequence)
 
     def swaps(self, perm: Permutation) -> int:
         return len(self.swap_sequence(perm))

@@ -12,8 +12,8 @@ default, kept flag-compatible with earlier releases) maps one circuit; the
 multi-device routing; the ``listen`` subcommand runs the network serving
 layer (HTTP/WebSocket front end, multi-process workers behind a
 supervisor); the ``cache`` subcommand inspects, clears and prunes the
-in-memory and on-disk caches — locally or on a running server via
-``--url``.
+in-memory caches and the persistent result store — locally or on a
+running server via ``--url``.
 
 Examples::
 
@@ -32,10 +32,11 @@ Examples::
     repro-map --list-engines
     python -m repro.cli circuit.qasm --arch qx4
 
-The mapping and ``serve`` paths honour ``--cache-dir`` (or the
-``REPRO_CACHE_DIR`` environment variable): permutation tables are
-warm-started from disk and mapping results are served from the persistent
-fingerprint-keyed result store instead of being re-solved.
+Every command that takes ``--cache-dir`` falls back to the
+``REPRO_CACHE_DIR`` environment variable for one call; the directory holds
+only ``results.sqlite``.  On the mapping and ``serve`` paths, results are
+served from that fingerprint-keyed store instead of being re-solved, and
+stored results and solve artifacts seed later solves.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.arch import get_architecture
 from repro.circuit import parse_qasm_file
 from repro.circuit.qasm import write_qasm_file
-from repro.arch.cache import (
-    cache_stats, clear_caches, get_cache_dir, preserved_cache_dir, set_cache_dir,
-)
+from repro.arch.cache import cache_stats, clear_caches
 from repro.pipeline.pipeline import MappingPipeline
 from repro.pipeline.registry import available_mappers, resolve_mapper_name
+from repro.service.errors import StoreError
+from repro.service.store import ResultStore, resolve_cache_dir
 from repro.sim.equivalence import result_is_equivalent
 from repro.verify import verify_result
 
@@ -131,9 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None,
-        help="persistent cache directory: permutation tables are warm-started "
-        "from disk and results are served from the fingerprint-keyed store "
-        "(defaults to $REPRO_CACHE_DIR when set; omit both for no persistence)",
+        help="directory of the persistent result store (DIR/results.sqlite): "
+        "results are served from the fingerprint-keyed store and seed later "
+        "solves (defaults to $REPRO_CACHE_DIR when set; omit both for no "
+        "persistence)",
     )
     parser.add_argument(
         "--result-ttl", type=_positive_seconds, default=None,
@@ -281,13 +283,6 @@ def _print_explanation(result) -> None:
         print(f"  - {label}")
 
 
-def _activate_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
-    """Apply an explicit ``--cache-dir`` and return the active directory."""
-    if cache_dir is not None:
-        set_cache_dir(cache_dir)
-    return get_cache_dir()
-
-
 def _profiled_map(pipeline: MappingPipeline, circuit, profile_out=None):
     """Map *circuit* under cProfile; print the top functions to stderr.
 
@@ -373,7 +368,7 @@ def _run_map(argv: Sequence[str]) -> int:
             get_strategy(options["strategy"])
         except KeyError as error:
             parser.error(error.args[0])
-    cache_dir = _activate_cache_dir(args.cache_dir)
+    cache_dir = resolve_cache_dir(args.cache_dir)
     if args.result_ttl is not None and cache_dir is None:
         parser.error("--result-ttl requires --cache-dir (or REPRO_CACHE_DIR)")
 
@@ -382,10 +377,13 @@ def _run_map(argv: Sequence[str]) -> int:
     cache_hit = False
     if cache_dir is not None:
         from repro.service.fingerprint import job_fingerprint
-        from repro.service.store import ResultStore
 
         store = ResultStore.at(cache_dir, ttl_seconds=args.result_ttl)
-        fingerprint = job_fingerprint(circuit, coupling, engine, options)
+        # The time limit bounds the solve, not the answer; the service
+        # keys jobs without it too.
+        fingerprint = job_fingerprint(circuit, coupling, engine, {
+            key: value for key, value in options.items() if key != "time_limit"
+        })
         result = store.get(fingerprint)
         cache_hit = result is not None
     if not cache_hit:
@@ -428,7 +426,7 @@ def _run_map(argv: Sequence[str]) -> int:
                 )
             except ServiceError as error:
                 # A failing cache directory must not fail a successful
-                # mapping run; mirror the permutation-table layer's policy.
+                # mapping run.
                 print(f"warning: result not cached ({error})", file=sys.stderr)
     report = verify_result(result, coupling)
 
@@ -494,8 +492,9 @@ def _build_cache_parser() -> argparse.ArgumentParser:
     parser.add_argument("action", choices=["stats", "clear", "prune", "artifacts"])
     parser.add_argument(
         "--cache-dir", default=None,
-        help="cache directory (defaults to $REPRO_CACHE_DIR; without one "
-        "only the in-process caches are touched)",
+        help="directory of the persistent result store (defaults to "
+        "$REPRO_CACHE_DIR; without one only the in-process caches are "
+        "touched)",
     )
     parser.add_argument(
         "--ttl", type=float, default=None,
@@ -539,10 +538,17 @@ def _http_json(method: str, url: str, target: str, body=None):
 
 
 def _run_cache(argv: Sequence[str]) -> int:
-    import json as _json
-
     parser = _build_cache_parser()
     args = parser.parse_args(argv)
+    try:
+        return _cache_action(parser, args)
+    except StoreError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
+def _cache_action(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    import json as _json
 
     if args.url is not None and args.action == "clear":
         parser.error("cache clear is not available over --url")
@@ -558,7 +564,7 @@ def _run_cache(argv: Sequence[str]) -> int:
             )
             print(_json.dumps(envelope["payload"], indent=2, sort_keys=True))
             return 0 if status == 200 else 1
-        cache_dir = _activate_cache_dir(args.cache_dir)
+        cache_dir = resolve_cache_dir(args.cache_dir)
         if args.ttl is None:
             parser.error("cache prune requires --ttl SECONDS (or --url)")
         if cache_dir is None:
@@ -566,8 +572,6 @@ def _run_cache(argv: Sequence[str]) -> int:
                 "cache prune needs a persistent store "
                 "(use --cache-dir, REPRO_CACHE_DIR, or --url)"
             )
-        from repro.service.store import ResultStore
-
         report = ResultStore.at(cache_dir).prune_report(ttl_seconds=args.ttl)
         report["cache_dir"] = cache_dir
         print(_json.dumps(report, indent=2, sort_keys=True))
@@ -594,14 +598,12 @@ def _run_cache(argv: Sequence[str]) -> int:
                 }
             print(_json.dumps(summary, indent=2, sort_keys=True))
             return 0 if status == 200 else 1
-        cache_dir = _activate_cache_dir(args.cache_dir)
+        cache_dir = resolve_cache_dir(args.cache_dir)
         if cache_dir is None:
             parser.error(
                 "cache artifacts needs a persistent store "
                 "(use --cache-dir, REPRO_CACHE_DIR, or --url)"
             )
-        from repro.service.store import ResultStore
-
         rows, payload_bytes = ResultStore.at(cache_dir).artifact_rows()
         print(_json.dumps(
             {
@@ -618,13 +620,11 @@ def _run_cache(argv: Sequence[str]) -> int:
             status, envelope = _http_json("GET", args.url, "/v1/stats")
             print(_json.dumps(envelope["payload"], indent=2, sort_keys=True))
             return 0 if status == 200 else 1
-        cache_dir = _activate_cache_dir(args.cache_dir)
+        cache_dir = resolve_cache_dir(args.cache_dir)
         print("in-process caches:")
         for key, value in sorted(cache_stats().items()):
             print(f"  {key:32s}: {value}")
         if cache_dir is not None:
-            from repro.service.store import ResultStore
-
             print(f"result store ({cache_dir}):")
             for key, value in sorted(ResultStore.at(cache_dir).stats().items()):
                 print(f"  {key:32s}: {value}")
@@ -633,18 +633,13 @@ def _run_cache(argv: Sequence[str]) -> int:
                   "(use --cache-dir or REPRO_CACHE_DIR)")
         return 0
 
-    cache_dir = _activate_cache_dir(args.cache_dir)
+    cache_dir = resolve_cache_dir(args.cache_dir)
 
     clear_caches()
     print("in-process caches cleared")
     if cache_dir is not None:
-        from repro.arch.diskcache import PermutationDiskStore
-        from repro.service.store import ResultStore
-
-        removed_tables = PermutationDiskStore(cache_dir).clear()
-        removed_results = ResultStore.at(cache_dir).clear()
-        print(f"disk cache cleared ({cache_dir}): "
-              f"{removed_tables} permutation tables, {removed_results} results")
+        removed = ResultStore.at(cache_dir).clear()
+        print(f"result store cleared ({cache_dir}): {removed} results")
     return 0
 
 
@@ -691,8 +686,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
                         help="worker pool type (default: thread)")
     parser.add_argument(
         "--cache-dir", default=None,
-        help="persistent cache directory (defaults to $REPRO_CACHE_DIR; "
-        "omit both for an in-memory result store)",
+        help="directory of the persistent result store (defaults to "
+        "$REPRO_CACHE_DIR; omit both for an in-memory result store)",
     )
     parser.add_argument(
         "--result-ttl", type=_positive_seconds, default=None,
@@ -720,7 +715,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
 
 async def _serve_batch(args: argparse.Namespace) -> int:
     from repro.service.service import MappingService
-    from repro.service.store import ResultStore
 
     arch_names = args.arch or ["ibm_qx4"]
     couplings = {}
@@ -729,7 +723,7 @@ async def _serve_batch(args: argparse.Namespace) -> int:
         couplings[coupling.name] = coupling
     engine = resolve_mapper_name(args.engine)
     options = _engine_options(engine, args)
-    cache_dir = _activate_cache_dir(args.cache_dir)
+    cache_dir = resolve_cache_dir(args.cache_dir)
     store = (
         ResultStore.at(cache_dir, ttl_seconds=args.result_ttl)
         if cache_dir is not None
@@ -840,9 +834,10 @@ def _build_listen_parser() -> argparse.ArgumentParser:
                         choices=["thread", "process"])
     parser.add_argument(
         "--cache-dir", default=None,
-        help="shared persistent cache directory (defaults to "
-        "$REPRO_CACHE_DIR; without one the supervisor creates a private "
-        "temporary directory so its workers still share one result store)",
+        help="directory of the shared result store and job journal "
+        "(defaults to $REPRO_CACHE_DIR; without one the supervisor creates "
+        "a private temporary directory so its workers still share one "
+        "result store)",
     )
     parser.add_argument("--result-ttl", type=_positive_seconds, default=None)
     return parser
@@ -870,7 +865,7 @@ def _run_listen(argv: Sequence[str]) -> int:
         engine_options=options,
         service_workers=args.service_workers,
         executor=args.executor,
-        cache_dir=args.cache_dir,
+        cache_dir=resolve_cache_dir(args.cache_dir),
         result_ttl=args.result_ttl,
     )
     address = dict(host=args.host, port=args.port)
@@ -924,18 +919,17 @@ def _run_cancel(argv: Sequence[str]) -> int:
 
 # ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the ``repro-map`` command; ``--cache-dir`` holds for one call."""
+    """Entry point of the ``repro-map`` command."""
     arguments: List[str] = list(sys.argv[1:] if argv is None else argv)
-    with preserved_cache_dir():
-        if arguments and arguments[0] in _SUBCOMMANDS:
-            if arguments[0] == "cache":
-                return _run_cache(arguments[1:])
-            if arguments[0] == "listen":
-                return _run_listen(arguments[1:])
-            if arguments[0] == "cancel":
-                return _run_cancel(arguments[1:])
-            return _run_serve(arguments[1:])
-        return _run_map(arguments)
+    if arguments and arguments[0] in _SUBCOMMANDS:
+        if arguments[0] == "cache":
+            return _run_cache(arguments[1:])
+        if arguments[0] == "listen":
+            return _run_listen(arguments[1:])
+        if arguments[0] == "cancel":
+            return _run_cancel(arguments[1:])
+        return _run_serve(arguments[1:])
+    return _run_map(arguments)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -46,12 +46,10 @@ table lookup.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.cache import shared_permutation_table
+from repro.arch.cache import Memo, shared_permutation_table
 from repro.arch.coupling import CouplingMap
 from repro.arch.permutations import Permutation, PermutationTable
 from repro.exact.cost import REVERSAL_COST, SWAP_COST
@@ -445,10 +443,7 @@ def _build_skeleton(
 
 
 #: Process-wide skeleton cache (small LRU; one entry covers a whole sweep).
-_SKELETON_CACHE: "OrderedDict[Tuple, EncodingSkeleton]" = OrderedDict()
-_SKELETON_CACHE_LOCK = threading.Lock()
-_SKELETON_CACHE_MAX = 16
-_SKELETON_CACHE_STATS = {"hits": 0, "misses": 0}
+_SKELETONS = Memo(16)
 
 
 def _shared_skeleton(
@@ -461,37 +456,22 @@ def _shared_skeleton(
     undirected = tuple(
         sorted(permutation_table.coupling.undirected_edges)
     )
-    key = (gates, num_logical, num_physical, spots, undirected)
-    with _SKELETON_CACHE_LOCK:
-        cached = _SKELETON_CACHE.get(key)
-        if cached is not None:
-            _SKELETON_CACHE.move_to_end(key)
-            _SKELETON_CACHE_STATS["hits"] += 1
-            return cached
-        _SKELETON_CACHE_STATS["misses"] += 1
-        skeleton = _build_skeleton(
+    return _SKELETONS.get(
+        (gates, num_logical, num_physical, spots, undirected),
+        lambda: _build_skeleton(
             gates, num_logical, num_physical, spots, permutation_table
-        )
-        _SKELETON_CACHE[key] = skeleton
-        while len(_SKELETON_CACHE) > _SKELETON_CACHE_MAX:
-            _SKELETON_CACHE.popitem(last=False)
-        return skeleton
+        ),
+    )
 
 
 def skeleton_cache_stats() -> Dict[str, int]:
     """Hit/miss/size counters of the shared-skeleton cache."""
-    with _SKELETON_CACHE_LOCK:
-        stats = dict(_SKELETON_CACHE_STATS)
-        stats["entries"] = len(_SKELETON_CACHE)
-        return stats
+    return _SKELETONS.stats()
 
 
 def clear_skeleton_cache() -> None:
     """Drop all cached encoding skeletons (mainly for tests/benchmarks)."""
-    with _SKELETON_CACHE_LOCK:
-        _SKELETON_CACHE.clear()
-        _SKELETON_CACHE_STATS["hits"] = 0
-        _SKELETON_CACHE_STATS["misses"] = 0
+    _SKELETONS.clear()
 
 
 def build_encoding(

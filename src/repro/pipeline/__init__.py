@@ -43,8 +43,6 @@ _EXPORTS = {
     "shared_connected_subsets": "repro.arch.cache",
     "cache_stats": "repro.arch.cache",
     "clear_caches": "repro.arch.cache",
-    "set_cache_dir": "repro.arch.cache",
-    "get_cache_dir": "repro.arch.cache",
 }
 
 __all__ = sorted(_EXPORTS)
@@ -53,8 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.arch.cache import (
         cache_stats,
         clear_caches,
-        get_cache_dir,
-        set_cache_dir,
         shared_connected_subsets,
         shared_permutation_table,
     )

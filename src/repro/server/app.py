@@ -63,7 +63,7 @@ from repro.server.protocol import (
 )
 from repro.service.errors import ServiceError
 from repro.service.service import DONE, FAILED, MappingService
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, resolve_cache_dir
 
 #: Longest a ``?wait=`` result long-poll may block (seconds).
 MAX_RESULT_WAIT_SECONDS = 300.0
@@ -123,11 +123,8 @@ class ServiceBackend:
         result store lives in memory.
         """
         from repro.arch import get_architecture
-        from repro.arch.cache import get_cache_dir, set_cache_dir
 
-        if cache_dir is not None:
-            set_cache_dir(cache_dir)
-        cache_dir = get_cache_dir()
+        cache_dir = resolve_cache_dir(cache_dir)
         couplings = {}
         for name in arch or ["ibm_qx4"]:
             coupling = get_architecture(name)

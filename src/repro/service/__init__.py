@@ -16,9 +16,11 @@ deployable service that never solves the same instance twice:
   job semantics, in-flight deduplication and multi-device routing,
 * :mod:`repro.service.errors` — structured, machine-readable service errors.
 
-The on-disk warm-start layer for permutation tables lives with the other
-architecture caches (:mod:`repro.arch.cache`, ``set_cache_dir`` /
-``REPRO_CACHE_DIR``) and is re-exported by :mod:`repro.pipeline`.
+A cache directory (``--cache-dir`` or ``REPRO_CACHE_DIR``, resolved by
+:func:`~repro.service.store.resolve_cache_dir`) holds only
+``results.sqlite``: the result store, the solve artifacts and the job
+journal.  The per-architecture caches of :mod:`repro.arch.cache` live in
+process memory and are never written to disk.
 
 The submodules are imported lazily (PEP 562) to keep ``import repro`` cheap.
 """

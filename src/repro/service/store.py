@@ -74,6 +74,7 @@ miss or a dropped row.
 from __future__ import annotations
 
 import json
+import os
 import random
 import sqlite3
 import threading
@@ -251,6 +252,18 @@ class _Table(NamedTuple):
     meta: Tuple[str, ...] = ()
 
 
+def resolve_cache_dir(cache_dir=None) -> Optional[str]:
+    """The cache directory a command works in: *cache_dir* when given,
+    else ``$REPRO_CACHE_DIR`` when set, else ``None`` (no persistence).
+
+    The directory holds ``results.sqlite`` (see :meth:`ResultStore.at`
+    and :meth:`JobJournal.at`); nothing else is written there.
+    """
+    if cache_dir is not None:
+        return str(cache_dir)
+    return os.environ.get("REPRO_CACHE_DIR", "").strip() or None
+
+
 class ResultStore:
     """Two-tier (memory LRU + SQLite) mapping-result cache.
 
@@ -266,7 +279,8 @@ class ResultStore:
             lazily; ``None`` (default) disables expiry.
 
     Raises:
-        StoreError: When the database cannot be opened or migrated.
+        StoreError: When the database cannot be opened or migrated, and
+            from an administrative call on a sick database.
 
     Example:
         >>> store = ResultStore(tmp_path / "results.sqlite")
@@ -383,6 +397,23 @@ class ResultStore:
 
     def _disk_usable(self) -> bool:
         return self.path is not None and not self.degraded
+
+    @contextmanager
+    def _admin(self) -> Iterator[sqlite3.Connection]:
+        """One transaction of an administrative call (``delete``, ``clear``,
+        ``prune_report``, ``in``, ``len`` and the listings).
+
+        A sick database raises :class:`StoreError`.  These calls are not on
+        a job's path, so they neither retry nor feed the breaker.
+        """
+        try:
+            with _transaction(self.path) as conn:
+                yield conn
+        except sqlite3.Error as error:
+            raise StoreError(
+                f"result store operation failed: {error}",
+                details={"path": str(self.path)},
+            ) from error
 
     def _query(self, sql: str, params: Tuple = (), point: str = "store.get"):
         """All rows of one statement under :meth:`_run_disk`.
@@ -623,7 +654,7 @@ class ResultStore:
             if self._memory.pop(fingerprint, None) is not None:
                 removed = True
         if self.path is not None:
-            with _transaction(self.path) as conn:
+            with self._admin() as conn:
                 cursor = conn.execute(
                     "DELETE FROM results WHERE fingerprint = ?", (fingerprint,)
                 )
@@ -758,12 +789,12 @@ class ResultStore:
 
     def _live_disk(self, table: _Table, columns: str, order: str = "") -> List[Tuple]:
         """*columns* of *table*'s non-expired disk rows (an administrative
-        read: it raises on a sick disk and bypasses the breaker)."""
+        read: a sick disk raises :class:`StoreError`)."""
         query, params = f"SELECT {columns} FROM {table.name}", ()
         cutoff = self._cutoff()
         if cutoff is not None:
             query, params = query + " WHERE created_at > ?", (cutoff,)
-        with _transaction(self.path) as conn:
+        with self._admin() as conn:
             return conn.execute(query + order, params).fetchall()
 
     def __contains__(self, fingerprint: str) -> bool:
@@ -774,7 +805,7 @@ class ResultStore:
         if self.path is None:
             return False
         query = "SELECT created_at FROM results WHERE fingerprint = ?"
-        with _transaction(self.path) as conn:
+        with self._admin() as conn:
             row = conn.execute(query, (fingerprint,)).fetchone()
         return row is not None and not self._expired(row[0])
 
@@ -856,7 +887,7 @@ class ResultStore:
                 stale[name] = len(keys)
         report["memory_dropped"] = stale[_RESULTS.name]
         if self.path is not None:
-            with _transaction(self.path) as conn:
+            with self._admin() as conn:
                 for table in _TABLES:
                     count, size = conn.execute(
                         "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
@@ -904,7 +935,7 @@ class ResultStore:
         """
         removed = 0
         if self.path is not None:
-            with _transaction(self.path) as conn:
+            with self._admin() as conn:
                 removed = conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
                 conn.execute("DELETE FROM results")
                 conn.execute("DELETE FROM artifacts")
@@ -926,7 +957,7 @@ class ResultStore:
             if self.path is not None:
                 stats["disk_entries"] = len(self)
             stats["artifact_rows"], stats["artifact_bytes"] = self.artifact_rows()
-        except sqlite3.Error:
+        except StoreError:
             # An unreadable database has no known sizes; ``disk_errors``
             # and ``degraded`` report the sickness itself.
             stats["disk_entries"] = stats["artifact_rows"] = None
@@ -1302,4 +1333,5 @@ __all__ = [
     "MAX_ARTIFACT_CLAUSES",
     "RESULTS_DB_NAME",
     "SQLITE_TIMEOUT_SECONDS",
+    "resolve_cache_dir",
 ]

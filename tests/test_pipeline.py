@@ -123,6 +123,43 @@ class TestCaches:
         second = shared_permutation_table(qx4.subgraph((0, 1, 2), name="b"))
         assert first is second
 
+    def test_racing_cold_misses_share_one_entry(self):
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.benchlib.paper_example import PAPER_EXAMPLE_CNOTS
+        from repro.exact import encoding
+
+        def race(build, workers=8):
+            barrier = threading.Barrier(workers)
+
+            def run(_):
+                barrier.wait()
+                return build()
+
+            with ThreadPoolExecutor(workers) as pool:
+                return list(pool.map(run, range(workers)))
+
+        clear_caches()
+        encoding.clear_skeleton_cache()
+        coupling = ibm_qx4()
+        tables = race(lambda: shared_permutation_table(coupling))
+        assert all(table is tables[0] for table in tables)
+        stats = cache_stats()
+        assert stats["permutation_tables_cached"] == 1
+        assert stats["permutation_table_hits"] + stats["permutation_table_misses"] == 8
+
+        gates = tuple(PAPER_EXAMPLE_CNOTS)
+        spots = tuple(range(len(gates)))
+        skeletons = race(lambda: encoding._shared_skeleton(
+            gates, 4, coupling.num_qubits, spots, tables[0]
+        ))
+        assert all(skeleton is skeletons[0] for skeleton in skeletons)
+        skeleton_stats = encoding.skeleton_cache_stats()
+        assert skeleton_stats["entries"] == 1
+        assert skeleton_stats["hits"] + skeleton_stats["misses"] == 8
+        encoding.clear_skeleton_cache()
+
 
 class TestMappingPipelineSingle:
     def test_plain_engine_delegation(self):

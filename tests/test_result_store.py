@@ -13,7 +13,7 @@ from repro.benchlib.generators import random_clifford_t_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.dp_mapper import DPMapper
 from repro.exact.result import RESULT_SCHEMA_VERSION, MappingResult
-from repro.service.errors import InvalidResultError
+from repro.service.errors import InvalidResultError, StoreError
 from repro.service.fingerprint import job_fingerprint
 from repro.service.store import ResultStore
 
@@ -428,6 +428,32 @@ class TestDeleteAndBoundLookup:
             ResultStore(tmp_path / "r.sqlite").best_added_cost(circuit_fp, arch_fp)
             == result.added_cost
         )
+
+    def test_admin_calls_raise_store_error_on_a_sick_database(self, tmp_path):
+        import sqlite3
+
+        store = ResultStore(tmp_path / "r.sqlite")
+        with sqlite3.connect(str(store.path)) as conn:
+            conn.execute("DROP TABLE results")
+            conn.execute("DROP TABLE artifacts")
+        admin_calls = {
+            "prune_report": lambda: store.prune_report(ttl_seconds=60),
+            "delete": lambda: store.delete("f" * 64),
+            "clear": store.clear,
+            "in": lambda: "f" * 64 in store,
+            "len": lambda: len(store),
+            "fingerprints": store.fingerprints,
+            "entries": store.entries,
+            "artifact_rows": store.artifact_rows,
+        }
+        for name, call in admin_calls.items():
+            with pytest.raises(StoreError, match="no such table"):
+                call()
+        # Administrative failures do not feed the job path's breaker.
+        stats = store.stats()
+        assert stats["disk_errors"] == 0
+        assert not stats["degraded"]
+        assert stats["disk_entries"] is None
 
     def test_memory_only_store_serves_bounds(self):
         from repro.service.fingerprint import coupling_fingerprint

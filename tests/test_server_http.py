@@ -241,6 +241,28 @@ class TestObservability:
 
         run(scenario())
 
+    def test_prune_on_a_sick_store_is_a_store_error(self, tmp_path):
+        import sqlite3
+
+        async def scenario():
+            store = ResultStore.at(str(tmp_path))
+            with sqlite3.connect(str(store.path)) as conn:
+                conn.execute("DROP TABLE results")
+            async with _server(store=store) as server:
+                body = json.dumps({
+                    "type": "prune-request", "version": 1,
+                    "payload": {"ttl_seconds": 60},
+                }).encode()
+                status, envelope = await _request(
+                    server.port, "POST", "/v1/cache/prune", body
+                )
+                assert status == 500
+                assert envelope["type"] == "error"
+                assert envelope["payload"]["error_code"] == "store-error"
+                assert not store.degraded
+
+        run(scenario())
+
 
 class TestErrorSurface:
     def test_error_responses(self):

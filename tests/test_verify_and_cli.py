@@ -228,17 +228,6 @@ class TestCLI:
 class TestCLIServiceSubcommands:
     """The cache admin and async serve front ends of the CLI."""
 
-    @pytest.fixture(autouse=True)
-    def _unconfigured_cache(self, monkeypatch):
-        from repro.arch.cache import clear_caches, reset_cache_dir
-
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        clear_caches()
-        reset_cache_dir()
-        yield
-        clear_caches()
-        reset_cache_dir()
-
     def _write_qasm(self, tmp_path, circuit, name="circuit.qasm"):
         from repro.circuit.qasm import to_qasm
 
@@ -246,7 +235,8 @@ class TestCLIServiceSubcommands:
         path.write_text(to_qasm(circuit))
         return str(path)
 
-    def test_cache_stats_without_directory(self, capsys):
+    def test_cache_stats_without_directory(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "in-process caches" in out
@@ -283,6 +273,7 @@ class TestCLIServiceSubcommands:
         out = capsys.readouterr().out
         assert "in-process caches cleared" in out
         assert "1 results" in out
+        assert "permutation tables" not in out
         # After clearing, the same mapping is a miss again.
         assert main([path, "--engine", "dp", "--cache-dir", cache_dir]) == 0
         assert "result cache      : miss" in capsys.readouterr().out
@@ -332,17 +323,6 @@ class TestCLIServiceSubcommands:
 
 class TestCLIBoundsAndPrune:
     """The bound-seeding flags and the cache prune subcommand."""
-
-    @pytest.fixture(autouse=True)
-    def _unconfigured_cache(self, monkeypatch):
-        from repro.arch.cache import clear_caches, reset_cache_dir
-
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        clear_caches()
-        reset_cache_dir()
-        yield
-        clear_caches()
-        reset_cache_dir()
 
     def _write_qasm(self, tmp_path, circuit, name="circuit.qasm"):
         from repro.circuit.qasm import to_qasm
@@ -421,23 +401,58 @@ class TestCLIBoundsAndPrune:
         with pytest.raises(SystemExit):
             main(["cache", "prune", "--ttl", "60"])
 
-    def test_cache_dir_applies_to_one_call(self, tmp_path, capsys):
-        from repro.arch.cache import get_cache_dir, set_cache_dir
-
+    def test_cache_dir_applies_to_one_call(self, tmp_path, capsys, monkeypatch):
         path = self._write_qasm(tmp_path, self._nontrivial_circuit())
         cache_dir = str(tmp_path / "cache")
-        assert get_cache_dir() is None
         assert main([path, "--engine", "dp", "--cache-dir", cache_dir]) == 0
-        assert get_cache_dir() is None
-        # An explicit setting survives a call that names another directory.
-        set_cache_dir(str(tmp_path / "own"))
         assert main([path, "--engine", "dp", "--cache-dir", cache_dir]) == 0
-        assert get_cache_dir() == str(tmp_path / "own")
-        # So the next call reads its own store, not the one that holds
-        # the result.
-        capsys.readouterr()
+        assert "result cache      : hit" in capsys.readouterr().out
+        # A later call without --cache-dir reads the environment's store,
+        # not the one that holds the result.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "own"))
         assert main([path, "--engine", "dp"]) == 0
         assert "result cache      : miss" in capsys.readouterr().out
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        assert main([path, "--engine", "dp"]) == 0
+        assert "result cache" not in capsys.readouterr().out
+        # The directory still holds the result, and nothing else.
+        assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
+        assert "1 results" in capsys.readouterr().out
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [
+            "results.sqlite"
+        ]
+
+    def test_map_and_serve_share_one_cache_key(self, tmp_path, capsys):
+        path = self._write_qasm(tmp_path, self._nontrivial_circuit())
+        cache_dir = str(tmp_path / "cache")
+        assert main([path, "--engine", "sat", "--cache-dir", cache_dir]) == 0
+        assert "result cache      : miss" in capsys.readouterr().out
+        assert main(["serve", path, "--engine", "sat",
+                     "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert " cache " in out
+        assert "1 cache hits" in out
+
+    def test_time_limit_is_not_part_of_the_cache_key(self, tmp_path, capsys):
+        path = self._write_qasm(tmp_path, self._nontrivial_circuit())
+        cache_dir = str(tmp_path / "cache")
+        assert main([path, "--engine", "sat", "--time-limit", "30",
+                     "--cache-dir", cache_dir]) == 0
+        assert "result cache      : miss" in capsys.readouterr().out
+        assert main([path, "--engine", "sat", "--cache-dir", cache_dir]) == 0
+        assert "result cache      : hit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("action", [
+        ["stats"], ["clear"], ["prune", "--ttl", "60"], ["artifacts"],
+    ])
+    def test_cache_commands_report_a_sick_store(self, tmp_path, capsys, action):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "results.sqlite").write_bytes(b"not a database " * 100)
+        assert main(["cache", *action, "--cache-dir", str(cache_dir)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
 
     @pytest.mark.parametrize("subcommand", [
         ["listen", "--port", "0", "--workers", "0"],
@@ -469,20 +484,6 @@ class TestCLIBoundsAndPrune:
 
 class TestCLIOptimizerFlags:
     """The optimizer-strategy layer's CLI surface."""
-
-    @pytest.fixture(autouse=True)
-    def _unconfigured_cache(self, monkeypatch):
-        # A --cache-dir stays active for the rest of the process; without
-        # this reset a later test would be answered from an earlier one's
-        # result store or warm-started from its artifacts.
-        from repro.arch.cache import clear_caches, reset_cache_dir
-
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        clear_caches()
-        reset_cache_dir()
-        yield
-        clear_caches()
-        reset_cache_dir()
 
     def _write_qasm(self, tmp_path, circuit):
         path = tmp_path / "circuit.qasm"
