@@ -57,66 +57,58 @@ class Memo:
 
     Args:
         capacity: Entries kept; the least recently used go first.
-        counters: Names of extra counters that builds bump with
-            :meth:`count`, reported beside ``hits`` and ``misses``.
     """
 
-    def __init__(self, capacity: int, counters: Tuple[str, ...] = ()):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self._names = ("hits", "misses") + counters
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._counts = dict.fromkeys(self._names, 0)
+        self._hits = 0
+        self._misses = 0
 
     def get(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """The value under *key*, built by ``build()`` on a miss."""
         with self._lock:
             if key in self._entries:
-                self._counts["hits"] += 1
+                self._hits += 1
                 self._entries.move_to_end(key)
                 return self._entries[key]  # type: ignore[return-value]
         value = build()
         with self._lock:
-            self._counts["misses"] += 1
+            self._misses += 1
             value = self._entries.setdefault(key, value)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
         return value
 
-    def count(self, name: str) -> None:
-        """Add one to the extra counter *name* (reported by :meth:`stats`)."""
-        with self._lock:
-            self._counts[name] += 1
-
     def stats(self) -> Dict[str, int]:
-        """``hits``, ``misses``, any extra counters and ``entries``."""
+        """``hits``, ``misses`` and ``entries``."""
         with self._lock:
-            return dict(self._counts, entries=len(self._entries))
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "entries": len(self._entries),
+            }
 
     def clear(self) -> None:
         """Drop every entry and zero the counters."""
         with self._lock:
             self._entries.clear()
-            self._counts = dict.fromkeys(self._names, 0)
+            self._hits = self._misses = 0
 
 
 _TABLES = Memo(MAX_ENTRIES)
 _TRANSITIONS = Memo(MAX_ENTRIES)
 _SUBSETS = Memo(MAX_ENTRIES)
 _DISTANCES = Memo(MAX_ENTRIES)
+_SYNTHESIZERS = Memo(MAX_ENTRIES)
+_MEMOS = (_TABLES, _TRANSITIONS, _SUBSETS, _DISTANCES, _SYNTHESIZERS)
+
 # Backend selections: the perf gate pins that small devices never take the
 # routed (upper-bound) path where the exact table is available.
-_SYNTHESIZERS = Memo(MAX_ENTRIES, counters=("table_selected", "routed_selected"))
-
-#: ``cache_stats`` names: counter prefix and size key of each cache.
-_REPORTED: Tuple[Tuple[str, str, Memo], ...] = (
-    ("permutation_table", "permutation_tables_cached", _TABLES),
-    ("transition_table", "transition_tables_cached", _TRANSITIONS),
-    ("connected_subsets", "connected_subset_lists_cached", _SUBSETS),
-    ("distance_matrix", "distance_matrices_cached", _DISTANCES),
-    ("synthesizer", "synthesizers_cached", _SYNTHESIZERS),
-)
+_SELECTED = {"table": 0, "routed": 0}
+_SELECTED_LOCK = threading.Lock()
 
 
 def shared_permutation_table(
@@ -185,14 +177,15 @@ def shared_synthesizer(coupling: CouplingMap, max_qubits_exhaustive: int = 8):
     from repro.arch import synthesis  # local import: synthesis imports this module
 
     def build():
-        if coupling.num_qubits <= max_qubits_exhaustive:
+        use_table = coupling.num_qubits <= max_qubits_exhaustive
+        with _SELECTED_LOCK:
+            _SELECTED["table" if use_table else "routed"] += 1
+        if use_table:
             table = shared_permutation_table(
                 coupling, max_qubits_exhaustive=max_qubits_exhaustive
             )
-            _SYNTHESIZERS.count("table_selected")
             return synthesis.TableSynthesizer(coupling, table=table)
         distances = shared_distance_matrix(coupling)
-        _SYNTHESIZERS.count("routed_selected")
         return synthesis.RoutedSynthesizer(coupling, distances=distances)
 
     return _SYNTHESIZERS.get((coupling.canonical_key(), max_qubits_exhaustive), build)
@@ -212,21 +205,38 @@ def shared_connected_subsets(coupling: CouplingMap, size: int) -> List[Tuple[int
 
 def cache_stats() -> Dict[str, int]:
     """Hit/miss counters plus current cache sizes (a snapshot copy)."""
-    stats: Dict[str, int] = {}
-    sizes: Dict[str, int] = {}
-    for prefix, size_key, memo in _REPORTED:
-        counts = memo.stats()
-        sizes[size_key] = counts.pop("entries")
-        stats[f"{prefix}_hits"] = counts.pop("hits")
-        stats[f"{prefix}_misses"] = counts.pop("misses")
-        stats.update((f"{prefix}_{name}", value) for name, value in counts.items())
-    return dict(stats, **sizes)
+    tables, transitions, subsets, distances, synthesizers = (
+        memo.stats() for memo in _MEMOS
+    )
+    with _SELECTED_LOCK:
+        selected = dict(_SELECTED)
+    return {
+        "permutation_table_hits": tables["hits"],
+        "permutation_table_misses": tables["misses"],
+        "transition_table_hits": transitions["hits"],
+        "transition_table_misses": transitions["misses"],
+        "connected_subsets_hits": subsets["hits"],
+        "connected_subsets_misses": subsets["misses"],
+        "distance_matrix_hits": distances["hits"],
+        "distance_matrix_misses": distances["misses"],
+        "synthesizer_hits": synthesizers["hits"],
+        "synthesizer_misses": synthesizers["misses"],
+        "synthesizer_table_selected": selected["table"],
+        "synthesizer_routed_selected": selected["routed"],
+        "permutation_tables_cached": tables["entries"],
+        "transition_tables_cached": transitions["entries"],
+        "connected_subset_lists_cached": subsets["entries"],
+        "distance_matrices_cached": distances["entries"],
+        "synthesizers_cached": synthesizers["entries"],
+    }
 
 
 def clear_caches() -> None:
     """Drop all cached artefacts and reset the counters (mainly for tests)."""
-    for _, _, memo in _REPORTED:
+    for memo in _MEMOS:
         memo.clear()
+    with _SELECTED_LOCK:
+        _SELECTED.update(table=0, routed=0)
 
 
 __all__ = [

@@ -414,7 +414,10 @@ def _run_map(argv: Sequence[str]) -> int:
             )
             print(f"error: {error}{hint}", file=sys.stderr)
             return 1
-        if store is not None:
+        # A run cut short by --time-limit may return a schedule that is not
+        # minimal; the key leaves the limit out, so such a result must not
+        # answer a later run that has no limit.
+        if store is not None and (args.time_limit is None or result.optimal):
             from repro.service.errors import ServiceError
             from repro.service.fingerprint import coupling_fingerprint
 

@@ -12,6 +12,13 @@ from repro.exact.dp_mapper import DPMapper
 from repro.verify import check_coupling_compliance, count_added_operations, verify_result
 
 
+@pytest.fixture(autouse=True)
+def _no_cache_dir_from_environment(monkeypatch):
+    # Without --cache-dir the CLI reads $REPRO_CACHE_DIR; no test here may
+    # read or write the store of the environment it runs in.
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+
 class TestCompliance:
     def test_compliant_circuit(self):
         circuit = QuantumCircuit(5)
@@ -235,8 +242,7 @@ class TestCLIServiceSubcommands:
         path.write_text(to_qasm(circuit))
         return str(path)
 
-    def test_cache_stats_without_directory(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    def test_cache_stats_without_directory(self, capsys):
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "in-process caches" in out
@@ -440,6 +446,33 @@ class TestCLIBoundsAndPrune:
                      "--cache-dir", cache_dir]) == 0
         assert "result cache      : miss" in capsys.readouterr().out
         assert main([path, "--engine", "sat", "--cache-dir", cache_dir]) == 0
+        assert "result cache      : hit" in capsys.readouterr().out
+
+    def test_result_cut_short_by_the_time_limit_is_not_cached(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The budget runs out after the first family, so the sweep returns
+        # its best schedule so far without proving it minimal.
+        calls = []
+
+        def remaining(self, start):
+            calls.append(start)
+            return 30.0 if len(calls) == 1 else 0.0
+
+        path = self._write_qasm(tmp_path, self._nontrivial_circuit())
+        cache_dir = str(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(sat_mapper.SATMapper, "_remaining_time", remaining)
+            assert main([path, "--engine", "sat", "--subsets",
+                         "--time-limit", "30", "--cache-dir", cache_dir]) == 0
+        assert "proven minimal    : False" in capsys.readouterr().out
+        assert len(calls) > 1
+        assert main([path, "--engine", "sat", "--subsets",
+                     "--cache-dir", cache_dir]) == 0
+        assert "result cache      : miss" in capsys.readouterr().out
+        # A run without a limit is stored, proven minimal or not.
+        assert main([path, "--engine", "sat", "--subsets",
+                     "--cache-dir", cache_dir]) == 0
         assert "result cache      : hit" in capsys.readouterr().out
 
     @pytest.mark.parametrize("action", [
