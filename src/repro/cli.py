@@ -36,7 +36,8 @@ Every command that takes ``--cache-dir`` falls back to the
 ``REPRO_CACHE_DIR`` environment variable for one call; the directory holds
 only ``results.sqlite``.  On the mapping and ``serve`` paths, results are
 served from that fingerprint-keyed store instead of being re-solved, and
-stored results and solve artifacts seed later solves.
+stored solve artifacts seed later solves.  A store that cannot be opened
+is skipped with one warning.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-map",
         description="Map an OpenQASM 2.0 circuit to an IBM QX architecture "
         "with a minimal (or close-to-minimal) number of SWAP and H operations. "
-        "Subcommands: 'serve' (async batch service), 'cache' (cache admin).",
+        "Subcommands: 'serve' (async batch service), 'listen' (HTTP "
+        "serving layer), 'cancel' (cancel a job on a running server), "
+        "'cache' (cache admin).",
     )
     parser.add_argument(
         "qasm", nargs="?", default=None, help="input OpenQASM 2.0 file"
@@ -133,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir", default=None,
         help="directory of the persistent result store (DIR/results.sqlite): "
-        "results are served from the fingerprint-keyed store and seed later "
-        "solves (defaults to $REPRO_CACHE_DIR when set; omit both for no "
-        "persistence)",
+        "results are served from the fingerprint-keyed store and its solve "
+        "artifacts warm-start later solves (defaults to $REPRO_CACHE_DIR "
+        "when set; omit both for no persistence)",
     )
     parser.add_argument(
         "--result-ttl", type=_positive_seconds, default=None,
@@ -146,24 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--upper-bound", type=int, default=None,
         help="known valid upper bound on the added cost, asserted before the "
         "exact search starts (engines with restricted search spaces ignore it)",
-    )
-    parser.add_argument(
-        "--no-bound-seeding", action="store_true",
-        help="do not warm-start the exact search from cached results of the "
-        "same circuit (bound seeding is on whenever --cache-dir is active)",
-    )
-    parser.add_argument(
-        "--no-model-seeding", action="store_true",
-        help="seed only the objective bound from cached results, never the "
-        "cached schedule as an incumbent model (model seeding is on "
-        "whenever bound seeding is)",
-    )
-    parser.add_argument(
-        "--no-artifact-seeding", action="store_true",
-        help="do not warm-start the SAT engine from stored solve artifacts "
-        "(learned clauses, per-family lower bounds, phase/model snapshots) "
-        "of structurally identical past jobs (artifact seeding is on "
-        "whenever --cache-dir is active)",
     )
     parser.add_argument(
         "--output", default=None, help="write the mapped circuit to this QASM file"
@@ -196,6 +181,17 @@ def _positive_seconds(text: str) -> float:
     if not seconds > 0:
         raise argparse.ArgumentTypeError("must be positive")
     return seconds
+
+
+def _open_store(cache_dir: str, ttl_seconds: Optional[float],
+                fallback: str) -> Optional[ResultStore]:
+    """The result store in *cache_dir*, or ``None`` after one warning that
+    ends with *fallback* when the database cannot be opened."""
+    try:
+        return ResultStore.at(cache_dir, ttl_seconds=ttl_seconds)
+    except StoreError as error:
+        print(f"warning: {error}; {fallback}", file=sys.stderr)
+        return None
 
 
 def _engine_options(engine: str, args: argparse.Namespace) -> Dict[str, Any]:
@@ -373,12 +369,15 @@ def _run_map(argv: Sequence[str]) -> int:
         parser.error("--result-ttl requires --cache-dir (or REPRO_CACHE_DIR)")
 
     store = None
+    if cache_dir is not None:
+        store = _open_store(
+            cache_dir, args.result_ttl, "mapping without the result store"
+        )
     fingerprint = None
     cache_hit = False
-    if cache_dir is not None:
+    if store is not None:
         from repro.service.fingerprint import job_fingerprint
 
-        store = ResultStore.at(cache_dir, ttl_seconds=args.result_ttl)
         # The time limit bounds the solve, not the answer; the service
         # keys jobs without it too.
         fingerprint = job_fingerprint(circuit, coupling, engine, {
@@ -389,14 +388,7 @@ def _run_map(argv: Sequence[str]) -> int:
     if not cache_hit:
         from repro.pipeline.bounds import BoundProviderChain
 
-        seeds = BoundProviderChain(
-            store,
-            couplings=[coupling],
-            upper_bound=args.upper_bound,
-            seed_bounds=not args.no_bound_seeding,
-            seed_models=not args.no_model_seeding,
-            seed_artifacts=not args.no_artifact_seeding,
-        )
+        seeds = BoundProviderChain(store, upper_bound=args.upper_bound)
         pipeline = MappingPipeline(
             coupling, engine=engine, engine_options=options, seeds=seeds,
         )
@@ -449,13 +441,7 @@ def _run_map(argv: Sequence[str]) -> int:
     # the run that actually solved (a cache hit seeds nothing).
     seeded_bound = result.statistics.get("external_bound")
     if seeded_bound is not None and not cache_hit:
-        provider = result.statistics.get("bound_provider", "unknown")
-        print(f"bound seeded      : {seeded_bound} (provider: {provider})")
-    seeded_model = result.statistics.get("seeded_model_objective")
-    if seeded_model is not None and not cache_hit:
-        source = result.statistics.get("seeded_model_source", "same")
-        print(f"model seeded      : cost {seeded_model} ({source} hit, "
-              "replayed as incumbent)")
+        print(f"bound seeded      : {seeded_bound} (--upper-bound)")
     if result.statistics.get("artifact_seeding") and not cache_hit:
         hits = result.statistics.get("artifact_hits", 0)
         print(
@@ -465,8 +451,6 @@ def _run_map(argv: Sequence[str]) -> int:
             f"{result.statistics.get('artifact_bounds_used', 0)} bound(s), "
             f"{result.statistics.get('artifact_models_used', 0)} model(s) used"
         )
-    for note in result.statistics.get("seed_notes", []) if not cache_hit else []:
-        print(f"seed note         : {note}")
     if args.explain:
         _print_explanation(result)
     if args.verify:
@@ -697,22 +681,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         help="treat cached results older than this many seconds as misses "
         "(expired rows are purged lazily)",
     )
-    parser.add_argument(
-        "--no-bound-seeding", action="store_true",
-        help="do not warm-start exact solves from cached results of the same "
-        "circuit on the same or a sub-architecture",
-    )
-    parser.add_argument(
-        "--no-model-seeding", action="store_true",
-        help="seed only objective bounds from cached results, never cached "
-        "schedules as incumbent models",
-    )
-    parser.add_argument(
-        "--no-artifact-seeding", action="store_true",
-        help="do not warm-start exact solves from stored solve artifacts "
-        "(learned clauses, per-family lower bounds, phase/model snapshots) "
-        "of structurally identical past jobs",
-    )
     return parser
 
 
@@ -727,11 +695,14 @@ async def _serve_batch(args: argparse.Namespace) -> int:
     engine = resolve_mapper_name(args.engine)
     options = _engine_options(engine, args)
     cache_dir = resolve_cache_dir(args.cache_dir)
-    store = (
-        ResultStore.at(cache_dir, ttl_seconds=args.result_ttl)
-        if cache_dir is not None
-        else ResultStore(ttl_seconds=args.result_ttl)
-    )
+    store = None
+    if cache_dir is not None:
+        store = _open_store(
+            cache_dir, args.result_ttl, "serving over a memory-only store"
+        )
+    if store is None:
+        cache_dir = None
+        store = ResultStore(ttl_seconds=args.result_ttl)
 
     circuits = [parse_qasm_file(path) for path in args.qasm]
     failures = 0
@@ -742,9 +713,6 @@ async def _serve_batch(args: argparse.Namespace) -> int:
         store=store,
         workers=args.workers,
         executor=args.executor,
-        seed_bounds=not args.no_bound_seeding,
-        seed_models=not args.no_model_seeding,
-        seed_artifacts=not args.no_artifact_seeding,
     ) as service:
         job_ids = await service.submit_many(circuits)
         for job_id in job_ids:

@@ -25,11 +25,10 @@ def schedule_is_valid(circuit, mappings, coupling) -> bool:
 
     Checks shape (one mapping per CNOT, covering every logical qubit),
     injectivity and range, and that every CNOT lands on a coupled pair in
-    either orientation.  Shared by the model-seeding layers
-    (:meth:`repro.pipeline.bounds.BoundProviderChain.resolve_seed`,
-    :meth:`repro.exact.sat_mapper.SATMapper.validate_schedule`): a cached
-    schedule from the result store may stem from a different
-    (sub-)architecture and must not be trusted blindly.
+    either orientation.  Used by
+    :meth:`repro.exact.sat_mapper.SATMapper.validate_schedule`: a caller's
+    schedule may stem from another architecture and must not be trusted
+    blindly.
 
     Args:
         circuit: The circuit the schedule claims to map.

@@ -762,30 +762,17 @@ class SATMapper:
         """Whether an externally derived upper bound is safe to assert for
         every circuit.
 
-        A bound taken from *any* valid mapping (a heuristic, a cached result
-        on the same or a sub-architecture) is an upper bound on the **true**
-        minimum.  Asserting it is only safe when this mapper's search space
-        contains the true minimum — i.e. the unrestricted formulation over
-        all physical qubits.  Restricted strategies and the subset sweep may
-        have a higher restricted minimum, where an external bound could turn
-        a solvable instance unsatisfiable.  A sweep still accepts the bound
-        for a circuit that uses every physical qubit; see
+        A bound taken from *any* valid mapping (a heuristic, an earlier
+        result) is an upper bound on the **true** minimum.  Asserting it is
+        only safe when this mapper's search space contains the true minimum
+        — i.e. the unrestricted formulation over all physical qubits.
+        Restricted strategies and the subset sweep may have a higher
+        restricted minimum, where an external bound could turn a solvable
+        instance unsatisfiable.  A sweep still accepts the bound for a
+        circuit that uses every physical qubit; see
         :meth:`accepts_seeds_for`.
         """
         return self.strategy.guarantees_minimality and not self.use_subsets
-
-    @property
-    def accepts_initial_model(self) -> bool:
-        """Whether a cached schedule may seed the search as an incumbent model
-        for every circuit.
-
-        Same condition as :attr:`accepts_external_bound` — the schedule's
-        cost is asserted as an upper bound alongside the model, so both
-        gates share one safety argument — plus the schedule must survive
-        validation against this mapper's coupling map and permutation spots
-        (see :meth:`map`).
-        """
-        return self.accepts_external_bound
 
     def accepts_seeds_for(self, num_logical: int) -> bool:
         """Whether an external bound and an incumbent schedule are safe for a
@@ -795,8 +782,7 @@ class SATMapper:
         guarantees minimality and the sweep is a single family, the whole
         device — without subsets, or with subsets when the circuit uses
         every physical qubit (``n == m``).  The pipeline asks this per
-        circuit, after :attr:`accepts_external_bound` and
-        :attr:`accepts_initial_model`.
+        circuit, after :attr:`accepts_external_bound`.
         """
         return self.strategy.guarantees_minimality and (
             not self.use_subsets or num_logical >= self.coupling.num_qubits
@@ -821,8 +807,7 @@ class SATMapper:
     ) -> bool:
         """Whether *mappings* is a valid schedule for *circuit* on this device.
 
-        See :func:`repro.exact.result.schedule_is_valid` (shared with the
-        model-seeding bound providers).
+        See :func:`repro.exact.result.schedule_is_valid`.
         """
         return schedule_is_valid(circuit, mappings, self.coupling)
 
@@ -1360,7 +1345,7 @@ class SATMapper:
                 exists, :class:`SATMapperError` is raised even though the
                 unbounded problem may be satisfiable.
             initial_model: Optional known-valid schedule (one device-indexed
-                mapping per CNOT, e.g. from a cached
+                mapping per CNOT, e.g. from an earlier
                 :class:`~repro.exact.result.MappingResult`), used as the
                 first incumbent: the solver's phases are seeded with it and
                 the descent starts directly below *initial_objective* — a

@@ -111,8 +111,6 @@ class SplitSATMapper:
     """
 
     name = "sat_split"
-    accepts_external_bound = False
-    accepts_initial_model = False
 
     def __init__(
         self,

@@ -37,7 +37,6 @@ _EXPORTS = {
     "BatchItem": "repro.pipeline.pipeline",
     "PortfolioMapper": "repro.pipeline.portfolio",
     "BoundProviderChain": "repro.pipeline.bounds",
-    "ModelSeed": "repro.pipeline.bounds",
     "SeedResolution": "repro.pipeline.bounds",
     "shared_permutation_table": "repro.arch.cache",
     "shared_connected_subsets": "repro.arch.cache",
@@ -54,11 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         shared_connected_subsets,
         shared_permutation_table,
     )
-    from repro.pipeline.bounds import (
-        BoundProviderChain,
-        ModelSeed,
-        SeedResolution,
-    )
+    from repro.pipeline.bounds import BoundProviderChain, SeedResolution
     from repro.pipeline.pipeline import BatchItem, MappingPipeline
     from repro.pipeline.portfolio import PortfolioMapper
     from repro.pipeline.registry import (

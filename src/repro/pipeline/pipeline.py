@@ -14,12 +14,11 @@ in plan order.
 
 Mapping engines that can exploit an externally known objective bound
 (``mapper.accepts_external_bound``) are seeded through an optional
-:class:`~repro.pipeline.bounds.BoundProviderChain` — the seed resolver:
-cached incumbents and schedules from a result store, or a caller-supplied
-bound — before any solver starts.  Engines that consume **solve
-artifacts** (``mapper.accepts_artifacts``) additionally receive the
-resolver's picklable skeleton-keyed cache handle, so sweeps warm-start from
-structurally identical past jobs.
+:class:`~repro.pipeline.bounds.BoundProviderChain` — the seed resolver —
+with a caller-supplied bound before any solver starts.  Engines that
+consume **solve artifacts** (``mapper.accepts_artifacts``) additionally
+receive the resolver's picklable skeleton-keyed cache handle, so sweeps
+warm-start from structurally identical past jobs.
 
 The pure-Python SAT solver holds the GIL, so ``executor="process"`` is the
 choice for real speed-ups; ``executor="thread"`` (the default) still
@@ -40,35 +39,31 @@ from repro.pipeline.bounds import BoundProviderChain, SeedResolution
 from repro.pipeline.registry import get_mapper, resolve_mapper_name
 
 
-def _accepts(mapper, flag: str, circuit: QuantumCircuit) -> bool:
-    """Whether *mapper* takes the seed that *flag* names for *circuit*.
+def _accepts(mapper, circuit: QuantumCircuit) -> bool:
+    """Whether *mapper* may take an external bound for *circuit*.
 
-    The flag answers for every circuit.  A mapper whose answer also
-    depends on the circuit (the subset sweep, which is the unrestricted
-    problem when the circuit uses every physical qubit) adds
+    ``accepts_external_bound`` answers for every circuit.  A mapper whose
+    answer also depends on the circuit (the subset sweep, which is the
+    unrestricted problem when the circuit uses every physical qubit) adds
     ``accepts_seeds_for(num_logical)``.
     """
-    if getattr(mapper, flag, False):
+    if getattr(mapper, "accepts_external_bound", False):
         return True
     per_circuit = getattr(mapper, "accepts_seeds_for", None)
     return per_circuit is not None and per_circuit(circuit.num_qubits)
 
 
 def _map_with_bound(mapper, circuit: QuantumCircuit, seed: SeedResolution):
-    """Map through *mapper*, seeding bound, model and artifacts only where safe.
+    """Map through *mapper*, seeding bound and artifacts only where safe.
 
-    Engines opt in via ``accepts_external_bound`` (objective bound),
-    ``accepts_initial_model`` (incumbent schedule), both per circuit through
-    ``accepts_seeds_for``, and ``accepts_artifacts`` (skeleton-keyed
-    solve-artifact cache); everything else is mapped unseeded, so
-    heuristics and restricted exact searches are unaffected.
+    Engines opt in via ``accepts_external_bound`` (objective bound, per
+    circuit through ``accepts_seeds_for``) and ``accepts_artifacts``
+    (skeleton-keyed solve-artifact cache); everything else is mapped
+    unseeded, so heuristics and restricted exact searches are unaffected.
     """
     kwargs = {}
-    if seed.bound is not None and _accepts(mapper, "accepts_external_bound", circuit):
+    if seed.bound is not None and _accepts(mapper, circuit):
         kwargs["upper_bound"] = seed.bound
-    if seed.model is not None and _accepts(mapper, "accepts_initial_model", circuit):
-        kwargs["initial_model"] = seed.model.mappings
-        kwargs["initial_objective"] = seed.model.objective
     if seed.artifacts is not None and getattr(mapper, "accepts_artifacts", False):
         kwargs["artifacts"] = seed.artifacts
     return mapper.map(circuit, **kwargs)
@@ -198,44 +193,30 @@ class MappingPipeline:
     ) -> SeedResolution:
         """Resolve what *mapper* can be warm-started with for *circuit*.
 
-        The resolver runs in the calling thread (it reads the result
+        The resolver runs in the calling thread (it holds the result
         store); the resolved plain values are what travel into worker
-        tasks.  The bound and model seed are only resolved for mappers that
-        accept them, and the solve-artifact cache handle only for mappers
-        that consume one — notably the subset sweep, which rejects global
-        bounds unless the circuit uses every physical qubit
-        (``accepts_seeds_for``) but always accepts artifacts, because
-        artifact material is applied per family key.
+        tasks.  The bound is only resolved for mappers that accept it, and
+        the solve-artifact cache handle only for mappers that consume one
+        — notably the subset sweep, which rejects global bounds unless the
+        circuit uses every physical qubit (``accepts_seeds_for``) but
+        always accepts artifacts, because artifact material is applied per
+        family key.
         """
         resolution = SeedResolution()
         if self.seeds is None:
             return resolution
-        if _accepts(mapper, "accepts_external_bound", circuit):
-            resolution = self.seeds.resolve_seed(
-                circuit, self.coupling,
-                _accepts(mapper, "accepts_initial_model", circuit),
-            )
+        if _accepts(mapper, circuit):
+            resolution = self.seeds.resolve_seed()
         if getattr(mapper, "accepts_artifacts", False):
             resolution.artifacts = self.seeds.resolve_artifacts()
         return resolution
 
     @staticmethod
     def _annotate_seed(result: MappingResult, seed: SeedResolution) -> None:
-        if seed.bound is not None and seed.provider is not None:
-            result.statistics.setdefault("bound_provider", seed.provider)
+        if seed.bound is not None:
             result.statistics.setdefault("external_bound", seed.bound)
         if seed.artifacts is not None:
             result.statistics.setdefault("artifact_provider", "artifact")
-        if seed.model is not None:
-            result.statistics.setdefault("model_provider", "model")
-            result.statistics.setdefault(
-                "seeded_model_objective", seed.model.objective
-            )
-            result.statistics.setdefault(
-                "seeded_model_source", seed.model.source_arch
-            )
-        if seed.notes:
-            result.statistics.setdefault("seed_notes", list(seed.notes))
 
     # ------------------------------------------------------------------
     def _make_executor(self, workers: int) -> Executor:

@@ -19,22 +19,15 @@ Four layers keep repeated work off the solvers:
    groups jobs by (architecture, engine, options) and maps each group as one
    ``map_many`` batch, so per-architecture artefacts are built once per
    group rather than once per job.
-4. **Bound and model seeding** — jobs that do have to solve are warm-started
-   through the seed resolver
-   (:class:`~repro.pipeline.bounds.BoundProviderChain`): the cheapest
-   stored result for the same circuit on the same (or a registered
-   sub-) architecture — solved by *any* engine — is asserted as the exact
-   engine's initial upper bound, and (when its schedule validates against
-   the target coupling map) replayed as the solver's initial incumbent
-   *model*, so a resubmitted circuit needs only the final optimality probe
-   instead of a full descent.  Schedules that do not transfer degrade to
-   bound-only seeding with a provenance note.  Exact subset sweeps are
-   additionally handed the resolver's **solve-artifact cache** handle
-   (over the store's skeleton-keyed artifact table), so even a circuit the
-   fleet has never seen warm-starts from the learned clauses, proven family
-   bounds and best schedules of structurally identical past jobs; per-job
-   hit rates land in provenance and aggregate in
-   :meth:`MappingService.stats`.
+4. **Artifact seeding** — exact solves that do have to run are handed the
+   seed resolver's (:class:`~repro.pipeline.bounds.BoundProviderChain`)
+   **solve-artifact cache** handle over the store's skeleton-keyed
+   artifact table, so even a circuit the fleet has never seen warm-starts
+   from the learned clauses, proven family bounds and best schedules of
+   structurally identical past jobs; per-job hit rates land in provenance
+   and aggregate in :meth:`MappingService.stats`.  (Within DP's state
+   limit the SAT engine starts every family at DP's schedule itself, so a
+   stored result of the same circuit would add nothing.)
 
 The service can front **multiple coupling maps** (the first step toward
 device sharding): register several devices and each submission is routed to
@@ -159,18 +152,6 @@ class MappingService:
         store: Result store; a memory-only :class:`ResultStore` when omitted.
         workers: Worker count handed to ``map_many`` for each drained batch.
         executor: ``"thread"`` or ``"process"`` (see :class:`MappingPipeline`).
-        seed_bounds: Whether exact solves are seeded with the cheapest
-            stored result of the same circuit on the target or a registered
-            sub-architecture (see :mod:`repro.pipeline.bounds`).
-        seed_models: Whether that stored result may also replay its
-            *schedule* as the solver's initial incumbent model (validated
-            against the target coupling map first; sub-architecture hits
-            that do not transfer degrade to bound-only seeding).
-        seed_artifacts: Whether exact sweeps warm-start from the store's
-            **solve-artifact table** (learned clauses, proven family lower
-            bounds and best schedules, keyed by encoding skeleton — so even
-            never-seen circuits benefit from structurally identical past
-            jobs).  Independent of *seed_bounds*.
 
     Example:
         >>> async with MappingService(ibm_qx4(), engine="dp") as service:
@@ -186,9 +167,6 @@ class MappingService:
         store: Optional[ResultStore] = None,
         workers: int = 2,
         executor: str = "thread",
-        seed_bounds: bool = True,
-        seed_models: bool = True,
-        seed_artifacts: bool = True,
     ):
         self.couplings = self._normalise_couplings(couplings)
         self.engine = resolve_mapper_name(engine)
@@ -198,16 +176,7 @@ class MappingService:
         if executor not in ("thread", "process"):
             raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
         self.executor = executor
-        self.seeds = (
-            BoundProviderChain(
-                self.store,
-                couplings=self.couplings.values(),
-                seed_bounds=seed_bounds,
-                seed_models=seed_models,
-                seed_artifacts=seed_artifacts,
-            )
-            if seed_bounds or seed_artifacts else None
-        )
+        self.seeds = BoundProviderChain(self.store)
         self._jobs: Dict[str, Job] = {}
         self._primary_by_fp: Dict[str, Job] = {}
         self._queue: Optional["asyncio.Queue[Job]"] = None
@@ -789,23 +758,6 @@ class MappingService:
                     job.provenance["store_degraded"] = True
                 self._counters["solved"] += 1
                 statistics = item.result.statistics
-                if "external_bound" in statistics:
-                    job.provenance["seeded_bound"] = statistics["external_bound"]
-                    job.provenance["bound_provider"] = statistics.get(
-                        "bound_provider"
-                    )
-                if "seeded_model_objective" in statistics:
-                    job.provenance["seeded_model"] = statistics[
-                        "seeded_model_objective"
-                    ]
-                    job.provenance["model_provider"] = statistics.get(
-                        "model_provider"
-                    )
-                    job.provenance["seeded_model_source"] = statistics.get(
-                        "seeded_model_source"
-                    )
-                if "seed_notes" in statistics:
-                    job.provenance["seed_notes"] = statistics["seed_notes"]
                 if statistics.get("artifact_seeding"):
                     job.provenance["artifact_provider"] = statistics.get(
                         "artifact_provider"

@@ -7,10 +7,7 @@ restarts in a SQLite file, with a small in-memory LRU in front so hot keys
 never touch the disk.
 
 Rows additionally carry the *circuit* and *architecture* fingerprints of
-their job, which makes the store queryable as a bound oracle: the cheapest
-known result for a circuit on an architecture — solved by any engine with
-any options — is a valid upper bound for a new exact solve of the same
-circuit (see :class:`repro.pipeline.bounds.BoundProviderChain`).
+their job, which :meth:`ResultStore.entries` reports.
 
 Expiry
 ------
@@ -26,14 +23,13 @@ pointing at the same file coordinate through SQLite's file locking (writers
 retry for up to :data:`SQLITE_TIMEOUT_SECONDS` before giving up).  The
 in-memory LRU is guarded by a plain lock.
 
-Every disk access on a job's path — ``get``, ``put``, ``get_artifact``,
-``put_artifact``, ``best_added_cost`` and ``best_result`` — runs through
-one policy: it fires the ``store.get`` or ``store.put`` fault point, retries
-busy/locked contention, and counts toward one circuit breaker shared by
-both tables.  While the breaker is open (:attr:`ResultStore.degraded`) the
-disk is skipped and both tables serve and accept rows memory-only.  A
-failed read is a miss (a bound lookup answers from memory alone); a failed
-write keeps the row in memory and raises
+Every disk access on a job's path — ``get``, ``put``, ``get_artifact``
+and ``put_artifact`` — runs through one policy: it fires the
+``store.get`` or ``store.put`` fault point, retries busy/locked
+contention, and counts toward one circuit breaker shared by both tables.
+While the breaker is open (:attr:`ResultStore.degraded`) the disk is
+skipped and both tables serve and accept rows memory-only.  A failed read
+is a miss; a failed write keeps the row in memory and raises
 :class:`~repro.service.errors.StoreError`.
 
 Validation
@@ -133,8 +129,8 @@ CREATE TABLE IF NOT EXISTS artifacts (
 """
 
 #: Columns added after the first release; legacy database files are
-#: migrated in place on open (rows keep NULLs — they still serve exact
-#: fingerprint hits, just not bound lookups).
+#: migrated in place on open (rows keep NULLs and still serve exact
+#: fingerprint hits).
 _MIGRATED_COLUMNS = ("circuit_fp", "arch_fp")
 
 #: Payload schema version of artifact rows; rows with another version are
@@ -437,10 +433,10 @@ class ResultStore:
         with self._lock:
             self._stats[counter] += 1
 
-    def _expired(self, created_at: float, now: Optional[float] = None) -> bool:
+    def _expired(self, created_at: float) -> bool:
         if self.ttl_seconds is None:
             return False
-        return (now if now is not None else time.time()) - created_at > self.ttl_seconds
+        return time.time() - created_at > self.ttl_seconds
 
     def _cutoff(self, ttl_seconds: Optional[float] = None) -> Optional[float]:
         """The oldest non-expired creation time, or ``None`` without a TTL."""
@@ -606,8 +602,8 @@ class ResultStore:
         Args:
             fingerprint: The job fingerprint (exact-lookup key).
             result: The mapping result to cache.
-            circuit_fp: Circuit fingerprint of the job; enables
-                :meth:`best_added_cost` bound lookups for this row.
+            circuit_fp: Circuit fingerprint of the job (reported by
+                :meth:`entries`).
             arch_fp: Architecture fingerprint of the job (see *circuit_fp*).
 
         Raises:
@@ -660,78 +656,6 @@ class ResultStore:
                 )
                 removed = removed or cursor.rowcount > 0
         return removed
-
-    # ------------------------------------------------------------------
-    # Bound oracle
-    # ------------------------------------------------------------------
-    def _cheapest(
-        self, circuit_fp: str, arch_fp: str, columns: str
-    ) -> Tuple[Optional[MappingResult], List[Tuple]]:
-        """The cheapest matching memory-tier result, and the matching
-        non-expired disk rows (*columns*) cheapest first — none on a
-        sick or degraded disk."""
-        best: Optional[MappingResult] = None
-        now = time.time()
-        with self._lock:
-            for entry in self._memory.values():
-                if (
-                    entry.circuit_fp == circuit_fp
-                    and entry.arch_fp == arch_fp
-                    and not self._expired(entry.created_at, now)
-                    and (best is None or entry.value.added_cost < best.added_cost)
-                ):
-                    best = entry.value
-        query = f"SELECT {columns} FROM results WHERE circuit_fp = ? AND arch_fp = ?"
-        params: Tuple[Any, ...] = (circuit_fp, arch_fp)
-        cutoff = self._cutoff()
-        if cutoff is not None:
-            query += " AND created_at > ?"
-            params += (cutoff,)
-        return best, self._query(query + " ORDER BY added_cost", params) or []
-
-    def best_added_cost(
-        self, circuit_fp: str, arch_fp: str
-    ) -> Optional[int]:
-        """Cheapest known added cost for a circuit on an architecture.
-
-        Considers every non-expired row whose circuit and architecture
-        fingerprints match, regardless of engine and options — any such
-        result is a valid mapping, so its cost is a valid upper bound for a
-        new exact solve.  Returns ``None`` when nothing is known (including
-        legacy rows written before fingerprint columns existed).  On a sick
-        or degraded disk the answer comes from the memory tier alone.
-        """
-        best, rows = self._cheapest(circuit_fp, arch_fp, "added_cost")
-        costs = [int(row[0]) for row in rows[:1]]
-        if best is not None:
-            costs.append(best.added_cost)
-        return min(costs, default=None)
-
-    def best_result(
-        self, circuit_fp: str, arch_fp: str
-    ) -> Optional[MappingResult]:
-        """The cheapest stored *result* for a circuit on an architecture.
-
-        The full-payload companion of :meth:`best_added_cost`: besides its
-        cost, the returned result carries the mapping *schedule*, which the
-        seed resolver (:class:`~repro.pipeline.bounds.BoundProviderChain`)
-        replays as an initial incumbent model (not just as a bound).  Ties
-        are broken towards the memory tier (no deserialisation); corrupt
-        disk rows are dropped and skipped like in :meth:`get`.  Returns
-        ``None`` when nothing (non-expired) matches.
-        """
-        best, rows = self._cheapest(
-            circuit_fp, arch_fp, "fingerprint, payload, added_cost, created_at"
-        )
-        for fingerprint, payload, added_cost, created_at in rows:
-            if best is not None and best.added_cost <= added_cost:
-                break
-            result = _RESULTS.decode(payload)
-            if result is not None:
-                return result
-            self._purge(_RESULTS, fingerprint, created_at)
-            self._count("corrupt_dropped")
-        return best
 
     # ------------------------------------------------------------------
     # Solve artifacts (cross-job warm starts)

@@ -602,9 +602,7 @@ class TestProvidersAndService:
         cache = BoundProviderChain(store).resolve_artifacts()
         assert isinstance(cache, ArtifactCache)
         assert pickle.loads(pickle.dumps(cache)).path == cache.path
-        assert BoundProviderChain(
-            store, seed_artifacts=False
-        ).resolve_artifacts() is None
+        assert BoundProviderChain().resolve_artifacts() is None
 
     def test_pipeline_second_run_is_warm(self, tmp_path):
         circuit = paper_example_cnot_skeleton()
@@ -615,7 +613,7 @@ class TestProvidersAndService:
             clear_skeleton_cache()
             runs.append(MappingPipeline(
                 ibm_qx4(), engine="sat", engine_options=options, workers=4,
-                seeds=BoundProviderChain(store, seed_bounds=False),
+                seeds=BoundProviderChain(store),
             ).map(circuit))
         cold, warm = runs
         assert cold.added_cost == warm.added_cost
@@ -665,19 +663,3 @@ class TestProvidersAndService:
         assert totals["artifact_hits"] >= 1
         assert totals["artifact_misses"] >= 1
         assert stats["store"]["artifact_rows"] >= 1
-
-    def test_service_artifact_seeding_can_be_disabled(self):
-        async def scenario():
-            circuit = paper_example_cnot_skeleton()
-            async with MappingService(
-                ibm_qx4(), engine="sat",
-                engine_options={"use_subsets": True},
-                store=ResultStore(), seed_artifacts=False,
-            ) as service:
-                job = await service.submit(circuit)
-                await service.result(job, timeout=120)
-                return service.status(job)["provenance"]
-
-        provenance = asyncio.run(scenario())
-        assert "artifact_provider" not in provenance
-        assert "artifact_hits" not in provenance

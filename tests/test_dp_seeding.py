@@ -22,8 +22,6 @@ from repro.exact.encoding import clear_skeleton_cache
 from repro.exact.sat_mapper import SATMapper
 from repro.pipeline.bounds import BoundProviderChain
 from repro.pipeline.pipeline import MappingPipeline
-from repro.service.fingerprint import coupling_fingerprint, job_fingerprint
-from repro.service.store import ResultStore
 from repro.verify import verify_result
 
 #: The Table-1 stand-ins whose sweeps on QX4 finish in tier-1 time.
@@ -156,7 +154,6 @@ class TestWholeDeviceSweep:
     def test_seed_flags_hold_for_n_equal_m(self):
         sweep = SATMapper(ibm_qx4(), use_subsets=True)
         assert not sweep.accepts_external_bound
-        assert not sweep.accepts_initial_model
         assert sweep.accepts_seeds_for(5)
         assert not sweep.accepts_seeds_for(4)
         assert SATMapper(ibm_qx4()).accepts_seeds_for(4)
@@ -181,17 +178,11 @@ class TestWholeDeviceSweep:
     def test_pipeline_seeds_the_whole_device_sweep(self):
         circuit = _five_qubit_circuit()
         coupling = ibm_qx4()
-        store = ResultStore()
         dp = DPMapper(coupling).map(circuit)
-        store.put(
-            job_fingerprint(circuit, coupling, "dp", {}), dp,
-            circuit_fp=circuit.fingerprint(),
-            arch_fp=coupling_fingerprint(coupling),
-        )
         result = MappingPipeline(
             coupling, engine="sat", engine_options={"use_subsets": True},
-            seeds=BoundProviderChain(store),
+            seeds=BoundProviderChain(upper_bound=dp.added_cost),
         ).map(circuit)
         assert result.statistics["external_bound"] == dp.added_cost
-        assert result.statistics["model_seeded"] == 1
+        assert result.statistics["families_dp_seeded"] == 1
         assert result.added_cost == dp.added_cost

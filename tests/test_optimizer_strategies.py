@@ -341,7 +341,7 @@ class TestSATMapperStrategies:
     def test_subset_mapper_ignores_initial_model(self):
         circuit = paper_example_cnot_skeleton()
         mapper = SATMapper(ibm_qx4(), use_subsets=True)
-        assert not mapper.accepts_initial_model
+        assert not mapper.accepts_seeds_for(circuit.num_qubits)
         first = SATMapper(ibm_qx4()).map(circuit)
         result = mapper.map(
             circuit,

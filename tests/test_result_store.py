@@ -404,31 +404,6 @@ class TestDeleteAndBoundLookup:
         assert store.get(fingerprint) is None
         assert not store.delete(fingerprint)
 
-    def test_best_added_cost_across_engines(self, tmp_path):
-        from repro.service.fingerprint import coupling_fingerprint
-
-        store = ResultStore(tmp_path / "r.sqlite")
-        result = _result()
-        circuit = result.original_circuit
-        circuit_fp = circuit.fingerprint()
-        arch_fp = coupling_fingerprint(ibm_qx4())
-        assert store.best_added_cost(circuit_fp, arch_fp) is None
-        store.put(
-            job_fingerprint(circuit, ibm_qx4(), "dp", {}), result,
-            circuit_fp=circuit_fp, arch_fp=arch_fp,
-        )
-        store.put(
-            job_fingerprint(circuit, ibm_qx4(), "sat", {}), result,
-            circuit_fp=circuit_fp, arch_fp=arch_fp,
-        )
-        assert store.best_added_cost(circuit_fp, arch_fp) == result.added_cost
-        assert store.best_added_cost("nope", arch_fp) is None
-        # A fresh process sees the same bound (it lives in the columns).
-        assert (
-            ResultStore(tmp_path / "r.sqlite").best_added_cost(circuit_fp, arch_fp)
-            == result.added_cost
-        )
-
     def test_admin_calls_raise_store_error_on_a_sick_database(self, tmp_path):
         import sqlite3
 
@@ -455,7 +430,7 @@ class TestDeleteAndBoundLookup:
         assert not stats["degraded"]
         assert stats["disk_entries"] is None
 
-    def test_memory_only_store_serves_bounds(self):
+    def test_memory_only_entries_report_job_fingerprints(self):
         from repro.service.fingerprint import coupling_fingerprint
 
         store = ResultStore()
@@ -464,7 +439,8 @@ class TestDeleteAndBoundLookup:
         arch_fp = coupling_fingerprint(ibm_qx4())
         store.put(_fingerprint(result), result,
                   circuit_fp=circuit_fp, arch_fp=arch_fp)
-        assert store.best_added_cost(circuit_fp, arch_fp) == result.added_cost
+        (entry,) = store.entries()
+        assert (entry["circuit_fp"], entry["arch_fp"]) == (circuit_fp, arch_fp)
 
 
 class TestSchemaMigration:
@@ -497,22 +473,21 @@ class TestSchemaMigration:
         assert served is not None
         assert served.added_cost == result.added_cost
 
-    def test_legacy_rows_do_not_serve_bound_lookups(self, tmp_path):
+    def test_migrated_file_records_job_fingerprints(self, tmp_path):
         from repro.service.fingerprint import coupling_fingerprint
 
         result = _result()
         path = tmp_path / "legacy.sqlite"
         self._legacy_db(path, result, _fingerprint(result))
         store = ResultStore(path)
-        assert store.best_added_cost(
-            result.original_circuit.fingerprint(),
-            coupling_fingerprint(ibm_qx4()),
-        ) is None
-        # New writes on the migrated file do serve bounds.
+        # Legacy rows keep NULL fingerprint columns; new writes on the
+        # migrated file fill them, also for a fresh store instance.
         circuit_fp = result.original_circuit.fingerprint()
         arch_fp = coupling_fingerprint(ibm_qx4())
         store.put(
             job_fingerprint(result.original_circuit, ibm_qx4(), "sat", {}),
             result, circuit_fp=circuit_fp, arch_fp=arch_fp,
         )
-        assert store.best_added_cost(circuit_fp, arch_fp) == result.added_cost
+        legacy, fresh = ResultStore(path).entries()
+        assert (legacy["circuit_fp"], legacy["arch_fp"]) == (None, None)
+        assert (fresh["circuit_fp"], fresh["arch_fp"]) == (circuit_fp, arch_fp)

@@ -308,12 +308,12 @@ class TestBatchAndRouting:
 
 class TestSeedingAcrossExecutors:
     def test_sat_resubmission_is_model_seeded(self):
-        """A stored DP result seeds the SAT job under either executor.
+        """A SAT job after a DP job of the same circuit, under either executor.
 
-        The two SAT jobs are submitted together so they usually drain as
-        one batch, which the process executor maps in its worker pool: the
-        seed resolution (bound, schedule, artifact handle) is pickled into
-        the workers.
+        The SAT engine seeds its family with DP's schedule itself.  The two
+        SAT jobs are submitted together so they usually drain as one batch,
+        which the process executor maps in its worker pool: the seed
+        resolution (the artifact handle) is pickled into the workers.
         """
 
         async def scenario():
@@ -344,8 +344,6 @@ class TestSeedingAcrossExecutors:
         ):
             assert provenance["cache_hit"] is False
             assert provenance["executor"] == EXECUTOR
-            assert provenance["seeded_model"] == dp.added_cost
-            assert provenance["model_provider"] == "model"
             assert provenance["artifact_provider"] == "artifact"
             assert sat.added_cost == dp.added_cost
             assert sat.optimal
@@ -356,27 +354,18 @@ class TestSeedingAcrossExecutors:
         """A two-circuit batch always goes through the worker pool."""
         from repro.pipeline.bounds import BoundProviderChain
         from repro.pipeline.pipeline import MappingPipeline
-        from repro.service.fingerprint import coupling_fingerprint
 
         qx4 = ibm_qx4()
-        store = ResultStore()
         circuits = [paper_example_cnot_skeleton(), _circuit()]
-        dp_results = []
-        for circuit in circuits:
-            dp_results.append(DPMapper(qx4).map(circuit))
-            store.put(
-                job_fingerprint(circuit, qx4, "dp", {}), dp_results[-1],
-                circuit_fp=circuit.fingerprint(),
-                arch_fp=coupling_fingerprint(qx4),
-            )
+        dp_results = [DPMapper(qx4).map(circuit) for circuit in circuits]
         items = MappingPipeline(
             qx4, engine="sat", workers=2, executor=EXECUTOR,
-            seeds=BoundProviderChain(store, couplings=[qx4]),
+            seeds=BoundProviderChain(ResultStore()),
         ).map_many(circuits)
         # As above: the paper example closes, the other runs one probe.
         for dp, item, iterations in zip(dp_results, items, (0, 1)):
             assert item.ok, item.error
             assert item.result.added_cost == dp.added_cost
-            assert item.result.statistics["model_seeded"] == 1
+            assert item.result.statistics["families_dp_seeded"] == 1
             assert item.result.statistics["solver_iterations"] == iterations
             assert item.result.statistics["artifact_provider"] == "artifact"

@@ -328,7 +328,7 @@ class TestCLIServiceSubcommands:
 
 
 class TestCLIBoundsAndPrune:
-    """The bound-seeding flags and the cache prune subcommand."""
+    """The upper-bound flag, the result store and the cache prune subcommand."""
 
     def _write_qasm(self, tmp_path, circuit, name="circuit.qasm"):
         from repro.circuit.qasm import to_qasm
@@ -345,40 +345,50 @@ class TestCLIBoundsAndPrune:
         circuit.cx(3, 0)
         return circuit
 
-    def test_sat_run_is_seeded_from_cached_dp_result(self, tmp_path, capsys):
-        path = self._write_qasm(tmp_path, self._nontrivial_circuit())
-        cache_dir = str(tmp_path / "cache")
-        assert main([path, "--engine", "dp", "--cache-dir", cache_dir]) == 0
-        capsys.readouterr()
-        assert main([path, "--engine", "sat", "--cache-dir", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "bound seeded" in out
-        # The cached path replays stored schedules by default, which names
-        # the bound's provider "model".
-        assert "provider: model" in out
-        assert "model seeded" in out
-
-    def test_no_bound_seeding_flag(self, tmp_path, capsys):
-        path = self._write_qasm(tmp_path, self._nontrivial_circuit())
-        cache_dir = str(tmp_path / "cache")
-        assert main([path, "--engine", "dp", "--cache-dir", cache_dir]) == 0
-        capsys.readouterr()
-        assert main([path, "--engine", "sat", "--cache-dir", cache_dir,
-                     "--no-bound-seeding"]) == 0
-        out = capsys.readouterr().out
-        assert "bound seeded" not in out
-
     def test_static_upper_bound_flag(self, tmp_path, capsys):
         path = self._write_qasm(tmp_path, self._nontrivial_circuit())
         assert main([path, "--engine", "sat", "--upper-bound", "11"]) == 0
         out = capsys.readouterr().out
-        assert "bound seeded      : 11 (provider: static)" in out
+        assert "bound seeded      : 11 (--upper-bound)" in out
 
     def test_unachievable_upper_bound_fails_cleanly(self, tmp_path, capsys):
         path = self._write_qasm(tmp_path, self._nontrivial_circuit())
         assert main([path, "--engine", "sat", "--upper-bound", "1"]) == 1
         err = capsys.readouterr().err
         assert "upper-bound" in err
+
+    def _unreadable_store(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "results.sqlite").write_bytes(bytes(range(256)) * 16)
+        return str(cache_dir)
+
+    def test_map_warns_and_maps_without_an_unreadable_store(
+        self, tmp_path, capsys
+    ):
+        path = self._write_qasm(tmp_path, self._nontrivial_circuit())
+        cache_dir = self._unreadable_store(tmp_path)
+        assert main([path, "--engine", "dp", "--cache-dir", cache_dir]) == 0
+        captured = capsys.readouterr()
+        assert "added operations" in captured.out
+        assert "result cache" not in captured.out
+        (warning,) = captured.err.splitlines()
+        assert warning.startswith("warning: ")
+        assert "without the result store" in warning
+
+    def test_serve_warns_and_serves_from_memory_without_an_unreadable_store(
+        self, tmp_path, capsys
+    ):
+        path = self._write_qasm(tmp_path, self._nontrivial_circuit())
+        cache_dir = self._unreadable_store(tmp_path)
+        assert main(["serve", path, path, "--engine", "dp",
+                     "--cache-dir", cache_dir]) == 0
+        captured = capsys.readouterr()
+        assert "1 solved" in captured.out
+        assert "persistent store" not in captured.out
+        (warning,) = captured.err.splitlines()
+        assert warning.startswith("warning: ")
+        assert "memory-only store" in warning
 
     def test_cache_prune_drops_old_results(self, tmp_path, capsys):
         import sqlite3
