@@ -57,7 +57,6 @@ from repro.pipeline import (
     get_mapper,
     register_mapper,
 )
-from repro.sim import StatevectorSimulator, mapped_circuit_equivalent
 from repro.verify import check_coupling_compliance, verify_result
 from repro.benchlib import benchmark_circuit, benchmark_names, get_record
 from repro.service import (
@@ -68,6 +67,18 @@ from repro.service import (
 )
 
 __version__ = "1.0.0"
+
+#: Served on first access so that mapping alone never imports numpy.
+_SIMULATION_EXPORTS = ("StatevectorSimulator", "mapped_circuit_equivalent")
+
+
+def __getattr__(name):
+    if name in _SIMULATION_EXPORTS:
+        import repro.sim
+
+        return getattr(repro.sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "QuantumCircuit",

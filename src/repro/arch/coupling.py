@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 
 class CouplingError(ValueError):
     """Raised on invalid coupling-map construction or queries."""
@@ -43,6 +41,9 @@ class CouplingMap:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._edges: Set[Tuple[int, int]] = set()
+        self._adjacency: Dict[int, Set[int]] = {
+            qubit: set() for qubit in range(self.num_qubits)
+        }
         for control, target in edges:
             self.add_edge(control, target)
 
@@ -53,12 +54,17 @@ class CouplingMap:
         """Add the directed pair ``(control, target)`` to the map."""
         if control == target:
             raise CouplingError("a qubit cannot be coupled to itself")
-        for qubit in (control, target):
-            if not 0 <= qubit < self.num_qubits:
-                raise CouplingError(
-                    f"qubit {qubit} out of range for {self.num_qubits}-qubit device"
-                )
+        self._check_qubit(control)
+        self._check_qubit(target)
         self._edges.add((control, target))
+        self._adjacency[control].add(target)
+        self._adjacency[target].add(control)
+
+    def _check_qubit(self, qubit: int) -> None:
+        if not 0 <= qubit < self.num_qubits:
+            raise CouplingError(
+                f"qubit {qubit} out of range for {self.num_qubits}-qubit device"
+            )
 
     # ------------------------------------------------------------------
     # Queries
@@ -83,75 +89,103 @@ class CouplingMap:
 
     def neighbours(self, qubit: int) -> List[int]:
         """All qubits coupled to *qubit* (in either direction), sorted."""
-        result = set()
-        for control, target in self._edges:
-            if control == qubit:
-                result.add(target)
-            elif target == qubit:
-                result.add(control)
-        return sorted(result)
+        return sorted(self._adjacency.get(qubit, ()))
 
     def degree(self, qubit: int) -> int:
         """Number of distinct neighbours of *qubit*."""
-        return len(self.neighbours(qubit))
+        return len(self._adjacency.get(qubit, ()))
 
     # ------------------------------------------------------------------
-    # Graph views
+    # Graph queries (undirected connectivity, plain BFS)
     # ------------------------------------------------------------------
-    def to_directed_graph(self) -> nx.DiGraph:
-        """Return the coupling map as a directed networkx graph."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(self.num_qubits))
-        graph.add_edges_from(self._edges)
-        return graph
+    def _bfs_distances(self, source: int,
+                       members: Optional[Set[int]] = None) -> Dict[int, int]:
+        """Hop counts from *source* to every qubit it reaches (within *members*)."""
+        distances = {source: 0}
+        frontier = [source]
+        adjacency = self._adjacency
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                hops = distances[node] + 1
+                for neighbour in adjacency[node]:
+                    if neighbour not in distances and (
+                        members is None or neighbour in members
+                    ):
+                        distances[neighbour] = hops
+                        next_frontier.append(neighbour)
+            frontier = next_frontier
+        return distances
 
-    def to_undirected_graph(self) -> nx.Graph:
-        """Return the connectivity graph ignoring edge directions."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_qubits))
-        graph.add_edges_from(self.undirected_edges)
-        return graph
+    def components(self, qubits: Optional[Iterable[int]] = None) -> List[Set[int]]:
+        """Connected components of the subgraph induced by *qubits*.
+
+        Args:
+            qubits: Physical qubits to restrict to; all qubits when omitted.
+                Entries outside the device are ignored.
+
+        Returns:
+            One set of qubits per component, ordered by smallest member.
+        """
+        if qubits is None:
+            members = set(self._adjacency)
+        else:
+            members = {q for q in qubits if q in self._adjacency}
+        found = []
+        while members:
+            component = set(self._bfs_distances(min(members), members))
+            members -= component
+            found.append(component)
+        return found
 
     def is_connected(self, qubits: Optional[Sequence[int]] = None) -> bool:
         """True when the (sub)graph induced by *qubits* is connected.
 
         Args:
             qubits: Physical qubits to restrict to; all qubits when omitted.
+                Entries outside the device are ignored; an empty selection
+                is not connected.
         """
-        graph = self.to_undirected_graph()
-        if qubits is not None:
-            graph = graph.subgraph(qubits).copy()
-        if graph.number_of_nodes() == 0:
-            return False
-        return nx.is_connected(graph)
+        return len(self.components(qubits)) == 1
 
     def distance_matrix(self) -> Dict[int, Dict[int, int]]:
-        """All-pairs shortest-path distances on the undirected connectivity graph."""
-        graph = self.to_undirected_graph()
-        return {
-            source: dict(lengths)
-            for source, lengths in nx.all_pairs_shortest_path_length(graph)
-        }
+        """All-pairs shortest-path distances on the undirected connectivity graph.
+
+        ``matrix[a][b]`` is the hop count from *a* to *b*; unreachable pairs
+        are absent.  Both levels are keyed in ascending qubit order.
+        """
+        matrix = {}
+        for source in range(self.num_qubits):
+            distances = self._bfs_distances(source)
+            matrix[source] = {qubit: distances[qubit] for qubit in sorted(distances)}
+        return matrix
 
     def distance(self, qubit_a: int, qubit_b: int) -> int:
         """Shortest undirected path length between two physical qubits."""
-        graph = self.to_undirected_graph()
-        try:
-            return nx.shortest_path_length(graph, qubit_a, qubit_b)
-        except nx.NetworkXNoPath as exc:
-            raise CouplingError(
-                f"qubits {qubit_a} and {qubit_b} are not connected"
-            ) from exc
+        return self._distances_to(qubit_a, qubit_b)[qubit_a]
 
     def shortest_path(self, qubit_a: int, qubit_b: int) -> List[int]:
-        """A shortest undirected path between two physical qubits."""
-        graph = self.to_undirected_graph()
-        try:
-            return nx.shortest_path(graph, qubit_a, qubit_b)
-        except nx.NetworkXNoPath as exc:
-            raise CouplingError(
-                f"qubits {qubit_a} and {qubit_b} are not connected"
-            ) from exc
+        """A shortest undirected path between two physical qubits.
+
+        Each step moves to the smallest neighbour one hop closer to *qubit_b*.
+        """
+        to_goal = self._distances_to(qubit_a, qubit_b)
+        path = [qubit_a]
+        while path[-1] != qubit_b:
+            remaining = to_goal[path[-1]] - 1
+            path.append(min(
+                q for q in self._adjacency[path[-1]] if to_goal.get(q) == remaining
+            ))
+        return path
+
+    def _distances_to(self, qubit_a: int, qubit_b: int) -> Dict[int, int]:
+        """Hop counts to *qubit_b*, checked to reach *qubit_a*."""
+        self._check_qubit(qubit_a)
+        self._check_qubit(qubit_b)
+        distances = self._bfs_distances(qubit_b)
+        if qubit_a not in distances:
+            raise CouplingError(f"qubits {qubit_a} and {qubit_b} are not connected")
+        return distances
 
     def subgraph(self, qubits: Sequence[int], name: Optional[str] = None) -> "CouplingMap":
         """Return a coupling map restricted to *qubits*, re-indexed from zero.
@@ -169,18 +203,19 @@ class CouplingMap:
         )
 
     def triangles(self) -> List[Tuple[int, int, int]]:
-        """All triangles (3-cliques) of the undirected connectivity graph.
+        """All triangles (3-cliques) of the undirected connectivity graph, sorted.
 
         The *qubit triangle* strategy (Section 4.2) exploits the fact that a
         block of gates acting on at most three qubits can be mapped to such a
         triangle without further permutations.
         """
-        graph = self.to_undirected_graph()
-        found = set()
-        for a, b in graph.edges:
-            for c in sorted(set(graph[a]) & set(graph[b])):
-                found.add(tuple(sorted((a, b, c))))
-        return sorted(found)
+        adjacency = self._adjacency
+        found = []
+        for a in range(self.num_qubits):
+            for b in sorted(q for q in adjacency[a] if q > a):
+                for c in sorted(q for q in adjacency[a] & adjacency[b] if q > b):
+                    found.append((a, b, c))
+        return found
 
     def canonical_key(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
         """Hashable key identifying the map by qubit count and edge set.

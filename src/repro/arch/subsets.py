@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from typing import List, Set, Tuple
 
-import networkx as nx
-
 from repro.arch.coupling import CouplingMap
 
 
@@ -40,9 +38,8 @@ def connected_subsets(coupling: CouplingMap, size: int) -> List[Tuple[int, ...]]
     by connectivity of the induced undirected subgraph.  For the devices this
     library targets (tens of qubits, subsets of at most a handful of qubits)
     this exhaustive filter is more than fast enough and obviously correct.
-    Connectivity is checked with a plain set-based traversal instead of
-    building a networkx subgraph per combination; repeated enumerations for
-    the same architecture are additionally memoised by
+    Connectivity is checked with a plain set-based traversal; repeated
+    enumerations for the same architecture are additionally memoised by
     :func:`repro.arch.cache.shared_connected_subsets`.
 
     Args:
@@ -82,13 +79,13 @@ def subsets_containing_cut_vertices(coupling: CouplingMap, size: int) -> List[Tu
     testable: every returned subset contains all articulation points whose
     removal would split the device into components smaller than *size*.
     """
-    graph = coupling.to_undirected_graph()
+    qubits = range(coupling.num_qubits)
+    baseline = len(coupling.components())
     required: Set[int] = set()
-    for vertex in nx.articulation_points(graph):
-        pruned = graph.copy()
-        pruned.remove_node(vertex)
-        largest = max((len(c) for c in nx.connected_components(pruned)), default=0)
-        if largest < size:
+    for vertex in qubits:
+        # A cut vertex is one whose removal leaves more components.
+        rest = coupling.components([q for q in qubits if q != vertex])
+        if len(rest) > baseline and max(map(len, rest)) < size:
             required.add(vertex)
     subsets = connected_subsets(coupling, size)
     return [subset for subset in subsets if required <= set(subset)]

@@ -9,17 +9,18 @@ structural views of the CNOT skeleton of a circuit:
   qubit support stays within a bounded number of qubits (used by the
   "qubit triangle" strategy with bound 3),
 * the *interaction graph* of logical qubits (who ever shares a CNOT with
-  whom), used by initial-layout heuristics.
+  whom), used by initial-layout heuristics as plain counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def disjoint_qubit_layers(gates: Sequence[Gate]) -> List[List[int]]:
@@ -109,22 +110,38 @@ def two_qubit_blocks(gates: Sequence[Gate], max_qubits: int = 3) -> List[List[in
     return blocks
 
 
-def interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
-    """Build the weighted logical-qubit interaction graph of *circuit*.
+def interaction_counts(circuit: QuantumCircuit) -> Dict[int, Dict[int, int]]:
+    """Two-qubit gate counts per logical-qubit pair, as nested plain dicts.
 
-    Nodes are logical qubit indices; an edge ``(a, b)`` carries a ``weight``
-    equal to the number of two-qubit gates acting on the pair.
+    ``counts[a][b]`` (and ``counts[b][a]``) is the number of two-qubit gates
+    acting on ``a`` and ``b``; every logical qubit has an entry, and each
+    qubit's partners appear in the order of their first interaction.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(circuit.num_qubits))
+    counts: Dict[int, Dict[int, int]] = {q: {} for q in range(circuit.num_qubits)}
     for gate in circuit.gates:
         if gate.num_qubits != 2 or gate.is_directive:
             continue
         a, b = gate.qubits
-        if graph.has_edge(a, b):
-            graph[a][b]["weight"] += 1
-        else:
-            graph.add_edge(a, b, weight=1)
+        counts[a][b] = counts[a].get(b, 0) + 1
+        counts[b][a] = counts[b].get(a, 0) + 1
+    return counts
+
+
+def interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
+    """Build the weighted logical-qubit interaction graph of *circuit*.
+
+    Nodes are logical qubit indices; an edge ``(a, b)`` carries a ``weight``
+    equal to the number of two-qubit gates acting on the pair.  This is the
+    one helper that needs networkx (imported here, on first call); mapping
+    code uses :func:`interaction_counts`.
+    """
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(circuit.num_qubits))
+    for a, partners in interaction_counts(circuit).items():
+        for b, weight in partners.items():
+            graph.add_edge(a, b, weight=weight)
     return graph
 
 
@@ -137,6 +154,7 @@ __all__ = [
     "disjoint_qubit_layers",
     "front_layers",
     "two_qubit_blocks",
+    "interaction_counts",
     "interaction_graph",
     "gate_qubit_supports",
 ]

@@ -55,7 +55,6 @@ from repro.pipeline.pipeline import MappingPipeline
 from repro.pipeline.registry import available_mappers, resolve_mapper_name
 from repro.service.errors import StoreError
 from repro.service.store import ResultStore, resolve_cache_dir
-from repro.sim.equivalence import result_is_equivalent
 from repro.verify import verify_result
 
 #: Subcommand names dispatched away from the classic mapping invocation.
@@ -454,6 +453,9 @@ def _run_map(argv: Sequence[str]) -> int:
     if args.explain:
         _print_explanation(result)
     if args.verify:
+        # Simulation needs numpy; only a --verify run loads it.
+        from repro.sim.equivalence import result_is_equivalent
+
         equivalent = result_is_equivalent(result)
         print(f"equivalence check : {'passed' if equivalent else 'FAILED'}")
         if not equivalent:

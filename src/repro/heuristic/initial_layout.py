@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.layers import interaction_graph
+from repro.circuit.layers import interaction_counts
 
 
 def trivial_layout(circuit: QuantumCircuit, coupling: CouplingMap) -> Tuple[int, ...]:
@@ -51,12 +51,10 @@ def greedy_interaction_layout(
     """
     if circuit.num_qubits > coupling.num_qubits:
         raise ValueError("circuit does not fit on the device")
-    interactions = interaction_graph(circuit)
+    interactions = interaction_counts(circuit)
     logical_order: List[int] = sorted(
         range(circuit.num_qubits),
-        key=lambda q: -sum(
-            data["weight"] for _, _, data in interactions.edges(q, data=True)
-        ),
+        key=lambda q: -sum(interactions[q].values()),
     )
     physical_by_degree = sorted(
         range(coupling.num_qubits), key=lambda p: -coupling.degree(p)

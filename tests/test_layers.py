@@ -4,6 +4,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.layers import (
     disjoint_qubit_layers,
     front_layers,
+    interaction_counts,
     interaction_graph,
     two_qubit_blocks,
 )
@@ -105,6 +106,16 @@ class TestInteractionGraph:
         assert graph[0][1]["weight"] == 2
         assert graph[1][2]["weight"] == 1
         assert not graph.has_edge(0, 2)
+
+    def test_counts_list_partners_in_first_interaction_order(self):
+        circuit = QuantumCircuit(4)
+        circuit.cx(1, 2)
+        circuit.cx(0, 1)
+        circuit.cx(2, 1)
+        circuit.barrier(0, 1, 2)
+        counts = interaction_counts(circuit)
+        assert counts == {0: {1: 1}, 1: {2: 2, 0: 1}, 2: {1: 2}, 3: {}}
+        assert list(counts[1]) == [2, 0]
 
     def test_nodes_cover_all_qubits(self):
         circuit = QuantumCircuit(4)
