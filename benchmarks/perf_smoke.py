@@ -45,11 +45,11 @@ ride along in the recorded history.
 **Artifact configs** — the warm-start round trip of the solve-artifact
 store: the ``3_17_13`` sweep on ``sweep_grid8`` runs twice against one
 shared (temporary) :class:`~repro.service.store.ResultStore`.  The cold run
-populates the artifact table (learned clauses, per-family lower bounds,
-best schedules keyed by encoding skeleton); the warm run must hit at least
-one artifact row, close at least one family whose stored bound meets its
-stored schedule, and finish with *strictly fewer* sweep conflicts than the
-cold run — the guard that keeps the service's learning loop bought.
+populates the artifact table (learned clauses and per-family lower bounds
+keyed by encoding skeleton); the warm run must hit at least one artifact
+row, close at least one family whose stored bound meets DP's schedule, and
+finish with *strictly fewer* sweep conflicts than the cold run — the guard
+that keeps the service's learning loop bought.
 Without ``REPRO_CHECK_IMPORTS`` (which re-proves every closure with a
 solver probe) the warm run must spend no solver conflicts at all.
 ``--warm-start-only`` runs just this section (the CI ``warm-start`` job).
@@ -419,7 +419,6 @@ def measure_artifacts(circuit_name: str = "3_17_13"):
                     "artifact_clauses_imported", 0
                 ),
                 "artifact_bounds_used": stats.get("artifact_bounds_used", 0),
-                "artifact_models_used": stats.get("artifact_models_used", 0),
                 "wall_seconds": round(elapsed, 4),
             }
     return measurements
@@ -451,7 +450,7 @@ def check_artifacts(measurements):
     if not os.environ.get("REPRO_CHECK_IMPORTS") and warm["solver_conflicts"]:
         failures.append(
             "artifacts: warm run spent solver conflicts although its "
-            f"stored bounds meet its stored schedules "
+            f"stored bounds meet DP's schedules "
             f"({warm['solver_conflicts']} > 0)"
         )
     if warm["artifact_hits"] < 1:
@@ -666,7 +665,6 @@ def main(argv=None) -> int:
                 f"hits={metrics['artifact_hits']} "
                 f"clauses={metrics['artifact_clauses_imported']:3d} "
                 f"bounds={metrics['artifact_bounds_used']} "
-                f"models={metrics['artifact_models_used']} "
                 f"closed={metrics['families_closed']} "
                 f"wall={metrics['wall_seconds']:.3f}s"
             )
@@ -747,7 +745,6 @@ def main(argv=None) -> int:
             f"hits={metrics['artifact_hits']} "
             f"clauses={metrics['artifact_clauses_imported']:3d} "
             f"bounds={metrics['artifact_bounds_used']} "
-            f"models={metrics['artifact_models_used']} "
             f"closed={metrics['families_closed']} "
             f"wall={metrics['wall_seconds']:.3f}s"
         )

@@ -23,7 +23,7 @@ from repro.arch.permutations import (
     invert_permutation,
     minimal_swap_sequences,
 )
-from repro.arch.subsets import connected_subsets, subsets_containing_cut_vertices
+from repro.arch.subsets import connected_subsets
 
 __all__ = [
     "CouplingMap",
@@ -46,5 +46,4 @@ __all__ = [
     "invert_permutation",
     "minimal_swap_sequences",
     "connected_subsets",
-    "subsets_containing_cut_vertices",
 ]

@@ -10,7 +10,7 @@ prunes such subsets in O(n) time).
 from __future__ import annotations
 
 import itertools
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 from repro.arch.coupling import CouplingMap
 
@@ -69,26 +69,4 @@ def connected_subsets(coupling: CouplingMap, size: int) -> List[Tuple[int, ...]]
     return result
 
 
-def subsets_containing_cut_vertices(coupling: CouplingMap, size: int) -> List[Tuple[int, ...]]:
-    """Connected subsets filtered by the paper's cut-vertex observation.
-
-    Example 9 of the paper observes that on QX4 every connected 4-qubit
-    subset must contain ``p3`` (the articulation point).  This helper returns
-    the connected subsets of *size* qubits; it is equivalent to
-    :func:`connected_subsets` but makes the pruning argument explicit and
-    testable: every returned subset contains all articulation points whose
-    removal would split the device into components smaller than *size*.
-    """
-    qubits = range(coupling.num_qubits)
-    baseline = len(coupling.components())
-    required: Set[int] = set()
-    for vertex in qubits:
-        # A cut vertex is one whose removal leaves more components.
-        rest = coupling.components([q for q in qubits if q != vertex])
-        if len(rest) > baseline and max(map(len, rest)) < size:
-            required.add(vertex)
-    subsets = connected_subsets(coupling, size)
-    return [subset for subset in subsets if required <= set(subset)]
-
-
-__all__ = ["connected_subsets", "all_subsets", "subsets_containing_cut_vertices"]
+__all__ = ["connected_subsets", "all_subsets"]

@@ -447,8 +447,7 @@ def _run_map(argv: Sequence[str]) -> int:
             "artifact seeding  : "
             f"{hits} family hit(s), "
             f"{result.statistics.get('artifact_clauses_imported', 0)} clause(s), "
-            f"{result.statistics.get('artifact_bounds_used', 0)} bound(s), "
-            f"{result.statistics.get('artifact_models_used', 0)} model(s) used"
+            f"{result.statistics.get('artifact_bounds_used', 0)} bound(s) used"
         )
     if args.explain:
         _print_explanation(result)

@@ -20,39 +20,6 @@ from repro.exact.cost import CostBreakdown
 RESULT_SCHEMA_VERSION = 1
 
 
-def schedule_is_valid(circuit, mappings, coupling) -> bool:
-    """Whether *mappings* is a valid schedule for *circuit* on *coupling*.
-
-    Checks shape (one mapping per CNOT, covering every logical qubit),
-    injectivity and range, and that every CNOT lands on a coupled pair in
-    either orientation.  Used by
-    :meth:`repro.exact.sat_mapper.SATMapper.validate_schedule`: a caller's
-    schedule may stem from another architecture and must not be trusted
-    blindly.
-
-    Args:
-        circuit: The circuit the schedule claims to map.
-        mappings: One logical-to-physical mapping per CNOT gate.
-        coupling: The :class:`~repro.arch.coupling.CouplingMap` to check
-            against.
-    """
-    cnots = circuit.cnot_gates()
-    if len(mappings) != len(cnots) or not cnots:
-        return False
-    num_logical = circuit.num_qubits
-    num_physical = coupling.num_qubits
-    edges = coupling.edges
-    for gate, mapping in zip(cnots, mappings):
-        if len(mapping) != num_logical or len(set(mapping)) != len(mapping):
-            return False
-        if any(not 0 <= physical < num_physical for physical in mapping):
-            return False
-        pair = (mapping[gate.control], mapping[gate.target])
-        if pair not in edges and (pair[1], pair[0]) not in edges:
-            return False
-    return True
-
-
 @dataclass
 class MappingSchedule:
     """The raw output of a mapping engine, before circuit reconstruction.
@@ -301,5 +268,4 @@ __all__ = [
     "MappingSchedule",
     "MappingResult",
     "RESULT_SCHEMA_VERSION",
-    "schedule_is_valid",
 ]

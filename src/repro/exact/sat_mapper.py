@@ -16,7 +16,9 @@ The subset sweep is organised around five reuse layers:
   starts at DP's exact schedule on its sub-coupling
   (:func:`repro.exact.dp_mapper.dp_schedule`, re-costed by the family's
   encoding), so its solve is one refutation of the bound just below it.
-  DP supplies incumbents and phases only, never a bound: every decision
+  DP is the sweep's only incumbent source: a family beyond the limit
+  (only one of at least 8 physical qubits can be) starts cold.  DP
+  supplies incumbents and phases only, never a bound: every decision
   rests on the solver's own UNSAT answer or on a proven lower bound.
 
 * **Subset families** — two subsets whose induced sub-couplings re-index to
@@ -53,8 +55,8 @@ The subset sweep is organised around five reuse layers:
   clause by refutation (slow; used by the property tests); it is read once
   per :meth:`SATMapper.map` call.
 
-The sweep is sequential by design: pruning, clause sharing and model
-transfer all draw on the families solved before, so a family solved without
+The sweep is sequential by design: pruning and clause sharing both draw
+on the families solved before, so a family solved without
 that prefix pays the full cost of an unbounded search.  Parallelism belongs
 one level up: across circuits
 (:meth:`repro.pipeline.pipeline.MappingPipeline.map_many`) and across the
@@ -74,9 +76,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.dp_mapper import dp_schedule
-from repro.exact.encoding import EncodingError, MappingEncoding, build_encoding
+from repro.exact.encoding import MappingEncoding, build_encoding
 from repro.exact.reconstruction import build_result, default_schedule
-from repro.exact.result import MappingResult, MappingSchedule, schedule_is_valid
+from repro.exact.result import MappingResult, MappingSchedule
 from repro.exact.strategies import AllGatesStrategy, PermutationStrategy
 from repro.exact.sweep import (
     artifact_key,
@@ -85,10 +87,8 @@ from repro.exact.sweep import (
     directed_edges_key,
     encoding_variable_remap,
     find_edge_embedding,
-    schedule_cost,
     structural_lower_bound,
     template_clause_remap,
-    translate_schedule,
 )
 from repro.arch.cache import (
     shared_connected_subsets,
@@ -348,13 +348,12 @@ class _Sweep:
     anything with ``load(key)``/``save(key, payload)`` that never raise:
     a failing store is a miss or a dropped row), the sweep
     additionally consults **persisted solve artifacts** from structurally
-    identical past jobs: learned clauses (:meth:`import_clauses`), proven
-    lower bounds (:meth:`lower_bounds`, directed-orientation matched) and
-    incumbent schedules (:meth:`artifact_incumbent`, re-costed), and writes
-    this sweep's harvest back via :meth:`save_artifacts`.  Every artifact
-    consumption is shape-checked against the live encoding; a corrupt or
-    mismatched row degrades to bound-only seeding with a note in
-    :attr:`artifact_notes`, never to an error.
+    identical past jobs: learned clauses (:meth:`import_clauses`) and
+    proven lower bounds (:meth:`lower_bounds`, directed-orientation
+    matched), and writes this sweep's harvest back via
+    :meth:`save_artifacts`.  Stored clauses are shape-checked against the
+    live encoding; a mismatched row degrades to bound-only seeding with a
+    note in :attr:`artifact_notes`, never to an error.
     """
 
     def __init__(
@@ -387,10 +386,8 @@ class _Sweep:
                 "families_dp_seeded",
                 "clauses_exported",
                 "clauses_imported",
-                "models_transferred",
                 "artifact_clauses_imported",
                 "artifact_bounds_used",
-                "artifact_models_used",
                 "artifact_hits",
                 "artifact_misses",
             ),
@@ -463,41 +460,6 @@ class _Sweep:
             return float(stored), in_sweep
         return in_sweep, in_sweep
 
-    def incumbent_for(
-        self, family: _Family, table
-    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
-        """A warm-start schedule for *family*, transferred from a solved one
-        (used beyond DP's state limit, where no DP seed exists).
-
-        A schedule found on family *B* relabelled through an undirected
-        embedding stays *placement-valid* on this family (constraint (2)
-        accepts a coupled pair in either orientation); only its reversal
-        cost changes, and :func:`repro.exact.sweep.schedule_cost` recomputes
-        the exact objective against this family's edge directions.  The
-        cheapest transferable schedule is returned as ``(local mappings,
-        objective)`` — a genuine feasible solution, so the descent starts
-        directly below it (phases seeded, first model free) instead of
-        descending from scratch.
-        """
-        best: Optional[Tuple[List[Tuple[int, ...]], int]] = None
-        for source in self.families:
-            if source.schedule is None:
-                continue
-            sigma = self._embedding(family, source, directed=False)
-            if sigma is None:
-                continue
-            translated = translate_schedule(
-                source.schedule, invert_permutation(sigma)
-            )
-            cost = schedule_cost(family.sub_coupling, table, self.gates, translated)
-            if cost is None:
-                continue
-            if best is None or cost < best[1]:
-                best = (translated, cost)
-        if best is not None:
-            self.counters["models_transferred"] += 1
-        return best
-
     # ------------------------------------------------------------------
     def import_clauses(self, family: _Family, share_clauses: bool) -> None:
         """Inject learned clauses into a family about to be solved.
@@ -509,9 +471,8 @@ class _Sweep:
         in template numbering, which skeleton-key equality turns into a
         constant shift (:func:`repro.exact.sweep.template_clause_remap`).
         A stored row whose variable-block shape disagrees with the live
-        encoding (a corrupt or foreign row) contributes nothing — its
-        bounds and schedule are still semantically validated elsewhere, so
-        seeding degrades to bound-only with a note.
+        encoding (a corrupt or foreign row) contributes no clauses — its
+        bounds still apply, so seeding degrades to bound-only with a note.
         """
         encoding = family.encoding
         assert encoding is not None and family.session is not None
@@ -597,38 +558,14 @@ class _Sweep:
             ] += 1
         return key, self._artifact_rows[key]
 
-    def artifact_incumbent(
-        self, family: _Family, table
-    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
-        """A persisted schedule for this family, re-costed, or ``None``.
-
-        Placement validity follows from skeleton-key equality (local
-        indices mean the same physical structure); the reversal cost does
-        not, so the schedule is re-costed against this family's directed
-        edges via :func:`repro.exact.sweep.schedule_cost` — a schedule that
-        fails the re-costing (corrupt row) is dropped with a note.
-        """
-        _, payload = self._artifact_for(family)
-        if payload is None or payload.get("schedule") is None:
-            return None
-        mappings = [tuple(mapping) for mapping in payload["schedule"]]
-        cost = schedule_cost(family.sub_coupling, table, self.gates, mappings)
-        if cost is None:
-            self.artifact_notes.append(
-                "persisted schedule does not place this family's gates on "
-                "coupled pairs; model seeding skipped for this family"
-            )
-            return None
-        return mappings, cost
-
     def save_artifacts(self) -> int:
         """Persist every visited family's harvest; returns rows offered.
 
         Per family: exported learned clauses re-based to template numbering,
-        the proven lower bound keyed by the directed edge set it was proven
-        under, and the best local schedule.  Families with nothing useful
-        (no clauses, no positive bound, no schedule) write nothing.  The
-        cache drops a row it fails to write — persisting is best-effort.
+        and the proven lower bound keyed by the directed edge set it was
+        proven under.  Families with nothing useful (no clauses, no
+        positive bound) write nothing.  The cache drops a row it fails to
+        write — persisting is best-effort.
         """
         written = 0
         for family in self.families:
@@ -653,21 +590,15 @@ class _Sweep:
                 bounds[directed_edges_key(family.sub_coupling)] = (
                     family.lower_bound
                 )
-            payload = {
+            if not clauses and not bounds:
+                continue
+            self.artifacts.save(key, {
                 "version": 1,
                 "x_var_limit": x_var_limit,
                 "spot_var_count": spot_var_count,
                 "clauses": clauses,
                 "bounds": bounds,
-                "schedule": (
-                    [list(mapping) for mapping in family.schedule]
-                    if family.schedule is not None else None
-                ),
-                "objective": family.objective,
-            }
-            if not clauses and not bounds and payload["schedule"] is None:
-                continue
-            self.artifacts.save(key, payload)
+            })
             written += 1
         return written
 
@@ -775,8 +706,8 @@ class SATMapper:
         return self.strategy.guarantees_minimality and not self.use_subsets
 
     def accepts_seeds_for(self, num_logical: int) -> bool:
-        """Whether an external bound and an incumbent schedule are safe for a
-        circuit of *num_logical* qubits.
+        """Whether an external bound is safe for a circuit of *num_logical*
+        qubits.
 
         True when the search space is the unrestricted problem: the strategy
         guarantees minimality and the sweep is a single family, the whole
@@ -795,21 +726,12 @@ class SATMapper:
         Always true — and deliberately *not* tied to
         :attr:`accepts_external_bound`: artifact material is keyed by the
         encoding skeleton of each individual subset family (gates × n × m ×
-        spots × undirected edges), so clauses, bounds and schedules apply
-        *within* the family they were harvested from, restricted search
-        space or not.  The global-bound safety argument that makes sweeps
-        reject external bounds simply never arises.
+        spots × undirected edges), so clauses and bounds apply *within* the
+        family they were harvested from, restricted search space or not.
+        The global-bound safety argument that makes sweeps reject external
+        bounds simply never arises.
         """
         return True
-
-    def validate_schedule(
-        self, circuit: QuantumCircuit, mappings: Sequence[Tuple[int, ...]]
-    ) -> bool:
-        """Whether *mappings* is a valid schedule for *circuit* on this device.
-
-        See :func:`repro.exact.result.schedule_is_valid`.
-        """
-        return schedule_is_valid(circuit, mappings, self.coupling)
 
     def candidate_subsets(self, num_logical: int) -> List[Tuple[int, ...]]:
         """Physical-qubit subsets to try (Section 4.1)."""
@@ -918,11 +840,9 @@ class SATMapper:
         """Run the optimiser on the family's live session and record the outcome.
 
         *incumbent* is an optional ``(local mappings, objective)`` warm
-        start: the schedule is translated into an ``x``-variable assignment
-        that seeds the solver's phases and counts as the first feasible
-        solution.  A schedule the encoding rejects (wrong shape, off-spot
-        mapping change) is silently dropped — seeding is an optimisation,
-        never a correctness requirement.
+        start, already validated by :meth:`_dp_seed`: the schedule is
+        translated into an ``x``-variable assignment that seeds the
+        solver's phases and counts as the first feasible solution.
 
         A model found here is always the family's cheapest so far: a family
         is solved again only after an inconclusive outcome, and by then the
@@ -932,14 +852,8 @@ class SATMapper:
         initial_model: Optional[Dict[int, bool]] = None
         initial_objective: Optional[int] = None
         if incumbent is not None:
-            try:
-                initial_model = family.encoding.assignment_from_schedule(
-                    incumbent[0]
-                )
-                initial_objective = incumbent[1]
-            except EncodingError:
-                initial_model = None
-                initial_objective = None
+            initial_model = family.encoding.assignment_from_schedule(incumbent[0])
+            initial_objective = incumbent[1]
         outcome: OptimizationResult = family.optimizer.minimize(
             strategy=self.optimizer,
             time_limit=time_limit,
@@ -979,7 +893,8 @@ class SATMapper:
         when DP finds no schedule, or when the encoding rejects the schedule
         or evaluates it to another cost than DP's
         (:meth:`MappingEncoding.schedule_objective`): only a real model at
-        its stated cost may serve as an incumbent.
+        its stated cost may serve as an incumbent.  This is the one check a
+        seed gets; closure and the solve take it as a model at that cost.
         """
         assert family.encoding is not None
         try:
@@ -993,78 +908,37 @@ class SATMapper:
         return list(mappings), objective
 
     def _family_seed(
-        self,
-        sweep: _Sweep,
-        family: _Family,
-        incumbent: Optional[Tuple[List[Tuple[int, ...]], int]],
-    ) -> Tuple[Optional[Tuple[List[Tuple[int, ...]], int]], bool]:
-        """The family's first incumbent ``(local mappings, objective)``, if
-        any, and whether it is DP's schedule.
+        self, sweep: _Sweep, family: _Family
+    ) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
+        """The family's first incumbent ``(local mappings, objective)``, or
+        ``None`` when the family starts cold.
 
         Where the family's mapping states fit the DP engine's limit
         (:data:`~repro.arch.permutations.MAX_MAPPING_STATES`), the
-        candidate is DP's exact schedule (:meth:`_dp_seed`); beyond it, a
-        cross-family transfer.  The caller's model (*incumbent*) and a
-        stored schedule from a structurally identical past job are taken
-        instead when they cost no more than DP's schedule, and a stored
-        schedule replaces the caller's or a transfer only when strictly
-        cheaper.  A candidate above the sweep bound cannot serve as an
-        incumbent, but it is still a valid model of the hard constraints —
-        its x-assignment seeds the solver's phases (a pure search hint),
-        steering the bounded search into known-feasible territory instead
-        of a cold start.
+        incumbent is DP's exact schedule (:meth:`_dp_seed`); beyond it the
+        family starts cold.  A schedule above the sweep bound cannot serve
+        as an incumbent, but it is still a valid model of the hard
+        constraints — its x-assignment seeds the solver's phases (a pure
+        search hint), steering the bounded search into known-feasible
+        territory instead of a cold start.
 
         DP supplies this incumbent and these phases only, never a lower
         bound: the family is still decided by the solver's own refutation
         or by a proven lower bound.
         """
-        encoding, session = family.encoding, family.session
-        assert encoding is not None and session is not None
-        table = encoding.permutation_table
-        bound = sweep.bound
-
-        def seed_phases(schedule: List[Tuple[int, ...]]) -> bool:
-            try:
-                session.seed_phases(encoding.assignment_from_schedule(schedule))
-            except EncodingError:
-                return False
-            return True
-
-        seed, from_dp = incumbent, False
         states = math.perm(family.sub_coupling.num_qubits, sweep.num_logical)
-        if states <= MAX_MAPPING_STATES:
-            exact = self._dp_seed(sweep, family)
-            if exact is not None and (seed is None or exact[1] < seed[1]):
-                if bound is not None and exact[1] > bound:
-                    seed_phases(exact[0])
-                    seed = None
-                else:
-                    seed, from_dp = exact, True
-        elif seed is None and self.share_clauses:
-            # Cross-family model transfer: the cheapest schedule already
-            # found on an embeddable family, re-costed against these edge
-            # directions.
-            transfer = sweep.incumbent_for(family, table)
-            if transfer is not None:
-                if bound is not None and transfer[1] > bound:
-                    seed_phases(transfer[0])
-                else:
-                    seed = transfer
-        persisted = sweep.artifact_incumbent(family, table)
-        if persisted is not None and (
-            seed is None
-            or persisted[1] < seed[1]
-            or (from_dp and persisted[1] == seed[1])
-        ):
-            if bound is not None and persisted[1] > bound:
-                if seed_phases(persisted[0]):
-                    sweep.counters["artifact_models_used"] += 1
-            else:
-                seed, from_dp = persisted, False
-                sweep.counters["artifact_models_used"] += 1
-        if from_dp:
-            sweep.counters["families_dp_seeded"] += 1
-        return seed, from_dp
+        if states > MAX_MAPPING_STATES:
+            return None
+        seed = self._dp_seed(sweep, family)
+        if seed is None:
+            return None
+        if sweep.bound is not None and seed[1] > sweep.bound:
+            family.session.seed_phases(
+                family.encoding.assignment_from_schedule(seed[0])
+            )
+            return None
+        sweep.counters["families_dp_seeded"] += 1
+        return seed
 
     def _close_family(
         self,
@@ -1077,10 +951,10 @@ class SATMapper:
         """Record *seed* as the family's optimum without a solver call.
 
         Applies when the family's proven lower bound is at least the
-        seed's cost and the seed is a real model at that cost — the
-        encoding accepts the schedule and its own objective evaluates to
-        the re-costed value (:meth:`MappingEncoding.schedule_objective`).
-        Returns ``None`` otherwise; the caller then solves as usual.
+        seed's cost.  The seed comes from :meth:`_family_seed`, so it lies
+        within the sweep bound and :meth:`_dp_seed` has checked that it is
+        a model at that cost.  Returns ``None`` otherwise; the caller then
+        solves as usual.
 
         With ``REPRO_CHECK_IMPORTS`` set, a closure is still checked: the
         family imports its learned clauses (so they are checked too), the
@@ -1092,15 +966,8 @@ class SATMapper:
         assert family.encoding is not None
         local_mappings, objective = seed
         bound = sweep.bound
-        if bound is not None and objective > bound:
-            return None
         proven, in_sweep = sweep.lower_bounds(family)
         if proven < objective:
-            return None
-        try:
-            if family.encoding.schedule_objective(local_mappings) != objective:
-                return None
-        except EncodingError:
             return None
         if in_sweep < objective:
             # Only the persisted bound closes this family.
@@ -1113,7 +980,6 @@ class SATMapper:
             mappings=_translate(local_mappings, subset),
             variables=family.encoding.num_variables,
             clauses=family.encoding.num_clauses,
-            statistics={"model_seeded": 1},
         )
         if sweep.check_imports:
             sweep.import_clauses(family, self.share_clauses)
@@ -1141,7 +1007,6 @@ class SATMapper:
         family: _Family,
         subset: Tuple[int, ...],
         time_limit: Optional[float],
-        incumbent: Optional[Tuple[List[Tuple[int, ...]], int]],
     ) -> SubsetOutcome:
         """Decide *family* for one member that cannot be mirrored.
 
@@ -1177,7 +1042,7 @@ class SATMapper:
                     family.lower_bound = proven
                     return family.mirrored(subset, bound)
             self._open_family(family, sweep.gates, sweep.num_logical, sweep.spots)
-            seed, from_dp = self._family_seed(sweep, family, incumbent)
+            seed = self._family_seed(sweep, family)
             outcome = (
                 self._close_family(sweep, family, subset, seed, time_limit)
                 if seed is not None else None
@@ -1187,10 +1052,6 @@ class SATMapper:
                 outcome = self._solve_family(
                     family, subset, time_limit, bound, incumbent=seed
                 )
-            if from_dp:
-                # Counted apart, as families_dp_seeded: model_seeded stays
-                # for caller, stored and transferred schedules.
-                outcome.statistics.pop("model_seeded", None)
         if self.share_clauses:
             # export_learned is cumulative: the list replaces the earlier
             # one, and only its growth counts as newly exported.
@@ -1253,14 +1114,14 @@ class SATMapper:
             "bound_clauses_added",
             "learned_clauses_retained",
         )
-        # Strategy-level counters (unprefixed): descent progress, model
-        # warm starts and core-guided bookkeeping, summed over the solved
-        # instances.  ``core_lower_bound`` is NOT summable — each instance's
-        # value bounds only its own sub-problem — so the winning instance's
-        # bound is reported instead (below).
+        # Strategy-level counters (unprefixed): descent progress and
+        # core-guided bookkeeping, summed over the solved instances (every
+        # seeded model is DP's, counted as ``families_dp_seeded``).
+        # ``core_lower_bound`` is NOT summable — each instance's value
+        # bounds only its own sub-problem — so the winning instance's bound
+        # is reported instead (below).
         strategy_keys = (
             "descent_iterations",
-            "model_seeded",
             "cores_found",
             "core_literals_relaxed",
         )
@@ -1331,8 +1192,6 @@ class SATMapper:
         self,
         circuit: QuantumCircuit,
         upper_bound: Optional[int] = None,
-        initial_model: Optional[Sequence[Tuple[int, ...]]] = None,
-        initial_objective: Optional[int] = None,
         artifacts=None,
     ) -> MappingResult:
         """Map *circuit* to the architecture with minimal added cost.
@@ -1344,22 +1203,9 @@ class SATMapper:
                 mappings at most this expensive are searched for; when none
                 exists, :class:`SATMapperError` is raised even though the
                 unbounded problem may be satisfiable.
-            initial_model: Optional known-valid schedule (one device-indexed
-                mapping per CNOT, e.g. from an earlier
-                :class:`~repro.exact.result.MappingResult`), used as the
-                first incumbent: the solver's phases are seeded with it and
-                the descent starts directly below *initial_objective* — a
-                resubmission of an already-solved circuit then needs only
-                the final optimality probe.  The schedule is validated
-                against this mapper's coupling map and permutation spots
-                first and silently dropped when it does not transfer; it is
-                also ignored when :meth:`accepts_seeds_for` is false for the
-                circuit (restricted search spaces).
-            initial_objective: Added cost of *initial_model* (required with
-                it).
             artifacts: Optional solve-artifact cache handle (see
                 :class:`repro.service.store.ArtifactCache`).  Families
-                warm-start from persisted clauses/bounds/schedules of
+                warm-start from persisted clauses and bounds of
                 structurally identical past jobs, and this run's harvest is
                 merged back on completion.  Hit rates are reported under
                 ``artifact_*`` statistics keys.  ``None`` (the default)
@@ -1369,8 +1215,7 @@ class SATMapper:
         Raises:
             SATMapperError: If no valid mapping exists within the bound (or
                 none was found within the time budget).
-            ValueError: If the circuit does not fit on the device, or an
-                initial model arrives without its objective.
+            ValueError: If the circuit does not fit on the device.
         """
         start = time.monotonic()
         num_logical = circuit.num_qubits
@@ -1382,20 +1227,7 @@ class SATMapper:
             )
         if upper_bound is not None and upper_bound < 0:
             raise ValueError("upper_bound must be non-negative")
-        if (initial_model is None) != (initial_objective is None):
-            raise ValueError(
-                "initial_model and initial_objective must be given together"
-            )
         gates, spots = self.cnot_instance(circuit)
-
-        incumbent: Optional[Tuple[List[Tuple[int, ...]], int]] = None
-        if (
-            initial_model is not None
-            and self.accepts_seeds_for(num_logical)
-            and self.validate_schedule(circuit, list(initial_model))
-        ):
-            incumbent = ([tuple(m) for m in initial_model], initial_objective)
-
         if not gates:
             schedule = default_schedule(num_logical, self.coupling)
             return build_result(
@@ -1414,7 +1246,6 @@ class SATMapper:
             gates, num_logical, spots, upper_bound,
             artifacts=artifacts if self.accepts_artifacts else None,
         )
-        full_device = tuple(range(num_physical))
         for family in families:
             if sweep.found_zero or sweep.budget_exhausted:
                 break
@@ -1435,14 +1266,7 @@ class SATMapper:
                         # found so far (if any) is returned as non-optimal.
                         sweep.budget_exhausted = True
                         break
-                    # The incumbent schedule is device-indexed, so it only
-                    # seeds the full-device instance (the only one that
-                    # exists when model seeding is allowed — see
-                    # accepts_seeds_for).
-                    outcome = self._visit_family(
-                        sweep, family, subset, remaining,
-                        incumbent if subset == full_device else None,
-                    )
+                    outcome = self._visit_family(sweep, family, subset, remaining)
                 sweep.record(outcome)
                 if sweep.found_zero:
                     break
@@ -1455,7 +1279,6 @@ class SATMapper:
         if sweep.best is None:
             raise SATMapperError.no_solution(sweep.budget_exhausted)
 
-        counters = sweep.counters
         return self.build_mapping_result(
             circuit,
             sweep.best,
@@ -1467,25 +1290,10 @@ class SATMapper:
             upper_bound=upper_bound,
             extra_statistics={
                 "families_total": len(families),
-                **{
-                    key: counters[key]
-                    for key in (
-                        "families_pruned",
-                        "families_closed",
-                        "families_dp_seeded",
-                        "clauses_exported",
-                        "clauses_imported",
-                        "models_transferred",
-                    )
-                },
+                **sweep.counters,
                 "clause_sharing": int(self.share_clauses),
                 "family_pruning": int(self.prune_families),
                 "artifact_seeding": int(sweep.artifacts is not None),
-                **{
-                    key: value
-                    for key, value in counters.items()
-                    if key.startswith("artifact_")
-                },
                 **(
                     {"artifact_notes": list(sweep.artifact_notes)}
                     if sweep.artifact_notes else {}

@@ -47,7 +47,6 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.coupling import CouplingMap
-from repro.arch.permutations import PermutationTable, permutation_between
 from repro.exact.cost import REVERSAL_COST, SWAP_COST
 from repro.sat.cnf import CNF
 from repro.sat.solver import CDCLSolver, SolverResult
@@ -210,64 +209,6 @@ def encoding_variable_remap(
     return remap
 
 
-def translate_schedule(
-    mappings: Sequence[Tuple[int, ...]], vertex_map: Sequence[int]
-) -> List[Tuple[int, ...]]:
-    """Relabel a schedule's physical indices through *vertex_map*.
-
-    ``vertex_map[i]`` is the target-family index playing source index
-    ``i``'s role; logical qubit ``j`` sitting on source physical
-    ``mapping[j]`` moves to ``vertex_map[mapping[j]]``.
-    """
-    return [
-        tuple(vertex_map[physical] for physical in mapping)
-        for mapping in mappings
-    ]
-
-
-def schedule_cost(
-    coupling: CouplingMap,
-    table: PermutationTable,
-    gates: Sequence[Tuple[int, int]],
-    mappings: Sequence[Tuple[int, ...]],
-) -> Optional[int]:
-    """Exact added cost of running *mappings* on *coupling* (or ``None``).
-
-    Evaluates the paper's objective (Eq. 5) for a concrete schedule:
-    ``SWAP_COST * swaps(pi)`` per mapping change plus ``REVERSAL_COST`` per
-    CNOT that sits on its coupled pair in the reversed orientation only.
-    Returns ``None`` when some CNOT is not on a coupled pair at all — the
-    schedule is invalid for this coupling.
-
-    Used by the sweep's cross-family model transfer: a solved family's
-    optimal schedule relabelled through an *undirected* embedding is always
-    placement-valid on the target family, but its reversal cost must be
-    re-computed against the target's edge directions before it can serve as
-    an incumbent.  Requires total mappings (``n == m``), which is always the
-    case for subset families.
-    """
-    edges = coupling.edges
-    total = 0
-    previous: Optional[Tuple[int, ...]] = None
-    for (control, target), mapping in zip(gates, mappings):
-        mapping = tuple(mapping)
-        if previous is not None and mapping != previous:
-            permutation = permutation_between(
-                previous, mapping, coupling.num_qubits
-            )
-            total += SWAP_COST * table.swaps(permutation)
-        physical_control = mapping[control]
-        physical_target = mapping[target]
-        if (physical_control, physical_target) in edges:
-            pass
-        elif (physical_target, physical_control) in edges:
-            total += REVERSAL_COST
-        else:
-            return None
-        previous = mapping
-    return total
-
-
 def artifact_key(
     gates: Sequence[Tuple[int, int]],
     num_logical: int,
@@ -374,8 +315,6 @@ __all__ = [
     "directed_edges_key",
     "encoding_variable_remap",
     "find_edge_embedding",
-    "schedule_cost",
     "structural_lower_bound",
     "template_clause_remap",
-    "translate_schedule",
 ]

@@ -12,8 +12,8 @@ besides the schedule DP already seeds every family with inside
   external bound (see
   :meth:`repro.exact.sat_mapper.SATMapper.accepts_external_bound`);
 * **solve artifacts** — a handle to the store's artifact table (learned
-  clauses, proven family bounds, best schedules, keyed by encoding skeleton
-  rather than circuit fingerprint), so even a never-seen circuit
+  clauses and proven family bounds, keyed by encoding skeleton rather than
+  circuit fingerprint), so even a never-seen circuit
   warm-starts from structurally identical past jobs.
 """
 
@@ -32,7 +32,7 @@ class SeedResolution:
     Attributes:
         bound: The caller's upper bound (``None`` when unknown).
         artifacts: A :class:`~repro.service.store.ArtifactCache` handle for
-            skeleton-keyed clause/bound/model seeding inside the sweep.
+            skeleton-keyed clause and bound seeding inside the sweep.
     """
 
     bound: Optional[int] = None

@@ -9,8 +9,7 @@ circuits or whole batches, and parallelises at the **circuit level**:
 circuit never poisons the batch).  A single circuit is always mapped by the
 engine's own ``map``; for the SAT subset sweep that is the sequential
 :meth:`repro.exact.sat_mapper.SATMapper.map`, whose incumbent-driven family
-pruning, clause sharing and model transfer all depend on solving families
-in plan order.
+pruning and clause sharing both depend on solving families in plan order.
 
 Mapping engines that can exploit an externally known objective bound
 (``mapper.accepts_external_bound``) are seeded through an optional

@@ -23,8 +23,8 @@ Four layers keep repeated work off the solvers:
    seed resolver's (:class:`~repro.pipeline.bounds.BoundProviderChain`)
    **solve-artifact cache** handle over the store's skeleton-keyed
    artifact table, so even a circuit the fleet has never seen warm-starts
-   from the learned clauses, proven family bounds and best schedules of
-   structurally identical past jobs; per-job hit rates land in provenance
+   from the learned clauses and proven family bounds of structurally
+   identical past jobs; per-job hit rates land in provenance
    and aggregate in :meth:`MappingService.stats`.  (Within DP's state
    limit the SAT engine starts every family at DP's schedule itself, so a
    stored result of the same circuit would add nothing.)
@@ -199,7 +199,6 @@ class MappingService:
             "artifact_misses": 0,
             "artifact_clauses_imported": 0,
             "artifact_bounds_used": 0,
-            "artifact_models_used": 0,
         }
         self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         self._per_engine: Dict[str, Dict[str, int]] = {}

@@ -54,12 +54,11 @@ holds learned clauses in *template numbering* (x block verbatim, spot block
 re-based to start right after it — the numbering every same-key encoding
 shares up to a constant shift), proven lower bounds keyed by the *directed*
 edge set they were proven under (reversal costs differ between
-orientations, so bounds only transfer on an exact directed match), and the
-best known schedule in family-local indices.  Results and artifacts share
-one two-tier row routine; each table supplies only its codec and its
-merge.  Results replace; :meth:`put_artifact` merges into an existing row
-(clause union, per-orientation bound maximum, cheapest schedule) inside
-one ``BEGIN IMMEDIATE`` transaction.  :class:`ArtifactCache` is the
+orientations, so bounds only transfer on an exact directed match).
+Results and artifacts share one two-tier row routine; each table supplies
+only its codec and its merge.  Results replace; :meth:`put_artifact`
+merges into an existing row (clause union, per-orientation bound maximum)
+inside one ``BEGIN IMMEDIATE`` transaction.  :class:`ArtifactCache` is the
 picklable, best-effort handle the solving layers carry: it survives
 crossing into process-pool workers by re-opening the database from its
 path (a memory-only store, or one that cannot be re-opened, degrades to no
@@ -673,7 +672,7 @@ class ResultStore:
         """Merge *payload* into the artifact row for *skeleton_key*.
 
         Merging (clause union up to :data:`MAX_ARTIFACT_CLAUSES`, maximum
-        bound per directed orientation, cheapest schedule) happens inside
+        bound per directed orientation) happens inside
         one ``BEGIN IMMEDIATE`` transaction, so concurrent workers writing
         the same family fold their contributions instead of overwriting
         each other; without a usable disk it merges into the memory tier.
@@ -895,8 +894,9 @@ def _valid_artifact(payload) -> bool:
     """Shape check of one artifact payload (shared by read and write).
 
     Cheap structural validation only — semantic checks (does the bound's
-    orientation match, does the schedule re-cost) belong to the consumer,
-    which knows the target instance.
+    orientation match) belong to the consumer, which knows the target
+    instance.  Keys this layout does not name (the ``schedule`` and
+    ``objective`` that rows once carried) are not checked and never read.
     """
     if not isinstance(payload, dict):
         return False
@@ -928,17 +928,6 @@ def _valid_artifact(payload) -> bool:
             return False
         if not isinstance(bound, (int, float)) or isinstance(bound, bool):
             return False
-    schedule = payload.get("schedule")
-    if schedule is not None:
-        if not isinstance(schedule, list) or not schedule:
-            return False
-        for mapping in schedule:
-            if not isinstance(mapping, list) or not all(
-                isinstance(q, int) for q in mapping
-            ):
-                return False
-        if not isinstance(payload.get("objective"), int):
-            return False
     return True
 
 
@@ -949,7 +938,7 @@ def _merge_artifacts(
 
     Clause union keeps existing clauses first and caps the total; bounds
     take the per-orientation maximum (both are proven, the higher prunes
-    more); the cheaper schedule wins.  Clause blocks only merge when both
+    more).  Clause blocks only merge when both
     payloads agree on the variable-block boundaries: a clause-free payload
     (bound-only harvest, e.g. from a pruned family) adopts the other side's
     clause block untouched, while a genuine boundary conflict between two
@@ -985,12 +974,6 @@ def _merge_artifacts(
             sorted(bounds.items(), key=lambda item: -item[1])[:MAX_ARTIFACT_BOUNDS]
         )
     merged["bounds"] = bounds
-    if incoming.get("schedule") is not None and (
-        existing.get("schedule") is None
-        or incoming["objective"] < existing["objective"]
-    ):
-        merged["schedule"] = incoming["schedule"]
-        merged["objective"] = incoming["objective"]
     return merged
 
 

@@ -15,11 +15,7 @@ from repro.arch.devices import (
     linear_architecture,
     ring_architecture,
 )
-from repro.arch.subsets import (
-    all_subsets,
-    connected_subsets,
-    subsets_containing_cut_vertices,
-)
+from repro.arch.subsets import all_subsets, connected_subsets
 
 
 class TestCouplingMap:
@@ -138,8 +134,15 @@ class TestSubsets:
 
     def test_connected_subsets_of_qx4_size4_contain_p3(self):
         # Example 9 of the paper: every connected 4-qubit subset contains
-        # physical qubit p3 (index 2), reducing 5 candidates to 4.
-        subsets = connected_subsets(ibm_qx4(), 4)
+        # physical qubit p3 (index 2), QX4's only cut vertex, reducing 5
+        # candidates to 4.
+        qx4 = ibm_qx4()
+        cut_vertices = [
+            vertex for vertex in range(5)
+            if len(qx4.components(set(range(5)) - {vertex})) > 1
+        ]
+        assert cut_vertices == [2]
+        subsets = connected_subsets(qx4, 4)
         assert len(subsets) == 4
         assert all(2 in subset for subset in subsets)
 
@@ -148,11 +151,6 @@ class TestSubsets:
 
     def test_connected_subsets_size1(self):
         assert len(connected_subsets(ibm_qx4(), 1)) == 5
-
-    def test_cut_vertex_filter_matches_connected_subsets(self):
-        assert subsets_containing_cut_vertices(ibm_qx4(), 4) == connected_subsets(
-            ibm_qx4(), 4
-        )
 
     def test_disconnected_subsets_are_excluded(self):
         subsets = connected_subsets(ibm_qx4(), 2)

@@ -3,18 +3,18 @@
 Covers the solve-artifact tier of :class:`repro.service.store.ResultStore`
 and its consumers:
 
-* store semantics — merge (clause union, per-orientation bound maximum,
-  cheapest schedule), TTL expiry, prune sweep, corrupt-row handling,
-  memory/disk tier interplay, pickling of the :class:`ArtifactCache`
-  handle,
+* store semantics — merge (clause union, per-orientation bound maximum),
+  TTL expiry, prune sweep, corrupt-row handling, memory/disk tier
+  interplay, pickling of the :class:`ArtifactCache` handle, and rows of the
+  older layout that also carried a ``schedule`` / ``objective``,
 * the *correctness invariant* — every clause persisted under a skeleton
   key is implied by a fresh same-key target instance (refutation via
   :func:`repro.exact.sweep.clause_is_implied`), and a warm sweep under
   ``REPRO_CHECK_IMPORTS=1`` runs clean,
-* family closure — a warm variant whose stored bound meets its stored
-  schedule closes without a solver call; a bound below the schedule or a
-  schedule the encoding rejects does not close, and under
-  ``REPRO_CHECK_IMPORTS=1`` an overstated bound is caught,
+* family closure — a warm variant whose stored bound meets DP's schedule
+  closes without a solver call; a bound below the schedule or a schedule
+  the encoding rejects does not close, and under ``REPRO_CHECK_IMPORTS=1``
+  an overstated bound is caught,
 * degradation — empty store, corrupt rows, shape-mismatched rows and
   wrong skeleton keys all fall back to the cold behaviour (same proven
   minima) with truthful provenance notes,
@@ -24,10 +24,12 @@ and its consumers:
 """
 
 import asyncio
+import itertools
 import json
 import pickle
 import sqlite3
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,8 @@ from repro.arch.devices import ibm_qx4, sweep_grid8
 from repro.benchlib.generators import benchmark_circuit, random_cnot_circuit
 from repro.benchlib.paper_example import paper_example_cnot_skeleton
 from repro.circuit.circuit import QuantumCircuit
-from repro.exact.encoding import build_encoding, clear_skeleton_cache
+from repro.exact.dp_mapper import dp_schedule
+from repro.exact.encoding import EncodingError, build_encoding, clear_skeleton_cache
 from repro.exact import sat_mapper
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.sweep import clause_is_implied, template_clause_remap
@@ -59,6 +62,11 @@ from repro.verify import verify_result
 #: prune unsolved, and ex-1_166's refutation exports none).
 HAM3_102_MINIMAL_COST = 16
 
+#: The three artifact rows a cold ex-1_166 sweep on grid8 wrote in the
+#: older row layout, which also stored each family's best schedule and its
+#: objective (two rows hold one, the bound-only row ``null``).
+ROWS_WITH_SCHEDULES = Path(__file__).parent / "data" / "artifact_rows_with_schedules.json"
+
 
 def _payload(**overrides):
     """A small, valid artifact payload (vars 1..6: x block 4, spot block 2)."""
@@ -68,8 +76,6 @@ def _payload(**overrides):
         "spot_var_count": 2,
         "clauses": [[1, -2], [3, 4]],
         "bounds": {"[[0,1]]": 2},
-        "schedule": None,
-        "objective": None,
     }
     payload.update(overrides)
     return payload
@@ -85,7 +91,7 @@ def _cold_run(store, circuit=None):
 
 
 def _keep_only_clauses(store_path):
-    """Keep every stored row's clauses but forget its bounds and schedule.
+    """Keep every stored row's clauses but forget its bounds.
 
     A warm run over such a store has no stored bound to close a family on
     (DP's schedule still seeds it), so it solves, and imports the stored
@@ -97,7 +103,6 @@ def _keep_only_clauses(store_path):
         ).fetchall()
         for key, payload in rows:
             data = json.loads(payload)
-            data["schedule"] = data["objective"] = None
             data["bounds"] = {}
             conn.execute(
                 "UPDATE artifacts SET payload = ? WHERE skeleton_key = ?",
@@ -134,21 +139,6 @@ class TestArtifactStore:
         assert merged["clauses"] == [[1, -2], [3, 4], [5, 6]]
         # Both bounds are proven, so the higher one wins per orientation.
         assert merged["bounds"] == {"A": 2, "B": 7}
-
-    def test_merge_keeps_cheapest_schedule(self, tmp_path):
-        store = ResultStore(tmp_path / "a.sqlite")
-        store.put_artifact(
-            "key", _payload(schedule=[[0, 1, 2]], objective=5)
-        )
-        store.put_artifact(
-            "key", _payload(schedule=[[2, 1, 0]], objective=3)
-        )
-        store.put_artifact(
-            "key", _payload(schedule=[[1, 0, 2]], objective=9)
-        )
-        merged = store.get_artifact("key")
-        assert merged["schedule"] == [[2, 1, 0]]
-        assert merged["objective"] == 3
 
     def test_bound_only_merge_keeps_clause_block(self, tmp_path):
         """A bound-only harvest (e.g. from a pruned family) must not clobber
@@ -410,8 +400,8 @@ def _grid8_job(store_path, circuit):
     return asyncio.run(scenario())
 
 
-def _rewrite_artifacts(store_path, rewrite):
-    """Apply *rewrite(payload)* to every stored row that holds a schedule."""
+def _rewrite_bounds(store_path, rewrite):
+    """Replace every stored bound by *rewrite(skeleton key, edges, bound)*."""
     with sqlite3.connect(store_path) as conn:
         rows = conn.execute(
             "SELECT skeleton_key, payload FROM artifacts"
@@ -419,24 +409,48 @@ def _rewrite_artifacts(store_path, rewrite):
         rewritten = 0
         for key, payload in rows:
             data = json.loads(payload)
-            if data["schedule"] is None:
-                continue
-            rewrite(data)
+            for edges, bound in data["bounds"].items():
+                data["bounds"][edges] = rewrite(key, edges, bound)
+                rewritten += 1
             conn.execute(
                 "UPDATE artifacts SET payload = ? WHERE skeleton_key = ?",
                 (json.dumps(data), key),
             )
-            rewritten += 1
     assert rewritten >= 1
+
+
+def _costlier_schedule(coupling, num_logical, gates, spots):
+    """A stand-in for :func:`dp_schedule` that returns a schedule above the
+    minimum, at its true cost: DP's schedule with the first single mapping
+    change the family's encoding costs higher."""
+    mappings, objective, transitions = dp_schedule(
+        coupling, num_logical, gates, spots
+    )
+    encoding = build_encoding(
+        list(gates), num_logical, coupling, permutation_spots=list(spots)
+    )
+    placements = itertools.permutations(range(coupling.num_qubits), num_logical)
+    for mapping, k in itertools.product(placements, range(len(mappings))):
+        candidate = list(mappings)
+        candidate[k] = mapping
+        try:
+            cost = encoding.schedule_objective(candidate)
+        except EncodingError:
+            continue
+        if cost > objective:
+            return candidate, cost, transitions
+    raise AssertionError("no costlier variant of DP's schedule")
 
 
 class TestFamilyClosure:
     def _cold_then_warm(self, tmp_path, tamper=None):
+        """Map the skeleton cold, call *tamper(store path)*, then map its
+        warm variant over the same store."""
         skeleton = _grid8_skeleton()
         path = tmp_path / "results.sqlite"
         cold = _grid8_job(path, skeleton)
         if tamper is not None:
-            _rewrite_artifacts(path, tamper)
+            tamper(path)
         variant = _with_singles(skeleton)
         warm = _grid8_job(path, variant)
         assert warm.added_cost == cold.added_cost
@@ -461,13 +475,15 @@ class TestFamilyClosure:
     def test_bound_below_the_schedule_cost_does_not_close(
         self, tmp_path, monkeypatch
     ):
+        """A solved family stores its optimum, which DP's schedule costs, so
+        one less than every stored bound is below every seed."""
         monkeypatch.delenv("REPRO_CHECK_IMPORTS", raising=False)
-
-        def lower_bounds(data):
-            for edges in data["bounds"]:
-                data["bounds"][edges] = data["objective"] - 1
-
-        _, warm = self._cold_then_warm(tmp_path, tamper=lower_bounds)
+        _, warm = self._cold_then_warm(
+            tmp_path,
+            tamper=lambda path: _rewrite_bounds(
+                path, lambda key, edges, bound: bound - 1
+            ),
+        )
         assert warm.statistics["families_closed"] == 0
         assert warm.statistics["solver_iterations"] >= 1
         assert warm.statistics["solver_conflicts"] > 0
@@ -475,45 +491,52 @@ class TestFamilyClosure:
     def test_schedule_the_encoding_rejects_does_not_close(
         self, tmp_path, monkeypatch
     ):
-        """A schedule one gate short re-costs below the stored bound (the
-        missing gate costs nothing) but cannot be a model of the encoding."""
+        """A schedule one gate short would meet the stored bound (the
+        missing gate costs nothing) but cannot be a model of the encoding,
+        so it seeds nothing."""
         monkeypatch.delenv("REPRO_CHECK_IMPORTS", raising=False)
 
-        def truncate_schedules(data):
-            data["schedule"] = data["schedule"][:-1]
+        def truncated(coupling, num_logical, gates, spots):
+            mappings, objective, transitions = dp_schedule(
+                coupling, num_logical, gates, spots
+            )
+            return mappings[:-1], objective, transitions
 
-        _, warm = self._cold_then_warm(tmp_path, tamper=truncate_schedules)
+        _, warm = self._cold_then_warm(
+            tmp_path,
+            tamper=lambda path: monkeypatch.setattr(
+                sat_mapper, "dp_schedule", truncated
+            ),
+        )
+        assert warm.statistics["families_dp_seeded"] == 0
         assert warm.statistics["families_closed"] == 0
         assert warm.statistics["solver_conflicts"] > 0
 
     def test_import_checking_refutes_an_overstated_bound(
         self, tmp_path, monkeypatch
     ):
-        """A costlier schedule beside a bound raised to its cost would close
-        a family above its true minimum; the checking probe must catch it.
+        """A costlier seed beside a bound raised to its cost would close a
+        family above its true minimum; the checking probe must catch it.
 
-        Within DP's state limit a family starts at DP's schedule, its exact
-        minimum, and a costlier stored schedule is never taken.  The
-        scenario is therefore run beyond that limit, where the sweep starts
-        cold and a stored schedule can be the family's first incumbent."""
-        monkeypatch.setattr(sat_mapper, "MAX_MAPPING_STATES", 0)
+        DP's schedule is each family's exact minimum, so the warm run swaps
+        in a costlier schedule at its true cost (:func:`_costlier_schedule`)
+        and every stored bound is raised to that schedule's cost."""
+        monkeypatch.delenv("REPRO_CHECK_IMPORTS", raising=False)
         skeleton = _grid8_skeleton()
         store = ResultStore(tmp_path / "a.sqlite", max_memory_entries=0)
         clear_skeleton_cache()
-        exact = SATMapper(sweep_grid8(), use_subsets=True).map(skeleton)
-        # A conflict-limited sweep stops on models above the minimum; at
-        # this limit one family stores a schedule above its own minimum.
-        clear_skeleton_cache()
-        stopped = SATMapper(
-            sweep_grid8(), use_subsets=True, conflict_limit=8
-        ).map(skeleton, artifacts=ArtifactCache(store))
-        assert stopped.added_cost > exact.added_cost
+        SATMapper(sweep_grid8(), use_subsets=True).map(
+            skeleton, artifacts=ArtifactCache(store)
+        )
 
-        def overstate_bounds(data):
-            for edges in data["bounds"]:
-                data["bounds"][edges] = data["objective"]
+        def seed_cost(key, edges, bound):
+            gates, num_logical, num_physical, spots, _ = json.loads(key)
+            coupling = CouplingMap(num_physical, json.loads(edges))
+            gates = [tuple(gate) for gate in gates]
+            return _costlier_schedule(coupling, num_logical, gates, spots)[1]
 
-        _rewrite_artifacts(store.path, overstate_bounds)
+        _rewrite_bounds(store.path, seed_cost)
+        monkeypatch.setattr(sat_mapper, "dp_schedule", _costlier_schedule)
         monkeypatch.setenv("REPRO_CHECK_IMPORTS", "1")
         clear_skeleton_cache()
         with pytest.raises(AssertionError, match="family closed at cost"):
@@ -565,7 +588,6 @@ class TestDegradation:
             for key, payload in rows:
                 data = json.loads(payload)
                 # No stored bound to close on: the warm run solves.
-                data["schedule"] = data["objective"] = None
                 data["bounds"] = {}
                 if data["clauses"]:
                     data["x_var_limit"] += 1  # foreign block boundary
@@ -591,6 +613,59 @@ class TestDegradation:
         warm = _cold_run(store, circuit=different)
         assert warm.statistics["artifact_hits"] == 0
         assert warm.statistics["artifact_misses"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Rows of the older layout, which also stored a schedule and its objective
+# ----------------------------------------------------------------------
+class TestRowsWithSchedules:
+    def _store(self, tmp_path, keep_bounds=True):
+        """A store holding the older rows exactly as they were written."""
+        path = tmp_path / "a.sqlite"
+        ResultStore(path)  # creates the tables
+        rows = json.loads(ROWS_WITH_SCHEDULES.read_text())
+        with sqlite3.connect(path) as conn:
+            for key, payload in rows:
+                if not keep_bounds:
+                    payload["bounds"] = {}
+                conn.execute(
+                    "INSERT INTO artifacts (skeleton_key, payload, created_at) "
+                    "VALUES (?, ?, ?)",
+                    (key, json.dumps(payload), time.time()),
+                )
+        return ResultStore(path, max_memory_entries=0), rows
+
+    def _warm(self, store):
+        clear_skeleton_cache()
+        return SATMapper(sweep_grid8(), use_subsets=True).map(
+            benchmark_circuit("ex-1_166"), artifacts=ArtifactCache(store)
+        )
+
+    def test_rows_still_decode(self, tmp_path):
+        store, rows = self._store(tmp_path)
+        assert sum(payload["schedule"] is not None for _, payload in rows) == 2
+        for key, payload in rows:
+            assert store.get_artifact(key) == payload
+        assert store.stats()["artifact_corrupt_dropped"] == 0
+
+    def test_bounds_close_a_warm_sweep_without_conflicts(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CHECK_IMPORTS", raising=False)
+        store, _ = self._store(tmp_path)
+        warm = self._warm(store)
+        assert warm.added_cost == 15
+        assert warm.statistics["solver_conflicts"] == 0
+        assert warm.statistics["artifact_hits"] == 3
+        assert warm.statistics["artifact_bounds_used"] == 3
+        assert warm.statistics["families_closed"] == 2
+
+    def test_clauses_are_imported(self, tmp_path):
+        store, _ = self._store(tmp_path, keep_bounds=False)
+        warm = self._warm(store)
+        assert warm.added_cost == 15
+        assert warm.statistics["artifact_clauses_imported"] >= 1
+        assert "artifact_notes" not in warm.statistics
 
 
 # ----------------------------------------------------------------------
@@ -636,8 +711,8 @@ class TestProvidersAndService:
                 cold = await service.result(first, timeout=120)
                 cold_provenance = service.status(first)["provenance"]
                 fingerprint = service.status(first)["fingerprint"]
-                # Forget the *result*, the stored schedules and bounds
-                # (clauses survive): the resubmit re-solves but
+                # Forget the *result* and the stored bounds (clauses
+                # survive): the resubmit re-solves but
                 # warm-starts from the artifact tier.
                 assert store.delete(fingerprint)
                 _keep_only_clauses(store.path)

@@ -20,7 +20,7 @@ from repro.arch.devices import (
     linear_architecture,
     ring_architecture,
 )
-from repro.arch.subsets import connected_subsets, subsets_containing_cut_vertices
+from repro.arch.subsets import connected_subsets
 
 nx = pytest.importorskip("networkx")
 
@@ -140,21 +140,12 @@ def test_neighbours_and_degree(coupling):
 def test_connected_and_cut_vertex_subsets(coupling):
     graph = _oracle_graph(coupling)
     for size in range(1, min(coupling.num_qubits, 5) + 1):
-        required = set()
-        for vertex in nx.articulation_points(graph):
-            pruned = graph.copy()
-            pruned.remove_node(vertex)
-            largest = max((len(c) for c in nx.connected_components(pruned)), default=0)
-            if largest < size:
-                required.add(vertex)
         connected = [
             subset
             for subset in itertools.combinations(range(coupling.num_qubits), size)
             if nx.is_connected(graph.subgraph(subset))
         ]
         assert connected_subsets(coupling, size) == connected
-        expected = [subset for subset in connected if required <= set(subset)]
-        assert subsets_containing_cut_vertices(coupling, size) == expected
 
 
 def test_out_of_range_queries():

@@ -100,6 +100,22 @@ class TestBuildEncoding:
         ]
         assert len(selected) == 1
 
+    def test_schedule_objective_matches_the_solved_objective(self):
+        encoding = build_encoding(
+            [(0, 1), (1, 2), (2, 0), (0, 1), (2, 1)], 3, small_subgraph()
+        )
+        result = OptimizingSolver(encoding.cnf, encoding.objective).minimize()
+        assert result.is_optimal and result.objective > 0
+        schedule = encoding.extract_schedule(result.model)
+        assert encoding.schedule_objective(schedule) == result.objective
+
+    def test_schedule_objective_rejects_uncoupled_placement(self):
+        # On QX4's path p1-p3-p4 (re-indexed 0-1-2), physical 0 and 2 are
+        # not coupled, so logical 0 and 2 cannot meet there.
+        encoding = build_encoding([(0, 2)], 3, ibm_qx4().subgraph((0, 2, 3)))
+        with pytest.raises(EncodingError):
+            encoding.schedule_objective([(0, 1, 2)])
+
     def test_optimizer_finds_zero_cost_for_native_pair(self):
         coupling = small_subgraph()
         encoding = build_encoding([(1, 0)], 2, coupling)

@@ -9,7 +9,8 @@ from repro.benchlib.paper_example import (
     PAPER_EXAMPLE_MINIMAL_COST,
     paper_example_cnot_skeleton,
 )
-from repro.exact.dp_mapper import DPMapper
+from repro.exact import sat_mapper
+from repro.exact.dp_mapper import DPMapper, dp_schedule
 from repro.exact.encoding import build_encoding
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.splitting import SplitSATMapper
@@ -260,95 +261,64 @@ class TestSATMapperStrategies:
         assert result.iterations == 2
 
     def test_core_refutes_dp_incumbent_in_one_call(self):
+        """ex-1_166 on qx4: structural bound 4, minimum 8 — no closure."""
         circuit = benchmark_circuit("ex-1_166")
         reference = DPMapper(ibm_qx4()).map(circuit)
-        result = SATMapper(ibm_qx4(), optimizer="core").map(
-            circuit,
-            initial_model=reference.schedule.mappings,
-            initial_objective=reference.added_cost,
-        )
+        result = SATMapper(ibm_qx4(), optimizer="core").map(circuit)
         assert result.added_cost == reference.added_cost == 8
         assert result.optimal
+        assert result.statistics["families_dp_seeded"] == 1
+        assert result.statistics["families_closed"] == 0
         assert result.statistics["solver_iterations"] == 1
         assert result.statistics.get("descent_iterations", 0) == 0
 
     def test_model_seeded_map_skips_the_descent(self):
-        circuit = paper_example_cnot_skeleton()
-        first = SATMapper(ibm_qx4()).map(circuit)
-        seeded = SATMapper(ibm_qx4()).map(
-            circuit,
-            initial_model=first.schedule.mappings,
-            initial_objective=first.added_cost,
-        )
-        assert seeded.added_cost == first.added_cost
-        assert seeded.optimal
-        # The seed meets the structural lower bound (4): closed unsolved.
-        assert seeded.statistics["solver_iterations"] == 0
-        assert seeded.statistics["families_closed"] == 1
-        assert seeded.statistics.get("descent_iterations", 0) == 0
-        assert seeded.statistics["model_seeded"] == 1
+        result = SATMapper(ibm_qx4()).map(paper_example_cnot_skeleton())
+        assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
+        assert result.optimal
+        # DP's schedule meets the structural lower bound (4): closed
+        # unsolved.
+        assert result.statistics["families_dp_seeded"] == 1
+        assert result.statistics["solver_iterations"] == 0
+        assert result.statistics["families_closed"] == 1
+        assert result.statistics.get("descent_iterations", 0) == 0
 
-    def test_understated_seed_objective_does_not_close(self):
-        """A caller's objective below its schedule's cost is not trusted.
+    def test_understated_seed_objective_does_not_close(self, monkeypatch):
+        """A seed's objective below its schedule's cost is not trusted.
 
         Claimed 3 against the structural bound 4 would close the family at
         a false optimum; the encoding evaluates the schedule at 4, so the
-        family is solved and reports the true minimum.
+        seed is dropped and the family is solved to the true minimum.
         """
-        circuit = paper_example_cnot_skeleton()
-        first = DPMapper(ibm_qx4()).map(circuit)
-        seeded = SATMapper(ibm_qx4()).map(
-            circuit,
-            initial_model=first.schedule.mappings,
-            initial_objective=first.added_cost - 1,
-        )
-        assert first.added_cost == PAPER_EXAMPLE_MINIMAL_COST
-        assert seeded.added_cost == PAPER_EXAMPLE_MINIMAL_COST
-        assert seeded.optimal
-        assert seeded.statistics["families_closed"] == 0
-        assert seeded.statistics["solver_iterations"] == 1
 
-    def test_model_seed_above_the_structural_bound_runs_one_probe(self):
-        """ex-1_166 on qx4: structural bound 4, minimum 8 — no closure."""
-        circuit = benchmark_circuit("ex-1_166")
-        first = DPMapper(ibm_qx4()).map(circuit)
-        seeded = SATMapper(ibm_qx4()).map(
-            circuit,
-            initial_model=first.schedule.mappings,
-            initial_objective=first.added_cost,
-        )
-        assert seeded.added_cost == first.added_cost == 8
-        assert seeded.optimal
-        assert seeded.statistics["solver_iterations"] == 1
-        assert seeded.statistics["families_closed"] == 0
-        assert seeded.statistics.get("descent_iterations", 0) == 0
-        assert seeded.statistics["model_seeded"] == 1
+        def understated(coupling, num_logical, gates, spots):
+            mappings, objective, transitions = dp_schedule(
+                coupling, num_logical, gates, spots
+            )
+            return mappings, objective - 1, transitions
 
-    def test_invalid_initial_model_is_ignored(self):
-        circuit = paper_example_cnot_skeleton()
-        bogus = [(0, 0, 0, 0)] * circuit.count_cnot()  # not injective
-        result = SATMapper(ibm_qx4()).map(
-            circuit, initial_model=bogus, initial_objective=0
-        )
+        monkeypatch.setattr(sat_mapper, "dp_schedule", understated)
+        result = SATMapper(ibm_qx4()).map(paper_example_cnot_skeleton())
         assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
-        assert "model_seeded" not in result.statistics
+        assert result.optimal
+        assert result.statistics["families_dp_seeded"] == 0
+        assert result.statistics["families_closed"] == 0
+        assert result.statistics["solver_iterations"] >= 1
 
-    def test_initial_model_requires_objective(self):
-        circuit = paper_example_cnot_skeleton()
-        with pytest.raises(ValueError):
-            SATMapper(ibm_qx4()).map(circuit, initial_model=[(0, 1, 2, 3)])
+    def test_invalid_initial_model_is_ignored(self, monkeypatch):
+        """DP's seed reaches the optimiser as its initial model; a schedule
+        that is no model of the encoding (here not injective) is dropped."""
 
-    def test_subset_mapper_ignores_initial_model(self):
-        circuit = paper_example_cnot_skeleton()
-        mapper = SATMapper(ibm_qx4(), use_subsets=True)
-        assert not mapper.accepts_seeds_for(circuit.num_qubits)
-        first = SATMapper(ibm_qx4()).map(circuit)
-        result = mapper.map(
-            circuit,
-            initial_model=first.schedule.mappings,
-            initial_objective=first.added_cost,
-        )
+        def bogus(coupling, num_logical, gates, spots):
+            mappings, objective, transitions = dp_schedule(
+                coupling, num_logical, gates, spots
+            )
+            return [(0, 0, 0, 0)] * len(mappings), objective, transitions
+
+        monkeypatch.setattr(sat_mapper, "dp_schedule", bogus)
+        result = SATMapper(ibm_qx4()).map(paper_example_cnot_skeleton())
         assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
+        assert result.statistics["families_dp_seeded"] == 0
         assert "model_seeded" not in result.statistics
 
 

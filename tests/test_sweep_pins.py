@@ -1,10 +1,9 @@
 """Exact counter pins for the subset sweep of :meth:`SATMapper.map`.
 
-The sweep's bookkeeping (family planning, the DP seed, pruning, closure,
-clause sharing, model transfer beyond DP's state limit, the member re-solve
-and the stored-artifact tier) decides which solver calls run, with which
-bounds and which imported clauses.  These
-pins hold the resulting counters fixed: a change to that bookkeeping which
+The sweep's bookkeeping (family planning, the DP seed and the cold start
+beyond DP's state limit, pruning, closure, clause sharing, the member
+re-solve and the stored-artifact tier) decides which solver calls run, with
+which bounds and which imported clauses.  These pins hold the resulting counters fixed: a change to that bookkeeping which
 moves any of them has changed the search, not just the code.
 
 The counters are deterministic (the CDCL solver has no randomness), so the
@@ -33,16 +32,14 @@ KEYS = (
     "family_reuses",
     "clauses_exported",
     "clauses_imported",
-    "models_transferred",
     "artifact_hits",
     "artifact_bounds_used",
-    "artifact_models_used",
     "artifact_clauses_imported",
     "families_dp_seeded",
 )
 
 #: ex-1_166 on grid8, subset sweep, no store: the cold row of the warm tests.
-GRID8_COLD = (15, 275, 3, 8, 5, 0, 3, 6, 55, 35, 0, 0, 0, 0, 0, 2)
+GRID8_COLD = (15, 275, 3, 8, 5, 0, 3, 6, 55, 35, 0, 0, 0, 2)
 
 
 @pytest.fixture(autouse=True)
@@ -62,14 +59,14 @@ def _ex_1_166():
 @pytest.mark.parametrize(
     "options,expected",
     [
-        ({}, (8, 29, 1, 3, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+        ({}, (8, 29, 1, 3, 2, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
         (
             {"share_clauses": False, "prune_families": False},
-            (8, 76, 3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0, 1),
+            (8, 76, 3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 0, 1),
         ),
         # A tiny conflict budget leaves families inconclusive, so later
         # members re-solve on their family's live session.
-        ({"conflict_limit": 5}, (8, 25, 6, 3, 0, 0, 6, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+        ({"conflict_limit": 5}, (8, 25, 6, 3, 0, 0, 6, 0, 1, 0, 0, 0, 0, 1)),
     ],
     ids=["default", "no-share-no-prune", "conflict-limit-5"],
 )
@@ -87,16 +84,15 @@ def test_grid8_member_resolve():
     result = SATMapper(sweep_grid8(), use_subsets=True, conflict_limit=5).map(
         _ex_1_166()
     )
-    assert _pins(result) == (15, 80, 16, 8, 0, 0, 16, 0, 38, 37, 0, 0, 0, 0, 0, 2)
+    assert _pins(result) == (15, 80, 16, 8, 0, 0, 16, 0, 38, 37, 0, 0, 0, 2)
 
 
 def test_grid8_beyond_the_dp_limit(monkeypatch):
-    # With no family inside DP's state limit the sweep starts cold and
-    # seeds families by cross-family model transfer instead.
+    # With no family inside DP's state limit every family starts cold.
     monkeypatch.setattr(sat_mapper, "MAX_MAPPING_STATES", 0)
     result = SATMapper(sweep_grid8(), use_subsets=True).map(_ex_1_166())
     assert _pins(result) == (
-        15, 682, 15, 8, 5, 0, 3, 6, 95, 59, 2, 0, 0, 0, 0, 0
+        15, 770, 15, 8, 5, 0, 3, 6, 83, 51, 0, 0, 0, 0
     )
 
 
@@ -107,21 +103,12 @@ class TestFullDevice:
     def test_cold(self):
         # DP's schedule meets the structural lower bound: closed unsolved.
         assert _pins(self._map()) == (
-            4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1
+            4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1
         )
-
-    def test_own_schedule_closes_without_solving(self):
-        cold = self._map()
-        seeded = self._map(
-            initial_model=cold.schedule.mappings,
-            initial_objective=cold.added_cost,
-        )
-        assert _pins(seeded) == (4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert seeded.statistics["model_seeded"] == 1
 
     def test_upper_bound(self):
         assert _pins(self._map(upper_bound=6)) == (
-            4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1
+            4, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1
         )
 
 
@@ -133,17 +120,17 @@ class TestStoredArtifacts:
     def test_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path / "artifacts.sqlite")
         assert _pins(self._map(store)) == GRID8_COLD
-        assert store.artifact_rows() == (3, 2012)
+        assert store.artifact_rows() == (3, 1715)
         assert _pins(self._map(store)) == (
-            15, 0, 0, 8, 6, 2, 2, 3, 0, 0, 0, 3, 3, 2, 0, 0
+            15, 0, 0, 8, 6, 2, 2, 3, 0, 0, 3, 3, 0, 2
         )
-        assert store.artifact_rows() == (3, 2012)
+        assert store.artifact_rows() == (3, 1715)
 
     def test_budgeted_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path / "artifacts.sqlite")
         assert _pins(self._map(store, conflict_limit=20)) == (
-            15, 176, 10, 8, 4, 0, 10, 1, 23, 18, 0, 0, 0, 0, 0, 2
+            15, 176, 10, 8, 4, 0, 10, 1, 23, 18, 0, 0, 0, 2
         )
         assert _pins(self._map(store)) == (
-            15, 232, 1, 8, 6, 1, 2, 3, 29, 0, 0, 3, 2, 2, 8, 0
+            15, 232, 1, 8, 6, 1, 2, 3, 29, 0, 3, 2, 8, 2
         )
