@@ -134,17 +134,25 @@ class TestSubsets:
 
     def test_connected_subsets_of_qx4_size4_contain_p3(self):
         # Example 9 of the paper: every connected 4-qubit subset contains
-        # physical qubit p3 (index 2), QX4's only cut vertex, reducing 5
-        # candidates to 4.
+        # physical qubit p3 (index 2), reducing 5 candidates to 4.
+        subsets = connected_subsets(ibm_qx4(), 4)
+        assert len(subsets) == 4
+        assert all(2 in subset for subset in subsets)
+
+    def test_cut_vertex_filter_matches_connected_subsets(self):
+        # Example 9's filter: keeping the 4-qubit subsets that contain every
+        # cut vertex of QX4 (only p3, index 2) gives the connected subsets.
         qx4 = ibm_qx4()
         cut_vertices = [
             vertex for vertex in range(5)
             if len(qx4.components(set(range(5)) - {vertex})) > 1
         ]
         assert cut_vertices == [2]
-        subsets = connected_subsets(qx4, 4)
-        assert len(subsets) == 4
-        assert all(2 in subset for subset in subsets)
+        filtered = [
+            subset for subset in all_subsets(qx4, 4)
+            if set(cut_vertices) <= set(subset)
+        ]
+        assert filtered == connected_subsets(qx4, 4)
 
     def test_connected_subsets_size5_is_whole_device(self):
         assert connected_subsets(ibm_qx4(), 5) == [(0, 1, 2, 3, 4)]

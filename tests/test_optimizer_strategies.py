@@ -272,6 +272,18 @@ class TestSATMapperStrategies:
         assert result.statistics["solver_iterations"] == 1
         assert result.statistics.get("descent_iterations", 0) == 0
 
+    def test_model_seed_above_the_structural_bound_runs_one_probe(self):
+        """ex-1_166 on qx4: DP's seed (8) is above the structural bound (4),
+        so the family is not closed; one probe below the seed proves it."""
+        circuit = benchmark_circuit("ex-1_166")
+        result = SATMapper(ibm_qx4()).map(circuit)
+        assert result.added_cost == 8
+        assert result.optimal
+        assert result.statistics["families_dp_seeded"] == 1
+        assert result.statistics["families_closed"] == 0
+        assert result.statistics["solver_iterations"] == 1
+        assert result.statistics.get("descent_iterations", 0) == 0
+
     def test_model_seeded_map_skips_the_descent(self):
         result = SATMapper(ibm_qx4()).map(paper_example_cnot_skeleton())
         assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
