@@ -21,7 +21,6 @@ from repro.arch.permutations import (
     compose_permutations,
     identity_permutation,
     invert_permutation,
-    minimal_swap_sequences,
 )
 from repro.arch.subsets import connected_subsets
 
@@ -44,6 +43,5 @@ __all__ = [
     "compose_permutations",
     "identity_permutation",
     "invert_permutation",
-    "minimal_swap_sequences",
     "connected_subsets",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch.coupling import CouplingMap
@@ -139,54 +140,18 @@ def nearest_free_completion(
     return tuple(perm)
 
 
-def minimal_swap_sequences(
-    coupling: CouplingMap,
-    max_permutations: Optional[int] = None,
-) -> Dict[Permutation, List[SwapEdge]]:
-    """Breadth-first search of minimal SWAP sequences for every reachable permutation.
-
-    Args:
-        coupling: The architecture whose undirected edges generate the group.
-        max_permutations: Optional safety limit on the number of permutations
-            enumerated (useful for large devices); ``None`` means no limit.
-
-    Returns:
-        A dictionary mapping each reachable permutation to one minimal-length
-        sequence of SWAP edges realising it.  The identity maps to ``[]``.
-    """
-    size = coupling.num_qubits
-    edges = sorted(coupling.undirected_edges)
-    # The transposition of an edge does not depend on the BFS state; building
-    # them once instead of once per (node, edge) pair makes the exhaustive
-    # enumeration noticeably cheaper on larger subsets.
-    generators: List[Tuple[SwapEdge, Permutation]] = [
-        (edge, swap_transposition(size, edge)) for edge in edges
-    ]
-    identity = identity_permutation(size)
-    sequences: Dict[Permutation, List[SwapEdge]] = {identity: []}
-    frontier: List[Permutation] = [identity]
-    while frontier:
-        next_frontier: List[Permutation] = []
-        for perm in frontier:
-            base_sequence = sequences[perm]
-            for edge, transposition in generators:
-                successor = compose_permutations(perm, transposition)
-                if successor in sequences:
-                    continue
-                sequences[successor] = base_sequence + [edge]
-                next_frontier.append(successor)
-                if max_permutations is not None and len(sequences) >= max_permutations:
-                    return sequences
-        frontier = next_frontier
-    return sequences
-
-
 class PermutationTable:
     """Pre-computed ``swaps(pi)`` table for one coupling map.
 
     The table is built once (exhaustively, as in the paper) and then queried
     by the exact mappers both for full permutations and for transitions
     between (possibly partial) logical-to-physical mappings.
+
+    One breadth-first search from the identity over the transpositions of
+    the sorted undirected edges builds it.  Each reachable permutation is
+    stored with one integer: its SWAP count above the index of the edge that
+    first reached it.  Counts are then direct lookups, and a minimal SWAP
+    sequence is rebuilt by undoing last edges back to the identity.
 
     Args:
         coupling: The architecture.
@@ -202,15 +167,48 @@ class PermutationTable:
             )
         self.coupling = coupling
         self.size = coupling.num_qubits
-        self._sequences = minimal_swap_sequences(coupling)
+        self._edges: List[SwapEdge] = sorted(coupling.undirected_edges)
+        # Enough low bits for every edge index; the SWAP count sits above.
+        self._edge_bits = len(self._edges).bit_length()
+        self._entries = self._search()
         self._distance_matrix: Optional[Dict[int, Dict[int, int]]] = None
+
+    def _search(self) -> Dict[Permutation, int]:
+        """Breadth-first search of the SWAP count of every reachable permutation.
+
+        Frontiers are expanded in discovery order and each permutation over
+        the edges in sorted order; the first discovery of a permutation
+        fixes its entry.
+        """
+        transpositions = [swap_transposition(self.size, edge) for edge in self._edges]
+        identity = identity_permutation(self.size)
+        entries: Dict[Permutation, int] = {identity: 0}
+        frontier = [identity]
+        depth = 0
+        while frontier:
+            depth += 1
+            steps = [
+                (transposition, depth << self._edge_bits | index)
+                for index, transposition in enumerate(transpositions)
+            ]
+            reached = []
+            for perm in frontier:
+                # ``compose_permutations(perm, t)`` for every transposition t.
+                compose = itemgetter(*perm)
+                for transposition, entry in steps:
+                    successor = compose(transposition)
+                    if successor not in entries:
+                        entries[successor] = entry
+                        reached.append(successor)
+            frontier = reached
+        return entries
 
     # ------------------------------------------------------------------
     # Full permutations
     # ------------------------------------------------------------------
     def reachable(self, perm: Permutation) -> bool:
         """True when *perm* can be realised by SWAPs on the coupling edges."""
-        return tuple(perm) in self._sequences
+        return tuple(perm) in self._entries
 
     def swaps(self, perm: Permutation) -> int:
         """Minimal number of SWAPs realising *perm* (the paper's ``swaps(pi)``).
@@ -218,18 +216,32 @@ class PermutationTable:
         Raises:
             KeyError: If the permutation is not reachable (disconnected device).
         """
-        return len(self._sequences[tuple(perm)])
+        return self._entries[tuple(perm)] >> self._edge_bits
 
     def swap_sequence(self, perm: Permutation) -> List[SwapEdge]:
-        """One minimal sequence of SWAP edges realising *perm*."""
-        return list(self._sequences[tuple(perm)])
+        """One minimal sequence of SWAP edges realising *perm*.
+
+        Raises:
+            KeyError: If the permutation is not reachable (disconnected device).
+        """
+        perm = tuple(perm)
+        entry = self._entries[perm]
+        mask = (1 << self._edge_bits) - 1
+        sequence: List[SwapEdge] = []
+        for _ in range(entry >> self._edge_bits):
+            a, b = edge = self._edges[entry & mask]
+            sequence.append(edge)
+            perm = tuple(b if p == a else a if p == b else p for p in perm)
+            entry = self._entries[perm]
+        sequence.reverse()
+        return sequence
 
     def permutations(self) -> Iterator[Permutation]:
         """Iterate over all reachable permutations."""
-        return iter(self._sequences.keys())
+        return iter(self._entries.keys())
 
     def __len__(self) -> int:
-        return len(self._sequences)
+        return len(self._entries)
 
     # ------------------------------------------------------------------
     # Mapping transitions
@@ -321,15 +333,15 @@ class PermutationTable:
         best_perm: Optional[Permutation] = None
         best_count: Optional[int] = None
         candidate = nearest_free_completion(fixed, self.size, self._distances())
-        if candidate is not None and candidate in self._sequences:
+        if candidate is not None and candidate in self._entries:
             best_perm = candidate
-            best_count = len(self._sequences[candidate])
+            best_count = self._entries[candidate] >> self._edge_bits
             if best_count <= lower_bound:
                 return best_perm, best_count
         for perm in self.consistent_permutations(old, new):
-            if perm not in self._sequences:
+            if perm not in self._entries:
                 continue
-            count = len(self._sequences[perm])
+            count = self._entries[perm] >> self._edge_bits
             if best_count is None or count < best_count:
                 best_count = count
                 best_perm = perm
@@ -346,7 +358,7 @@ class PermutationTable:
     def transition_sequence(self, old: Mapping, new: Mapping) -> List[SwapEdge]:
         """A minimal SWAP-edge sequence turning mapping *old* into mapping *new*."""
         best_perm, _ = self.best_transition(old, new)
-        return list(self._sequences[best_perm])
+        return self.swap_sequence(best_perm)
 
 
 #: Entry of :attr:`MappingTransitionTable.rows` for a pair of mappings that no
@@ -439,7 +451,6 @@ __all__ = [
     "permutation_between",
     "swap_transposition",
     "nearest_free_completion",
-    "minimal_swap_sequences",
     "PermutationTable",
     "UNREACHABLE",
     "MAX_MAPPING_STATES",

@@ -890,13 +890,18 @@ class ResultStore:
 
 
 
+#: The keys of an artifact payload.  Others (the ``schedule`` and
+#: ``objective`` that rows once carried) are not checked, never read, and
+#: dropped when a row is merged.
+_ARTIFACT_KEYS = ("version", "x_var_limit", "spot_var_count", "clauses", "bounds")
+
+
 def _valid_artifact(payload) -> bool:
     """Shape check of one artifact payload (shared by read and write).
 
-    Cheap structural validation only — semantic checks (does the bound's
-    orientation match) belong to the consumer, which knows the target
-    instance.  Keys this layout does not name (the ``schedule`` and
-    ``objective`` that rows once carried) are not checked and never read.
+    Cheap structural validation of the :data:`_ARTIFACT_KEYS` only —
+    semantic checks (does the bound's orientation match) belong to the
+    consumer, which knows the target instance.
     """
     if not isinstance(payload, dict):
         return False
@@ -944,9 +949,10 @@ def _merge_artifacts(
     clause block untouched, while a genuine boundary conflict between two
     clause-bearing payloads means one came from an incompatible encoding
     build — the incoming payload then replaces the clause block outright
-    rather than merging garbage.
+    rather than merging garbage.  Keys outside :data:`_ARTIFACT_KEYS` are
+    not carried over.
     """
-    merged = dict(existing)
+    merged = {key: existing[key] for key in _ARTIFACT_KEYS}
     boundaries_match = (
         existing.get("x_var_limit") == incoming.get("x_var_limit")
         and existing.get("spot_var_count") == incoming.get("spot_var_count")

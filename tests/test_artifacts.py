@@ -648,6 +648,23 @@ class TestRowsWithSchedules:
             assert store.get_artifact(key) == payload
         assert store.stats()["artifact_corrupt_dropped"] == 0
 
+    def test_a_merge_drops_the_unread_keys(self, tmp_path):
+        store, rows = self._store(tmp_path)
+        key, payload = next(
+            (key, payload) for key, payload in rows if payload["schedule"] is not None
+        )
+        store.put_artifact(key, {
+            "x_var_limit": payload["x_var_limit"],
+            "spot_var_count": payload["spot_var_count"],
+            "clauses": [],
+            "bounds": {"[[9,9]]": 1},
+        })
+        merged = store.get_artifact(key)
+        assert "schedule" not in merged and "objective" not in merged
+        assert merged["clauses"] == payload["clauses"]
+        assert merged["bounds"] == {**payload["bounds"], "[[9,9]]": 1}
+        assert merged["version"] == payload["version"]
+
     def test_bounds_close_a_warm_sweep_without_conflicts(
         self, tmp_path, monkeypatch
     ):

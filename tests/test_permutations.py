@@ -6,7 +6,13 @@ import random
 import pytest
 
 from repro.arch.coupling import CouplingMap
-from repro.arch.devices import ibm_qx2, ibm_qx4, linear_architecture, sweep_grid8
+from repro.arch.devices import (
+    fully_connected_architecture,
+    ibm_qx2,
+    ibm_qx4,
+    linear_architecture,
+    sweep_grid8,
+)
 from repro.arch.permutations import (
     UNREACHABLE,
     MappingTransitionTable,
@@ -15,7 +21,6 @@ from repro.arch.permutations import (
     compose_permutations,
     identity_permutation,
     invert_permutation,
-    minimal_swap_sequences,
     permutation_between,
     swap_transposition,
 )
@@ -59,32 +64,95 @@ class TestPermutationAlgebra:
         assert swap_transposition(4, (1, 3)) == (0, 3, 2, 1)
 
 
+def _reference_sequences(coupling):
+    """The dict-of-lists BFS that :class:`PermutationTable` replaced, kept verbatim.
+
+    It stores one minimal SWAP sequence per reachable permutation; the table
+    must report exactly these sequences.
+    """
+    size = coupling.num_qubits
+    edges = sorted(coupling.undirected_edges)
+    generators = [(edge, swap_transposition(size, edge)) for edge in edges]
+    identity = identity_permutation(size)
+    sequences = {identity: []}
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for perm in frontier:
+            base_sequence = sequences[perm]
+            for edge, transposition in generators:
+                successor = compose_permutations(perm, transposition)
+                if successor in sequences:
+                    continue
+                sequences[successor] = base_sequence + [edge]
+                next_frontier.append(successor)
+        frontier = next_frontier
+    return sequences
+
+
 class TestMinimalSwapSequences:
     def test_all_permutations_reachable_on_connected_graph(self):
-        sequences = minimal_swap_sequences(ibm_qx4())
-        assert len(sequences) == 120
+        assert len(PermutationTable(ibm_qx4())) == 120
 
     def test_sequences_realise_their_permutation(self):
-        coupling = linear_architecture(4)
-        sequences = minimal_swap_sequences(coupling)
-        for perm, edges in sequences.items():
+        table = PermutationTable(linear_architecture(4))
+        for perm in table.permutations():
             realised = identity_permutation(4)
-            for edge in edges:
+            for edge in table.swap_sequence(perm):
                 realised = compose_permutations(realised, swap_transposition(4, edge))
             assert realised == perm
 
     def test_sequences_are_minimal_on_line3(self):
         # On a 3-qubit line the cyclic shift needs 2 swaps; the full reversal
         # (0 2) needs 3 (the middle qubit must pass through).
-        coupling = linear_architecture(3)
-        sequences = minimal_swap_sequences(coupling)
-        assert len(sequences[(1, 0, 2)]) == 1
-        assert len(sequences[(2, 0, 1)]) == 2
-        assert len(sequences[(2, 1, 0)]) == 3
+        table = PermutationTable(linear_architecture(3))
+        assert len(table.swap_sequence((1, 0, 2))) == 1
+        assert len(table.swap_sequence((2, 0, 1))) == 2
+        assert len(table.swap_sequence((2, 1, 0))) == 3
 
     def test_identity_has_empty_sequence(self):
-        sequences = minimal_swap_sequences(ibm_qx4())
-        assert sequences[identity_permutation(5)] == []
+        table = PermutationTable(ibm_qx4())
+        assert table.swap_sequence(identity_permutation(5)) == []
+
+
+class TestTableMatchesReferenceBFS:
+    """The packed last-edge table rebuilds the reference BFS's sequences."""
+
+    @pytest.mark.parametrize(
+        "coupling",
+        [
+            ibm_qx4(),
+            sweep_grid8(),
+            linear_architecture(3),
+            CouplingMap(5, [(0, 1), (1, 2), (3, 4)], name="two-components"),
+            # 28 edges, the most an 8-qubit device has: the widest edge index.
+            fully_connected_architecture(8),
+        ],
+        ids=["qx4", "grid8", "line3", "disconnected", "complete8"],
+    )
+    def test_sequences_counts_and_reachability(self, coupling):
+        reference = _reference_sequences(coupling)
+        table = PermutationTable(coupling)
+        assert len(table) == len(reference)
+        assert set(table.permutations()) == set(reference)
+        for perm in itertools.permutations(range(coupling.num_qubits)):
+            sequence = reference.get(perm)
+            assert table.reachable(perm) == (sequence is not None)
+            if sequence is not None:
+                assert table.swap_sequence(perm) == sequence
+                assert table.swaps(perm) == len(sequence)
+
+    def test_unreachable_permutation_raises(self):
+        table = PermutationTable(CouplingMap(3, [(0, 1)]))
+        with pytest.raises(KeyError):
+            table.swaps((2, 1, 0))
+        with pytest.raises(KeyError):
+            table.swap_sequence((2, 1, 0))
+
+    def test_single_qubit_device(self):
+        table = PermutationTable(CouplingMap(1, []))
+        assert list(table.permutations()) == [(0,)]
+        assert table.swap_sequence((0,)) == []
 
 
 class TestPermutationTable:
