@@ -6,7 +6,7 @@ behaviour is a function of the formula alone, so the comparisons are exact —
 no timing calibration needed):
 
 **Engine configs** — the paper's worked example (Fig. 1, minimal added cost 4
-on IBM QX4) through the SAT and portfolio engines, plus the full optimizer
+on IBM QX4) through the SAT engine, plus the full optimizer
 strategy matrix (linear / binary / core-guided, seeded and unseeded, plus a
 model warm start replaying a previously solved schedule).  The mappers start
 the example at DP's schedule, which meets its structural lower bound, so
@@ -97,7 +97,6 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.exact.encoding import build_encoding, clear_skeleton_cache
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.splitting import SplitSATMapper
-from repro.pipeline.portfolio import PortfolioMapper
 from repro.sat.optimize import DEFAULT_OPTIMIZER, OptimizingSolver
 from repro.sat.solver import solver_backend_provenance
 
@@ -161,7 +160,8 @@ def _configs():
 
     Each value is ``(mapper factory, map kwargs)``.  The ``sat`` config runs
     first: ``sat_model_seeded`` replays its schedule as the incumbent model
-    (the store-backed warm-start path, without needing a store here).
+    through ``OptimizingSolver.minimize(initial_model=...)``, the path DP's
+    schedule takes when it seeds a sweep family.
     """
     return {
         "sat": (lambda: _Descent("linear"), {}),
@@ -174,13 +174,6 @@ def _configs():
             lambda: _Descent("core"), {"upper_bound": SEED_BOUND}
         ),
         "sat_model_seeded": (lambda: _Descent("linear"), "MODEL_SEED"),
-        "portfolio": (lambda: PortfolioMapper(ibm_qx4(), optimizer="linear"), {}),
-        "portfolio_subsets": (
-            lambda: PortfolioMapper(
-                ibm_qx4(), use_subsets=True, optimizer="linear"
-            ),
-            {},
-        ),
         "sat_subsets": (
             lambda: SATMapper(ibm_qx4(), use_subsets=True, optimizer="linear"),
             {},

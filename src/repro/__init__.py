@@ -52,7 +52,6 @@ from repro.heuristic import StochasticSwapMapper, SabreLiteMapper
 from repro.pipeline import (
     BatchItem,
     MappingPipeline,
-    PortfolioMapper,
     available_mappers,
     get_mapper,
     register_mapper,
@@ -107,7 +106,6 @@ __all__ = [
     "SabreLiteMapper",
     "BatchItem",
     "MappingPipeline",
-    "PortfolioMapper",
     "available_mappers",
     "get_mapper",
     "register_mapper",

@@ -200,11 +200,11 @@ def _engine_options(engine: str, args: argparse.Namespace) -> Dict[str, Any]:
     without matching flags (custom engines, heuristics) keep working.
     """
     options: Dict[str, Any] = {}
-    if engine in ("sat", "dp", "portfolio", "sat_split"):
+    if engine in ("sat", "dp", "sat_split"):
         options["strategy"] = args.strategy
-    if engine in ("sat", "portfolio"):
+    if engine == "sat":
         options["use_subsets"] = args.subsets
-    if engine in ("sat", "portfolio", "sat_split"):
+    if engine in ("sat", "sat_split"):
         options["time_limit"] = args.time_limit
         if getattr(args, "optimizer", None) is not None:
             options["optimizer"] = args.optimizer
@@ -230,10 +230,10 @@ def _validate_optimizer(parser: argparse.ArgumentParser, args: argparse.Namespac
             f"unknown --optimizer {optimizer!r}; choose one of "
             f"{', '.join(OPTIMIZERS)} (see --list-optimizers)"
         )
-    if engine not in ("sat", "portfolio", "sat_split"):
+    if engine not in ("sat", "sat_split"):
         parser.error(
-            f"--optimizer only applies to the sat, sat_split and portfolio "
-            f"engines (got engine {engine!r})"
+            f"--optimizer only applies to the sat and sat_split engines "
+            f"(got engine {engine!r})"
         )
 
 

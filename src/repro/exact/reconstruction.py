@@ -195,7 +195,11 @@ def build_result(
     decompose_swaps: bool = True,
     permutation_table: Optional[PermutationSynthesizer] = None,
 ) -> MappingResult:
-    """Convenience helper assembling a :class:`MappingResult` from a schedule."""
+    """Convenience helper assembling a :class:`MappingResult` from a schedule.
+
+    A schedule that adds no operations is minimal whatever the search that
+    found it, so ``optimal`` is set for every zero-cost result.
+    """
     mapped, cost = reconstruct_circuit(
         original,
         schedule,
@@ -209,7 +213,7 @@ def build_result(
         schedule=schedule,
         cost=cost,
         objective=objective,
-        optimal=optimal,
+        optimal=optimal or cost.added_cost == 0,
         engine=engine,
         strategy=strategy,
         num_permutation_spots=num_permutation_spots,

@@ -688,50 +688,26 @@ class SATMapper:
     # ------------------------------------------------------------------
     # Instance preparation
     # ------------------------------------------------------------------
-    @property
-    def accepts_external_bound(self) -> bool:
-        """Whether an externally derived upper bound is safe to assert for
-        every circuit.
+    def accepts_seeds_for(self, num_logical: int) -> bool:
+        """Whether an external upper bound is safe for a circuit of
+        *num_logical* qubits.
 
         A bound taken from *any* valid mapping (a heuristic, an earlier
         result) is an upper bound on the **true** minimum.  Asserting it is
-        only safe when this mapper's search space contains the true minimum
-        — i.e. the unrestricted formulation over all physical qubits.
-        Restricted strategies and the subset sweep may have a higher
-        restricted minimum, where an external bound could turn a solvable
-        instance unsatisfiable.  A sweep still accepts the bound for a
-        circuit that uses every physical qubit; see
-        :meth:`accepts_seeds_for`.
-        """
-        return self.strategy.guarantees_minimality and not self.use_subsets
+        only safe when this mapper's search space contains the true minimum:
+        the strategy guarantees minimality and the sweep is a single family,
+        the whole device — without subsets, or with subsets when the circuit
+        uses every physical qubit (``n == m``).  Restricted strategies and
+        proper subset sweeps may have a higher restricted minimum, where an
+        external bound could turn a solvable instance unsatisfiable.
 
-    def accepts_seeds_for(self, num_logical: int) -> bool:
-        """Whether an external bound is safe for a circuit of *num_logical*
-        qubits.
-
-        True when the search space is the unrestricted problem: the strategy
-        guarantees minimality and the sweep is a single family, the whole
-        device — without subsets, or with subsets when the circuit uses
-        every physical qubit (``n == m``).  The pipeline asks this per
-        circuit, after :attr:`accepts_external_bound`.
+        Solve artifacts need no such check: they are keyed by the encoding
+        skeleton of each subset family, so they apply within the family they
+        were harvested from, restricted search space or not.
         """
         return self.strategy.guarantees_minimality and (
             not self.use_subsets or num_logical >= self.coupling.num_qubits
         )
-
-    @property
-    def accepts_artifacts(self) -> bool:
-        """Whether a persisted solve-artifact cache may warm-start this mapper.
-
-        Always true — and deliberately *not* tied to
-        :attr:`accepts_external_bound`: artifact material is keyed by the
-        encoding skeleton of each individual subset family (gates × n × m ×
-        spots × undirected edges), so clauses and bounds apply *within* the
-        family they were harvested from, restricted search space or not.
-        The global-bound safety argument that makes sweeps reject external
-        bounds simply never arises.
-        """
-        return True
 
     def candidate_subsets(self, num_logical: int) -> List[Tuple[int, ...]]:
         """Physical-qubit subsets to try (Section 4.1)."""
@@ -1097,10 +1073,11 @@ class SATMapper:
             initial_mapping=best.mappings[0],
         )
         # Minimality is only guaranteed for the unrestricted formulation over
-        # all physical qubits (see accepts_seeds_for), with the optimiser having proven (bounded)
-        # optimality and the whole budget having sufficed.  A seeded upper
-        # bound does not void the claim: a solution at or below the seed was
-        # found, so the bounded minimum equals the true minimum.
+        # all physical qubits (see accepts_seeds_for), with the optimiser
+        # having proven (bounded) optimality and the whole budget having
+        # sufficed.  A seeded upper bound does not void the claim: a solution
+        # at or below the seed was found, so the bounded minimum equals the
+        # true minimum.
         proven_minimal = (
             best.is_optimal
             and self.accepts_seeds_for(num_logical)
@@ -1199,10 +1176,10 @@ class SATMapper:
         Args:
             circuit: The circuit to map.
             upper_bound: Optional inclusive bound on the objective, e.g. the
-                added cost of a heuristic solution (portfolio seeding).  Only
-                mappings at most this expensive are searched for; when none
-                exists, :class:`SATMapperError` is raised even though the
-                unbounded problem may be satisfiable.
+                added cost of a heuristic solution.  Only mappings at most
+                this expensive are searched for; when none exists,
+                :class:`SATMapperError` is raised even though the unbounded
+                problem may be satisfiable.
             artifacts: Optional solve-artifact cache handle (see
                 :class:`repro.service.store.ArtifactCache`).  Families
                 warm-start from persisted clauses and bounds of
@@ -1242,10 +1219,7 @@ class SATMapper:
 
         subsets = self.candidate_subsets(num_logical)
         families = self.plan_families(subsets, gates)
-        sweep = _Sweep(
-            gates, num_logical, spots, upper_bound,
-            artifacts=artifacts if self.accepts_artifacts else None,
-        )
+        sweep = _Sweep(gates, num_logical, spots, upper_bound, artifacts=artifacts)
         for family in families:
             if sweep.found_zero or sweep.budget_exhausted:
                 break

@@ -63,7 +63,8 @@ class HeuristicMapper(ABC):
             schedule=schedule,
             cost=cost,
             objective=cost.added_cost,
-            optimal=False,
+            # No mapping adds fewer than zero operations.
+            optimal=cost.added_cost == 0,
             engine=self.name,
             strategy="heuristic",
             num_permutation_spots=None,

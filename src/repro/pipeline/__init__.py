@@ -1,4 +1,4 @@
-"""Production mapping pipeline: registry, batching, caching, portfolio.
+"""Production mapping pipeline: registry, batching, seeding, caching.
 
 This subsystem turns the individual mapping engines of :mod:`repro.exact`
 and :mod:`repro.heuristic` into one service-shaped entry point:
@@ -9,9 +9,9 @@ and :mod:`repro.heuristic` into one service-shaped entry point:
 * :mod:`repro.pipeline.pipeline` — :class:`MappingPipeline` with a batch API
   (``map_many``) that fans independent circuits out over a thread or process
   pool and returns structured per-item results,
-* :mod:`repro.pipeline.portfolio` — :class:`PortfolioMapper`, which runs a
-  cheap heuristic first and seeds the SAT optimiser with its cost as an
-  initial upper bound,
+* :mod:`repro.pipeline.bounds` — :class:`BoundProviderChain`, the seed
+  resolver holding a caller's upper bound and the store's solve-artifact
+  handle,
 * the process-wide caches of :mod:`repro.arch.cache` (memoised
   :class:`~repro.arch.permutations.PermutationTable` and
   :func:`~repro.arch.subsets.connected_subsets` keyed by the canonical
@@ -35,7 +35,6 @@ _EXPORTS = {
     "resolve_mapper_name": "repro.pipeline.registry",
     "MappingPipeline": "repro.pipeline.pipeline",
     "BatchItem": "repro.pipeline.pipeline",
-    "PortfolioMapper": "repro.pipeline.portfolio",
     "BoundProviderChain": "repro.pipeline.bounds",
     "SeedResolution": "repro.pipeline.bounds",
     "shared_permutation_table": "repro.arch.cache",
@@ -55,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     )
     from repro.pipeline.bounds import BoundProviderChain, SeedResolution
     from repro.pipeline.pipeline import BatchItem, MappingPipeline
-    from repro.pipeline.portfolio import PortfolioMapper
     from repro.pipeline.registry import (
         Mapper,
         MapperRegistry,

@@ -10,7 +10,7 @@ besides the schedule DP already seeds every family with inside
   cost of some valid mapping on the full device, hence an upper bound on
   the true minimum, safe to assert exactly where the mapper accepts an
   external bound (see
-  :meth:`repro.exact.sat_mapper.SATMapper.accepts_external_bound`);
+  :meth:`repro.exact.sat_mapper.SATMapper.accepts_seeds_for`);
 * **solve artifacts** — a handle to the store's artifact table (learned
   clauses and proven family bounds, keyed by encoding skeleton rather than
   circuit fingerprint), so even a never-seen circuit

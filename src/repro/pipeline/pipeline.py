@@ -11,13 +11,13 @@ engine's own ``map``; for the SAT subset sweep that is the sequential
 :meth:`repro.exact.sat_mapper.SATMapper.map`, whose incumbent-driven family
 pruning and clause sharing both depend on solving families in plan order.
 
-Mapping engines that can exploit an externally known objective bound
-(``mapper.accepts_external_bound``) are seeded through an optional
-:class:`~repro.pipeline.bounds.BoundProviderChain` — the seed resolver —
-with a caller-supplied bound before any solver starts.  Engines that
-consume **solve artifacts** (``mapper.accepts_artifacts``) additionally
-receive the resolver's picklable skeleton-keyed cache handle, so sweeps
-warm-start from structurally identical past jobs.
+The one engine that takes seeds is
+:class:`~repro.exact.sat_mapper.SATMapper`.  Its ``map`` accepts a caller
+bound where ``mapper.accepts_seeds_for(num_logical)`` says the bound is safe,
+and always accepts the **solve-artifact** cache handle, so sweeps
+warm-start from structurally identical past jobs.  Both come from an
+optional :class:`~repro.pipeline.bounds.BoundProviderChain` — the seed
+resolver — before any solver starts.
 
 The pure-Python SAT solver holds the GIL, so ``executor="process"`` is the
 choice for real speed-ups; ``executor="thread"`` (the default) still
@@ -38,32 +38,14 @@ from repro.pipeline.bounds import BoundProviderChain, SeedResolution
 from repro.pipeline.registry import get_mapper, resolve_mapper_name
 
 
-def _accepts(mapper, circuit: QuantumCircuit) -> bool:
-    """Whether *mapper* may take an external bound for *circuit*.
-
-    ``accepts_external_bound`` answers for every circuit.  A mapper whose
-    answer also depends on the circuit (the subset sweep, which is the
-    unrestricted problem when the circuit uses every physical qubit) adds
-    ``accepts_seeds_for(num_logical)``.
-    """
-    if getattr(mapper, "accepts_external_bound", False):
-        return True
-    per_circuit = getattr(mapper, "accepts_seeds_for", None)
-    return per_circuit is not None and per_circuit(circuit.num_qubits)
-
-
-def _map_with_bound(mapper, circuit: QuantumCircuit, seed: SeedResolution):
-    """Map through *mapper*, seeding bound and artifacts only where safe.
-
-    Engines opt in via ``accepts_external_bound`` (objective bound, per
-    circuit through ``accepts_seeds_for``) and ``accepts_artifacts``
-    (skeleton-keyed solve-artifact cache); everything else is mapped
-    unseeded, so heuristics and restricted exact searches are unaffected.
-    """
+def _map_with_seed(mapper, circuit: QuantumCircuit, seed: SeedResolution):
+    """Map through *mapper* with whatever *seed* holds (see
+    :meth:`MappingPipeline._resolve_seed`, which resolved it for this
+    mapper and circuit)."""
     kwargs = {}
-    if seed.bound is not None and _accepts(mapper, circuit):
+    if seed.bound is not None:
         kwargs["upper_bound"] = seed.bound
-    if seed.artifacts is not None and getattr(mapper, "accepts_artifacts", False):
+    if seed.artifacts is not None:
         kwargs["artifacts"] = seed.artifacts
     return mapper.map(circuit, **kwargs)
 
@@ -110,7 +92,7 @@ def _map_circuit_task(
     its locks, so it never crosses into workers) and holds only plain
     values plus a picklable :class:`~repro.service.store.ArtifactCache`
     handle, which carries only the database path and reopens lazily on
-    the far side.  See :func:`_map_with_bound` for what an engine accepts.
+    the far side.
 
     Returns a plain tuple ``(status, payload, error_type, elapsed)`` instead
     of raising, so process workers never have to pickle tracebacks.
@@ -129,7 +111,7 @@ def _map_circuit_task(
             # bind_control run to completion; their caller enforces the
             # deadline by abandoning the result.
             mapper.bind_control(control)
-        result = _map_with_bound(mapper, circuit, seed)
+        result = _map_with_seed(mapper, circuit, seed)
         return ("ok", result, None, time.monotonic() - start)
     except Exception as error:  # noqa: BLE001 - converted to a structured failure
         return ("error", str(error), type(error).__name__, time.monotonic() - start)
@@ -141,8 +123,8 @@ class MappingPipeline:
     Args:
         coupling: Target architecture shared by all mapped circuits.
         engine: Registry name of the mapping engine (``"sat"``, ``"dp"``,
-            ``"stochastic"``, ``"sabre"``, ``"portfolio"``, or any name added
-            via :func:`repro.pipeline.registry.register_mapper`).
+            ``"stochastic"``, ``"sabre"``, ``"sat_split"``, or any name
+            added via :func:`repro.pipeline.registry.register_mapper`).
         engine_options: Keyword options forwarded to the engine factory.
         workers: Default worker count for :meth:`map_many`; ``1`` means
             fully sequential.
@@ -194,20 +176,20 @@ class MappingPipeline:
 
         The resolver runs in the calling thread (it holds the result
         store); the resolved plain values are what travel into worker
-        tasks.  The bound is only resolved for mappers that accept it, and
-        the solve-artifact cache handle only for mappers that consume one
-        — notably the subset sweep, which rejects global bounds unless the
-        circuit uses every physical qubit (``accepts_seeds_for``) but
-        always accepts artifacts, because artifact material is applied per
-        family key.
+        tasks.  Only a mapper with ``accepts_seeds_for`` takes seeds: the
+        artifact handle always, and the caller's bound where
+        ``accepts_seeds_for(circuit.num_qubits)`` holds — a subset sweep
+        takes it only when the circuit uses every physical qubit, because
+        a proper sweep's restricted minimum may lie above it.
         """
-        resolution = SeedResolution()
-        if self.seeds is None:
-            return resolution
-        if _accepts(mapper, circuit):
+        accepts_seeds_for = getattr(mapper, "accepts_seeds_for", None)
+        if self.seeds is None or accepts_seeds_for is None:
+            return SeedResolution()
+        if accepts_seeds_for(circuit.num_qubits):
             resolution = self.seeds.resolve_seed()
-        if getattr(mapper, "accepts_artifacts", False):
-            resolution.artifacts = self.seeds.resolve_artifacts()
+        else:
+            resolution = SeedResolution()
+        resolution.artifacts = self.seeds.resolve_artifacts()
         return resolution
 
     @staticmethod
@@ -236,7 +218,7 @@ class MappingPipeline:
         """Map one circuit with the engine's own ``map``.
 
         The engine is seeded with whatever the seed resolver finds and it
-        allows (see :func:`_map_with_bound`).  *control* is an optional
+        allows (see :meth:`_resolve_seed`).  *control* is an optional
         cooperative-cancellation token for engines with ``bind_control``;
         the circuit is mapped in the calling thread, so the token is
         honoured under either executor.
@@ -245,7 +227,7 @@ class MappingPipeline:
         if control is not None and hasattr(mapper, "bind_control"):
             mapper.bind_control(control)
         seed = self._resolve_seed(mapper, circuit)
-        result = _map_with_bound(mapper, circuit, seed)
+        result = _map_with_seed(mapper, circuit, seed)
         self._annotate_seed(result, seed)
         return result
 
@@ -291,12 +273,7 @@ class MappingPipeline:
         resolutions = [SeedResolution() for _ in batch]
         if self.seeds is not None and batch:
             probe = self.create_mapper()
-            if getattr(probe, "accepts_external_bound", False) or getattr(
-                probe, "accepts_artifacts", False
-            ):
-                resolutions = [
-                    self._resolve_seed(probe, circuit) for circuit in batch
-                ]
+            resolutions = [self._resolve_seed(probe, circuit) for circuit in batch]
 
         def task_args(index: int, circuit: QuantumCircuit):
             return (

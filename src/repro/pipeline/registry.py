@@ -150,7 +150,7 @@ def get_mapper(name: str, coupling: CouplingMap, **options: Any) -> Mapper:
 
     Args:
         name: Registered engine name or alias (``"sat"``, ``"dp"``,
-            ``"stochastic"``, ``"sabre"``, ``"portfolio"``, ...).
+            ``"stochastic"``, ``"sabre"``, ...).
         coupling: Target architecture.
         options: Engine-specific constructor options; ``strategy`` may be a
             name from :func:`repro.exact.strategies.available_strategies` or
@@ -213,13 +213,6 @@ def _build_sabre_mapper(coupling: CouplingMap, **options: Any) -> Mapper:
     from repro.heuristic.sabre_lite import SabreLiteMapper
 
     return SabreLiteMapper(coupling, **options)
-
-
-@register_mapper("portfolio")
-def _build_portfolio_mapper(coupling: CouplingMap, **options: Any) -> Mapper:
-    from repro.pipeline.portfolio import PortfolioMapper
-
-    return PortfolioMapper(coupling, **_resolved_strategy(options))
 
 
 @register_mapper("sat_split", aliases=("split",))

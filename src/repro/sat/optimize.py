@@ -48,8 +48,7 @@ from repro.sat.session import SolveSession
 from repro.sat.solver import SolverResult
 
 #: The descent every SAT entry point uses unless told otherwise
-#: (``SATMapper``, ``PortfolioMapper``, ``SplitSATMapper``,
-#: :meth:`OptimizingSolver.minimize`).
+#: (``SATMapper``, ``SplitSATMapper``, :meth:`OptimizingSolver.minimize`).
 DEFAULT_OPTIMIZER = "core"
 
 #: Descent name -> one-line description (printed by ``--list-optimizers``).

@@ -99,20 +99,6 @@ class TestPipelineSeeding:
         assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
         assert "external_bound" not in result.statistics
 
-    def test_portfolio_accepts_external_bound(self):
-        circuit = _paper_circuit()
-        bound = _dp_bound(circuit)
-        pipeline = MappingPipeline(
-            ibm_qx4(), engine="portfolio",
-            seeds=BoundProviderChain(upper_bound=bound),
-        )
-        result = pipeline.map(circuit)
-        assert result.added_cost == bound
-        # The caller's exact bound is tighter than the heuristic's, so it
-        # wins.
-        assert result.statistics["portfolio_bound"] == bound
-        assert result.statistics["portfolio_external_bound"] == bound
-
     def test_map_many_seeds_each_item(self):
         circuits = [_paper_circuit(), _paper_circuit()]
         bound = _dp_bound(circuits[0])

@@ -129,7 +129,6 @@ class TestWholeDeviceSweep:
 
     def test_seed_flags_hold_for_n_equal_m(self):
         sweep = SATMapper(ibm_qx4(), use_subsets=True)
-        assert not sweep.accepts_external_bound
         assert sweep.accepts_seeds_for(5)
         assert not sweep.accepts_seeds_for(4)
         assert SATMapper(ibm_qx4()).accepts_seeds_for(4)

@@ -1,5 +1,5 @@
 """Tests for the optimizer descents, core-guided descent and model warm
-starts, across the optimize / SATMapper / portfolio layers."""
+starts, across the optimize / SATMapper layers."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from repro.exact.dp_mapper import DPMapper, dp_schedule
 from repro.exact.encoding import build_encoding
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.splitting import SplitSATMapper
-from repro.pipeline.portfolio import PortfolioMapper
 from repro.sat.cnf import CNF
 from repro.sat.optimize import (
     DEFAULT_OPTIMIZER,
@@ -332,15 +331,3 @@ class TestSATMapperStrategies:
         assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
         assert result.statistics["families_dp_seeded"] == 0
         assert "model_seeded" not in result.statistics
-
-
-class TestPortfolioOptimizers:
-    def test_portfolio_with_core_optimizer(self):
-        circuit = paper_example_cnot_skeleton()
-        result = PortfolioMapper(ibm_qx4(), optimizer="core").map(circuit)
-        assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
-        assert result.statistics["portfolio_optimizer"] == "core"
-
-    def test_portfolio_rejects_unknown_optimizer(self):
-        with pytest.raises(ValueError):
-            PortfolioMapper(ibm_qx4(), optimizer="warp")

@@ -47,8 +47,9 @@ def _nonzero_cost_circuit():
 class TestRegistry:
     def test_builtin_engines_registered(self):
         names = available_mappers()
-        for expected in ("sat", "dp", "stochastic", "sabre", "portfolio"):
+        for expected in ("sat", "dp", "stochastic", "sabre", "sat_split"):
             assert expected in names
+        assert "portfolio" not in names
 
     def test_get_mapper_builds_configured_instances(self):
         mapper = get_mapper("sat", ibm_qx4(), strategy="odd", use_subsets=True)
@@ -87,7 +88,7 @@ class TestRegistry:
             registry.register("echo", EchoMapper)
 
     def test_mappers_satisfy_protocol(self):
-        for name in ("sat", "dp", "stochastic", "sabre", "portfolio"):
+        for name in ("sat", "dp", "stochastic", "sabre", "sat_split"):
             assert isinstance(get_mapper(name, ibm_qx4()), Mapper)
 
 

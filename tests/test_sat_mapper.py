@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch.devices import ibm_qx4, linear_architecture
+from repro.benchlib.generators import benchmark_circuit
 from repro.benchlib.paper_example import (
     PAPER_EXAMPLE_MINIMAL_COST,
     paper_example_cnot_skeleton,
@@ -10,7 +11,7 @@ from repro.benchlib.paper_example import (
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.dp_mapper import DPMapper
 from repro.exact.sat_mapper import SATMapper
-from repro.exact.strategies import QubitTriangleStrategy
+from repro.exact.strategies import QubitTriangleStrategy, get_strategy
 from repro.sim.equivalence import result_is_equivalent
 from repro.verify import verify_result
 
@@ -42,9 +43,30 @@ class TestSATMapper:
         assert result.added_cost == DPMapper(ibm_qx4()).map(circuit).added_cost
 
     def test_subsets_do_not_claim_minimality(self):
-        circuit = triangle_circuit()
-        result = SATMapper(ibm_qx4(), use_subsets=True).map(circuit)
+        # A proper subset sweep's positive cost is a restricted minimum.
+        result = SATMapper(ibm_qx4(), use_subsets=True).map(
+            benchmark_circuit("ex-1_166")
+        )
+        assert result.added_cost == 8
         assert not result.optimal
+
+    @pytest.mark.parametrize(
+        "make_mapper",
+        [
+            lambda: SATMapper(ibm_qx4(), use_subsets=True),
+            lambda: SATMapper(ibm_qx4(), strategy=get_strategy("odd")),
+            lambda: DPMapper(ibm_qx4(), strategy=get_strategy("odd")),
+        ],
+        ids=["sat-subsets", "sat-odd", "dp-odd"],
+    )
+    def test_zero_added_cost_is_minimal(self, make_mapper):
+        # No mapping adds fewer than zero operations, whatever the search.
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1)
+        circuit.cx(1, 2)
+        result = make_mapper().map(circuit)
+        assert result.added_cost == 0
+        assert result.optimal
 
     def test_restricted_strategy_never_beats_minimum(self):
         circuit = triangle_circuit()
@@ -153,11 +175,9 @@ class TestSubsetFamilies:
         )
         assert mapper.map(circuit).objective == best
 
-    def test_accepts_external_bound_flags(self):
-        from repro.exact.strategies import get_strategy
-
-        assert SATMapper(ibm_qx4()).accepts_external_bound
-        assert not SATMapper(ibm_qx4(), use_subsets=True).accepts_external_bound
+    def test_accepts_seeds_for_flags(self):
+        assert SATMapper(ibm_qx4()).accepts_seeds_for(3)
+        assert not SATMapper(ibm_qx4(), use_subsets=True).accepts_seeds_for(3)
         assert not SATMapper(
             ibm_qx4(), strategy=get_strategy("odd")
-        ).accepts_external_bound
+        ).accepts_seeds_for(3)

@@ -172,15 +172,14 @@ class TestCLI:
         assert "engine            : sabre_lite" in captured
 
     def test_registry_portfolio_engine(self, tmp_path, capsys):
-        circuit = QuantumCircuit(3)
+        # The portfolio engine is gone: the registry rejects its name.
+        circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
-        circuit.cx(1, 0)
         path = self._write_qasm(tmp_path, circuit)
-        exit_code = main([path, "--engine", "portfolio", "--verify"])
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "engine            : portfolio" in captured
-        assert "equivalence check : passed" in captured
+        with pytest.raises(SystemExit) as exit_info:
+            main([path, "--engine", "portfolio"])
+        assert exit_info.value.code == 2
+        assert "unknown mapper 'portfolio'" in capsys.readouterr().err
 
     def test_custom_registered_engine(self, tmp_path, capsys):
         from repro.exact.dp_mapper import DPMapper
@@ -205,8 +204,9 @@ class TestCLI:
     def test_list_engines(self, capsys):
         assert main(["--list-engines"]) == 0
         captured = capsys.readouterr().out
-        for name in ("sat", "dp", "portfolio"):
+        for name in ("sat", "dp", "sat_split", "sabre", "stochastic"):
             assert name in captured.splitlines()
+        assert "portfolio" not in captured.splitlines()
 
     def test_missing_qasm_errors(self):
         with pytest.raises(SystemExit):
@@ -562,7 +562,7 @@ class TestCLIOptimizerFlags:
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
         path = self._write_qasm(tmp_path, circuit)
-        for engine in ("sat", "portfolio"):
+        for engine in ("sat", "sat_split"):
             with pytest.raises(SystemExit):
                 main([path, "--engine", engine, "--optimizer", "race"])
             assert "unknown --optimizer 'race'" in capsys.readouterr().err
