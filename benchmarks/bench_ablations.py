@@ -1,7 +1,7 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md.
 
-* objective search strategy of the optimiser (linear descent vs. binary
-  search on the cost bound),
+* objective search strategy of the optimiser (the paper's linear descent
+  vs. the core-guided default),
 * exact engine choice (paper-style SAT formulation vs. DP oracle),
 * heuristic baseline strength (Qiskit-0.4-style stochastic mapper vs. the
   SABRE-style look-ahead mapper).
@@ -23,9 +23,9 @@ def _example_encoding(qx4):
     return build_encoding(gates, 4, subset_coupling)
 
 
-@pytest.mark.parametrize("strategy", ["linear", "binary"])
+@pytest.mark.parametrize("strategy", ["linear", "core"])
 def test_optimizer_search_strategy(benchmark, qx4, strategy):
-    """Linear descent vs. binary search on the same mapping instance."""
+    """Linear descent vs. core-guided descent on the same mapping instance."""
     encoding = _example_encoding(qx4)
 
     def run():

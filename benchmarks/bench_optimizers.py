@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Descent strategies head to head: linear, binary and core on one budget.
+"""Descent strategies head to head: linear and core on one budget.
 
 Every run is ``SATMapper(device, use_subsets=True, optimizer=name,
 time_limit=20).map(circuit)`` in this process, one after the other, so
@@ -42,7 +42,7 @@ from repro.exact.dp_mapper import DPMapper
 from repro.exact.sat_mapper import SATMapper
 from repro.sat.solver import solver_backend_provenance
 
-OPTIMIZERS = ("linear", "binary", "core")
+OPTIMIZERS = ("linear", "core")
 QX4_CIRCUITS = (
     "3_17_13", "ex-1_166", "ham3_102", "miller_11", "4gt11_84", "4mod5-v0_20",
 )

@@ -7,7 +7,7 @@ no timing calibration needed):
 
 **Engine configs** — the paper's worked example (Fig. 1, minimal added cost 4
 on IBM QX4) through the SAT engine, plus the full optimizer
-strategy matrix (linear / binary / core-guided, seeded and unseeded, plus a
+strategy matrix (linear / core-guided, seeded and unseeded, plus a
 model warm start replaying a previously solved schedule).  The mappers start
 the example at DP's schedule, which meets its structural lower bound, so
 they decide it without a solver call; the strategy matrix (the ``sat`` …
@@ -60,12 +60,10 @@ solver probe) the warm run must spend no solver conflicts at all.
 8 qubits must keep going through the provably minimal permutation table,
 bit-identical to the pre-synthesis behaviour.
 
-``--record`` additionally runs the sweep suite a second time with sharing
-and pruning disabled (the ``--no-share --no-prune`` ablation) and appends a
-schema-versioned entry — per-config wall seconds, conflicts, propagations,
-clauses shared/imported, families pruned, plus the ablation numbers and the
-end-to-end wall-clock saving — to ``benchmarks/BENCH_sweep.json``, the
-repository's committed wall-clock trajectory.
+``--record`` additionally appends a schema-versioned entry — per-config
+wall seconds, conflicts, propagations, clauses shared/imported, families
+pruned — to ``benchmarks/BENCH_sweep.json``, the repository's committed
+wall-clock trajectory.
 
 Usage::
 
@@ -111,9 +109,11 @@ SEED_BOUND = 4
 #: on ibm_qx5 and ibm_tokyo); v4 adds the ``artifact_configs`` cold/warm
 #: rows (grid8 sweep twice against one shared solve-artifact store, with
 #: the seeding hit counters) and the fixed-seed ``corpus_*`` sweep rows
-#: from the :mod:`repro.benchlib` generators.  Earlier entries remain
-#: valid — every addition is additive.
-BENCH_SWEEP_SCHEMA = 4
+#: from the :mod:`repro.benchlib` generators; v5 drops the sharing/pruning
+#: ablation (``ablation_configs``, ``ablation_wall_seconds_total``,
+#: ``ablation_conflicts_total``, ``wall_saving_percent``), since the sweep
+#: has no switch to turn either off.  Earlier entries remain valid.
+BENCH_SWEEP_SCHEMA = 5
 
 
 class _Descent:
@@ -165,7 +165,6 @@ def _configs():
     """
     return {
         "sat": (lambda: _Descent("linear"), {}),
-        "sat_binary": (lambda: _Descent("binary"), {}),
         "sat_core": (lambda: _Descent("core"), {}),
         "sat_linear_seeded": (
             lambda: _Descent("linear"), {"upper_bound": SEED_BOUND}
@@ -335,26 +334,20 @@ def measure():
     return measurements
 
 
-def measure_sweeps(share: bool = True, prune: bool = True):
+def measure_sweeps():
     """Run the subset-sweep suite; returns per-config sweep metrics.
 
     The per-architecture reconstruction tables are warmed first so the wall
     numbers time the sweep itself, not the process-wide one-off caches; the
     encoding-skeleton cache is cleared per config so every sweep pays its
-    own construction (and the ablation's from-scratch builds are comparable).
+    own construction.
     """
     for arch_factory in {row[0] for row in _sweep_configs().values()}:
         shared_permutation_table(arch_factory())
     measurements = {}
     for name, (arch_factory, circuit_factory, optimizer) in _sweep_configs().items():
         clear_skeleton_cache()
-        mapper = SATMapper(
-            arch_factory(),
-            use_subsets=True,
-            optimizer=optimizer,
-            share_clauses=share,
-            prune_families=prune,
-        )
+        mapper = SATMapper(arch_factory(), use_subsets=True, optimizer=optimizer)
         # Collect between configs so one sweep's garbage is not another
         # sweep's pause — wall numbers should time the sweep, not the GC.
         gc.collect()
@@ -558,10 +551,8 @@ def _environment_stamp() -> dict:
     return stamp
 
 
-def record_entry(sweep_on, sweep_off, splits, artifacts, path: Path) -> dict:
+def record_entry(sweeps, splits, artifacts, path: Path) -> dict:
     """Append one schema-versioned sweep entry to BENCH_sweep.json."""
-    wall_on = round(sum(m["wall_seconds"] for m in sweep_on.values()), 4)
-    wall_off = round(sum(m["wall_seconds"] for m in sweep_off.values()), 4)
     cold_conflicts = artifacts["cold"]["solver_conflicts"]
     warm_conflicts = artifacts["warm"]["solver_conflicts"]
     entry = {
@@ -572,8 +563,7 @@ def record_entry(sweep_on, sweep_off, splits, artifacts, path: Path) -> dict:
                      "splits (ibm_qx5, ibm_tokyo) + artifact warm start "
                      "(3_17_13 on sweep_grid8, shared store)",
         "environment": _environment_stamp(),
-        "configs": sweep_on,
-        "ablation_configs": sweep_off,
+        "configs": sweeps,
         "split_configs": splits,
         "artifact_configs": artifacts,
         "artifact_conflict_saving_percent": round(
@@ -582,19 +572,15 @@ def record_entry(sweep_on, sweep_off, splits, artifacts, path: Path) -> dict:
         "split_wall_seconds_total": round(
             sum(m["wall_seconds"] for m in splits.values()), 4
         ),
-        "wall_seconds_total": wall_on,
-        "ablation_wall_seconds_total": wall_off,
-        "wall_saving_percent": round(100.0 * (1.0 - wall_on / wall_off), 1)
-        if wall_off > 0 else 0.0,
-        "conflicts_total": sum(m["solver_conflicts"] for m in sweep_on.values()),
-        "ablation_conflicts_total": sum(
-            m["solver_conflicts"] for m in sweep_off.values()
+        "wall_seconds_total": round(
+            sum(m["wall_seconds"] for m in sweeps.values()), 4
         ),
+        "conflicts_total": sum(m["solver_conflicts"] for m in sweeps.values()),
         "families_pruned_total": sum(
-            m["families_pruned"] for m in sweep_on.values()
+            m["families_pruned"] for m in sweeps.values()
         ),
         "clauses_imported_total": sum(
-            m["clauses_imported"] for m in sweep_on.values()
+            m["clauses_imported"] for m in sweeps.values()
         ),
     }
     if path.exists():
@@ -620,24 +606,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--record", action="store_true",
-        help="run the sweep ablation and append a schema-versioned entry "
-        "(wall seconds, conflicts, clauses shared, families pruned) to "
-        "--bench-history",
+        help="append a schema-versioned entry (wall seconds, conflicts, "
+        "clauses shared, families pruned) to --bench-history",
     )
     parser.add_argument(
         "--bench-history",
         default=str(Path(__file__).parent / "BENCH_sweep.json"),
         help="sweep wall-clock history file appended to by --record",
-    )
-    parser.add_argument(
-        "--no-share", action="store_true",
-        help="ablation: disable cross-family clause sharing and encoding-"
-        "skeleton reuse in the sweep configs",
-    )
-    parser.add_argument(
-        "--no-prune", action="store_true",
-        help="ablation: disable lower-bound family pruning in the sweep "
-        "configs",
     )
     parser.add_argument(
         "--warm-start-only", action="store_true",
@@ -676,8 +651,7 @@ def main(argv=None) -> int:
 
     baseline = json.loads(Path(args.baseline).read_text())
     measurements = measure()
-    share, prune = not args.no_share, not args.no_prune
-    sweeps = measure_sweeps(share=share, prune=prune)
+    sweeps = measure_sweeps()
     splits = measure_splits()
     artifacts = measure_artifacts()
 
@@ -743,30 +717,19 @@ def main(argv=None) -> int:
         )
 
     failures = check(measurements, baseline)
-    if share and prune:
-        failures += check_sweeps(sweeps, baseline)
-    else:
-        print("sweep ablation flags active: baseline sweep checks skipped")
+    failures += check_sweeps(sweeps, baseline)
     failures += check_artifacts(artifacts)
     failures += check_exact_table_pin()
 
     if args.record:
-        if share and prune:
-            ablation = measure_sweeps(share=False, prune=False)
-        else:
-            ablation = sweeps
-            sweeps = measure_sweeps(share=True, prune=True)
         entry = record_entry(
-            sweeps, ablation, splits, artifacts, Path(args.bench_history)
+            sweeps, splits, artifacts, Path(args.bench_history)
         )
         print(
-            f"recorded sweep entry: {entry['wall_seconds_total']:.3f}s vs "
-            f"{entry['ablation_wall_seconds_total']:.3f}s ablation "
-            f"({entry['wall_saving_percent']:.1f}% wall saved, "
-            f"{entry['conflicts_total']} vs "
-            f"{entry['ablation_conflicts_total']} conflicts; warm start "
-            f"saved {entry['artifact_conflict_saving_percent']:.1f}% "
-            "of sweep conflicts)"
+            f"recorded sweep entry: {entry['wall_seconds_total']:.3f}s, "
+            f"{entry['conflicts_total']} conflicts; warm start saved "
+            f"{entry['artifact_conflict_saving_percent']:.1f}% of sweep "
+            "conflicts"
         )
         report["bench_sweep_entry"] = entry
 

@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--optimizer", default=None,
-        help="objective-search strategy of the SAT stage (core, linear, "
-        "binary; default: core). "
+        help="objective-search strategy of the SAT stage (core, linear; "
+        "default: core). "
         "'core' uses MaxSAT-style UNSAT-core-guided descent; 'linear' is "
         "the paper's descent",
     )
@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain", action="store_true",
         help="on a proven-optimal SAT result, print the final UNSAT core "
         "mapped to human-readable constraint labels (which objective "
-        "selectors / bound-ladder nodes bind); core and binary record "
-        "one, linear does not",
+        "selectors / bound-ladder nodes bind); core records one, linear "
+        "does not",
     )
     parser.add_argument(
         "--subsets", action="store_true",
@@ -659,7 +659,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--optimizer", default=None,
         help="objective-search strategy of the SAT stage "
-        "(core, linear, binary; default: core)",
+        "(core, linear; default: core)",
     )
     parser.add_argument("--subsets", action="store_true",
                         help="restrict the SAT engine to connected subsets")
@@ -794,7 +794,11 @@ def _build_listen_parser() -> argparse.ArgumentParser:
         help=f"mapping engine ({', '.join(available_mappers())}; default: dp)",
     )
     parser.add_argument("--strategy", default="all")
-    parser.add_argument("--optimizer", default=None)
+    parser.add_argument(
+        "--optimizer", default=None,
+        help="objective-search strategy of the SAT stage "
+        "(core, linear; default: core)",
+    )
     parser.add_argument("--subsets", action="store_true")
     parser.add_argument("--time-limit", type=float, default=None)
     parser.add_argument("--trials", type=int, default=5)

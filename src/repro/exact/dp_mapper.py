@@ -75,8 +75,6 @@ class DPMapper:
             the device to 8 physical qubits.
         strategy: Permutation-restriction strategy (defaults to permutations
             before every gate, i.e. the minimal formulation).
-        decompose_swaps: Emit SWAPs in the reconstructed circuit as their
-            7-gate decomposition (default) or as opaque ``swap`` gates.
 
     Example:
         >>> from repro.arch import ibm_qx4
@@ -92,11 +90,9 @@ class DPMapper:
         self,
         coupling: CouplingMap,
         strategy: Optional[PermutationStrategy] = None,
-        decompose_swaps: bool = True,
     ):
         self.coupling = coupling
         self.strategy = strategy if strategy is not None else AllGatesStrategy()
-        self.decompose_swaps = decompose_swaps
         self._table = shared_permutation_table(coupling)
 
     # ------------------------------------------------------------------
@@ -126,7 +122,6 @@ class DPMapper:
                 runtime_seconds=time.monotonic() - start,
                 num_permutation_spots=0,
                 statistics={"states": 0},
-                decompose_swaps=self.decompose_swaps,
                 permutation_table=self._table,
             )
 
@@ -156,7 +151,6 @@ class DPMapper:
                 "states": math.perm(num_physical, num_logical),
                 "transitions_evaluated": transitions_evaluated,
             },
-            decompose_swaps=self.decompose_swaps,
             permutation_table=self._table,
         )
 

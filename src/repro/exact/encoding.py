@@ -495,8 +495,9 @@ def build_encoding(
             built on demand when omitted.
         reuse_skeleton: Serve the edge-independent skeleton from the
             process-wide cache (the subset-sweep fast path).  Disable to
-            force a from-scratch construction, e.g. for ablation
-            benchmarks; the resulting formula is identical either way.
+            force a from-scratch construction, the reference the tests
+            compare skeleton instantiation against; the resulting formula
+            is identical either way.
 
     Returns:
         The :class:`MappingEncoding`.

@@ -31,14 +31,12 @@ class ReconstructionError(ValueError):
     """Raised when a schedule cannot be realised on the architecture."""
 
 
-def _emit_swap(circuit: QuantumCircuit, coupling: CouplingMap,
-               qubit_a: int, qubit_b: int, decompose: bool) -> None:
+def emit_swap(circuit: QuantumCircuit, coupling: CouplingMap,
+              qubit_a: int, qubit_b: int) -> None:
     """Append one SWAP between two coupled physical qubits.
 
-    With ``decompose=True`` the SWAP is emitted as its 7-gate elementary
-    decomposition (3 CNOTs with the middle one direction-fixed by 4 H gates);
-    otherwise a single ``swap`` gate is appended (it still counts as 7
-    operations in the cost model).
+    The SWAP is emitted as its 7-gate elementary decomposition (3 CNOTs with
+    the middle one direction-fixed by 4 H gates).
     """
     if coupling.allows_cnot(qubit_a, qubit_b):
         control, target = qubit_a, qubit_b
@@ -48,9 +46,6 @@ def _emit_swap(circuit: QuantumCircuit, coupling: CouplingMap,
         raise ReconstructionError(
             f"cannot SWAP physical qubits {qubit_a} and {qubit_b}: not coupled"
         )
-    if not decompose:
-        circuit.swap(control, target)
-        return
     circuit.cx(control, target)
     circuit.h(control)
     circuit.h(target)
@@ -60,8 +55,8 @@ def _emit_swap(circuit: QuantumCircuit, coupling: CouplingMap,
     circuit.cx(control, target)
 
 
-def _emit_cnot(circuit: QuantumCircuit, coupling: CouplingMap,
-               control: int, target: int) -> bool:
+def emit_cnot(circuit: QuantumCircuit, coupling: CouplingMap,
+              control: int, target: int) -> bool:
     """Append one CNOT on physical qubits, reversing direction if needed.
 
     Returns:
@@ -104,7 +99,6 @@ def reconstruct_circuit(
     original: QuantumCircuit,
     schedule: MappingSchedule,
     coupling: CouplingMap,
-    decompose_swaps: bool = True,
     permutation_table: Optional[PermutationSynthesizer] = None,
 ) -> Tuple[QuantumCircuit, CostBreakdown]:
     """Build the architecture-compliant circuit realising *schedule*.
@@ -113,8 +107,6 @@ def reconstruct_circuit(
         original: The original circuit (including single-qubit gates).
         schedule: Per-CNOT logical-to-physical mappings.
         coupling: Target architecture.
-        decompose_swaps: Emit SWAPs as their 7-gate decomposition (default)
-            instead of opaque ``swap`` gates.
         permutation_table: Optional SWAP provider for *coupling* — an exact
             :class:`~repro.arch.permutations.PermutationTable` or any
             :class:`~repro.arch.synthesis.PermutationSynthesizer`; resolved
@@ -146,12 +138,12 @@ def reconstruct_circuit(
             target_mapping = schedule.mappings[cnot_index]
             for edge in _swap_sequence(current, target_mapping, coupling,
                                        permutation_table):
-                _emit_swap(mapped, coupling, edge[0], edge[1], decompose_swaps)
+                emit_swap(mapped, coupling, edge[0], edge[1])
                 swaps += 1
             current = target_mapping
             physical_control = current[gate.control]
             physical_target = current[gate.target]
-            if _emit_cnot(mapped, coupling, physical_control, physical_target):
+            if emit_cnot(mapped, coupling, physical_control, physical_target):
                 reversals += 1
             cnot_index += 1
         elif isinstance(gate, Measure):
@@ -192,7 +184,6 @@ def build_result(
     runtime_seconds: float,
     num_permutation_spots: Optional[int] = None,
     statistics: Optional[Dict[str, float]] = None,
-    decompose_swaps: bool = True,
     permutation_table: Optional[PermutationSynthesizer] = None,
 ) -> MappingResult:
     """Convenience helper assembling a :class:`MappingResult` from a schedule.
@@ -204,7 +195,6 @@ def build_result(
         original,
         schedule,
         coupling,
-        decompose_swaps=decompose_swaps,
         permutation_table=permutation_table,
     )
     return MappingResult(
@@ -243,6 +233,8 @@ def default_schedule(num_logical: int, coupling: CouplingMap) -> MappingSchedule
 
 __all__ = [
     "ReconstructionError",
+    "emit_swap",
+    "emit_cnot",
     "reconstruct_circuit",
     "build_result",
     "default_schedule",

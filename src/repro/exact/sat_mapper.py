@@ -461,13 +461,12 @@ class _Sweep:
         return in_sweep, in_sweep
 
     # ------------------------------------------------------------------
-    def import_clauses(self, family: _Family, share_clauses: bool) -> None:
+    def import_clauses(self, family: _Family) -> None:
         """Inject learned clauses into a family about to be solved.
 
-        Two sources, in this order: with *share_clauses*, the clauses of
-        every visited edge-superset family (where they were learned),
-        remapped through the inverse of the embedding over the shared
-        variable roles; then the family's stored clauses from past jobs,
+        Two sources, in this order: the clauses of every visited
+        edge-superset family (where they were learned), remapped through
+        the inverse of the embedding over the shared variable roles; then the family's stored clauses from past jobs,
         in template numbering, which skeleton-key equality turns into a
         constant shift (:func:`repro.exact.sweep.template_clause_remap`).
         A stored row whose variable-block shape disagrees with the live
@@ -476,21 +475,20 @@ class _Sweep:
         """
         encoding = family.encoding
         assert encoding is not None and family.session is not None
-        if share_clauses:
-            for source in self.families:
-                if not source.exported:
-                    continue
-                # Clause transfer only needs hard-constraint satisfiability
-                # to carry over, so the looser undirected relation applies.
-                sigma = self._embedding(family, source, directed=False)
-                if sigma is None:
-                    continue
-                remap = encoding_variable_remap(
-                    source.shared_vars, encoding, invert_permutation(sigma)
-                )
-                self.counters["clauses_imported"] += self._import(
-                    family, source.exported, remap, "imported"
-                )
+        for source in self.families:
+            if not source.exported:
+                continue
+            # Clause transfer only needs hard-constraint satisfiability to
+            # carry over, so the looser undirected relation applies.
+            sigma = self._embedding(family, source, directed=False)
+            if sigma is None:
+                continue
+            remap = encoding_variable_remap(
+                source.shared_vars, encoding, invert_permutation(sigma)
+            )
+            self.counters["clauses_imported"] += self._import(
+                family, source.exported, remap, "imported"
+            )
         _, payload = self._artifact_for(family)
         if payload is None or not payload["clauses"]:
             return
@@ -612,24 +610,14 @@ class SATMapper:
             permutations before every gate (the minimal formulation).
         use_subsets: Solve one instance per connected subset of ``n`` physical
             qubits instead of one instance over all ``m`` (Section 4.1).
-        optimizer: Objective descent: ``"core"`` (the default),
-            ``"linear"`` or ``"binary"`` (see :mod:`repro.sat.optimize`);
-            validated at construction time.
+        optimizer: Objective descent: ``"core"`` (the default) or
+            ``"linear"`` (see :mod:`repro.sat.optimize`); validated at
+            construction time.
         time_limit: Optional wall-clock budget in seconds for the whole
             mapping call; when exhausted the best solution found so far is
             returned (not necessarily minimal) and the remaining subset
             instances are skipped.
         conflict_limit: Optional per-solver-call conflict budget.
-        decompose_swaps: Emit SWAPs as their 7-gate decomposition (default).
-        share_clauses: Share work across subset families: sibling families
-            instantiate one cached encoding skeleton instead of re-running
-            the Tseitin construction, and learned clauses cross family
-            boundaries along edge embeddings (see the module docstring).
-            Never changes the result — only how fast it is found.
-        prune_families: Skip — without solving — subset families whose
-            proven lower bound (structural, or transferred from a decided
-            family they embed into) already meets the sweep incumbent.
-            Never changes the proven minimum.
 
     Example:
         >>> from repro.arch import ibm_qx4
@@ -649,9 +637,6 @@ class SATMapper:
         optimizer: str = DEFAULT_OPTIMIZER,
         time_limit: Optional[float] = None,
         conflict_limit: Optional[int] = None,
-        decompose_swaps: bool = True,
-        share_clauses: bool = True,
-        prune_families: bool = True,
     ):
         self.coupling = coupling
         self.strategy = strategy if strategy is not None else AllGatesStrategy()
@@ -661,9 +646,6 @@ class SATMapper:
         self.optimizer = resolve_optimizer_name(optimizer)
         self.time_limit = time_limit
         self.conflict_limit = conflict_limit
-        self.decompose_swaps = decompose_swaps
-        self.share_clauses = share_clauses
-        self.prune_families = prune_families
         # Optional cooperative-cancellation token (see bind_control):
         # every solver this mapper creates registers itself on it, so the
         # owner can interrupt a running map() from another thread.
@@ -795,7 +777,6 @@ class SATMapper:
             list(gates), num_logical, family.sub_coupling,
             permutation_spots=list(spots),
             permutation_table=table,
-            reuse_skeleton=self.share_clauses,
         )
         family.shared_vars = _SharedVars.of(family.encoding)
         family.optimizer = OptimizingSolver(
@@ -958,7 +939,7 @@ class SATMapper:
             clauses=family.encoding.num_clauses,
         )
         if sweep.check_imports:
-            sweep.import_clauses(family, self.share_clauses)
+            sweep.import_clauses(family)
             probe = self._solve_family(
                 family, subset, time_limit, bound, incumbent=seed
             )
@@ -1002,7 +983,7 @@ class SATMapper:
             # holds no bound, schedule or clauses, so it lends nothing to
             # its own solve.
             sweep.families.append(family)
-            if self.prune_families and bound is not None:
+            if bound is not None:
                 proven, in_sweep = sweep.lower_bounds(family)
                 if proven > bound:
                     if in_sweep <= bound:
@@ -1024,22 +1005,21 @@ class SATMapper:
                 if seed is not None else None
             )
             if outcome is None:
-                sweep.import_clauses(family, self.share_clauses)
+                sweep.import_clauses(family)
                 outcome = self._solve_family(
                     family, subset, time_limit, bound, incumbent=seed
                 )
-        if self.share_clauses:
-            # export_learned is cumulative: the list replaces the earlier
-            # one, and only its growth counts as newly exported.
-            exported = family.session.export_learned(
-                max_size=SHARE_MAX_CLAUSE_SIZE,
-                var_ok=family.encoding.is_shared_variable,
+        # export_learned is cumulative: the list replaces the earlier one,
+        # and only its growth counts as newly exported.
+        exported = family.session.export_learned(
+            max_size=SHARE_MAX_CLAUSE_SIZE,
+            var_ok=family.encoding.is_shared_variable,
+        )
+        if exported:
+            sweep.counters["clauses_exported"] += max(
+                0, len(exported) - len(family.exported)
             )
-            if exported:
-                sweep.counters["clauses_exported"] += max(
-                    0, len(exported) - len(family.exported)
-                )
-                family.exported = exported
+            family.exported = exported
         proven = _proven_lower_bound(outcome, family.bound_used)
         if proven is not None and (
             family.lower_bound is None or proven > family.lower_bound
@@ -1160,7 +1140,6 @@ class SATMapper:
             runtime_seconds=runtime_seconds,
             num_permutation_spots=len(spots),
             statistics=statistics,
-            decompose_swaps=self.decompose_swaps,
             permutation_table=synthesizer,
         )
 
@@ -1214,8 +1193,7 @@ class SATMapper:
                 runtime_seconds=time.monotonic() - start,
                 num_permutation_spots=0,
                 statistics={},
-                decompose_swaps=self.decompose_swaps,
-            )
+                )
 
         subsets = self.candidate_subsets(num_logical)
         families = self.plan_families(subsets, gates)
@@ -1265,8 +1243,6 @@ class SATMapper:
             extra_statistics={
                 "families_total": len(families),
                 **sweep.counters,
-                "clause_sharing": int(self.share_clauses),
-                "family_pruning": int(self.prune_families),
                 "artifact_seeding": int(sweep.artifacts is not None),
                 **(
                     {"artifact_notes": list(sweep.artifact_notes)}

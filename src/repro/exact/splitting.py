@@ -103,11 +103,9 @@ class SplitSATMapper:
         strategy: Permutation-restriction strategy forwarded to each
             window's :class:`SATMapper`.
         optimizer: Descent forwarded to window solves (``"core"``, the
-            default, ``"linear"`` or ``"binary"``); validated at
-            construction time.
+            default, or ``"linear"``); validated at construction time.
         time_limit: Overall wall-clock budget in seconds, shared across
             windows (each window sees the remaining budget).
-        decompose_swaps: Emit SWAPs as the 7-gate decomposition (default).
     """
 
     name = "sat_split"
@@ -120,7 +118,6 @@ class SplitSATMapper:
         strategy: Any = None,
         optimizer: str = DEFAULT_OPTIMIZER,
         time_limit: Optional[float] = None,
-        decompose_swaps: bool = True,
     ):
         if window_size < 1:
             raise ValueError("split window size must be at least 1")
@@ -135,7 +132,6 @@ class SplitSATMapper:
         self.strategy = strategy
         self.optimizer = resolve_optimizer_name(optimizer)
         self.time_limit = time_limit
-        self.decompose_swaps = decompose_swaps
 
     # ------------------------------------------------------------------
     def _window_mapper(self, remaining: Optional[float]) -> SATMapper:
@@ -145,7 +141,6 @@ class SplitSATMapper:
             use_subsets=True,
             optimizer=self.optimizer,
             time_limit=remaining,
-            decompose_swaps=self.decompose_swaps,
         )
 
     def _park_displaced(
@@ -225,8 +220,7 @@ class SplitSATMapper:
                 runtime_seconds=time.monotonic() - start,
                 statistics={"split_windows": 0,
                             "split_window_size": self.window_size},
-                decompose_swaps=self.decompose_swaps,
-            )
+                )
 
         windows = partition_windows(gates, self.window_size, self.qubit_cap)
         synthesizer = shared_synthesizer(self.coupling)
@@ -334,7 +328,6 @@ class SplitSATMapper:
             runtime_seconds=time.monotonic() - start,
             num_permutation_spots=None,
             statistics=statistics,
-            decompose_swaps=self.decompose_swaps,
             permutation_table=synthesizer,
         )
         # The realized added cost is the honest objective of a stitched

@@ -17,6 +17,7 @@ from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Barrier, Measure
 from repro.exact.cost import CostBreakdown
+from repro.exact.reconstruction import emit_cnot, emit_swap
 from repro.exact.result import MappingResult, MappingSchedule
 
 
@@ -26,9 +27,8 @@ class HeuristicMapper(ABC):
     #: Engine name used in result objects and benchmark tables.
     name: str = "heuristic"
 
-    def __init__(self, coupling: CouplingMap, decompose_swaps: bool = True):
+    def __init__(self, coupling: CouplingMap):
         self.coupling = coupling
-        self.decompose_swaps = decompose_swaps
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -77,10 +77,8 @@ class _MappingTrace:
     """Mutable helper that records the circuit built by a heuristic mapper."""
 
     def __init__(self, coupling: CouplingMap, num_logical: int,
-                 initial_layout: Tuple[int, ...], num_clbits: int,
-                 decompose_swaps: bool, name: str):
+                 initial_layout: Tuple[int, ...], num_clbits: int, name: str):
         self.coupling = coupling
-        self.decompose_swaps = decompose_swaps
         self.circuit = QuantumCircuit(coupling.num_qubits, name, num_clbits)
         self.layout: List[int] = list(initial_layout)
         self.initial_layout: Tuple[int, ...] = tuple(initial_layout)
@@ -96,24 +94,7 @@ class _MappingTrace:
 
     def apply_swap(self, physical_a: int, physical_b: int) -> None:
         """Insert a SWAP between two coupled physical qubits and update the layout."""
-        if self.coupling.allows_cnot(physical_a, physical_b):
-            control, target = physical_a, physical_b
-        elif self.coupling.allows_cnot(physical_b, physical_a):
-            control, target = physical_b, physical_a
-        else:
-            raise ValueError(
-                f"cannot SWAP physical qubits {physical_a} and {physical_b}: not coupled"
-            )
-        if self.decompose_swaps:
-            self.circuit.cx(control, target)
-            self.circuit.h(control)
-            self.circuit.h(target)
-            self.circuit.cx(control, target)
-            self.circuit.h(control)
-            self.circuit.h(target)
-            self.circuit.cx(control, target)
-        else:
-            self.circuit.swap(control, target)
+        emit_swap(self.circuit, self.coupling, physical_a, physical_b)
         self.swap_count += 1
         for logical, physical in enumerate(self.layout):
             if physical == physical_a:
@@ -123,23 +104,10 @@ class _MappingTrace:
 
     def apply_cnot(self, control: int, target: int) -> None:
         """Insert a CNOT between logical qubits, fixing the direction if needed."""
-        physical_control = self.layout[control]
-        physical_target = self.layout[target]
         self.cnot_mappings.append(tuple(self.layout))
-        if self.coupling.allows_cnot(physical_control, physical_target):
-            self.circuit.cx(physical_control, physical_target)
-        elif self.coupling.allows_cnot(physical_target, physical_control):
-            self.circuit.h(physical_control)
-            self.circuit.h(physical_target)
-            self.circuit.cx(physical_target, physical_control)
-            self.circuit.h(physical_control)
-            self.circuit.h(physical_target)
+        if emit_cnot(self.circuit, self.coupling,
+                     self.layout[control], self.layout[target]):
             self.reversal_count += 1
-        else:
-            raise ValueError(
-                f"CNOT({control}, {target}) mapped to uncoupled physical pair "
-                f"({physical_control}, {physical_target})"
-            )
 
     def apply_other(self, gate) -> None:
         """Forward a non-CNOT gate to the physical qubits of its logical qubits."""

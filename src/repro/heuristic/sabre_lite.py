@@ -19,20 +19,24 @@ from repro.arch.cache import shared_distance_matrix
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
 from repro.heuristic.base import HeuristicMapper, _MappingTrace
-from repro.heuristic.initial_layout import greedy_interaction_layout, trivial_layout
+from repro.heuristic.initial_layout import greedy_interaction_layout
+
+#: Number of upcoming CNOTs in the extended (look-ahead) cost set.
+LOOKAHEAD = 20
+#: Weight of the extended set's mean distance in the SWAP score.
+LOOKAHEAD_WEIGHT = 0.5
 
 
 class SabreLiteMapper(HeuristicMapper):
     """Front-layer + look-ahead SWAP selection.
 
+    Mapping starts from the interaction-aware greedy layout; the SWAP score
+    adds :data:`LOOKAHEAD_WEIGHT` times the mean distance of the next
+    :data:`LOOKAHEAD` CNOTs to the front layer's total distance.
+
     Args:
         coupling: Target architecture.
-        lookahead: Number of upcoming CNOTs included in the extended cost set.
-        lookahead_weight: Relative weight of the extended set in the SWAP score.
-        use_greedy_layout: Start from the interaction-aware greedy layout
-            instead of the trivial one.
         seed: Random tie-breaking seed.
-        decompose_swaps: Emit SWAPs as 7-gate decompositions (default).
     """
 
     name = "sabre_lite"
@@ -40,16 +44,9 @@ class SabreLiteMapper(HeuristicMapper):
     def __init__(
         self,
         coupling: CouplingMap,
-        lookahead: int = 20,
-        lookahead_weight: float = 0.5,
-        use_greedy_layout: bool = True,
         seed: Optional[int] = 0,
-        decompose_swaps: bool = True,
     ):
-        super().__init__(coupling, decompose_swaps=decompose_swaps)
-        self.lookahead = lookahead
-        self.lookahead_weight = lookahead_weight
-        self.use_greedy_layout = use_greedy_layout
+        super().__init__(coupling)
         self.seed = seed
         # Shared per-architecture matrix: the lookahead reads it, never
         # writes, so heuristics and the routed synthesizer share one copy.
@@ -70,21 +67,16 @@ class SabreLiteMapper(HeuristicMapper):
         extended_score = sum(
             self._distances[layout[c]][layout[t]] for c, t in extended
         ) / len(extended)
-        return front_score + self.lookahead_weight * extended_score
+        return front_score + LOOKAHEAD_WEIGHT * extended_score
 
     # ------------------------------------------------------------------
     def _run(self, circuit: QuantumCircuit) -> _MappingTrace:
         rng = random.Random(self.seed)
-        if self.use_greedy_layout:
-            layout = greedy_interaction_layout(circuit, self.coupling)
-        else:
-            layout = trivial_layout(circuit, self.coupling)
         trace = _MappingTrace(
             self.coupling,
             circuit.num_qubits,
-            layout,
+            greedy_interaction_layout(circuit, self.coupling),
             circuit.num_clbits,
-            self.decompose_swaps,
             f"{circuit.name}_mapped",
         )
 
@@ -133,7 +125,7 @@ class SabreLiteMapper(HeuristicMapper):
                 (gates[i].control, gates[i].target)
                 for i in range(len(gates))
                 if not emitted[i] and gates[i].is_cnot
-            ][: self.lookahead]
+            ][:LOOKAHEAD]
             best_edge: Optional[Tuple[int, int]] = None
             best_score: Optional[float] = None
             for edge in sorted(self.coupling.undirected_edges):
@@ -153,7 +145,7 @@ class SabreLiteMapper(HeuristicMapper):
             swaps_without_progress += 1
             if swaps_without_progress > 10 * self.coupling.num_qubits:
                 raise RuntimeError("SABRE-lite failed to make progress")
-        trace.statistics["lookahead"] = float(self.lookahead)
+        trace.statistics["lookahead"] = float(LOOKAHEAD)
         return trace
 
 

@@ -22,20 +22,21 @@ from repro.circuit.layers import front_layers
 from repro.heuristic.base import HeuristicMapper, _MappingTrace
 from repro.heuristic.initial_layout import random_layout, trivial_layout
 
+#: Safety bound on SWAP insertions per layer.
+MAX_SWAPS_PER_LAYER = 100
+
 
 class StochasticSwapMapper(HeuristicMapper):
     """Layer-by-layer randomised SWAP insertion (Qiskit 0.4 style).
+
+    The first trial starts from the trivial layout, as Qiskit 0.4 did; every
+    later trial starts from a random initial layout.
 
     Args:
         coupling: Target architecture.
         trials: Number of independent randomised mapping attempts; the
             cheapest mapped circuit is returned (the paper uses 5).
         seed: Seed of the pseudo-random generator (for reproducibility).
-        randomize_initial_layout: Start each trial except the first from a
-            random initial layout (the first trial uses the trivial layout,
-            as Qiskit 0.4 did).
-        max_swaps_per_layer: Safety bound on SWAP insertions per layer.
-        decompose_swaps: Emit SWAPs as 7-gate decompositions (default).
     """
 
     name = "stochastic"
@@ -45,17 +46,12 @@ class StochasticSwapMapper(HeuristicMapper):
         coupling: CouplingMap,
         trials: int = 5,
         seed: Optional[int] = 0,
-        randomize_initial_layout: bool = True,
-        max_swaps_per_layer: int = 100,
-        decompose_swaps: bool = True,
     ):
-        super().__init__(coupling, decompose_swaps=decompose_swaps)
+        super().__init__(coupling)
         if trials < 1:
             raise ValueError("trials must be at least 1")
         self.trials = trials
         self.seed = seed
-        self.randomize_initial_layout = randomize_initial_layout
-        self.max_swaps_per_layer = max_swaps_per_layer
         self._distances = shared_distance_matrix(coupling)
 
     # ------------------------------------------------------------------
@@ -80,7 +76,7 @@ class StochasticSwapMapper(HeuristicMapper):
         """Insert SWAPs until every CNOT of the layer acts on coupled qubits."""
         swaps_inserted = 0
         while not self._layer_executable(trace, cnots):
-            if swaps_inserted >= self.max_swaps_per_layer:
+            if swaps_inserted >= MAX_SWAPS_PER_LAYER:
                 raise RuntimeError(
                     "stochastic swap search exceeded the per-layer SWAP budget"
                 )
@@ -123,7 +119,6 @@ class StochasticSwapMapper(HeuristicMapper):
             circuit.num_qubits,
             initial_layout,
             circuit.num_clbits,
-            self.decompose_swaps,
             f"{circuit.name}_mapped",
         )
         layers = front_layers(circuit)
@@ -144,7 +139,7 @@ class StochasticSwapMapper(HeuristicMapper):
         best_trace: Optional[_MappingTrace] = None
         best_cost: Optional[int] = None
         for trial in range(self.trials):
-            if trial == 0 or not self.randomize_initial_layout:
+            if trial == 0:
                 layout = trivial_layout(circuit, self.coupling)
             else:
                 layout = random_layout(circuit, self.coupling, rng)

@@ -17,7 +17,7 @@ replacement with the pieces the mapping formulation needs:
   solver with the objective-bound ladder (``F <= b`` as an assumption),
 * :mod:`repro.sat.optimize` — minimisation of a weighted linear objective on
   top of a session (the "extended interpretation" of Definition 3 in the
-  paper) by one of three descents: core-guided, linear or binary.
+  paper) by one of two descents: core-guided or linear.
 """
 
 from repro.sat.cnf import CNF, Clause, Literal, VariablePool

@@ -4,7 +4,7 @@ This implements the "extended interpretation" of the satisfiability problem
 from Definition 3 of the paper: besides a satisfying assignment of the hard
 constraints, an assignment minimising ``F = sum(w_i * literal_i)`` is sought.
 
-Three descents decide which objective bounds to probe, all on one
+Two descents decide which objective bounds to probe, both on one
 persistent :class:`~repro.sat.session.SolveSession`, so learned clauses,
 variable activities and saved phases carry over from probe to probe:
 
@@ -22,15 +22,10 @@ variable activities and saved phases carry over from probe to probe:
 * ``"linear"`` — the paper's descent: solve once, read off the objective
   value of the model, then repeatedly commit ``F <= best - 1`` until the
   instance becomes unsatisfiable.  The last model found is optimal.
-* ``"binary"`` — a first model, then bisection of ``[0, best]``; every
-  probe is an assumption on the same solver (an UNSAT probe does not poison
-  later, looser probes).  A bounded or seeded solve refutes first, as
-  ``core`` does, and bisects only when that probe finds a cheaper model.
 
-``binary`` and ``core`` share the refute-first step, the first-model step
-and the bisection.  All descents return an :class:`OptimizationResult`;
-when a time or conflict budget is exhausted the best model found so far is
-returned with ``is_optimal=False`` (this mirrors the paper's "close-to-minimal"
+Both descents return an :class:`OptimizationResult`; when a time or
+conflict budget is exhausted the best model found so far is returned with
+``is_optimal=False`` (this mirrors the paper's "close-to-minimal"
 discussion).  A known feasible assignment can be handed in as an initial
 incumbent (``minimize(initial_model=..., initial_objective=...)``): it
 seeds the solver's phases and counts as the first feasible solution, so a
@@ -53,10 +48,6 @@ DEFAULT_OPTIMIZER = "core"
 
 #: Descent name -> one-line description (printed by ``--list-optimizers``).
 OPTIMIZERS: Dict[str, str] = {
-    "binary": (
-        "bisection: refute a known bound or incumbent first, else halve the "
-        "[0, incumbent] objective range with assumed bound selectors"
-    ),
     "core": (
         "core-guided (default): refute a known bound or incumbent first, "
         "else assume all objective terms off, relax exactly the literals of "
@@ -76,7 +67,7 @@ MAX_CORE_LABELS = 12
 
 
 def resolve_optimizer_name(name: str) -> str:
-    """*name* itself when it names a descent (``core``, ``linear``, ``binary``).
+    """*name* itself when it names a descent (``core`` or ``linear``).
 
     Raises:
         ValueError: When the name is unknown (with the available names in
@@ -283,24 +274,6 @@ def _linear(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
         bound = run.best_value - 1
 
 
-def _first_model(
-    run: _Run, upper_bound: Optional[int]
-) -> Optional[OptimizationResult]:
-    """A model within *upper_bound*, unless an incumbent is already known.
-
-    Returns the run's result when it ends here (no model, budget spent, or
-    an incumbent of cost 0), else ``None`` with ``run.best_value`` set.
-    """
-    if run.best_value is None:
-        outcome = run.solve(upper_bound)
-        if outcome is not SolverResult.SAT:
-            return run.finish(outcome is SolverResult.UNSAT)
-        run.take_model()
-    if run.best_value == 0:
-        return run.finish(True)
-    return None
-
-
 def _bisect(run: _Run, low: int) -> OptimizationResult:
     """Close the ``[low, best]`` gap by bisection on assumed bounds."""
     high = run.best_value
@@ -323,25 +296,25 @@ def _refute_first(
     """Probe ``F <= best - 1`` once when the solve is bounded or seeded.
 
     Such a solve usually starts at (or next to) the optimum, where this one
-    UNSAT probe is the proof.  The bound is assumed, never committed.
-    Returns the run's result when it ends here, else ``None``.
+    UNSAT probe is the proof.  The bound is assumed, never committed.  A
+    bounded solve without an incumbent first fetches a model within the
+    bound.  Returns the run's result when it ends here (no model, budget
+    spent, an incumbent of cost 0, or the probe decided), else ``None``.
     """
     if upper_bound is None and run.best_value is None:
         return None
-    done = _first_model(run, upper_bound)
-    if done is not None:
-        return done
+    if run.best_value is None:
+        outcome = run.solve(upper_bound)
+        if outcome is not SolverResult.SAT:
+            return run.finish(outcome is SolverResult.UNSAT)
+        run.take_model()
+    if run.best_value == 0:
+        return run.finish(True)
     outcome = run.solve(run.best_value - 1)
     if outcome is not SolverResult.SAT:
         return run.finish(outcome is SolverResult.UNSAT)
     run.take_model()
     return None
-
-
-def _binary(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
-    """Refute first when bounded or seeded, else a first model; then bisection."""
-    done = _refute_first(run, upper_bound) or _first_model(run, upper_bound)
-    return done or _bisect(run, 0)
 
 
 def _core(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
@@ -388,7 +361,6 @@ def _core(run: _Run, upper_bound: Optional[int]) -> OptimizationResult:
 
 
 _DESCENTS: Dict[str, Callable[[_Run, Optional[int]], OptimizationResult]] = {
-    "binary": _binary,
     "core": _core,
     "linear": _linear,
 }
@@ -441,8 +413,8 @@ class OptimizingSolver:
         """Find a model of minimal objective value.
 
         Args:
-            strategy: The descent: ``"core"`` (the default), ``"linear"``
-                or ``"binary"``; all run on one incremental session.
+            strategy: The descent: ``"core"`` (the default) or
+                ``"linear"``; both run on one incremental session.
             time_limit: Overall wall-clock budget in seconds.
             conflict_limit: Per-solver-call conflict budget.
             upper_bound: Known inclusive bound on the objective (for example

@@ -268,8 +268,6 @@ class ResultStore:
             are created on demand.
         max_memory_entries: Capacity of the in-memory tier of each table;
             ``0`` disables it (every hit deserialises from disk).
-        validate: Validate results before caching (strongly recommended;
-            exposed so benchmarks can measure the validation overhead).
         ttl_seconds: Results older than this read as misses and are purged
             lazily; ``None`` (default) disables expiry.
 
@@ -289,12 +287,10 @@ class ResultStore:
         path=None,
         *,
         max_memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        validate: bool = True,
         ttl_seconds: Optional[float] = None,
     ):
         self.path: Optional[Path] = None if path is None else Path(path)
         self.max_memory_entries = max(0, int(max_memory_entries))
-        self.validate = validate
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive (or None to disable)")
         self.ttl_seconds = ttl_seconds
@@ -611,15 +607,14 @@ class ResultStore:
             StoreError: When the database write fails (the memory tier
                 still holds the result).
         """
-        if self.validate:
-            try:
-                result.validate()
-            except ValueError as error:
-                self._count("invalid_rejected")
-                raise InvalidResultError(
-                    f"refusing to cache invalid mapping result: {error}",
-                    details={"fingerprint": fingerprint, "engine": result.engine},
-                ) from error
+        try:
+            result.validate()
+        except ValueError as error:
+            self._count("invalid_rejected")
+            raise InvalidResultError(
+                f"refusing to cache invalid mapping result: {error}",
+                details={"fingerprint": fingerprint, "engine": result.engine},
+            ) from error
         self._put_row(
             _RESULTS,
             fingerprint,

@@ -755,3 +755,31 @@ class TestProvidersAndService:
         assert totals["artifact_hits"] >= 1
         assert totals["artifact_misses"] >= 1
         assert stats["store"]["artifact_rows"] >= 1
+
+
+class TestBudgetedProofAcrossJobs:
+    def test_stored_clauses_finish_a_proof_the_budget_cut(self, tmp_path):
+        # The one thing stored learned clauses buy: a family whose proof a
+        # conflict budget cut short is proven by the next job, which
+        # imports the clauses the first one stored.  Without the import
+        # the second job ends unproven at the budget too.
+        clear_skeleton_cache()
+        artifacts = ArtifactCache(ResultStore(tmp_path / "a.sqlite"))
+        circuit = benchmark_circuit("4gt11_84")
+        jobs = [
+            SATMapper(ibm_qx4(), conflict_limit=200).map(
+                circuit, artifacts=artifacts
+            )
+            for _ in range(2)
+        ]
+        first, second = (
+            (
+                job.added_cost,
+                job.optimal,
+                job.statistics["solver_conflicts"],
+                job.statistics["artifact_clauses_imported"],
+            )
+            for job in jobs
+        )
+        assert first == (11, False, 200, 0)
+        assert second == (11, True, 188, 2)

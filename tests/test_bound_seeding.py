@@ -41,7 +41,7 @@ def paper_heuristic_bound():
 
 
 class TestOptimizerUpperBound:
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     @pytest.mark.parametrize("bound", [3, 4, 10])
     def test_objective_never_exceeds_bound(self, strategy, bound):
         cnf, objective = _weighted_instance()
@@ -53,7 +53,7 @@ class TestOptimizerUpperBound:
         assert result.objective == 3
         assert result.is_optimal
 
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     def test_unreachable_bound_reports_unsat(self, strategy):
         cnf, objective = _weighted_instance()
         result = OptimizingSolver(cnf, objective).minimize(
@@ -67,7 +67,7 @@ class TestOptimizerUpperBound:
         with pytest.raises(ValueError):
             OptimizingSolver(cnf, objective).minimize(upper_bound=-1)
 
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     def test_minimize_does_not_mutate_caller_cnf(self, strategy):
         # Seed clauses and descent bounds are search state: a later call on
         # the same instance must not inherit an earlier call's F <= k.

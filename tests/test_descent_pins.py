@@ -1,6 +1,6 @@
-"""Exact solver-call pins for the three objective descents.
+"""Exact solver-call pins for the two objective descents.
 
-Every descent (``linear``, ``binary``, ``core``) must make the same solver
+Every descent (``linear``, ``core``) must make the same solver
 calls, in the same order, with the same bounds and assumptions, whatever the
 shape of the code around it.  These pins hold the resulting counters fixed:
 a refactor of :mod:`repro.sat.optimize` that moves any of them has changed
@@ -31,13 +31,10 @@ from repro.sat.optimize import OptimizingSolver
 #: absent from the mapper's statistics and read as 0 here.
 MAPPER_PINS = {
     ("paper", "linear"): (4, 12, 123, 11, 0, 0, 0),
-    ("paper", "binary"): (4, 5, 35, 3, 0, 0, 0),
     ("paper", "core"): (4, 5, 39, 4, 1, 360, 4),
     ("paper_bound6", "linear"): (4, 2, 27, 1, 0, 0, 0),
-    ("paper_bound6", "binary"): (4, 2, 28, 1, 0, 0, 0),
     ("paper_bound6", "core"): (4, 2, 28, 1, 0, 0, 0),
     ("ex-1_166_subsets", "linear"): (8, 1, 29, 0, 0, 0, 0),
-    ("ex-1_166_subsets", "binary"): (8, 1, 29, 0, 0, 0, 0),
     ("ex-1_166_subsets", "core"): (8, 1, 29, 0, 0, 0, 0),
 }
 
@@ -118,11 +115,6 @@ SEEDED_PINS = {
         bound_clauses_added=961, propagations=3337,
         learned_clauses_retained=8, descent_iterations=0,
     )),
-    ("optimum", "binary"): ("optimal", 4, 1, 13, 1, 1, _session_counters(
-        solve_calls=1, assumption_solves=1, bound_nodes_created=481,
-        bound_clauses_added=961, propagations=3417,
-        learned_clauses_retained=12, descent_iterations=0,
-    )),
     ("optimum", "core"): ("optimal", 4, 1, 13, 1, 1, _session_counters(
         solve_calls=1, assumption_solves=1, bound_nodes_created=481,
         bound_clauses_added=961, propagations=3417,
@@ -133,11 +125,6 @@ SEEDED_PINS = {
         solve_calls=5, committed_bounds=5, bound_nodes_created=2531,
         bound_nodes_reused=244, bound_clauses_added=5047, propagations=29117,
         learned_clauses_retained=65, descent_iterations=4,
-    )),
-    ("above", "binary"): ("optimal", 4, 4, 74, 1, 1, _session_counters(
-        solve_calls=4, assumption_solves=4, bound_nodes_created=2080,
-        bound_nodes_reused=151, bound_clauses_added=4147, propagations=25201,
-        learned_clauses_retained=73, descent_iterations=3,
     )),
     ("above", "core"): ("optimal", 4, 3, 40, 121, 13, _session_counters(
         solve_calls=3, assumption_solves=3, bound_nodes_created=612,

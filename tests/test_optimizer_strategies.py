@@ -48,19 +48,20 @@ def _toy_instance():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(OPTIMIZERS) == {"linear", "binary", "core"}
+        assert set(OPTIMIZERS) == {"linear", "core"}
         assert DEFAULT_OPTIMIZER in OPTIMIZERS
 
-    def test_three_names_resolve_to_themselves(self):
-        for name in ("linear", "binary", "core"):
+    def test_descent_names_resolve_to_themselves(self):
+        for name in ("linear", "core"):
             assert resolve_optimizer_name(name) == name
 
     @pytest.mark.parametrize(
-        "alias", ["core-guided", "maxsat", "bisect", "descent", "LINEAR"]
+        "alias",
+        ["core-guided", "maxsat", "bisect", "binary", "descent", "LINEAR"],
     )
     def test_other_spellings_are_rejected(self, alias):
         # One spelling per descent, so one job has one cache key.
-        with pytest.raises(ValueError, match="'binary', 'core', 'linear'"):
+        with pytest.raises(ValueError, match="'core', 'linear'"):
             resolve_optimizer_name(alias)
 
     def test_unknown_name_raises_value_error_with_choices(self):
@@ -68,7 +69,7 @@ class TestRegistry:
             resolve_optimizer_name("simulated_annealing")
 
     def test_descriptions_are_one_liners(self):
-        for name in ("linear", "binary", "core"):
+        for name in ("linear", "core"):
             assert OPTIMIZERS[name]
             assert "\n" not in OPTIMIZERS[name]
 
@@ -79,7 +80,7 @@ class TestRegistry:
 
 
 class TestCoreGuidedDescent:
-    @pytest.mark.parametrize("strategy", ["linear", "binary", "core"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     def test_same_minimum_on_toy_instance(self, strategy):
         cnf, objective = _toy_instance()
         result = OptimizingSolver(cnf, objective).minimize(strategy=strategy)
@@ -165,7 +166,7 @@ class TestInitialModelWarmStart:
         with pytest.raises(ValueError):
             OptimizingSolver(cnf, objective).minimize(initial_model={1: True})
 
-    @pytest.mark.parametrize("strategy", ["linear", "binary", "core"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     def test_incumbent_is_used_and_optimum_proven(self, strategy):
         cnf, objective = _toy_instance()
         solver = OptimizingSolver(cnf, objective)
@@ -222,9 +223,9 @@ class TestSATMapperStrategies:
     def test_split_mapper_validates_optimizer_at_construction(self):
         with pytest.raises(ValueError, match="available"):
             SplitSATMapper(ibm_qx4(), optimizer="nope")
-        assert SplitSATMapper(ibm_qx4(), optimizer="binary").optimizer == "binary"
+        assert SplitSATMapper(ibm_qx4(), optimizer="linear").optimizer == "linear"
 
-    @pytest.mark.parametrize("optimizer", ["binary", "core"])
+    @pytest.mark.parametrize("optimizer", ["linear", "core"])
     def test_paper_example_same_minimum(self, optimizer):
         circuit = paper_example_cnot_skeleton()
         result = SATMapper(ibm_qx4(), optimizer=optimizer).map(circuit)
@@ -240,7 +241,7 @@ class TestSATMapperStrategies:
         assert core.statistics["cores_found"] >= 1
 
     @pytest.mark.parametrize("name", ["ex-1_166", "ham3_102"])
-    @pytest.mark.parametrize("optimizer", ["binary", "core"])
+    @pytest.mark.parametrize("optimizer", ["linear", "core"])
     def test_table1_3qubit_circuits_same_minimum(self, name, optimizer):
         circuit = benchmark_circuit(name)
         reference = DPMapper(ibm_qx4()).map(circuit)

@@ -57,22 +57,6 @@ class TestReconstruction:
         assert mapped.gate_cost() == 2 + 7 + 4 * cost.reversals
         assert mapped_circuit_equivalent(circuit, mapped, (1, 0), (0, 1))
 
-    def test_opaque_swaps_option(self):
-        circuit = QuantumCircuit(2)
-        circuit.cx(0, 1)
-        circuit.cx(0, 1)
-        schedule = MappingSchedule(
-            num_logical=2,
-            num_physical=5,
-            mappings=[(1, 0), (0, 1)],
-            initial_mapping=(1, 0),
-        )
-        mapped, cost = reconstruct_circuit(
-            circuit, schedule, ibm_qx4(), decompose_swaps=False
-        )
-        assert mapped.count_swap() == 1
-        assert mapped.gate_cost() == 2 + 7 + 4 * cost.reversals
-
     def test_single_qubit_gates_follow_their_logical_qubit(self):
         circuit = QuantumCircuit(2)
         circuit.h(0)

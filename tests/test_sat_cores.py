@@ -151,19 +151,6 @@ class TestSessionCores:
 
 
 class TestOptimizerCoreReporting:
-    def test_binary_records_final_core(self):
-        cnf = CNF()
-        a, b = cnf.new_var("a"), cnf.new_var("b")
-        cnf.add_clause([a, b])
-        result = OptimizingSolver(
-            cnf, [ObjectiveTerm(3, a), ObjectiveTerm(5, b)]
-        ).minimize(strategy="binary")
-        assert result.objective == 3
-        assert result.is_optimal
-        # The probe below the optimum was UNSAT under a ladder assumption.
-        assert result.final_core
-        assert result.core_labels
-
     def test_core_strategy_records_core_and_counters(self):
         cnf = CNF()
         a, b = cnf.new_var("a"), cnf.new_var("b")

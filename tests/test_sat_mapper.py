@@ -90,12 +90,12 @@ class TestSATMapper:
         with pytest.raises(ValueError):
             SATMapper(ibm_qx4()).map(circuit)
 
-    def test_binary_optimizer_strategy(self):
+    def test_linear_optimizer_strategy(self):
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1)
         circuit.cx(1, 2)
         result = SATMapper(
-            ibm_qx4(), use_subsets=True, optimizer="binary"
+            ibm_qx4(), use_subsets=True, optimizer="linear"
         ).map(circuit)
         assert result.added_cost == DPMapper(ibm_qx4()).map(circuit).added_cost
 
@@ -134,14 +134,13 @@ class TestSubsetFamilies:
             assert group == sorted(group)
 
     def test_family_reuse_in_sequential_sweep(self):
-        # With pruning disabled, both families are solved and their second
-        # members are mirrored for free (the PR 3 baseline behaviour).
-        circuit = paper_example_cnot_skeleton()
-        result = SATMapper(
-            ibm_qx4(), use_subsets=True, prune_families=False
-        ).map(circuit)
+        # Neither family of 4gt11_84 is pruned or closed on its seed: both
+        # are solved and their second members are mirrored for free.
+        circuit = benchmark_circuit("4gt11_84")
+        result = SATMapper(ibm_qx4(), use_subsets=True).map(circuit)
         stats = result.statistics
-        assert result.added_cost == PAPER_EXAMPLE_MINIMAL_COST
+        assert result.added_cost == DPMapper(ibm_qx4()).map(circuit).added_cost
+        assert stats["families_pruned"] == stats["families_closed"] == 0
         assert stats["subsets_tried"] == 4
         assert stats["subsets_solved"] == 2
         assert stats["family_reuses"] == 2

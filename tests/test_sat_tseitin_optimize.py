@@ -95,7 +95,7 @@ class TestOptimizingSolver:
         objective = [ObjectiveTerm(3, a), ObjectiveTerm(5, b), ObjectiveTerm(2, c)]
         return cnf, objective, (a, b, c)
 
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     def test_finds_minimum(self, strategy):
         cnf, objective, (a, b, c) = self._simple_problem()
         result = OptimizingSolver(cnf, objective).minimize(strategy=strategy)
@@ -104,7 +104,7 @@ class TestOptimizingSolver:
         # optimal assignments cost 5.
         assert result.objective == 5
 
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     def test_unsat_is_reported(self, strategy):
         cnf = CNF()
         a = cnf.new_var()
@@ -139,7 +139,7 @@ class TestOptimizingSolver:
         assert result.objective == 0
         assert result.is_optimal
 
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     def test_matches_brute_force_on_random_instances(self, strategy):
         import random
 

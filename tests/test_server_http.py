@@ -85,8 +85,11 @@ class _SlowMapper:
 
 
 @pytest.fixture()
-def slow_engine():
+def slow_engine(monkeypatch):
     _SlowMapper.delay = 0.4
+    monkeypatch.setattr(
+        DEFAULT_REGISTRY, "_factories", dict(DEFAULT_REGISTRY._factories)
+    )
     DEFAULT_REGISTRY.register(
         "slow_test_engine",
         lambda coupling, **options: _SlowMapper(coupling),

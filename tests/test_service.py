@@ -59,8 +59,11 @@ class _CountingMapper:
 
 
 @pytest.fixture()
-def counting_engine():
+def counting_engine(monkeypatch):
     _CountingMapper.calls = 0
+    monkeypatch.setattr(
+        DEFAULT_REGISTRY, "_factories", dict(DEFAULT_REGISTRY._factories)
+    )
     DEFAULT_REGISTRY.register(
         "counting_test_engine",
         lambda coupling, **options: _CountingMapper(coupling),

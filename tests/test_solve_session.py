@@ -113,7 +113,7 @@ class TestSolveSession:
 
 
 class TestOptimizerOnSession:
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
+    @pytest.mark.parametrize("strategy", ["linear", "core"])
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_minimum(self, strategy, seed):
         cnf, objective, num_vars = _random_instance(seed)
@@ -125,9 +125,9 @@ class TestOptimizerOnSession:
             assert result.status == "optimal"
             assert result.objective == expected
 
-    def test_binary_uses_one_solver_for_all_probes(self):
+    def test_core_uses_one_solver_for_all_probes(self):
         cnf, objective, _ = _random_instance(3)
-        result = OptimizingSolver(cnf, objective).minimize(strategy="binary")
+        result = OptimizingSolver(cnf, objective).minimize(strategy="core")
         assert result.statistics["fresh_solver"] == 1  # one per minimize, total
         assert result.statistics["solve_calls"] == result.iterations
 
@@ -139,20 +139,20 @@ class TestOptimizerOnSession:
         assert "learned_clauses_retained" in result.statistics
         assert "bound_nodes_created" in result.statistics
 
-    def test_binary_session_reuse_across_minimize_calls(self):
+    def test_core_session_reuse_across_minimize_calls(self):
         cnf, objective, num_vars = _random_instance(5)
         expected = _brute_force_minimum(cnf, objective, num_vars)
         if expected is None:
             pytest.skip("instance is unsatisfiable for this seed")
         optimizer = OptimizingSolver(cnf, objective)
         session = optimizer.make_session()
-        first = optimizer.minimize(strategy="binary", session=session)
+        first = optimizer.minimize(strategy="core", session=session)
         assert first.objective == expected
-        # Binary probes are assumptions only, so the session stays fully
-        # reusable: re-minimising with the optimum as a seed agrees and runs
-        # on the same (already warmed) solver.
+        # Core and bisection probes are assumptions only, so the session
+        # stays fully reusable: re-minimising with the optimum as a seed
+        # agrees and runs on the same (already warmed) solver.
         second = optimizer.minimize(
-            strategy="binary", session=session, upper_bound=expected
+            strategy="core", session=session, upper_bound=expected
         )
         assert second.status == "optimal"
         assert second.objective == expected

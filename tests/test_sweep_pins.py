@@ -60,15 +60,11 @@ def _ex_1_166():
     "options,expected",
     [
         ({}, (8, 29, 1, 3, 2, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
-        (
-            {"share_clauses": False, "prune_families": False},
-            (8, 76, 3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 0, 1),
-        ),
         # A tiny conflict budget leaves families inconclusive, so later
         # members re-solve on their family's live session.
         ({"conflict_limit": 5}, (8, 25, 6, 3, 0, 0, 6, 0, 1, 0, 0, 0, 0, 1)),
     ],
-    ids=["default", "no-share-no-prune", "conflict-limit-5"],
+    ids=["default", "conflict-limit-5"],
 )
 def test_qx4_subset_sweep(options, expected):
     result = SATMapper(ibm_qx4(), use_subsets=True, **options).map(_ex_1_166())

@@ -19,8 +19,10 @@ integration into :class:`repro.exact.sat_mapper.SATMapper`:
 import pytest
 
 from repro.arch.devices import ibm_qx4, sweep_grid8
+from repro.arch.subsets import connected_subsets
 from repro.benchlib.generators import benchmark_circuit
 from repro.benchlib.paper_example import paper_example_cnot_skeleton
+from repro.exact.dp_mapper import dp_schedule
 from repro.exact.encoding import build_encoding, clear_skeleton_cache
 from repro.exact import sat_mapper
 from repro.exact.sat_mapper import SATMapper, SHARE_MAX_CLAUSE_SIZE
@@ -242,42 +244,27 @@ class TestImportCorrectness:
 # ----------------------------------------------------------------------
 class TestSweepBehaviour:
     def test_pruning_and_sharing_preserve_minima(self):
+        # The sweep's answer is the minimum over every connected subset,
+        # which DP computes independently on each sub-coupling.
+        coupling = ibm_qx4()
         for circuit in (
             paper_example_cnot_skeleton(), benchmark_circuit("ex-1_166")
         ):
-            on = SATMapper(ibm_qx4(), use_subsets=True).map(circuit)
-            off = SATMapper(
-                ibm_qx4(), use_subsets=True,
-                share_clauses=False, prune_families=False,
-            ).map(circuit)
-            assert on.added_cost == off.added_cost
-            assert on.optimal == off.optimal
+            gates = [(g.control, g.target) for g in circuit.cnot_gates()]
+            n = circuit.num_qubits
+            minimum = min(
+                dp_schedule(coupling.subgraph(subset), n, gates,
+                            range(len(gates)))[1]
+                for subset in connected_subsets(coupling, n)
+            )
+            result = SATMapper(coupling, use_subsets=True).map(circuit)
+            assert result.added_cost == minimum
 
     def test_table1_sweep_prunes_at_least_one_family(self):
         circuit = benchmark_circuit("ex-1_166")
         result = SATMapper(ibm_qx4(), use_subsets=True).map(circuit)
         assert result.statistics["families_pruned"] >= 1
         assert result.statistics["subsets_pruned"] >= 1
-
-    def test_pruning_reduces_conflicts(self):
-        circuit = benchmark_circuit("ex-1_166")
-        on = SATMapper(ibm_qx4(), use_subsets=True).map(circuit)
-        off = SATMapper(
-            ibm_qx4(), use_subsets=True,
-            share_clauses=False, prune_families=False,
-        ).map(circuit)
-        assert (
-            on.statistics["solver_conflicts"]
-            < off.statistics["solver_conflicts"]
-        )
-
-    def test_disabled_pruning_reports_no_pruned_families(self):
-        circuit = benchmark_circuit("ex-1_166")
-        result = SATMapper(
-            ibm_qx4(), use_subsets=True, prune_families=False
-        ).map(circuit)
-        assert result.statistics["families_pruned"] == 0
-        assert result.statistics["subsets_pruned"] == 0
 
     def test_sweep_is_deterministic(self):
         circuit = benchmark_circuit("ex-1_166")
