@@ -21,8 +21,8 @@ Every cache is one :class:`Memo`: process-wide, thread-safe and
 LRU-bounded (:data:`MAX_ENTRIES` per cache, far above what mapping a
 handful of devices needs), so a long-running service cannot grow them
 without limit.  Nothing is persisted: rebuilding a table costs no more
-than reading it back from disk.  Worker *processes* of a
-:class:`~repro.pipeline.pipeline.MappingPipeline` each populate their own
+than reading it back from disk.  The worker *processes* of a
+process-executor pool (``executor="process"``) each populate their own
 copy (forked children inherit the parent's warm cache on platforms whose
 start method is ``fork``).
 

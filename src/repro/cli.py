@@ -45,9 +45,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.arch import get_architecture
+from repro.arch import CouplingMap, get_architecture
 from repro.circuit import parse_qasm_file
 from repro.circuit.qasm import write_qasm_file
 from repro.arch.cache import cache_stats, clear_caches
@@ -78,11 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--arch", default="ibm_qx4",
         help="target architecture (ibm_qx2, ibm_qx4, ibm_qx5, ibm_tokyo)",
     )
-    parser.add_argument(
-        "--engine", default="dp",
-        help="mapping engine from the backend registry "
-        f"({', '.join(available_mappers())}; default: dp, the fast exact engine)",
-    )
+    _add_engine_flags(parser)
     parser.add_argument(
         "--list-engines", action="store_true",
         help="list the registered mapping engines and exit",
@@ -93,32 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
         "and exit",
     )
     parser.add_argument(
-        "--strategy", default="all",
-        help="permutation-restriction strategy for the exact engines "
-        "(all, disjoint, odd, triangle)",
-    )
-    parser.add_argument(
-        "--optimizer", default=None,
-        help="objective-search strategy of the SAT stage (core, linear; "
-        "default: core). "
-        "'core' uses MaxSAT-style UNSAT-core-guided descent; 'linear' is "
-        "the paper's descent",
-    )
-    parser.add_argument(
         "--explain", action="store_true",
         help="on a proven-optimal SAT result, print the final UNSAT core "
         "mapped to human-readable constraint labels (which objective "
         "selectors / bound-ladder nodes bind); core records one, linear "
         "does not",
-    )
-    parser.add_argument(
-        "--subsets", action="store_true",
-        help="restrict the SAT engine to connected subsets of physical qubits "
-        "(Section 4.1 of the paper)",
-    )
-    parser.add_argument(
-        "--time-limit", type=float, default=None,
-        help="wall-clock budget in seconds for the SAT engine",
     )
     parser.add_argument(
         "--split-window", type=int, default=None, metavar="N",
@@ -127,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "permutations (the scalability path for big devices such as "
         "ibm_qx5/ibm_tokyo; implies the sat_split engine, result is an "
         "upper bound)",
-    )
-    parser.add_argument(
-        "--trials", type=int, default=5,
-        help="number of trials for the stochastic heuristic (default 5)",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -171,6 +142,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The engine flags of ``map``, ``serve`` and ``listen``; see
+    :func:`_engine_setup` for their one validation."""
+    parser.add_argument(
+        "--engine", default="dp",
+        help="mapping engine from the backend registry "
+        f"({', '.join(available_mappers())}; default: dp, the fast exact engine)",
+    )
+    parser.add_argument(
+        "--strategy", default="all",
+        help="permutation-restriction strategy for the exact engines "
+        "(all, disjoint, odd, triangle)",
+    )
+    parser.add_argument(
+        "--optimizer", default=None,
+        help="objective-search strategy of the SAT stage (core, linear; "
+        "default: core). "
+        "'core' uses MaxSAT-style UNSAT-core-guided descent; 'linear' is "
+        "the paper's descent",
+    )
+    parser.add_argument(
+        "--subsets", action="store_true",
+        help="restrict the SAT engine to connected subsets of physical qubits "
+        "(Section 4.1 of the paper)",
+    )
+    parser.add_argument(
+        "--time-limit", type=float, default=None,
+        help="wall-clock budget in seconds for the SAT engine",
+    )
+    parser.add_argument(
+        "--trials", type=int, default=5,
+        help="number of trials for the stochastic heuristic (default 5)",
+    )
+
+
 def _positive_seconds(text: str) -> float:
     """argparse type of ``--result-ttl``: a positive number of seconds."""
     try:
@@ -193,6 +199,65 @@ def _open_store(cache_dir: str, ttl_seconds: Optional[float],
         return None
 
 
+def _engine_setup(
+    parser: argparse.ArgumentParser, args: argparse.Namespace,
+    arch_names: Sequence[str],
+) -> Tuple[str, Dict[str, Any], Dict[str, CouplingMap]]:
+    """Check the engine flags and *arch_names* before anything runs.
+
+    Returns the resolved engine, its options and the couplings by name; a
+    bad value ends the command with one ``parser.error`` line (exit 2).
+    """
+    from repro.exact.strategies import get_strategy
+
+    try:
+        engine = resolve_mapper_name(args.engine)
+    except KeyError as error:
+        parser.error(error.args[0])
+    split_window = getattr(args, "split_window", None)
+    if split_window is not None:
+        if split_window < 1:
+            parser.error("--split-window must be at least 1")
+        if engine == "sat":
+            engine = "sat_split"
+        elif engine != "sat_split":
+            parser.error(
+                "--split-window only applies to the sat / sat_split engines "
+                f"(got engine {engine!r})"
+            )
+    if args.optimizer is not None:
+        from repro.sat.optimize import OPTIMIZERS, resolve_optimizer_name
+
+        try:
+            resolve_optimizer_name(args.optimizer)
+        except ValueError:
+            parser.error(
+                f"unknown --optimizer {args.optimizer!r}; choose one of "
+                f"{', '.join(OPTIMIZERS)} (see --list-optimizers)"
+            )
+        if engine not in ("sat", "sat_split"):
+            parser.error(
+                f"--optimizer only applies to the sat and sat_split engines "
+                f"(got engine {engine!r})"
+            )
+    try:
+        get_strategy(args.strategy)
+    except KeyError as error:
+        parser.error(error.args[0])
+    if args.time_limit is not None and not args.time_limit > 0:
+        parser.error("--time-limit must be positive")
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    couplings: Dict[str, CouplingMap] = {}
+    for name in arch_names:
+        try:
+            coupling = get_architecture(name)
+        except KeyError as error:
+            parser.error(error.args[0])
+        couplings[coupling.name] = coupling
+    return engine, _engine_options(engine, args), couplings
+
+
 def _engine_options(engine: str, args: argparse.Namespace) -> Dict[str, Any]:
     """Translate CLI flags into constructor options for *engine*.
 
@@ -206,35 +271,13 @@ def _engine_options(engine: str, args: argparse.Namespace) -> Dict[str, Any]:
         options["use_subsets"] = args.subsets
     if engine in ("sat", "sat_split"):
         options["time_limit"] = args.time_limit
-        if getattr(args, "optimizer", None) is not None:
+        if args.optimizer is not None:
             options["optimizer"] = args.optimizer
     if engine == "sat_split" and getattr(args, "split_window", None) is not None:
         options["window_size"] = args.split_window
     if engine == "stochastic":
         options["trials"] = args.trials
     return options
-
-
-def _validate_optimizer(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                        engine: str) -> None:
-    """Fail fast on an unknown ``--optimizer`` value (with the valid names)."""
-    optimizer = getattr(args, "optimizer", None)
-    if optimizer is None:
-        return
-    from repro.sat.optimize import OPTIMIZERS, resolve_optimizer_name
-
-    try:
-        resolve_optimizer_name(optimizer)
-    except ValueError:
-        parser.error(
-            f"unknown --optimizer {optimizer!r}; choose one of "
-            f"{', '.join(OPTIMIZERS)} (see --list-optimizers)"
-        )
-    if engine not in ("sat", "sat_split"):
-        parser.error(
-            f"--optimizer only applies to the sat and sat_split engines "
-            f"(got engine {engine!r})"
-        )
 
 
 def _print_optimizers() -> None:
@@ -331,38 +374,12 @@ def _run_map(argv: Sequence[str]) -> int:
         )
     if args.upper_bound is not None and args.upper_bound < 0:
         parser.error("--upper-bound must be non-negative")
-
-    try:
-        engine = resolve_mapper_name(args.engine)
-    except KeyError as error:
-        parser.error(str(error))
-    if args.split_window is not None:
-        if args.split_window < 1:
-            parser.error("--split-window must be at least 1")
-        if engine == "sat":
-            engine = "sat_split"
-        elif engine != "sat_split":
-            parser.error(
-                "--split-window only applies to the sat / sat_split engines "
-                f"(got engine {engine!r})"
-            )
-    _validate_optimizer(parser, args, engine)
-    try:
-        coupling = get_architecture(args.arch)
-    except KeyError as error:
-        parser.error(str(error))
+    engine, options, couplings = _engine_setup(parser, args, [args.arch])
+    (coupling,) = couplings.values()
     try:
         circuit = parse_qasm_file(args.qasm)
     except OSError as error:
         parser.error(f"cannot read {args.qasm}: {error.strerror}")
-    options = _engine_options(engine, args)
-    if "strategy" in options:
-        from repro.exact.strategies import get_strategy
-
-        try:
-            get_strategy(options["strategy"])
-        except KeyError as error:
-            parser.error(error.args[0])
     cache_dir = resolve_cache_dir(args.cache_dir)
     if args.result_ttl is not None and cache_dir is None:
         parser.error("--result-ttl requires --cache-dir (or REPRO_CACHE_DIR)")
@@ -648,27 +665,9 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "devices and let the service route each circuit to the smallest "
         "one that fits (default: ibm_qx4)",
     )
-    parser.add_argument(
-        "--engine", default="dp",
-        help=f"mapping engine ({', '.join(available_mappers())}; default: dp)",
-    )
-    parser.add_argument(
-        "--strategy", default="all",
-        help="permutation-restriction strategy for the exact engines",
-    )
-    parser.add_argument(
-        "--optimizer", default=None,
-        help="objective-search strategy of the SAT stage "
-        "(core, linear; default: core)",
-    )
-    parser.add_argument("--subsets", action="store_true",
-                        help="restrict the SAT engine to connected subsets")
-    parser.add_argument("--time-limit", type=float, default=None,
-                        help="wall-clock budget in seconds for the SAT engine")
-    parser.add_argument("--trials", type=int, default=5,
-                        help="trials for the stochastic heuristic")
+    _add_engine_flags(parser)
     parser.add_argument("--workers", type=int, default=2,
-                        help="worker count per drained batch (default 2)")
+                        help="how many jobs solve at once (default 2)")
     parser.add_argument("--executor", default="thread",
                         choices=["thread", "process"],
                         help="worker pool type (default: thread)")
@@ -685,16 +684,12 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve_batch(args: argparse.Namespace) -> int:
+async def _serve_batch(
+    args: argparse.Namespace, engine: str, options: Dict[str, Any],
+    couplings: Dict[str, CouplingMap],
+) -> int:
     from repro.service.service import MappingService
 
-    arch_names = args.arch or ["ibm_qx4"]
-    couplings = {}
-    for name in arch_names:
-        coupling = get_architecture(name)
-        couplings[coupling.name] = coupling
-    engine = resolve_mapper_name(args.engine)
-    options = _engine_options(engine, args)
     cache_dir = resolve_cache_dir(args.cache_dir)
     store = None
     if cache_dir is not None:
@@ -753,12 +748,8 @@ async def _serve_batch(args: argparse.Namespace) -> int:
 def _run_serve(argv: Sequence[str]) -> int:
     parser = _build_serve_parser()
     args = parser.parse_args(argv)
-    try:
-        engine = resolve_mapper_name(args.engine)
-    except KeyError as error:
-        parser.error(str(error))
-    _validate_optimizer(parser, args, engine)
-    return asyncio.run(_serve_batch(args))
+    setup = _engine_setup(parser, args, args.arch or ["ibm_qx4"])
+    return asyncio.run(_serve_batch(args, *setup))
 
 
 # ----------------------------------------------------------------------
@@ -789,22 +780,11 @@ def _build_listen_parser() -> argparse.ArgumentParser:
         help="architecture every worker registers; repeat for several "
         "devices (default: ibm_qx4)",
     )
-    parser.add_argument(
-        "--engine", default="dp",
-        help=f"mapping engine ({', '.join(available_mappers())}; default: dp)",
-    )
-    parser.add_argument("--strategy", default="all")
-    parser.add_argument(
-        "--optimizer", default=None,
-        help="objective-search strategy of the SAT stage "
-        "(core, linear; default: core)",
-    )
-    parser.add_argument("--subsets", action="store_true")
-    parser.add_argument("--time-limit", type=float, default=None)
-    parser.add_argument("--trials", type=int, default=5)
+    _add_engine_flags(parser)
     parser.add_argument(
         "--service-workers", type=int, default=2,
-        help="solver pool size inside each worker process (default 2)",
+        help="how many jobs solve at once inside each worker process "
+        "(default 2)",
     )
     parser.add_argument("--executor", default="thread",
                         choices=["thread", "process"])
@@ -824,13 +804,8 @@ def _run_listen(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     if args.workers < 0:
         parser.error("--workers must be >= 0")
-    try:
-        engine = resolve_mapper_name(args.engine)
-    except KeyError as error:
-        parser.error(str(error))
-    _validate_optimizer(parser, args, engine)
-    options = _engine_options(engine, args)
     arch = args.arch or ["ibm_qx4"]
+    engine, options, _couplings = _engine_setup(parser, args, arch)
 
     from repro.server.app import JobServer, ServiceBackend
     from repro.server.supervisor import Supervisor

@@ -76,7 +76,7 @@ class HeuristicMapper(ABC):
 class _MappingTrace:
     """Mutable helper that records the circuit built by a heuristic mapper."""
 
-    def __init__(self, coupling: CouplingMap, num_logical: int,
+    def __init__(self, coupling: CouplingMap,
                  initial_layout: Tuple[int, ...], num_clbits: int, name: str):
         self.coupling = coupling
         self.circuit = QuantumCircuit(coupling.num_qubits, name, num_clbits)

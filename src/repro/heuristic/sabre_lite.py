@@ -74,7 +74,6 @@ class SabreLiteMapper(HeuristicMapper):
         rng = random.Random(self.seed)
         trace = _MappingTrace(
             self.coupling,
-            circuit.num_qubits,
             greedy_interaction_layout(circuit, self.coupling),
             circuit.num_clbits,
             f"{circuit.name}_mapped",

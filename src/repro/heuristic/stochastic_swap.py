@@ -116,7 +116,6 @@ class StochasticSwapMapper(HeuristicMapper):
                       rng: random.Random) -> _MappingTrace:
         trace = _MappingTrace(
             self.coupling,
-            circuit.num_qubits,
             initial_layout,
             circuit.num_clbits,
             f"{circuit.name}_mapped",

@@ -49,7 +49,7 @@ class BoundProviderChain:
 
     Example:
         >>> seeds = BoundProviderChain(store, upper_bound=11)
-        >>> resolution = seeds.resolve_seed()
+        >>> resolution = seeds.resolve()
     """
 
     def __init__(self, store=None, upper_bound: Optional[int] = None):
@@ -75,6 +75,14 @@ class BoundProviderChain:
         if self.store is None:
             return None
         return ArtifactCache(self.store)
+
+    def resolve(self) -> SeedResolution:
+        """Everything to seed one job with: :meth:`resolve_seed`'s bound
+        and :meth:`resolve_artifacts`' handle.  Runs in the caller's
+        thread; only the picklable resolution travels into workers."""
+        resolution = self.resolve_seed()
+        resolution.artifacts = self.resolve_artifacts()
+        return resolution
 
 
 __all__ = ["BoundProviderChain", "SeedResolution"]

@@ -11,13 +11,19 @@ engine's own ``map``; for the SAT subset sweep that is the sequential
 :meth:`repro.exact.sat_mapper.SATMapper.map`, whose incumbent-driven family
 pruning and clause sharing both depend on solving families in plan order.
 
+One function, :func:`map_circuit`, maps one circuit: it builds the engine
+from the registry, binds a cancellation token and applies the seeds.
+:meth:`MappingPipeline.map` calls it directly; :meth:`~MappingPipeline.map_many`
+and :class:`~repro.service.service.MappingService` run it as a pool task
+that returns a structured outcome instead of raising.
+
 The one engine that takes seeds is
 :class:`~repro.exact.sat_mapper.SATMapper`.  Its ``map`` accepts a caller
 bound where ``mapper.accepts_seeds_for(num_logical)`` says the bound is safe,
 and always accepts the **solve-artifact** cache handle, so sweeps
 warm-start from structurally identical past jobs.  Both come from an
 optional :class:`~repro.pipeline.bounds.BoundProviderChain` — the seed
-resolver — before any solver starts.
+resolver — which runs in the calling thread before any solver starts.
 
 The pure-Python SAT solver holds the GIL, so ``executor="process"`` is the
 choice for real speed-ups; ``executor="thread"`` (the default) still
@@ -27,7 +33,7 @@ overlaps I/O and keeps the API identical without any pickling requirements.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,17 +43,22 @@ from repro.exact.result import MappingResult
 from repro.pipeline.bounds import BoundProviderChain, SeedResolution
 from repro.pipeline.registry import get_mapper, resolve_mapper_name
 
+#: Pool type of each ``executor`` name.
+EXECUTORS = {"thread": ThreadPoolExecutor, "process": ProcessPoolExecutor}
 
-def _map_with_seed(mapper, circuit: QuantumCircuit, seed: SeedResolution):
-    """Map through *mapper* with whatever *seed* holds (see
-    :meth:`MappingPipeline._resolve_seed`, which resolved it for this
-    mapper and circuit)."""
-    kwargs = {}
-    if seed.bound is not None:
-        kwargs["upper_bound"] = seed.bound
-    if seed.artifacts is not None:
-        kwargs["artifacts"] = seed.artifacts
-    return mapper.map(circuit, **kwargs)
+
+def executor_type(name: str):
+    """The pool class of the ``executor`` *name*.
+
+    Raises:
+        ValueError: For a name other than ``"thread"`` and ``"process"``.
+    """
+    try:
+        return EXECUTORS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown executor {name!r}; use 'thread' or 'process'"
+        ) from None
 
 
 @dataclass
@@ -78,6 +89,40 @@ class BatchItem:
         return self.result is not None
 
 
+def map_circuit(
+    engine: str,
+    coupling: CouplingMap,
+    options: Dict[str, Any],
+    circuit: QuantumCircuit,
+    seed: SeedResolution,
+    control=None,
+) -> MappingResult:
+    """Map one circuit with a freshly built engine.
+
+    The engine comes from the registry.  *control* (a
+    :class:`~repro.sat.control.SolveControl`) is bound to engines with
+    ``bind_control``; engines without it run to completion, and their
+    caller enforces a deadline by abandoning the result.  Only an engine
+    with ``accepts_seeds_for`` takes *seed*: the artifact handle always,
+    and the caller's bound where ``accepts_seeds_for(circuit.num_qubits)``
+    holds — a subset sweep takes it only when the circuit uses every
+    physical qubit, because a proper sweep's restricted minimum may lie
+    above it.  A bound taken is recorded as the ``external_bound``
+    statistic.
+    """
+    mapper = get_mapper(engine, coupling, **options)
+    if control is not None and hasattr(mapper, "bind_control"):
+        mapper.bind_control(control)
+    accepts_seeds_for = getattr(mapper, "accepts_seeds_for", None)
+    if accepts_seeds_for is None:
+        return mapper.map(circuit)
+    bound = seed.bound if accepts_seeds_for(circuit.num_qubits) else None
+    result = mapper.map(circuit, upper_bound=bound, artifacts=seed.artifacts)
+    if bound is not None:
+        result.statistics.setdefault("external_bound", bound)
+    return result
+
+
 def _map_circuit_task(
     engine: str,
     coupling: CouplingMap,
@@ -86,16 +131,17 @@ def _map_circuit_task(
     seed: SeedResolution,
     control=None,
 ) -> Tuple[str, Any, Optional[str], float]:
-    """Worker task: map one circuit with a freshly built engine.
+    """Pool task: :func:`map_circuit` as ``(status, payload, error_type,
+    elapsed)``.
 
-    *seed* is resolved by the parent (the resolver holds the store, with
+    *seed* is resolved by the caller (the resolver holds the store, with
     its locks, so it never crosses into workers) and holds only plain
     values plus a picklable :class:`~repro.service.store.ArtifactCache`
     handle, which carries only the database path and reopens lazily on
-    the far side.
+    the far side.  *control* cannot cross a process boundary.
 
-    Returns a plain tuple ``(status, payload, error_type, elapsed)`` instead
-    of raising, so process workers never have to pickle tracebacks.
+    Returns a plain tuple instead of raising, so process workers never
+    have to pickle tracebacks.
     """
     start = time.monotonic()
     try:
@@ -104,14 +150,7 @@ def _map_circuit_task(
                 "error", "job cancelled before mapping started",
                 "JobCancelled", time.monotonic() - start,
             )
-        mapper = get_mapper(engine, coupling, **options)
-        if control is not None and hasattr(mapper, "bind_control"):
-            # Cooperative cancellation/deadline token (thread executors
-            # only — it never crosses a process boundary).  Engines without
-            # bind_control run to completion; their caller enforces the
-            # deadline by abandoning the result.
-            mapper.bind_control(control)
-        result = _map_with_seed(mapper, circuit, seed)
+        result = map_circuit(engine, coupling, options, circuit, seed, control)
         return ("ok", result, None, time.monotonic() - start)
     except Exception as error:  # noqa: BLE001 - converted to a structured failure
         return ("error", str(error), type(error).__name__, time.monotonic() - start)
@@ -157,10 +196,7 @@ class MappingPipeline:
         executor: str = "thread",
         seeds: Optional[BoundProviderChain] = None,
     ):
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; use 'thread' or 'process'"
-            )
+        self._pool_type = executor_type(executor)
         self.coupling = coupling
         self.engine = resolve_mapper_name(engine)
         self.engine_options = dict(engine_options or {})
@@ -168,72 +204,25 @@ class MappingPipeline:
         self.executor = executor
         self.seeds = seeds
 
-    # ------------------------------------------------------------------
-    def _resolve_seed(
-        self, mapper, circuit: QuantumCircuit
-    ) -> SeedResolution:
-        """Resolve what *mapper* can be warm-started with for *circuit*.
+    def _resolution(self) -> SeedResolution:
+        return SeedResolution() if self.seeds is None else self.seeds.resolve()
 
-        The resolver runs in the calling thread (it holds the result
-        store); the resolved plain values are what travel into worker
-        tasks.  Only a mapper with ``accepts_seeds_for`` takes seeds: the
-        artifact handle always, and the caller's bound where
-        ``accepts_seeds_for(circuit.num_qubits)`` holds — a subset sweep
-        takes it only when the circuit uses every physical qubit, because
-        a proper sweep's restricted minimum may lie above it.
-        """
-        accepts_seeds_for = getattr(mapper, "accepts_seeds_for", None)
-        if self.seeds is None or accepts_seeds_for is None:
-            return SeedResolution()
-        if accepts_seeds_for(circuit.num_qubits):
-            resolution = self.seeds.resolve_seed()
-        else:
-            resolution = SeedResolution()
-        resolution.artifacts = self.seeds.resolve_artifacts()
-        return resolution
-
-    @staticmethod
-    def _annotate_seed(result: MappingResult, seed: SeedResolution) -> None:
-        if seed.bound is not None:
-            result.statistics.setdefault("external_bound", seed.bound)
-        if seed.artifacts is not None:
-            result.statistics.setdefault("artifact_provider", "artifact")
-
-    # ------------------------------------------------------------------
-    def _make_executor(self, workers: int) -> Executor:
-        if self.executor == "process":
-            return ProcessPoolExecutor(max_workers=workers)
-        return ThreadPoolExecutor(max_workers=workers)
-
-    def create_mapper(self):
-        """A fresh engine instance from the registry."""
-        return get_mapper(self.engine, self.coupling, **self.engine_options)
-
-    # ------------------------------------------------------------------
-    # Single circuit
     # ------------------------------------------------------------------
     def map(
         self, circuit: QuantumCircuit, control: Optional[Any] = None
     ) -> MappingResult:
-        """Map one circuit with the engine's own ``map``.
+        """Map one circuit in the calling thread through :func:`map_circuit`.
 
         The engine is seeded with whatever the seed resolver finds and it
-        allows (see :meth:`_resolve_seed`).  *control* is an optional
-        cooperative-cancellation token for engines with ``bind_control``;
-        the circuit is mapped in the calling thread, so the token is
-        honoured under either executor.
+        allows.  *control* is an optional cooperative-cancellation token
+        for engines with ``bind_control``, honoured under either executor.
+        The engine's exceptions propagate.
         """
-        mapper = self.create_mapper()
-        if control is not None and hasattr(mapper, "bind_control"):
-            mapper.bind_control(control)
-        seed = self._resolve_seed(mapper, circuit)
-        result = _map_with_seed(mapper, circuit, seed)
-        self._annotate_seed(result, seed)
-        return result
+        return map_circuit(
+            self.engine, self.coupling, self.engine_options, circuit,
+            self._resolution(), control,
+        )
 
-    # ------------------------------------------------------------------
-    # Batches
-    # ------------------------------------------------------------------
     def map_many(
         self,
         circuits: Iterable[QuantumCircuit],
@@ -260,70 +249,35 @@ class MappingPipeline:
                 abandoning the result.
         """
         batch = list(circuits)
-        batch_controls: List[Any] = list(controls or [])
+        batch_controls: List[Any] = []
+        if self.executor == "thread":
+            batch_controls.extend(controls or [])
         batch_controls.extend([None] * (len(batch) - len(batch_controls)))
-        if self.executor == "process":
-            batch_controls = [None] * len(batch)
         pool_size = self.workers if workers is None else max(1, int(workers))
-        pool_size = min(pool_size, max(1, len(batch)))
-
-        # Resolve seeds in the calling thread: the resolver holds the store
-        # and its locks, which must not cross into process workers.  Only
-        # the picklable resolutions travel.
-        resolutions = [SeedResolution() for _ in batch]
-        if self.seeds is not None and batch:
-            probe = self.create_mapper()
-            resolutions = [self._resolve_seed(probe, circuit) for circuit in batch]
-
-        def task_args(index: int, circuit: QuantumCircuit):
-            return (
-                self.engine, self.coupling, self.engine_options, circuit,
-                resolutions[index], batch_controls[index],
-            )
-
-        if pool_size <= 1 or len(batch) <= 1:
-            items = [
-                self._item_from_task(
-                    index, circuit, _map_circuit_task(*task_args(index, circuit))
-                )
-                for index, circuit in enumerate(batch)
-            ]
+        pool_size = min(pool_size, len(batch))
+        # Seeds are resolved here: the resolver holds the store and its
+        # locks, which must not cross into process workers.
+        seed = self._resolution()
+        tasks = [
+            (self.engine, self.coupling, self.engine_options, circuit, seed, control)
+            for circuit, control in zip(batch, batch_controls)
+        ]
+        if pool_size <= 1:
+            outcomes = [_map_circuit_task(*task) for task in tasks]
         else:
-            slots: List[Optional[BatchItem]] = [None] * len(batch)
-            with self._make_executor(pool_size) as pool:
-                futures = {
-                    pool.submit(
-                        _map_circuit_task, *task_args(index, circuit)
-                    ): (index, circuit)
-                    for index, circuit in enumerate(batch)
-                }
-                for future in futures:
-                    index, circuit = futures[future]
-                    slots[index] = self._item_from_task(
-                        index, circuit, future.result()
-                    )
-            items = [item for item in slots if item is not None]
-        for item in items:
-            if item.ok:
-                self._annotate_seed(item.result, resolutions[item.index])
+            with self._pool_type(max_workers=pool_size) as pool:
+                outcomes = list(pool.map(_map_circuit_task, *zip(*tasks)))
+        items = []
+        for index, (circuit, (status, payload, error_type, elapsed)) in enumerate(
+            zip(batch, outcomes)
+        ):
+            item = BatchItem(index=index, name=circuit.name, elapsed_seconds=elapsed)
+            if status == "ok":
+                item.result = payload
+            else:
+                item.error, item.error_type = payload, error_type
+            items.append(item)
         return items
 
-    @staticmethod
-    def _item_from_task(
-        index: int,
-        circuit: QuantumCircuit,
-        task_result: Tuple[str, Any, Optional[str], float],
-    ) -> BatchItem:
-        status, payload, error_type, elapsed = task_result
-        if status == "ok":
-            return BatchItem(
-                index=index, name=circuit.name,
-                result=payload, elapsed_seconds=elapsed,
-            )
-        return BatchItem(
-            index=index, name=circuit.name,
-            error=payload, error_type=error_type, elapsed_seconds=elapsed,
-        )
 
-
-__all__ = ["BatchItem", "MappingPipeline"]
+__all__ = ["BatchItem", "MappingPipeline", "map_circuit"]

@@ -2,11 +2,12 @@
 
 :class:`MappingService` is the front end a long-running deployment talks to:
 callers ``submit`` circuits and get a job id back immediately; a background
-dispatcher drains queued jobs in batches through
-:meth:`~repro.pipeline.pipeline.MappingPipeline.map_many` worker pools;
+dispatcher hands each queued job, as one task, to the service's one
+long-lived thread or process pool whenever one of its ``workers`` is free,
+where :func:`~repro.pipeline.pipeline.map_circuit` maps it;
 ``status``/``result`` expose per-job state and provenance.
 
-Four layers keep repeated work off the solvers:
+Three layers keep repeated work off the solvers:
 
 1. **Result store** — every submission is first looked up in the
    :class:`~repro.service.store.ResultStore` by its content-addressed
@@ -15,11 +16,7 @@ Four layers keep repeated work off the solvers:
 2. **In-flight coalescing** — a submission whose fingerprint is already
    queued or solving attaches to the existing job instead of solving twice;
    both jobs complete from the one result.
-3. **Batch draining** — the dispatcher empties the queue in one sweep,
-   groups jobs by (architecture, engine, options) and maps each group as one
-   ``map_many`` batch, so per-architecture artefacts are built once per
-   group rather than once per job.
-4. **Artifact seeding** — exact solves that do have to run are handed the
+3. **Artifact seeding** — exact solves that do have to run are handed the
    seed resolver's (:class:`~repro.pipeline.bounds.BoundProviderChain`)
    **solve-artifact cache** handle over the store's skeleton-keyed
    artifact table, so even a circuit the fleet has never seen warm-starts
@@ -39,8 +36,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import time
 from collections import deque
+from concurrent.futures import Executor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -49,7 +47,7 @@ from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.result import MappingResult
 from repro.pipeline.bounds import BoundProviderChain
-from repro.pipeline.pipeline import MappingPipeline
+from repro.pipeline.pipeline import _map_circuit_task, executor_type
 from repro.pipeline.registry import resolve_mapper_name
 from repro.sat.control import SolveControl
 from repro.service.errors import (
@@ -96,7 +94,7 @@ class Job:
         result: The mapping result once ``done``.
         error: The structured failure once ``failed``.
         provenance: How the result came to be (cache hit/miss, coalescing,
-            batch size, elapsed seconds, ...).
+            elapsed seconds, ...).
         time_limit: Optional server-enforced wall-clock budget in seconds
             (from the submit options); the job fails with
             ``deadline-exceeded`` when it elapses first.
@@ -150,8 +148,13 @@ class MappingService:
         engine: Default engine for submissions that do not name one.
         engine_options: Default engine options (merged under per-job options).
         store: Result store; a memory-only :class:`ResultStore` when omitted.
-        workers: Worker count handed to ``map_many`` for each drained batch.
-        executor: ``"thread"`` or ``"process"`` (see :class:`MappingPipeline`).
+        workers: How many jobs solve at once: the size of the service's
+            one pool, which lives from :meth:`start` to :meth:`stop`.  A
+            job waiting for a free worker stays ``queued``.
+        executor: ``"thread"`` or ``"process"`` (see
+            :class:`~repro.pipeline.pipeline.MappingPipeline`).  A process
+            worker that dies fails its job with ``mapping-failed``, and the
+            pool is replaced for the jobs after it.
 
     Example:
         >>> async with MappingService(ibm_qx4(), engine="dp") as service:
@@ -173,15 +176,16 @@ class MappingService:
         self.engine_options = dict(engine_options or {})
         self.store = store if store is not None else ResultStore()
         self.workers = max(1, int(workers))
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
+        self._pool_type = executor_type(executor)
         self.executor = executor
         self.seeds = BoundProviderChain(self.store)
         self._jobs: Dict[str, Job] = {}
         self._primary_by_fp: Dict[str, Job] = {}
         self._queue: Optional["asyncio.Queue[Job]"] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._group_tasks: "set[asyncio.Task]" = set()
+        self._slots: Optional[asyncio.Semaphore] = None
+        self._pool: Optional[Executor] = None
+        self._job_tasks: "set[asyncio.Task]" = set()
         self._ids = itertools.count(1)
         self._counters = {
             "submitted": 0,
@@ -226,9 +230,12 @@ class MappingService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "MappingService":
-        """Start the background dispatcher (idempotent)."""
+        """Start the worker pool and the background dispatcher (idempotent)."""
+        if self._pool is None:
+            self._pool = self._pool_type(self.workers)
         if self._dispatcher is None or self._dispatcher.done():
             self._queue = asyncio.Queue()
+            self._slots = asyncio.Semaphore(self.workers)
             self._dispatcher = asyncio.create_task(self._dispatch_loop())
         return self
 
@@ -241,8 +248,8 @@ class MappingService:
            from the moment ``stop`` is entered.
         2. Dispatching stops — no queued job is promoted to ``running``
            any more.
-        3. Every already-*running* batch is awaited to completion, and its
-           results are written to the store before the jobs complete — there
+        3. Every already-*running* job is awaited to completion, and its
+           result is written to the store before the jobs complete — there
            is nothing left to flush afterwards.  (Individual jobs *can* be
            interrupted mid-solve via :meth:`cancel`; a drain deliberately
            lets running work finish instead.)
@@ -252,7 +259,7 @@ class MappingService:
 
         Args:
             drain: Kept for API compatibility and recorded in the failure
-                details of queued jobs.  Running batches are awaited either
+                details of queued jobs.  Running jobs are awaited either
                 way; ``drain=False`` merely documents that the caller did
                 not expect queued work to survive.
         """
@@ -261,17 +268,17 @@ class MappingService:
         self._stopping = True
         try:
             # Stop the dispatcher first so nothing moves from the queue
-            # into solving while we wait for in-flight batches.  A batch is
-            # dequeued and turned into group tasks without an await point,
-            # so cancellation cannot strand a half-dispatched batch.
+            # into solving while we wait for running jobs.  A job is
+            # dequeued and turned into its task without an await point, so
+            # cancellation cannot strand a half-dispatched job.
             self._dispatcher.cancel()
             try:
                 await self._dispatcher
             except asyncio.CancelledError:
                 pass
-            while self._group_tasks:
+            while self._job_tasks:
                 await asyncio.gather(
-                    *list(self._group_tasks), return_exceptions=True
+                    *list(self._job_tasks), return_exceptions=True
                 )
             stranded: List[Job] = []
             if self._queue is not None:
@@ -291,6 +298,9 @@ class MappingService:
                 )
             self._dispatcher = None
             self._queue = None
+            pool, self._pool = self._pool, None
+            if pool is not None:
+                await asyncio.get_running_loop().run_in_executor(None, pool.shutdown)
         finally:
             self._stopping = False
 
@@ -638,152 +648,110 @@ class MappingService:
     # Dispatch
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        assert self._queue is not None
+        """Take one queued job whenever one of the ``workers`` slots is
+        free and run it as its own task; a job waiting for a slot stays in
+        the queue (``queued``, counted by ``queue_depth``)."""
+        assert self._queue is not None and self._slots is not None
         while True:
+            await self._slots.acquire()
             job = await self._queue.get()
-            batch = [job]
-            while True:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            for group in self._group(batch):
-                task = asyncio.create_task(self._run_group(*group))
-                self._group_tasks.add(task)
-                task.add_done_callback(self._group_tasks.discard)
+            task = asyncio.create_task(self._run_job(job))
+            self._job_tasks.add(task)
+            task.add_done_callback(self._job_tasks.discard)
 
-    def _group(self, batch: List[Job]):
-        """Group drained jobs by (architecture, engine, options)."""
-        groups: Dict[Tuple[Any, str, str], List[Job]] = {}
-        for job in batch:
-            coupling = self.couplings[job.arch_name]
-            key = (
-                coupling.canonical_key(),
-                job.engine,
-                canonical_options(job.options),
-            )
-            groups.setdefault(key, []).append(job)
-        return [
-            (self.couplings[jobs[0].arch_name], jobs) for jobs in groups.values()
-        ]
+    async def _run_job(self, job: Job) -> None:
+        """Map one job on the pool, store its result and settle it.
 
-    async def _run_group(self, coupling: CouplingMap, jobs: List[Job]) -> None:
-        """Safety wrapper: whatever happens, every job reaches a final state.
-
-        A job left ``running`` with its event unset would hang ``result()``
-        callers forever, and ``stop(drain=True)`` swallows task exceptions —
-        so any unexpected error is converted into per-job failures here.
+        Whatever happens, the job reaches a final state: a job left
+        ``running`` with its event unset would hang ``result()`` callers
+        forever, and ``stop(drain=True)`` swallows task exceptions — so any
+        unexpected error is converted into a job failure here.
         """
+        slots = self._slots
         try:
-            await self._map_group(coupling, jobs)
-        except Exception as error:  # noqa: BLE001 - converted to job failures
-            failure = MappingFailedError(
-                f"internal service error: {error}",
-                details={"error_type": type(error).__name__},
-            )
-            for job in jobs:
-                if job.status in (QUEUED, RUNNING):
-                    self._fail(job, failure)
-
-    async def _map_group(self, coupling: CouplingMap, jobs: List[Job]) -> None:
-        # A job may already be terminal by dispatch time (cancelled, or its
-        # deadline fired while it sat in the queue) — never (re)start those.
-        jobs = [job for job in jobs if job.status == QUEUED]
-        if not jobs:
-            return
-        for job in jobs:
+            # A job may already be terminal by dispatch time (cancelled, or
+            # its deadline fired while it sat in the queue): never start it.
+            if job.status != QUEUED:
+                return
             job.status = RUNNING
             self._in_flight += 1
-            job.provenance["batch_size"] = len(jobs)
             self._emit(job)
-        pipeline = MappingPipeline(
-            coupling,
-            engine=jobs[0].engine,
-            engine_options=jobs[0].options,
-            workers=self.workers,
-            executor=self.executor,
-            seeds=self.seeds,
-        )
-        loop = asyncio.get_running_loop()
-        start = time.monotonic()
-        try:
-            items = await loop.run_in_executor(
-                None,
-                partial(
-                    pipeline.map_many,
-                    [job.circuit for job in jobs],
-                    workers=self.workers,
-                    controls=[job.control for job in jobs],
-                ),
-            )
-        except Exception as error:  # noqa: BLE001 - surfaced per job
-            failure = MappingFailedError(
-                f"batch mapping failed: {error}",
-                details={"error_type": type(error).__name__},
-            )
-            for job in jobs:
-                self._fail(job, failure)
-            return
-        elapsed = time.monotonic() - start
-        for job, item in zip(jobs, items):
-            if job.status in (DONE, FAILED):
-                # Cancelled or deadline-failed while solving: the batch
-                # item (however it ended) is no longer this job's answer.
-                continue
-            if item.ok:
-                try:
-                    await loop.run_in_executor(
-                        None,
-                        partial(
-                            self.store.put,
-                            job.fingerprint,
-                            item.result,
-                            circuit_fp=job.circuit.fingerprint(),
-                            arch_fp=coupling_fingerprint(coupling),
-                        ),
-                    )
-                except InvalidResultError as error:
-                    self._fail(job, error)
-                    continue
-                except ServiceError as error:
-                    # A failing store (read-only disk, lock timeout) must not
-                    # fail a successfully solved job — the result is simply
-                    # not cached this time.
-                    job.provenance["store_error"] = error.to_dict()
-                if getattr(self.store, "degraded", False):
-                    # The store's circuit breaker is open: the result was
-                    # kept in memory only.  Say so truthfully instead of
-                    # implying durable caching.
-                    job.provenance["store_degraded"] = True
-                self._counters["solved"] += 1
-                statistics = item.result.statistics
-                if statistics.get("artifact_seeding"):
-                    job.provenance["artifact_provider"] = statistics.get(
-                        "artifact_provider"
-                    )
-                    for key in self._artifact_totals:
-                        count = int(statistics.get(key, 0))
-                        job.provenance[key] = count
-                        self._artifact_totals[key] += count
-                    if "artifact_notes" in statistics:
-                        job.provenance["artifact_notes"] = statistics[
-                            "artifact_notes"
-                        ]
-                self._complete(
-                    job, item.result, cache_hit=False,
-                    elapsed=item.elapsed_seconds or elapsed,
+            loop = asyncio.get_running_loop()
+            coupling = self.couplings[job.arch_name]
+            pool = self._pool
+            try:
+                status, payload, error_type, elapsed = await loop.run_in_executor(
+                    pool, _map_circuit_task, job.engine, coupling, job.options,
+                    job.circuit, self.seeds.resolve(),
+                    job.control if self.executor == "thread" else None,
                 )
-            else:
+            except BrokenProcessPool as error:
+                # A worker process died (killed, or the engine exited it):
+                # this job fails, and later jobs get a fresh pool.
+                if self._pool is pool:
+                    pool.shutdown(wait=False)
+                    self._pool = self._pool_type(self.workers)
+                status, payload, error_type = "error", str(error), type(error).__name__
+            if job.status != RUNNING:
+                # Cancelled or deadline-failed while solving: the outcome,
+                # however it ended, is no longer this job's answer.
+                return
+            if status != "ok":
                 self._fail(
                     job,
                     MappingFailedError(
-                        item.error or "mapping failed",
+                        payload or "mapping failed",
                         details={
-                            "error_type": item.error_type,
+                            "error_type": error_type,
                             "circuit": job.circuit.name,
                         },
                     ),
                 )
+                return
+            try:
+                await loop.run_in_executor(
+                    None,
+                    partial(
+                        self.store.put,
+                        job.fingerprint,
+                        payload,
+                        circuit_fp=job.circuit.fingerprint(),
+                        arch_fp=coupling_fingerprint(coupling),
+                    ),
+                )
+            except InvalidResultError as error:
+                self._fail(job, error)
+                return
+            except ServiceError as error:
+                # A failing store (read-only disk, lock timeout) must not
+                # fail a successfully solved job — the result is simply
+                # not cached this time.
+                job.provenance["store_error"] = error.to_dict()
+            if getattr(self.store, "degraded", False):
+                # The store's circuit breaker is open: the result was kept
+                # in memory only.  Say so truthfully instead of implying
+                # durable caching.
+                job.provenance["store_degraded"] = True
+            self._counters["solved"] += 1
+            statistics = payload.statistics
+            if statistics.get("artifact_seeding"):
+                for key in self._artifact_totals:
+                    count = int(statistics.get(key, 0))
+                    job.provenance[key] = count
+                    self._artifact_totals[key] += count
+                if "artifact_notes" in statistics:
+                    job.provenance["artifact_notes"] = statistics["artifact_notes"]
+            self._complete(job, payload, cache_hit=False, elapsed=elapsed)
+        except Exception as error:  # noqa: BLE001 - converted to a job failure
+            self._fail(
+                job,
+                MappingFailedError(
+                    f"internal service error: {error}",
+                    details={"error_type": type(error).__name__},
+                ),
+            )
+        finally:
+            slots.release()
 
     # ------------------------------------------------------------------
     # Completion plumbing
@@ -792,7 +760,7 @@ class MappingService:
         self, job: Job, result: MappingResult, *, cache_hit: bool, elapsed: float
     ) -> None:
         if job.status in (DONE, FAILED):
-            # Already terminal (cancelled / deadline-failed) — a late batch
+            # Already terminal (cancelled / deadline-failed) — a late
             # result must not resurrect the job or double-count gauges.
             return
         if job.status == RUNNING:
@@ -810,7 +778,6 @@ class MappingService:
         self._emit(job)
         self._release(job)
         for follower in job.followers:
-            follower.provenance["batch_size"] = job.provenance.get("batch_size", 1)
             # A follower was deduplicated in flight, not served from the
             # store — keep the two categories distinguishable per job.
             follower.provenance["coalesced"] = True

@@ -1022,7 +1022,7 @@ class ArtifactCache:
     The subset sweep (:meth:`repro.exact.sat_mapper.SATMapper.map`)
     carries this object instead of the full :class:`ResultStore`: it
     exposes exactly the two artifact operations, and it survives crossing
-    into the process-pool workers of ``map_many`` — pickling drops the
+    into process-pool workers — pickling drops the
     live store and keeps the database path, and the far side lazily
     re-opens its own connection-per-operation store.  A memory-only store
     has no path to re-open (and a path may fail to re-open), so on the far
@@ -1046,9 +1046,9 @@ class ArtifactCache:
 
     def _backing(self) -> Optional[ResultStore]:
         if self._store is None and self.path is not None:
-            # Re-opened lazily after crossing a process boundary; the
-            # memory tier is disabled — worker processes are short-lived
-            # and must see other workers' merges immediately.
+            # Re-opened lazily after crossing a process boundary (each
+            # task unpickles its own handle); the memory tier is disabled
+            # so a worker sees other workers' merges immediately.
             try:
                 self._store = ResultStore(
                     self.path,

@@ -709,8 +709,8 @@ class TestProvidersAndService:
             ).map(circuit))
         cold, warm = runs
         assert cold.added_cost == warm.added_cost
-        assert cold.statistics["artifact_provider"] == "artifact"
-        assert warm.statistics["artifact_provider"] == "artifact"
+        assert cold.statistics["artifact_seeding"] == 1
+        assert warm.statistics["artifact_seeding"] == 1
         # The second run is warm from the first run's harvest.
         assert warm.statistics["artifact_hits"] >= 1
 
@@ -742,7 +742,6 @@ class TestProvidersAndService:
 
         cold, cold_prov, warm, warm_prov, stats = asyncio.run(scenario())
         assert cold.added_cost == warm.added_cost == HAM3_102_MINIMAL_COST
-        assert cold_prov["artifact_provider"] == "artifact"
         assert cold_prov["artifact_misses"] >= 1
         assert warm_prov["cache_hit"] is False
         assert warm_prov["artifact_hits"] >= 1

@@ -1,12 +1,14 @@
 """Tests for the async MappingService: job semantics, caching, routing.
 
-The executor the service drains batches through is selectable via the
-``REPRO_TEST_EXECUTOR`` environment variable (``thread``/``process``), so CI
-can run this module once per pool type without duplicating the tests.
+The executor of the service's worker pool, which maps each job as one
+task, is selectable via the ``REPRO_TEST_EXECUTOR`` environment variable
+(``thread``/``process``), so CI can run this module once per pool type
+without duplicating the tests.
 """
 
 import asyncio
 import os
+import time
 
 import pytest
 
@@ -46,30 +48,64 @@ def _service(**kwargs):
 
 
 class _CountingMapper:
-    """Registry-compatible mapper that counts its map() invocations."""
+    """Registry-compatible mapper that counts its map() invocations.
 
-    calls = 0
+    Each call appends a line to :attr:`log`, so calls made in the worker
+    processes of the process executor are counted too.
+    """
+
+    log = None
 
     def __init__(self, coupling):
         self.coupling = coupling
 
     def map(self, circuit):
-        type(self).calls += 1
+        with open(type(self).log, "a") as handle:
+            handle.write("map\n")
         return DPMapper(self.coupling).map(circuit)
 
 
-@pytest.fixture()
-def counting_engine(monkeypatch):
-    _CountingMapper.calls = 0
+def _mapper_calls():
+    return len(_CountingMapper.log.read_text().splitlines())
+
+
+class _SlowMapper:
+    """Registry-compatible mapper that sleeps before mapping."""
+
+    def __init__(self, coupling):
+        self.coupling = coupling
+
+    def map(self, circuit):
+        time.sleep(1.0)
+        return DPMapper(self.coupling).map(circuit)
+
+
+class _ExitingMapper:
+    """Registry-compatible mapper that ends its process without a word."""
+
+    def __init__(self, coupling):
+        self.coupling = coupling
+
+    def map(self, circuit):
+        os._exit(3)
+
+
+def _register(monkeypatch, name, mapper_class):
+    """Register *mapper_class* under *name* for one test only."""
     monkeypatch.setattr(
         DEFAULT_REGISTRY, "_factories", dict(DEFAULT_REGISTRY._factories)
     )
     DEFAULT_REGISTRY.register(
-        "counting_test_engine",
-        lambda coupling, **options: _CountingMapper(coupling),
-        overwrite=True,
+        name, lambda coupling, **options: mapper_class(coupling), overwrite=True,
     )
-    return "counting_test_engine"
+    return name
+
+
+@pytest.fixture()
+def counting_engine(monkeypatch, tmp_path):
+    _CountingMapper.log = tmp_path / "mapper-calls.log"
+    _CountingMapper.log.write_text("")
+    return _register(monkeypatch, "counting_test_engine", _CountingMapper)
 
 
 class TestSubmitResult:
@@ -130,12 +166,12 @@ class TestResultCaching:
             async with _service(engine=counting_engine, store=store) as service:
                 first = await service.submit(_circuit())
                 result_one = await service.result(first, timeout=60)
-                calls_after_first = _CountingMapper.calls
+                calls_after_first = _mapper_calls()
                 second = await service.submit(_circuit())
                 result_two = await service.result(second, timeout=60)
                 return (
                     calls_after_first,
-                    _CountingMapper.calls,
+                    _mapper_calls(),
                     result_one,
                     result_two,
                     service.status(second),
@@ -192,7 +228,7 @@ class TestResultCaching:
             ) as service:
                 job = await service.submit(_circuit())
                 await service.result(job, timeout=60)
-                return _CountingMapper.calls, service.status(job)
+                return _mapper_calls(), service.status(job)
 
         calls, status = run(scenario())
         assert calls == 1
@@ -208,7 +244,7 @@ class TestResultCaching:
                     service.result(second, timeout=60),
                 )
                 return (
-                    _CountingMapper.calls,
+                    _mapper_calls(),
                     results,
                     service.status(second),
                     service.stats(),
@@ -309,14 +345,57 @@ class TestBatchAndRouting:
         assert stats["store"]["puts"] >= 1
 
 
+class TestWorkerPool:
+    def test_a_job_waits_queued_for_a_free_worker(self, monkeypatch):
+        # ``workers`` bounds the jobs that solve at once: with one worker
+        # the second job stays in the queue until the first is done.
+        engine = _register(monkeypatch, "slow_test_engine", _SlowMapper)
+
+        async def scenario():
+            async with _service(engine=engine, workers=1) as service:
+                first = await service.submit(_circuit(seed=1))
+                while service.status(first)["status"] != "running":
+                    await asyncio.sleep(0.01)
+                second = await service.submit(_circuit(seed=2))
+                await asyncio.sleep(0.2)
+                waiting = service.status(second)["status"], service.load()
+                await service.result(first, timeout=60)
+                await service.result(second, timeout=60)
+                return waiting, service.status(first), service.status(second)
+
+        (status, load), first, second = run(scenario())
+        assert first["fingerprint"] != second["fingerprint"]
+        assert status == "queued"
+        assert load == {"queue_depth": 1, "in_flight": 1}
+        assert first["status"] == second["status"] == DONE
+
+    def test_a_dead_process_worker_fails_its_job_only(self, monkeypatch):
+        engine = _register(monkeypatch, "exiting_test_engine", _ExitingMapper)
+
+        async def scenario():
+            async with _service(executor="process") as service:
+                doomed = await service.submit(_circuit(), engine=engine)
+                with pytest.raises(MappingFailedError) as excinfo:
+                    await service.result(doomed, timeout=60)
+                after = await service.submit(_circuit())
+                result = await service.result(after, timeout=60)
+                return excinfo.value, service.status(doomed), result
+
+        error, doomed, result = run(scenario())
+        assert error.code == "mapping-failed"
+        assert doomed["status"] == FAILED
+        assert doomed["error"]["details"]["error_type"] == "BrokenProcessPool"
+        assert result.engine == "dp"
+
+
 class TestSeedingAcrossExecutors:
     def test_sat_resubmission_is_model_seeded(self):
         """A SAT job after a DP job of the same circuit, under either executor.
 
-        The SAT engine seeds its family with DP's schedule itself.  The two
-        SAT jobs are submitted together so they usually drain as one batch,
-        which the process executor maps in its worker pool: the seed
-        resolution (the artifact handle) is pickled into the workers.
+        The SAT engine seeds its family with DP's schedule itself.  Every
+        job is mapped on the service's pool, so under the process executor
+        the seed resolution (the artifact handle) is pickled into the
+        workers.
         """
 
         async def scenario():
@@ -347,7 +426,7 @@ class TestSeedingAcrossExecutors:
         ):
             assert provenance["cache_hit"] is False
             assert provenance["executor"] == EXECUTOR
-            assert provenance["artifact_provider"] == "artifact"
+            assert sat.statistics["artifact_seeding"] == 1
             assert sat.added_cost == dp.added_cost
             assert sat.optimal
             assert sat.statistics["solver_iterations"] == iterations
@@ -371,4 +450,4 @@ class TestSeedingAcrossExecutors:
             assert item.result.added_cost == dp.added_cost
             assert item.result.statistics["families_dp_seeded"] == 1
             assert item.result.statistics["solver_iterations"] == iterations
-            assert item.result.statistics["artifact_provider"] == "artifact"
+            assert item.result.statistics["artifact_seeding"] == 1

@@ -233,6 +233,35 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "repro-map: error: unknown strategy 'bogus'" in err
 
+    @pytest.mark.parametrize("command, message", [
+        (["serve", "{qasm}", "--arch", "bogus"], "unknown architecture 'bogus'"),
+        (["serve", "{qasm}", "--engine", "sat", "--time-limit", "-1"],
+         "--time-limit must be positive"),
+        (["{qasm}", "--engine", "stochastic", "--trials", "0"],
+         "--trials must be at least 1"),
+        (["serve", "{qasm}", "--strategy", "bogus"], "unknown strategy 'bogus'"),
+        (["listen", "--strategy", "bogus"], "unknown strategy 'bogus'"),
+        (["listen", "--workers", "1", "--arch", "bogus"],
+         "unknown architecture 'bogus'"),
+        (["listen", "--engine", "dp", "--optimizer", "core"],
+         "--optimizer only applies to the sat and sat_split engines"),
+    ])
+    def test_engine_flags_are_checked_before_anything_runs(
+        self, tmp_path, capsys, command, message
+    ):
+        # map, serve and listen share one validation: a bad engine flag or
+        # architecture is one usage error, never a traceback or a failed job.
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1)
+        path = self._write_qasm(tmp_path, circuit)
+        with pytest.raises(SystemExit) as exit_info:
+            main([part.format(qasm=path) for part in command])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
+
 
 class TestCLIServiceSubcommands:
     """The cache admin and async serve front ends of the CLI."""
