@@ -5,7 +5,8 @@ For a selection of Table-1 benchmarks, maps each circuit with every strategy
 (permutations before all gates, disjoint-qubit boundaries, odd gates, qubit
 triangles and a sliding window) and prints the number of permutation spots
 |G'|, the resulting cost and the distance to the minimum — the trade-off
-Table 1 illustrates.
+Table 1 illustrates.  A strategy whose spots leave no valid mapping sequence
+is printed as infeasible.
 
 Run with::
 
@@ -47,7 +48,12 @@ def main() -> None:
               f"{'delta-min':>9s} {'time[s]':>8s}")
         minimal_cost = None
         for label, strategy in strategies:
-            result = DPMapper(qx4, strategy=strategy).map(circuit)
+            try:
+                result = DPMapper(qx4, strategy=strategy).map(circuit)
+            except ValueError as error:
+                # Too few spots to move the qubits where a gate needs them.
+                print(f"  {label:10s} infeasible: {error}")
+                continue
             if label == "all":
                 minimal_cost = result.added_cost
             delta = result.added_cost - minimal_cost

@@ -14,7 +14,7 @@ from repro.arch.devices import (
     available_architectures,
 )
 from repro.arch.permutations import (
-    MappingTransitionTable,
+    MappingGraph,
     PermutationTable,
     all_permutations,
     apply_permutation,
@@ -36,7 +36,7 @@ __all__ = [
     "fully_connected_architecture",
     "get_architecture",
     "available_architectures",
-    "MappingTransitionTable",
+    "MappingGraph",
     "PermutationTable",
     "all_permutations",
     "apply_permutation",

@@ -5,9 +5,9 @@ The exact engines repeatedly rebuild expensive, read-only artefacts:
 * the :class:`~repro.arch.permutations.PermutationTable` of a coupling map
   (exhaustive BFS over the permutation group — ``SATMapper`` used to rebuild
   it for *every* subset instance of every ``map`` call),
-* the :class:`~repro.arch.permutations.MappingTransitionTable` of a coupling
-  map and logical-qubit count (all-pairs SWAP distances between mappings,
-  which every ``DPMapper.map`` call reads),
+* the :class:`~repro.arch.permutations.MappingGraph` of a coupling map and
+  logical-qubit count (the SWAP graph over complete mappings, which every
+  ``DPMapper.map`` call searches),
 * the list of connected physical-qubit subsets of a given size
   (:func:`~repro.arch.subsets.connected_subsets`).
 
@@ -38,7 +38,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Tuple, TypeVar
 
 from repro.arch.coupling import CouplingMap
-from repro.arch.permutations import MappingTransitionTable, PermutationTable
+from repro.arch.permutations import MappingGraph, PermutationTable
 from repro.arch.subsets import connected_subsets
 
 _T = TypeVar("_T")
@@ -99,11 +99,11 @@ class Memo:
 
 
 _TABLES = Memo(MAX_ENTRIES)
-_TRANSITIONS = Memo(MAX_ENTRIES)
+_GRAPHS = Memo(MAX_ENTRIES)
 _SUBSETS = Memo(MAX_ENTRIES)
 _DISTANCES = Memo(MAX_ENTRIES)
 _SYNTHESIZERS = Memo(MAX_ENTRIES)
-_MEMOS = (_TABLES, _TRANSITIONS, _SUBSETS, _DISTANCES, _SYNTHESIZERS)
+_MEMOS = (_TABLES, _GRAPHS, _SUBSETS, _DISTANCES, _SYNTHESIZERS)
 
 # Backend selections: the perf gate pins that small devices never take the
 # routed (upper-bound) path where the exact table is available.
@@ -139,18 +139,16 @@ def shared_permutation_table(
     )
 
 
-def shared_transition_table(
-    coupling: CouplingMap, num_logical: int
-) -> MappingTransitionTable:
-    """The (cached) :class:`MappingTransitionTable` of *coupling* for
-    *num_logical* logical qubits.
+def shared_mapping_graph(coupling: CouplingMap, num_logical: int) -> MappingGraph:
+    """The (cached) :class:`MappingGraph` of *coupling* for *num_logical*
+    logical qubits.
 
     Built on the first request, so only processes that run the DP engine
-    pay for it; callers must treat the returned table as read-only.
+    pay for it; callers must treat the returned graph as read-only.
     """
-    return _TRANSITIONS.get(
+    return _GRAPHS.get(
         (coupling.canonical_key(), num_logical),
-        lambda: MappingTransitionTable(coupling, num_logical),
+        lambda: MappingGraph(coupling, num_logical),
     )
 
 
@@ -205,7 +203,7 @@ def shared_connected_subsets(coupling: CouplingMap, size: int) -> List[Tuple[int
 
 def cache_stats() -> Dict[str, int]:
     """Hit/miss counters plus current cache sizes (a snapshot copy)."""
-    tables, transitions, subsets, distances, synthesizers = (
+    tables, graphs, subsets, distances, synthesizers = (
         memo.stats() for memo in _MEMOS
     )
     with _SELECTED_LOCK:
@@ -213,8 +211,8 @@ def cache_stats() -> Dict[str, int]:
     return {
         "permutation_table_hits": tables["hits"],
         "permutation_table_misses": tables["misses"],
-        "transition_table_hits": transitions["hits"],
-        "transition_table_misses": transitions["misses"],
+        "mapping_graph_hits": graphs["hits"],
+        "mapping_graph_misses": graphs["misses"],
         "connected_subsets_hits": subsets["hits"],
         "connected_subsets_misses": subsets["misses"],
         "distance_matrix_hits": distances["hits"],
@@ -224,7 +222,7 @@ def cache_stats() -> Dict[str, int]:
         "synthesizer_table_selected": selected["table"],
         "synthesizer_routed_selected": selected["routed"],
         "permutation_tables_cached": tables["entries"],
-        "transition_tables_cached": transitions["entries"],
+        "mapping_graphs_cached": graphs["entries"],
         "connected_subset_lists_cached": subsets["entries"],
         "distance_matrices_cached": distances["entries"],
         "synthesizers_cached": synthesizers["entries"],
@@ -243,7 +241,7 @@ __all__ = [
     "MAX_ENTRIES",
     "Memo",
     "shared_permutation_table",
-    "shared_transition_table",
+    "shared_mapping_graph",
     "shared_distance_matrix",
     "shared_synthesizer",
     "shared_connected_subsets",

@@ -361,27 +361,27 @@ class PermutationTable:
         return self.swap_sequence(best_perm)
 
 
-#: Entry of :attr:`MappingTransitionTable.rows` for a pair of mappings that no
-#: SWAP sequence connects (different components of a disconnected device).
-UNREACHABLE = 0xFF
-
-#: Largest number of mapping states a :class:`MappingTransitionTable` covers:
-#: five logical qubits on an 8-qubit device, a 45 MB table.
+#: Largest number of mapping states a :class:`MappingGraph` covers: five
+#: logical qubits on an 8-qubit device.  The graph is small (1.7 MB of states
+#: and neighbour lists at the limit); what the limit bounds is the DP's work,
+#: one pass over every state and its SWAP edges per permutation spot.  The
+#: subset sweep reads it to decide which families start at DP's schedule,
+#: so moving it would change which families the sweep seeds.
 MAX_MAPPING_STATES = 8 * 7 * 6 * 5 * 4
 
 
-class MappingTransitionTable:
-    """Minimal SWAP counts between every pair of complete mappings.
+class MappingGraph:
+    """The SWAP graph over the complete mappings of a device.
 
     The states are the mappings of *num_logical* logical qubits onto the
     physical qubits of *coupling*, in ``itertools.permutations(range(m), n)``
     order.  One SWAP on an undirected coupling edge exchanges whatever sits on
-    its two endpoints, so it links two states; a breadth-first search from
-    every state over these links gives the SWAP distance of every pair.  A
-    path of ``k`` SWAPs from ``old`` to ``new`` is a ``k``-SWAP permutation
-    consistent with both, so each distance equals
-    :meth:`PermutationTable.transition_cost` of the pair.  SWAPs are
-    involutions, so the distances are symmetric.
+    its two endpoints, so it links two states.  A path of ``k`` SWAPs from
+    ``old`` to ``new`` is a ``k``-SWAP permutation consistent with both, so
+    the graph distance of a pair equals
+    :meth:`PermutationTable.transition_cost`; pairs in different components
+    of a disconnected device have no path.  SWAPs are involutions, so the
+    graph is undirected.
 
     Args:
         coupling: The architecture.
@@ -396,47 +396,25 @@ class MappingTransitionTable:
         count = math.perm(size, num_logical) if num_logical <= size else 0
         if count > MAX_MAPPING_STATES:
             raise ValueError(
-                f"refusing to tabulate {count} mappings of {num_logical} logical "
+                f"refusing to enumerate {count} mappings of {num_logical} logical "
                 f"qubits on {size} physical qubits (limit {MAX_MAPPING_STATES})"
             )
         #: The mapping states, in ``itertools.permutations`` order.
         self.states: List[Mapping] = list(
             itertools.permutations(range(size), num_logical)
         )
-        #: ``rows[i][j]``: SWAPs between states ``i`` and ``j``, or
-        #: :data:`UNREACHABLE`.
-        self.rows: List[bytes] = self._distances(sorted(coupling.undirected_edges))
-
-    def _distances(self, edges: List[SwapEdge]) -> List[bytes]:
         index = {state: position for position, state in enumerate(self.states)}
-        neighbours = [
-            [
+        edges = sorted(coupling.undirected_edges)
+        #: ``neighbours[i]``: the states one SWAP away from state ``i``, over
+        #: the sorted undirected edges that move something.
+        self.neighbours: List[Tuple[int, ...]] = [
+            tuple(
                 index[tuple(b if p == a else a if p == b else p for p in state)]
                 for a, b in edges
                 if a in state or b in state
-            ]
+            )
             for state in self.states
         ]
-        unvisited = bytes([UNREACHABLE]) * len(self.states)
-        rows = []
-        for source in range(len(self.states)):
-            distance = bytearray(unvisited)
-            distance[source] = 0
-            frontier = [source]
-            depth = 0
-            while frontier:
-                depth += 1
-                if depth == UNREACHABLE:
-                    raise ValueError("SWAP distances do not fit the table's bytes")
-                reached = []
-                for state in frontier:
-                    for neighbour in neighbours[state]:
-                        if distance[neighbour] == UNREACHABLE:
-                            distance[neighbour] = depth
-                            reached.append(neighbour)
-                frontier = reached
-            rows.append(bytes(distance))
-        return rows
 
 
 __all__ = [
@@ -452,7 +430,6 @@ __all__ = [
     "swap_transposition",
     "nearest_free_completion",
     "PermutationTable",
-    "UNREACHABLE",
     "MAX_MAPPING_STATES",
-    "MappingTransitionTable",
+    "MappingGraph",
 ]

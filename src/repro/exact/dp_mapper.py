@@ -22,22 +22,24 @@ The permutation-restriction strategies of Section 4.2 are supported in the
 same way as in the SAT engine: between gates that are not permutation spots
 the mapping must stay unchanged.
 
-What is precomputed, and where: the SWAP distance between every pair of
-mappings is read from one :class:`~repro.arch.permutations.MappingTransitionTable`
-per ``(coupling, number of logical qubits)``, built by all-pairs BFS in
-:mod:`repro.arch.permutations` and shared process-wide through
-:func:`repro.arch.cache.shared_transition_table`.  A fresh ``DPMapper`` (the
-pipeline builds one per job) therefore starts warm after the first job on a
-device.  The DP itself runs on state indices; ``7 * swaps`` is applied here.
-The device's :class:`~repro.arch.permutations.PermutationTable` is used only
-to reconstruct the SWAP sequences of the result.
+What is precomputed, and where: the mapping states and their SWAP edges,
+one :class:`~repro.arch.permutations.MappingGraph` per ``(coupling, number
+of logical qubits)``, shared process-wide through
+:func:`repro.arch.cache.shared_mapping_graph`, so a fresh ``DPMapper`` (the
+pipeline builds one per job) starts warm after the first job on a device.
+No distance is stored: each permutation spot runs one multi-source
+shortest-path search over the graph, a pass over the states and their SWAP
+edges instead of a comparison per pair of states.  The device's
+:class:`~repro.arch.permutations.PermutationTable` is used only to
+reconstruct the SWAP sequences of the result.
 
-Output contract: states are visited in ``itertools.permutations(range(m), n)``
-order, previous states in ascending index, and a state keeps the *first*
-strictly cheaper predecessor; the final state is the first of minimal cost.
-Keeping this order and tie-break keeps schedules, mapped circuits and the
-``transitions_evaluated`` statistic (every pair scored at a permutation spot,
-reachable or not) unchanged across changes to how distances are computed.
+Output contract: states are numbered in ``itertools.permutations(range(m),
+n)`` order, a state keeps the cheapest predecessor of least index (the
+first strictly cheaper one in ascending order), and the final state is the
+first of minimal cost; so schedules and mapped circuits do not depend on
+how the minimum is computed.  ``transitions_evaluated`` counts the state
+pairs the spots' minima cover (previous states times valid states per
+spot, reachable or not), not pairs visited one by one.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ import math
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.arch.cache import shared_permutation_table, shared_transition_table
+from repro.arch.cache import shared_mapping_graph, shared_permutation_table
 from repro.arch.coupling import CouplingMap
-from repro.arch.permutations import UNREACHABLE
 from repro.circuit.circuit import QuantumCircuit
 from repro.exact.cost import REVERSAL_COST, SWAP_COST
 from repro.exact.reconstruction import build_result, default_schedule
@@ -61,16 +62,16 @@ State = Tuple[int, ...]
 class DPMapper:
     """Exact mapper based on dynamic programming over complete mappings.
 
-    Each ``map`` call reads the process-wide transition table of its device
-    and logical-qubit count (built by the first call that needs it) and keeps
+    Each ``map`` call reads the process-wide mapping graph of its device and
+    logical-qubit count (built by the first call that needs it) and keeps
     the module's order-and-tie-break contract, so its output does not depend
-    on whether the table was cold or warm.
+    on whether the graph was cold or warm.
 
     Args:
         coupling: Target architecture.  The DP's size limit is its state count
             ``m! / (m - n)!`` (at most
-            :data:`~repro.arch.permutations.MAX_MAPPING_STATES`, since the
-            transition table holds every pair of states); reconstructing the
+            :data:`~repro.arch.permutations.MAX_MAPPING_STATES`, since each
+            permutation spot searches every state); reconstructing the
             SWAP sequences from the device's permutation table further limits
             the device to 8 physical qubits.
         strategy: Permutation-restriction strategy (defaults to permutations
@@ -175,40 +176,43 @@ def dp_schedule(
     Returns:
         ``(mappings, objective, transitions_evaluated)``: one
         logical-to-physical mapping per gate, the paper's added cost of that
-        sequence, and the number of state pairs scored at permutation spots
-        (reachable or not).  States, predecessors and ties follow the
-        module's output contract.
+        sequence, and the number of state pairs the permutation spots'
+        minima cover (reachable or not).  States, predecessors and ties
+        follow the module's output contract.
 
     Raises:
         ValueError: If the device has too many states, a CNOT cannot be
             placed on any coupled pair, or no mapping sequence respects
             *spots*.
     """
-    transitions = shared_transition_table(coupling, num_logical)
-    all_states = transitions.states
-    rows = transitions.rows
+    graph = shared_mapping_graph(coupling, num_logical)
+    all_states = graph.states
     spots = set(spots)
 
-    # Valid states per gate, as (state index, placement cost): the gate's
-    # qubits must sit on a coupled pair.
+    # Valid states per distinct gate, as (state index, placement cost): the
+    # gate's qubits must sit on a coupled pair.
+    placements: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     valid_states: List[List[Tuple[int, int]]] = []
     for control, target in gates:
-        options: List[Tuple[int, int]] = []
-        for index, state in enumerate(all_states):
-            physical_control = state[control]
-            physical_target = state[target]
-            if coupling.allows_cnot(physical_control, physical_target):
-                options.append((index, 0))
-            elif coupling.allows_cnot(physical_target, physical_control):
-                options.append((index, REVERSAL_COST))
-        if not options:
-            raise ValueError(
-                f"CNOT({control}, {target}) cannot be placed on any coupled pair"
-            )
+        options = placements.get((control, target))
+        if options is None:
+            options = []
+            for index, state in enumerate(all_states):
+                physical_control = state[control]
+                physical_target = state[target]
+                if coupling.allows_cnot(physical_control, physical_target):
+                    options.append((index, 0))
+                elif coupling.allows_cnot(physical_target, physical_control):
+                    options.append((index, REVERSAL_COST))
+            if not options:
+                raise ValueError(
+                    f"CNOT({control}, {target}) cannot be placed on any coupled pair"
+                )
+            placements[control, target] = options
         valid_states.append(options)
 
     # Dynamic programming over (gate, state index); ``best`` is filled in
-    # ascending index order, which the tie-break below relies on.
+    # ascending index order.
     best: Dict[int, int] = dict(valid_states[0])
     parents: List[Dict[int, int]] = [{}]
 
@@ -217,21 +221,13 @@ def dp_schedule(
         new_best: Dict[int, int] = {}
         parent: Dict[int, int] = {}
         if k in spots:
-            previous = list(best.items())
-            transitions_evaluated += len(previous) * len(valid_states[k])
+            transitions_evaluated += len(best) * len(valid_states[k])
+            costs, origins = _cheapest_arrivals(graph.neighbours, best)
             for index, gate_cost in valid_states[k]:
-                row = rows[index]
-                best_cost: Optional[int] = None
-                for old_index, old_cost in previous:
-                    swaps = row[old_index]
-                    if swaps == UNREACHABLE:
-                        continue
-                    candidate = old_cost + SWAP_COST * swaps
-                    if best_cost is None or candidate < best_cost:
-                        best_cost = candidate
-                        parent[index] = old_index
-                if best_cost is not None:
-                    new_best[index] = best_cost + gate_cost
+                cost = costs[index]
+                if cost is not None:
+                    new_best[index] = cost + gate_cost
+                    parent[index] = origins[index]
         else:
             for index, gate_cost in valid_states[k]:
                 previous_cost = best.get(index)
@@ -256,6 +252,46 @@ def dp_schedule(
         sequence.append(current)
     sequence.reverse()
     return [all_states[index] for index in sequence], objective, transitions_evaluated
+
+
+def _cheapest_arrivals(
+    neighbours: Sequence[Sequence[int]], sources: Dict[int, int]
+) -> Tuple[List[Optional[int]], List[int]]:
+    """The least ``(cost, origin)`` of every state over all *sources*.
+
+    A multi-source shortest-path search over the SWAP graph: each source
+    starts at its own cost and each edge costs :data:`SWAP_COST`.  Dial
+    buckets keyed by cost settle the states in cost order; a state's origin
+    (the least-index source among its cheapest) is final once every bucket
+    below its cost has been expanded.  Returns ``(costs, origins)`` by
+    state, with cost ``None`` where no source reaches.
+    """
+    costs: List[Optional[int]] = [None] * len(neighbours)
+    origins = [0] * len(neighbours)
+    buckets: Dict[int, List[int]] = {}
+    for state, cost in sources.items():
+        costs[state] = cost
+        origins[state] = state
+        buckets.setdefault(cost, []).append(state)
+    while buckets:
+        cost = min(buckets)
+        reached = cost + SWAP_COST
+        arrivals = buckets.setdefault(reached, [])
+        for state in buckets.pop(cost):
+            if costs[state] != cost:
+                continue  # reached more cheaply since it was queued
+            origin = origins[state]
+            for neighbour in neighbours[state]:
+                known = costs[neighbour]
+                if known is None or known > reached:
+                    costs[neighbour] = reached
+                    origins[neighbour] = origin
+                    arrivals.append(neighbour)
+                elif known == reached and origin < origins[neighbour]:
+                    origins[neighbour] = origin
+        if not arrivals:
+            del buckets[reached]
+    return costs, origins
 
 
 __all__ = ["DPMapper", "dp_schedule"]

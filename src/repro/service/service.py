@@ -182,6 +182,10 @@ class MappingService:
         self._jobs: Dict[str, Job] = {}
         self._primary_by_fp: Dict[str, Job] = {}
         self._queue: Optional["asyncio.Queue[Job]"] = None
+        # Ids of the queued jobs still waiting for a worker: a job cancelled
+        # or expired in the queue leaves this set at once, though the queue
+        # holds it until the dispatcher discards it.
+        self._waiting: "set[str]" = set()
         self._dispatcher: Optional[asyncio.Task] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._pool: Optional[Executor] = None
@@ -447,6 +451,7 @@ class MappingService:
             return job.job_id
 
         self._primary_by_fp[fingerprint] = job
+        self._waiting.add(job.job_id)
         await self._queue.put(job)
         return job.job_id
 
@@ -548,7 +553,7 @@ class MappingService:
 
         Besides the lifetime counters (submitted/cache_hits/coalesced/
         solved/failed) this reports the live load state — ``queue_depth``
-        (jobs accepted but not yet dispatched) and ``in_flight`` (jobs
+        (jobs still waiting for a worker) and ``in_flight`` (jobs
         currently solving) — per-engine counter breakdowns, and the rolling
         p50/p99 latency over the last :data:`LATENCY_WINDOW` completions.
         """
@@ -569,7 +574,7 @@ class MappingService:
     def load(self) -> Dict[str, int]:
         """The two routing gauges alone (no store I/O, unlike :meth:`stats`)."""
         return {
-            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+            "queue_depth": len(self._waiting),
             "in_flight": self._in_flight,
         }
 
@@ -674,6 +679,7 @@ class MappingService:
             if job.status != QUEUED:
                 return
             job.status = RUNNING
+            self._waiting.discard(job.job_id)
             self._in_flight += 1
             self._emit(job)
             loop = asyncio.get_running_loop()
@@ -763,6 +769,7 @@ class MappingService:
             # Already terminal (cancelled / deadline-failed) — a late
             # result must not resurrect the job or double-count gauges.
             return
+        self._waiting.discard(job.job_id)
         if job.status == RUNNING:
             self._in_flight -= 1
         if not cache_hit and job.status == RUNNING:
@@ -787,6 +794,7 @@ class MappingService:
     def _fail(self, job: Job, error: ServiceError) -> None:
         if job.status in (DONE, FAILED):
             return
+        self._waiting.discard(job.job_id)
         if job.status == RUNNING:
             self._in_flight -= 1
         job.error = error

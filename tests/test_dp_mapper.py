@@ -1,7 +1,10 @@
 """Unit tests for the dynamic-programming exact mapper."""
 
+import random
+
 import pytest
 
+from repro.arch.cache import shared_mapping_graph
 from repro.arch.coupling import CouplingMap
 from repro.arch.devices import ibm_qx2, ibm_qx4, linear_architecture, sweep_grid8
 from repro.benchlib.generators import (
@@ -11,12 +14,16 @@ from repro.benchlib.generators import (
 )
 from repro.benchlib.paper_example import paper_example_circuit
 from repro.circuit.circuit import QuantumCircuit
-from repro.exact.dp_mapper import DPMapper
+from repro.exact.cost import REVERSAL_COST, SWAP_COST
+from repro.exact.dp_mapper import DPMapper, dp_schedule
 from repro.exact.strategies import (
     AllGatesStrategy,
     DisjointQubitsStrategy,
     OddGatesStrategy,
     QubitTriangleStrategy,
+    WindowStrategy,
+    available_strategies,
+    get_strategy,
 )
 from repro.sim.equivalence import result_is_equivalent
 from repro.verify import verify_result
@@ -140,6 +147,14 @@ class TestDPMapperPins:
         assert result.statistics["transitions_evaluated"] == 230400
         assert result.objective == result.added_cost
 
+    def test_four_logical_qubits_on_grid8(self):
+        # 1680 mapping states, the largest state count a pin covers.
+        result = DPMapper(sweep_grid8()).map(benchmark_circuit("rd32-v0_66"))
+        assert result.statistics["states"] == 1680
+        assert result.objective == 23
+        assert result.statistics["transitions_evaluated"] == 5400000
+        assert result.objective == result.added_cost
+
     def test_first_strict_minimum_breaks_ties(self):
         # Moving back to (0, 2, 1, 3) before gate 13 or before gate 14 costs
         # the same.  The first strictly cheaper predecessor in state order
@@ -189,3 +204,136 @@ class TestDPMapperStrategies:
         circuit = random_clifford_t_circuit(5, 6, 12, seed=21)
         result = DPMapper(ibm_qx4()).map(circuit)
         assert result.objective == result.added_cost
+
+
+def _bfs_distances(graph, source):
+    """SWAP distances from state *source* over ``graph.neighbours``; ``None``
+    for states in another component."""
+    distances = [None] * len(graph.states)
+    distances[source] = 0
+    frontier = [source]
+    while frontier:
+        reached = []
+        for state in frontier:
+            for neighbour in graph.neighbours[state]:
+                if distances[neighbour] is None:
+                    distances[neighbour] = distances[state] + 1
+                    reached.append(neighbour)
+        frontier = reached
+    return distances
+
+
+def reference_dp_schedule(coupling, num_logical, gates, spots):
+    """The all-pairs DP: at a spot every valid state compares every previous
+    state, in ascending index, and keeps the first strictly cheaper one."""
+    graph = shared_mapping_graph(coupling, num_logical)
+    rows = {}
+    valid_states = []
+    for control, target in gates:
+        options = []
+        for index, state in enumerate(graph.states):
+            if coupling.allows_cnot(state[control], state[target]):
+                options.append((index, 0))
+            elif coupling.allows_cnot(state[target], state[control]):
+                options.append((index, REVERSAL_COST))
+        if not options:
+            raise ValueError(
+                f"CNOT({control}, {target}) cannot be placed on any coupled pair"
+            )
+        valid_states.append(options)
+    best = dict(valid_states[0])
+    parents = [{}]
+    transitions_evaluated = 0
+    for k in range(1, len(gates)):
+        new_best, parent = {}, {}
+        if k in spots:
+            previous = list(best.items())
+            transitions_evaluated += len(previous) * len(valid_states[k])
+            for index, gate_cost in valid_states[k]:
+                if index not in rows:
+                    rows[index] = _bfs_distances(graph, index)
+                distances = rows[index]
+                best_cost = None
+                for old_index, old_cost in previous:
+                    if distances[old_index] is None:
+                        continue
+                    candidate = old_cost + SWAP_COST * distances[old_index]
+                    if best_cost is None or candidate < best_cost:
+                        best_cost = candidate
+                        parent[index] = old_index
+                if best_cost is not None:
+                    new_best[index] = best_cost + gate_cost
+        else:
+            for index, gate_cost in valid_states[k]:
+                if index in best:
+                    new_best[index] = best[index] + gate_cost
+                    parent[index] = index
+        if not new_best:
+            raise ValueError(
+                f"no valid mapping exists before gate {k} when the mapping "
+                f"may change only at the permutation spots"
+            )
+        best = new_best
+        parents.append(parent)
+    current = min(best, key=best.get)
+    objective = best[current]
+    sequence = [current]
+    for k in range(len(gates) - 1, 0, -1):
+        current = parents[k][current]
+        sequence.append(current)
+    sequence.reverse()
+    return [graph.states[index] for index in sequence], objective, transitions_evaluated
+
+
+def _outcome(schedule, coupling, num_logical, gates, spots):
+    try:
+        return schedule(coupling, num_logical, gates, set(spots))
+    except ValueError as error:
+        return str(error)
+
+
+_TWO_COMPONENTS = CouplingMap(5, [(0, 1), (1, 2), (3, 4)], name="two-components")
+
+
+class TestDPAgainstAllPairs:
+    """``dp_schedule`` against the all-pairs DP it replaced: the same
+    mappings, objective and ``transitions_evaluated``, or the same error."""
+
+    @pytest.mark.parametrize(
+        "device, num_logical, num_cnots",
+        [(ibm_qx2, n, 10) for n in (2, 3, 4, 5)]
+        + [(ibm_qx4, n, 10) for n in (2, 3, 4, 5)]
+        + [(sweep_grid8, 3, 6), (sweep_grid8, 4, 3)]
+        + [(lambda: _TWO_COMPONENTS, n, 8) for n in (2, 3, 4, 5)],
+    )
+    def test_every_strategy_and_random_spots(self, device, num_logical, num_cnots):
+        coupling = device()
+        rng = random.Random(f"{coupling.name}/{num_logical}")
+        for _ in range(2):
+            circuit = random_cnot_circuit(
+                num_logical, num_cnots, seed=rng.randrange(10**6)
+            )
+            cnot_gates = circuit.cnot_gates()
+            gates = [(gate.control, gate.target) for gate in cnot_gates]
+            strategies = [
+                get_strategy(name) for name in available_strategies() if name != "window"
+            ] + [WindowStrategy(window) for window in (2, 3, 4, 5)]
+            spot_sets = [strategy.spots(cnot_gates, coupling) for strategy in strategies]
+            spot_sets += [
+                [k for k in range(len(gates)) if rng.random() < 0.5] for _ in range(3)
+            ]
+            # Spot 0 changes nothing: the first mapping is always free.
+            for spots in {frozenset(spots) - {0} for spots in spot_sets}:
+                expected = _outcome(
+                    reference_dp_schedule, coupling, num_logical, gates, spots
+                )
+                actual = _outcome(dp_schedule, coupling, num_logical, gates, spots)
+                assert actual == expected, (gates, sorted(spots))
+
+    def test_infeasible_spots_raise_the_same_error(self):
+        # Without a spot the three qubits keep one placement on the path
+        # 0-1-2, where the first two gates leave logical 0 and 2 apart.
+        gates = [(0, 1), (1, 2), (0, 2)]
+        expected = _outcome(reference_dp_schedule, _TWO_COMPONENTS, 3, gates, [])
+        assert expected.startswith("no valid mapping exists before gate 2")
+        assert _outcome(dp_schedule, _TWO_COMPONENTS, 3, gates, []) == expected

@@ -14,8 +14,7 @@ from repro.arch.devices import (
     sweep_grid8,
 )
 from repro.arch.permutations import (
-    UNREACHABLE,
-    MappingTransitionTable,
+    MappingGraph,
     PermutationTable,
     apply_permutation,
     compose_permutations,
@@ -264,52 +263,73 @@ class TestTransitionEarlyExit:
             assert len(sequence) == brute
 
 
+def graph_distances(graph, source):
+    """SWAP distances from state *source* by BFS over ``graph.neighbours``;
+    ``None`` for states in another component."""
+    distances = [None] * len(graph.states)
+    distances[source] = 0
+    frontier = [source]
+    while frontier:
+        reached = []
+        for state in frontier:
+            for neighbour in graph.neighbours[state]:
+                if distances[neighbour] is None:
+                    distances[neighbour] = distances[state] + 1
+                    reached.append(neighbour)
+        frontier = reached
+    return distances
+
+
 def _reference_swaps(table, old, new):
-    """``transition_cost`` with unreachable pairs as ``UNREACHABLE``."""
+    """``transition_cost``, or ``None`` where no SWAP sequence connects."""
     try:
         return table.transition_cost(old, new)
     except ValueError:
-        return UNREACHABLE
+        return None
 
 
 class TestMappingTransitionTable:
-    """The state-graph BFS against the full-permutation table of the paper."""
+    """Distances in the mapping graph against the full-permutation table of
+    the paper (the class keeps the name of the all-pairs table it replaced)."""
 
     @pytest.mark.parametrize("factory", [ibm_qx2, ibm_qx4])
     @pytest.mark.parametrize("num_logical", [2, 3, 4, 5])
     def test_every_pair_matches_permutation_table(self, factory, num_logical):
         coupling = factory()
         reference = PermutationTable(coupling)
-        table = MappingTransitionTable(coupling, num_logical)
-        assert table.states == list(itertools.permutations(range(5), num_logical))
-        for i, old in enumerate(table.states):
-            for j, new in enumerate(table.states):
-                assert table.rows[j][i] == reference.transition_cost(old, new)
+        graph = MappingGraph(coupling, num_logical)
+        assert graph.states == list(itertools.permutations(range(5), num_logical))
+        for i, old in enumerate(graph.states):
+            distances = graph_distances(graph, i)
+            for j, new in enumerate(graph.states):
+                assert distances[j] == reference.transition_cost(old, new)
 
     @pytest.mark.parametrize("num_logical", [1, 2, 3])
     def test_disconnected_device_marks_cross_component_pairs(self, num_logical):
         coupling = CouplingMap(5, [(0, 1), (1, 2), (3, 4)], name="two-components")
         reference = PermutationTable(coupling)
-        table = MappingTransitionTable(coupling, num_logical)
+        graph = MappingGraph(coupling, num_logical)
         unreachable = 0
-        for i, old in enumerate(table.states):
-            for j, new in enumerate(table.states):
+        for i, old in enumerate(graph.states):
+            distances = graph_distances(graph, i)
+            for j, new in enumerate(graph.states):
                 expected = _reference_swaps(reference, old, new)
-                assert table.rows[j][i] == expected
-                unreachable += expected == UNREACHABLE
+                assert distances[j] == expected
+                unreachable += expected is None
         assert unreachable > 0
 
     def test_sampled_grid8_pairs_match_permutation_table(self):
         coupling = sweep_grid8()
         reference = PermutationTable(coupling)
-        table = MappingTransitionTable(coupling, 3)
-        assert len(table.states) == 8 * 7 * 6
+        graph = MappingGraph(coupling, 3)
+        assert len(graph.states) == 8 * 7 * 6
         rng = random.Random(2019)
         for _ in range(1000):
-            i, j = rng.randrange(len(table.states)), rng.randrange(len(table.states))
-            swaps = reference.transition_cost(table.states[i], table.states[j])
-            assert table.rows[j][i] == table.rows[i][j] == swaps
+            i, j = rng.randrange(len(graph.states)), rng.randrange(len(graph.states))
+            swaps = reference.transition_cost(graph.states[i], graph.states[j])
+            assert graph_distances(graph, i)[j] == graph_distances(graph, j)[i] == swaps
 
     def test_state_count_is_bounded(self):
-        with pytest.raises(ValueError, match="refusing to tabulate"):
-            MappingTransitionTable(sweep_grid8(), 6)
+        MappingGraph(sweep_grid8(), 5)
+        with pytest.raises(ValueError, match="refusing to enumerate 20160 mappings"):
+            MappingGraph(sweep_grid8(), 6)

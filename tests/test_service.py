@@ -369,6 +369,29 @@ class TestWorkerPool:
         assert load == {"queue_depth": 1, "in_flight": 1}
         assert first["status"] == second["status"] == DONE
 
+    def test_a_job_cancelled_while_queued_leaves_the_queue_depth(self, monkeypatch):
+        # The cancelled job stays in the dispatcher's queue until a worker
+        # frees up, but the routing gauge counts only jobs still waiting.
+        engine = _register(monkeypatch, "slow_test_engine", _SlowMapper)
+
+        async def scenario():
+            async with _service(engine=engine, workers=1) as service:
+                first = await service.submit(_circuit(seed=1))
+                while service.status(first)["status"] != "running":
+                    await asyncio.sleep(0.01)
+                second = await service.submit(_circuit(seed=2))
+                before = service.load()
+                service.cancel(second)
+                after = service.load()
+                await service.result(first, timeout=60)
+                return before, after, service.load(), service.status(second)
+
+        before, after, idle, second = run(scenario())
+        assert before == {"queue_depth": 1, "in_flight": 1}
+        assert after == {"queue_depth": 0, "in_flight": 1}
+        assert idle == {"queue_depth": 0, "in_flight": 0}
+        assert second["status"] == FAILED
+
     def test_a_dead_process_worker_fails_its_job_only(self, monkeypatch):
         engine = _register(monkeypatch, "exiting_test_engine", _ExitingMapper)
 
